@@ -433,16 +433,24 @@ impl<'a> Cfs<'a> {
 
     /// Feeds bootstrap traces (targeted campaigns and archived sweeps).
     pub fn ingest(&mut self, traces: Vec<Trace>) {
-        for t in &traces {
-            for hop in &t.hops {
-                if let Some(ip) = hop.ip {
-                    if self.hop_ips.insert(ip) {
-                        self.new_ips_since_alias += 1;
-                    }
-                }
+        self.ingest_fresh(traces);
+    }
+
+    /// [`Cfs::ingest`], returning the hop addresses seen for the first
+    /// time, in first-seen order.
+    pub(crate) fn ingest_fresh(&mut self, traces: Vec<Trace>) -> Vec<Ipv4Addr> {
+        let mut fresh = Vec::new();
+        for ip in traces
+            .iter()
+            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
+        {
+            if self.hop_ips.insert(ip) {
+                fresh.push(ip);
             }
         }
+        self.new_ips_since_alias += fresh.len();
         self.traces.extend(traces);
+        fresh
     }
 
     /// Feeds BGP session listings from BGP-capable looking glasses
@@ -457,26 +465,46 @@ impl<'a> Cfs<'a> {
                     self.new_ips_since_alias += 1;
                 }
             }
-            // Classification mirrors Step 1: confirmed IXP space ⇒ public.
-            let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                // A configured BGP session is direct operator evidence;
-                // the IXP-hop rules never applied.
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.obs_keys.insert(key) {
-                self.session_observations.push(obs);
-            }
+            self.push_session_observation(owner, s);
         }
+    }
+
+    /// Classifies one looking-glass session under the current KB epoch
+    /// and keeps the observation unless its key is already held.
+    fn push_session_observation(&mut self, owner: Asn, s: &cfs_bgp::BgpSession) {
+        // Classification mirrors Step 1: confirmed IXP space ⇒ public.
+        let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
+            Some(ixp) => LinkClass::Public { ixp },
+            None => LinkClass::Private,
+        };
+        let obs = Observation {
+            near_asn: owner,
+            near_ip: s.local_ip,
+            class,
+            far_asn: Some(s.neighbor_asn),
+            far_ip: Some(s.neighbor_ip),
+            // A configured BGP session is direct operator evidence;
+            // the IXP-hop rules never applied.
+            evidence: crate::observe::IxpHopEvidence::FULL,
+        };
+        if self.obs_keys.insert(obs.key()) {
+            self.session_observations.push(obs);
+        }
+    }
+
+    /// Drops every observation and rebuilds the looking-glass ones from
+    /// the session log under the current KB epoch, so the next
+    /// [`Cfs::process_new_traces`] re-extracts the whole trace corpus.
+    pub(crate) fn rebuild_observations(&mut self) {
+        self.observations.clear();
+        self.obs_keys.clear();
+        self.session_observations.clear();
+        self.processed = 0;
+        let log = std::mem::take(&mut self.bgp_log);
+        for (owner, s) in &log {
+            self.push_session_observation(*owner, s);
+        }
+        self.bgp_log = log;
     }
 
     /// Resets every derived artifact back to the post-builder state
@@ -489,7 +517,6 @@ impl<'a> Cfs<'a> {
     /// for first truncating `traces` to the external prefix (follow-up
     /// probes from the previous run are re-issued by the replay itself).
     pub(crate) fn reset_for_replay(&mut self) {
-        self.processed = 0;
         self.hop_ips.clear();
         for t in &self.traces {
             for hop in &t.hops {
@@ -505,8 +532,6 @@ impl<'a> Cfs<'a> {
         self.new_ips_since_alias = self.hop_ips.len();
         self.aliases = AliasResolution::default();
         self.corrected.clear();
-        self.observations.clear();
-        self.obs_keys.clear();
         self.states.clear();
         self.remote_cache.clear();
         self.vp_crossed.clear();
@@ -524,29 +549,7 @@ impl<'a> Cfs<'a> {
         self.breaker =
             CircuitBreaker::new(self.cfg.breaker_threshold, self.cfg.breaker_cooldown_ms);
         self.failed_probes = 0;
-        // Rebuild the looking-glass observations under the current KB
-        // epoch, exactly as ingest_bgp_sessions would have built them.
-        self.session_observations.clear();
-        let log = std::mem::take(&mut self.bgp_log);
-        for (owner, s) in &log {
-            let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: *owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.obs_keys.insert(key) {
-                self.session_observations.push(obs);
-            }
-        }
-        self.bgp_log = log;
+        self.rebuild_observations();
     }
 
     /// Runs the search to convergence (or the iteration cap) and returns
@@ -569,7 +572,8 @@ impl<'a> Cfs<'a> {
     /// staleness/iteration-cap/all-done conditions. Leaves every verdict
     /// in `self.states`; callers build the report separately.
     pub(crate) fn run_to_convergence(&mut self) {
-        self.refresh_aliases();
+        self.realias();
+        self.reset_observations();
         self.process_new_traces();
 
         let mut stale = 0usize;
@@ -593,7 +597,8 @@ impl<'a> Cfs<'a> {
                 issued = self.followups(iteration);
                 self.clock_ms += 120_000; // measurements spread over time
                 if self.new_ips_since_alias > 0 && iteration % self.cfg.realias_every == 0 {
-                    self.refresh_aliases();
+                    self.realias();
+                    self.reset_observations();
                 }
                 self.process_new_traces();
             }
@@ -712,7 +717,11 @@ impl<'a> Cfs<'a> {
     // Data preparation
     // ------------------------------------------------------------------
 
-    pub(crate) fn refresh_aliases(&mut self) {
+    /// Re-resolves aliases over every hop address and re-runs the
+    /// IP-to-ASN majority correction; returns the addresses whose
+    /// corrected ASN changed (moved, appeared, or vanished). Leaves the
+    /// observation list alone (see [`Cfs::reset_observations`]).
+    pub(crate) fn realias(&mut self) -> Vec<Ipv4Addr> {
         cfs_obs::span!(self.recorder, "stage.alias_resolution");
         let prober = IpIdProber::new(self.engine.topology());
         let ips: Vec<Ipv4Addr> = self.hop_ips.iter().copied().collect();
@@ -722,17 +731,37 @@ impl<'a> Cfs<'a> {
         }
         self.aliases = resolve_aliases(&prober, &ips, &alias_cfg);
         let (corrected, _stats) = correct_ip_to_asn(self.ipasn, &self.aliases, &ips);
-        self.corrected = corrected;
         self.new_ips_since_alias = 0;
-        // Mappings may have shifted: rebuild the observation list from
-        // every trace under the new view. Session observations come from
-        // authoritative LG output and survive as-is.
-        self.observations.clear();
-        self.obs_keys.clear();
-        for obs in &self.session_observations {
-            self.obs_keys
-                .insert((obs.near_ip, obs.class.ixp(), obs.far_ip));
+        let old = std::mem::replace(&mut self.corrected, corrected);
+        // A linear merge walk: the batch loop re-aliases many times.
+        let (mut was, mut now) = (old.iter().peekable(), self.corrected.iter().peekable());
+        let mut moved = Vec::new();
+        while let Some(ip) = [was.peek(), now.peek()]
+            .into_iter()
+            .flatten()
+            .map(|e| *e.0)
+            .min()
+        {
+            let before = was.next_if(|e| *e.0 == ip).map(|e| e.1);
+            let after = now.next_if(|e| *e.0 == ip).map(|e| e.1);
+            if before != after {
+                moved.push(ip);
+            }
         }
+        moved
+    }
+
+    /// Drops every trace-derived observation so the next
+    /// [`Cfs::process_new_traces`] re-extracts the whole corpus under the
+    /// current corrected view. Looking-glass observations come from
+    /// authoritative output, never read that view, and survive as-is.
+    pub(crate) fn reset_observations(&mut self) {
+        self.observations.clear();
+        self.obs_keys = self
+            .session_observations
+            .iter()
+            .map(Observation::key)
+            .collect();
         self.processed = 0;
     }
 
@@ -793,8 +822,7 @@ impl<'a> Cfs<'a> {
 
         for (t, obs_list) in new.iter().zip(per_trace) {
             for obs in obs_list {
-                let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-                if obs_keys.insert(key) {
+                if obs_keys.insert(obs.key()) {
                     observations.push(obs);
                     rec.counter("extract.observations_new", 1);
                 }

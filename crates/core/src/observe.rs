@@ -125,6 +125,14 @@ pub struct Observation {
     pub evidence: IxpHopEvidence,
 }
 
+impl Observation {
+    /// Dedup key: near interface, exchange (`None` when private), far
+    /// interface. The first observation per key wins.
+    pub(crate) fn key(&self) -> (Ipv4Addr, Option<IxpId>, Option<Ipv4Addr>) {
+        (self.near_ip, self.class.ixp(), self.far_ip)
+    }
+}
+
 /// Scores one public crossing against the reconciled knowledge base.
 fn score_public_hop(
     kb: &KnowledgeBase,

@@ -24,6 +24,20 @@
 //! control flow against the (constant) per-iteration counts to rebuild
 //! the convergence telemetry the batch loop would have written.
 //!
+//! Campaign deltas ([`Delta::TracerouteBatch`]) cost O(campaign), not
+//! O(corpus), by two exact fixed-point skips. Extraction of a trace reads
+//! only the KB and the corrected ASNs of that trace's own hops, so the
+//! held observation list stays what a fresh extraction would build as
+//! long as no previously seen address changes its corrected ASN. **Rule
+//! 1:** a delta that adds no new hop address skips alias resolution —
+//! MIDAR output is a pure function of the sorted address set, because
+//! probe times key off each candidate's global index — and only the new
+//! traces are extracted and appended. **Rule 2:** a delta that adds hop
+//! addresses re-resolves aliases globally (new interfaces can join old
+//! sets) but still extracts only the new traces, unless some address
+//! seen before the delta changed its corrected ASN; only then is the
+//! whole corpus re-extracted (the `serve.extract_rebuild` counter).
+//!
 //! Follow-up-driven configurations (`followup_interfaces > 0`) have no
 //! such fixed point: targeted probing reacts to global state, so a
 //! scoped pass cannot reproduce convergence. Those sessions still
@@ -38,25 +52,31 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use cfs_chaos::splitmix64;
 use cfs_kb::KnowledgeBase;
-use cfs_obs::export::fnv1a64;
 use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
-use cfs_types::{Asn, FacilityId, IxpId, LinkClass, MetroId, Result, VantagePointId};
+use cfs_types::{Asn, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
 use crate::engine::{Cfs, DepKey, KbHandle};
-use crate::observe::Observation;
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::state::SearchOutcome;
 use crate::telemetry::render_trace_json;
 
+/// Folded into an interface's fingerprint ahead of its alias-set members,
+/// keeping alias membership apart from observation lines.
+const ALIAS_MARK: u64 = 0xa11a_5e75_0000_0001;
+
 /// An incremental input change a resident session can absorb without
 /// recomputing the world.
 pub enum Delta {
-    /// A new traceroute campaign: ingested, re-aliased, re-extracted;
-    /// interfaces whose observation neighborhood or alias set changed
-    /// are re-converged.
+    /// A new traceroute campaign: ingested, and only its own traces
+    /// extracted; interfaces whose observation neighborhood or alias set
+    /// changed are re-converged. Aliases are re-resolved only when the
+    /// campaign adds hop addresses, and the whole corpus is re-extracted
+    /// only when that moves the corrected ASN of an address seen before
+    /// (module docs).
     TracerouteBatch(Vec<Trace>),
     /// A knowledge-base epoch flip (the `mid-kb-refresh` model made
     /// first-class): footprint caches are diffed against the new epoch
@@ -374,36 +394,47 @@ impl<'a> CfsSession<'a> {
     /// reads: the interface's subsequence of the merged observation list
     /// (owner, classification, far side) and its alias-set membership.
     /// An unchanged fingerprint means every constraint the batch pass
-    /// would intersect into the interface is unchanged too.
+    /// would intersect into the interface is unchanged too. Each field is
+    /// folded in as an integer through a bijective 64-bit mixer, so the
+    /// fold is order-sensitive and no string is built per observation.
     fn fingerprints(&self) -> BTreeMap<Ipv4Addr, u64> {
-        let mut acc: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
+        let fold = |h: u64, word: u64| splitmix64(h ^ word);
+        let opt = |v: Option<u32>| v.map_or(0, |v| u64::from(v) | 1 << 32);
+        let mut acc: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
         for obs in self
             .cfs
             .session_observations
             .iter()
             .chain(self.cfs.observations.iter())
         {
-            let line = format!(
-                "{:?}|{}|{:?}|{:?}|{:?};",
-                obs.near_asn,
-                obs.near_ip,
-                obs.class.ixp(),
-                obs.far_asn,
-                obs.far_ip
-            );
-            acc.entry(obs.near_ip).or_default().push_str(&line);
-            if let Some(far) = obs.far_ip {
-                acc.entry(far).or_default().push_str(&line);
+            let line = [
+                u64::from(obs.near_asn.raw()) << 32 | u64::from(u32::from(obs.near_ip)),
+                opt(obs.class.ixp().map(|x| x.raw())),
+                opt(obs.far_asn.map(Asn::raw)),
+                opt(obs.far_ip.map(u32::from)),
+            ]
+            .into_iter()
+            .fold(0, fold);
+            for ip in std::iter::once(obs.near_ip).chain(obs.far_ip) {
+                let h = acc.entry(ip).or_default();
+                *h = fold(*h, line);
             }
         }
+        let set_marks: Vec<u64> = self
+            .cfs
+            .aliases
+            .sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .fold(ALIAS_MARK, |h, m| fold(h, u64::from(u32::from(*m))))
+            })
+            .collect();
         for (ip, set) in &self.cfs.aliases.set_of {
-            let entry = acc.entry(*ip).or_default();
-            entry.push_str("#aliases:");
-            for member in &self.cfs.aliases.sets[*set] {
-                entry.push_str(&format!("{member},"));
-            }
+            let h = acc.entry(*ip).or_default();
+            *h = fold(*h, set_marks[*set]);
         }
-        acc.into_iter().map(|(ip, s)| (ip, fnv1a64(&s))).collect()
+        acc
     }
 
     /// Interfaces whose fingerprint differs between two snapshots
@@ -428,11 +459,25 @@ impl<'a> CfsSession<'a> {
 
     fn absorb_traces(&mut self, traces: Vec<Trace>) -> BTreeSet<Ipv4Addr> {
         let before = self.fingerprints();
-        self.cfs.ingest(traces);
-        // Alias resolution is global (new probes can merge old sets), so
-        // re-resolve and re-extract everything; the fingerprint diff then
-        // narrows the re-convergence to interfaces that actually moved.
-        self.cfs.refresh_aliases();
+        let mut fresh = self.cfs.ingest_fresh(traces);
+        fresh.sort_unstable();
+        // Extraction of a trace reads only the KB and the corrected ASNs
+        // of its own hops, so the held observations stay exact while no
+        // already-seen address changes its corrected ASN, and only the new
+        // traces need extracting. Rule 1: with no new hop address, alias
+        // resolution (a pure function of the sorted address set) would
+        // reproduce itself, so it is skipped. Rule 2: new addresses
+        // re-resolve aliases globally (they can join old sets); the whole
+        // corpus is re-extracted only if that moved the corrected ASN of
+        // an address seen before the delta. The fingerprint diff then
+        // narrows re-convergence to interfaces that actually moved.
+        if self.cfs.new_ips_since_alias > 0 {
+            let moved = self.cfs.realias();
+            if moved.iter().any(|ip| fresh.binary_search(ip).is_err()) {
+                self.cfs.recorder.counter("serve.extract_rebuild", 1);
+                self.cfs.reset_observations();
+            }
+        }
         self.cfs.process_new_traces();
         let after = self.fingerprints();
         Self::fingerprint_diff(&before, &after)
@@ -511,30 +556,7 @@ impl<'a> CfsSession<'a> {
         // replay the looking-glass log, then re-extract every trace.
         // Alias resolution and ownership correction never read the KB, so
         // they stand.
-        self.cfs.observations.clear();
-        self.cfs.obs_keys.clear();
-        self.cfs.session_observations.clear();
-        self.cfs.processed = 0;
-        let log = std::mem::take(&mut self.cfs.bgp_log);
-        for (owner, s) in &log {
-            let class = match self.cfs.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: *owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.cfs.obs_keys.insert(key) {
-                self.cfs.session_observations.push(obs);
-            }
-        }
-        self.cfs.bgp_log = log;
+        self.cfs.rebuild_observations();
         self.cfs.process_new_traces();
 
         let after = self.fingerprints();

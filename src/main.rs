@@ -1812,7 +1812,8 @@ fn metrics_cmd(args: &[String]) -> i32 {
 
 /// Renders the human `cfs metrics` summary: uptime, request volume and
 /// rate over the retained windows, per-op latency quantiles from the
-/// totals block, and the delta-churn counters.
+/// totals block, and the delta-churn counters (including campaign
+/// deltas that fell back to re-extracting the whole trace corpus).
 fn render_metrics_summary(doc: &MetricsDoc) -> String {
     let ms = |ns: u64| ns as f64 / 1e6;
     let total = |name: &str| doc.totals.counters.get(name).copied().unwrap_or(0);
@@ -1851,9 +1852,10 @@ fn render_metrics_summary(doc: &MetricsDoc) -> String {
         }
     }
     out.push_str(&format!(
-        "delta churn  {} interfaces dirtied, {} reconverged\n",
+        "delta churn  {} interfaces dirtied, {} reconverged, {} campaigns re-extracted the corpus\n",
         total("serve.dirty_ifaces"),
         total("serve.reconverged"),
+        total("serve.extract_rebuild"),
     ));
     out
 }
