@@ -8,7 +8,7 @@
 //! the resilience primitives the search uses to survive it:
 //! [`RetryPolicy`], [`RetryBudget`], and a per-key [`CircuitBreaker`].
 //!
-//! Like `cfs-obs` and `cfs-lint`, this crate is dependency-free: it
+//! Like `cfs-lint`, this crate is dependency-free: it
 //! sits underneath every perturbed crate and must never pull substrate
 //! code (or an RNG crate) along.
 //!

@@ -38,8 +38,9 @@ use cfs_obs::TraceSnapshot;
 
 use crate::report::{CfsReport, ConvergenceTelemetry, CANDIDATE_BUCKET_LE};
 
-/// Schema identifier stamped into every trace document.
-pub const TRACE_SCHEMA: &str = "cfs-trace/1";
+/// Schema identifier stamped into every trace document; defined once in
+/// `cfs_obs`, whose diff engine reads the documents this module writes.
+pub use cfs_obs::TRACE_SCHEMA;
 
 /// The duration-sidecar renderer, re-exported so trace producers can
 /// write the `cfs-profile/1` file next to the trace without reaching

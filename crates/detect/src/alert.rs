@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use cfs_obs::export::escape;
 use cfs_obs::{Clock, Severity};
 
 /// Schema identifier stamped into every rendered alert line.
@@ -83,10 +84,6 @@ pub struct Alert {
     pub score_pm: u64,
     /// Tracked members of the diverged bucket (alerting floor input).
     pub support: u64,
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl Alert {
@@ -393,6 +390,21 @@ mod tests {
         let mut hot = draft(1);
         hot.score_pm = 1001;
         assert!(validate_alerts(&hot.render_json()).is_err());
+    }
+
+    #[test]
+    fn hostile_names_render_strict_json_and_round_trip() {
+        let name = "fra\"\t\u{1}\\3";
+        let mut a = draft(1);
+        a.facility = Some((3, name.into()));
+        let line = a.render_json();
+        assert!(
+            line.bytes().all(|b| b >= 0x20),
+            "raw control byte: {line:?}"
+        );
+        assert!(validate_alerts(&line).is_ok(), "{line}");
+        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(v.get("facility").and_then(|f| f.as_str()), Some(name));
     }
 
     #[test]

@@ -22,12 +22,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use serde_json::Value;
+
 use crate::profile::{ProfileDoc, PROFILE_SCHEMA};
 
-/// The trace schema marker this module understands (kept in sync with
-/// `cfs_core::TRACE_SCHEMA`; the renderer lives there because the
-/// document embeds report-side convergence telemetry).
+/// The trace schema marker, re-exported as `cfs_core::TRACE_SCHEMA`
+/// (the renderer lives there because the document embeds report-side
+/// convergence telemetry).
 pub const TRACE_SCHEMA: &str = "cfs-trace/1";
 
 /// Why a pair of documents could not be diffed (CLI exit code 2).
@@ -405,11 +406,12 @@ impl DocDiff {
 /// `tolerance_pct` applies only to profile durations; traces are
 /// compared exactly.
 pub fn diff_docs(a_raw: &str, b_raw: &str, tolerance_pct: u32) -> Result<DocDiff, DiffError> {
-    let schema_of = |raw: &str, side: &str| -> Result<(Json, String), DiffError> {
-        let doc = Json::parse(raw).map_err(|e| DiffError::Malformed(format!("{side}: {e}")))?;
+    let schema_of = |raw: &str, side: &str| -> Result<(Value, String), DiffError> {
+        let doc = serde_json::from_str::<Value>(raw)
+            .map_err(|e| DiffError::Malformed(format!("{side}: {e}")))?;
         let schema = doc
             .get("schema")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| DiffError::Malformed(format!("{side}: missing schema member")))?
             .to_string();
         Ok((doc, schema))
@@ -439,28 +441,28 @@ struct TraceSide {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, (u64, u64, Vec<u64>)>,
     spans: BTreeMap<String, u64>,
-    convergence: Json,
+    convergence: Value,
     iterations: usize,
     curve: Vec<f64>,
 }
 
-fn trace_side(doc: &Json, side: &str) -> Result<TraceSide, DiffError> {
+fn trace_side(doc: &Value, side: &str) -> Result<TraceSide, DiffError> {
     let get = |key: &str| {
         doc.get(key)
             .ok_or_else(|| DiffError::Malformed(format!("{side}: missing {key} member")))
     };
     let bad = |what: &str| DiffError::Malformed(format!("{side}: {what}"));
-    let counters = get("counters")?
-        .to_u64_map()
+    let counters = crate::to_u64_map(get("counters")?)
         .ok_or_else(|| bad("counters is not a name\u{2192}integer map"))?;
     let mut histograms = BTreeMap::new();
     for (name, h) in get("histograms")?
-        .as_obj()
+        .as_object()
         .ok_or_else(|| bad("histograms is not an object"))?
+        .iter()
     {
-        let count = h.get("count").and_then(Json::as_u64);
-        let sum = h.get("sum").and_then(Json::as_u64);
-        let buckets = h.get("buckets").and_then(Json::to_u64_vec);
+        let count = h.get("count").and_then(Value::as_u64);
+        let sum = h.get("sum").and_then(Value::as_u64);
+        let buckets = h.get("buckets").and_then(crate::to_u64_vec);
         match (count, sum, buckets) {
             (Some(c), Some(s), Some(b)) => {
                 histograms.insert(name.clone(), (c, s, b));
@@ -470,26 +472,27 @@ fn trace_side(doc: &Json, side: &str) -> Result<TraceSide, DiffError> {
     }
     let mut spans = BTreeMap::new();
     for (name, s) in get("spans")?
-        .as_obj()
+        .as_object()
         .ok_or_else(|| bad("spans is not an object"))?
+        .iter()
     {
         let count = s
             .get("count")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or_else(|| bad(&format!("span {name:?} has no count")))?;
         spans.insert(name.clone(), count);
     }
     let convergence = get("convergence")?.clone();
     let iterations = convergence
         .get("per_iteration")
-        .and_then(Json::as_arr)
-        .map(<[Json]>::len)
+        .and_then(Value::as_array)
+        .map(Vec::len)
         .ok_or_else(|| bad("convergence.per_iteration is not an array"))?;
     let curve = get("resolution_curve")?
-        .as_arr()
+        .as_array()
         .ok_or_else(|| bad("resolution_curve is not an array"))?
         .iter()
-        .map(Json::as_f64)
+        .map(Value::as_f64)
         .collect::<Option<Vec<f64>>>()
         .ok_or_else(|| bad("resolution_curve holds non-numbers"))?;
     Ok(TraceSide {
@@ -502,7 +505,7 @@ fn trace_side(doc: &Json, side: &str) -> Result<TraceSide, DiffError> {
     })
 }
 
-fn diff_traces(a_doc: &Json, b_doc: &Json) -> Result<TraceDiff, DiffError> {
+fn diff_traces(a_doc: &Value, b_doc: &Value) -> Result<TraceDiff, DiffError> {
     let a = trace_side(a_doc, "a")?;
     let b = trace_side(b_doc, "b")?;
     let mut d = TraceDiff::default();
@@ -728,6 +731,46 @@ mod tests {
             ),
             Err(DiffError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn reader_keeps_big_integers_and_member_order() {
+        // Counters past 2^53 compare exactly (an f64 round-trip would
+        // merge these two), and reordered convergence members are drift.
+        let a = trace_doc(1, 1, "0.5").replace(":1,\"report", ":18446744073709551615,\"report");
+        let b = a.replace("18446744073709551615", "18446744073709551614");
+        let DocDiff::Trace(t) = diff_docs(&a, &b, 0).unwrap() else {
+            panic!("trace pair")
+        };
+        let big = ("extract.observations".to_string(), u64::MAX, u64::MAX - 1);
+        assert_eq!(t.counters_changed, vec![big]);
+        let reordered = a
+            .replace(
+                "\"candidate_bucket_le\":[2,4],\"per_iteration\"",
+                "\"per_iteration\"",
+            )
+            .replace(
+                "\"trajectories\"",
+                "\"candidate_bucket_le\":[2,4],\"trajectories\"",
+            );
+        let DocDiff::Trace(t) = diff_docs(&a, &reordered, 0).unwrap() else {
+            panic!("trace pair")
+        };
+        assert!(t.convergence.changed);
+    }
+
+    #[test]
+    fn hostile_documents_are_malformed_with_a_location() {
+        let trace = trace_doc(1, 1, "0.5");
+        let deep = "[".repeat(200) + &"]".repeat(200);
+        for (bad, needle) in [
+            (deep.as_str(), "recursion limit"),
+            ("{\"a\":}", "offset 5"),
+            ("{\"a\":1}x", "offset 7"),
+        ] {
+            let err = diff_docs(bad, &trace, 0).unwrap_err().to_string();
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     fn profile_with(total_ns: u64, count: u64) -> ProfileDoc {

@@ -21,6 +21,25 @@ pub fn fnv1a64(data: &str) -> u64 {
     hash
 }
 
+/// Escapes a string for embedding between the quotes of a JSON string:
+/// `"` and `\` plus every control character, so rendered lines stay
+/// strict JSON whatever a name holds.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
     out.push('[');
     for (i, v) in values.into_iter().enumerate() {
@@ -126,6 +145,15 @@ mod tests {
         // builds: FNV-1a test vectors.
         assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64("a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn escape_round_trips_through_the_reader() {
+        let nasty = "a\"b\\c\nd\te\u{1}\u{1f}é";
+        let escaped = escape(nasty);
+        assert!(escaped.bytes().all(|b| b >= 0x20), "{escaped:?}");
+        let back: serde_json::Value = serde_json::from_str(&format!("\"{escaped}\"")).unwrap();
+        assert_eq!(back.as_str(), Some(nasty));
     }
 
     #[test]

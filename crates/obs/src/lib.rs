@@ -4,8 +4,10 @@
 //! counters, and monotonic histograms behind a [`Recorder`] trait, with
 //! an injectable [`Clock`] and thread-count-independent aggregation.
 //!
-//! Like `cfs-lint`, this crate is dependency-free: it sits underneath
-//! every instrumented crate and must never pull substrate code along.
+//! It sits underneath every instrumented crate and must never pull
+//! substrate code along: its only dependency is the vendored
+//! `serde_json`, which reads exported documents back for diffing and
+//! validation. Rendering stays hand-rolled and byte-stable.
 //!
 //! The three guarantees instrumented code leans on (DESIGN.md §7):
 //!
@@ -40,14 +42,13 @@ mod clock;
 pub mod diff;
 mod events;
 pub mod export;
-mod json;
 pub mod profile;
 mod recorder;
 mod trace;
 mod window;
 
 pub use clock::{pace, Clock, Monotonic, Virtual};
-pub use diff::{diff_docs, DiffError, DocDiff, ProfileDiff, TraceDiff};
+pub use diff::{diff_docs, DiffError, DocDiff, ProfileDiff, TraceDiff, TRACE_SCHEMA};
 pub use events::{Event, EventKind, EventLog, Severity, LOG_SCHEMA};
 pub use profile::{
     render_profile_folded, render_profile_json, render_profile_report, DurationStats, ProfileDoc,
@@ -56,6 +57,22 @@ pub use profile::{
 pub use recorder::{span, NoopRecorder, Recorder, SpanGuard, NOOP};
 pub use trace::{Histogram, SpanStats, TraceRecorder, TraceSnapshot, HISTOGRAM_BOUNDS};
 pub use window::{MetricsDoc, MetricsHistogram, MetricsWindow, WindowedRecorder, METRICS_SCHEMA};
+
+/// An object's `name → u64` members, for counter-style maps.
+fn to_u64_map(v: &serde_json::Value) -> Option<std::collections::BTreeMap<String, u64>> {
+    v.as_object()?
+        .iter()
+        .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+        .collect()
+}
+
+/// An array of `u64`, for bucket lists.
+fn to_u64_vec(v: &serde_json::Value) -> Option<Vec<u64>> {
+    v.as_array()?
+        .iter()
+        .map(serde_json::Value::as_u64)
+        .collect()
+}
 
 // The recorder crosses the engine's scoped-worker boundary; prove it at
 // compile time like `cfs-core` does for its substrate types.

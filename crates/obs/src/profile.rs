@@ -26,7 +26,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use serde_json::Value;
+
 use crate::trace::TraceSnapshot;
 
 /// Schema identifier stamped into every profile document.
@@ -204,21 +205,22 @@ impl ProfileDoc {
     /// Parses a `cfs-profile/1` document. The error names the member
     /// that failed, for `trace-diff`'s malformed-input reporting.
     pub fn parse(raw: &str) -> Result<Self, String> {
-        let doc = Json::parse(raw).map_err(|e| format!("not JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
+        let doc = serde_json::from_str::<Value>(raw).map_err(|e| format!("not JSON: {e}"))?;
+        match doc.get("schema").and_then(Value::as_str) {
             Some(s) if s == PROFILE_SCHEMA => {}
             Some(s) => return Err(format!("schema is {s:?}, want {PROFILE_SCHEMA:?}")),
             None => return Err("missing schema member".into()),
         }
         let bounds = doc
             .get("profile_le_ns")
-            .and_then(Json::to_u64_vec)
+            .and_then(crate::to_u64_vec)
             .ok_or("missing or non-integer profile_le_ns")?;
         let mut spans = BTreeMap::new();
         for (name, entry) in doc
             .get("spans")
-            .and_then(Json::as_obj)
+            .and_then(Value::as_object)
             .ok_or("missing spans object")?
+            .iter()
         {
             spans.insert(
                 name.clone(),
@@ -229,11 +231,15 @@ impl ProfileDoc {
         // carry no threads member.
         let mut threads = BTreeMap::new();
         if let Some(shards) = doc.get("threads") {
-            for (shard, obj) in shards.as_obj().ok_or("threads member is not an object")? {
+            let shards = shards
+                .as_object()
+                .ok_or("threads member is not an object")?;
+            for (shard, obj) in shards.iter() {
                 let mut per_span = BTreeMap::new();
                 for (name, entry) in obj
-                    .as_obj()
+                    .as_object()
                     .ok_or(format!("threads shard {shard:?} is not an object"))?
+                    .iter()
                 {
                     per_span.insert(
                         name.clone(),
@@ -287,16 +293,16 @@ impl ProfileDoc {
 }
 
 /// Parses one duration-statistics entry (a span's or a shard-span's).
-fn parse_stats(entry: &Json, at: &str, bounds_len: usize) -> Result<DurationStats, String> {
+fn parse_stats(entry: &Value, at: &str, bounds_len: usize) -> Result<DurationStats, String> {
     let field = |key: &str| {
         entry
             .get(key)
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or(format!("{at}: missing or non-integer {key}"))
     };
     let buckets = entry
         .get("buckets")
-        .and_then(Json::to_u64_vec)
+        .and_then(crate::to_u64_vec)
         .ok_or(format!("{at}: missing buckets"))?;
     if buckets.len() != bounds_len + 1 {
         return Err(format!(

@@ -32,8 +32,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+use serde_json::Value;
+
 use crate::clock::Clock;
-use crate::json::Json;
 use crate::profile::{DurationStats, PROFILE_BOUNDS_NS};
 use crate::recorder::Recorder;
 use crate::trace::{Histogram, HISTOGRAM_BOUNDS};
@@ -338,24 +339,24 @@ impl MetricsDoc {
     /// Parses a `cfs-metrics/1` document. The error names the member
     /// that failed, in the style of [`crate::ProfileDoc::parse`].
     pub fn parse(raw: &str) -> Result<Self, String> {
-        let doc = Json::parse(raw).map_err(|e| format!("not JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
+        let doc = serde_json::from_str::<Value>(raw).map_err(|e| format!("not JSON: {e}"))?;
+        match doc.get("schema").and_then(Value::as_str) {
             Some(s) if s == METRICS_SCHEMA => {}
             Some(s) => return Err(format!("schema is {s:?}, want {METRICS_SCHEMA:?}")),
             None => return Err("missing schema member".into()),
         }
         let num = |key: &str| {
             doc.get(key)
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or(format!("missing or non-integer {key}"))
         };
         let histogram_le = doc
             .get("histogram_le")
-            .and_then(Json::to_u64_vec)
+            .and_then(crate::to_u64_vec)
             .ok_or("missing or non-integer histogram_le")?;
         let duration_le_ns = doc
             .get("duration_le_ns")
-            .and_then(Json::to_u64_vec)
+            .and_then(crate::to_u64_vec)
             .ok_or("missing or non-integer duration_le_ns")?;
         let totals = parse_window(
             doc.get("totals").ok_or("missing totals member")?,
@@ -367,7 +368,7 @@ impl MetricsDoc {
         let mut windows = Vec::new();
         for (i, w) in doc
             .get("windows")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_array)
             .ok_or("missing windows array")?
             .iter()
             .enumerate()
@@ -393,16 +394,16 @@ impl MetricsDoc {
 
     /// Validates a raw document against the `cfs-metrics/1` contract,
     /// returning `(section, problem)` pairs in the style of
-    /// `cfs trace-validate`: schema marker, member shapes, bucket
+    /// `cfs check`'s trace checks: schema marker, member shapes, bucket
     /// arities, window ordering, and totals integrity (the totals block
     /// must equal the sum of the windows, the document's analogue of
     /// the trace digest).
     pub fn validate(raw: &str) -> Vec<(&'static str, String)> {
         let mut problems: Vec<(&'static str, String)> = Vec::new();
-        let Ok(json) = Json::parse(raw) else {
+        let Ok(json) = serde_json::from_str::<Value>(raw) else {
             return vec![("json", "document is not JSON".into())];
         };
-        match json.get("schema").and_then(Json::as_str) {
+        match json.get("schema").and_then(Value::as_str) {
             Some(s) if s == METRICS_SCHEMA => {}
             Some(s) => {
                 return vec![(
@@ -536,7 +537,7 @@ impl MetricsDoc {
 }
 
 fn parse_window(
-    w: &Json,
+    w: &Value,
     at: &str,
     histogram_le: &[u64],
     duration_le_ns: &[u64],
@@ -546,25 +547,26 @@ fn parse_window(
     if ring_entry {
         out.index = w
             .get("index")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or(format!("{at}: missing or non-integer index"))?;
         out.open = w
             .get("open")
-            .and_then(Json::as_bool)
+            .and_then(Value::as_bool)
             .ok_or(format!("{at}: missing or non-boolean open"))?;
     }
     out.counters = w
         .get("counters")
-        .and_then(Json::to_u64_map)
+        .and_then(crate::to_u64_map)
         .ok_or(format!("{at}: missing counters object"))?;
     for (name, h) in w
         .get("histograms")
-        .and_then(Json::as_obj)
+        .and_then(Value::as_object)
         .ok_or(format!("{at}: missing histograms object"))?
+        .iter()
     {
-        let count = h.get("count").and_then(Json::as_u64);
-        let sum = h.get("sum").and_then(Json::as_u64);
-        let buckets = h.get("buckets").and_then(Json::to_u64_vec);
+        let count = h.get("count").and_then(Value::as_u64);
+        let sum = h.get("sum").and_then(Value::as_u64);
+        let buckets = h.get("buckets").and_then(crate::to_u64_vec);
         let (Some(count), Some(sum), Some(buckets)) = (count, sum, buckets) else {
             return Err(format!("{at}: histogram {name:?} is malformed"));
         };
@@ -586,17 +588,18 @@ fn parse_window(
     }
     for (name, d) in w
         .get("durations")
-        .and_then(Json::as_obj)
+        .and_then(Value::as_object)
         .ok_or(format!("{at}: missing durations object"))?
+        .iter()
     {
         let field = |key: &str| {
             d.get(key)
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or(format!("{at}: duration {name:?}: missing {key}"))
         };
         let buckets = d
             .get("buckets")
-            .and_then(Json::to_u64_vec)
+            .and_then(crate::to_u64_vec)
             .ok_or(format!("{at}: duration {name:?}: missing buckets"))?;
         if buckets.len() != duration_le_ns.len() + 1 {
             return Err(format!(

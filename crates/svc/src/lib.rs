@@ -1,7 +1,7 @@
 //! # cfs-svc
 //!
-//! The service layer of `cfsd`: a dependency-free transport and wire
-//! protocol for querying a resident CFS session.
+//! The service layer of `cfsd`: the transport and wire protocol for
+//! querying a resident CFS session.
 //!
 //! The crate deliberately knows nothing about the engine. It owns three
 //! things:
@@ -10,7 +10,7 @@
 //!    request/response schema with typed errors, following the
 //!    `cfs-trace/1` schema-stability discipline — every message carries
 //!    `"schema":"cfs-api/1"`, unknown schemas are rejected the way
-//!    `cfs trace-validate` rejects them, and error responses carry a
+//!    `cfs check` rejects them, and error responses carry a
 //!    stable machine-readable code.
 //! 2. **The daemon loop** ([`server`]): a single-threaded accept loop
 //!    over a TCP or Unix socket. One request line in, one response line
@@ -21,15 +21,14 @@
 //!    socket use stays single-homed in this crate (`cfs-lint`'s
 //!    `raw-socket` rule sanctions it anywhere else).
 //!
-//! JSON parsing is hand-rolled in [`json`], mirroring the reader
-//! `cfs-obs` uses for trace diffing: member order preserved, numbers
-//! kept as source text, byte-offset error messages.
+//! Requests are read with the vendored `serde_json` (nesting capped,
+//! raw control characters refused, so hostile lines are typed errors)
+//! and reply strings are escaped with `cfs_obs::export::escape`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod client;
-mod json;
 pub mod proto;
 pub mod server;
 

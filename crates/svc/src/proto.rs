@@ -4,7 +4,7 @@
 //! Every message — request and response — is one line of JSON whose
 //! first obligation is `"schema":"cfs-api/1"`. A client talking a future
 //! `cfs-api/2` gets a clean `unknown_schema` error instead of silent
-//! misinterpretation, exactly how `cfs trace-validate` treats trace
+//! misinterpretation, exactly how `cfs check` treats trace
 //! documents it does not speak.
 //!
 //! ## Requests
@@ -29,7 +29,8 @@
 //! the CLI tests; new codes may be added, existing ones never change
 //! meaning.
 
-use crate::json::{escape, Json};
+use cfs_obs::export::escape;
+use serde_json::Value;
 
 /// The protocol version tag every request and response carries.
 pub const SCHEMA: &str = "cfs-api/1";
@@ -129,15 +130,15 @@ impl ApiError {
     }
 }
 
-fn require_u64(doc: &Json, key: &str, code: &'static str) -> Result<u64, ApiError> {
+fn require_u64(doc: &Value, key: &str, code: &'static str) -> Result<u64, ApiError> {
     doc.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| ApiError::new(code, format!("missing or non-integer member {key:?}")))
 }
 
-fn require_bool(doc: &Json, key: &str, code: &'static str) -> Result<bool, ApiError> {
+fn require_bool(doc: &Value, key: &str, code: &'static str) -> Result<bool, ApiError> {
     doc.get(key)
-        .and_then(Json::as_bool)
+        .and_then(Value::as_bool)
         .ok_or_else(|| ApiError::new(code, format!("missing or non-boolean member {key:?}")))
 }
 
@@ -145,7 +146,7 @@ fn require_bool(doc: &Json, key: &str, code: &'static str) -> Result<bool, ApiEr
 /// optional (absent means "from the beginning") but when present must
 /// be an unsigned integer; `min_severity`'s vocabulary is pinned here
 /// (parser authority) so the dispatch side never sees an unknown level.
-fn cursor_members(doc: &Json) -> Result<(u64, Option<String>), ApiError> {
+fn cursor_members(doc: &Value) -> Result<(u64, Option<String>), ApiError> {
     let since = match doc.get("since") {
         None => 0,
         Some(v) => v.as_u64().ok_or_else(|| {
@@ -174,8 +175,9 @@ fn cursor_members(doc: &Json) -> Result<(u64, Option<String>), ApiError> {
 /// foreign `schema` member is `unknown_schema` no matter what else the
 /// document says.
 pub fn parse_request(line: &str) -> Result<Request, ApiError> {
-    let doc = Json::parse(line).map_err(|e| ApiError::new("bad_request", e))?;
-    match doc.get("schema").and_then(Json::as_str) {
+    let doc: Value =
+        serde_json::from_str(line).map_err(|e| ApiError::new("bad_request", e.to_string()))?;
+    match doc.get("schema").and_then(Value::as_str) {
         Some(s) if s == SCHEMA => {}
         Some(other) => {
             return Err(ApiError::new(
@@ -192,7 +194,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
     }
     let op = doc
         .get("op")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or_else(|| ApiError::new("bad_request", "missing or non-string member \"op\""))?;
     match op {
         "status" => Ok(Request::Status),
@@ -214,7 +216,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         }
         "shutdown" => Ok(Request::Shutdown),
         "query" => {
-            let iface = doc.get("iface").and_then(Json::as_str).ok_or_else(|| {
+            let iface = doc.get("iface").and_then(Value::as_str).ok_or_else(|| {
                 ApiError::new("bad_request", "query requires a string member \"iface\"")
             })?;
             Ok(Request::Query {
@@ -222,7 +224,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             })
         }
         "delta" => {
-            let kind = doc.get("kind").and_then(Json::as_str).ok_or_else(|| {
+            let kind = doc.get("kind").and_then(Value::as_str).ok_or_else(|| {
                 ApiError::new("bad_delta", "delta requires a string member \"kind\"")
             })?;
             match kind {
@@ -408,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_discipline_mirrors_trace_validate() {
+    fn schema_discipline_mirrors_cfs_check() {
         // Missing schema and foreign schema are both unknown_schema; the
         // op is never even inspected.
         assert_eq!(
@@ -487,6 +489,56 @@ mod tests {
                 .code,
             "bad_request"
         );
+    }
+
+    #[test]
+    fn hostile_lines_are_bad_requests_not_crashes() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"schema":"cfs-api/1","op":"status","x":{}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        let deep = nested(30_000);
+        assert!(deep.len() < crate::MAX_REQUEST_LINE);
+        for line in [
+            nested(200),
+            deep,
+            "{\"schema\":\"cfs-api/1\",\"op\":\"st\u{1}atus\"}".into(),
+        ] {
+            assert_eq!(parse_request(&line).unwrap_err().code, "bad_request");
+        }
+        // Malformed input says where it failed.
+        let err = parse_request(r#"{"schema":"cfs-api/1","op":}"#).unwrap_err();
+        assert!(err.message.contains("offset 27"), "{}", err.message);
+    }
+
+    #[test]
+    fn members_decode_exactly() {
+        // Escapes decode, and u64 cursors past 2^53 stay exact.
+        assert_eq!(
+            parse_request(r#"{"schema":"cfs-api/1","op":"query","iface":"1\"2\\3\u0041"}"#),
+            Ok(Request::Query {
+                iface: "1\"2\\3A".into()
+            })
+        );
+        assert_eq!(
+            parse_request(r#"{"schema":"cfs-api/1","op":"events","since":18446744073709551615}"#),
+            Ok(Request::Events {
+                since: u64::MAX,
+                min_severity: None
+            })
+        );
+    }
+
+    #[test]
+    fn error_messages_round_trip_through_the_reader() {
+        let nasty = "a\"b\\c\nd\te\u{1}";
+        let line = ApiError::new("internal", nasty).to_response();
+        let doc: Value = serde_json::from_str(&line).unwrap();
+        let message = doc.get("error").and_then(|e| e.get("message"));
+        assert_eq!(message.and_then(Value::as_str), Some(nasty));
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //! cfs kb-diff  <a> <b> [--scale S] [--seed N]     # pairwise source disagreement
 //! cfs census   [--scale S] [--seed N]             # remote-peering census
 //! cfs validate [--scale S] [--seed N]             # §6 validation scorecard
-//! cfs trace-validate <file>                       # check a --trace-json export
+//! cfs check    <file>                             # validate a trace/metrics/alerts export
 //! cfs profile  <file> [--top N] [--folded]        # render a --profile-json export
 //! cfs trace-diff <a> <b> [--json]                 # compare two exports
 //!              [--tolerance-pct N]                #   (trace or profile pairs)
 //!              [--baseline-dir DIR]               #   golden picked by run shape
-//! cfs metrics-validate <file>                     # check a cfs-metrics/1 snapshot
 //! cfs serve    --socket PATH | --tcp ADDR         # resident cfsd daemon
 //!              [--scale S] [--seed N]             #   speaking cfs-api/1
 //!              [--campaigns N] [--faults P]       #   + pre-ingested campaigns / chaos
@@ -37,7 +36,6 @@
 //! cfs watch    --socket PATH | --tcp ADDR         # drain cfs-alerts/1 from a daemon
 //!              [--json] [--out FILE] [--follow]   #   (cursor drain: nothing twice)
 //!              [--min-severity S] [--polls N]
-//! cfs alerts-validate <file>                      # check a cfs-alerts/1 export
 //! cfs top      --socket PATH | --tcp ADDR         # polling terminal dashboard
 //!              [--interval-ms N] [--polls N]
 //! ```
@@ -47,10 +45,12 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cfs::detect::{Detector, DetectorConfig, EpochObservation, LocusNames};
+use cfs::detect::{
+    validate_alerts, Detector, DetectorConfig, EpochObservation, LocusNames, ALERTS_SCHEMA,
+};
 use cfs::obs::{
     pace, Clock, EventKind, EventLog, MetricsDoc, Monotonic, Recorder, TraceRecorder,
-    WindowedRecorder,
+    WindowedRecorder, METRICS_SCHEMA, TRACE_SCHEMA,
 };
 use cfs::prelude::*;
 use cfs::svc::{ApiError, Outcome};
@@ -84,8 +84,7 @@ fn main() {
         ),
         "census" => census(scale, seed),
         "validate" => validate(scale, seed),
-        "trace-validate" => trace_validate(args.get(2).map(String::as_str)),
-        "metrics-validate" => metrics_validate(args.get(2).map(String::as_str)),
+        "check" => check_cmd(args.get(2).map(String::as_str)),
         "profile" => profile_cmd(
             args.get(2).map(String::as_str),
             flag_value(&args, "--top"),
@@ -111,7 +110,6 @@ fn main() {
         "query" => query_cmd(&args),
         "metrics" => metrics_cmd(&args),
         "watch" => watch_cmd(&args),
-        "alerts-validate" => alerts_validate_cmd(args.get(2).map(String::as_str)),
         "top" => top_cmd(&args),
         "help" | "--help" | "-h" => {
             print_help();
@@ -151,9 +149,10 @@ fn print_help() {
          \x20            pdb-net): shared/only-A/only-B claims + Jaccard\n\
          \x20 census     remote-peering census over the exchanges\n\
          \x20 validate   §6 validation scorecard\n\
-         \x20 trace-validate FILE  check a --trace-json export (schema + digest)\n\
-         \x20 metrics-validate FILE  check a cfs-metrics/1 snapshot (schema +\n\
-         \x20            window/totals integrity)\n\
+         \x20 check FILE  validate an exported document by its schema member:\n\
+         \x20            cfs-trace/1 (digest + structure), cfs-metrics/1\n\
+         \x20            (window/totals integrity) or cfs-alerts/1 (vocabulary,\n\
+         \x20            cursor monotonicity); exit 0 valid, 1 invalid, 2 usage\n\
          \x20 profile FILE [--top N]  stage tree + bottlenecks of a profile export\n\
          \x20            (--folded emits flamegraph-compatible folded stacks)\n\
          \x20 trace-diff A B  compare two trace or profile exports\n\
@@ -186,8 +185,6 @@ fn print_help() {
          \x20            (--json for JSON lines; --out FILE appends them;\n\
          \x20            --follow polls every --interval-ms N until --polls N;\n\
          \x20            --min-severity warn|error filters at the daemon)\n\
-         \x20 alerts-validate FILE  check a cfs-alerts/1 export (schema,\n\
-         \x20            vocabulary, cursor monotonicity)\n\
          \x20 top        polling dashboard over a live daemon: request rates,\n\
          \x20            per-op latency, delta churn, recent events\n\
          \x20            (--interval-ms N, default 1000; --polls N to stop)\n\
@@ -612,12 +609,15 @@ fn trace_diff(
     }
 }
 
-/// Checks a `--trace-json` export: schema marker, digest integrity, and
-/// the structural invariants the document promises (monotone resolution
-/// curve, shrinking trajectories, aligned histogram buckets).
-fn trace_validate(path: Option<&str>) -> i32 {
+/// `cfs check`: validates an exported document, dispatching on the
+/// `schema` member of its first line — a `cfs-trace/1` trace or a
+/// `cfs-metrics/1` snapshot (single-line documents), or a
+/// `cfs-alerts/1` export (one JSON line per alert). Problems are tagged
+/// with the section that failed, so a red CI run says *where* to look.
+/// Exit 0 valid, 1 invalid or unreadable, 2 usage.
+fn check_cmd(path: Option<&str>) -> i32 {
     let Some(path) = path else {
-        eprintln!("usage: cfs trace-validate FILE");
+        eprintln!("usage: cfs check FILE");
         return 2;
     };
     let raw = match std::fs::read_to_string(path) {
@@ -627,13 +627,39 @@ fn trace_validate(path: Option<&str>) -> i32 {
             return 1;
         }
     };
-    // Problems are tagged with the document section that failed, so a
-    // red CI run says *where* to look, not just that something is off.
-    let mut problems: Vec<(&'static str, String)> = Vec::new();
+    let first = raw.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
+    let (schema, problems) = match serde_json::from_str::<serde_json::Value>(first) {
+        Err(e) => ("", vec![("json", format!("{path} is not JSON: {e}"))]),
+        Ok(head) => match head.get("schema").and_then(|s| s.as_str()) {
+            Some(TRACE_SCHEMA) => (TRACE_SCHEMA, trace_problems(&raw, &head)),
+            Some(METRICS_SCHEMA) => (METRICS_SCHEMA, MetricsDoc::validate(&raw)),
+            Some(ALERTS_SCHEMA) => match validate_alerts(&raw) {
+                Ok(_) => (ALERTS_SCHEMA, Vec::new()),
+                Err(e) => (ALERTS_SCHEMA, vec![("alerts", e)]),
+            },
+            other => ("", vec![("schema", format!("unknown schema {other:?}"))]),
+        },
+    };
+    if problems.is_empty() {
+        println!("{path}: valid {schema} document");
+        0
+    } else {
+        for (section, p) in &problems {
+            eprintln!("invalid [{section}]: {p}");
+        }
+        1
+    }
+}
 
+/// The checks on a `--trace-json` export: digest integrity over the raw
+/// bytes, and the structural invariants the parsed document promises
+/// (monotone resolution curve, shrinking trajectories, aligned
+/// histogram buckets).
+fn trace_problems(raw: &str, doc: &serde_json::Value) -> Vec<(&'static str, String)> {
+    let mut problems: Vec<(&'static str, String)> = Vec::new();
     // Digest check on the raw bytes: everything after the digest member
     // is the digested body (see cfs_core::render_trace_json).
-    let prefix = format!("{{\"schema\":\"{}\",\"digest\":\"", cfs::core::TRACE_SCHEMA);
+    let prefix = format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"digest\":\"");
     if let Some(rest) = raw.strip_prefix(prefix.as_str()) {
         match (rest.get(..16), rest.get(18..rest.len().saturating_sub(1))) {
             (Some(digest_hex), Some(body)) if rest[16..].starts_with("\",") => {
@@ -648,19 +674,9 @@ fn trace_validate(path: Option<&str>) -> i32 {
             _ => problems.push(("digest", "malformed digest member".into())),
         }
     } else {
-        problems.push((
-            "digest",
-            format!("missing {} schema header", cfs::core::TRACE_SCHEMA),
-        ));
+        problems.push(("digest", format!("missing {TRACE_SCHEMA} schema header")));
     }
 
-    let doc: serde_json::Value = match serde_json::from_str(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("invalid [json]: {path} is not JSON: {e}");
-            return 1;
-        }
-    };
     for key in [
         "schema",
         "digest",
@@ -743,42 +759,7 @@ fn trace_validate(path: Option<&str>) -> i32 {
         }
     }
 
-    if problems.is_empty() {
-        println!("{path}: valid {} document", cfs::core::TRACE_SCHEMA);
-        0
-    } else {
-        for (section, p) in &problems {
-            eprintln!("invalid [{section}]: {p}");
-        }
-        1
-    }
-}
-
-/// `cfs metrics-validate`: check a saved `cfs-metrics/1` snapshot —
-/// schema header, window/bucket structure, and the totals-equals-merged-
-/// windows integrity invariant. Exit 0 valid, 1 invalid, 2 usage.
-fn metrics_validate(path: Option<&str>) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: cfs metrics-validate FILE");
-        return 2;
-    };
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return 1;
-        }
-    };
-    let problems = MetricsDoc::validate(&raw);
-    if problems.is_empty() {
-        println!("{path}: valid {} document", cfs::obs::METRICS_SCHEMA);
-        0
-    } else {
-        for (section, p) in &problems {
-            eprintln!("invalid [{section}]: {p}");
-        }
-        1
-    }
+    problems
 }
 
 fn audit(scale: Scale, seed: Option<u64>, asn: Option<u32>, faults: Option<String>) -> i32 {
@@ -1698,7 +1679,7 @@ fn query_cmd(args: &[String]) -> i32 {
         .and_then(|v| v.get("ok")?.as_bool())
         == Some(true);
     // A trace reply wraps a complete cfs-trace/1 document; peel the
-    // envelope so --out writes something trace-validate/trace-diff accept
+    // envelope so --out writes something `cfs check`/trace-diff accept
     // byte-for-byte (the inner digest must not shift).
     let trace_prefix = format!(
         "{{\"schema\":\"{}\",\"ok\":true,\"trace\":",
@@ -1771,7 +1752,7 @@ fn metrics_cmd(args: &[String]) -> i32 {
         }
     };
     // Peel the cfs-api/1 envelope so what we print or save is a complete
-    // cfs-metrics/1 document that `metrics-validate` accepts byte-for-byte.
+    // cfs-metrics/1 document that `cfs check` accepts byte-for-byte.
     let prefix = format!(
         "{{\"schema\":\"{}\",\"ok\":true,\"metrics\":",
         cfs::svc::SCHEMA
@@ -1916,7 +1897,7 @@ fn alert_line(a: &serde_json::Value) -> String {
 /// keeps polling every `--interval-ms` (until `--polls N`, 0 = forever).
 /// `--json` prints the records as JSON lines; `--out FILE` writes them
 /// as JSON lines regardless (the file is a `cfs-alerts/1` export that
-/// `cfs alerts-validate` accepts). Exit 0 ok, 2 usage, 3 transport,
+/// `cfs check` accepts). Exit 0 ok, 2 usage, 3 transport,
 /// 4 daemon error.
 fn watch_cmd(args: &[String]) -> i32 {
     use std::io::Write as _;
@@ -2031,36 +2012,6 @@ fn watch_cmd(args: &[String]) -> i32 {
                 eprintln!("drained {drained} alerts (cursor {cursor})");
             }
             return 0;
-        }
-    }
-}
-
-/// `cfs alerts-validate`: check a `cfs-alerts/1` export (one JSON
-/// record per line, as written by `cfs watch --out`). Exit 0 valid,
-/// 1 invalid, 2 usage.
-fn alerts_validate_cmd(path: Option<&str>) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: cfs alerts-validate FILE");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return 1;
-        }
-    };
-    match cfs::detect::validate_alerts(&text) {
-        Ok(summary) => {
-            println!(
-                "{path}: valid cfs-alerts/1 ({} alerts, {} error-severity, {} localized)",
-                summary.alerts, summary.errors, summary.localized
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid cfs-alerts/1: {e}");
-            1
         }
     }
 }

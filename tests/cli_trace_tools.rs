@@ -1,6 +1,6 @@
 //! End-to-end CLI coverage for the profiling/diff tooling: `cfs run
 //! --trace-json --profile-json`, `cfs profile`, `cfs trace-diff`, and
-//! the section-tagged `cfs trace-validate` failure reporting — driven
+//! the section-tagged `cfs check` failure reporting — driven
 //! through the real binary, the way CI drives it.
 
 use std::path::PathBuf;
@@ -64,10 +64,10 @@ fn profile_and_diff_cli_end_to_end() {
     assert!(prof_doc.starts_with("{\"schema\":\"cfs-profile/1\""));
 
     // The trace still validates — the sidecar flag must not change it.
-    let validate = cfs(&["trace-validate", trace_a.to_str().unwrap()]);
+    let validate = cfs(&["check", trace_a.to_str().unwrap()]);
     assert!(
         validate.status.success(),
-        "trace-validate rejected a fresh export: {}",
+        "cfs check rejected a fresh export: {}",
         stderr(&validate)
     );
 
@@ -285,20 +285,15 @@ fn metrics_validate_names_the_failing_sections() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/corrupt-metrics.json"
     );
-    let out = cfs(&["metrics-validate", fixture]);
+    let out = cfs(&["check", fixture]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     for section in ["[windows]", "[histograms]", "[durations]", "[totals]"] {
         assert!(err.contains(section), "missing {section} in:\n{err}");
     }
     // And the usage/read-failure exits.
-    assert_eq!(cfs(&["metrics-validate"]).status.code(), Some(2));
-    assert_eq!(
-        cfs(&["metrics-validate", "/nonexistent.json"])
-            .status
-            .code(),
-        Some(1)
-    );
+    assert_eq!(cfs(&["check"]).status.code(), Some(2));
+    assert_eq!(cfs(&["check", "/nonexistent.json"]).status.code(), Some(1));
 }
 
 #[test]
@@ -309,7 +304,7 @@ fn trace_validate_names_the_failing_sections() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/corrupt-trace-bad-digest.json"
     );
-    let out = cfs(&["trace-validate", fixture]);
+    let out = cfs(&["check", fixture]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     for section in [
@@ -339,10 +334,48 @@ fn trace_validate_flags_convergence_violations_behind_a_good_digest() {
     let path = tmp("growing-trajectory.json");
     std::fs::write(&path, doc).expect("fixture written");
 
-    let out = cfs(&["trace-validate", path.to_str().unwrap()]);
+    let out = cfs(&["check", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(err.contains("[convergence]"), "{err}");
     assert!(err.contains("trajectory 10.0.0.1 grows"), "{err}");
     assert!(!err.contains("[digest]"), "digest was valid:\n{err}");
+}
+
+#[test]
+fn check_dispatches_on_schema_and_refuses_hostile_input() {
+    let alert = "{\"schema\":\"cfs-alerts/1\",\"seq\":0,\"t_ns\":0,\"epoch\":1,\
+                 \"severity\":\"warn\",\"kind\":\"probe-loss-surge\",\"observed_pm\":1,\
+                 \"baseline_pm\":2,\"score_pm\":3,\"support\":0}\n";
+    // A megabyte of `[` is past the reader's recursion limit: invalid
+    // (exit 1), never a stack overflow.
+    let depth = 1 << 19;
+    for (name, doc, code, needle) in [
+        (
+            "alerts.jsonl",
+            alert.to_string(),
+            0,
+            "valid cfs-alerts/1 document",
+        ),
+        ("replayed.jsonl", alert.repeat(2), 1, "invalid [alerts]"),
+        (
+            "future.json",
+            "{\"schema\":\"cfs-trace/9\"}".into(),
+            1,
+            "invalid [schema]",
+        ),
+        (
+            "deep.json",
+            "[".repeat(depth) + &"]".repeat(depth),
+            1,
+            "invalid [json]",
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, doc).expect("fixture written");
+        let out = cfs(&["check", path.to_str().unwrap()]);
+        let said = stdout(&out) + &stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "{name}: {said}");
+        assert!(said.contains(needle), "{name}: {said}");
+    }
 }

@@ -134,7 +134,7 @@ fn daemon_answers_queries_deltas_and_typed_errors() {
     let trace_doc = std::fs::read_to_string(&trace_path).expect("trace written");
     assert!(trace_doc.starts_with("{\"schema\":\"cfs-trace/1\""));
     // The peeled payload is a complete, digest-valid trace document.
-    let validate = cfs(&["trace-validate", trace_path.to_str().unwrap()]);
+    let validate = cfs(&["check", trace_path.to_str().unwrap()]);
     assert_eq!(validate.status.code(), Some(0), "{}", stderr(&validate));
     let doc: serde_json::Value = serde_json::from_str(&trace_doc).expect("trace parses");
     let tracked_ip = doc["convergence"]["trajectories"]
@@ -321,7 +321,7 @@ fn faulted_daemon_serves_metrics_and_events_without_touching_the_trace() {
         saved.to_str().unwrap(),
     ]);
     assert_eq!(save.status.code(), Some(0), "{}", stderr(&save));
-    let validate = cfs(&["metrics-validate", saved.to_str().unwrap()]);
+    let validate = cfs(&["check", saved.to_str().unwrap()]);
     assert_eq!(validate.status.code(), Some(0), "{}", stderr(&validate));
 
     // The human summary names the things operators scan for.
