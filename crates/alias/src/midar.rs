@@ -81,6 +81,60 @@ struct Estimate {
     base: u32,
 }
 
+/// Every responsive estimate plus its corroboration probes, in candidate
+/// order: `ids` holds each estimate's probe ids round by round
+/// ([`slots_per_round`] per round), and `answered` one bitmask per
+/// estimate whose bit `2·round + parity` is set when every slot of that
+/// parity in that round drew a reply.
+#[derive(Default)]
+struct Probed {
+    estimates: Vec<Estimate>,
+    answered: Vec<u8>,
+    ids: Vec<u16>,
+}
+
+impl Probed {
+    fn extend(&mut self, other: Probed) {
+        self.estimates.extend(other.estimates);
+        self.answered.extend(other.answered);
+        self.ids.extend(other.ids);
+    }
+}
+
+/// The two corroboration rounds as `(round, spacing)`, the second at
+/// *tighter* spacing: the bounds test's discrimination scales inversely
+/// with (rate × spacing), so the tight round is the one that rejects
+/// distinct-router coincidences.
+fn rounds(cfg: &MidarConfig) -> [(u64, u64); 2] {
+    [
+        (0, cfg.corroboration_spacing_ms),
+        (1, (cfg.corroboration_spacing_ms / 2).max(1)),
+    ]
+}
+
+/// Corroboration probe slots per round: the two sides of a pair alternate.
+fn slots_per_round(cfg: &MidarConfig) -> usize {
+    2 * cfg.corroboration_samples
+}
+
+/// Probes `ip` at every corroboration slot (round `r`, slot `j` is at
+/// `10_000 + r·5_000 + j·spacing_r`), appending the ids to `ids` (0 for
+/// no reply) and returning the `answered` mask (see [`Probed`]).
+fn probe_slots(prober: &IpIdProber<'_>, ip: Ipv4Addr, cfg: &MidarConfig, ids: &mut Vec<u16>) -> u8 {
+    let mut answered = 0b1111u8;
+    for (round, spacing) in rounds(cfg) {
+        let start = 10_000 + round * 5_000;
+        for j in 0..slots_per_round(cfg) as u64 {
+            let id = prober.probe(ip, start + j * spacing);
+            if id.is_none() {
+                answered &= !(1 << (2 * round + j % 2));
+            }
+            ids.push(id.unwrap_or(0));
+        }
+    }
+    answered
+}
+
 /// Resolves aliases among `candidates` using IP-ID probing.
 pub fn resolve_aliases(
     prober: &IpIdProber<'_>,
@@ -91,8 +145,10 @@ pub fn resolve_aliases(
     // Pure per candidate, so it fans out over worker threads; estimates
     // are merged back in candidate order. The probe-time offset keys off
     // the candidate's *global* index, so chunk workers reproduce the
-    // serial schedule exactly.
-    let estimate_one = |idx: usize, ip: Ipv4Addr| -> Option<Estimate> {
+    // serial schedule exactly. Corroboration probe times are constants,
+    // so each estimate's corroboration slots are probed here, once,
+    // instead of once per candidate pair.
+    let estimate_one = |idx: usize, ip: Ipv4Addr, out: &mut Probed| {
         // Offset probe times per target to avoid synchronized artifacts.
         let t0 = (idx as u64 % 7) * 13;
         let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples)
@@ -102,15 +158,19 @@ pub fn resolve_aliases(
             })
             .collect();
         if samples.len() < cfg.estimation_samples {
-            return None; // unresponsive or lossy — cannot resolve
+            return; // unresponsive or lossy — cannot resolve
         }
-        estimate(ip, &samples)
+        if let Some(est) = estimate(ip, &samples) {
+            out.estimates.push(est);
+            let answered = probe_slots(prober, ip, cfg, &mut out.ids);
+            out.answered.push(answered);
+        }
     };
     let workers = match cfg.threads {
         0 => 1,
         n => n.min(16),
     };
-    let estimates: Vec<Estimate> = if workers > 1 && candidates.len() >= 64 {
+    let probed: Probed = if workers > 1 && candidates.len() >= 64 {
         let chunk_size = candidates.len().div_ceil(workers);
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = candidates
@@ -119,27 +179,29 @@ pub fn resolve_aliases(
                 .map(|(c, chunk)| {
                     let estimate_one = &estimate_one;
                     scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, ip)| estimate_one(c * chunk_size + i, *ip))
-                            .collect::<Vec<_>>()
+                        let mut out = Probed::default();
+                        for (i, ip) in chunk.iter().enumerate() {
+                            estimate_one(c * chunk_size + i, *ip, &mut out);
+                        }
+                        out
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("estimation worker"))
-                .collect()
+            let mut merged = Probed::default();
+            for h in handles {
+                merged.extend(h.join().expect("estimation worker"));
+            }
+            merged
         })
         .expect("estimation thread scope")
     } else {
-        candidates
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, ip)| estimate_one(idx, *ip))
-            .collect()
+        let mut out = Probed::default();
+        for (idx, ip) in candidates.iter().enumerate() {
+            estimate_one(idx, *ip, &mut out);
+        }
+        out
     };
+    let estimates = &probed.estimates;
 
     // ---- Stage 2: candidate pairing (velocity + offset windows) ----
     // Bucket by rounded velocity and by base >> window bits; only pairs in
@@ -167,7 +229,7 @@ pub fn resolve_aliases(
                     continue;
                 }
                 if velocity_compatible(&estimates[a], &estimates[b], cfg)
-                    && corroborate(prober, &estimates[a], &estimates[b], cfg)
+                    && corroborated(&probed, a, b, cfg)
                 {
                     dsu.union(a, b);
                 }
@@ -253,17 +315,43 @@ fn velocity_compatible(a: &Estimate, b: &Estimate, cfg: &MidarConfig) -> bool {
     (a.velocity - b.velocity).abs() <= cfg.velocity_tolerance
 }
 
-/// The monotonic bounds test: interleave probes to both addresses (two
-/// rounds at different spacings); the merged (time, id) sequence must be
-/// monotonic after unwrapping.
+/// The monotonic bounds test on the probe table: interleave the two
+/// addresses' probes (`a` on the even slots, `b` on the odd ones) in each
+/// round; the merged (time, id) sequence must be monotonic after
+/// unwrapping (the rules of [`unwrap_ids`]).
+fn corroborated(probed: &Probed, a: usize, b: usize, cfg: &MidarConfig) -> bool {
+    let per_round = slots_per_round(cfg);
+    let ids = |e: usize, round: usize| &probed.ids[(e * 2 + round) * per_round..][..per_round];
+    for round in 0..2 {
+        if probed.answered[a] & (1 << (2 * round)) == 0
+            || probed.answered[b] & (1 << (2 * round + 1)) == 0
+        {
+            return false;
+        }
+        let (ra, rb) = (ids(a, round), ids(b, round));
+        let mut offset: i64 = 0;
+        let mut prev: Option<i64> = None;
+        for j in 0..per_round {
+            let raw = i64::from(if j % 2 == 0 { ra[j] } else { rb[j] });
+            let last = prev.unwrap_or(raw);
+            if raw + offset < last - 32768 {
+                offset += 65536;
+            }
+            let v = raw + offset;
+            if v < last {
+                return false;
+            }
+            prev = Some(v);
+        }
+    }
+    true
+}
+
+/// The monotonic bounds test probing one pair directly: the per-pair
+/// reference [`corroborated`] must agree with.
+#[cfg(test)]
 fn corroborate(prober: &IpIdProber<'_>, a: &Estimate, b: &Estimate, cfg: &MidarConfig) -> bool {
-    // Two rounds, the second at *tighter* spacing: the bounds test's
-    // discrimination scales inversely with (rate × spacing), so the tight
-    // round is the one that rejects distinct-router coincidences.
-    for (round, spacing) in [
-        (0u64, cfg.corroboration_spacing_ms),
-        (1, (cfg.corroboration_spacing_ms / 2).max(1)),
-    ] {
+    for (round, spacing) in rounds(cfg) {
         let start = 10_000 + round * 5_000;
         let mut merged: Vec<(u64, u16)> = Vec::with_capacity(cfg.corroboration_samples * 2);
         for k in 0..cfg.corroboration_samples as u64 {
@@ -430,6 +518,118 @@ mod tests {
             (800, 100),
         ];
         assert!(estimate("10.0.0.1".parse().unwrap(), &decreasing).is_none());
+    }
+
+    /// The table check agrees with per-pair probing on every candidate
+    /// pair of the tiny world, not only on the pairs the bucketing
+    /// reaches.
+    #[test]
+    fn table_check_matches_per_pair_probing() {
+        let t = topo();
+        let prober = IpIdProber::new(&t);
+        let cfg = MidarConfig::default();
+        let mut probed = Probed::default();
+        for ip in all_iface_ips(&t) {
+            let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples as u64)
+                .filter_map(|k| {
+                    let at = k * cfg.estimation_spacing_ms;
+                    prober.probe(ip, at).map(|id| (at, id))
+                })
+                .collect();
+            if samples.len() < cfg.estimation_samples {
+                continue;
+            }
+            if let Some(est) = estimate(ip, &samples) {
+                probed.estimates.push(est);
+                let answered = probe_slots(&prober, ip, &cfg, &mut probed.ids);
+                probed.answered.push(answered);
+            }
+        }
+        let n = probed.estimates.len();
+        assert!(n > 100, "only {n} estimates");
+        let mut aliased = 0;
+        for a in 0..n {
+            for b in 0..n {
+                if a == b {
+                    continue;
+                }
+                let (ea, eb) = (&probed.estimates[a], &probed.estimates[b]);
+                let expect = corroborate(&prober, ea, eb, &cfg);
+                assert_eq!(
+                    corroborated(&probed, a, b, &cfg),
+                    expect,
+                    "{} {}",
+                    ea.ip,
+                    eb.ip
+                );
+                aliased += usize::from(expect);
+            }
+        }
+        assert!(aliased > 0, "no corroborated pair");
+    }
+
+    /// Unanswered slots fail the check exactly where per-pair probing
+    /// would: only the slots a side actually uses count.
+    #[test]
+    fn unanswered_slots_fail_the_table_check() {
+        let t = topo();
+        let prober = IpIdProber::new(&t);
+        let cfg = MidarConfig::default();
+        let mut ids = Vec::new();
+        assert_eq!(
+            probe_slots(&prober, "198.18.0.1".parse().unwrap(), &cfg, &mut ids),
+            0
+        );
+        assert_eq!(ids, vec![0; 4 * cfg.corroboration_samples]);
+
+        // A counter interface paired with itself corroborates until a
+        // slot it uses in the pair goes unanswered.
+        let router = t
+            .routers
+            .values()
+            .find(|r| matches!(r.ipid, IpIdBehavior::SharedCounter { .. }))
+            .unwrap();
+        let ip = t.ifaces[router.ifaces[0]].ip;
+        let mut probed = Probed::default();
+        for _ in 0..2 {
+            let est = Estimate {
+                ip,
+                velocity: 1.0,
+                base: 0,
+            };
+            probed.estimates.push(est);
+            let answered = probe_slots(&prober, ip, &cfg, &mut probed.ids);
+            probed.answered.push(answered);
+        }
+        assert!(corroborated(&probed, 0, 1, &cfg));
+        probed.answered[0] &= !0b0010; // round 0, odd slots: unused by `a`
+        assert!(corroborated(&probed, 0, 1, &cfg));
+        probed.answered[1] &= !0b1000; // round 1, odd slots: used by `b`
+        assert!(!corroborated(&probed, 0, 1, &cfg));
+        probed.answered[1] = 0b1111;
+        probed.answered[0] &= !0b0100; // round 1, even slots: used by `a`
+        assert!(!corroborated(&probed, 0, 1, &cfg));
+    }
+
+    #[test]
+    fn resolution_is_identical_at_any_thread_count() {
+        let t = topo();
+        let prober = IpIdProber::new(&t);
+        let ips = all_iface_ips(&t);
+        assert!(ips.len() >= 64, "the fan-out needs 64 candidates");
+        let at = |threads| {
+            let cfg = MidarConfig {
+                threads,
+                ..MidarConfig::default()
+            };
+            let res = resolve_aliases(&prober, &ips, &cfg);
+            (res.sets, res.set_of)
+        };
+        let serial = at(0);
+        assert!(!serial.0.is_empty());
+        for threads in [1, 2, 8] {
+            assert_eq!(at(threads), serial, "threads={threads}");
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use cfs_alias::IpIdProber;
 use cfs_bench::BenchWorld;
-use cfs_bgp::compute_routes;
+use cfs_bgp::{compute_routes, AsGraph};
 use cfs_geo::{haversine_km, GeoPoint};
 use cfs_net::{IpAsnDb, Ipv4Prefix, PrefixTrie};
 use cfs_traceroute::{deploy_vantage_points, Engine, VpConfig};
@@ -56,11 +57,17 @@ fn bench_geo(c: &mut Criterion) {
 fn bench_routing(c: &mut Criterion) {
     let world = BenchWorld::standard();
     let dests: Vec<_> = world.topo.ases.keys().copied().take(16).collect();
+    c.bench_function("bgp/as_graph_build", |b| {
+        b.iter(|| black_box(AsGraph::new(&world.topo)))
+    });
+    // Per-destination routes on a prebuilt graph: what `Engine::trace`
+    // pays on a route-cache miss.
+    let graph = Arc::new(AsGraph::new(&world.topo));
     c.bench_function("bgp/compute_routes_one_destination", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % dests.len();
-            black_box(compute_routes(&world.topo, dests[i]))
+            black_box(compute_routes(&graph, dests[i]))
         })
     });
 }

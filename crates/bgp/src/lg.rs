@@ -57,7 +57,7 @@ impl<'t> LookingGlassBgp<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Self {
             topo,
-            routes: RouteCache::new(),
+            routes: RouteCache::new(topo),
             db: topo.build_ipasn_db(),
         }
     }
@@ -130,7 +130,7 @@ impl<'t> LookingGlassBgp<'t> {
     ) -> Option<BgpRecord> {
         let asn = self.topo.routers[router].asn;
         let origin = self.db.origin(dest)?;
-        let routes = self.routes.routes(self.topo, origin);
+        let routes = self.routes.routes(origin);
         let as_path = routes.path(asn)?;
 
         // The route entered this AS at the border router facing the next

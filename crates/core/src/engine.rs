@@ -204,6 +204,12 @@ pub struct Cfs<'a> {
     /// recompute the verdict when a delta invalidates it).
     pub(crate) remote_cache: BTreeMap<Ipv4Addr, (IxpId, Option<bool>)>,
     pub(crate) vp_crossed: BTreeMap<Asn, Vec<VantagePointId>>,
+    /// Traces `[..indexed]` are walked into `vp_crossed`, each hop under
+    /// the corrected ASN it had at its last walk; `reindex` holds the
+    /// addresses whose corrected ASN moved since, the only hops a re-walk
+    /// could add entries for.
+    pub(crate) indexed: usize,
+    pub(crate) reindex: BTreeSet<Ipv4Addr>,
     pub(crate) chase_attempts: BTreeMap<Ipv4Addr, usize>,
     pub(crate) interner: FacilitySetInterner,
     pub(crate) as_fac_cache: BTreeMap<Asn, FacilitySet>,
@@ -400,6 +406,8 @@ impl<'a> Cfs<'a> {
             states: BTreeMap::new(),
             remote_cache: BTreeMap::new(),
             vp_crossed: BTreeMap::new(),
+            indexed: 0,
+            reindex: BTreeSet::new(),
             chase_attempts: BTreeMap::new(),
             interner: FacilitySetInterner::new(),
             as_fac_cache: BTreeMap::new(),
@@ -535,6 +543,8 @@ impl<'a> Cfs<'a> {
         self.states.clear();
         self.remote_cache.clear();
         self.vp_crossed.clear();
+        self.indexed = 0;
+        self.reindex.clear();
         self.chase_attempts.clear();
         self.interner = FacilitySetInterner::new();
         self.as_fac_cache.clear();
@@ -719,8 +729,10 @@ impl<'a> Cfs<'a> {
 
     /// Re-resolves aliases over every hop address and re-runs the
     /// IP-to-ASN majority correction; returns the addresses whose
-    /// corrected ASN changed (moved, appeared, or vanished). Leaves the
-    /// observation list alone (see [`Cfs::reset_observations`]).
+    /// corrected ASN changed (moved, appeared, or vanished), which the
+    /// next [`Cfs::process_new_traces`] also re-walks into the exposure
+    /// index. Leaves the observation list alone (see
+    /// [`Cfs::reset_observations`]).
     pub(crate) fn realias(&mut self) -> Vec<Ipv4Addr> {
         cfs_obs::span!(self.recorder, "stage.alias_resolution");
         let prober = IpIdProber::new(self.engine.topology());
@@ -748,6 +760,7 @@ impl<'a> Cfs<'a> {
                 moved.push(ip);
             }
         }
+        self.reindex.extend(moved.iter().copied());
         moved
     }
 
@@ -765,23 +778,26 @@ impl<'a> Cfs<'a> {
         self.processed = 0;
     }
 
-    /// Extracts observations from traces ingested since the last call.
+    /// Extracts observations from traces ingested since the last call,
+    /// and brings the vantage-point exposure index up to date.
     ///
-    /// Extraction is pure per trace, so it fans out over worker threads;
-    /// the dedup merge and the vantage-point exposure index then run
-    /// serially in ingestion order, keeping results independent of the
-    /// worker count.
+    /// Extraction is pure per trace, so it fans out over worker threads,
+    /// each collecting its chunk into one flat list; the dedup merge and
+    /// the exposure index then run serially in ingestion order, keeping
+    /// results independent of the worker count.
     pub(crate) fn process_new_traces(&mut self) {
         cfs_obs::span!(self.recorder, "stage.extract");
         let workers = self.workers();
         let Self {
             ref traces,
             processed,
+            indexed,
             ref kb,
             ref corrected,
             ref mut obs_keys,
             ref mut observations,
             ref mut vp_crossed,
+            ref mut reindex,
             ref recorder,
             ..
         } = *self;
@@ -792,45 +808,59 @@ impl<'a> Cfs<'a> {
         let rec: &dyn Recorder = &**recorder;
         rec.counter("extract.traces", new.len() as u64);
 
-        let per_trace: Vec<Vec<Observation>> = if workers > 1 && new.len() >= 64 {
+        let extract_chunk = |chunk: &[Trace]| {
+            let resolver = Resolver::new(kb, corrected);
+            let mut out = Vec::new();
+            for t in chunk {
+                extract_observations_recorded(t, &resolver, rec, &mut out);
+            }
+            out
+        };
+        let per_chunk: Vec<Vec<Observation>> = if workers > 1 && new.len() >= 64 {
             let chunk_size = new.len().div_ceil(workers);
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = new
                     .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let resolver = Resolver::new(kb, corrected);
-                            chunk
-                                .iter()
-                                .map(|t| extract_observations_recorded(t, &resolver, rec))
-                                .collect::<Vec<_>>()
-                        })
-                    })
+                    .map(|chunk| scope.spawn(move |_| extract_chunk(chunk)))
                     .collect();
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("observation worker"))
+                    .map(|h| h.join().expect("observation worker"))
                     .collect()
             })
             .expect("observation thread scope")
         } else {
-            let resolver = Resolver::new(kb, corrected);
-            new.iter()
-                .map(|t| extract_observations_recorded(t, &resolver, rec))
-                .collect()
+            vec![extract_chunk(new)]
         };
 
-        for (t, obs_list) in new.iter().zip(per_trace) {
-            for obs in obs_list {
-                if obs_keys.insert(obs.key()) {
-                    observations.push(obs);
-                    rec.counter("extract.observations_new", 1);
-                }
+        for obs in per_chunk.into_iter().flatten() {
+            if obs_keys.insert(obs.key()) {
+                observations.push(obs);
+                rec.counter("extract.observations_new", 1);
             }
-            // Maintain the exposure index: which vantage points see which
-            // ASes on their paths (used to aim follow-ups).
-            for hop in &t.hops {
-                if let Some(asn) = hop.ip.and_then(|ip| corrected.get(&ip)) {
+        }
+
+        // Maintain the exposure index: which vantage points see which
+        // ASes on their paths (used to aim follow-ups). Its lists are
+        // append-only and capped at 64 entries, so re-walking a hop whose
+        // corrected ASN has not moved since its last walk is a no-op:
+        // walking the moved hops of already indexed traces, then every
+        // hop of the rest, in trace order, changes exactly what a walk
+        // over every trace would. A caller that keeps the held
+        // observations (`processed > 0`) has established that no address
+        // of an already extracted trace moved, so only a re-extraction
+        // re-walks.
+        let start = if processed == 0 && !reindex.is_empty() {
+            0
+        } else {
+            indexed
+        };
+        for (i, t) in traces.iter().enumerate().skip(start) {
+            for ip in t.hops.iter().filter_map(|h| h.ip) {
+                if i < indexed && !reindex.contains(&ip) {
+                    continue;
+                }
+                if let Some(asn) = corrected.get(&ip) {
                     let list = vp_crossed.entry(*asn).or_default();
                     if list.len() < 64 && !list.contains(&t.vp) {
                         list.push(t.vp);
@@ -838,7 +868,9 @@ impl<'a> Cfs<'a> {
                 }
             }
         }
+        reindex.clear();
         self.processed = self.traces.len();
+        self.indexed = self.traces.len();
     }
 
     pub(crate) fn as_facilities(&mut self, asn: Asn) -> FacilitySet {

@@ -185,9 +185,15 @@ fn score_public_hop(
 /// * Crossings involving unresponsive or unmapped middle hops are
 ///   discarded.
 pub fn extract_observations(trace: &Trace, resolver: &Resolver<'_>) -> Vec<Observation> {
+    let mut out = Vec::new();
+    extract_into(trace, resolver, &mut out);
+    out
+}
+
+/// [`extract_observations`], appending to `out`.
+fn extract_into(trace: &Trace, resolver: &Resolver<'_>, out: &mut Vec<Observation>) {
     let ips: Vec<Option<Ipv4Addr>> = trace.hops.iter().map(|h| h.ip).collect();
     let meanings: Vec<HopMeaning> = ips.iter().map(|ip| resolver.meaning(*ip)).collect();
-    let mut out = Vec::new();
 
     for i in 0..meanings.len() {
         let HopMeaning::As(a) = meanings[i] else {
@@ -235,11 +241,11 @@ pub fn extract_observations(trace: &Trace, resolver: &Resolver<'_>) -> Vec<Obser
             _ => {}
         }
     }
-    out
 }
 
-/// [`extract_observations`] plus telemetry: counts public and private
-/// crossings and samples the per-trace observation count.
+/// [`extract_observations`] plus telemetry, appending to `out` so a
+/// worker collects a whole chunk in one flat list: counts public and
+/// private crossings and samples the per-trace observation count.
 ///
 /// All recording here is per *trace*, never per worker chunk, so the
 /// merged totals are independent of how the extraction stage splits
@@ -248,9 +254,12 @@ pub fn extract_observations_recorded(
     trace: &Trace,
     resolver: &Resolver<'_>,
     rec: &dyn Recorder,
-) -> Vec<Observation> {
-    let out = extract_observations(trace, resolver);
-    for obs in &out {
+    out: &mut Vec<Observation>,
+) {
+    let start = out.len();
+    extract_into(trace, resolver, out);
+    let new = &out[start..];
+    for obs in new {
         match obs.class {
             LinkClass::Public { .. } => {
                 rec.counter("observe.public", 1);
@@ -259,8 +268,7 @@ pub fn extract_observations_recorded(
             LinkClass::Private => rec.counter("observe.private", 1),
         }
     }
-    rec.observe("observe.per_trace", out.len() as u64);
-    out
+    rec.observe("observe.per_trace", new.len() as u64);
 }
 
 #[cfg(test)]

@@ -628,3 +628,165 @@ pub fn canonical_trace(report: &CfsReport) -> String {
     }
     render_trace_json(report, &recorder.snapshot())
 }
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Range;
+
+    use super::*;
+    use crate::engine::CfsConfig;
+    use cfs_kb::{KbConfig, PublicSources};
+    use cfs_net::IpAsnDb;
+    use cfs_topology::{Topology, TopologyConfig};
+    use cfs_traceroute::{
+        deploy_vantage_points, run_campaign, CampaignLimits, Engine, VpConfig, VpSet,
+    };
+
+    struct World {
+        topo: Topology,
+        kb: KnowledgeBase,
+        vps: VpSet,
+        ipasn: IpAsnDb,
+    }
+
+    impl World {
+        fn new() -> Self {
+            let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
+            let sources = PublicSources::derive(&topo, &KbConfig::default());
+            let kb = KnowledgeBase::assemble(&sources, &topo.world);
+            let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
+            let ipasn = topo.build_ipasn_db();
+            Self {
+                topo,
+                kb,
+                vps,
+                ipasn,
+            }
+        }
+
+        /// A campaign from every vantage point towards the targets of
+        /// the ASes at positions `ases` in ASN order.
+        fn campaign(&self, engine: &Engine<'_>, at_ms: u64, ases: Range<usize>) -> Vec<Trace> {
+            let targets: Vec<Ipv4Addr> = self
+                .topo
+                .ases
+                .keys()
+                .skip(ases.start)
+                .take(ases.len())
+                .map(|a| self.topo.target_ip(*a).unwrap())
+                .collect();
+            let vp_ids: Vec<_> = self.vps.ids().collect();
+            let limits = CampaignLimits::default();
+            run_campaign(engine, &self.vps, &vp_ids, &targets, at_ms, &limits)
+        }
+
+        fn session<'a>(&'a self, engine: &'a Engine<'a>, cfg: CfsConfig) -> CfsSession<'a> {
+            Cfs::builder(engine, &self.kb)
+                .vps(&self.vps)
+                .ipasn(&self.ipasn)
+                .config(cfg)
+                .build_session()
+                .unwrap()
+        }
+    }
+
+    /// The exposure-index update as first written: a walk over every hop
+    /// of `traces` under `corrected`.
+    fn walk_every_hop(
+        index: &mut BTreeMap<Asn, Vec<VantagePointId>>,
+        traces: &[Trace],
+        corrected: &BTreeMap<Ipv4Addr, Asn>,
+    ) {
+        for t in traces {
+            for hop in &t.hops {
+                if let Some(asn) = hop.ip.and_then(|ip| corrected.get(&ip)) {
+                    let list = index.entry(*asn).or_default();
+                    if list.len() < 64 && !list.contains(&t.vp) {
+                        list.push(t.vp);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn moved_only_reindex_equals_a_walk_over_every_trace() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let mut session = world.session(&engine, CfsConfig::default());
+        let cfs = &mut session.cfs;
+        cfs.ingest(world.campaign(&engine, 0, 0..12));
+        cfs.realias();
+
+        // Index the first campaign under a perturbed view, as if the last
+        // alias resolution had mapped every fifth address elsewhere and
+        // left every fifth unmapped.
+        let truth = cfs.corrected.clone();
+        for (i, (ip, asn)) in truth.iter().enumerate() {
+            match i % 5 {
+                0 => cfs.corrected.insert(*ip, Asn::new(asn.raw() + 1)),
+                1 => cfs.corrected.remove(ip),
+                _ => None,
+            };
+        }
+        cfs.reindex.clear();
+        cfs.reset_observations();
+        cfs.process_new_traces();
+        let mut oracle = BTreeMap::new();
+        walk_every_hop(&mut oracle, &cfs.traces, &cfs.corrected);
+        assert_eq!(cfs.vp_crossed, oracle);
+
+        // New traces under an unchanged view: only they are walked.
+        let indexed = cfs.traces.len();
+        cfs.ingest(world.campaign(&engine, 7_200_000, 12..30));
+        cfs.process_new_traces();
+        walk_every_hop(&mut oracle, &cfs.traces[indexed..], &cfs.corrected);
+        assert_eq!(cfs.vp_crossed, oracle);
+
+        // A re-alias moves the perturbed addresses back (and maps the
+        // second campaign's new ones): the moved-only update must change
+        // the index exactly as a walk over every trace would.
+        let before = cfs.vp_crossed.clone();
+        let moved = cfs.realias();
+        assert!(moved.len() * 3 > truth.len(), "{} moved", moved.len());
+        cfs.reset_observations();
+        cfs.process_new_traces();
+        walk_every_hop(&mut oracle, &cfs.traces, &cfs.corrected);
+        assert_eq!(cfs.vp_crossed, oracle);
+        assert_ne!(cfs.vp_crossed, before, "the re-walk added nothing");
+        assert!(cfs.reindex.is_empty());
+        assert_eq!(cfs.indexed, cfs.traces.len());
+    }
+
+    #[test]
+    fn followup_replay_rebuilds_the_exposure_index_of_a_fresh_batch() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let cfg = CfsConfig {
+            followup_interfaces: 24,
+            threads: 2,
+            ..CfsConfig::default()
+        };
+        let a = world.campaign(&engine, 0, 0..12);
+        let b = world.campaign(&engine, 7_200_000, 12..30);
+
+        let mut batch = world.session(&engine, cfg.clone());
+        batch.ingest(a.clone());
+        batch.ingest(b.clone());
+        let full = serde_json::to_string(batch.converge()).unwrap();
+
+        // The replay path: truncate to the external prefix, ingest,
+        // reset_for_replay, re-run.
+        let mut session = world.session(&engine, cfg);
+        session.ingest(a);
+        session.converge();
+        assert!(session.cfs.traces_issued > 0, "no follow-ups issued");
+        session.apply_delta(Delta::TracerouteBatch(b)).unwrap();
+        let replayed = serde_json::to_string(session.report().unwrap()).unwrap();
+
+        assert_eq!(full, replayed);
+        assert_eq!(session.cfs.vp_crossed, batch.cfs.vp_crossed);
+        assert_eq!(session.cfs.indexed, session.cfs.traces.len());
+        assert_eq!(batch.cfs.indexed, batch.cfs.traces.len());
+    }
+}

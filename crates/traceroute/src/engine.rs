@@ -78,7 +78,7 @@ impl<'t> Engine<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Self {
             topo,
-            routes: RouteCache::new(),
+            routes: RouteCache::new(topo),
             db: topo.build_ipasn_db(),
             seed: topo.config.seed ^ 0x7ace_7005,
             paris: true,
@@ -137,7 +137,7 @@ impl<'t> Engine<'t> {
             return trace;
         };
 
-        let routes = self.routes.routes(self.topo, dest_asn);
+        let routes = self.routes.routes(dest_asn);
         let Some(as_path) = routes.path(vp.asn) else {
             trace.hops.extend(
                 [Hop {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use cfs_bgp::compute_routes;
+use cfs_bgp::RouteCache;
 use cfs_topology::{IfaceKind, Topology, TopologyConfig};
 use cfs_traceroute::{deploy_vantage_points, Engine, VpConfig};
 use cfs_types::Asn;
@@ -24,11 +24,12 @@ fn hops_follow_the_bgp_as_path() {
     let topo = setup();
     let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
     let engine = Engine::new(&topo);
+    let cache = RouteCache::new(&topo);
 
     let mut verified = 0usize;
     for (i, asn) in topo.ases.keys().enumerate().take(15) {
         let target = topo.target_ip(*asn).unwrap();
-        let routes = compute_routes(&topo, *asn);
+        let routes = cache.routes(*asn);
         for id in vps.ids().step_by(7) {
             let vp = &vps.vps[id];
             let Some(as_path) = routes.path(vp.asn) else {
