@@ -17,14 +17,13 @@
 //! scheduled event explains it. The tier-1 test below pins the
 //! acceptance floor at the default intensity.
 
-use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use cfs_core::{Cfs, CfsConfig, Delta};
-use cfs_detect::{Alert, Detector, DetectorConfig, EpochObservation, LocusNames};
+use cfs_detect::{Alert, Detector, DetectorConfig, EpochObservation};
 use cfs_obs::{Clock, Virtual};
-use cfs_topology::{Disruption, EventSchedule, ScheduleConfig, ScheduleIntensity, EPOCH_MS};
-use cfs_traceroute::{run_campaign, CampaignLimits, Engine, ProbeService, ScheduledEngine, Trace};
+use cfs_topology::{Disruption, EventSchedule, ScheduleConfig, ScheduleIntensity};
+use cfs_traceroute::{Engine, ScheduledEngine};
 use cfs_types::Result;
 
 use crate::{Lab, Output};
@@ -59,26 +58,6 @@ pub struct EvalPoint {
     pub recall: f64,
     /// Mean epochs from event start to its first matching alert.
     pub mean_latency: f64,
-}
-
-/// The follow-on campaign for epoch `k`: every vantage point probes the
-/// standard targets at `k * 2h` — the same pure function of `(world, k)`
-/// the daemon uses, so the eval exercises the delta path `cfsd` serves.
-fn epoch_campaign(lab: &Lab, engine: &dyn ProbeService, k: u64) -> Vec<Trace> {
-    let targets: Vec<Ipv4Addr> = lab
-        .targets()
-        .iter()
-        .filter_map(|a| lab.topo.target_ip(*a).ok())
-        .collect();
-    let vp_ids: Vec<_> = lab.vps.ids().collect();
-    run_campaign(
-        engine,
-        &lab.vps,
-        &vp_ids,
-        &targets,
-        k * EPOCH_MS,
-        &CampaignLimits::default(),
-    )
 }
 
 /// Does this alert's locus implicate the scheduled event? Facility
@@ -160,21 +139,11 @@ pub fn evaluate(lab: &Lab, intensity: ScheduleIntensity) -> Result<EvalPoint> {
     let horizon = engine.schedule().config.horizon_epochs;
 
     let clock = Arc::new(Virtual::new());
-    let names = LocusNames {
-        facilities: lab
-            .topo
-            .facilities
-            .iter()
-            .map(|(id, f)| (id.raw(), f.name.clone()))
-            .collect(),
-        ixps: lab
-            .topo
-            .ixps
-            .iter()
-            .map(|(id, x)| (id.raw(), x.name.clone()))
-            .collect(),
-    };
-    let mut detector = Detector::new(DetectorConfig::default(), names, clock as Arc<dyn Clock>);
+    let mut detector = Detector::new(
+        DetectorConfig::default(),
+        lab.locus_names(),
+        clock as Arc<dyn Clock>,
+    );
 
     // The daemon's follow-up-less configuration: deltas take the
     // incremental path, mirroring `cfs serve --detect --disrupt`.
@@ -200,7 +169,7 @@ pub fn evaluate(lab: &Lab, intensity: ScheduleIntensity) -> Result<EvalPoint> {
     session.converge();
 
     for k in 1..horizon {
-        let traces = epoch_campaign(lab, &engine, k);
+        let traces = lab.campaign(&engine, k);
         let obs = EpochObservation::from_traces(k, &traces);
         session.apply_delta(Delta::TracerouteBatch(traces))?;
         detector.observe(&obs, session.report().expect("delta leaves a report"));

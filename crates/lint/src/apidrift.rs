@@ -4,8 +4,9 @@
 //! `parse_request` match arms in `crates/svc/src/proto.rs` — but its
 //! vocabulary (op names, delta kinds, error codes, the schema tag
 //! itself) is *spoken* in several other places: the CLI's hand-built
-//! request lines in `src/main.rs`, the daemon embedder's error replies,
-//! and the op/kind/code tables in DESIGN.md §10. Each of those surfaces
+//! request lines in `src/main.rs`, the error replies of the daemon
+//! behind the loop (`Daemon::handle` in `src/daemon.rs`), and the
+//! op/kind/code tables in DESIGN.md §10. Each of those surfaces
 //! can silently rot when the authority changes. This module extracts
 //! every surface and reports each disagreement as a finding:
 //!

@@ -25,12 +25,13 @@ use crate::rules::{Finding, Target};
 
 /// The request-loop entry points the reachability walk starts from,
 /// as `(crate, function)` pairs: the `cfsd` accept/dispatch loop in
-/// `crates/svc` and the request dispatcher in the `cfs` binary.
+/// `crates/svc` and `Daemon::handle` in the root crate's
+/// `src/daemon.rs`, which answers every parsed request.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("svc", "serve"),
     ("svc", "serve_connection"),
     ("svc", "parse_request"),
-    ("cfs", "dispatch"),
+    ("cfs", "handle"),
 ];
 
 /// One panic site inside a function body.

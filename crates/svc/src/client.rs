@@ -117,10 +117,17 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
+    /// The same over TCP on an ephemeral port, with a read deadline
+    /// armed: a client that hangs up without a request leaves the
+    /// accept loop serving the next connection.
     #[test]
     fn client_and_server_speak_over_tcp() {
-        let server = Server::bind_tcp("127.0.0.1:0").unwrap();
-        let addr = server.tcp_addr().unwrap().to_string();
+        let server = Server::bind_tcp("127.0.0.1:0")
+            .unwrap()
+            .with_read_deadline(Some(std::time::Duration::from_secs(30)));
+        let addr = server.tcp_addr().unwrap();
+        assert_ne!(addr.port(), 0, "port 0 resolves to the bound port");
+        let addr = addr.to_string();
         #[allow(clippy::disallowed_methods)] // test-only daemon thread, joined before exit
         let handle = std::thread::spawn(move || {
             server
@@ -130,6 +137,7 @@ mod tests {
                 })
                 .unwrap();
         });
+        drop(Client::connect(&Endpoint::Tcp(addr.clone())).unwrap());
         let mut client = Client::connect(&Endpoint::Tcp(addr)).unwrap();
         let reply = client
             .roundtrip("{\"schema\":\"cfs-api/1\",\"op\":\"status\"}")

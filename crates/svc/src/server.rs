@@ -19,7 +19,7 @@
 //! typed errors of [`crate::proto`]; the embedder's dispatch function
 //! only ever sees well-formed [`Request`]s.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
@@ -115,30 +115,35 @@ impl Server {
     pub fn serve(self, mut dispatch: impl FnMut(Request) -> Outcome) -> std::io::Result<()> {
         let deadline = self.read_deadline;
         match self.listener {
-            Listener::Tcp(listener) => {
-                for stream in listener.incoming() {
-                    let stream = stream?;
-                    stream.set_read_timeout(deadline)?;
-                    let reader = BufReader::new(stream.try_clone()?);
-                    if serve_connection(reader, stream, &mut dispatch)? {
-                        return Ok(());
-                    }
-                }
-                Ok(())
-            }
-            Listener::Unix(listener) => {
-                for stream in listener.incoming() {
-                    let stream = stream?;
-                    stream.set_read_timeout(deadline)?;
-                    let reader = BufReader::new(stream.try_clone()?);
-                    if serve_connection(reader, stream, &mut dispatch)? {
-                        return Ok(());
-                    }
-                }
-                Ok(())
-            }
+            Listener::Tcp(listener) => accept_loop(
+                listener.incoming(),
+                |s| s.set_read_timeout(deadline).and_then(|()| s.try_clone()),
+                &mut dispatch,
+            ),
+            Listener::Unix(listener) => accept_loop(
+                listener.incoming(),
+                |s| s.set_read_timeout(deadline).and_then(|()| s.try_clone()),
+                &mut dispatch,
+            ),
         }
     }
+}
+
+/// The one accept loop both transports share: one connection at a time
+/// (`reader` arms the read deadline and returns the reading handle),
+/// until a shutdown is acknowledged or accepting fails.
+fn accept_loop<S: Read + Write>(
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    reader: impl Fn(&S) -> std::io::Result<S>,
+    dispatch: &mut impl FnMut(Request) -> Outcome,
+) -> std::io::Result<()> {
+    for stream in incoming {
+        let stream = stream?;
+        if serve_connection(BufReader::new(reader(&stream)?), stream, dispatch)? {
+            return Ok(());
+        }
+    }
+    Ok(())
 }
 
 /// Reads one `\n`-terminated line of at most [`MAX_REQUEST_LINE`] bytes.

@@ -48,6 +48,22 @@ impl ProbeService for Engine<'_> {
     }
 }
 
+/// A boxed service is a service, so wrappers such as `ScheduledEngine`
+/// layer over a stack chosen at run time.
+impl<P: ProbeService + ?Sized> ProbeService for Box<P> {
+    fn topology(&self) -> &Topology {
+        (**self).topology()
+    }
+
+    fn trace(&self, vp: &VantagePoint, target: Ipv4Addr, at_ms: u64) -> Trace {
+        (**self).trace(vp, target, at_ms)
+    }
+
+    fn ping(&self, vp: &VantagePoint, target: Ipv4Addr, at_ms: u64) -> Option<f64> {
+        (**self).ping(vp, target, at_ms)
+    }
+}
+
 /// A fault-injecting [`ProbeService`]: wraps a clean [`Engine`] and lies
 /// to the caller exactly as the [`FaultPlan`] dictates — VP outages and
 /// transient timeouts suppress whole probes, persistently silent and

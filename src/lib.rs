@@ -55,10 +55,14 @@
 //!
 //! The same session powers the `cfsd` daemon: `cfs serve --socket
 //! /tmp/cfsd.sock` keeps one resident and answers line-delimited
-//! `cfs-api/1` requests (see [`svc`] and `cfs query`).
+//! `cfs-api/1` requests (see [`svc`] and `cfs query`). The request
+//! semantics live in [`daemon::Daemon`], which answers the same
+//! requests in process.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod daemon;
 
 pub use cfs_alias as alias;
 pub use cfs_baselines as baselines;

@@ -41,21 +41,14 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cfs::detect::{
-    validate_alerts, Detector, DetectorConfig, EpochObservation, LocusNames, ALERTS_SCHEMA,
-};
-use cfs::obs::{
-    pace, Clock, EventKind, EventLog, MetricsDoc, Monotonic, Recorder, TraceRecorder,
-    WindowedRecorder, METRICS_SCHEMA, TRACE_SCHEMA,
-};
+use cfs::daemon::{Daemon, DaemonOptions, Substrate};
+use cfs::detect::{validate_alerts, ALERTS_SCHEMA};
+use cfs::obs::{pace, MetricsDoc, Monotonic, TraceRecorder, METRICS_SCHEMA, TRACE_SCHEMA};
 use cfs::prelude::*;
-use cfs::svc::{ApiError, Outcome};
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
-use cfs::traceroute::{ProbeService, ScheduledEngine, Trace};
 use cfs_experiments::{Lab, Scale};
 
 fn main() {
@@ -87,7 +80,7 @@ fn main() {
         "check" => check_cmd(args.get(2).map(String::as_str)),
         "profile" => profile_cmd(
             args.get(2).map(String::as_str),
-            flag_value(&args, "--top"),
+            &args,
             args.iter().any(|a| a == "--folded"),
         ),
         "trace-diff" => {
@@ -96,21 +89,21 @@ fn main() {
                 pos.first().copied(),
                 pos.get(1).copied(),
                 args.iter().any(|a| a == "--json"),
-                flag_value(&args, "--tolerance-pct"),
+                &args,
                 flag_value(&args, "--baseline-dir"),
             )
         }
-        "serve" => serve_cmd(scale, seed, &args),
+        "serve" => exit_code(serve_cmd(scale, seed, &args)),
         "kb-diff" => kb_diff(
             scale,
             seed,
             positionals(&args, &[]).first().copied().map(String::from),
             positionals(&args, &[]).get(1).copied().map(String::from),
         ),
-        "query" => query_cmd(&args),
-        "metrics" => metrics_cmd(&args),
-        "watch" => watch_cmd(&args),
-        "top" => top_cmd(&args),
+        "query" => exit_code(query_cmd(&args)),
+        "metrics" => exit_code(metrics_cmd(&args)),
+        "watch" => exit_code(watch_cmd(&args)),
+        "top" => exit_code(top_cmd(&args)),
         "help" | "--help" | "-h" => {
             print_help();
             0
@@ -225,6 +218,54 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The exit code of a command that reports failure as `Err(code)`.
+fn exit_code(result: Result<(), i32>) -> i32 {
+    result.err().unwrap_or(0)
+}
+
+/// The numeric value of flag `name`: `None` when absent; exit 2 (after
+/// saying why) when it does not parse, or is zero where `positive`
+/// asks for more.
+fn num_flag<T: std::str::FromStr + Default + PartialEq>(
+    args: &[String],
+    name: &str,
+    positive: bool,
+) -> Result<Option<T>, i32> {
+    let Some(raw) = flag_value(args, name) else {
+        return Ok(None);
+    };
+    match raw.parse::<T>() {
+        Ok(n) if !(positive && n == T::default()) => Ok(Some(n)),
+        _ => {
+            let what = if positive {
+                "a positive number"
+            } else {
+                "a number"
+            };
+            eprintln!("{name} wants {what}, got {raw:?}");
+            Err(2)
+        }
+    }
+}
+
+/// The fault plan `--faults` names, if any; an unknown profile is
+/// exit 2.
+fn fault_plan(spec: Option<&str>, seed: u64) -> Result<Option<FaultPlan>, i32> {
+    let Some(spec) = spec else {
+        return Ok(None);
+    };
+    match FaultPlan::named(spec, seed) {
+        Some(p) => Ok(Some(p)),
+        None => {
+            eprintln!(
+                "unknown fault profile {spec:?} (named: off, default, flaky, \
+                 blackout, stale-kb, mid-kb-refresh, conflict; compose with `+`)"
+            );
+            Err(2)
+        }
+    }
+}
+
 /// The non-flag tokens after the command. Flags in `boolean` stand
 /// alone; every other `--flag` consumes the following token as its
 /// value.
@@ -309,18 +350,9 @@ fn run_cmd(
         None => None,
     };
     let lab = Lab::provision_with_sources(scale, seed, sources).expect("world generation failed");
-    let plan = match &faults {
-        Some(spec) => match FaultPlan::named(spec, lab.topo.config.seed) {
-            Some(p) => Some(p),
-            None => {
-                eprintln!(
-                    "unknown fault profile {spec:?} (named: off, default, flaky, \
-                     blackout, stale-kb, mid-kb-refresh, conflict; compose with `+`)"
-                );
-                return 2;
-            }
-        },
-        None => None,
+    let plan = match fault_plan(faults.as_deref(), lab.topo.config.seed) {
+        Ok(p) => p,
+        Err(code) => return code,
     };
     // Attach a recorder only when somebody will read it; otherwise the
     // pipeline keeps its free no-op instrumentation.
@@ -449,20 +481,14 @@ fn run_cmd(
 /// Renders a `cfs-profile/1` export as a stage tree with self/child
 /// time and a top-N bottleneck table — or, with `--folded`, as
 /// folded-stack lines ready for flamegraph collapse tooling.
-fn profile_cmd(path: Option<&str>, top: Option<String>, folded: bool) -> i32 {
+fn profile_cmd(path: Option<&str>, args: &[String], folded: bool) -> i32 {
     let Some(path) = path else {
         eprintln!("usage: cfs profile FILE [--top N] [--folded]");
         return 2;
     };
-    let top_n = match top {
-        None => 5,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--top wants a number, got {raw:?}");
-                return 2;
-            }
-        },
+    let top_n = match num_flag(args, "--top", false) {
+        Ok(n) => n.unwrap_or(5),
+        Err(code) => return code,
     };
     let raw = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -506,18 +532,12 @@ fn trace_diff(
     a: Option<&str>,
     b: Option<&str>,
     json: bool,
-    tolerance: Option<String>,
+    args: &[String],
     baseline_dir: Option<String>,
 ) -> i32 {
-    let tolerance_pct = match tolerance {
-        None => 25,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--tolerance-pct wants a number, got {raw:?}");
-                return 2;
-            }
-        },
+    let tolerance_pct = match num_flag(args, "--tolerance-pct", false) {
+        Ok(n) => n.unwrap_or(25),
+        Err(code) => return code,
     };
     let read = |path: &str| match std::fs::read_to_string(path) {
         Ok(s) => Some(s),
@@ -773,18 +793,9 @@ fn audit(scale: Scale, seed: Option<u64>, asn: Option<u32>, faults: Option<Strin
         eprintln!("{target} does not exist in this world");
         return 1;
     }
-    let plan = match &faults {
-        Some(spec) => match FaultPlan::named(spec, lab.topo.config.seed) {
-            Some(p) => Some(p),
-            None => {
-                eprintln!(
-                    "unknown fault profile {spec:?} (named: off, default, flaky, \
-                     blackout, stale-kb, mid-kb-refresh, conflict; compose with `+`)"
-                );
-                return 2;
-            }
-        },
-        None => None,
+    let plan = match fault_plan(faults.as_deref(), lab.topo.config.seed) {
+        Ok(p) => p,
+        Err(code) => return code,
     };
     let report = match plan {
         Some(plan) => lab.run_cfs_chaos(plan, CfsConfig::default()),
@@ -953,141 +964,37 @@ fn validate(scale: Scale, seed: Option<u64>) -> i32 {
     }
 }
 
-/// Follow-up-less configuration for resident sessions: `apply_delta`
-/// requires measurement-complete inputs (see `CfsSession::apply_delta`).
-fn service_config() -> CfsConfig {
-    CfsConfig {
-        followup_interfaces: 0,
-        ..CfsConfig::default()
+/// `cfs serve`: parse the flags, bind, boot a [`Daemon`], and answer
+/// `cfs-api/1` requests until a `shutdown` arrives, snapshotting the
+/// live metrics on the `--metrics-interval` cadence.
+fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32> {
+    let mut opts = DaemonOptions {
+        campaigns: num_flag(args, "--campaigns", false)?.unwrap_or(0),
+        detect: args.iter().any(|a| a == "--detect"),
+        ..DaemonOptions::default()
+    };
+    if let Some(ms) = num_flag(args, "--window-ms", true)? {
+        opts.window_ms = ms;
     }
-}
-
-/// Deterministic follow-on campaign *k*: every vantage point probes the
-/// standard targets at `k * 2h`. A pure function of `(world, k)`, so a
-/// daemon that pre-ingested `--campaigns N` at boot and one that absorbed
-/// the same numbers as `delta` requests hold identical inputs — and,
-/// by the session determinism contract, identical reports.
-fn serve_campaign(lab: &Lab, engine: &dyn ProbeService, k: u64) -> Vec<Trace> {
-    let targets: Vec<Ipv4Addr> = lab
-        .targets()
-        .iter()
-        .filter_map(|a| lab.topo.target_ip(*a).ok())
-        .collect();
-    let vp_ids: Vec<_> = lab.vps.ids().collect();
-    run_campaign(
-        engine,
-        &lab.vps,
-        &vp_ids,
-        &targets,
-        k * 7_200_000,
-        &CampaignLimits::default(),
-    )
-}
-
-/// How many closed metrics windows the daemon retains (one minute at
-/// the default `--window-ms 1000`).
-const SERVE_WINDOWS_KEPT: usize = 60;
-
-/// How many events the daemon's in-memory ring retains.
-const SERVE_EVENT_CAP: usize = 256;
-
-/// The daemon's live telemetry, threaded through the dispatch loop:
-/// rolling metrics windows, the structured event log, and the last seen
-/// data-quality totals (so dq *increases* become events).
-struct ServeTelemetry {
-    windows: Arc<WindowedRecorder>,
-    events: EventLog,
-    breaker_trips: u64,
-    widened_interfaces: u64,
-    /// The rolling-baseline divergence detector, present under
-    /// `--detect`. A detection-off daemon still answers the `alerts` op
-    /// (empty list, unmoved cursor) so clients need no capability probe.
-    detector: Option<Detector>,
-}
-
-/// The span name timing one request's dispatch, by op.
-fn op_span_name(req: &Request) -> &'static str {
-    match req {
-        Request::Status => "api.status",
-        Request::Query { .. } => "api.query",
-        Request::DeltaKbFlip { .. }
-        | Request::DeltaCampaign { .. }
-        | Request::DeltaVpStatus { .. } => "api.delta",
-        Request::Trace => "api.trace",
-        Request::Metrics => "api.metrics",
-        Request::Events { .. } => "api.events",
-        Request::Alerts { .. } => "api.alerts",
-        Request::Shutdown => "api.shutdown",
-    }
-}
-
-/// `cfs serve`: provision a world, converge a resident session, and
-/// answer `cfs-api/1` requests until a `shutdown` arrives.
-fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> i32 {
-    let socket = flag_value(args, "--socket");
-    let tcp = flag_value(args, "--tcp");
-    let faults = flag_value(args, "--faults");
-    let log_path = flag_value(args, "--log");
-    let metrics_out = flag_value(args, "--metrics-out");
-    let detect = args.iter().any(|a| a == "--detect");
-    let campaigns: u64 = match flag_value(args, "--campaigns").map(|c| c.parse::<u64>()) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--campaigns wants a number");
-            return 2;
-        }
-    };
-    let window_ms: u64 = match flag_value(args, "--window-ms").map(|w| w.parse::<u64>()) {
-        None => 1_000,
-        Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("--window-ms wants a positive number");
-            return 2;
-        }
-    };
-    let metrics_interval_ns: Option<u64> =
-        match flag_value(args, "--metrics-interval").map(|v| v.parse::<u64>()) {
-            None => None,
-            Some(Ok(n)) if n > 0 => Some(n * 1_000_000),
-            _ => {
-                eprintln!("--metrics-interval wants a positive number of milliseconds");
-                return 2;
-            }
-        };
-    let disrupt: Option<ScheduleIntensity> = match flag_value(args, "--disrupt") {
+    let metrics_interval_ns =
+        num_flag::<u64>(args, "--metrics-interval", true)?.map(|ms| ms.saturating_mul(1_000_000));
+    let disrupt_seed: Option<u64> = num_flag(args, "--disrupt-seed", false)?;
+    let read_deadline = num_flag(args, "--read-deadline-ms", true)?.map(Duration::from_millis);
+    let disrupt = match flag_value(args, "--disrupt") {
         None => None,
-        Some(p) => match ScheduleIntensity::parse(&p) {
-            Some(i) => Some(i),
-            None => {
-                eprintln!("unknown disruption profile {p:?} (light, default, heavy)");
-                return 2;
-            }
-        },
+        Some(p) => Some(ScheduleIntensity::parse(&p).ok_or_else(|| {
+            eprintln!("unknown disruption profile {p:?} (light, default, heavy)");
+            2
+        })?),
     };
-    let disrupt_seed: Option<u64> = match flag_value(args, "--disrupt-seed").map(|v| v.parse()) {
-        None => None,
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => {
-            eprintln!("--disrupt-seed wants a number");
-            return 2;
-        }
-    };
-    let read_deadline: Option<Duration> =
-        match flag_value(args, "--read-deadline-ms").map(|v| v.parse::<u64>()) {
-            None => None,
-            Some(Ok(n)) if n > 0 => Some(Duration::from_millis(n)),
-            _ => {
-                eprintln!("--read-deadline-ms wants a positive number");
-                return 2;
-            }
-        };
-    let metrics_out = metrics_out.unwrap_or_else(|| "cfs-metrics.json".to_string());
+    let metrics_out =
+        flag_value(args, "--metrics-out").unwrap_or_else(|| "cfs-metrics.json".to_string());
     // Bind before the (slow) world provisioning: early clients connect
     // immediately and their requests queue until the loop starts.
-    let bound = match (&socket, &tcp) {
+    let socket = flag_value(args, "--socket");
+    let bound = match (&socket, flag_value(args, "--tcp")) {
         (Some(path), None) => Server::bind_unix(std::path::Path::new(path)),
-        (None, Some(addr)) => Server::bind_tcp(addr),
+        (None, Some(addr)) => Server::bind_tcp(&addr),
         _ => {
             eprintln!(
                 "usage: cfs serve --socket PATH | --tcp ADDR \
@@ -1097,49 +1004,28 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> i32 {
                  [--detect] [--disrupt light|default|heavy] [--disrupt-seed N] \
                  [--read-deadline-ms N]"
             );
-            return 2;
+            return Err(2);
         }
     };
-    let server = match bound {
-        Ok(s) => s.with_read_deadline(read_deadline),
-        Err(e) => {
+    let server = bound
+        .map_err(|e| {
             eprintln!("cfsd: failed to bind: {e}");
-            return 1;
-        }
-    };
+            1
+        })?
+        .with_read_deadline(read_deadline);
     match server.tcp_addr() {
         Some(addr) => println!("cfsd: listening on {addr}"),
         None => println!("cfsd: listening on {}", socket.as_deref().unwrap_or("?")),
     }
 
     let lab = provision(scale, seed);
-    let plan = match &faults {
-        Some(spec) => match FaultPlan::named(spec, lab.topo.config.seed) {
-            Some(p) => Some(p),
-            None => {
-                eprintln!(
-                    "unknown fault profile {spec:?} (named: off, default, flaky, \
-                     blackout, stale-kb, mid-kb-refresh, conflict; compose with `+`)"
-                );
-                return 2;
-            }
-        },
-        None => None,
-    };
-    // The daemon's view of the public sources: kb-flip deltas mutate it
-    // in place so consecutive flips compose. Under --faults it starts
-    // from the chaos-degraded snapshot, exactly like a faulted batch run.
-    let mut sources = match &plan {
-        Some(p) => degrade_sources(&lab.sources, p),
-        None => lab.sources.clone(),
-    };
-    // The disruption schedule perturbs the measurement plane only: the
-    // engine answers probes as if the scheduled elements were dark, and
-    // neither the session nor the detector ever sees the event list.
-    let schedule: Option<EventSchedule> = disrupt.map(|intensity| {
-        let sc =
-            ScheduleConfig::at_intensity(disrupt_seed.unwrap_or(lab.topo.config.seed), intensity);
-        EventSchedule::generate(&lab.topo, sc)
+    let plan = fault_plan(
+        flag_value(args, "--faults").as_deref(),
+        lab.topo.config.seed,
+    )?;
+    let schedule = disrupt.map(|intensity| {
+        let seed = disrupt_seed.unwrap_or(lab.topo.config.seed);
+        EventSchedule::generate(&lab.topo, ScheduleConfig::at_intensity(seed, intensity))
     });
     if let (Some(i), Some(s)) = (disrupt, &schedule) {
         println!(
@@ -1148,167 +1034,38 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> i32 {
             i.label(),
         );
     }
-    let engine_plain;
-    let engine_chaos;
-    let engine_scheduled;
-    let engine_scheduled_chaos;
-    let kb_degraded;
-    let kb: &KnowledgeBase = match &plan {
-        Some(_) => {
-            kb_degraded = KnowledgeBase::assemble(&sources, &lab.topo.world);
-            &kb_degraded
-        }
-        None => &lab.kb,
-    };
-    let engine: &dyn ProbeService = match (plan, schedule) {
-        (Some(p), Some(s)) => {
-            engine_scheduled_chaos =
-                ScheduledEngine::new(ChaosEngine::new(Engine::new(&lab.topo), p), s);
-            &engine_scheduled_chaos
-        }
-        (Some(p), None) => {
-            engine_chaos = ChaosEngine::new(Engine::new(&lab.topo), p);
-            &engine_chaos
-        }
-        (None, Some(s)) => {
-            engine_scheduled = ScheduledEngine::new(Engine::new(&lab.topo), s);
-            &engine_scheduled
-        }
-        (None, None) => {
-            engine_plain = Engine::new(&lab.topo);
-            &engine_plain
-        }
-    };
-
-    // Live telemetry: one real clock shared by the windowed recorder,
-    // its inner trace recorder, and the event log. None of this touches
-    // the canonical trace — `trace` replies are rebuilt from the report.
-    let clock = Arc::new(Monotonic::new());
-    let windows = Arc::new(WindowedRecorder::new(
-        Arc::new(TraceRecorder::new(clock.clone())),
-        clock.clone(),
-        window_ms * 1_000_000,
-        SERVE_WINDOWS_KEPT,
-    ));
-    let mut events = EventLog::new(clock.clone(), SERVE_EVENT_CAP);
-    if let Some(path) = &log_path {
-        match std::fs::File::create(path) {
-            Ok(f) => events = events.with_sink(f),
-            Err(e) => {
-                eprintln!("cfsd: failed to open --log {path}: {e}");
-                return 1;
-            }
-        }
+    if let Some(path) = flag_value(args, "--log") {
+        let file = std::fs::File::create(&path).map_err(|e| {
+            eprintln!("cfsd: failed to open --log {path}: {e}");
+            1
+        })?;
+        opts.log = Some(file);
     }
-
-    // The detector names its loci from public knowledge only (the same
-    // facility/exchange names the KB publishes); the schedule stays
-    // withheld. Its clock is the daemon's clock, so alert `t_ns` values
-    // share the timeline of the metrics windows and the event log.
-    let mut detector: Option<Detector> = detect.then(|| {
-        let names = LocusNames {
-            facilities: lab
-                .topo
-                .facilities
-                .iter()
-                .map(|(id, f)| (id.raw(), f.name.clone()))
-                .collect(),
-            ixps: lab
-                .topo
-                .ixps
-                .iter()
-                .map(|(id, x)| (id.raw(), x.name.clone()))
-                .collect(),
-        };
-        Detector::new(
-            DetectorConfig::default(),
-            names,
-            clock.clone() as Arc<dyn Clock>,
-        )
-    });
-
-    let mut session = Cfs::builder(engine, kb)
-        .vps(&lab.vps)
-        .ipasn(&lab.ipasn)
-        .config(service_config())
-        .recorder(windows.clone())
-        .build_session()
-        .expect("serve: CFS dependencies are always set");
-    // Summarize each pre-ingested *campaign* before the session consumes
-    // it; the detector replays them (in epoch order, against the
-    // converged report) so its baselines are as warm as the session's
-    // state. The bootstrap batch is deliberately not observed: its
-    // archived iPlane/Ark sweeps reach interfaces no periodic campaign
-    // revisits, and a baseline seeded from that wider coverage would
-    // read every sweep-only facility as a permanent outage.
-    let mut pending_obs: Vec<EpochObservation> = Vec::new();
-    session.ingest(lab.bootstrap_traces(engine, None));
-    for k in 1..=campaigns {
-        let traces = serve_campaign(&lab, engine, k);
-        if detector.is_some() {
-            pending_obs.push(EpochObservation::from_traces(k, &traces));
-        }
-        session.ingest(traces);
-    }
-    lab.feed_bgp_sessions(&mut session, None);
-    session.converge();
-    if let Some(det) = detector.as_mut() {
-        let report = session.report().expect("converged above");
-        for obs in &pending_obs {
-            det.observe(obs, report);
-        }
-    }
-    let (breaker_trips, widened_interfaces) = {
-        let report = session.report().expect("converged above");
+    let substrate = Substrate::new(&lab, plan, schedule);
+    let mut daemon = Daemon::boot(&substrate, opts).map_err(|e| {
+        eprintln!("cfsd: boot failed: {e}");
+        1
+    })?;
+    if let Some(report) = daemon.session().report() {
         println!(
             "cfsd: serving {} interfaces ({} resolved) at epoch {}",
             report.total(),
             report.resolved(),
-            session.epoch(),
+            daemon.session().epoch(),
         );
-        events.emit(EventKind::SessionConverged {
-            epoch: session.epoch(),
-            resolved: report.resolved() as u64,
-            total: report.total() as u64,
-        });
-        let dq = &report.data_quality;
-        if dq.vp_breaker_trips > 0 {
-            events.emit(EventKind::BreakerTrip {
-                trips: dq.vp_breaker_trips,
-            });
-        }
-        if dq.widened_interfaces > 0 {
-            events.emit(EventKind::WidenedInterfaces {
-                count: dq.widened_interfaces,
-            });
-        }
-        (dq.vp_breaker_trips, dq.widened_interfaces)
-    };
-    let mut tele = ServeTelemetry {
-        windows,
-        events,
-        breaker_trips,
-        widened_interfaces,
-        detector,
-    };
+    }
 
     // Cadence snapshots of the live window ring: the clock that drives
     // the windows also decides when a snapshot is due, so a request
     // burst writes at most one file per interval and an idle daemon
     // writes none (the loop only runs between requests).
-    let mut next_snapshot_ns = metrics_interval_ns.map(|iv| clock.now_ns() + iv);
+    let mut next_snapshot_ns = metrics_interval_ns.map(|iv| daemon.now_ns() + iv);
     let served = server.serve(|req| {
-        // Count and time every dispatched request into the windows; the
-        // span lands under its op's name (api.query, api.delta, …).
-        let op = op_span_name(&req);
-        tele.windows.counter("api.requests", 1);
-        let start = tele.windows.span_start();
-        let out = dispatch(req, &mut session, &lab, engine, &mut sources, &mut tele);
-        tele.windows.span_end(op, start);
+        let out = daemon.handle(req);
         if let (Some(iv), Some(due)) = (metrics_interval_ns, next_snapshot_ns.as_mut()) {
-            let now = clock.now_ns();
+            let now = daemon.now_ns();
             if now >= *due {
-                if let Err(e) = std::fs::write(&metrics_out, tele.windows.render_metrics_json()) {
+                if let Err(e) = std::fs::write(&metrics_out, daemon.metrics_json()) {
                     eprintln!("cfsd: failed to write --metrics-out {metrics_out}: {e}");
                 }
                 // Re-anchor on now, not on `due`: a long gap between
@@ -1321,474 +1078,179 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> i32 {
     match served {
         Ok(()) => {
             println!("cfsd: shutdown");
-            0
+            Ok(())
         }
         Err(e) => {
             eprintln!("cfsd: {e}");
-            1
+            Err(1)
         }
     }
-}
-
-/// Answers one well-formed request against the resident session.
-fn dispatch(
-    req: Request,
-    session: &mut CfsSession<'_>,
-    lab: &Lab,
-    engine: &dyn ProbeService,
-    sources: &mut PublicSources,
-    tele: &mut ServeTelemetry,
-) -> Outcome {
-    match req {
-        Request::Status => {
-            let Some(report) = session.report() else {
-                return Outcome::reply(
-                    ApiError::new("internal", "session has not converged a report yet")
-                        .to_response(),
-                );
-            };
-            Outcome::reply(
-                Reply::ok()
-                    .str("state", "serving")
-                    .u64("epoch", session.epoch())
-                    .u64("interfaces", report.total() as u64)
-                    .u64("resolved", report.resolved() as u64)
-                    .u64("links", report.links.len() as u64)
-                    .finish(),
-            )
-        }
-        Request::Query { iface } => Outcome::reply(answer_query(&iface, session, lab)),
-        Request::Trace => Outcome::reply(Reply::ok().raw("trace", &session.trace_json()).finish()),
-        Request::Metrics => Outcome::reply(
-            Reply::ok()
-                .raw("metrics", &tele.windows.render_metrics_json())
-                .finish(),
-        ),
-        Request::Events {
-            since,
-            min_severity,
-        } => {
-            // The parser pinned the vocabulary, so an unknown label here
-            // is unreachable; default to the lowest floor regardless.
-            let floor = match min_severity.as_deref() {
-                Some("error") => cfs::obs::Severity::Error,
-                Some("warn") => cfs::obs::Severity::Warn,
-                _ => cfs::obs::Severity::Info,
-            };
-            let (drained, next) = tele.events.since(since);
-            let mut arr = String::from("[");
-            let mut first = true;
-            for e in &drained {
-                if e.kind.severity() < floor {
-                    continue; // filtered, but `next` still advances past it
-                }
-                if !first {
-                    arr.push(',');
-                }
-                first = false;
-                arr.push_str(&e.render_json());
-            }
-            arr.push(']');
-            Outcome::reply(Reply::ok().u64("next", next).raw("events", &arr).finish())
-        }
-        Request::Alerts {
-            since,
-            min_severity,
-        } => {
-            let floor = match min_severity.as_deref() {
-                Some("error") => cfs::obs::Severity::Error,
-                Some("warn") => cfs::obs::Severity::Warn,
-                _ => cfs::obs::Severity::Info,
-            };
-            // Detection off: an empty list with an unmoved cursor, so
-            // pollers need no capability probe and lose nothing if the
-            // daemon is later restarted with --detect.
-            let Some(det) = tele.detector.as_ref() else {
-                return Outcome::reply(Reply::ok().u64("next", since).raw("alerts", "[]").finish());
-            };
-            let (drained, next) = det.alerts().since(since);
-            let mut arr = String::from("[");
-            let mut first = true;
-            for a in &drained {
-                if a.severity < floor {
-                    continue; // filtered, but `next` still advances past it
-                }
-                if !first {
-                    arr.push(',');
-                }
-                first = false;
-                arr.push_str(&a.render_json());
-            }
-            arr.push(']');
-            Outcome::reply(Reply::ok().u64("next", next).raw("alerts", &arr).finish())
-        }
-        Request::Shutdown => Outcome::last(
-            Reply::ok()
-                .str("state", "stopping")
-                .u64("epoch", session.epoch())
-                .finish(),
-        ),
-        Request::DeltaCampaign { campaign } => {
-            if campaign == 0 {
-                return Outcome::reply(
-                    ApiError::new(
-                        "bad_delta",
-                        "campaign numbers start at 1 (0 is the bootstrap campaign)",
-                    )
-                    .to_response(),
-                );
-            }
-            let traces = serve_campaign(lab, engine, campaign);
-            // Summarize the raw batch before apply_delta consumes it:
-            // per-epoch visibility comes from what this batch actually
-            // saw, not from the session's cumulative state.
-            let obs = tele
-                .detector
-                .as_ref()
-                .map(|_| EpochObservation::from_traces(campaign, &traces));
-            let result = session.apply_delta(Delta::TracerouteBatch(traces));
-            if result.is_ok() {
-                if let (Some(det), Some(obs)) = (tele.detector.as_mut(), obs.as_ref()) {
-                    if let Some(report) = session.report() {
-                        let emitted = det.observe(obs, report);
-                        tele.windows.counter("detect.alerts", emitted.len() as u64);
-                    }
-                }
-            }
-            delta_reply("campaign", result, session, tele)
-        }
-        Request::DeltaKbFlip {
-            asn,
-            facility,
-            present,
-        } => {
-            let target = Asn(asn);
-            let facility = FacilityId::new(facility);
-            if facility.raw() as usize >= lab.topo.facilities.len() {
-                return Outcome::reply(
-                    ApiError::new("bad_delta", format!("no such facility: {facility}"))
-                        .to_response(),
-                );
-            }
-            let Some(rec) = sources.pdb_networks.get_mut(&target) else {
-                return Outcome::reply(
-                    ApiError::new(
-                        "bad_delta",
-                        format!("{target} has no PeeringDB record in this world"),
-                    )
-                    .to_response(),
-                );
-            };
-            // The assembled AS footprint is pdb ∪ NOC, so a flip must
-            // touch both sources or the merged footprint never changes.
-            rec.facilities.retain(|f| *f != facility);
-            if present {
-                rec.facilities.push(facility);
-                rec.facilities.sort_unstable();
-            }
-            if let Some(page) = sources.noc_pages.get_mut(&target) {
-                page.facilities.retain(|f| *f != facility);
-                if present {
-                    page.facilities.push(facility);
-                    page.facilities.sort_unstable();
-                }
-            }
-            let kb2 = KnowledgeBase::assemble(sources, &lab.topo.world);
-            let result = session.apply_delta(Delta::KbEpochFlip(Arc::new(kb2)));
-            if result.is_ok() {
-                tele.events.emit(EventKind::KbFlip {
-                    asn,
-                    facility: facility.raw(),
-                    present,
-                });
-            }
-            delta_reply("kb-flip", result, session, tele)
-        }
-        Request::DeltaVpStatus { vp, up } => {
-            let vp = cfs::types::VantagePointId::new(vp);
-            if !lab.vps.ids().any(|i| i == vp) {
-                return Outcome::reply(
-                    ApiError::new("bad_delta", format!("no such vantage point: {vp}"))
-                        .to_response(),
-                );
-            }
-            let result = session.apply_delta(Delta::VpStatusChange { vp, up });
-            delta_reply("vp-status", result, session, tele)
-        }
-    }
-}
-
-/// Renders a `DeltaOutcome` (or the engine's refusal) as a response,
-/// and logs the applied delta — plus any data-quality regressions the
-/// re-convergence surfaced — into the daemon's event stream.
-fn delta_reply(
-    kind: &'static str,
-    result: cfs::types::Result<DeltaOutcome>,
-    session: &CfsSession<'_>,
-    tele: &mut ServeTelemetry,
-) -> Outcome {
-    match result {
-        Ok(o) => {
-            tele.events.emit(EventKind::DeltaApplied {
-                kind,
-                epoch: o.epoch,
-                dirty: o.dirty as u64,
-                reconverged: o.reconverged as u64,
-            });
-            tele.windows.counter("serve.dirty_ifaces", o.dirty as u64);
-            tele.windows
-                .counter("serve.reconverged", o.reconverged as u64);
-            if let Some(report) = session.report() {
-                let dq = &report.data_quality;
-                if dq.vp_breaker_trips > tele.breaker_trips {
-                    tele.events.emit(EventKind::BreakerTrip {
-                        trips: dq.vp_breaker_trips - tele.breaker_trips,
-                    });
-                    tele.breaker_trips = dq.vp_breaker_trips;
-                }
-                if dq.widened_interfaces > tele.widened_interfaces {
-                    tele.events.emit(EventKind::WidenedInterfaces {
-                        count: dq.widened_interfaces - tele.widened_interfaces,
-                    });
-                    tele.widened_interfaces = dq.widened_interfaces;
-                }
-            }
-            Outcome::reply(
-                Reply::ok()
-                    .u64("epoch", o.epoch)
-                    .u64("dirty", o.dirty as u64)
-                    .u64("reconverged", o.reconverged as u64)
-                    .u64("total", o.total as u64)
-                    .finish(),
-            )
-        }
-        Err(e) => Outcome::reply(ApiError::new("internal", e.to_string()).to_response()),
-    }
-}
-
-/// Answers a `query` op: `bad_iface` when the address does not parse,
-/// `unknown_iface` when the session never observed it, otherwise the
-/// facility/method/confidence verdict from the cached report.
-fn answer_query(iface: &str, session: &CfsSession<'_>, lab: &Lab) -> String {
-    let Ok(ip) = iface.parse::<Ipv4Addr>() else {
-        return ApiError::new("bad_iface", format!("not an IPv4 address: {iface:?}")).to_response();
-    };
-    let tracked = session
-        .report()
-        .is_some_and(|r| r.interfaces.contains_key(&ip));
-    if !tracked {
-        return ApiError::new(
-            "unknown_iface",
-            format!("{ip} was never observed by this session"),
-        )
-        .to_response();
-    }
-    let a = session.query(ip);
-    Reply::ok()
-        .str("iface", &ip.to_string())
-        .opt_u64("owner", a.owner.map(|x| u64::from(x.raw())))
-        .opt_str(
-            "facility",
-            a.facility
-                .and_then(|f| lab.topo.facilities.get(f))
-                .map(|fac| fac.name.as_str()),
-        )
-        .opt_str(
-            "metro",
-            a.metro.map(|m| lab.topo.world.metro(m).name.as_str()),
-        )
-        .u64("candidates", a.candidates as u64)
-        .str("outcome", &format!("{:?}", a.outcome))
-        .str("method", a.method)
-        .f64("confidence", a.confidence)
-        .u64("epoch", a.epoch)
-        .finish()
 }
 
 /// `cfs query`: one request/response roundtrip against a running daemon.
 /// Exit 0 on an `ok:true` response, 2 on usage errors, 3 on transport
 /// failures, 4 when the daemon answers with a typed error.
-fn query_cmd(args: &[String]) -> i32 {
-    let socket = flag_value(args, "--socket");
-    let tcp = flag_value(args, "--tcp");
+fn query_cmd(args: &[String]) -> Result<(), i32> {
     let usage = "usage: cfs query --socket PATH | --tcp ADDR \
                  <ip>|status|trace|shutdown [--raw JSON] [--out FILE]";
-    let endpoint = match (&socket, &tcp) {
-        (Some(p), None) => Endpoint::Unix(std::path::PathBuf::from(p)),
-        (None, Some(a)) => Endpoint::Tcp(a.clone()),
-        _ => {
-            eprintln!("{usage}");
-            return 2;
-        }
-    };
     let request = match flag_value(args, "--raw") {
         Some(line) => line,
-        None => {
-            // First non-flag token after the command is the subject.
-            let mut subject = None;
-            let mut i = 2;
-            while i < args.len() {
-                if args[i].starts_with("--") {
-                    i += 2; // every query flag takes a value
-                } else {
-                    subject = Some(args[i].as_str());
-                    break;
-                }
+        None => match positionals(args, &[]).first().copied() {
+            Some("status") => {
+                format!("{{\"schema\":\"{}\",\"op\":\"status\"}}", cfs::svc::SCHEMA)
             }
-            match subject {
-                Some("status") => {
-                    format!("{{\"schema\":\"{}\",\"op\":\"status\"}}", cfs::svc::SCHEMA)
-                }
-                Some("trace") => {
-                    format!("{{\"schema\":\"{}\",\"op\":\"trace\"}}", cfs::svc::SCHEMA)
-                }
-                Some("shutdown") => {
-                    format!(
-                        "{{\"schema\":\"{}\",\"op\":\"shutdown\"}}",
-                        cfs::svc::SCHEMA
-                    )
-                }
-                Some(ip) => format!(
-                    "{{\"schema\":\"{}\",\"op\":\"query\",\"iface\":\"{ip}\"}}",
+            Some("trace") => {
+                format!("{{\"schema\":\"{}\",\"op\":\"trace\"}}", cfs::svc::SCHEMA)
+            }
+            Some("shutdown") => {
+                format!(
+                    "{{\"schema\":\"{}\",\"op\":\"shutdown\"}}",
                     cfs::svc::SCHEMA
-                ),
-                None => {
-                    eprintln!("{usage}");
-                    return 2;
-                }
+                )
             }
-        }
+            Some(ip) => format!(
+                "{{\"schema\":\"{}\",\"op\":\"query\",\"iface\":\"{ip}\"}}",
+                cfs::svc::SCHEMA
+            ),
+            None => {
+                eprintln!("{usage}");
+                return Err(2);
+            }
+        },
     };
-
-    let mut client = match Client::connect(&endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed to connect: {e}");
-            return 3;
-        }
-    };
-    let response = match client.roundtrip(&request) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transport error: {e}");
-            return 3;
-        }
-    };
-    let ok = serde_json::from_str::<serde_json::Value>(&response)
-        .ok()
-        .and_then(|v| v.get("ok")?.as_bool())
-        == Some(true);
+    let mut client = connect(args, usage)?;
+    let response = roundtrip(&mut client, &request)?;
+    let ok = is_ok(&response);
     // A trace reply wraps a complete cfs-trace/1 document; peel the
     // envelope so --out writes something `cfs check`/trace-diff accept
-    // byte-for-byte (the inner digest must not shift).
-    let trace_prefix = format!(
-        "{{\"schema\":\"{}\",\"ok\":true,\"trace\":",
-        cfs::svc::SCHEMA
-    );
-    let payload = if ok {
-        response
-            .strip_prefix(trace_prefix.as_str())
-            .and_then(|r| r.strip_suffix('}'))
-            .unwrap_or(&response)
-            .to_string()
-    } else {
-        response.clone()
-    };
+    // byte-for-byte (the inner digest must not shift). Refusals print
+    // whole, on stdout like any payload.
+    let payload = peel(&response, "trace").unwrap_or(&response);
     match flag_value(args, "--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &payload) {
+            std::fs::write(&path, payload).map_err(|e| {
                 eprintln!("failed to write {path}: {e}");
-                return 1;
-            }
+                1
+            })?;
             println!("wrote response payload to {path}");
         }
         None => println!("{payload}"),
     }
     if ok {
-        0
+        Ok(())
     } else {
-        4
+        Err(4)
     }
 }
 
-/// Resolves the `--socket`/`--tcp` pair every daemon-client command
-/// shares; prints `usage` and returns `None` when neither (or both)
-/// is given.
-fn client_endpoint(args: &[String], usage: &str) -> Option<Endpoint> {
-    let socket = flag_value(args, "--socket");
-    let tcp = flag_value(args, "--tcp");
-    match (socket, tcp) {
-        (Some(p), None) => Some(Endpoint::Unix(std::path::PathBuf::from(p))),
-        (None, Some(a)) => Some(Endpoint::Tcp(a)),
+/// Connects to the daemon named by the `--socket`/`--tcp` pair every
+/// client command shares: neither (or both) prints `usage` and is exit
+/// 2, a failed connect is exit 3.
+fn connect(args: &[String], usage: &str) -> Result<Client, i32> {
+    let endpoint = match (flag_value(args, "--socket"), flag_value(args, "--tcp")) {
+        (Some(p), None) => Endpoint::Unix(std::path::PathBuf::from(p)),
+        (None, Some(a)) => Endpoint::Tcp(a),
         _ => {
             eprintln!("{usage}");
-            None
+            return Err(2);
         }
+    };
+    Client::connect(&endpoint).map_err(|e| {
+        eprintln!("failed to connect: {e}");
+        3
+    })
+}
+
+/// One request/response roundtrip; a transport failure is exit 3.
+fn roundtrip(client: &mut Client, request: &str) -> Result<String, i32> {
+    client.roundtrip(request).map_err(|e| {
+        eprintln!("transport error: {e}");
+        3
+    })
+}
+
+/// Whether a response line is an `ok:true` reply.
+fn is_ok(response: &str) -> bool {
+    response.starts_with(&format!(
+        "{{\"schema\":\"{}\",\"ok\":true",
+        cfs::svc::SCHEMA
+    ))
+}
+
+/// [`roundtrip`] for commands that need an `ok:true` reply: anything
+/// else is echoed to stderr and is exit 4.
+fn call(client: &mut Client, request: &str) -> Result<String, i32> {
+    let response = roundtrip(client, request)?;
+    if is_ok(&response) {
+        Ok(response)
+    } else {
+        eprintln!("{response}");
+        Err(4)
     }
+}
+
+/// The document an `ok:true` reply embeds whole under `member` (`trace`,
+/// `metrics`), byte for byte, so its own digest and checks still hold.
+fn peel<'a>(response: &'a str, member: &str) -> Option<&'a str> {
+    response
+        .strip_prefix(&format!(
+            "{{\"schema\":\"{}\",\"ok\":true,\"{member}\":",
+            cfs::svc::SCHEMA
+        ))?
+        .strip_suffix('}')
+}
+
+/// One cursor drain (`events` or `alerts`): the reply's `member`
+/// records, with `cursor` moved to its `next`.
+fn poll_cursor(
+    client: &mut Client,
+    request: &str,
+    member: &str,
+    cursor: &mut u64,
+) -> Result<Vec<serde_json::Value>, i32> {
+    let response = call(client, request)?;
+    let Ok(v) = serde_json::from_str::<serde_json::Value>(&response) else {
+        eprintln!("{response}");
+        return Err(4);
+    };
+    if let Some(next) = v.get("next").and_then(|n| n.as_u64()) {
+        *cursor = next;
+    }
+    Ok(v.get(member)
+        .and_then(|x| x.as_array())
+        .cloned()
+        .unwrap_or_default())
 }
 
 /// `cfs metrics`: fetch a live daemon's `cfs-metrics/1` snapshot and
 /// print a human summary (default), the raw document (`--json`), or
 /// save it (`--out FILE`). Exit 0 ok, 2 usage, 3 transport, 4 when the
 /// daemon answers with an error or an unparseable snapshot.
-fn metrics_cmd(args: &[String]) -> i32 {
+fn metrics_cmd(args: &[String]) -> Result<(), i32> {
     let usage = "usage: cfs metrics --socket PATH | --tcp ADDR [--json] [--out FILE]";
-    let Some(endpoint) = client_endpoint(args, usage) else {
-        return 2;
-    };
+    let mut client = connect(args, usage)?;
     let request = format!("{{\"schema\":\"{}\",\"op\":\"metrics\"}}", cfs::svc::SCHEMA);
-    let mut client = match Client::connect(&endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed to connect: {e}");
-            return 3;
-        }
-    };
-    let response = match client.roundtrip(&request) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transport error: {e}");
-            return 3;
-        }
-    };
-    // Peel the cfs-api/1 envelope so what we print or save is a complete
-    // cfs-metrics/1 document that `cfs check` accepts byte-for-byte.
-    let prefix = format!(
-        "{{\"schema\":\"{}\",\"ok\":true,\"metrics\":",
-        cfs::svc::SCHEMA
-    );
-    let doc = match response
-        .strip_prefix(prefix.as_str())
-        .and_then(|r| r.strip_suffix('}'))
-    {
-        Some(d) => d,
-        None => {
-            eprintln!("{response}");
-            return 4;
-        }
+    let response = call(&mut client, &request)?;
+    let Some(doc) = peel(&response, "metrics") else {
+        eprintln!("{response}");
+        return Err(4);
     };
     if let Some(path) = flag_value(args, "--out") {
-        if let Err(e) = std::fs::write(&path, doc) {
+        std::fs::write(&path, doc).map_err(|e| {
             eprintln!("failed to write {path}: {e}");
-            return 1;
-        }
+            1
+        })?;
         println!("wrote metrics snapshot to {path}");
-        return 0;
-    }
-    if args.iter().any(|a| a == "--json") {
+    } else if args.iter().any(|a| a == "--json") {
         println!("{doc}");
-        return 0;
-    }
-    match MetricsDoc::parse(doc) {
-        Ok(parsed) => {
-            print!("{}", render_metrics_summary(&parsed));
-            0
-        }
-        Err(e) => {
+    } else {
+        let parsed = MetricsDoc::parse(doc).map_err(|e| {
             eprintln!("daemon returned an unparseable snapshot: {e}");
             4
-        }
+        })?;
+        print!("{}", render_metrics_summary(&parsed));
     }
+    Ok(())
 }
 
 /// Renders the human `cfs metrics` summary: uptime, request volume and
@@ -1899,61 +1361,29 @@ fn alert_line(a: &serde_json::Value) -> String {
 /// as JSON lines regardless (the file is a `cfs-alerts/1` export that
 /// `cfs check` accepts). Exit 0 ok, 2 usage, 3 transport,
 /// 4 daemon error.
-fn watch_cmd(args: &[String]) -> i32 {
+fn watch_cmd(args: &[String]) -> Result<(), i32> {
     use std::io::Write as _;
     let usage = "usage: cfs watch --socket PATH | --tcp ADDR [--json] [--out FILE] \
                  [--follow] [--interval-ms N] [--polls N] [--min-severity warn|error]";
-    let Some(endpoint) = client_endpoint(args, usage) else {
-        return 2;
-    };
     let json = args.iter().any(|a| a == "--json");
     let follow = args.iter().any(|a| a == "--follow");
-    let interval_ms: u64 = match flag_value(args, "--interval-ms").map(|v| v.parse::<u64>()) {
-        None => 1_000,
-        Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("--interval-ms wants a positive number");
-            return 2;
-        }
-    };
-    let polls: u64 = match flag_value(args, "--polls").map(|v| v.parse::<u64>()) {
-        None => {
-            if follow {
-                0
-            } else {
-                1
-            }
-        }
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--polls wants a number");
-            return 2;
-        }
-    };
+    let interval_ms = num_flag(args, "--interval-ms", true)?.unwrap_or(1_000);
+    let polls = num_flag(args, "--polls", false)?.unwrap_or(if follow { 0 } else { 1 });
     let min_severity = flag_value(args, "--min-severity");
     if let Some(s) = &min_severity {
         if !matches!(s.as_str(), "info" | "warn" | "error") {
             eprintln!("--min-severity wants info, warn, or error");
-            return 2;
+            return Err(2);
         }
     }
     let mut out_file = match flag_value(args, "--out") {
-        Some(p) => match std::fs::File::create(&p) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("failed to open --out {p}: {e}");
-                return 1;
-            }
-        },
+        Some(p) => Some(std::fs::File::create(&p).map_err(|e| {
+            eprintln!("failed to open --out {p}: {e}");
+            1
+        })?),
         None => None,
     };
-    let mut client = match Client::connect(&endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed to connect: {e}");
-            return 3;
-        }
-    };
+    let mut client = connect(args, usage)?;
     let floor = min_severity
         .as_ref()
         .map(|s| format!(",\"min_severity\":\"{s}\""))
@@ -1970,48 +1400,26 @@ fn watch_cmd(args: &[String]) -> i32 {
             "{{\"schema\":\"{}\",\"op\":\"alerts\",\"since\":{cursor}{floor}}}",
             cfs::svc::SCHEMA
         );
-        let response = match client.roundtrip(&request) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("transport error: {e}");
-                return 3;
-            }
-        };
-        let v = match serde_json::from_str::<serde_json::Value>(&response) {
-            Ok(v) if v.get("ok").and_then(|o| o.as_bool()) == Some(true) => v,
-            _ => {
-                eprintln!("{response}");
-                return 4;
-            }
-        };
-        if let Some(next) = v.get("next").and_then(|n| n.as_u64()) {
-            cursor = next;
-        }
-        for a in v
-            .get("alerts")
-            .and_then(|x| x.as_array())
-            .into_iter()
-            .flatten()
-        {
+        for a in poll_cursor(&mut client, &request, "alerts", &mut cursor)? {
             drained += 1;
-            let record = serde_json::to_string(a).unwrap_or_default();
+            let record = serde_json::to_string(&a).unwrap_or_default();
             if let Some(f) = out_file.as_mut() {
-                if let Err(e) = writeln!(f, "{record}") {
+                writeln!(f, "{record}").map_err(|e| {
                     eprintln!("failed to write --out: {e}");
-                    return 1;
-                }
+                    1
+                })?;
             }
             if json {
                 println!("{record}");
             } else {
-                println!("{}", alert_line(a));
+                println!("{}", alert_line(&a));
             }
         }
         if polls > 0 && poll >= polls {
             if !json {
                 eprintln!("drained {drained} alerts (cursor {cursor})");
             }
-            return 0;
+            return Ok(());
         }
     }
 }
@@ -2021,39 +1429,12 @@ fn watch_cmd(args: &[String]) -> i32 {
 /// most recent events (drained with a cursor so nothing is shown twice).
 /// Exit 0 after `--polls N` polls (0 = run until interrupted), 2 usage,
 /// 3 transport, 4 daemon error.
-fn top_cmd(args: &[String]) -> i32 {
+fn top_cmd(args: &[String]) -> Result<(), i32> {
     let usage = "usage: cfs top --socket PATH | --tcp ADDR [--interval-ms N] [--polls N]";
-    let Some(endpoint) = client_endpoint(args, usage) else {
-        return 2;
-    };
-    let interval_ms: u64 = match flag_value(args, "--interval-ms").map(|v| v.parse::<u64>()) {
-        None => 1_000,
-        Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("--interval-ms wants a positive number");
-            return 2;
-        }
-    };
-    let polls: u64 = match flag_value(args, "--polls").map(|v| v.parse::<u64>()) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--polls wants a number");
-            return 2;
-        }
-    };
-    let mut client = match Client::connect(&endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed to connect: {e}");
-            return 3;
-        }
-    };
+    let interval_ms = num_flag(args, "--interval-ms", true)?.unwrap_or(1_000);
+    let polls = num_flag(args, "--polls", false)?.unwrap_or(0);
+    let mut client = connect(args, usage)?;
     let metrics_req = format!("{{\"schema\":\"{}\",\"op\":\"metrics\"}}", cfs::svc::SCHEMA);
-    let metrics_prefix = format!(
-        "{{\"schema\":\"{}\",\"ok\":true,\"metrics\":",
-        cfs::svc::SCHEMA
-    );
     let mut cursor: u64 = 0;
     let mut alert_cursor: u64 = 0;
     let mut last_requests: Option<u64> = None;
@@ -2065,90 +1446,27 @@ fn top_cmd(args: &[String]) -> i32 {
             pace(Duration::from_millis(interval_ms));
         }
         poll += 1;
-        let response = match client.roundtrip(&metrics_req) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("transport error: {e}");
-                return 3;
-            }
-        };
-        let doc = match response
-            .strip_prefix(metrics_prefix.as_str())
-            .and_then(|r| r.strip_suffix('}'))
-            .map(MetricsDoc::parse)
-        {
-            Some(Ok(d)) => d,
-            _ => {
-                eprintln!("{response}");
-                return 4;
-            }
+        let response = call(&mut client, &metrics_req)?;
+        let Some(Ok(doc)) = peel(&response, "metrics").map(MetricsDoc::parse) else {
+            eprintln!("{response}");
+            return Err(4);
         };
         let events_req = format!(
             "{{\"schema\":\"{}\",\"op\":\"events\",\"since\":{cursor}}}",
             cfs::svc::SCHEMA
         );
-        let ev_response = match client.roundtrip(&events_req) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("transport error: {e}");
-                return 3;
-            }
-        };
-        match serde_json::from_str::<serde_json::Value>(&ev_response) {
-            Ok(v) if v.get("ok").and_then(|o| o.as_bool()) == Some(true) => {
-                if let Some(next) = v.get("next").and_then(|n| n.as_u64()) {
-                    cursor = next;
-                }
-                for e in v
-                    .get("events")
-                    .and_then(|e| e.as_array())
-                    .into_iter()
-                    .flatten()
-                {
-                    recent.push(event_line(e));
-                }
-                let overflow = recent.len().saturating_sub(8);
-                recent.drain(..overflow);
-            }
-            _ => {
-                eprintln!("{ev_response}");
-                return 4;
-            }
-        }
+        let events = poll_cursor(&mut client, &events_req, "events", &mut cursor)?;
+        recent.extend(events.iter().map(event_line));
+        recent.drain(..recent.len().saturating_sub(8));
         // Alerts drain: a detection-off daemon answers an empty list
         // with an unmoved cursor, so this is always safe to poll.
         let alerts_req = format!(
             "{{\"schema\":\"{}\",\"op\":\"alerts\",\"since\":{alert_cursor}}}",
             cfs::svc::SCHEMA
         );
-        let al_response = match client.roundtrip(&alerts_req) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("transport error: {e}");
-                return 3;
-            }
-        };
-        match serde_json::from_str::<serde_json::Value>(&al_response) {
-            Ok(v) if v.get("ok").and_then(|o| o.as_bool()) == Some(true) => {
-                if let Some(next) = v.get("next").and_then(|n| n.as_u64()) {
-                    alert_cursor = next;
-                }
-                for a in v
-                    .get("alerts")
-                    .and_then(|x| x.as_array())
-                    .into_iter()
-                    .flatten()
-                {
-                    recent_alerts.push(alert_line(a));
-                }
-                let overflow = recent_alerts.len().saturating_sub(8);
-                recent_alerts.drain(..overflow);
-            }
-            _ => {
-                eprintln!("{al_response}");
-                return 4;
-            }
-        }
+        let alerts = poll_cursor(&mut client, &alerts_req, "alerts", &mut alert_cursor)?;
+        recent_alerts.extend(alerts.iter().map(alert_line));
+        recent_alerts.drain(..recent_alerts.len().saturating_sub(8));
 
         // Repaint: clear between polls, never before the first frame, so
         // a failed connect leaves the terminal untouched.
@@ -2179,7 +1497,7 @@ fn top_cmd(args: &[String]) -> i32 {
             }
         }
         if polls > 0 && poll >= polls {
-            return 0;
+            return Ok(());
         }
     }
 }

@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use cfs::detect::{validate_alerts, Detector, DetectorConfig, EpochObservation, LocusNames};
+use cfs::detect::{validate_alerts, Detector, DetectorConfig, EpochObservation};
 use cfs::experiments::{Lab, Scale};
 use cfs::obs::{Clock, Virtual};
 use cfs::prelude::*;
-use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity, EPOCH_MS};
+use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
 use cfs::traceroute::ScheduledEngine;
 
 /// Streams one scheduled horizon through a resident session at the given
@@ -23,23 +23,9 @@ fn stream(lab: &Lab, threads: usize, detect: bool) -> (String, String) {
     let horizon = engine.schedule().config.horizon_epochs;
 
     let mut detector = detect.then(|| {
-        let names = LocusNames {
-            facilities: lab
-                .topo
-                .facilities
-                .iter()
-                .map(|(id, f)| (id.raw(), f.name.clone()))
-                .collect(),
-            ixps: lab
-                .topo
-                .ixps
-                .iter()
-                .map(|(id, x)| (id.raw(), x.name.clone()))
-                .collect(),
-        };
         Detector::new(
             DetectorConfig::default(),
-            names,
+            lab.locus_names(),
             Arc::new(Virtual::new()) as Arc<dyn Clock>,
         )
     });
@@ -61,20 +47,7 @@ fn stream(lab: &Lab, threads: usize, detect: bool) -> (String, String) {
 
     let mut doc = String::new();
     for k in 1..horizon {
-        let targets: Vec<std::net::Ipv4Addr> = lab
-            .targets()
-            .iter()
-            .filter_map(|a| lab.topo.target_ip(*a).ok())
-            .collect();
-        let vp_ids: Vec<_> = lab.vps.ids().collect();
-        let traces = run_campaign(
-            &engine,
-            &lab.vps,
-            &vp_ids,
-            &targets,
-            k * EPOCH_MS,
-            &CampaignLimits::default(),
-        );
+        let traces = lab.campaign(&engine, k);
         let obs = EpochObservation::from_traces(k, &traces);
         session
             .apply_delta(Delta::TracerouteBatch(traces))
