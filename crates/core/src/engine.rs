@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::Arc;
 
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, AliasResolution, IpIdProber, MidarConfig};
@@ -31,7 +32,8 @@ use cfs_types::{
     PeeringKind, Result, UnresolvedReason, VantagePointId,
 };
 
-use crate::observe::{extract_observations_recorded, Observation, Resolver};
+use crate::corpus::{Absorbed, PathCorpus};
+use crate::observe::{extract_path, ExtractTally, Observation, PathTally, Resolver};
 use crate::proximity::ProximityModel;
 use crate::remote::RemoteTester;
 use crate::report::{
@@ -185,8 +187,15 @@ pub struct Cfs<'a> {
     pub(crate) cfg: CfsConfig,
     pub(crate) platforms: Option<BTreeSet<Platform>>,
 
-    pub(crate) traces: Vec<Trace>,
+    /// Every ingested trace, held as distinct measured paths with
+    /// multiplicities (`crate::corpus`); `processed` counts the paths
+    /// extracted into the held observations.
+    pub(crate) corpus: PathCorpus,
     pub(crate) processed: usize,
+    /// Paths repeated since the last extraction pass; telemetry counts
+    /// those the pass does not extract (`[..processed]`) through their
+    /// cached tallies.
+    pub(crate) repeats: Vec<usize>,
     pub(crate) hop_ips: BTreeSet<Ipv4Addr>,
     pub(crate) aliases: AliasResolution,
     pub(crate) corrected: BTreeMap<Ipv4Addr, Asn>,
@@ -204,7 +213,7 @@ pub struct Cfs<'a> {
     /// recompute the verdict when a delta invalidates it).
     pub(crate) remote_cache: BTreeMap<Ipv4Addr, (IxpId, Option<bool>)>,
     pub(crate) vp_crossed: BTreeMap<Asn, Vec<VantagePointId>>,
-    /// Traces `[..indexed]` are walked into `vp_crossed`, each hop under
+    /// Paths `[..indexed]` are walked into `vp_crossed`, each hop under
     /// the corrected ASN it had at its last walk; `reindex` holds the
     /// addresses whose corrected ASN moved since, the only hops a re-walk
     /// could add entries for.
@@ -394,8 +403,9 @@ impl<'a> Cfs<'a> {
             ipasn,
             cfg,
             platforms,
-            traces: Vec::new(),
+            corpus: PathCorpus::default(),
             processed: 0,
+            repeats: Vec::new(),
             hop_ips: BTreeSet::new(),
             aliases: AliasResolution::default(),
             corrected: BTreeMap::new(),
@@ -445,19 +455,32 @@ impl<'a> Cfs<'a> {
     }
 
     /// [`Cfs::ingest`], returning the hop addresses seen for the first
-    /// time, in first-seen order.
+    /// time, in first-seen order. Everything held afterwards counts as
+    /// external input, the prefix a follow-up replay returns to.
     pub(crate) fn ingest_fresh(&mut self, traces: Vec<Trace>) -> Vec<Ipv4Addr> {
+        let fresh = self.absorb(&traces);
+        self.corpus.pin();
+        fresh
+    }
+
+    /// Adds traces to the corpus. A repeated path only bumps its
+    /// multiplicity: its identical first occurrence already fed the hop
+    /// set, and extraction counts it through the path's cached tally.
+    fn absorb(&mut self, traces: &[Trace]) -> Vec<Ipv4Addr> {
         let mut fresh = Vec::new();
-        for ip in traces
-            .iter()
-            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
-        {
-            if self.hop_ips.insert(ip) {
-                fresh.push(ip);
+        for t in traces {
+            match self.corpus.absorb(t) {
+                Absorbed::New(id) => {
+                    for ip in self.corpus.hops(id).iter().flatten() {
+                        if self.hop_ips.insert(*ip) {
+                            fresh.push(*ip);
+                        }
+                    }
+                }
+                Absorbed::Repeat(id) => self.repeats.push(id),
             }
         }
         self.new_ips_since_alias += fresh.len();
-        self.traces.extend(traces);
         fresh
     }
 
@@ -516,23 +539,18 @@ impl<'a> Cfs<'a> {
     }
 
     /// Resets every derived artifact back to the post-builder state
-    /// while keeping the external inputs — raw traces, the
+    /// while keeping the external inputs — the trace corpus, the
     /// looking-glass log, the current KB epoch, vantage-point status —
     /// so [`Cfs::run_to_convergence`] can be re-run from scratch over
     /// them. This is the replay entry point behind follow-up-driven
     /// sessions, where targeted probing reacts to global state and no
     /// scoped pass can reproduce convergence. The caller is responsible
-    /// for first truncating `traces` to the external prefix (follow-up
-    /// probes from the previous run are re-issued by the replay itself).
+    /// for first truncating the corpus to the external prefix
+    /// (follow-up probes from the previous run are re-issued by the
+    /// replay itself).
     pub(crate) fn reset_for_replay(&mut self) {
-        self.hop_ips.clear();
-        for t in &self.traces {
-            for hop in &t.hops {
-                if let Some(ip) = hop.ip {
-                    self.hop_ips.insert(ip);
-                }
-            }
-        }
+        self.hop_ips = self.corpus.all_hops().iter().flatten().copied().collect();
+        self.repeats.clear();
         for (_, s) in &self.bgp_log {
             self.hop_ips.insert(s.local_ip);
             self.hop_ips.insert(s.neighbor_ip);
@@ -778,18 +796,20 @@ impl<'a> Cfs<'a> {
         self.processed = 0;
     }
 
-    /// Extracts observations from traces ingested since the last call,
+    /// Extracts observations from paths ingested since the last call,
     /// and brings the vantage-point exposure index up to date.
     ///
-    /// Extraction is pure per trace, so it fans out over worker threads,
+    /// Extraction is pure per path, so it fans out over worker threads,
     /// each collecting its chunk into one flat list; the dedup merge and
-    /// the exposure index then run serially in ingestion order, keeping
-    /// results independent of the worker count.
+    /// the exposure index then run serially in first-seen order, keeping
+    /// results independent of the worker count. Telemetry is tallied per
+    /// trace — each new path weighted by its multiplicity, each repeat of
+    /// an already extracted path by its cached tally — and recorded once.
     pub(crate) fn process_new_traces(&mut self) {
         cfs_obs::span!(self.recorder, "stage.extract");
         let workers = self.workers();
         let Self {
-            ref traces,
+            ref corpus,
             processed,
             indexed,
             ref kb,
@@ -798,30 +818,30 @@ impl<'a> Cfs<'a> {
             ref mut observations,
             ref mut vp_crossed,
             ref mut reindex,
+            ref mut repeats,
             ref recorder,
             ..
         } = *self;
         let kb = kb.get();
-        let new = &traces[processed..];
-        // Workers record per *trace* through this borrow; chunk-level
-        // signals would vary with the worker count (DESIGN.md §7).
-        let rec: &dyn Recorder = &**recorder;
-        rec.counter("extract.traces", new.len() as u64);
-
-        let extract_chunk = |chunk: &[Trace]| {
+        let paths = corpus.len();
+        let extract_range = |range: Range<usize>| {
             let resolver = Resolver::new(kb, corrected);
             let mut out = Vec::new();
-            for t in chunk {
-                extract_observations_recorded(t, &resolver, rec, &mut out);
-            }
-            out
+            let tallies: Vec<_> = range
+                .map(|i| extract_path(corpus.hops(i), &resolver, &mut out))
+                .collect();
+            (out, tallies)
         };
-        let per_chunk: Vec<Vec<Observation>> = if workers > 1 && new.len() >= 64 {
-            let chunk_size = new.len().div_ceil(workers);
+        let new = paths - processed;
+        let per_chunk: Vec<(Vec<Observation>, Vec<PathTally>)> = if workers > 1 && new >= 64 {
+            let chunk_size = new.div_ceil(workers);
             crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = new
-                    .chunks(chunk_size)
-                    .map(|chunk| scope.spawn(move |_| extract_chunk(chunk)))
+                let handles: Vec<_> = (processed..paths)
+                    .step_by(chunk_size)
+                    .map(|lo| {
+                        let range = lo..(lo + chunk_size).min(paths);
+                        scope.spawn(move |_| extract_range(range))
+                    })
                     .collect();
                 handles
                     .into_iter()
@@ -830,47 +850,67 @@ impl<'a> Cfs<'a> {
             })
             .expect("observation thread scope")
         } else {
-            vec![extract_chunk(new)]
+            vec![extract_range(processed..paths)]
         };
 
-        for obs in per_chunk.into_iter().flatten() {
-            if obs_keys.insert(obs.key()) {
-                observations.push(obs);
-                rec.counter("extract.observations_new", 1);
+        let mut pass = ExtractTally::default();
+        let mut tallies = Vec::with_capacity(new);
+        for (obs, chunk_tallies) in per_chunk {
+            for obs in obs {
+                if obs_keys.insert(obs.key()) {
+                    observations.push(obs);
+                    pass.observations_new += 1;
+                }
             }
+            tallies.extend(chunk_tallies);
+        }
+        for (i, tally) in (processed..).zip(&tallies) {
+            pass.add(*tally, corpus.mult(i));
+        }
+        // A repeat of an already extracted path reads a view that has not
+        // moved under any of its hops since (callers reset `processed`
+        // otherwise), so its cached tally is what extracting it now
+        // would count.
+        for id in repeats.drain(..).filter(|id| *id < processed) {
+            pass.add(corpus.tally(id), 1);
         }
 
         // Maintain the exposure index: which vantage points see which
         // ASes on their paths (used to aim follow-ups). Its lists are
         // append-only and capped at 64 entries, so re-walking a hop whose
         // corrected ASN has not moved since its last walk is a no-op:
-        // walking the moved hops of already indexed traces, then every
-        // hop of the rest, in trace order, changes exactly what a walk
-        // over every trace would. A caller that keeps the held
+        // walking the moved hops of already indexed paths, then every
+        // hop of the rest, in first-seen order, changes exactly what a
+        // walk over every trace would. A caller that keeps the held
         // observations (`processed > 0`) has established that no address
-        // of an already extracted trace moved, so only a re-extraction
+        // of an already extracted path moved, so only a re-extraction
         // re-walks.
         let start = if processed == 0 && !reindex.is_empty() {
             0
         } else {
             indexed
         };
-        for (i, t) in traces.iter().enumerate().skip(start) {
-            for ip in t.hops.iter().filter_map(|h| h.ip) {
-                if i < indexed && !reindex.contains(&ip) {
+        for i in start..paths {
+            let vp = corpus.vp(i);
+            for ip in corpus.hops(i).iter().flatten() {
+                if i < indexed && !reindex.contains(ip) {
                     continue;
                 }
-                if let Some(asn) = corrected.get(&ip) {
+                if let Some(asn) = corrected.get(ip) {
                     let list = vp_crossed.entry(*asn).or_default();
-                    if list.len() < 64 && !list.contains(&t.vp) {
-                        list.push(t.vp);
+                    if list.len() < 64 && !list.contains(&vp) {
+                        list.push(vp);
                     }
                 }
             }
         }
         reindex.clear();
-        self.processed = self.traces.len();
-        self.indexed = self.traces.len();
+        pass.flush(&**recorder);
+        for (i, tally) in (processed..).zip(tallies) {
+            self.corpus.set_tally(i, tally);
+        }
+        self.processed = paths;
+        self.indexed = paths;
     }
 
     pub(crate) fn as_facilities(&mut self, asn: Asn) -> FacilitySet {
@@ -1352,7 +1392,7 @@ impl<'a> Cfs<'a> {
                 }
             }
         }
-        self.ingest(traces);
+        self.absorb(&traces);
         self.traces_issued += issued;
         issued
     }

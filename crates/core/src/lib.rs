@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 mod atlas;
+mod corpus;
 mod engine;
 mod observe;
 mod proximity;
@@ -40,9 +41,7 @@ mod telemetry;
 
 pub use atlas::{AtlasEntry, InterconnectionAtlas};
 pub use engine::{Cfs, CfsBuilder, CfsConfig, IterationStats};
-pub use observe::{
-    extract_observations, extract_observations_recorded, HopMeaning, Observation, Resolver,
-};
+pub use observe::{extract_observations, HopMeaning, Observation, Resolver};
 pub use proximity::ProximityModel;
 pub use remote::RemoteTester;
 pub use report::{

@@ -185,14 +185,15 @@ fn score_public_hop(
 /// * Crossings involving unresponsive or unmapped middle hops are
 ///   discarded.
 pub fn extract_observations(trace: &Trace, resolver: &Resolver<'_>) -> Vec<Observation> {
+    let ips: Vec<Option<Ipv4Addr>> = trace.hops.iter().map(|h| h.ip).collect();
     let mut out = Vec::new();
-    extract_into(trace, resolver, &mut out);
+    extract_into(&ips, resolver, &mut out);
     out
 }
 
-/// [`extract_observations`], appending to `out`.
-fn extract_into(trace: &Trace, resolver: &Resolver<'_>, out: &mut Vec<Observation>) {
-    let ips: Vec<Option<Ipv4Addr>> = trace.hops.iter().map(|h| h.ip).collect();
+/// [`extract_observations`] over a hop-address sequence, appending to
+/// `out`.
+fn extract_into(ips: &[Option<Ipv4Addr>], resolver: &Resolver<'_>, out: &mut Vec<Observation>) {
     let meanings: Vec<HopMeaning> = ips.iter().map(|ip| resolver.meaning(*ip)).collect();
 
     for i in 0..meanings.len() {
@@ -243,32 +244,88 @@ fn extract_into(trace: &Trace, resolver: &Resolver<'_>, out: &mut Vec<Observatio
     }
 }
 
-/// [`extract_observations`] plus telemetry, appending to `out` so a
-/// worker collects a whole chunk in one flat list: counts public and
-/// private crossings and samples the per-trace observation count.
-///
-/// All recording here is per *trace*, never per worker chunk, so the
-/// merged totals are independent of how the extraction stage splits
-/// traces over threads (the DESIGN.md §7 determinism contract).
-pub fn extract_observations_recorded(
-    trace: &Trace,
+/// The extraction telemetry of one trace: its public and private
+/// crossings and the IXP-hop rule votes behind the public ones.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PathTally {
+    public: u32,
+    private: u32,
+    votes: u32,
+}
+
+/// [`extract_observations`] over one measured path's hop addresses,
+/// appending to `out` so a worker collects a whole chunk in one flat
+/// list; returns the path's [`PathTally`].
+pub(crate) fn extract_path(
+    ips: &[Option<Ipv4Addr>],
     resolver: &Resolver<'_>,
-    rec: &dyn Recorder,
     out: &mut Vec<Observation>,
-) {
+) -> PathTally {
     let start = out.len();
-    extract_into(trace, resolver, out);
-    let new = &out[start..];
-    for obs in new {
+    extract_into(ips, resolver, out);
+    let mut tally = PathTally::default();
+    for obs in &out[start..] {
         match obs.class {
             LinkClass::Public { .. } => {
-                rec.counter("observe.public", 1);
-                rec.counter("ixp_hop.rule_votes", u64::from(obs.evidence.rule_votes));
+                tally.public += 1;
+                tally.votes += obs.evidence.rule_votes;
             }
-            LinkClass::Private => rec.counter("observe.private", 1),
+            LinkClass::Private => tally.private += 1,
         }
     }
-    rec.observe("observe.per_trace", new.len() as u64);
+    tally
+}
+
+/// One extraction pass's telemetry: every extracted trace's
+/// [`PathTally`], weighted by how many traces took the path, plus the
+/// observations the pass added. Flushed once per pass, it records
+/// exactly what recording every trace on its own would: each counter is
+/// a sum of per-trace contributions (touched only when some trace
+/// touched it), and `observe.per_trace` gets one sample per trace. The
+/// sums do not depend on how the pass split traces over workers (the
+/// DESIGN.md §7 determinism contract).
+#[derive(Default)]
+pub(crate) struct ExtractTally {
+    traces: u64,
+    public: u64,
+    private: u64,
+    votes: u64,
+    /// Traces by observation count.
+    per_trace: Vec<u64>,
+    pub(crate) observations_new: u64,
+}
+
+impl ExtractTally {
+    /// Adds `n` traces over a path extracting to `t`.
+    pub(crate) fn add(&mut self, t: PathTally, n: u64) {
+        self.traces += n;
+        self.public += u64::from(t.public) * n;
+        self.private += u64::from(t.private) * n;
+        self.votes += u64::from(t.votes) * n;
+        let k = (t.public + t.private) as usize;
+        if self.per_trace.len() <= k {
+            self.per_trace.resize(k + 1, 0);
+        }
+        self.per_trace[k] += n;
+    }
+
+    /// Records the pass into `rec`.
+    pub(crate) fn flush(&self, rec: &dyn Recorder) {
+        rec.counter("extract.traces", self.traces);
+        if self.public > 0 {
+            rec.counter("observe.public", self.public);
+            rec.counter("ixp_hop.rule_votes", self.votes);
+        }
+        if self.private > 0 {
+            rec.counter("observe.private", self.private);
+        }
+        for (k, n) in self.per_trace.iter().enumerate().filter(|(_, n)| **n > 0) {
+            rec.observe_n("observe.per_trace", k as u64, *n);
+        }
+        if self.observations_new > 0 {
+            rec.counter("extract.observations_new", self.observations_new);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -24,19 +24,31 @@
 //! control flow against the (constant) per-iteration counts to rebuild
 //! the convergence telemetry the batch loop would have written.
 //!
-//! Campaign deltas ([`Delta::TracerouteBatch`]) cost O(campaign), not
-//! O(corpus), by two exact fixed-point skips. Extraction of a trace reads
-//! only the KB and the corrected ASNs of that trace's own hops, so the
-//! held observation list stays what a fresh extraction would build as
-//! long as no previously seen address changes its corrected ASN. **Rule
-//! 1:** a delta that adds no new hop address skips alias resolution —
-//! MIDAR output is a pure function of the sorted address set, because
-//! probe times key off each candidate's global index — and only the new
-//! traces are extracted and appended. **Rule 2:** a delta that adds hop
-//! addresses re-resolves aliases globally (new interfaces can join old
-//! sets) but still extracts only the new traces, unless some address
-//! seen before the delta changed its corrected ASN; only then is the
-//! whole corpus re-extracted (the `serve.extract_rebuild` counter).
+//! Campaign deltas ([`Delta::TracerouteBatch`]) cost O(new paths), not
+//! O(corpus). **Repeated paths:** the engine holds each measured
+//! (vantage point, hop sequence) once (`crate::corpus`), so a trace that
+//! repeats a held path — most of every periodic campaign — only bumps
+//! its multiplicity: its identical first occurrence already fed the hop
+//! set, the observation dedup and the exposure index under the same
+//! view, and telemetry counts it through the path's cached tally.
+//! Extraction of a trace reads only the KB and the corrected ASNs of
+//! that trace's own hops, so the held observation list stays what a
+//! fresh extraction would build as long as no previously seen address
+//! changes its corrected ASN. **Rule 1:** a delta that adds no new hop
+//! address skips alias resolution — MIDAR output is a pure function of
+//! the sorted address set, because probe times key off each candidate's
+//! global index — and only the new paths are extracted and appended.
+//! The observation list then only grows at its end, so the dirty set is
+//! exactly the endpoints of the appended observations: no fingerprint
+//! fold. **Rule 2:** a delta that adds hop addresses re-resolves aliases
+//! globally (new interfaces can join old sets) but still extracts only
+//! the new paths, unless some address seen before the delta changed its
+//! corrected ASN; only then is the whole corpus re-extracted (the
+//! `serve.extract_rebuild` counter). Both fall back to diffing
+//! per-interface fingerprints taken before and after. **Report reuse:**
+//! a campaign that appended no observation, re-resolved no alias and
+//! left the re-convergence scope empty moved nothing the report reads,
+//! so the cached report is kept instead of rebuilt.
 //!
 //! Follow-up-driven configurations (`followup_interfaces > 0`) have no
 //! such fixed point: targeted probing reacts to global state, so a
@@ -68,11 +80,24 @@ use crate::telemetry::render_trace_json;
 /// keeping alias membership apart from observation lines.
 const ALIAS_MARK: u64 = 0xa11a_5e75_0000_0001;
 
+/// What absorbing one delta changed.
+struct Frontier {
+    /// Interfaces whose constraint inputs changed.
+    dirty: BTreeSet<Ipv4Addr>,
+    /// Whether the frontier's cached remote verdicts may be stale.
+    purge_remote: bool,
+    /// Whether anything else the report reads may have changed: the
+    /// observation list, the alias sets, the KB epoch. A campaign that
+    /// moved none of these, with an empty frontier, keeps the report.
+    moved: bool,
+}
+
 /// An incremental input change a resident session can absorb without
 /// recomputing the world.
 pub enum Delta {
-    /// A new traceroute campaign: ingested, and only its own traces
-    /// extracted; interfaces whose observation neighborhood or alias set
+    /// A new traceroute campaign: ingested, and only the paths it
+    /// measured for the first time extracted (a repeated path is only
+    /// counted); interfaces whose observation neighborhood or alias set
     /// changed are re-converged. Aliases are re-resolved only when the
     /// campaign adds hop addresses, and the whole corpus is re-extracted
     /// only when that moves the corrected ASN of an address seen before
@@ -141,11 +166,6 @@ pub struct CfsSession<'a> {
     cfs: Cfs<'a>,
     report: Option<CfsReport>,
     epoch: u64,
-    /// Length of the external prefix of the engine's trace list: traces
-    /// fed through [`CfsSession::ingest`] or [`Delta::TracerouteBatch`],
-    /// as opposed to follow-up probes the convergence loop issued
-    /// itself. The replay delta path re-runs from exactly this prefix.
-    external_traces: usize,
 }
 
 impl<'a> CfsSession<'a> {
@@ -154,7 +174,6 @@ impl<'a> CfsSession<'a> {
             cfs,
             report: None,
             epoch: 0,
-            external_traces: 0,
         }
     }
 
@@ -188,9 +207,6 @@ impl<'a> CfsSession<'a> {
     /// same inputs returns, byte for byte.
     pub fn converge(&mut self) -> &CfsReport {
         if self.report.is_none() {
-            // Everything ingested so far is external input; follow-up
-            // probes appended by the run itself land after this mark.
-            self.external_traces = self.cfs.traces.len();
             let report = self.cfs.run();
             self.report = Some(report);
             self.epoch = 1;
@@ -267,7 +283,8 @@ impl<'a> CfsSession<'a> {
 
     /// Applies one delta: dirties the interfaces whose constraint inputs
     /// changed, closes the set over alias sets, re-converges exactly that
-    /// frontier, rebuilds the report, and bumps the epoch.
+    /// frontier, rebuilds the report (or keeps it, when a campaign moved
+    /// nothing it reads), and bumps the epoch.
     ///
     /// Emits `serve.delta`, `serve.dirty_ifaces`, and `serve.reconverged`
     /// through the session recorder.
@@ -286,12 +303,62 @@ impl<'a> CfsSession<'a> {
             return self.apply_delta_replay(delta);
         }
         cfs_obs::span!(self.cfs.recorder, "serve.delta");
-        let (dirty, purge_remote) = match delta {
-            Delta::TracerouteBatch(traces) => (self.absorb_traces(traces), true),
-            Delta::KbEpochFlip(kb) => (self.absorb_kb_flip(kb), true),
-            Delta::VpStatusChange { vp, up } => (self.absorb_vp_status(vp, up), false),
-        };
+        let frontier = self.absorb(delta);
+        Ok(self.reconverge(frontier))
+    }
+
+    /// Merges a delta into the engine's inputs and derives its dirty
+    /// frontier.
+    fn absorb(&mut self, delta: Delta) -> Frontier {
+        match delta {
+            Delta::TracerouteBatch(traces) => {
+                let (dirty, moved) = self.absorb_traces(traces);
+                Frontier {
+                    dirty,
+                    purge_remote: true,
+                    moved,
+                }
+            }
+            Delta::KbEpochFlip(kb) => Frontier {
+                dirty: self.absorb_kb_flip(kb),
+                purge_remote: true,
+                moved: true,
+            },
+            Delta::VpStatusChange { vp, up } => Frontier {
+                dirty: self.absorb_vp_status(vp, up),
+                purge_remote: false,
+                moved: true,
+            },
+        }
+    }
+
+    /// Re-converges a frontier, refreshes the cached report, and bumps
+    /// the epoch.
+    fn reconverge(&mut self, frontier: Frontier) -> DeltaOutcome {
+        let Frontier {
+            dirty,
+            purge_remote,
+            moved,
+        } = frontier;
         let scope = self.alias_closure(&dirty);
+        self.cfs
+            .recorder
+            .counter("serve.dirty_ifaces", dirty.len() as u64);
+        self.cfs
+            .recorder
+            .counter("serve.reconverged", scope.len() as u64);
+        self.epoch += 1;
+        let outcome = DeltaOutcome {
+            epoch: self.epoch,
+            dirty: dirty.len(),
+            reconverged: scope.len(),
+            total: self.cfs.states.len(),
+        };
+        if !moved && scope.is_empty() {
+            // Nothing the report reads changed: no observation, alias
+            // set, or interface state. Keep the cached report.
+            return outcome;
+        }
         if purge_remote {
             // Dirty observation neighborhoods can change which exchange
             // first triggers an interface's remote test; drop the cached
@@ -306,21 +373,11 @@ impl<'a> CfsSession<'a> {
         }
         self.cfs.kernel_converge(&scope);
         self.cfs.synthesize_iterations();
-        let total = self.cfs.states.len();
-        self.cfs
-            .recorder
-            .counter("serve.dirty_ifaces", dirty.len() as u64);
-        self.cfs
-            .recorder
-            .counter("serve.reconverged", scope.len() as u64);
         self.report = Some(self.cfs.build_report());
-        self.epoch += 1;
-        Ok(DeltaOutcome {
-            epoch: self.epoch,
-            dirty: dirty.len(),
-            reconverged: scope.len(),
-            total,
-        })
+        DeltaOutcome {
+            total: self.cfs.states.len(),
+            ..outcome
+        }
     }
 
     /// The follow-up-capable delta path: merges the delta into the
@@ -332,12 +389,9 @@ impl<'a> CfsSession<'a> {
     /// too — `crates/core/tests/session.rs` asserts it.
     fn apply_delta_replay(&mut self, delta: Delta) -> Result<DeltaOutcome> {
         cfs_obs::span!(self.cfs.recorder, "serve.delta");
-        self.cfs.traces.truncate(self.external_traces);
+        self.cfs.corpus.truncate_to_pin();
         match delta {
-            Delta::TracerouteBatch(traces) => {
-                self.cfs.ingest(traces);
-                self.external_traces = self.cfs.traces.len();
-            }
+            Delta::TracerouteBatch(traces) => self.cfs.ingest(traces),
             Delta::KbEpochFlip(kb) => {
                 self.cfs.kb = KbHandle::Owned(kb);
             }
@@ -457,30 +511,43 @@ impl<'a> CfsSession<'a> {
         dirty
     }
 
-    fn absorb_traces(&mut self, traces: Vec<Trace>) -> BTreeSet<Ipv4Addr> {
-        let before = self.fingerprints();
+    /// Absorbs a campaign; returns the dirty interfaces and whether the
+    /// observation list or the alias sets changed at all.
+    fn absorb_traces(&mut self, traces: Vec<Trace>) -> (BTreeSet<Ipv4Addr>, bool) {
+        let held = self.cfs.observations.len();
         let mut fresh = self.cfs.ingest_fresh(traces);
-        fresh.sort_unstable();
         // Extraction of a trace reads only the KB and the corrected ASNs
         // of its own hops, so the held observations stay exact while no
         // already-seen address changes its corrected ASN, and only the new
-        // traces need extracting. Rule 1: with no new hop address, alias
+        // paths need extracting. Rule 1: with no new hop address, alias
         // resolution (a pure function of the sorted address set) would
-        // reproduce itself, so it is skipped. Rule 2: new addresses
-        // re-resolve aliases globally (they can join old sets); the whole
-        // corpus is re-extracted only if that moved the corrected ASN of
-        // an address seen before the delta. The fingerprint diff then
-        // narrows re-convergence to interfaces that actually moved.
-        if self.cfs.new_ips_since_alias > 0 {
-            let moved = self.cfs.realias();
-            if moved.iter().any(|ip| fresh.binary_search(ip).is_err()) {
-                self.cfs.recorder.counter("serve.extract_rebuild", 1);
-                self.cfs.reset_observations();
-            }
+        // reproduce itself, so it is skipped, and the observation list
+        // only grows at its end: an interface's fingerprint moves exactly
+        // when it is an endpoint of an appended observation.
+        if self.cfs.new_ips_since_alias == 0 {
+            self.cfs.process_new_traces();
+            let appended = &self.cfs.observations[held..];
+            let dirty = appended
+                .iter()
+                .flat_map(|obs| std::iter::once(obs.near_ip).chain(obs.far_ip))
+                .collect();
+            return (dirty, !appended.is_empty());
+        }
+        // Rule 2: new addresses re-resolve aliases globally (they can join
+        // old sets); the whole corpus is re-extracted only if that moved
+        // the corrected ASN of an address seen before the delta. The
+        // fingerprint diff then narrows re-convergence to interfaces that
+        // actually moved.
+        let before = self.fingerprints();
+        fresh.sort_unstable();
+        let moved = self.cfs.realias();
+        if moved.iter().any(|ip| fresh.binary_search(ip).is_err()) {
+            self.cfs.recorder.counter("serve.extract_rebuild", 1);
+            self.cfs.reset_observations();
         }
         self.cfs.process_new_traces();
         let after = self.fingerprints();
-        Self::fingerprint_diff(&before, &after)
+        (Self::fingerprint_diff(&before, &after), true)
     }
 
     fn absorb_kb_flip(&mut self, kb: Arc<KnowledgeBase>) -> BTreeSet<Ipv4Addr> {
@@ -635,15 +702,20 @@ mod tests {
 
     use super::*;
     use crate::engine::CfsConfig;
-    use cfs_kb::{KbConfig, PublicSources};
+    use crate::observe::Observation;
+    use cfs_chaos::{FaultPlan, FaultProfile};
+    use cfs_kb::{degrade_sources, KbConfig, PublicSources};
     use cfs_net::IpAsnDb;
+    use cfs_obs::Histogram;
     use cfs_topology::{Topology, TopologyConfig};
     use cfs_traceroute::{
-        deploy_vantage_points, run_campaign, CampaignLimits, Engine, VpConfig, VpSet,
+        deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop,
+        ProbeService, VpConfig, VpSet,
     };
 
     struct World {
         topo: Topology,
+        sources: PublicSources,
         kb: KnowledgeBase,
         vps: VpSet,
         ipasn: IpAsnDb,
@@ -651,13 +723,18 @@ mod tests {
 
     impl World {
         fn new() -> Self {
-            let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
+            Self::at(TopologyConfig::tiny(), &VpConfig::tiny())
+        }
+
+        fn at(cfg: TopologyConfig, vps: &VpConfig) -> Self {
+            let topo = Topology::generate(cfg).unwrap();
             let sources = PublicSources::derive(&topo, &KbConfig::default());
             let kb = KnowledgeBase::assemble(&sources, &topo.world);
-            let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
+            let vps = deploy_vantage_points(&topo, vps).unwrap();
             let ipasn = topo.build_ipasn_db();
             Self {
                 topo,
+                sources,
                 kb,
                 vps,
                 ipasn,
@@ -666,7 +743,12 @@ mod tests {
 
         /// A campaign from every vantage point towards the targets of
         /// the ASes at positions `ases` in ASN order.
-        fn campaign(&self, engine: &Engine<'_>, at_ms: u64, ases: Range<usize>) -> Vec<Trace> {
+        fn campaign(
+            &self,
+            engine: &dyn ProbeService,
+            at_ms: u64,
+            ases: Range<usize>,
+        ) -> Vec<Trace> {
             let targets: Vec<Ipv4Addr> = self
                 .topo
                 .ases
@@ -715,7 +797,8 @@ mod tests {
         let engine = Engine::new(&world.topo);
         let mut session = world.session(&engine, CfsConfig::default());
         let cfs = &mut session.cfs;
-        cfs.ingest(world.campaign(&engine, 0, 0..12));
+        let mut traces = world.campaign(&engine, 0, 0..12);
+        cfs.ingest(traces.clone());
         cfs.realias();
 
         // Index the first campaign under a perturbed view, as if the last
@@ -733,14 +816,15 @@ mod tests {
         cfs.reset_observations();
         cfs.process_new_traces();
         let mut oracle = BTreeMap::new();
-        walk_every_hop(&mut oracle, &cfs.traces, &cfs.corrected);
+        walk_every_hop(&mut oracle, &traces, &cfs.corrected);
         assert_eq!(cfs.vp_crossed, oracle);
 
         // New traces under an unchanged view: only they are walked.
-        let indexed = cfs.traces.len();
-        cfs.ingest(world.campaign(&engine, 7_200_000, 12..30));
+        let second = world.campaign(&engine, 7_200_000, 12..30);
+        cfs.ingest(second.clone());
         cfs.process_new_traces();
-        walk_every_hop(&mut oracle, &cfs.traces[indexed..], &cfs.corrected);
+        walk_every_hop(&mut oracle, &second, &cfs.corrected);
+        traces.extend(second);
         assert_eq!(cfs.vp_crossed, oracle);
 
         // A re-alias moves the perturbed addresses back (and maps the
@@ -751,11 +835,11 @@ mod tests {
         assert!(moved.len() * 3 > truth.len(), "{} moved", moved.len());
         cfs.reset_observations();
         cfs.process_new_traces();
-        walk_every_hop(&mut oracle, &cfs.traces, &cfs.corrected);
+        walk_every_hop(&mut oracle, &traces, &cfs.corrected);
         assert_eq!(cfs.vp_crossed, oracle);
         assert_ne!(cfs.vp_crossed, before, "the re-walk added nothing");
         assert!(cfs.reindex.is_empty());
-        assert_eq!(cfs.indexed, cfs.traces.len());
+        assert_eq!(cfs.indexed, cfs.corpus.len());
     }
 
     #[test]
@@ -786,7 +870,341 @@ mod tests {
 
         assert_eq!(full, replayed);
         assert_eq!(session.cfs.vp_crossed, batch.cfs.vp_crossed);
-        assert_eq!(session.cfs.indexed, session.cfs.traces.len());
-        assert_eq!(batch.cfs.indexed, batch.cfs.traces.len());
+        assert_eq!(session.cfs.indexed, session.cfs.corpus.len());
+        assert_eq!(batch.cfs.indexed, batch.cfs.corpus.len());
+    }
+
+    /// One input change, replayable into a fresh [`Delta`].
+    enum Step {
+        Campaign(Vec<Trace>),
+        Flip(Arc<KnowledgeBase>),
+    }
+
+    impl Step {
+        fn delta(&self) -> Delta {
+            match self {
+                Step::Campaign(traces) => Delta::TracerouteBatch(traces.clone()),
+                Step::Flip(kb) => Delta::KbEpochFlip(kb.clone()),
+            }
+        }
+    }
+
+    /// What trace ingestion and extraction built, the telemetry they
+    /// recorded, and the report served.
+    #[derive(PartialEq)]
+    struct Extracted {
+        traces: u64,
+        hop_ips: BTreeSet<Ipv4Addr>,
+        observations: Vec<Observation>,
+        obs_keys: BTreeSet<(Ipv4Addr, Option<IxpId>, Option<Ipv4Addr>)>,
+        vp_crossed: BTreeMap<Asn, Vec<VantagePointId>>,
+        counters: BTreeMap<&'static str, u64>,
+        histograms: BTreeMap<&'static str, Histogram>,
+        spans: BTreeMap<&'static str, u64>,
+        report: String,
+    }
+
+    impl Extracted {
+        fn of(session: &CfsSession<'_>, rec: &TraceRecorder) -> Self {
+            let cfs = &session.cfs;
+            let snap = rec.snapshot();
+            Self {
+                traces: cfs.corpus.traces(),
+                hop_ips: cfs.hop_ips.clone(),
+                observations: cfs.observations.clone(),
+                obs_keys: cfs.obs_keys.clone(),
+                vp_crossed: cfs.vp_crossed.clone(),
+                counters: snap.counters,
+                histograms: snap.histograms,
+                spans: snap.spans.iter().map(|(k, s)| (*k, s.count)).collect(),
+                report: serde_json::to_string(session.report().unwrap()).unwrap(),
+            }
+        }
+
+        /// The fields on which `self` and `other` differ.
+        fn diff(&self, other: &Self) -> Vec<&'static str> {
+            [
+                ("traces", self.traces == other.traces),
+                ("hop_ips", self.hop_ips == other.hop_ips),
+                ("observations", self.observations == other.observations),
+                ("obs_keys", self.obs_keys == other.obs_keys),
+                ("vp_crossed", self.vp_crossed == other.vp_crossed),
+                ("counters", self.counters == other.counters),
+                ("histograms", self.histograms == other.histograms),
+                ("spans", self.spans == other.spans),
+                ("report", self.report == other.report),
+            ]
+            .into_iter()
+            .filter(|(_, same)| !same)
+            .map(|(field, _)| field)
+            .collect()
+        }
+    }
+
+    /// One scripted session run.
+    struct Run {
+        /// State after convergence, then after every step.
+        states: Vec<Extracted>,
+        /// Distinct paths held at the end.
+        paths: usize,
+        /// Follow-up repeats of external paths held after convergence.
+        bumps: usize,
+        /// Campaign deltas that kept the cached report.
+        kept: usize,
+    }
+
+    /// Converges a session on `boot` and applies `steps`, with the corpus
+    /// holding distinct paths or, when `naive`, every trace as its own
+    /// path. On the incremental path every campaign's dirty set is
+    /// checked against the fingerprint diff, and every report against a
+    /// fresh `build_report`.
+    fn drive(
+        world: &World,
+        engine: &dyn ProbeService,
+        cfg: &CfsConfig,
+        boot: &[Vec<Trace>],
+        steps: &[Step],
+        naive: bool,
+    ) -> Run {
+        let rec = Arc::new(TraceRecorder::deterministic());
+        let mut session = Cfs::builder(engine, &world.kb)
+            .vps(&world.vps)
+            .ipasn(&world.ipasn)
+            .config(cfg.clone())
+            .recorder(rec.clone())
+            .build_session()
+            .unwrap();
+        session.cfs.corpus.naive = naive;
+        for campaign in boot {
+            session.ingest(campaign.clone());
+        }
+        session.converge();
+        let bumps = session.cfs.corpus.bumps();
+        let mut states = vec![Extracted::of(&session, &rec)];
+        let mut kept = 0;
+        let reports =
+            |rec: &TraceRecorder| rec.snapshot().spans.get("stage.report").map(|s| s.count);
+        for (i, step) in steps.iter().enumerate() {
+            if cfg.followup_interfaces > 0 {
+                session.apply_delta(step.delta()).unwrap();
+            } else {
+                let before = session.fingerprints();
+                let built = reports(&rec);
+                let frontier = session.absorb(step.delta());
+                if let Step::Campaign(_) = step {
+                    let moved = CfsSession::fingerprint_diff(&before, &session.fingerprints());
+                    assert_eq!(
+                        frontier.dirty, moved,
+                        "step {i}: dirty set is not the fingerprint diff"
+                    );
+                }
+                session.reconverge(frontier);
+                if reports(&rec) == built {
+                    kept += 1;
+                }
+                let fresh = serde_json::to_string(&session.cfs.build_report()).unwrap();
+                assert_eq!(
+                    serde_json::to_string(session.report().unwrap()).unwrap(),
+                    fresh,
+                    "step {i}: the cached report is not a fresh build_report"
+                );
+            }
+            states.push(Extracted::of(&session, &rec));
+        }
+        Run {
+            states,
+            paths: session.cfs.corpus.len(),
+            bumps,
+            kept,
+        }
+    }
+
+    /// Runs the script over the corpus and over the walk over every
+    /// trace, requires identical state after every step, and returns the
+    /// corpus run.
+    fn corpus_against_naive_walk(
+        world: &World,
+        engine: &dyn ProbeService,
+        cfg: &CfsConfig,
+        boot: &[Vec<Trace>],
+        steps: &[Step],
+        label: &str,
+    ) -> Run {
+        let naive = drive(world, engine, cfg, boot, steps, true);
+        let corpus = drive(world, engine, cfg, boot, steps, false);
+        for (i, (a, b)) in naive.states.iter().zip(&corpus.states).enumerate() {
+            let diff = a.diff(b);
+            assert!(diff.is_empty(), "{label}: state {i} differs in {diff:?}");
+        }
+        let traces = corpus.states.last().unwrap().traces;
+        assert!(
+            (corpus.paths as u64) < traces,
+            "{label}: {traces} traces, no repeated path"
+        );
+        assert_eq!(
+            naive.paths as u64, traces,
+            "{label}: the naive walk deduplicated"
+        );
+        corpus
+    }
+
+    /// A hand-built trace through the unseen interfaces of a router that
+    /// `held` crossed, chosen so re-resolving aliases moves the corrected
+    /// ASN of an address already held (the whole-corpus re-extraction).
+    fn flipping_trace(world: &World, held: &[Trace]) -> Trace {
+        let seen: BTreeSet<Ipv4Addr> = held
+            .iter()
+            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
+            .collect();
+        let alias_cfg = CfsConfig::default().alias;
+        let prober = cfs_alias::IpIdProber::new(&world.topo);
+        let corrected = |ips: &BTreeSet<Ipv4Addr>| {
+            let ips: Vec<Ipv4Addr> = ips.iter().copied().collect();
+            let aliases = cfs_alias::resolve_aliases(&prober, &ips, &alias_cfg);
+            cfs_alias::correct_ip_to_asn(&world.ipasn, &aliases, &ips).0
+        };
+        let old = corrected(&seen);
+        let unseen = world
+            .topo
+            .routers
+            .iter()
+            .filter_map(|(_, router)| {
+                let ips: Vec<Ipv4Addr> = router
+                    .ifaces
+                    .iter()
+                    .map(|id| world.topo.ifaces.get(*id).unwrap().ip)
+                    .collect();
+                let unseen: Vec<Ipv4Addr> = ips
+                    .iter()
+                    .copied()
+                    .filter(|ip| !seen.contains(ip))
+                    .collect();
+                (unseen.len() < ips.len() && !unseen.is_empty()).then_some(unseen)
+            })
+            .find(|unseen| {
+                let new = corrected(&seen.iter().chain(unseen).copied().collect());
+                seen.iter().any(|ip| old.get(ip) != new.get(ip))
+            })
+            .expect("some router's unseen interfaces move an old corrected ASN");
+        Trace {
+            vp: held[0].vp,
+            src_asn: held[0].src_asn,
+            target: unseen[0],
+            at_ms: 7_200_000,
+            hops: unseen
+                .iter()
+                .map(|ip| Hop {
+                    ip: Some(*ip),
+                    rtt_ms: 1.0,
+                })
+                .collect(),
+            reached: false,
+        }
+    }
+
+    fn service_config(threads: usize) -> CfsConfig {
+        CfsConfig {
+            followup_interfaces: 0,
+            threads,
+            ..CfsConfig::default()
+        }
+    }
+
+    #[test]
+    fn distinct_path_corpus_equals_a_walk_over_every_trace() {
+        let world = World::new();
+        // An epoch whose degraded sources classify crossings differently.
+        let stale = degrade_sources(&world.sources, &FaultPlan::new(3, FaultProfile::stale_kb()));
+        let stale = Arc::new(KnowledgeBase::assemble(&stale, &world.topo.world));
+        assert!(!world.kb.same_classification_view(&stale));
+        for faults in [false, true] {
+            let engine: Box<dyn ProbeService> = if faults {
+                let plan = FaultPlan::new(
+                    11,
+                    FaultProfile {
+                        probe_timeout_pm: 150,
+                        ..FaultProfile::off()
+                    },
+                );
+                Box::new(ChaosEngine::new(Engine::new(&world.topo), plan))
+            } else {
+                Box::new(Engine::new(&world.topo))
+            };
+            let engine = engine.as_ref();
+            let campaign = |epoch: u64, ases| world.campaign(engine, epoch * 7_200_000, ases);
+            let boot = vec![campaign(0, 0..12), campaign(1, 0..12)];
+            let new_targets = campaign(2, 12..18);
+            let held: Vec<Trace> = boot.iter().flatten().chain(&new_targets).cloned().collect();
+            let steps = [
+                // Every trace repeats a held path: nothing moves.
+                Step::Campaign(boot[0].clone()),
+                Step::Campaign(campaign(3, 0..12)),
+                // New addresses re-resolve aliases.
+                Step::Campaign(new_targets),
+                // A re-alias that moves held addresses re-extracts all.
+                Step::Campaign(vec![flipping_trace(&world, &held)]),
+                Step::Flip(stale.clone()),
+                Step::Campaign(campaign(4, 0..18)),
+            ];
+            let label = format!("faults={faults}");
+            let run = corpus_against_naive_walk(
+                &world,
+                engine,
+                &service_config(2),
+                &boot,
+                &steps,
+                &label,
+            );
+            let counters = &run.states.last().unwrap().counters;
+            assert!(
+                counters.get("serve.extract_rebuild") >= Some(&1),
+                "{label}: no re-extraction"
+            );
+            assert!(run.kept >= 1, "{label}: no campaign kept the report");
+        }
+    }
+
+    #[test]
+    fn distinct_path_corpus_equals_a_walk_over_every_trace_at_default_scale() {
+        let world = World::at(TopologyConfig::default(), &VpConfig::default());
+        let engine = Engine::new(&world.topo);
+        let campaign = |epoch: u64, ases| world.campaign(&engine, epoch * 7_200_000, ases);
+        let boot = vec![campaign(0, 0..8)];
+        let steps = [
+            Step::Campaign(boot[0].clone()),
+            Step::Campaign(campaign(1, 0..8)),
+            Step::Campaign(campaign(2, 0..12)),
+        ];
+        let run = corpus_against_naive_walk(
+            &world,
+            &engine,
+            &service_config(2),
+            &boot,
+            &steps,
+            "default",
+        );
+        assert!(run.kept >= 1, "no campaign kept the report");
+    }
+
+    #[test]
+    fn replay_truncation_undoes_follow_up_repeats() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let cfg = CfsConfig {
+            followup_interfaces: 24,
+            threads: 2,
+            ..CfsConfig::default()
+        };
+        let campaign = |epoch: u64, ases| world.campaign(&engine, epoch * 7_200_000, ases);
+        let boot = vec![campaign(0, 0..12)];
+        let steps = [
+            Step::Campaign(campaign(1, 0..12)),
+            Step::Campaign(campaign(2, 12..18)),
+        ];
+        let run = corpus_against_naive_walk(&world, &engine, &cfg, &boot, &steps, "follow-ups");
+        assert!(
+            run.bumps > 0,
+            "no follow-up probe repeated an external path"
+        );
     }
 }

@@ -23,8 +23,9 @@ use cfs_types::{FacilityId, IxpId};
 pub struct EpochObservation {
     /// The disruption epoch (campaign index).
     pub epoch: u64,
-    /// Every hop address that answered in the batch.
-    pub hop_ips: BTreeSet<Ipv4Addr>,
+    /// Every hop address that answered in the batch, sorted and
+    /// deduplicated (look one up with `binary_search`).
+    pub hop_ips: Vec<Ipv4Addr>,
     /// Number of traces in the batch.
     pub traces: u64,
     /// Number of traces that reached their target.
@@ -34,18 +35,13 @@ pub struct EpochObservation {
 impl EpochObservation {
     /// Summarizes `traces` as epoch `epoch`'s observation.
     pub fn from_traces(epoch: u64, traces: &[Trace]) -> Self {
-        let mut hop_ips = BTreeSet::new();
-        let mut reached = 0u64;
-        for t in traces {
-            if t.reached {
-                reached += 1;
-            }
-            for hop in &t.hops {
-                if let Some(ip) = hop.ip {
-                    hop_ips.insert(ip);
-                }
-            }
-        }
+        let mut hop_ips: Vec<Ipv4Addr> = traces
+            .iter()
+            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
+            .collect();
+        hop_ips.sort_unstable();
+        hop_ips.dedup();
+        let reached = traces.iter().filter(|t| t.reached).count() as u64;
         Self {
             epoch,
             hop_ips,
@@ -122,7 +118,7 @@ pub fn extract(obs: &EpochObservation, report: &CfsReport) -> EpochFeatures {
     let mut ixp_facility: BTreeMap<(IxpId, FacilityId), Visibility> = BTreeMap::new();
 
     for (ip, iface) in &report.interfaces {
-        let visible = obs.hop_ips.contains(ip);
+        let visible = obs.hop_ips.binary_search(ip).is_ok();
         if let Some(fac) = iface.facility {
             let v = facility.entry(fac).or_default();
             v.tracked += 1;

@@ -54,13 +54,19 @@ pub struct Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value;
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value` (the same state `n` calls to
+    /// [`Histogram::record`] leave).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        self.count += n;
+        self.sum += value * n;
         let idx = HISTOGRAM_BOUNDS
             .iter()
             .position(|b| value <= *b)
             .unwrap_or(HISTOGRAM_BOUNDS.len());
-        self.buckets[idx] += 1;
+        self.buckets[idx] += n;
     }
 
     /// Adds another histogram into this one (exact: bounds are shared).
@@ -197,6 +203,13 @@ impl Recorder for TraceRecorder {
 
     fn observe(&self, name: &'static str, value: u64) {
         self.with_shard(|s| s.histograms.entry(name).or_default().record(value));
+    }
+
+    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.with_shard(|s| s.histograms.entry(name).or_default().record_n(value, n));
     }
 
     fn span_start(&self) -> u64 {

@@ -277,6 +277,14 @@ impl Recorder for WindowedRecorder {
         self.with_window(|w| w.histograms.entry(name).or_default().record(value));
     }
 
+    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.inner.observe_n(name, value, n);
+        self.with_window(|w| w.histograms.entry(name).or_default().record_n(value, n));
+    }
+
     fn span_start(&self) -> u64 {
         self.clock.now_ns()
     }

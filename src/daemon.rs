@@ -416,9 +416,6 @@ impl<'w> Daemon<'w> {
             dirty: o.dirty as u64,
             reconverged: o.reconverged as u64,
         });
-        self.windows.counter("serve.dirty_ifaces", o.dirty as u64);
-        self.windows
-            .counter("serve.reconverged", o.reconverged as u64);
         if let Some(report) = self.session.report() {
             self.dq_seen
                 .emit_increase(&report.data_quality, &self.events);

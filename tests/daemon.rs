@@ -289,3 +289,44 @@ fn data_quality_events_report_increases_once() {
         "{after_campaign:?}"
     );
 }
+
+#[test]
+fn metrics_count_delta_churn_once() {
+    let lab = Lab::provision(Scale::Tiny, Some(7)).expect("lab");
+    let substrate = Substrate::new(&lab, None, None);
+    let mut daemon = Daemon::boot(&substrate, DaemonOptions::default()).expect("boot");
+    let asn = daemon
+        .session()
+        .report()
+        .expect("booted")
+        .interfaces
+        .values()
+        .filter_map(|i| i.owner)
+        .find(|a| lab.sources.pdb_networks.contains_key(a))
+        .expect("some observed network has a PeeringDB record");
+    let facility = lab.sources.pdb_networks[&asn].facilities[0].raw();
+    let flip = |present| Request::DeltaKbFlip {
+        asn: asn.raw(),
+        facility,
+        present,
+    };
+    let deltas = [
+        flip(false),
+        flip(true),
+        flip(false),
+        Request::DeltaCampaign { campaign: 1 },
+        Request::DeltaCampaign { campaign: 2 },
+    ];
+    let (mut dirty, mut reconverged) = (0, 0);
+    for delta in deltas {
+        let reply = ask(&mut daemon, delta);
+        assert_eq!(reply["ok"], Value::Bool(true), "{reply:?}");
+        dirty += reply["dirty"].as_u64().expect("dirty");
+        reconverged += reply["reconverged"].as_u64().expect("reconverged");
+    }
+    assert!(dirty > 0 && reconverged >= dirty);
+    let metrics: Value = serde_json::from_str(&daemon.metrics_json()).expect("metrics JSON");
+    let total = |name: &str| metrics["totals"]["counters"][name].as_u64();
+    assert_eq!(total("serve.dirty_ifaces"), Some(dirty));
+    assert_eq!(total("serve.reconverged"), Some(reconverged));
+}
