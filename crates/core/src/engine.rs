@@ -227,6 +227,21 @@ pub struct Cfs<'a> {
     /// Reverse dependency index: KB footprint key → interfaces whose
     /// constraints consumed it (see [`DepKey`]).
     pub(crate) deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
+    /// Watermark of the full constraint passes: `observations[..settled.0]`
+    /// and `session_observations[..settled.1]` were applied by one under
+    /// the current KB epoch, so their `deps` edges are recorded and each
+    /// of their endpoints is in `remote_cache` or cannot trigger a remote
+    /// test. Valid while, since it was set, the two lists were only
+    /// appended to, the KB was not replaced and `remote_cache` only
+    /// gained entries; every other mutation resets it (DESIGN.md §5).
+    pub(crate) settled: (usize, usize),
+    /// Known ASes and their footprints, the follow-up planner's target
+    /// pool; built by the first chase that scores targets.
+    pub(crate) chase_targets: Option<ChaseTargets>,
+    /// (host AS, vantage point) for every vantage point on an allowed
+    /// platform, sorted: each AS's run lists its vantage points in id
+    /// order.
+    pub(crate) vps_by_as: Vec<(Asn, VantagePointId)>,
     /// Vantage points administratively down (`VpStatusChange` deltas);
     /// excluded from the remote-peering measurement pool.
     pub(crate) vp_down: BTreeSet<VantagePointId>,
@@ -246,6 +261,25 @@ pub struct Cfs<'a> {
     pub(crate) chaos_seed: u64,
     /// Probes still failed after every retry round.
     pub(crate) failed_probes: u64,
+    /// Runs every full constraint pass over all observations and plans
+    /// follow-ups with the scanning planner: the oracle the watermark
+    /// and the planner indexes are checked against.
+    #[cfg(test)]
+    pub(crate) naive: bool,
+    /// Each follow-up round's planned requests and skipped vantage
+    /// points, in planning order.
+    #[cfg(test)]
+    pub(crate) rounds: Vec<(Vec<(VantagePointId, Ipv4Addr)>, u64)>,
+}
+
+/// The follow-up planner's target pool: every AS with a known footprint,
+/// indexed by facility so a chase visits only the ASes overlapping its
+/// candidates.
+pub(crate) struct ChaseTargets {
+    /// Known ASes in ASN order, with their footprints.
+    ases: Vec<(Asn, FacilitySet)>,
+    /// (facility, position in `ases`) for every footprint entry, sorted.
+    at: Vec<(FacilityId, usize)>,
 }
 
 /// Builder for [`Cfs`]: names every dependency at the call site instead
@@ -389,6 +423,13 @@ impl<'a> Cfs<'a> {
         let retry_budget = RetryBudget::new(cfg.retry_budget);
         let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms);
         let chaos_seed = cfs_chaos::splitmix64(engine.topology().config.seed ^ 0xcf5c_4a05);
+        let mut vps_by_as: Vec<(Asn, VantagePointId)> = vps
+            .vps
+            .iter()
+            .filter(|(_, vp)| platforms.as_ref().is_none_or(|p| p.contains(&vp.platform)))
+            .map(|(id, vp)| (vp.asn, id))
+            .collect();
+        vps_by_as.sort_unstable();
         // KB-plane quality counters, once per engine: reconciliation is
         // a pure function of the assembled KB, independent of thread
         // count and iteration schedule.
@@ -424,6 +465,9 @@ impl<'a> Cfs<'a> {
             ixp_fac_cache: BTreeMap::new(),
             metro_cand_cache: BTreeMap::new(),
             deps: BTreeMap::new(),
+            settled: (0, 0),
+            chase_targets: None,
+            vps_by_as,
             vp_down,
             clock_ms: 0,
             iterations: Vec::new(),
@@ -435,6 +479,10 @@ impl<'a> Cfs<'a> {
             breaker,
             chaos_seed,
             failed_probes: 0,
+            #[cfg(test)]
+            naive: false,
+            #[cfg(test)]
+            rounds: Vec::new(),
         }
     }
 
@@ -530,6 +578,7 @@ impl<'a> Cfs<'a> {
         self.observations.clear();
         self.obs_keys.clear();
         self.session_observations.clear();
+        self.settled = (0, 0);
         self.processed = 0;
         let log = std::mem::take(&mut self.bgp_log);
         for (owner, s) in &log {
@@ -547,7 +596,8 @@ impl<'a> Cfs<'a> {
     /// scoped pass can reproduce convergence. The caller is responsible
     /// for first truncating the corpus to the external prefix
     /// (follow-up probes from the previous run are re-issued by the
-    /// replay itself).
+    /// replay itself). `rebuild_observations` resets the constraint
+    /// watermark along with the `deps` and `remote_cache` cleared here.
     pub(crate) fn reset_for_replay(&mut self) {
         self.hop_ips = self.corpus.all_hops().iter().flatten().copied().collect();
         self.repeats.clear();
@@ -568,6 +618,7 @@ impl<'a> Cfs<'a> {
         self.as_fac_cache.clear();
         self.ixp_fac_cache.clear();
         self.metro_cand_cache.clear();
+        self.chase_targets = None;
         self.deps.clear();
         self.clock_ms = 0;
         self.iterations.clear();
@@ -788,12 +839,32 @@ impl<'a> Cfs<'a> {
     /// authoritative output, never read that view, and survive as-is.
     pub(crate) fn reset_observations(&mut self) {
         self.observations.clear();
+        self.settled.0 = 0;
         self.obs_keys = self
             .session_observations
             .iter()
             .map(Observation::key)
             .collect();
         self.processed = 0;
+    }
+
+    /// Installs a new KB epoch. Every footprint may have moved, so no
+    /// observation stays settled and the planner's target pool is
+    /// rebuilt on the next chase.
+    pub(crate) fn flip_kb(&mut self, kb: Arc<KnowledgeBase>) {
+        self.kb = KbHandle::Owned(kb);
+        self.settled = (0, 0);
+        self.chase_targets = None;
+    }
+
+    /// Drops the cached remote verdicts of `ips`, to be re-derived by the
+    /// next pass over them. A settled observation may have depended on
+    /// one, so none stays settled.
+    pub(crate) fn forget_remote_verdicts(&mut self, ips: &BTreeSet<Ipv4Addr>) {
+        for ip in ips {
+            self.remote_cache.remove(ip);
+        }
+        self.settled = (0, 0);
     }
 
     /// Extracts observations from paths ingested since the last call,
@@ -969,6 +1040,11 @@ impl<'a> Cfs<'a> {
     /// endpoints inside it are (re-)constrained — the session's dirty
     /// frontier sweep. The observation order, and therefore every
     /// interface's constraint subsequence, is identical in both modes.
+    ///
+    /// Every observation is re-applied, but a full pass records
+    /// dependency edges and looks for remote tests only past the
+    /// [`Cfs::settled`] watermark: an earlier full pass did both for the
+    /// rest under inputs that have not moved since.
     pub(crate) fn apply_constraints_scoped(
         &mut self,
         iteration: usize,
@@ -976,12 +1052,32 @@ impl<'a> Cfs<'a> {
     ) {
         cfs_obs::span!(self.recorder, "stage.constrain");
         let in_scope = |ip: Ipv4Addr| scope.is_none_or(|s| s.contains(&ip));
+        let settled = match scope {
+            None => self.settled(),
+            Some(_) => (0, 0),
+        };
         let mut observations = std::mem::take(&mut self.observations);
+        let held = observations.len();
         observations.extend(self.session_observations.iter().cloned());
-        self.prefill_remote_verdicts(&observations, scope);
+        let fresh = |i: usize| {
+            if i < held {
+                i >= settled.0
+            } else {
+                i - held >= settled.1
+            }
+        };
+        let unsettled = observations
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| fresh(*i))
+            .map(|(_, obs)| obs);
+        self.prefill_remote_verdicts(unsettled, scope);
         self.recorder
             .counter("constrain.observations", observations.len() as u64);
-        for obs in &observations {
+        for (i, obs) in observations.iter().enumerate() {
+            if fresh(i) {
+                self.record_deps(obs, in_scope);
+            }
             match obs.class {
                 LinkClass::Public { ixp } => {
                     if in_scope(obs.near_ip) {
@@ -1013,8 +1109,53 @@ impl<'a> Cfs<'a> {
                 }
             }
         }
-        observations.truncate(observations.len() - self.session_observations.len());
+        observations.truncate(held);
         self.observations = observations;
+        if scope.is_none() {
+            self.settled = (held, self.session_observations.len());
+        }
+    }
+
+    /// How much of each observation list the next full pass may treat
+    /// as settled.
+    fn settled(&self) -> (usize, usize) {
+        #[cfg(test)]
+        if self.naive {
+            return (0, 0);
+        }
+        self.settled
+    }
+
+    /// Records the dependency edges of one observation's in-scope
+    /// endpoints: each one's state is a function of these footprints
+    /// (the metro pool is a conservative superset — it only matters on
+    /// the widening path).
+    fn record_deps(&mut self, obs: &Observation, in_scope: impl Fn(Ipv4Addr) -> bool) {
+        let deps = &mut self.deps;
+        let mut edge = |key: DepKey, ip: Ipv4Addr| {
+            if in_scope(ip) {
+                deps.entry(key).or_default().insert(ip);
+            }
+        };
+        match obs.class {
+            LinkClass::Public { ixp } => {
+                let far = obs.far_asn.zip(obs.far_ip);
+                for (owner, ip) in std::iter::once((obs.near_asn, obs.near_ip)).chain(far) {
+                    for key in [DepKey::As(owner), DepKey::Ixp(ixp), DepKey::Metro(ixp)] {
+                        edge(key, ip);
+                    }
+                }
+            }
+            LinkClass::Private => {
+                let Some(far_asn) = obs.far_asn else { return };
+                for key in [DepKey::As(obs.near_asn), DepKey::As(far_asn)] {
+                    edge(key, obs.near_ip);
+                    if let Some(far_ip) = obs.far_ip {
+                        edge(key, far_ip);
+                    }
+                }
+            }
+        }
     }
 
     /// Pre-computes the remote-peering RTT verdicts that
@@ -1026,9 +1167,12 @@ impl<'a> Cfs<'a> {
     /// each interface to the *first* exchange triggering the test, so the
     /// work list is gathered in observation order, probed in parallel,
     /// and written back in the same order — identical to the serial run.
-    fn prefill_remote_verdicts(
+    /// A full pass passes only the unsettled observations: an endpoint
+    /// an earlier full pass checked is cached, or fails a test whose
+    /// inputs have not moved since.
+    fn prefill_remote_verdicts<'o>(
         &mut self,
-        observations: &[Observation],
+        observations: impl Iterator<Item = &'o Observation>,
         scope: Option<&BTreeSet<Ipv4Addr>>,
     ) {
         cfs_obs::span!(self.recorder, "stage.remote");
@@ -1136,12 +1280,6 @@ impl<'a> Cfs<'a> {
         iteration: usize,
         evidence: crate::observe::IxpHopEvidence,
     ) {
-        // Dependency edges for incremental invalidation: the state of
-        // `ip` is a function of these footprints (the metro pool is a
-        // conservative superset — it only matters on the widening path).
-        for key in [DepKey::As(owner), DepKey::Ixp(ixp), DepKey::Metro(ixp)] {
-            self.deps.entry(key).or_default().insert(ip);
-        }
         if self.cfg.evidence_gating && evidence.weak() {
             let f_owner = self.as_facilities(owner);
             let state = self
@@ -1249,9 +1387,6 @@ impl<'a> Cfs<'a> {
     /// Step 2 for a private peering interface: intersect the two peers'
     /// facility sets (cross-connects join routers in one building).
     fn constrain_private(&mut self, owner: Asn, ip: Ipv4Addr, peer: Asn, iteration: usize) {
-        for key in [DepKey::As(owner), DepKey::As(peer)] {
-            self.deps.entry(key).or_default().insert(ip);
-        }
         let f_owner = self.as_facilities(owner);
         let f_peer = self.as_facilities(peer);
         let common = f_owner.intersect(&f_peer);
@@ -1296,13 +1431,18 @@ impl<'a> Cfs<'a> {
         scope: Option<&BTreeSet<Ipv4Addr>>,
     ) {
         cfs_obs::span!(self.recorder, "stage.alias_constrain");
-        for set in self.aliases.sets.clone() {
+        let Self {
+            ref aliases,
+            ref mut states,
+            ..
+        } = *self;
+        for set in &aliases.sets {
             if !scope.is_none_or(|s| set.iter().any(|ip| s.contains(ip))) {
                 continue;
             }
             let mut combined: Option<FacilitySet> = None;
-            for ip in &set {
-                if let Some(state) = self.states.get(ip) {
+            for ip in set {
+                if let Some(state) = states.get(ip) {
                     if let Some(c) = &state.candidates {
                         combined = Some(match combined {
                             None => c.clone(),
@@ -1317,8 +1457,8 @@ impl<'a> Cfs<'a> {
                 // data; leave the individual states untouched.
                 continue;
             }
-            for ip in &set {
-                if let Some(state) = self.states.get_mut(ip) {
+            for ip in set {
+                if let Some(state) = states.get_mut(ip) {
                     state.constrain(&combined, iteration);
                 }
             }
@@ -1369,14 +1509,21 @@ impl<'a> Cfs<'a> {
         // gathered first and the traceroutes fanned out in one batch.
         // Per-interface spans let exhausted retry budgets be attributed
         // back to the interfaces they starved.
+        let reverse = self.reverse_targets(&pending);
         let mut requests: Vec<(VantagePointId, Ipv4Addr)> = Vec::new();
         let mut spans: Vec<(Ipv4Addr, usize, usize)> = Vec::new();
+        let mut skipped = 0u64;
         for (_, _, ip) in pending {
             *self.chase_attempts.entry(ip).or_default() += 1;
             let start = requests.len();
-            self.plan_chase(ip, &mut requests);
+            skipped += self.plan_chase(ip, &reverse, &mut requests);
             spans.push((ip, start, requests.len()));
         }
+        if skipped > 0 {
+            self.recorder.counter("chase.vp_skipped", skipped);
+        }
+        #[cfg(test)]
+        self.rounds.push((requests.clone(), skipped));
         let issued = requests.len();
         self.recorder.counter("followup.requests", issued as u64);
         let denied_before = self.retry_budget.denied();
@@ -1490,16 +1637,65 @@ impl<'a> Cfs<'a> {
         .expect("trace thread scope")
     }
 
+    /// The §4.3 reverse-search targets of one follow-up round: for each
+    /// chased interface seen as the far end of a held crossing, the
+    /// near-side ASes of its first two crossings, in `observations`-then-
+    /// `session_observations` order.
+    fn reverse_targets(
+        &self,
+        pending: &[(usize, usize, Ipv4Addr)],
+    ) -> BTreeMap<Ipv4Addr, Vec<Asn>> {
+        let mut near: BTreeMap<Ipv4Addr, Vec<Asn>> = BTreeMap::new();
+        if !self.cfg.reverse_search {
+            return near;
+        }
+        let chased: BTreeSet<Ipv4Addr> = pending.iter().map(|(_, _, ip)| *ip).collect();
+        for o in self.observations.iter().chain(&self.session_observations) {
+            if let Some(far_ip) = o.far_ip.filter(|ip| chased.contains(ip)) {
+                let list = near.entry(far_ip).or_default();
+                if list.len() < 2 {
+                    list.push(o.near_asn);
+                }
+            }
+        }
+        near
+    }
+
+    /// Builds the planner's target pool: looking every known AS up
+    /// fills `as_fac_cache` exactly as scoring them all did.
+    fn build_chase_targets(&mut self) -> ChaseTargets {
+        let known: Vec<Asn> = self.kb().known_ases().collect();
+        let mut ases = Vec::with_capacity(known.len());
+        let mut at = Vec::new();
+        for t in known {
+            let f_t = self.as_facilities(t);
+            at.extend(f_t.iter().map(|f| (f, ases.len())));
+            ases.push((t, f_t));
+        }
+        at.sort_unstable();
+        ChaseTargets { ases, at }
+    }
+
     /// Plans follow-up traceroutes designed to add constraints for one
-    /// unresolved interface, appending `(vantage point, target)` requests.
-    fn plan_chase(&mut self, ip: Ipv4Addr, requests: &mut Vec<(VantagePointId, Ipv4Addr)>) {
+    /// unresolved interface, appending `(vantage point, target)` requests;
+    /// returns how many vantage points it skipped for an open circuit.
+    fn plan_chase(
+        &mut self,
+        ip: Ipv4Addr,
+        reverse: &BTreeMap<Ipv4Addr, Vec<Asn>>,
+        requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
+    ) -> u64 {
+        #[cfg(test)]
+        if self.naive {
+            return self.plan_chase_naive(ip, requests);
+        }
         let (owner, candidates, queried_ixps) = {
             let Some(state) = self.states.get(&ip) else {
-                return;
+                return 0;
             };
-            let Some(owner) = state.owner else { return };
+            let Some(owner) = state.owner else { return 0 };
             let Some(c) = state.candidates.clone() else {
-                return;
+                return 0;
             };
             (owner, c, state.public_ixps.clone())
         };
@@ -1510,25 +1706,36 @@ impl<'a> Cfs<'a> {
         // comparison genuinely narrows. When no subset exists — common
         // once footprints grow — fall back to the targets with the
         // smallest footprint whose overlap is a *proper* subset of the
-        // candidates: a crossing with them still shrinks the set.
+        // candidates: a crossing with them still shrinks the set. Only
+        // ASes present at some candidate can overlap, so the facility
+        // index yields them with their overlap counted; both lists are
+        // sorted on keys ending in the ASN, so visiting order is moot.
+        let targets = match self.chase_targets.take() {
+            Some(targets) => targets,
+            None => self.build_chase_targets(),
+        };
+        let kb = self.kb.get();
+        let mut overlaps = vec![0usize; targets.ases.len()];
+        let mut overlapping = Vec::new();
+        for f in candidates.iter() {
+            let start = targets.at.partition_point(|(g, _)| *g < f);
+            for &(_, i) in targets.at[start..].iter().take_while(|(g, _)| *g == f) {
+                if overlaps[i] == 0 {
+                    overlapping.push(i);
+                }
+                overlaps[i] += 1;
+            }
+        }
         let mut subset_scored: Vec<(usize, usize, Asn)> = Vec::new();
         let mut overlap_scored: Vec<(usize, usize, Asn)> = Vec::new();
-        let known: Vec<Asn> = self.kb().known_ases().collect();
-        for t in known {
+        for i in overlapping {
+            let (t, f_t) = &targets.ases[i];
+            let (t, overlap) = (*t, overlaps[i]);
             if t == owner {
                 continue;
             }
-            let f_t = self.as_facilities(t);
-            if f_t.is_empty() {
-                continue;
-            }
-            let overlap = f_t.intersection_len(&candidates);
-            if overlap == 0 {
-                continue;
-            }
             let penalty = usize::from(
-                self.kb()
-                    .ixps_of_as(t)
+                kb.ixps_of_as(t)
                     .intersection(&queried_ixps)
                     .next()
                     .is_some(),
@@ -1539,6 +1746,7 @@ impl<'a> Cfs<'a> {
                 overlap_scored.push((penalty, f_t.len() + overlap, t));
             }
         }
+        self.chase_targets = Some(targets);
         subset_scored.sort_unstable();
         overlap_scored.sort_unstable();
         let mut scored = subset_scored;
@@ -1553,10 +1761,14 @@ impl<'a> Cfs<'a> {
         // nearest candidate metro first (hot-potato routing exits close
         // to the source, so a nearby vantage point exposes the nearby
         // peering); then anything that has previously seen the owner.
+        // Candidates sharing a metro share its distance.
+        let topo = self.engine.topology();
         let candidate_coords: Vec<cfs_geo::GeoPoint> = candidates
             .iter()
-            .filter_map(|f| self.kb().metro_of_facility(f))
-            .map(|m| self.engine.topology().world.metro(m).location)
+            .filter_map(|f| kb.metro_of_facility(f))
+            .collect::<BTreeSet<MetroId>>()
+            .into_iter()
+            .map(|m| topo.world.metro(m).location)
             .collect();
         let distance_to_candidates = |vp: &cfs_traceroute::VantagePoint| -> u64 {
             candidate_coords
@@ -1576,13 +1788,14 @@ impl<'a> Cfs<'a> {
             skipped += u64::from(open);
             !open
         };
-        let mut inside: Vec<(u64, VantagePointId)> = self
-            .vps
-            .vps
-            .iter()
-            .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
-            .filter(|(id, _)| live(*id))
-            .map(|(id, vp)| (distance_to_candidates(vp), id))
+        let hosted = &self.vps_by_as;
+        let lo = hosted.partition_point(|(asn, _)| *asn < owner);
+        let hi = hosted.partition_point(|(asn, _)| *asn <= owner);
+        let own_vps = hosted[lo..hi].iter().map(|(_, id)| *id);
+        let mut inside: Vec<(u64, VantagePointId)> = own_vps
+            .clone()
+            .filter(|id| live(*id))
+            .map(|id| (distance_to_candidates(&self.vps.vps[id]), id))
             .collect();
         inside.sort_unstable();
         let mut vp_pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
@@ -1594,11 +1807,7 @@ impl<'a> Cfs<'a> {
             }
         }
         vp_pool.truncate(self.cfg.vps_per_target);
-        if skipped > 0 {
-            self.recorder.counter("chase.vp_skipped", skipped);
-        }
 
-        let topo = self.engine.topology();
         for (_, _, target_as) in &scored {
             let Ok(target) = topo.target_ip(*target_as) else {
                 continue;
@@ -1611,33 +1820,15 @@ impl<'a> Cfs<'a> {
         // §4.3 reverse search: when the interface belongs to the far side
         // of crossings we observed, probe *from* its owner toward the
         // near-side ASes so the owner becomes the near end.
-        if self.cfg.reverse_search {
-            let reverse_targets: Vec<Asn> = self
-                .observations
-                .iter()
-                .chain(self.session_observations.iter())
-                .filter(|o| o.far_ip == Some(ip))
-                .map(|o| o.near_asn)
-                .collect();
-            if !reverse_targets.is_empty() {
-                let own_vps: Vec<VantagePointId> = self
-                    .vps
-                    .vps
-                    .iter()
-                    .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
-                    .map(|(id, _)| id)
-                    .take(2)
-                    .collect();
-                for near_asn in reverse_targets.into_iter().take(2) {
-                    let Ok(target) = topo.target_ip(near_asn) else {
-                        continue;
-                    };
-                    for vp_id in &own_vps {
-                        requests.push((*vp_id, target));
-                    }
-                }
+        for near_asn in reverse.get(&ip).into_iter().flatten() {
+            let Ok(target) = topo.target_ip(*near_asn) else {
+                continue;
+            };
+            for vp_id in own_vps.clone().take(2) {
+                requests.push((vp_id, target));
             }
         }
+        skipped
     }
 
     // ------------------------------------------------------------------
@@ -1933,7 +2124,7 @@ impl<'a> Cfs<'a> {
         let shared_ixp = self
             .kb()
             .ixps_of_as(obs.near_asn)
-            .intersection(&self.kb().ixps_of_as(peer))
+            .intersection(self.kb().ixps_of_as(peer))
             .next()
             .is_some();
         if shared_ixp {
@@ -1977,6 +2168,209 @@ impl<'a> Cfs<'a> {
             }
         }
         stats
+    }
+}
+
+#[cfg(test)]
+impl Cfs<'_> {
+    /// The settled observations whose promise does not hold: an
+    /// endpoint without its `deps` edges, or one that would trigger a
+    /// remote test it has no cached verdict for. Reads the KB directly,
+    /// filling no cache.
+    pub(crate) fn watermark_breaches(&self) -> Vec<Ipv4Addr> {
+        let (held, session) = self.settled;
+        assert!(
+            held <= self.observations.len() && session <= self.session_observations.len(),
+            "watermark {:?} past the observation lists",
+            self.settled
+        );
+        let kb = self.kb();
+        let has = |key: DepKey, ip: Ipv4Addr| self.deps.get(&key).is_some_and(|s| s.contains(&ip));
+        let mut breaches = Vec::new();
+        let settled = self.observations[..held]
+            .iter()
+            .chain(&self.session_observations[..session]);
+        for obs in settled {
+            let far = obs.far_asn.zip(obs.far_ip);
+            let ends = std::iter::once((obs.near_asn, obs.near_ip)).chain(far);
+            match obs.class {
+                LinkClass::Public { ixp } => {
+                    let gated = self.cfg.evidence_gating && obs.evidence.weak();
+                    for (owner, ip) in ends {
+                        let f_owner = kb.facilities_of_as(owner);
+                        let untested = !gated
+                            && !f_owner.is_empty()
+                            && f_owner.is_disjoint(&kb.facilities_of_ixp(ixp))
+                            && !self.remote_cache.contains_key(&ip);
+                        let keys = [DepKey::As(owner), DepKey::Ixp(ixp), DepKey::Metro(ixp)];
+                        if untested || !keys.into_iter().all(|k| has(k, ip)) {
+                            breaches.push(ip);
+                        }
+                    }
+                }
+                LinkClass::Private => {
+                    let Some(far_asn) = obs.far_asn else { continue };
+                    for ip in std::iter::once(obs.near_ip).chain(obs.far_ip) {
+                        if !has(DepKey::As(obs.near_asn), ip) || !has(DepKey::As(far_asn), ip) {
+                            breaches.push(ip);
+                        }
+                    }
+                }
+            }
+        }
+        breaches
+    }
+
+    /// The follow-up planner as first written: it scores every known AS
+    /// and scans every vantage point and observation per chase.
+    fn plan_chase_naive(
+        &mut self,
+        ip: Ipv4Addr,
+        requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
+    ) -> u64 {
+        let (owner, candidates, queried_ixps) = {
+            let Some(state) = self.states.get(&ip) else {
+                return 0;
+            };
+            let Some(owner) = state.owner else { return 0 };
+            let Some(c) = state.candidates.clone() else {
+                return 0;
+            };
+            (owner, c, state.public_ixps.clone())
+        };
+        let f_owner = self.as_facilities(owner);
+
+        // Rank candidate targets. Preferred (the paper's rule): known
+        // ASes whose footprint is a strict subset of the owner's, so the
+        // comparison genuinely narrows. When no subset exists — common
+        // once footprints grow — fall back to the targets with the
+        // smallest footprint whose overlap is a *proper* subset of the
+        // candidates: a crossing with them still shrinks the set.
+        let mut subset_scored: Vec<(usize, usize, Asn)> = Vec::new();
+        let mut overlap_scored: Vec<(usize, usize, Asn)> = Vec::new();
+        let known: Vec<Asn> = self.kb().known_ases().collect();
+        for t in known {
+            if t == owner {
+                continue;
+            }
+            let f_t = self.as_facilities(t);
+            if f_t.is_empty() {
+                continue;
+            }
+            let overlap = f_t.intersection_len(&candidates);
+            if overlap == 0 {
+                continue;
+            }
+            let penalty = usize::from(
+                self.kb()
+                    .ixps_of_as(t)
+                    .intersection(&queried_ixps)
+                    .next()
+                    .is_some(),
+            );
+            if f_t.len() < f_owner.len() && f_t.is_subset(&f_owner) {
+                subset_scored.push((penalty, overlap, t));
+            } else if overlap < candidates.len() {
+                overlap_scored.push((penalty, f_t.len() + overlap, t));
+            }
+        }
+        subset_scored.sort_unstable();
+        overlap_scored.sort_unstable();
+        let mut scored = subset_scored;
+        if scored.len() < self.cfg.targets_per_interface {
+            let need = self.cfg.targets_per_interface - scored.len();
+            scored.extend(overlap_scored.into_iter().take(need));
+        }
+        scored.truncate(self.cfg.targets_per_interface);
+
+        // Vantage points likely to cross the owner *near the candidate
+        // facilities*: probes and looking glasses inside the owner,
+        // nearest candidate metro first (hot-potato routing exits close
+        // to the source, so a nearby vantage point exposes the nearby
+        // peering); then anything that has previously seen the owner.
+        let candidate_coords: Vec<cfs_geo::GeoPoint> = candidates
+            .iter()
+            .filter_map(|f| self.kb().metro_of_facility(f))
+            .map(|m| self.engine.topology().world.metro(m).location)
+            .collect();
+        let distance_to_candidates = |vp: &cfs_traceroute::VantagePoint| -> u64 {
+            candidate_coords
+                .iter()
+                .map(|c| vp.coords.distance_km(*c) as u64)
+                .min()
+                .unwrap_or(u64::MAX)
+        };
+        // Vantage points whose circuit is open (consecutive probe
+        // failures — an outage window, a silent path) yield their pool
+        // slot to the next-nearest candidate instead of burning budget.
+        let mut skipped = 0u64;
+        let clock_ms = self.clock_ms;
+        let breaker = &self.breaker;
+        let mut live = |id: VantagePointId| -> bool {
+            let open = breaker.is_open(u64::from(id.raw()), clock_ms);
+            skipped += u64::from(open);
+            !open
+        };
+        let mut inside: Vec<(u64, VantagePointId)> = self
+            .vps
+            .vps
+            .iter()
+            .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
+            .filter(|(id, _)| live(*id))
+            .map(|(id, vp)| (distance_to_candidates(vp), id))
+            .collect();
+        inside.sort_unstable();
+        let mut vp_pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
+        if let Some(seen) = self.vp_crossed.get(&owner) {
+            for id in seen {
+                if self.allowed_vp(*id) && live(*id) && !vp_pool.contains(id) {
+                    vp_pool.push(*id);
+                }
+            }
+        }
+        vp_pool.truncate(self.cfg.vps_per_target);
+
+        let topo = self.engine.topology();
+        for (_, _, target_as) in &scored {
+            let Ok(target) = topo.target_ip(*target_as) else {
+                continue;
+            };
+            for vp_id in &vp_pool {
+                requests.push((*vp_id, target));
+            }
+        }
+
+        // §4.3 reverse search: when the interface belongs to the far side
+        // of crossings we observed, probe *from* its owner toward the
+        // near-side ASes so the owner becomes the near end.
+        if self.cfg.reverse_search {
+            let reverse_targets: Vec<Asn> = self
+                .observations
+                .iter()
+                .chain(self.session_observations.iter())
+                .filter(|o| o.far_ip == Some(ip))
+                .map(|o| o.near_asn)
+                .collect();
+            if !reverse_targets.is_empty() {
+                let own_vps: Vec<VantagePointId> = self
+                    .vps
+                    .vps
+                    .iter()
+                    .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
+                    .map(|(id, _)| id)
+                    .take(2)
+                    .collect();
+                for near_asn in reverse_targets.into_iter().take(2) {
+                    let Ok(target) = topo.target_ip(near_asn) else {
+                        continue;
+                    };
+                    for vp_id in &own_vps {
+                        requests.push((*vp_id, target));
+                    }
+                }
+            }
+        }
+        skipped
     }
 }
 

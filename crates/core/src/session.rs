@@ -70,7 +70,7 @@ use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
 use cfs_types::{Asn, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
-use crate::engine::{Cfs, DepKey, KbHandle};
+use crate::engine::{Cfs, DepKey};
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::state::SearchOutcome;
@@ -367,9 +367,7 @@ impl<'a> CfsSession<'a> {
             // trigger sequence is an unchanged prefix-preserving
             // subsequence, so the cached verdict is already the batch
             // answer.
-            for ip in &scope {
-                self.cfs.remote_cache.remove(ip);
-            }
+            self.cfs.forget_remote_verdicts(&scope);
         }
         self.cfs.kernel_converge(&scope);
         self.cfs.synthesize_iterations();
@@ -392,9 +390,7 @@ impl<'a> CfsSession<'a> {
         self.cfs.corpus.truncate_to_pin();
         match delta {
             Delta::TracerouteBatch(traces) => self.cfs.ingest(traces),
-            Delta::KbEpochFlip(kb) => {
-                self.cfs.kb = KbHandle::Owned(kb);
-            }
+            Delta::KbEpochFlip(kb) => self.cfs.flip_kb(kb),
             Delta::VpStatusChange { vp, up } => {
                 if up {
                     self.cfs.vp_down.remove(&vp);
@@ -565,7 +561,7 @@ impl<'a> CfsSession<'a> {
         } else {
             self.fingerprints()
         };
-        self.cfs.kb = KbHandle::Owned(kb);
+        self.cfs.flip_kb(kb);
         let mut dirty = BTreeSet::new();
 
         // Diff every footprint the constraint system has consumed against
@@ -709,7 +705,7 @@ mod tests {
     use cfs_obs::Histogram;
     use cfs_topology::{Topology, TopologyConfig};
     use cfs_traceroute::{
-        deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop,
+        deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop, Platform,
         ProbeService, VpConfig, VpSet,
     };
 
@@ -1205,6 +1201,283 @@ mod tests {
         assert!(
             run.bumps > 0,
             "no follow-up probe repeated an external path"
+        );
+    }
+
+    /// What a batch run planned in every follow-up round, what its full
+    /// passes settled, and what it reported.
+    struct Planned {
+        rounds: Vec<(Vec<(VantagePointId, Ipv4Addr)>, u64)>,
+        deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
+        remote_cache: BTreeMap<Ipv4Addr, (IxpId, Option<bool>)>,
+        counters: BTreeMap<&'static str, u64>,
+        report: String,
+    }
+
+    /// A follow-up-driven run: `boot` and every vantage point's
+    /// looking-glass sessions ingested, follow-ups restricted to
+    /// `platforms` (all when empty), the circuits of every other
+    /// vantage point opened before the first round, then converged and
+    /// given `replay` as a follow-up replay delta. Returns what the
+    /// session planned and settled after convergence and after the
+    /// replay; with `naive`, the scanning planner and full passes that
+    /// re-settle every observation.
+    fn planned_runs(
+        world: &World,
+        engine: &dyn ProbeService,
+        cfg: &CfsConfig,
+        platforms: &[Platform],
+        boot: &[Trace],
+        replay: &[Trace],
+        naive: bool,
+    ) -> [Planned; 2] {
+        let rec = Arc::new(TraceRecorder::deterministic());
+        let mut builder = Cfs::builder(engine, &world.kb)
+            .vps(&world.vps)
+            .ipasn(&world.ipasn)
+            .config(cfg.clone())
+            .recorder(rec.clone());
+        if !platforms.is_empty() {
+            builder = builder.platforms(platforms);
+        }
+        let mut session = builder.build_session().unwrap();
+        session.cfs.naive = naive;
+        session.ingest(boot.to_vec());
+        let lg = cfs_bgp::LookingGlassBgp::new(&world.topo);
+        for id in world.vps.of_platform(Platform::LookingGlass) {
+            let vp = &world.vps.vps[*id];
+            session.ingest_bgp_sessions(vp.asn, &lg.sessions(vp.router));
+        }
+        for (id, vp) in world.vps.vps.iter() {
+            if !platforms.is_empty() && !platforms.contains(&vp.platform) {
+                for _ in 0..cfg.breaker_threshold {
+                    session.cfs.breaker.record(u64::from(id.raw()), false, 0);
+                }
+            }
+        }
+        let snapshot = |session: &mut CfsSession<'_>| {
+            assert_eq!(session.cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+            Planned {
+                rounds: std::mem::take(&mut session.cfs.rounds),
+                deps: session.cfs.deps.clone(),
+                remote_cache: session.cfs.remote_cache.clone(),
+                counters: rec.snapshot().counters,
+                report: serde_json::to_string(session.report().unwrap()).unwrap(),
+            }
+        };
+        session.converge();
+        let converged = snapshot(&mut session);
+        session
+            .apply_delta(Delta::TracerouteBatch(replay.to_vec()))
+            .unwrap();
+        [converged, snapshot(&mut session)]
+    }
+
+    /// Runs the scenario with the indexed planner and the watermark, and
+    /// with the scanning planner and naive passes; requires the same
+    /// requests and skipped vantage points in every round, and the same
+    /// `deps`, `remote_cache`, counters and report after convergence and
+    /// after the replay. Returns the indexed run.
+    fn planner_against_naive(
+        world: &World,
+        engine: &dyn ProbeService,
+        cfg: &CfsConfig,
+        platforms: &[Platform],
+        boot: &[Trace],
+        replay: &[Trace],
+        label: &str,
+    ) -> [Planned; 2] {
+        let naive = planned_runs(world, engine, cfg, platforms, boot, replay, true);
+        let indexed = planned_runs(world, engine, cfg, platforms, boot, replay, false);
+        for (stage, (a, b)) in naive.iter().zip(&indexed).enumerate() {
+            assert_eq!(
+                a.rounds.len(),
+                b.rounds.len(),
+                "{label}/{stage}: round count"
+            );
+            for (round, (a, b)) in a.rounds.iter().zip(&b.rounds).enumerate() {
+                assert_eq!(a, b, "{label}/{stage}: round {round} planned differently");
+            }
+            assert!(a.deps == b.deps, "{label}/{stage}: deps differ");
+            assert!(
+                a.remote_cache == b.remote_cache,
+                "{label}/{stage}: remote verdicts differ"
+            );
+            assert_eq!(a.counters, b.counters, "{label}/{stage}: counters differ");
+            assert!(a.report == b.report, "{label}/{stage}: reports differ");
+        }
+        indexed
+    }
+
+    #[test]
+    fn indexed_planner_and_watermark_equal_the_naive_batch() {
+        let world = World::new();
+        let cfg = CfsConfig {
+            threads: 2,
+            ..CfsConfig::default()
+        };
+        let clean = Engine::new(&world.topo);
+        let boot = world.campaign(&clean, 0, 0..12);
+        let replay = world.campaign(&clean, 7_200_000, 12..18);
+        let run = planner_against_naive(&world, &clean, &cfg, &[], &boot, &replay, "clean");
+        assert!(run[0].rounds.len() > 3, "too few follow-up rounds");
+
+        // Reverse search adds requests the same run without it lacks.
+        let forward = CfsConfig {
+            reverse_search: false,
+            ..cfg.clone()
+        };
+        let without = planned_runs(&world, &clean, &forward, &[], &boot, &replay, false);
+        assert_ne!(
+            run[0].rounds, without[0].rounds,
+            "reverse search planned nothing"
+        );
+
+        // Outages open circuits; one platform plans, and the circuits of
+        // the others are open, which the scanning planner never counts.
+        let plan = FaultPlan::new(5, FaultProfile::blackout());
+        let chaos = ChaosEngine::new(Engine::new(&world.topo), plan);
+        let boot = world.campaign(&chaos, 0, 0..12);
+        let replay = world.campaign(&chaos, 7_200_000, 12..18);
+        let only = [Platform::RipeAtlas];
+        let run = planner_against_naive(&world, &chaos, &cfg, &only, &boot, &replay, "chaos");
+        let skipped: u64 = run.iter().flat_map(|p| &p.rounds).map(|(_, s)| s).sum();
+        assert!(skipped > 0, "no circuit opened");
+    }
+
+    #[test]
+    fn indexed_planner_and_watermark_equal_the_naive_batch_at_default_scale() {
+        let world = World::at(TopologyConfig::default(), &VpConfig::default());
+        let engine = Engine::new(&world.topo);
+        let cfg = CfsConfig {
+            threads: 2,
+            ..CfsConfig::default()
+        };
+        let boot = world.campaign(&engine, 0, 0..8);
+        let replay = world.campaign(&engine, 7_200_000, 8..10);
+        let run = planner_against_naive(&world, &engine, &cfg, &[], &boot, &replay, "default");
+        assert!(run[0].rounds.len() > 3, "too few follow-up rounds");
+    }
+
+    #[test]
+    fn every_mutation_site_resets_the_constraint_watermark() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let mut session = world.session(&engine, service_config(2));
+        session.ingest(world.campaign(&engine, 0, 0..12));
+        session.converge();
+        let full_pass = |cfs: &mut Cfs<'_>| {
+            cfs.apply_constraints_scoped(1, None);
+            assert_eq!(
+                cfs.settled,
+                (cfs.observations.len(), cfs.session_observations.len())
+            );
+            assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        };
+        // What a watermark left standing over the current lists would
+        // miss.
+        let stale = |cfs: &mut Cfs<'_>| {
+            let kept = cfs.settled;
+            cfs.settled = (cfs.observations.len(), cfs.session_observations.len());
+            let missed = cfs.watermark_breaches().len();
+            cfs.settled = kept;
+            missed
+        };
+        full_pass(&mut session.cfs);
+
+        // Appending keeps the settled prefix settled.
+        let cfs = &mut session.cfs;
+        cfs.ingest(world.campaign(&engine, 7_200_000, 12..18));
+        cfs.process_new_traces();
+        assert!(cfs.settled.0 > 0 && cfs.settled.0 < cfs.observations.len());
+        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        full_pass(cfs);
+
+        cfs.reset_observations();
+        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        cfs.process_new_traces();
+        full_pass(cfs);
+
+        cfs.rebuild_observations();
+        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        cfs.process_new_traces();
+        full_pass(cfs);
+
+        // A flip to an epoch missing half the facilities empties some
+        // owner-exchange overlaps: remote tests the old epoch never ran.
+        let mut thin = world.kb.clone();
+        let half = world.topo.facilities.ids().step_by(2).collect();
+        thin.remove_facilities(&half);
+        assert!(world.kb.same_classification_view(&thin));
+        session.absorb_kb_flip(Arc::new(thin));
+        let cfs = &mut session.cfs;
+        assert!(
+            stale(cfs) > 0,
+            "the flip left every settled observation settled"
+        );
+        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        full_pass(cfs);
+
+        let tested: BTreeSet<Ipv4Addr> = cfs.remote_cache.keys().copied().collect();
+        cfs.forget_remote_verdicts(&tested);
+        assert!(stale(cfs) > 0, "no forgotten verdict was needed");
+        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        full_pass(cfs);
+    }
+
+    #[test]
+    fn prefix_provenance_flip_re_extracts_the_held_evidence() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let boot = world.campaign(&engine, 0, 0..12);
+        let mut session = world.session(&engine, service_config(1));
+        session.ingest(boot.clone());
+        session.converge();
+
+        // The consortium list disputes a crossed peering LAN, naming an
+        // unrelated prefix for the exchange instead: the confirmed space
+        // stays, its agreement drops.
+        let kb2 = session
+            .cfs
+            .observations
+            .iter()
+            .find_map(|obs| {
+                let (ixp, fabric) = obs.class.ixp().zip(obs.far_ip)?;
+                let mut sources = world.sources.clone();
+                let elsewhere = cfs_net::Ipv4Prefix::must([198, 18, 0, 0], 24);
+                match sources.consortium_list.iter_mut().find(|(x, _)| *x == ixp) {
+                    Some((_, prefixes)) => {
+                        prefixes.retain(|p| !p.contains(fabric));
+                        prefixes.push(elsewhere);
+                    }
+                    None => sources.consortium_list.push((ixp, vec![elsewhere])),
+                }
+                let kb2 = KnowledgeBase::assemble(&sources, &world.topo.world);
+                let disputed = kb2.ixp_of_ip(fabric) == Some(ixp)
+                    && kb2.prefix_agreement_pm(ixp, fabric)
+                        < world.kb.prefix_agreement_pm(ixp, fabric);
+                disputed.then(|| Arc::new(kb2))
+            })
+            .expect("some crossed peering LAN can be disputed");
+        let held = session.cfs.observations.clone();
+        session
+            .apply_delta(Delta::KbEpochFlip(kb2.clone()))
+            .unwrap();
+
+        let mut fresh = Cfs::builder(&engine, &kb2)
+            .vps(&world.vps)
+            .ipasn(&world.ipasn)
+            .config(service_config(1))
+            .build_session()
+            .unwrap();
+        fresh.ingest(boot);
+        fresh.converge();
+        assert!(session.cfs.observations != held, "no held evidence moved");
+        assert!(session.cfs.observations == fresh.cfs.observations);
+        assert!(session.cfs.session_observations == fresh.cfs.session_observations);
+        assert_eq!(
+            serde_json::to_string(session.report().unwrap()).unwrap(),
+            serde_json::to_string(fresh.report().unwrap()).unwrap()
         );
     }
 }

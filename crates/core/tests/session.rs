@@ -6,7 +6,7 @@
 //! `cfsd` serve incremental answers without ever drifting from the
 //! paper's batch semantics.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::sync::Arc;
@@ -15,13 +15,14 @@ use cfs_alias::{correct_ip_to_asn, resolve_aliases, IpIdProber};
 use cfs_chaos::{FaultPlan, FaultProfile};
 use cfs_core::{canonical_trace, Cfs, CfsConfig, CfsReport, Delta};
 use cfs_kb::{KbConfig, KnowledgeBase, PublicSources};
+use cfs_net::Ipv4Prefix;
 use cfs_obs::TraceRecorder;
 use cfs_topology::{Topology, TopologyConfig};
 use cfs_traceroute::{
     deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop, ProbeService,
     Trace, VpConfig, VpSet,
 };
-use cfs_types::VantagePointId;
+use cfs_types::{IxpId, VantagePointId};
 
 struct World {
     topo: Topology,
@@ -443,6 +444,9 @@ fn kb_flip_dirties_strict_subset_and_matches_fresh_batch() {
                 .then(|| (*asn, victim, Arc::new(kb2)))
         })
         .expect("some observed AS has a removable facility");
+    // Footprints are not classification: the flip takes the same-view
+    // path, which extracts nothing.
+    assert!(kb.same_classification_view(&kb2));
 
     for threads in [1usize, 2, 8] {
         let full = fresh_report(
@@ -465,9 +469,11 @@ fn kb_flip_dirties_strict_subset_and_matches_fresh_batch() {
             .unwrap();
         session.ingest(batch.clone());
         session.converge();
+        let extracted = recorder.snapshot().counters["extract.traces"];
         let outcome = session
             .apply_delta(Delta::KbEpochFlip(kb2.clone()))
             .unwrap();
+        assert_eq!(recorder.snapshot().counters["extract.traces"], extracted);
 
         // The acceptance assertion: a 1-record KB delta re-converges
         // strictly fewer interfaces than the session tracks, and the
@@ -501,6 +507,102 @@ fn kb_flip_dirties_strict_subset_and_matches_fresh_batch() {
             report_bytes(&full),
             report_bytes(&incremental),
             "threads={threads}: KB flip diverged from fresh batch under the new epoch"
+        );
+        assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
+    }
+}
+
+/// `sources` with the consortium list disputing the peering LAN of `ixp`
+/// that covers `fabric`: it names an unrelated prefix for the exchange
+/// instead, a lone claim that confirms nothing.
+fn dispute_lan(sources: &PublicSources, ixp: IxpId, fabric: Ipv4Addr) -> PublicSources {
+    let mut out = sources.clone();
+    let elsewhere = Ipv4Prefix::must([198, 18, 0, 0], 24);
+    match out.consortium_list.iter_mut().find(|(x, _)| *x == ixp) {
+        Some((_, prefixes)) => {
+            prefixes.retain(|p| !p.contains(fabric));
+            prefixes.push(elsewhere);
+        }
+        None => out.consortium_list.push((ixp, vec![elsewhere])),
+    }
+    out
+}
+
+#[test]
+fn prefix_provenance_flip_matches_fresh_batch() {
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let batch = world.campaign(&engine, &vps, 0);
+    let fresh = |kb: &KnowledgeBase, threads| {
+        fresh_report(
+            &engine,
+            kb,
+            &vps,
+            &ipasn,
+            threads,
+            std::slice::from_ref(&batch),
+            BTreeSet::new(),
+        )
+    };
+    let baseline = fresh(&kb, 1);
+
+    // One fabric address per crossed exchange, busiest exchange first.
+    let mut crossed: BTreeMap<IxpId, (usize, Ipv4Addr)> = BTreeMap::new();
+    for link in &baseline.links {
+        if let (Some(ixp), Some(fabric)) = (link.ixp, link.far_ip) {
+            crossed.entry(ixp).or_insert((0, fabric)).0 += 1;
+        }
+    }
+    let mut crossed: Vec<(usize, IxpId, Ipv4Addr)> = crossed
+        .into_iter()
+        .map(|(ixp, (n, fabric))| (n, ixp, fabric))
+        .collect();
+    crossed.sort_unstable_by(|a, b| b.cmp(a));
+
+    // Same confirmed peering-LAN space, lower agreement on one prefix,
+    // and a fresh batch that reads the difference.
+    let kb2 = crossed
+        .iter()
+        .find_map(|(_, ixp, fabric)| {
+            let sources = dispute_lan(&world.sources, *ixp, *fabric);
+            let kb2 = KnowledgeBase::assemble(&sources, &world.topo.world);
+            let still_confirmed = kb2.ixp_of_ip(*fabric) == Some(*ixp);
+            let disputed =
+                kb2.prefix_agreement_pm(*ixp, *fabric) < kb.prefix_agreement_pm(*ixp, *fabric);
+            let bites = report_bytes(&fresh(&kb2, 1)) != report_bytes(&baseline);
+            (still_confirmed && disputed && bites).then(|| Arc::new(kb2))
+        })
+        .expect("disputing some crossed peering LAN moves a verdict");
+    assert!(!kb.same_classification_view(&kb2));
+
+    for threads in [1usize, 2, 8] {
+        let full = fresh(&kb2, threads);
+        let recorder = Arc::new(TraceRecorder::deterministic());
+        let mut session = Cfs::builder(&engine, &kb)
+            .vps(&vps)
+            .ipasn(&ipasn)
+            .config(service_config(threads))
+            .recorder(recorder.clone())
+            .build_session()
+            .unwrap();
+        session.ingest(batch.clone());
+        session.converge();
+        let extracted = recorder.snapshot().counters["extract.traces"];
+        session
+            .apply_delta(Delta::KbEpochFlip(kb2.clone()))
+            .unwrap();
+        assert!(
+            recorder.snapshot().counters["extract.traces"] > extracted,
+            "threads={threads}: the flip kept the held evidence"
+        );
+        let incremental = session.into_report();
+        assert_eq!(
+            report_bytes(&full),
+            report_bytes(&incremental),
+            "threads={threads}: prefix-provenance flip diverged from fresh batch"
         );
         assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
     }

@@ -231,8 +231,9 @@ impl KnowledgeBase {
     /// Exchanges `asn` is known to be a member of (PeeringDB claims plus
     /// website directories) — used for the tethering-vs-remote call and
     /// for follow-up target prioritization.
-    pub fn ixps_of_as(&self, asn: Asn) -> BTreeSet<IxpId> {
-        self.as_ixps.get(&asn).cloned().unwrap_or_default()
+    pub fn ixps_of_as(&self, asn: Asn) -> &BTreeSet<IxpId> {
+        static NONE: BTreeSet<IxpId> = BTreeSet::new();
+        self.as_ixps.get(&asn).unwrap_or(&NONE)
     }
 
     /// How many fabric addresses the directories list for `asn` at `ixp` —
@@ -318,10 +319,16 @@ impl KnowledgeBase {
     /// at `ixp`, in per-mille — the confidence behind a prefix-rule hit
     /// in the multi-rule IXP-hop detector.
     pub fn prefix_agreement_pm(&self, ixp: IxpId, ip: Ipv4Addr) -> u32 {
+        // Keys order by (exchange, network, length), so every prefix of
+        // `ixp` that can contain `ip` sits between 0.0.0.0/0 and `ip`/32.
+        let (lo, hi) = (
+            Ipv4Prefix::must([0; 4], 0),
+            Ipv4Prefix::must(ip.octets(), 32),
+        );
         self.reconciliation
             .prefix
-            .iter()
-            .filter(|((x, p), _)| *x == ixp && p.contains(ip))
+            .range((ixp, lo)..=(ixp, hi))
+            .filter(|((_, p), _)| p.contains(ip))
             .map(|(_, prov)| prov.agreement_pm)
             .max()
             .unwrap_or(0)
@@ -339,9 +346,10 @@ impl KnowledgeBase {
             && self.ixp_members == other.ixp_members
             && self.as_ixps == other.as_ixps
             && self.ixp_prefixes.iter() == other.ixp_prefixes.iter()
-            // Membership provenance weights the multi-rule IXP-hop
-            // detector, so extraction reads it too.
+            // Membership and prefix provenance weight the multi-rule
+            // IXP-hop detector, so extraction reads them too.
             && self.reconciliation.membership == other.reconciliation.membership
+            && self.reconciliation.prefix == other.reconciliation.prefix
     }
 
     /// All ASes with any facility record.
