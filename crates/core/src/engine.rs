@@ -12,9 +12,8 @@
 //! All iterated engine state (`states`, the facility caches, the
 //! exposure index…) is deliberately `BTreeMap`/`BTreeSet`, never the
 //! hashed std containers, so iteration order — and therefore report
-//! bytes — cannot depend on hasher seeds. `cfs-lint`'s
-//! `unordered-iteration` rule enforces this for every library crate
-//! (DESIGN.md §6).
+//! bytes — cannot depend on hasher seeds. `clippy.toml` bans both
+//! hashed containers in every crate (DESIGN.md §6).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;

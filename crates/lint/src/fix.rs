@@ -239,8 +239,8 @@ mod tests {
 
     #[test]
     fn removing_one_rule_keeps_the_rest_of_the_directive() {
-        let line = "x(); // cfs-lint: allow(unwrap-in-lib, wall-clock) — both claimed";
-        let fixed = remove_allow_rule(line, "wall-clock").unwrap().unwrap();
+        let line = "x(); // cfs-lint: allow(unwrap-in-lib, raw-socket) — both claimed";
+        let fixed = remove_allow_rule(line, "raw-socket").unwrap().unwrap();
         assert_eq!(
             fixed,
             "x(); // cfs-lint: allow(unwrap-in-lib) — both claimed"
@@ -249,19 +249,19 @@ mod tests {
 
     #[test]
     fn removing_the_last_rule_drops_the_directive_or_line() {
-        let trailing = "x(); // cfs-lint: allow(wall-clock) — stale";
+        let trailing = "x(); // cfs-lint: allow(raw-socket) — stale";
         assert_eq!(
-            remove_allow_rule(trailing, "wall-clock").unwrap().unwrap(),
+            remove_allow_rule(trailing, "raw-socket").unwrap().unwrap(),
             "x();"
         );
-        let standalone = "// cfs-lint: allow(wall-clock) — stale";
-        assert_eq!(remove_allow_rule(standalone, "wall-clock").unwrap(), None);
+        let standalone = "// cfs-lint: allow(raw-socket) — stale";
+        assert_eq!(remove_allow_rule(standalone, "raw-socket").unwrap(), None);
     }
 
     #[test]
     fn plan_covers_exactly_the_mechanical_findings() {
         let src =
-            "fn f() { a.unwrap(); }\n// cfs-lint: allow(wall-clock) — nothing here\nfn g() {}\n";
+            "fn f() { a.unwrap(); }\n// cfs-lint: allow(raw-socket) — nothing here\nfn g() {}\n";
         let findings = check_source("crates/core/src/x.rs", src);
         let plan = plan_from_findings(&findings);
         assert_eq!(plan.len(), 2, "{plan:#?}");
@@ -270,12 +270,12 @@ mod tests {
             .any(|p| matches!(p.kind, FixKind::ReplaceUnwrap)));
         assert!(plan
             .iter()
-            .any(|p| matches!(&p.kind, FixKind::RemoveAllowRule { rule } if rule == "wall-clock")));
+            .any(|p| matches!(&p.kind, FixKind::RemoveAllowRule { rule } if rule == "raw-socket")));
     }
 
     #[test]
     fn non_mechanical_findings_are_not_planned() {
-        let src = "fn f() { let t = Instant::now(); let m: HashMap<u32, u32>; }\n";
+        let src = "fn f() { let s = TcpStream::connect(a); x.expect(msg); }\n";
         let findings = check_source("crates/core/src/x.rs", src);
         assert!(!findings.is_empty());
         assert!(plan_from_findings(&findings).is_empty());

@@ -3,7 +3,7 @@
 //! The rules in this linter are lexical, so all the scanner has to get
 //! right is *what is code*: comment bodies, string/char literal
 //! contents, and raw strings must never be mistaken for code (a
-//! `"HashMap"` inside a log message is not a finding), and comment text
+//! `"TcpStream"` inside a log message is not a finding), and comment text
 //! must be preserved so `// cfs-lint: allow(...)` directives can be
 //! parsed. This is deliberately not a full lexer — no token stream, no
 //! spans — just a masking pass plus `#[cfg(test)]` region tracking.

@@ -4,9 +4,11 @@
 //! workspace's own Rust sources, in two layers:
 //!
 //! * **Token rules** ([`rules`]): per-file lexical invariants over
-//!   masked source ([`lexer`]) — seeded randomness only, no wall clocks
-//!   outside the sanctioned module, no panics in library code, socket
-//!   I/O single-homed in `crates/svc`, and so on.
+//!   masked source ([`lexer`]) — no panics in library code, socket I/O
+//!   single-homed in `crates/svc`, vendored stubs free of entropy and
+//!   wall time. Bans that name a path (hashed containers, wall clock,
+//!   sleeps, free threads, `Rc`) are not here: `clippy.toml` is their
+//!   one home.
 //! * **Semantic rules**: workspace-wide analyses built on the same
 //!   masked scan — a per-crate symbol table and `use` resolution
 //!   ([`resolve`]), an intra-crate call-graph approximation
@@ -384,7 +386,7 @@ mod tests {
             path: "crates/x/src/a.rs".into(),
             line: 3,
             col: 7,
-            rule: "wall-clock",
+            rule: "raw-socket",
             message: "uses \"now\"".into(),
         }];
         let a = render_json(&findings);

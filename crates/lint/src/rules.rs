@@ -1,11 +1,13 @@
 //! The rule catalog and the per-file check pass.
 //!
 //! Each rule is a lexical invariant keyed to a guarantee the workspace
-//! already made (see DESIGN.md §6 "Enforced invariants"): byte-identical
-//! reports at any thread count, seeded randomness only, no panics in
-//! library code. Rules match over *masked* source (comments and literal
-//! contents blanked by [`crate::lexer::scan`]) so strings and docs never
-//! produce findings.
+//! already made (see DESIGN.md §6 "Enforced invariants"): socket I/O
+//! only in `crates/svc`, vendored stubs free of entropy and wall time,
+//! no panics in library code. Bans that name a path (hashed containers,
+//! wall clock, sleeps, free threads, `Rc`) live in `clippy.toml` only,
+//! where the compiler resolves them. Rules match over *masked* source
+//! (comments and literal contents blanked by [`crate::lexer::scan`]) so
+//! strings and docs never produce findings.
 
 use crate::lexer::{scan, ScannedFile};
 
@@ -36,11 +38,6 @@ pub struct FileCtx {
     /// Which target kind the file belongs to.
     pub target: Target,
 }
-
-/// The crates whose types are compile-time-asserted `Send`/`Sync`
-/// (see `crates/core/src/engine.rs::_assert_send_sync`): a stray `Rc`
-/// in any of them is a latent `!Send` regression.
-const SEND_CRATES: &[&str] = &["types", "net", "kb", "traceroute", "alias", "core"];
 
 /// Classifies a workspace-relative, `/`-separated path. Returns `None`
 /// for files the linter does not reason about (unknown layouts are
@@ -109,44 +106,24 @@ pub struct RuleInfo {
 /// Every rule the linter knows, in stable (alphabetical) order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "ambient-rng",
-        summary: "randomness must come from the seeded topology RNG, never ambient entropy",
-    },
-    RuleInfo {
         name: "api-drift",
         summary: "every cfs-api/1 surface (parser, request literals, DESIGN.md §10) must agree",
     },
     RuleInfo {
         name: "determinism-race",
-        summary: "scoped-worker closures must not mutate captures, lock, or iterate unordered containers",
+        summary: "scoped-worker closures must not mutate captures or sequence results through locks",
     },
     RuleInfo {
         name: "panic-reachability",
         summary: "no panic site may be reachable from the cfsd request loop; answer typed errors",
     },
     RuleInfo {
-        name: "raw-sleep",
-        summary: "thread::sleep/spin loops stall real time; schedule on the virtual clock instead",
-    },
-    RuleInfo {
         name: "raw-socket",
         summary: "socket I/O is single-homed in crates/svc; speak cfs-api/1 through Client/Server",
     },
     RuleInfo {
-        name: "raw-thread-spawn",
-        summary: "use the scoped fan-out (crossbeam scope), not free-running std threads",
-    },
-    RuleInfo {
-        name: "rc-in-send-crate",
-        summary: "Rc in a crate whose types are asserted Send/Sync is a latent !Send regression",
-    },
-    RuleInfo {
         name: "unjustified-allow",
         summary: "every cfs-lint allow(...) must carry a one-line justification",
-    },
-    RuleInfo {
-        name: "unordered-iteration",
-        summary: "HashMap/HashSet iteration order is unspecified; use BTree* in report paths",
     },
     RuleInfo {
         name: "unused-allow",
@@ -159,10 +136,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "vendor-surface",
         summary: "vendored stub APIs must not leak ambient entropy or wall time (sanctioned paths excepted)",
-    },
-    RuleInfo {
-        name: "wall-clock",
-        summary: "Instant::now/SystemTime::now leak wall time into results; use the virtual clock",
     },
 ];
 
@@ -179,7 +152,7 @@ fn find_tokens(line: &str, needle: &str, whole_word: bool) -> Vec<usize> {
     let mut from = 0usize;
     // Only needles that *start* with an identifier char can be
     // swallowed by a longer identifier (`.unwrap()` after `cfs` is
-    // fine; `Rc` inside `Arc` is not).
+    // fine; `UnixStream` inside `MyUnixStream` is not).
     let guard_prefix = needle.as_bytes().first().copied().is_some_and(is_ident);
     while let Some(p) = line[from..].find(needle) {
         let at = from + p;
@@ -255,15 +228,14 @@ pub fn parse_directives(scanned: &ScannedFile) -> Vec<Directive> {
 /// `(path prefix, token)` pairs exempt from `vendor-surface`: stub
 /// surfaces that intentionally mirror an upstream API whose contract
 /// includes the token. Criterion's measurement loop *is* wall-clock
-/// timing; everything it reports is already quarantined in
-/// `crates/bench` by the `wall-clock` rule on the workspace side.
+/// timing, and only `crates/bench` depends on it.
 const VENDOR_SANCTIONED: &[(&str, &str)] = &[("vendor/criterion/", "Instant::now")];
 
-/// Tokens a vendored stub's surface must not expose: the same ambient
-/// entropy and wall-time vocabulary the workspace rules ban, because a
-/// stub that reaches for them smuggles nondeterminism *under* the
-/// seeded-RNG and virtual-clock rules (workspace code calling a clean-
-/// looking stub API would still lint clean).
+/// Tokens a vendored stub's surface must not expose: ambient entropy
+/// and wall time. `clippy.toml` bans wall-time reads in workspace code
+/// and the stubs export no entropy source, so a stub that reached for
+/// either would smuggle nondeterminism *under* both (workspace code
+/// calling a clean-looking stub API would still pass clippy).
 const VENDOR_TOKENS: &[&str] = &[
     "thread_rng",
     "from_entropy",
@@ -285,7 +257,6 @@ fn check_line(
     in_test: bool,
     out: &mut Vec<Finding>,
 ) {
-    let lib_like = matches!(ctx.target, Target::Lib | Target::Bin);
     let mut push = |col: usize, rule: &'static str, message: String| {
         out.push(Finding {
             path: path.to_owned(),
@@ -298,8 +269,8 @@ fn check_line(
 
     // Vendored stubs get exactly one rule — their surface must stay as
     // deterministic as the workspace that calls it — and none of the
-    // workspace-layout rules (a stub legitimately uses HashMap, spawns
-    // threads, whatever its upstream API requires).
+    // workspace-layout rules (a stub may use whatever its upstream API
+    // requires).
     if ctx.target == Target::Vendor {
         if in_test {
             return;
@@ -321,74 +292,7 @@ fn check_line(
         return;
     }
 
-    // unordered-iteration: deterministic reports need deterministic
-    // iteration; std's hashed containers are banned from non-test
-    // library code outright (BTreeMap/BTreeSet/sorted Vec instead).
-    if lib_like && !in_test {
-        for needle in ["HashMap", "HashSet"] {
-            for col in find_tokens(line, needle, true) {
-                push(
-                    col,
-                    "unordered-iteration",
-                    format!("`{needle}` iteration order is unspecified and varies per process; use `BTreeMap`/`BTreeSet` or sort before iterating"),
-                );
-            }
-        }
-    }
-
-    // wall-clock: only the bench targets and cfs-obs's clock module —
-    // the one sanctioned home of `Instant::now`, behind the injectable
-    // `Clock` trait — may read real time; everything else uses virtual
-    // clocks so runs are reproducible.
-    if ctx.target != Target::Bench && path != "crates/obs/src/clock.rs" {
-        for needle in ["Instant::now", "SystemTime::now"] {
-            for col in find_tokens(line, needle, true) {
-                push(
-                    col,
-                    "wall-clock",
-                    format!("`{needle}` reads wall time; go through `cfs_obs::Clock` (`Monotonic`/`Virtual`) or move timing into `crates/bench`"),
-                );
-            }
-        }
-    }
-
-    // ambient-rng: every random draw must derive from the seeded
-    // topology RNG (ChaCha20Rng::seed_from_u64), in all targets.
-    for needle in [
-        "thread_rng",
-        "from_entropy",
-        "from_os_rng",
-        "OsRng",
-        "rand::random",
-    ] {
-        for col in find_tokens(line, needle, true) {
-            push(
-                col,
-                "ambient-rng",
-                format!("`{needle}` draws ambient entropy; derive a `ChaCha20Rng::seed_from_u64` stream from the topology seed instead"),
-            );
-        }
-    }
-
-    // rc-in-send-crate: the Send/Sync compile-time assertions only
-    // cover the types they name; a new Rc field elsewhere in these
-    // crates would silently poison the next type that embeds it.
-    if SEND_CRATES.contains(&ctx.crate_name.as_str()) && lib_like && !in_test {
-        let mut cols: Vec<usize> = Vec::new();
-        for needle in ["Rc<", "Rc::", "std::rc"] {
-            cols.extend(find_tokens(line, needle, false));
-        }
-        if let Some(&col) = cols.iter().min() {
-            push(
-                col,
-                "rc-in-send-crate",
-                "`Rc` in a Send/Sync-asserted crate; use `Arc` (see engine.rs::_assert_send_sync)"
-                    .to_owned(),
-            );
-        }
-    }
-
-    // raw-socket: like wall-clock, a single-home rule — socket I/O
+    // raw-socket: a single-home rule — socket I/O
     // lives only in `crates/svc`, the daemon/client pair behind the
     // versioned cfs-api/1 protocol. A socket anywhere else would move
     // bytes around the schema and its typed errors.
@@ -397,6 +301,7 @@ fn check_line(
             "TcpListener",
             "TcpStream",
             "UdpSocket",
+            "UnixDatagram",
             "UnixListener",
             "UnixStream",
         ] {
@@ -407,18 +312,6 @@ fn check_line(
                     format!("`{needle}` outside `crates/svc`; talk to a daemon through `cfs_svc::Client`/`Server` so every byte crosses the versioned cfs-api/1 protocol"),
                 );
             }
-        }
-    }
-
-    // raw-thread-spawn: free-running threads escape the deterministic
-    // submission-order merge; all fan-out goes through scoped workers.
-    if lib_like && !in_test {
-        for col in find_tokens(line, "thread::spawn", true) {
-            push(
-                col,
-                "raw-thread-spawn",
-                "free-running `thread::spawn` breaks the deterministic fan-out/merge; use `crossbeam::thread::scope` chunked workers".to_owned(),
-            );
         }
     }
 
@@ -447,23 +340,6 @@ fn check_line(
                     col,
                     "unwrap-in-lib",
                     "`.expect(...)` without a literal message; document the invariant in a string literal or return a typed error".to_owned(),
-                );
-            }
-        }
-    }
-
-    // raw-sleep: blocking on wall time stalls the pipeline and makes
-    // timing nondeterministic; delays are modelled as virtual-clock
-    // offsets (`RetryPolicy::delay_ms` feeds probe timestamps, nothing
-    // actually sleeps). Like wall-clock, the bench targets and cfs-obs's
-    // clock module are the only sanctioned homes.
-    if ctx.target != Target::Bench && path != "crates/obs/src/clock.rs" {
-        for needle in ["thread::sleep", "sleep_ms", "spin_loop"] {
-            for col in find_tokens(line, needle, true) {
-                push(
-                    col,
-                    "raw-sleep",
-                    format!("`{needle}` blocks on wall time; model the delay as a virtual-clock offset (see `cfs_chaos::RetryPolicy`) or move it into `crates/bench`"),
                 );
             }
         }
@@ -619,9 +495,9 @@ mod tests {
 
     #[test]
     fn vendor_surface_bans_entropy_but_not_layout_rules() {
-        // A stub may use HashMap and spawn threads (its upstream API may
-        // demand it); what it may not do is read entropy or wall time.
-        let src = "use std::collections::HashMap;\nfn f() { let r = OsRng; let t = std::time::Instant::now(); }\n";
+        // A stub may open sockets and unwrap (its upstream API may demand
+        // it); what it may not do is read entropy or wall time.
+        let src = "use std::net::TcpListener;\nfn f() { let r = OsRng; let t = std::time::Instant::now(); x.unwrap(); }\n";
         let f = check_source("vendor/rand/src/lib.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "vendor-surface"));
@@ -636,30 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_sanction_list_is_exactly_the_clock_module() {
-        // The duration sidecar (profile.rs) and the diff engine
-        // (diff.rs) consume timings but must never *capture* them —
-        // duration capture lives only behind `cfs_obs::Clock` in
-        // clock.rs. A stray `Instant::now` in any other obs module is a
-        // finding.
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(check_source("crates/obs/src/clock.rs", src).is_empty());
-        for path in [
-            "crates/obs/src/profile.rs",
-            "crates/obs/src/diff.rs",
-            "crates/obs/src/trace.rs",
-        ] {
-            let f = check_source(path, src);
-            assert_eq!(f.len(), 1, "{path} must not be a sanctioned clock home");
-            assert_eq!(f[0].rule, "wall-clock", "{path}");
-        }
-    }
-
-    #[test]
     fn string_contents_never_fire() {
         let f = check_source(
             "crates/core/src/x.rs",
-            "fn f() { let _ = \"HashMap Instant::now() .unwrap()\"; }\n",
+            "fn f() { let _ = \"TcpStream::connect(a) .unwrap()\"; }\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
@@ -691,7 +547,7 @@ mod tests {
 
     #[test]
     fn standalone_directive_covers_next_line() {
-        let src = "// cfs-lint: allow(wall-clock) — operator-facing elapsed print\nlet t = Instant::now();\n";
+        let src = "// cfs-lint: allow(raw-socket) — fixture probe of a local port\nlet s = TcpStream::connect(a);\n";
         assert!(check_source("crates/core/src/x.rs", src).is_empty());
     }
 
@@ -699,16 +555,16 @@ mod tests {
     fn doc_comments_do_not_carry_directives() {
         // The doc text *describes* the syntax; it must neither suppress
         // the finding on the next line nor trip unjustified-allow.
-        let src = "/// Write `// cfs-lint: allow(wall-clock)` to suppress.\nfn f() { let _ = Instant::now(); }\n";
+        let src = "/// Write `// cfs-lint: allow(raw-socket)` to suppress.\nfn f() { let _ = TcpStream::connect(a); }\n";
         let f = check_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "wall-clock");
+        assert_eq!(f[0].rule, "raw-socket");
     }
 
     #[test]
     fn stale_allow_fires_unused_allow() {
         let src =
-            "fn f() { let x = 1; } // cfs-lint: allow(wall-clock) — stale: nothing to silence\n";
+            "fn f() { let x = 1; } // cfs-lint: allow(raw-socket) — stale: nothing to silence\n";
         let f = check_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unused-allow");
@@ -716,11 +572,11 @@ mod tests {
 
     #[test]
     fn partially_used_allow_flags_only_the_stale_rule() {
-        let src = "fn f() { Some(1).unwrap() } // cfs-lint: allow(unwrap-in-lib, wall-clock) — only one applies\n";
+        let src = "fn f() { Some(1).unwrap() } // cfs-lint: allow(unwrap-in-lib, raw-socket) — only one applies\n";
         let f = check_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unused-allow");
-        assert!(f[0].message.contains("wall-clock"), "{f:?}");
+        assert!(f[0].message.contains("raw-socket"), "{f:?}");
     }
 
     #[test]
@@ -729,25 +585,6 @@ mod tests {
         let f = check_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unjustified-allow");
-    }
-
-    #[test]
-    fn obs_clock_module_is_the_sanctioned_wall_clock_home() {
-        let src = "pub fn origin() { let _ = std::time::Instant::now(); }\n";
-        assert!(check_source("crates/obs/src/clock.rs", src).is_empty());
-        let f = check_source("crates/obs/src/recorder.rs", src);
-        assert_eq!(f.len(), 1, "only clock.rs is sanctioned: {f:?}");
-        assert_eq!(f[0].rule, "wall-clock");
-    }
-
-    #[test]
-    fn raw_sleep_banned_outside_clock_and_bench() {
-        let src = "fn f() { std::thread::sleep(d); std::hint::spin_loop(); }\n";
-        let f = check_source("crates/core/src/x.rs", src);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "raw-sleep"));
-        assert!(check_source("crates/obs/src/clock.rs", src).is_empty());
-        assert!(check_source("crates/bench/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -769,11 +606,5 @@ mod tests {
             assert_eq!(f.len(), 1, "{path} must not open sockets: {f:?}");
             assert_eq!(f[0].rule, "raw-socket", "{path}");
         }
-    }
-
-    #[test]
-    fn arc_does_not_trip_rc_rule() {
-        let src = "use std::sync::Arc;\nfn f(x: Arc<u32>) -> Arc<u32> { x }\n";
-        assert!(check_source("crates/kb/src/x.rs", src).is_empty());
     }
 }

@@ -6,5 +6,6 @@ pub fn listen(addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let (stream, _) = listener.accept()?;
     drop(stream);
+    let _datagram = std::os::unix::net::UnixDatagram::unbound()?;
     Ok(())
 }

@@ -1,5 +1,4 @@
-// Fixture: justified suppressions silence `determinism-race` (and the
-// lexical `unordered-iteration` hit on the same HashSet token).
+// Fixture: justified suppressions silence `determinism-race`.
 pub fn stage(chunks: &[&[u32]], shared: &Mutex<Vec<u32>>) {
     crossbeam::thread::scope(|scope| {
         for chunk in chunks {
@@ -9,7 +8,7 @@ pub fn stage(chunks: &[&[u32]], shared: &Mutex<Vec<u32>>) {
                 }
                 total += chunk.len(); // cfs-lint: allow(determinism-race) — fixture: a commutative counter, merge order cannot show
                 let guard = shared.lock(); // cfs-lint: allow(determinism-race) — fixture: lock guards an append-only log, drained sorted
-                seen = HashSet::new(); // cfs-lint: allow(determinism-race, unordered-iteration) — fixture: membership only, never iterated
+                seen = HashSet::new(); // cfs-lint: allow(determinism-race) — fixture: the captured set is rebuilt, never read back
             });
         }
     });

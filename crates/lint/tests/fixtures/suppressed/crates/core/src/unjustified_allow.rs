@@ -1,5 +1,5 @@
 // Fixture: a justified allow naming a real rule produces no
 // `unjustified-allow` finding.
 pub fn tidy() {
-    let _t = std::time::Instant::now(); // cfs-lint: allow(wall-clock) — fixture for the justified form
+    let _s = std::net::UdpSocket::bind(addr); // cfs-lint: allow(raw-socket) — fixture for the justified form
 }

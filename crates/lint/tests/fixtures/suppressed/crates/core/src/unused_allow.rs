@@ -1,5 +1,5 @@
 // Fixture: a directive whose target line genuinely carries the named
 // finding is *used*, so `unused-allow` stays quiet.
 pub fn busy() {
-    let _t = std::time::Instant::now(); // cfs-lint: allow(wall-clock) — fixture: the suppression is live
+    let _s = std::net::UdpSocket::bind(addr); // cfs-lint: allow(raw-socket) — fixture: the suppression is live
 }

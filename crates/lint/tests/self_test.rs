@@ -39,20 +39,14 @@ fn dirty_tree_finding_inventory_is_exact() {
     // (e.g. a needle suddenly matching inside `use` lines twice).
     let findings = check_workspace(&fixture_root("dirty")).expect("fixture tree is readable");
     let expected: &[(&str, usize)] = &[
-        ("ambient-rng", 3),
         ("api-drift", 9),
-        ("determinism-race", 5),
+        ("determinism-race", 4),
         ("panic-reachability", 2),
-        ("raw-sleep", 2),
-        ("raw-socket", 2),
-        ("raw-thread-spawn", 1),
-        ("rc-in-send-crate", 2),
+        ("raw-socket", 3),
         ("unjustified-allow", 2),
-        ("unordered-iteration", 4),
         ("unused-allow", 1),
         ("unwrap-in-lib", 2),
         ("vendor-surface", 2),
-        ("wall-clock", 2),
     ];
     for (rule, n) in expected {
         assert_eq!(
@@ -75,10 +69,9 @@ fn dirty_findings_point_at_real_lines() {
     };
     assert!(has("crates/kb/src/unwrap_in_lib.rs", 5, "unwrap-in-lib"));
     assert!(has("crates/kb/src/unwrap_in_lib.rs", 6, "unwrap-in-lib"));
-    assert!(has("src/raw_sleep.rs", 3, "raw-sleep"));
-    assert!(has("src/raw_sleep.rs", 5, "raw-sleep"));
     assert!(has("crates/core/src/raw_socket.rs", 3, "raw-socket"));
     assert!(has("crates/core/src/raw_socket.rs", 6, "raw-socket"));
+    assert!(has("crates/core/src/raw_socket.rs", 9, "raw-socket"));
     // The svc copy of the same hazard is sanctioned: single-home rule.
     assert!(!findings
         .iter()

@@ -22,13 +22,13 @@ fn dirty() -> Vec<Finding> {
 }
 
 #[test]
-fn determinism_race_flags_all_three_leak_shapes() {
+fn determinism_race_flags_both_leak_shapes() {
     let findings = dirty();
     let race: Vec<&Finding> = findings
         .iter()
         .filter(|f| f.rule == "determinism-race")
         .collect();
-    assert_eq!(race.len(), 5, "{race:#?}");
+    assert_eq!(race.len(), 4, "{race:#?}");
     assert!(race.iter().all(|f| f.path.ends_with("determinism_race.rs")));
     // Shape 1: shared mutable captures — a method and two assignments.
     assert!(race.iter().any(|f| f
@@ -44,10 +44,8 @@ fn determinism_race_flags_all_three_leak_shapes() {
     assert!(race
         .iter()
         .any(|f| f.message.contains("`.lock()` inside a worker closure")));
-    // Shape 3: unordered-container iteration.
-    assert!(race
-        .iter()
-        .any(|f| f.message.contains("`HashSet` inside a worker closure")));
+    // The `HashSet` on the last line is clippy's, not a third shape.
+    assert!(!race.iter().any(|f| f.message.contains("HashSet")));
 }
 
 #[test]

@@ -1,24 +1,6 @@
-//! Tier-1 gate: the workspace's own sources carry zero lint findings.
-//!
-//! This is the enforcement half of DESIGN.md §6 — the invariants the
-//! parallel CFS core rests on (deterministic iteration, virtual time,
-//! seeded RNG, no ambient threads, panic-free library code) regress at
-//! CI time, not as flaky figure diffs three PRs later.
-
-use std::path::Path;
-
-#[test]
-fn workspace_has_zero_findings() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = cfs_lint::find_workspace_root(manifest).expect("workspace root above crates/lint");
-    let findings = cfs_lint::check_workspace(&root).expect("workspace sources are readable");
-    assert!(
-        findings.is_empty(),
-        "cfs-lint found invariant violations — fix them or add a justified \
-         `// cfs-lint: allow(<rule>)`:\n{}",
-        cfs_lint::render_human(&findings, 0)
-    );
-}
+//! The rule catalog's own contract. The zero-findings gate over the
+//! workspace lives in the root package's `tests/lint_clean.rs`, the copy
+//! that tier-1 `cargo test -q` reaches.
 
 #[test]
 fn rule_catalog_is_sorted_and_unique() {

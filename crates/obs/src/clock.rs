@@ -1,13 +1,13 @@
 //! Injectable time sources.
 //!
-//! The workspace's `wall-clock` lint bans `Instant::now` everywhere
-//! except `crates/bench` — wall time read inside the pipeline would leak
-//! into results and break run-to-run reproducibility. This module is the
-//! one sanctioned home for the real clock: code that needs timing takes
-//! a `&dyn Clock` (or an `Arc<dyn Clock>`) and the *caller* decides
-//! whether time is real ([`Monotonic`]) or scripted ([`Virtual`]).
-//! Tests and determinism checks inject [`Virtual`], so recorded
-//! durations are a pure function of the test script.
+//! `clippy.toml` bans `Instant::now`, `SystemTime::now` and
+//! `thread::sleep` in every target — wall time read inside the pipeline
+//! would leak into results and break run-to-run reproducibility. This
+//! module is the one sanctioned home for the real clock: code that
+//! needs timing takes a `&dyn Clock` (or an `Arc<dyn Clock>`) and the
+//! *caller* decides whether time is real ([`Monotonic`]) or scripted
+//! ([`Virtual`]). Tests and determinism checks inject [`Virtual`], so
+//! recorded durations are a pure function of the test script.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -23,15 +23,15 @@ pub trait Clock: Send + Sync {
 /// Real elapsed time, anchored at construction.
 ///
 /// This is the only place in the workspace allowed to call
-/// `Instant::now` (the `wall-clock` rule special-cases this file); every
-/// other crate reaches real time through this type.
+/// `Instant::now` (under an `#[expect]` on the clippy ban); every other
+/// crate reaches real time through this type.
 pub struct Monotonic {
     origin: std::time::Instant,
 }
 
 impl Monotonic {
     /// A monotonic clock starting at zero now.
-    #[allow(clippy::disallowed_methods)] // the sanctioned Instant::now home (cfs-lint wall-clock)
+    #[expect(clippy::disallowed_methods)] // the sanctioned Instant::now home
     pub fn new() -> Self {
         Self {
             origin: std::time::Instant::now(),
@@ -52,7 +52,6 @@ impl Default for Monotonic {
 }
 
 impl Clock for Monotonic {
-    #[allow(clippy::disallowed_methods)] // the sanctioned Instant::now home (cfs-lint wall-clock)
     fn now_ns(&self) -> u64 {
         u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
@@ -63,8 +62,8 @@ impl Clock for Monotonic {
 ///
 /// Pipeline and service code must never call this — pacing real time
 /// belongs to interactive frontends only, which is why it lives next to
-/// [`Monotonic`] in the one file the `raw-sleep`/`wall-clock` rules
-/// sanction.
+/// [`Monotonic`], the other real-time use the clippy bans expect.
+#[expect(clippy::disallowed_methods)] // the sanctioned sleep home
 pub fn pace(interval: Duration) {
     std::thread::sleep(interval);
 }

@@ -276,7 +276,6 @@ mod tests {
         }
 
         let sharded = TraceRecorder::deterministic();
-        #[allow(clippy::disallowed_methods)] // test-only thread fan-out, no determinism at stake
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let rec = &sharded;

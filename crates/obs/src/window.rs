@@ -751,7 +751,6 @@ mod tests {
             let rec = windowed(clock.clone());
             for phase in 0..6u64 {
                 let per = 240 / threads;
-                #[allow(clippy::disallowed_methods)] // test-only fan-out over a Virtual clock
                 std::thread::scope(|scope| {
                     for t in 0..threads {
                         let rec = &rec;

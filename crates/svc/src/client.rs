@@ -87,7 +87,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cfsd.sock");
         let server = Server::bind_unix(&path).unwrap();
-        #[allow(clippy::disallowed_methods)] // test-only daemon thread, joined before exit
+        #[expect(clippy::disallowed_methods)] // test-only daemon thread, joined before exit
         let handle = std::thread::spawn(move || {
             server
                 .serve(|req| match req {
@@ -128,7 +128,7 @@ mod tests {
         let addr = server.tcp_addr().unwrap();
         assert_ne!(addr.port(), 0, "port 0 resolves to the bound port");
         let addr = addr.to_string();
-        #[allow(clippy::disallowed_methods)] // test-only daemon thread, joined before exit
+        #[expect(clippy::disallowed_methods)] // test-only daemon thread, joined before exit
         let handle = std::thread::spawn(move || {
             server
                 .serve(|req| match req {

@@ -1,8 +1,8 @@
 //! Tier-1 gate at the workspace root: `cargo test -q` (which only runs
 //! the root package's tests) must fail on any `cfs-lint` finding, not
-//! just `cargo test --workspace`. The same check also lives in
-//! `crates/lint/tests/workspace_clean.rs` next to the linter's own
-//! fixtures; this copy is the one the ROADMAP tier-1 command reaches.
+//! just `cargo test --workspace`. It is the linter's one workspace gate;
+//! the path bans in `clippy.toml` are checked by `cargo clippy`, which
+//! `cargo test` does not run.
 
 #[test]
 fn workspace_passes_cfs_lint() {

@@ -48,7 +48,8 @@ fn spawn_daemon(socket: &str, extra: &[&str]) -> Child {
             assert!(stdout(&probe).contains("\"state\":\"serving\""));
             return child;
         }
-        // cfs-lint: allow(raw-sleep) — polling a real spawned daemon; no virtual clock spans processes
+        // Polling a real spawned daemon; no virtual clock spans processes.
+        #[expect(clippy::disallowed_methods)]
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     let _ = child.kill();
