@@ -3,6 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -12,6 +13,7 @@ use cfs_bgp::{compute_routes, AsGraph};
 use cfs_geo::{haversine_km, GeoPoint};
 use cfs_net::{IpAsnDb, Ipv4Prefix, PrefixTrie};
 use cfs_traceroute::{deploy_vantage_points, Engine, VpConfig};
+use cfs_types::{FacilityId, FacilitySet, FacilitySetInterner};
 
 fn bench_trie(c: &mut Criterion) {
     let mut rng = ChaCha20Rng::seed_from_u64(1);
@@ -107,6 +109,44 @@ fn bench_alias_probe(c: &mut Criterion) {
     });
 }
 
+/// The representation behind the engine's footprint caches: interned
+/// sorted-slice sets versus the `BTreeSet` clone-and-intersect the
+/// engine used before.
+fn bench_facility_sets(c: &mut Criterion) {
+    // Footprint shapes modelled on the knowledge base: a few large
+    // operator footprints and many small ones, intersected pairwise the
+    // way the constraint pass does.
+    let interner = FacilitySetInterner::new();
+    let sets: Vec<FacilitySet> = (0..64u32)
+        .map(|i| {
+            let stride = 1 + (i % 7);
+            let len = if i % 9 == 0 { 180 } else { 12 + (i % 16) };
+            interner.intern((0..len).map(|k| FacilityId::new(i + k * stride)))
+        })
+        .collect();
+    let btrees: Vec<BTreeSet<FacilityId>> = sets.iter().map(FacilitySet::to_btree_set).collect();
+
+    let mut group = c.benchmark_group("facset");
+    group.bench_function("intersect_interned", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % sets.len();
+            let j = (i * 31 + 7) % sets.len();
+            black_box(sets[i].intersect(&sets[j]).len())
+        })
+    });
+    group.bench_function("intersect_btreeset", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % btrees.len();
+            let j = (i * 31 + 7) % btrees.len();
+            let out: BTreeSet<FacilityId> = btrees[i].intersection(&btrees[j]).copied().collect();
+            black_box(out.len())
+        })
+    });
+    group.finish();
+}
+
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("topology");
     group.sample_size(10);
@@ -128,6 +168,7 @@ criterion_group!(
     bench_routing,
     bench_traceroute,
     bench_alias_probe,
+    bench_facility_sets,
     bench_generation,
 );
 criterion_main!(benches);

@@ -1,48 +1,30 @@
 //! # cfs-bench
 //!
-//! Criterion benchmarks for the `cfs` workspace:
+//! Criterion microbenchmarks of the `cfs` kernels no end-to-end
+//! workload isolates: prefix-trie and IP-to-ASN lookups, great-circle
+//! math, AS-graph routing, traceroute simulation, IP-ID probing,
+//! facility-set intersection and topology generation
+//! (`benches/substrates.rs`). End-to-end performance is measured by
+//! `cfsbench/` at the repository root.
 //!
-//! * `benches/substrates.rs` — microbenchmarks of the hot paths: prefix
-//!   trie lookups, great-circle math, valley-free route computation,
-//!   traceroute simulation, IP-ID probing and alias corroboration.
-//! * `benches/figures.rs` — one benchmark per paper artifact, timing the
-//!   computation that regenerates it (the artifact *contents* are
-//!   produced by `cfs-experiments`; these benches answer "how long does
-//!   each reproduction take and how does it scale").
-//!
-//! Run with `cargo bench -p cfs-bench`.
+//! Run with `cargo bench -p cfs-bench --bench substrates`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use cfs_kb::{KbConfig, KnowledgeBase, PublicSources};
 use cfs_topology::{Topology, TopologyConfig};
 
-/// A prebuilt small world shared by benchmarks (generation itself is
-/// measured separately).
+/// A prebuilt world shared by benchmarks (generation itself is measured
+/// separately).
 pub struct BenchWorld {
     /// Ground truth.
     pub topo: Topology,
-    /// Public sources.
-    pub sources: PublicSources,
-    /// Assembled knowledge base.
-    pub kb: KnowledgeBase,
 }
 
 impl BenchWorld {
     /// Builds the standard bench world (default scale, fixed seed).
     pub fn standard() -> Self {
         let topo = Topology::generate(TopologyConfig::default()).expect("topology");
-        let sources = PublicSources::derive(&topo, &KbConfig::default());
-        let kb = KnowledgeBase::assemble(&sources, &topo.world);
-        Self { topo, sources, kb }
-    }
-
-    /// Builds the tiny bench world for the heavier end-to-end benches.
-    pub fn tiny() -> Self {
-        let topo = Topology::generate(TopologyConfig::tiny()).expect("topology");
-        let sources = PublicSources::derive(&topo, &KbConfig::default());
-        let kb = KnowledgeBase::assemble(&sources, &topo.world);
-        Self { topo, sources, kb }
+        Self { topo }
     }
 }

@@ -48,15 +48,6 @@ pub struct CfsConfig {
     pub max_iterations: usize,
     /// Unresolved interfaces to chase per iteration (measurement budget).
     pub followup_interfaces: usize,
-    /// Follow-up targets per chased interface, smallest overlap first.
-    pub targets_per_interface: usize,
-    /// Vantage points probing each follow-up target.
-    pub vps_per_target: usize,
-    /// Stop after this many iterations without progress.
-    pub stale_iterations: usize,
-    /// Re-run alias resolution whenever this many iterations have added
-    /// new interfaces.
-    pub realias_every: usize,
     /// Alias-resolution tuning.
     pub alias: MidarConfig,
     /// Run the reverse search of §4.3.
@@ -69,22 +60,6 @@ pub struct CfsConfig {
     /// Worker threads for the parallel stages; `0` uses the machine's
     /// available parallelism. The report is byte-identical at any value.
     pub threads: usize,
-    /// Backoff schedule for re-issuing failed follow-up traceroutes
-    /// (DESIGN.md §9). Jitter derives from the run seed, never ambient
-    /// randomness, so retries are deterministic.
-    pub retry: RetryPolicy,
-    /// Total follow-up retries a run may spend across all iterations;
-    /// exhaustion surfaces as `probe_exhausted` verdicts, not an error.
-    pub retry_budget: u64,
-    /// Consecutive failed probes before a vantage point's circuit opens
-    /// and follow-up planning routes around it.
-    pub breaker_threshold: u32,
-    /// How long (virtual ms) an open circuit keeps a vantage point out
-    /// of the follow-up pool.
-    pub breaker_cooldown_ms: u64,
-    /// Widen empty facility intersections to metro-level candidates
-    /// instead of dead-ending (DESIGN.md §9).
-    pub metro_widening: bool,
     /// Gate public-crossing constraints on the multi-rule IXP-hop
     /// evidence and refuse facility pins with contested provenance
     /// (DESIGN.md §11). Disabled only by the prefix-only baseline in
@@ -97,24 +72,36 @@ impl Default for CfsConfig {
         Self {
             max_iterations: 100,
             followup_interfaces: 120,
-            targets_per_interface: 3,
-            vps_per_target: 6,
-            stale_iterations: 6,
-            realias_every: 3,
             alias: MidarConfig::default(),
             reverse_search: true,
             proximity: true,
             alias_constraints: true,
             threads: 0,
-            retry: RetryPolicy::default(),
-            retry_budget: 768,
-            breaker_threshold: 6,
-            breaker_cooldown_ms: 600_000,
-            metro_widening: true,
             evidence_gating: true,
         }
     }
 }
+
+/// Follow-up targets per chased interface, smallest overlap first.
+const TARGETS_PER_INTERFACE: usize = 3;
+/// Vantage points probing each follow-up target.
+const VPS_PER_TARGET: usize = 6;
+/// Stop after this many iterations without progress.
+const STALE_ITERATIONS: usize = 6;
+/// Re-run alias resolution whenever this many iterations have added new
+/// interfaces.
+const REALIAS_EVERY: usize = 3;
+/// Total follow-up retries a run may spend across all iterations;
+/// exhaustion surfaces as `probe_exhausted` verdicts, not an error.
+/// Each retry re-issues a probe on `RetryPolicy::default()`'s backoff
+/// schedule (DESIGN.md §9).
+const RETRY_BUDGET: u64 = 768;
+/// Consecutive failed probes before a vantage point's circuit opens
+/// and follow-up planning routes around it.
+pub(crate) const BREAKER_THRESHOLD: u32 = 6;
+/// How long (virtual ms) an open circuit keeps a vantage point out of
+/// the follow-up pool.
+const BREAKER_COOLDOWN_MS: u64 = 600_000;
 
 /// A follow-up probe that produced no routing information at all: every
 /// hop anonymous (rate-limited/silent routers) or no hops (vantage-point
@@ -419,8 +406,8 @@ impl<'a> Cfs<'a> {
         recorder: Arc<dyn Recorder>,
         vp_down: BTreeSet<VantagePointId>,
     ) -> Self {
-        let retry_budget = RetryBudget::new(cfg.retry_budget);
-        let breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms);
+        let retry_budget = RetryBudget::new(RETRY_BUDGET);
+        let breaker = CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN_MS);
         let chaos_seed = cfs_chaos::splitmix64(engine.topology().config.seed ^ 0xcf5c_4a05);
         let mut vps_by_as: Vec<(Asn, VantagePointId)> = vps
             .vps
@@ -623,9 +610,8 @@ impl<'a> Cfs<'a> {
         self.iterations.clear();
         self.traces_issued = 0;
         self.conv_hists.clear();
-        self.retry_budget = RetryBudget::new(self.cfg.retry_budget);
-        self.breaker =
-            CircuitBreaker::new(self.cfg.breaker_threshold, self.cfg.breaker_cooldown_ms);
+        self.retry_budget = RetryBudget::new(RETRY_BUDGET);
+        self.breaker = CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN_MS);
         self.failed_probes = 0;
         self.rebuild_observations();
     }
@@ -674,7 +660,7 @@ impl<'a> Cfs<'a> {
             if !all_done && iteration < self.cfg.max_iterations {
                 issued = self.followups(iteration);
                 self.clock_ms += 120_000; // measurements spread over time
-                if self.new_ips_since_alias > 0 && iteration % self.cfg.realias_every == 0 {
+                if self.new_ips_since_alias > 0 && iteration % REALIAS_EVERY == 0 {
                     self.realias();
                     self.reset_observations();
                 }
@@ -690,7 +676,7 @@ impl<'a> Cfs<'a> {
 
             if resolved == last_resolved && issued == 0 {
                 stale += 1;
-                if stale >= self.cfg.stale_iterations {
+                if stale >= STALE_ITERATIONS {
                     break;
                 }
             } else {
@@ -778,7 +764,7 @@ impl<'a> Cfs<'a> {
             });
             if resolved == last_resolved {
                 stale += 1;
-                if stale >= self.cfg.stale_iterations {
+                if stale >= STALE_ITERATIONS {
                     break;
                 }
             } else {
@@ -1215,7 +1201,7 @@ impl<'a> Cfs<'a> {
         let workers = self.workers();
         let engine = self.engine;
         let vps = self.vps;
-        let retry = self.cfg.retry;
+        let retry = RetryPolicy::default();
         let retry_seed = self.chaos_seed;
         let down = &self.vp_down;
         // Verdict counters are per tested address (the pending list does
@@ -1312,7 +1298,7 @@ impl<'a> Cfs<'a> {
                 .or_insert_with(|| {
                     let verdict = RemoteTester::new(self.engine, self.vps)
                         .recorded(&*self.recorder)
-                        .retrying(self.cfg.retry, self.chaos_seed)
+                        .retrying(RetryPolicy::default(), self.chaos_seed)
                         .excluding(&self.vp_down)
                         .is_remote(ixp, ip);
                     (ixp, verdict)
@@ -1325,10 +1311,7 @@ impl<'a> Cfs<'a> {
         // Metro-level widening pool, resolved before the state borrow.
         // Only needed when the intersection came up empty and the remote
         // test did not explain it away.
-        let widened = if self.cfg.metro_widening
-            && common.is_empty()
-            && !f_owner.is_empty()
-            && !matches!(verdict, Some(true))
+        let widened = if common.is_empty() && !f_owner.is_empty() && !matches!(verdict, Some(true))
         {
             Some(self.metro_candidates(ixp))
         } else {
@@ -1564,7 +1547,7 @@ impl<'a> Cfs<'a> {
                 .record(u64::from(vp.raw()), !probe_failed(t), *at);
         }
 
-        let policy = self.cfg.retry;
+        let policy = RetryPolicy::default();
         for attempt in 1..=policy.max_retries {
             let mut retry: Vec<(usize, (VantagePointId, Ipv4Addr, u64))> = Vec::new();
             for (i, t) in traces.iter().enumerate() {
@@ -1749,11 +1732,11 @@ impl<'a> Cfs<'a> {
         subset_scored.sort_unstable();
         overlap_scored.sort_unstable();
         let mut scored = subset_scored;
-        if scored.len() < self.cfg.targets_per_interface {
-            let need = self.cfg.targets_per_interface - scored.len();
+        if scored.len() < TARGETS_PER_INTERFACE {
+            let need = TARGETS_PER_INTERFACE - scored.len();
             scored.extend(overlap_scored.into_iter().take(need));
         }
-        scored.truncate(self.cfg.targets_per_interface);
+        scored.truncate(TARGETS_PER_INTERFACE);
 
         // Vantage points likely to cross the owner *near the candidate
         // facilities*: probes and looking glasses inside the owner,
@@ -1805,7 +1788,7 @@ impl<'a> Cfs<'a> {
                 }
             }
         }
-        vp_pool.truncate(self.cfg.vps_per_target);
+        vp_pool.truncate(VPS_PER_TARGET);
 
         for (_, _, target_as) in &scored {
             let Ok(target) = topo.target_ip(*target_as) else {
@@ -2276,11 +2259,11 @@ impl Cfs<'_> {
         subset_scored.sort_unstable();
         overlap_scored.sort_unstable();
         let mut scored = subset_scored;
-        if scored.len() < self.cfg.targets_per_interface {
-            let need = self.cfg.targets_per_interface - scored.len();
+        if scored.len() < TARGETS_PER_INTERFACE {
+            let need = TARGETS_PER_INTERFACE - scored.len();
             scored.extend(overlap_scored.into_iter().take(need));
         }
-        scored.truncate(self.cfg.targets_per_interface);
+        scored.truncate(TARGETS_PER_INTERFACE);
 
         // Vantage points likely to cross the owner *near the candidate
         // facilities*: probes and looking glasses inside the owner,
@@ -2327,7 +2310,7 @@ impl Cfs<'_> {
                 }
             }
         }
-        vp_pool.truncate(self.cfg.vps_per_target);
+        vp_pool.truncate(VPS_PER_TARGET);
 
         let topo = self.engine.topology();
         for (_, _, target_as) in &scored {

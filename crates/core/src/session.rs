@@ -64,7 +64,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use cfs_chaos::splitmix64;
+use cfs_chaos::{splitmix64, RetryPolicy};
 use cfs_kb::KnowledgeBase;
 use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
@@ -647,7 +647,7 @@ impl<'a> CfsSession<'a> {
         for (ip, ixp, old) in entries {
             let verdict = RemoteTester::new(self.cfs.engine, self.cfs.vps)
                 .recorded(&*self.cfs.recorder)
-                .retrying(self.cfs.cfg.retry, self.cfs.chaos_seed)
+                .retrying(RetryPolicy::default(), self.cfs.chaos_seed)
                 .excluding(&self.cfs.vp_down)
                 .is_remote(ixp, ip);
             if verdict != old {
@@ -1250,7 +1250,7 @@ mod tests {
         }
         for (id, vp) in world.vps.vps.iter() {
             if !platforms.is_empty() && !platforms.contains(&vp.platform) {
-                for _ in 0..cfg.breaker_threshold {
+                for _ in 0..crate::engine::BREAKER_THRESHOLD {
                     session.cfs.breaker.record(u64::from(id.raw()), false, 0);
                 }
             }

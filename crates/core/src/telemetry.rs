@@ -33,7 +33,7 @@
 //! }
 //! ```
 
-use cfs_obs::export::{fnv1a64, stable_body};
+use cfs_obs::export::{fnv1a64, push_u64_list, stable_body};
 use cfs_obs::TraceSnapshot;
 
 use crate::report::{CfsReport, ConvergenceTelemetry, CANDIDATE_BUCKET_LE};
@@ -48,20 +48,9 @@ pub use cfs_obs::TRACE_SCHEMA;
 /// never enters [`render_trace_json`]'s digested body.
 pub use cfs_obs::profile::{render_profile_json, PROFILE_SCHEMA};
 
-fn push_usize_list(out: &mut String, values: impl IntoIterator<Item = usize>) {
-    out.push('[');
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
 fn push_convergence(out: &mut String, conv: &ConvergenceTelemetry) {
     out.push_str("{\"candidate_bucket_le\":");
-    push_usize_list(out, CANDIDATE_BUCKET_LE);
+    push_u64_list(out, CANDIDATE_BUCKET_LE.map(|b| b as u64));
     out.push_str(",\"per_iteration\":[");
     for (i, h) in conv.per_iteration.iter().enumerate() {
         if i > 0 {
@@ -71,7 +60,7 @@ fn push_convergence(out: &mut String, conv: &ConvergenceTelemetry) {
             "{{\"iteration\":{},\"unconstrained\":{},\"resolved\":{},\"buckets\":",
             h.iteration, h.unconstrained, h.resolved
         ));
-        push_usize_list(out, h.buckets.iter().map(|b| *b as usize));
+        push_u64_list(out, h.buckets.iter().copied());
         out.push('}');
     }
     out.push_str("],\"trajectories\":{");

@@ -22,7 +22,7 @@ use cfs_traceroute::{
     deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop, ProbeService,
     Trace, VpConfig, VpSet,
 };
-use cfs_types::{IxpId, VantagePointId};
+use cfs_types::{Asn, IxpId, VantagePointId};
 
 struct World {
     topo: Topology,
@@ -510,6 +510,63 @@ fn kb_flip_dirties_strict_subset_and_matches_fresh_batch() {
         );
         assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
     }
+}
+
+/// The locality behind the delta path's cost: on a default-scale world,
+/// withdrawing one listed facility of the AS that owns the fewest
+/// interfaces (a peripheral record changing, not a backbone
+/// redeploying) leaves at most 1% of the tracked interfaces dirty.
+#[test]
+fn peripheral_kb_flip_dirties_at_most_one_percent() {
+    let topo = Topology::generate(TopologyConfig::default()).unwrap();
+    let sources = PublicSources::derive(&topo, &KbConfig::default());
+    let world = World { topo, sources };
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let mut session = Cfs::builder(&engine, &kb)
+        .vps(&vps)
+        .ipasn(&ipasn)
+        .config(service_config(1))
+        .build_session()
+        .unwrap();
+    session.ingest(world.campaign_over(&engine, &vps, 0, 0..24));
+    session.converge();
+
+    let mut owned: BTreeMap<Asn, usize> = BTreeMap::new();
+    for owner in session.report().unwrap().interfaces.values() {
+        if let Some(asn) = owner.owner {
+            *owned.entry(asn).or_default() += 1;
+        }
+    }
+    let mut owners: Vec<(Asn, usize)> = owned.into_iter().collect();
+    owners.sort_by_key(|&(asn, n)| (n, asn));
+    let (asn, victim) = owners
+        .iter()
+        .find_map(|(asn, _)| {
+            let rec = world.sources.pdb_networks.get(asn)?;
+            (rec.facilities.len() >= 2).then(|| (*asn, rec.facilities[0]))
+        })
+        .expect("some observed AS lists two facilities");
+    // The assembled footprint is pdb ∪ NOC: scrub both.
+    let mut sources = world.sources.clone();
+    if let Some(rec) = sources.pdb_networks.get_mut(&asn) {
+        rec.facilities.retain(|f| *f != victim);
+    }
+    if let Some(page) = sources.noc_pages.get_mut(&asn) {
+        page.facilities.retain(|f| *f != victim);
+    }
+    let flipped = KnowledgeBase::assemble(&sources, &world.topo.world);
+    let outcome = session
+        .apply_delta(Delta::KbEpochFlip(Arc::new(flipped)))
+        .unwrap();
+    assert!(
+        outcome.dirty > 0 && outcome.dirty * 100 <= outcome.total,
+        "flip of {asn:?}/{victim:?} dirtied {} of {} interfaces",
+        outcome.dirty,
+        outcome.total
+    );
 }
 
 /// `sources` with the consortium list disputing the peering LAN of `ixp`

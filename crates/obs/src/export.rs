@@ -40,7 +40,9 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
+/// Appends `values` as a JSON array of integers: the one list renderer
+/// behind every hand-rolled document (trace, profile, metrics).
+pub fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
     out.push('[');
     for (i, v) in values.into_iter().enumerate() {
         if i > 0 {

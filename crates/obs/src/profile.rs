@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 
+use crate::export::push_u64_list;
 use crate::trace::TraceSnapshot;
 
 /// Schema identifier stamped into every profile document.
@@ -334,17 +335,6 @@ fn push_stats_entry(out: &mut String, name: &str, d: &DurationStats) {
     ));
     push_u64_list(out, d.buckets.iter().copied());
     out.push('}');
-}
-
-fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
 }
 
 /// Renders the `cfs-profile/1` sidecar for a snapshot (the

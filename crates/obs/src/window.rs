@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex};
 use serde_json::Value;
 
 use crate::clock::Clock;
+use crate::export::push_u64_list;
 use crate::profile::{DurationStats, PROFILE_BOUNDS_NS};
 use crate::recorder::Recorder;
 use crate::trace::{Histogram, HISTOGRAM_BOUNDS};
@@ -206,17 +207,6 @@ impl WindowedRecorder {
         out.push_str("]}");
         out
     }
-}
-
-fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
 }
 
 /// Renders the shared window body: counters, histograms, durations.

@@ -136,6 +136,13 @@ fn require_u64(doc: &Value, key: &str, code: &'static str) -> Result<u64, ApiErr
         .ok_or_else(|| ApiError::new(code, format!("missing or non-integer member {key:?}")))
 }
 
+/// A `u32` wire id (ASN, facility, vantage point): an integer past
+/// `u32::MAX` is refused, never truncated onto another record's id.
+fn require_u32(doc: &Value, key: &str, code: &'static str) -> Result<u32, ApiError> {
+    u32::try_from(require_u64(doc, key, code)?)
+        .map_err(|_| ApiError::new(code, format!("member {key:?} exceeds {}", u32::MAX)))
+}
+
 fn require_bool(doc: &Value, key: &str, code: &'static str) -> Result<bool, ApiError> {
     doc.get(key)
         .and_then(Value::as_bool)
@@ -229,15 +236,15 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             })?;
             match kind {
                 "kb-flip" => Ok(Request::DeltaKbFlip {
-                    asn: require_u64(&doc, "asn", "bad_delta")? as u32,
-                    facility: require_u64(&doc, "facility", "bad_delta")? as u32,
+                    asn: require_u32(&doc, "asn", "bad_delta")?,
+                    facility: require_u32(&doc, "facility", "bad_delta")?,
                     present: require_bool(&doc, "present", "bad_delta")?,
                 }),
                 "campaign" => Ok(Request::DeltaCampaign {
                     campaign: require_u64(&doc, "campaign", "bad_delta")?,
                 }),
                 "vp-status" => Ok(Request::DeltaVpStatus {
-                    vp: require_u64(&doc, "vp", "bad_delta")? as u32,
+                    vp: require_u32(&doc, "vp", "bad_delta")?,
                     up: require_bool(&doc, "up", "bad_delta")?,
                 }),
                 other => Err(ApiError::new(
@@ -463,6 +470,23 @@ mod tests {
                 .unwrap_err()
                 .code,
             "bad_delta"
+        );
+        // Ids past u32::MAX are refused, not truncated onto id % 2^32.
+        for line in [
+            r#"{"schema":"cfs-api/1","op":"delta","kind":"kb-flip","asn":4294967296,"facility":7,"present":true}"#,
+            r#"{"schema":"cfs-api/1","op":"delta","kind":"kb-flip","asn":64500,"facility":4294967299,"present":true}"#,
+            r#"{"schema":"cfs-api/1","op":"delta","kind":"vp-status","vp":4294967297,"up":true}"#,
+        ] {
+            assert_eq!(parse_request(line).unwrap_err().code, "bad_delta", "{line}");
+        }
+        assert_eq!(
+            parse_request(
+                r#"{"schema":"cfs-api/1","op":"delta","kind":"vp-status","vp":4294967295,"up":false}"#
+            ),
+            Ok(Request::DeltaVpStatus {
+                vp: u32::MAX,
+                up: false
+            })
         );
         assert_eq!(
             parse_request(r#"{"schema":"cfs-api/1","op":"delta","kind":"mystery"}"#)

@@ -326,10 +326,13 @@ impl<'w> Daemon<'w> {
                     .finish(),
             ),
             Request::DeltaCampaign { campaign } => {
-                if campaign == 0 {
+                if campaign == 0 || campaign > Lab::MAX_CAMPAIGN {
                     return refuse(ApiError::new(
                         "bad_delta",
-                        "campaign numbers start at 1 (0 is the bootstrap campaign)",
+                        format!(
+                            "campaign numbers run from 1 to {} (0 is the bootstrap campaign)",
+                            Lab::MAX_CAMPAIGN
+                        ),
                     ));
                 }
                 let traces = self.lab.campaign(self.engine, campaign);

@@ -2,9 +2,9 @@
 //! [`Daemon::handle`] — no socket, no subprocess, no sleep — at tiny
 //! scale. Covers the daemon branches the socket-level suite
 //! (`tests/service_cli.rs`) does not reach: kb-flip deltas and their
-//! refusals, server-side severity filtering of the `events` and
-//! `alerts` drains, the detection-off `alerts` reply, and the
-//! increase-only data-quality events.
+//! refusals, out-of-range campaign numbers, server-side severity
+//! filtering of the `events` and `alerts` drains, the detection-off
+//! `alerts` reply, and the increase-only data-quality events.
 
 use cfs::daemon::{Daemon, DaemonOptions, Substrate};
 use cfs::experiments::{Lab, Scale};
@@ -159,6 +159,16 @@ fn kb_flip_delta_applies_and_refuses_unknown_targets() {
             .is_some_and(|m| m.contains("no PeeringDB record")),
         "{no_record:?}"
     );
+    // A campaign past `Lab::MAX_CAMPAIGN` would overflow its probe time
+    // (`k * EPOCH_MS`).
+    for campaign in [0, Lab::MAX_CAMPAIGN + 1, u64::MAX] {
+        let reply = ask(&mut daemon, Request::DeltaCampaign { campaign });
+        assert_eq!(
+            error_code(&reply),
+            Some("bad_delta"),
+            "{campaign}: {reply:?}"
+        );
+    }
     let status = ask(&mut daemon, Request::Status);
     assert_eq!(status["epoch"].as_u64(), Some(3), "{status:?}");
 }
