@@ -62,11 +62,6 @@ pub(crate) struct PathCorpus {
     hops: Vec<Option<Ipv4Addr>>,
     /// Open-addressed index into `paths`, a power of two long.
     slots: Vec<u32>,
-    /// Paths `[..pinned]` came from external input; later ones, and the
-    /// multiplicity bumps `bumps` lists, from follow-up probing that a
-    /// replay discards ([`PathCorpus::truncate_to_pin`]).
-    pinned: usize,
-    bumps: Vec<u32>,
     /// Test oracle switch: hold every trace as its own path, the walk
     /// over every trace the corpus must reproduce.
     #[cfg(test)]
@@ -106,11 +101,6 @@ impl PathCorpus {
         &self.hops[self.paths[i].start as usize..end]
     }
 
-    /// Every held hop address, path after path.
-    pub(crate) fn all_hops(&self) -> &[Option<Ipv4Addr>] {
-        &self.hops
-    }
-
     /// How many ingested traces took path `i`.
     pub(crate) fn mult(&self, i: usize) -> u64 {
         u64::from(self.paths[i].mult)
@@ -120,12 +110,6 @@ impl PathCorpus {
     #[cfg(test)]
     pub(crate) fn traces(&self) -> u64 {
         self.paths.iter().map(|p| u64::from(p.mult)).sum()
-    }
-
-    /// Multiplicity bumps of external paths since the last pin.
-    #[cfg(test)]
-    pub(crate) fn bumps(&self) -> usize {
-        self.bumps.len()
     }
 
     /// The extraction tally of one trace over path `i`.
@@ -160,9 +144,6 @@ impl PathCorpus {
                     .eq(t.hops.iter().map(|h| h.ip))
             {
                 self.paths[id].mult += 1;
-                if id < self.pinned {
-                    self.bumps.push(narrow(id));
-                }
                 return Absorbed::Repeat(id);
             }
             slot = (slot + 1) & mask;
@@ -186,10 +167,6 @@ impl PathCorpus {
     /// Re-indexes every path into a table of at least twice its size.
     fn grow(&mut self) {
         let size = (self.paths.len() * 4).next_power_of_two().max(64);
-        self.reindex(size);
-    }
-
-    fn reindex(&mut self, size: usize) {
         self.slots.clear();
         self.slots.resize(size, EMPTY);
         let mask = size - 1;
@@ -200,29 +177,6 @@ impl PathCorpus {
                 slot = (slot + 1) & mask;
             }
             self.slots[slot] = narrow(id);
-        }
-    }
-
-    /// Marks everything held as external input: the prefix
-    /// [`PathCorpus::truncate_to_pin`] returns to.
-    pub(crate) fn pin(&mut self) {
-        self.pinned = self.paths.len();
-        self.bumps.clear();
-    }
-
-    /// Drops what follow-up probing added since the last
-    /// [`PathCorpus::pin`]: the paths it appended and the multiplicity
-    /// it added to external ones.
-    pub(crate) fn truncate_to_pin(&mut self) {
-        for id in self.bumps.drain(..) {
-            self.paths[id as usize].mult -= 1;
-        }
-        if let Some(first) = self.paths.get(self.pinned) {
-            self.hops.truncate(first.start as usize);
-            self.paths.truncate(self.pinned);
-            if !self.slots.is_empty() {
-                self.reindex(self.slots.len());
-            }
         }
     }
 }

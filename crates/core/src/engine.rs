@@ -103,6 +103,31 @@ pub(crate) const BREAKER_THRESHOLD: u32 = 6;
 /// the follow-up pool.
 const BREAKER_COOLDOWN_MS: u64 = 600_000;
 
+/// The search loop's stopping rule within the iteration cap: stop once
+/// no interface is left unresolved-local, or after [`STALE_ITERATIONS`]
+/// iterations that neither resolved an interface nor issued a
+/// follow-up. The batch loop and the session's synthesized iterations
+/// both run it, so a session's `iterations` cannot drift from a batch
+/// run's.
+#[derive(Default)]
+struct Stopping {
+    stale: usize,
+    last_resolved: usize,
+}
+
+impl Stopping {
+    /// Records one iteration's progress; whether the loop stops after it.
+    fn after(&mut self, resolved: usize, issued: usize, all_done: bool) -> bool {
+        if resolved == self.last_resolved && issued == 0 {
+            self.stale += 1;
+        } else {
+            self.stale = 0;
+        }
+        self.last_resolved = resolved;
+        self.stale >= STALE_ITERATIONS || all_done
+    }
+}
+
 /// A follow-up probe that produced no routing information at all: every
 /// hop anonymous (rate-limited/silent routers) or no hops (vantage-point
 /// outage, probe timeout). Such traces add no observations, so they are
@@ -132,8 +157,9 @@ impl KbHandle<'_> {
 }
 
 /// A constraint-graph dependency key: which knowledge-base footprint a
-/// state's constraints were computed from. A KB epoch flip diffs the
-/// footprint caches and dirties exactly `deps[changed key]`, so
+/// state's constraints were computed from, and the key of its cached
+/// footprint ([`Cfs::footprint`]). A KB epoch flip diffs the footprint
+/// cache and dirties exactly `deps[changed key]`, so
 /// re-convergence sweeps only interfaces whose inputs actually moved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum DepKey {
@@ -162,9 +188,9 @@ pub struct IterationStats {
 ///
 /// Built through [`Cfs::builder`], which wires the measurement substrate
 /// (traceroute engine and vantage points), the public data (knowledge
-/// base, IP-to-ASN service), and the configuration; `ingest` feeds
-/// bootstrap campaigns; `run` iterates to convergence and produces the
-/// [`CfsReport`].
+/// base, IP-to-ASN service), and the configuration into a
+/// [`crate::CfsSession`]: the session feeds bootstrap campaigns, iterates
+/// to convergence and serves the [`CfsReport`].
 pub struct Cfs<'a> {
     pub(crate) engine: &'a dyn ProbeService,
     pub(crate) kb: KbHandle<'a>,
@@ -207,9 +233,9 @@ pub struct Cfs<'a> {
     pub(crate) reindex: BTreeSet<Ipv4Addr>,
     pub(crate) chase_attempts: BTreeMap<Ipv4Addr, usize>,
     pub(crate) interner: FacilitySetInterner,
-    pub(crate) as_fac_cache: BTreeMap<Asn, FacilitySet>,
-    pub(crate) ixp_fac_cache: BTreeMap<IxpId, FacilitySet>,
-    pub(crate) metro_cand_cache: BTreeMap<IxpId, FacilitySet>,
+    /// Every knowledge-base footprint the search has read, under the
+    /// current epoch ([`Cfs::footprint`]).
+    pub(crate) footprints: BTreeMap<DepKey, FacilitySet>,
     /// Reverse dependency index: KB footprint key → interfaces whose
     /// constraints consumed it (see [`DepKey`]).
     pub(crate) deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
@@ -268,18 +294,18 @@ pub(crate) struct ChaseTargets {
     at: Vec<(FacilityId, usize)>,
 }
 
-/// Builder for [`Cfs`]: names every dependency at the call site instead
-/// of a five-argument positional constructor.
+/// Builder for a [`crate::CfsSession`]: names every dependency at the
+/// call site instead of a five-argument positional constructor.
 ///
 /// ```ignore
-/// let mut cfs = Cfs::builder(&engine, &kb)
+/// let mut session = Cfs::builder(&engine, &kb)
 ///     .vps(&vps)
 ///     .ipasn(&ipasn)
 ///     .config(CfsConfig::default())
 ///     .threads(8)
-///     .build()?;
+///     .build_session()?;
 /// ```
-#[must_use = "call .build() to obtain the Cfs engine"]
+#[must_use = "call .build_session() to obtain the session"]
 pub struct CfsBuilder<'a> {
     engine: &'a dyn ProbeService,
     kb: &'a KnowledgeBase,
@@ -343,15 +369,17 @@ impl<'a> CfsBuilder<'a> {
         self
     }
 
-    /// Builds the engine; errors when a required dependency was not set.
-    pub fn build(self) -> Result<Cfs<'a>> {
+    /// Builds a resident [`crate::CfsSession`] around the engine, with
+    /// incremental re-convergence (`apply_delta`) and a queryable cached
+    /// report; errors when a required dependency was not set.
+    pub fn build_session(self) -> Result<crate::session::CfsSession<'a>> {
         let vps = self
             .vps
             .ok_or_else(|| Error::invalid("CfsBuilder: vantage points not set (call .vps())"))?;
         let ipasn = self
             .ipasn
             .ok_or_else(|| Error::invalid("CfsBuilder: IP-to-ASN db not set (call .ipasn())"))?;
-        Ok(Cfs::assemble(
+        Ok(crate::session::CfsSession::new(Cfs::assemble(
             self.engine,
             vps,
             self.kb,
@@ -360,14 +388,7 @@ impl<'a> CfsBuilder<'a> {
             self.platforms,
             self.recorder,
             self.vps_down,
-        ))
-    }
-
-    /// Builds a resident [`crate::session::CfsSession`] around the
-    /// engine: the service-mode entry point with incremental
-    /// re-convergence (`apply_delta`) and a queryable cached report.
-    pub fn build_session(self) -> Result<crate::session::CfsSession<'a>> {
-        Ok(crate::session::CfsSession::new(self.build()?))
+        )))
     }
 }
 
@@ -447,9 +468,7 @@ impl<'a> Cfs<'a> {
             reindex: BTreeSet::new(),
             chase_attempts: BTreeMap::new(),
             interner: FacilitySetInterner::new(),
-            as_fac_cache: BTreeMap::new(),
-            ixp_fac_cache: BTreeMap::new(),
-            metro_cand_cache: BTreeMap::new(),
+            footprints: BTreeMap::new(),
             deps: BTreeMap::new(),
             settled: (0, 0),
             chase_targets: None,
@@ -483,24 +502,11 @@ impl<'a> Cfs<'a> {
         n.clamp(1, 16)
     }
 
-    /// Feeds bootstrap traces (targeted campaigns and archived sweeps).
-    pub fn ingest(&mut self, traces: Vec<Trace>) {
-        self.ingest_fresh(traces);
-    }
-
-    /// [`Cfs::ingest`], returning the hop addresses seen for the first
-    /// time, in first-seen order. Everything held afterwards counts as
-    /// external input, the prefix a follow-up replay returns to.
-    pub(crate) fn ingest_fresh(&mut self, traces: Vec<Trace>) -> Vec<Ipv4Addr> {
-        let fresh = self.absorb(&traces);
-        self.corpus.pin();
-        fresh
-    }
-
-    /// Adds traces to the corpus. A repeated path only bumps its
+    /// Adds traces to the corpus; returns the hop addresses seen for the
+    /// first time, in first-seen order. A repeated path only bumps its
     /// multiplicity: its identical first occurrence already fed the hop
     /// set, and extraction counts it through the path's cached tally.
-    fn absorb(&mut self, traces: &[Trace]) -> Vec<Ipv4Addr> {
+    pub(crate) fn ingest(&mut self, traces: &[Trace]) -> Vec<Ipv4Addr> {
         let mut fresh = Vec::new();
         for t in traces {
             match self.corpus.absorb(t) {
@@ -522,7 +528,7 @@ impl<'a> Cfs<'a> {
     /// (§3.2): each session pins both end addresses and the neighbor ASN
     /// of an interconnection without a traceroute having to cross it.
     /// `owner` is the AS operating the queried looking glass.
-    pub fn ingest_bgp_sessions(&mut self, owner: Asn, sessions: &[cfs_bgp::BgpSession]) {
+    pub(crate) fn ingest_bgp_sessions(&mut self, owner: Asn, sessions: &[cfs_bgp::BgpSession]) {
         for s in sessions {
             self.bgp_log.push((owner, *s));
             for ip in [s.local_ip, s.neighbor_ip] {
@@ -573,64 +579,6 @@ impl<'a> Cfs<'a> {
         self.bgp_log = log;
     }
 
-    /// Resets every derived artifact back to the post-builder state
-    /// while keeping the external inputs — the trace corpus, the
-    /// looking-glass log, the current KB epoch, vantage-point status —
-    /// so [`Cfs::run_to_convergence`] can be re-run from scratch over
-    /// them. This is the replay entry point behind follow-up-driven
-    /// sessions, where targeted probing reacts to global state and no
-    /// scoped pass can reproduce convergence. The caller is responsible
-    /// for first truncating the corpus to the external prefix
-    /// (follow-up probes from the previous run are re-issued by the
-    /// replay itself). `rebuild_observations` resets the constraint
-    /// watermark along with the `deps` and `remote_cache` cleared here.
-    pub(crate) fn reset_for_replay(&mut self) {
-        self.hop_ips = self.corpus.all_hops().iter().flatten().copied().collect();
-        self.repeats.clear();
-        for (_, s) in &self.bgp_log {
-            self.hop_ips.insert(s.local_ip);
-            self.hop_ips.insert(s.neighbor_ip);
-        }
-        self.new_ips_since_alias = self.hop_ips.len();
-        self.aliases = AliasResolution::default();
-        self.corrected.clear();
-        self.states.clear();
-        self.remote_cache.clear();
-        self.vp_crossed.clear();
-        self.indexed = 0;
-        self.reindex.clear();
-        self.chase_attempts.clear();
-        self.interner = FacilitySetInterner::new();
-        self.as_fac_cache.clear();
-        self.ixp_fac_cache.clear();
-        self.metro_cand_cache.clear();
-        self.chase_targets = None;
-        self.deps.clear();
-        self.clock_ms = 0;
-        self.iterations.clear();
-        self.traces_issued = 0;
-        self.conv_hists.clear();
-        self.retry_budget = RetryBudget::new(RETRY_BUDGET);
-        self.breaker = CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN_MS);
-        self.failed_probes = 0;
-        self.rebuild_observations();
-    }
-
-    /// Runs the search to convergence (or the iteration cap) and returns
-    /// the report.
-    ///
-    /// This is the batch entry point: a thin converge-once wrapper over
-    /// the same internals the resident session API drives —
-    /// `CfsBuilder::build_session()` followed by
-    /// [`crate::session::CfsSession::converge`] produces the identical
-    /// report (and the session can then absorb deltas, which `run` never
-    /// can).
-    pub fn run(&mut self) -> CfsReport {
-        cfs_obs::span!(self.recorder, "cfs.run");
-        self.run_to_convergence();
-        self.build_report()
-    }
-
     /// The iterative constraint loop: applies constraints, records
     /// convergence, issues follow-ups, and stops on the paper's
     /// staleness/iteration-cap/all-done conditions. Leaves every verdict
@@ -640,8 +588,7 @@ impl<'a> Cfs<'a> {
         self.reset_observations();
         self.process_new_traces();
 
-        let mut stale = 0usize;
-        let mut last_resolved = 0usize;
+        let mut stopping = Stopping::default();
         for iteration in 1..=self.cfg.max_iterations {
             cfs_obs::span!(self.recorder, "cfs.iteration");
             self.recorder.counter("cfs.iterations", 1);
@@ -653,10 +600,7 @@ impl<'a> Cfs<'a> {
             let resolved = self.resolved_count();
             let mut issued = 0usize;
 
-            let all_done = self
-                .states
-                .values()
-                .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal);
+            let all_done = self.all_done();
             if !all_done && iteration < self.cfg.max_iterations {
                 issued = self.followups(iteration);
                 self.clock_ms += 120_000; // measurements spread over time
@@ -673,20 +617,17 @@ impl<'a> Cfs<'a> {
                 tracked: self.states.len(),
                 traces_issued: issued,
             });
-
-            if resolved == last_resolved && issued == 0 {
-                stale += 1;
-                if stale >= STALE_ITERATIONS {
-                    break;
-                }
-            } else {
-                stale = 0;
-            }
-            last_resolved = resolved;
-            if all_done {
+            if stopping.after(resolved, issued, all_done) {
                 break;
             }
         }
+    }
+
+    /// Whether no tracked interface is left unresolved-local.
+    fn all_done(&self) -> bool {
+        self.states
+            .values()
+            .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal)
     }
 
     /// Snapshots the candidate-set-size distribution after this
@@ -737,19 +678,15 @@ impl<'a> Cfs<'a> {
     /// Rebuilds `iterations` and `conv_hists` as the follow-up-less batch
     /// loop would have produced them over the current (fixed-point)
     /// states: the per-iteration resolved/tracked counts are constant, so
-    /// the loop's control flow — staleness counter, iteration cap,
-    /// all-done early exit — is replayed against constants.
+    /// the loop's iteration cap and [`Stopping`] rule are replayed
+    /// against constants.
     pub(crate) fn synthesize_iterations(&mut self) {
         self.iterations.clear();
         self.conv_hists.clear();
         let resolved = self.resolved_count();
         let tracked = self.states.len();
-        let all_done = self
-            .states
-            .values()
-            .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal);
-        let mut stale = 0usize;
-        let mut last_resolved = 0usize;
+        let all_done = self.all_done();
+        let mut stopping = Stopping::default();
         for iteration in 1..=self.cfg.max_iterations {
             let mut hist = CandidateHistogram::new(iteration);
             for state in self.states.values() {
@@ -762,16 +699,7 @@ impl<'a> Cfs<'a> {
                 tracked,
                 traces_issued: 0,
             });
-            if resolved == last_resolved {
-                stale += 1;
-                if stale >= STALE_ITERATIONS {
-                    break;
-                }
-            } else {
-                stale = 0;
-            }
-            last_resolved = resolved;
-            if all_done {
+            if stopping.after(resolved, 0, all_done) {
                 break;
             }
         }
@@ -969,46 +897,31 @@ impl<'a> Cfs<'a> {
         self.indexed = paths;
     }
 
-    pub(crate) fn as_facilities(&mut self, asn: Asn) -> FacilitySet {
-        if let Some(hit) = self.as_fac_cache.get(&asn) {
-            return hit.clone();
-        }
-        let facs = self.kb().facilities_of_as(asn);
-        let set = self.interner.intern_set(&facs);
-        self.as_fac_cache.insert(asn, set.clone());
-        set
-    }
-
-    pub(crate) fn ixp_facilities(&mut self, ixp: IxpId) -> FacilitySet {
-        if let Some(hit) = self.ixp_fac_cache.get(&ixp) {
-            return hit.clone();
-        }
-        let facs = self.kb().facilities_of_ixp(ixp);
-        let set = self.interner.intern_set(&facs);
-        self.ixp_fac_cache.insert(ixp, set.clone());
-        set
-    }
-
-    /// The metro-level widening pool for an exchange: every known
-    /// facility in the metros the exchange operates in. When footprints
-    /// fail to intersect, falling back to this pool keeps the interface
+    /// The knowledge-base footprint `key` names, interned and cached
+    /// under the current epoch: an AS's or an exchange's facilities, or
+    /// an exchange's metro-level widening pool, every known facility in
+    /// the metros the exchange operates in. When footprints fail to
+    /// intersect, falling back to that pool keeps the interface
     /// geographically constrained instead of dead-ending (DESIGN.md §9).
-    pub(crate) fn metro_candidates(&mut self, ixp: IxpId) -> FacilitySet {
-        if let Some(hit) = self.metro_cand_cache.get(&ixp) {
+    pub(crate) fn footprint(&mut self, key: DepKey) -> FacilitySet {
+        if let Some(hit) = self.footprints.get(&key) {
             return hit.clone();
         }
         let kb = self.kb();
-        let metros: BTreeSet<MetroId> = kb
-            .facilities_of_ixp(ixp)
-            .iter()
-            .filter_map(|f| kb.metro_of_facility(*f))
-            .collect();
-        let mut pool: BTreeSet<FacilityId> = BTreeSet::new();
-        for m in metros {
-            pool.extend(kb.facilities_in_metro(m));
-        }
-        let set = self.interner.intern_set(&pool);
-        self.metro_cand_cache.insert(ixp, set.clone());
+        let facs = match key {
+            DepKey::As(asn) => kb.facilities_of_as(asn),
+            DepKey::Ixp(ixp) => kb.facilities_of_ixp(ixp),
+            DepKey::Metro(ixp) => kb
+                .facilities_of_ixp(ixp)
+                .iter()
+                .filter_map(|f| kb.metro_of_facility(*f))
+                .collect::<BTreeSet<MetroId>>()
+                .into_iter()
+                .flat_map(|m| kb.facilities_in_metro(m))
+                .collect(),
+        };
+        let set = self.interner.intern_set(&facs);
+        self.footprints.insert(key, set.clone());
         set
     }
 
@@ -1183,11 +1096,11 @@ impl<'a> Cfs<'a> {
                 if self.remote_cache.contains_key(&ip) || queued.contains(&ip) {
                     continue;
                 }
-                let f_owner = self.as_facilities(owner);
+                let f_owner = self.footprint(DepKey::As(owner));
                 if f_owner.is_empty() {
                     continue;
                 }
-                let f_ixp = self.ixp_facilities(ixp);
+                let f_ixp = self.footprint(DepKey::Ixp(ixp));
                 if f_owner.intersection_len(&f_ixp) == 0 {
                     queued.insert(ip);
                     pending.push((ip, ixp));
@@ -1266,7 +1179,7 @@ impl<'a> Cfs<'a> {
         evidence: crate::observe::IxpHopEvidence,
     ) {
         if self.cfg.evidence_gating && evidence.weak() {
-            let f_owner = self.as_facilities(owner);
+            let f_owner = self.footprint(DepKey::As(owner));
             let state = self
                 .states
                 .entry(ip)
@@ -1288,8 +1201,8 @@ impl<'a> Cfs<'a> {
             state.constrain(&f_owner, iteration);
             return;
         }
-        let f_owner = self.as_facilities(owner);
-        let f_ixp = self.ixp_facilities(ixp);
+        let f_owner = self.footprint(DepKey::As(owner));
+        let f_ixp = self.footprint(DepKey::Ixp(ixp));
         let common = f_owner.intersect(&f_ixp);
 
         let verdict = if common.is_empty() && !f_owner.is_empty() {
@@ -1313,7 +1226,7 @@ impl<'a> Cfs<'a> {
         // test did not explain it away.
         let widened = if common.is_empty() && !f_owner.is_empty() && !matches!(verdict, Some(true))
         {
-            Some(self.metro_candidates(ixp))
+            Some(self.footprint(DepKey::Metro(ixp)))
         } else {
             None
         };
@@ -1369,8 +1282,8 @@ impl<'a> Cfs<'a> {
     /// Step 2 for a private peering interface: intersect the two peers'
     /// facility sets (cross-connects join routers in one building).
     fn constrain_private(&mut self, owner: Asn, ip: Ipv4Addr, peer: Asn, iteration: usize) {
-        let f_owner = self.as_facilities(owner);
-        let f_peer = self.as_facilities(peer);
+        let f_owner = self.footprint(DepKey::As(owner));
+        let f_peer = self.footprint(DepKey::As(peer));
         let common = f_owner.intersect(&f_peer);
 
         let state = self
@@ -1521,7 +1434,7 @@ impl<'a> Cfs<'a> {
                 }
             }
         }
-        self.absorb(&traces);
+        self.ingest(&traces);
         self.traces_issued += issued;
         issued
     }
@@ -1644,13 +1557,13 @@ impl<'a> Cfs<'a> {
     }
 
     /// Builds the planner's target pool: looking every known AS up
-    /// fills `as_fac_cache` exactly as scoring them all did.
+    /// fills its `footprints` entries exactly as scoring them all did.
     fn build_chase_targets(&mut self) -> ChaseTargets {
         let known: Vec<Asn> = self.kb().known_ases().collect();
         let mut ases = Vec::with_capacity(known.len());
         let mut at = Vec::new();
         for t in known {
-            let f_t = self.as_facilities(t);
+            let f_t = self.footprint(DepKey::As(t));
             at.extend(f_t.iter().map(|f| (f, ases.len())));
             ases.push((t, f_t));
         }
@@ -1681,7 +1594,7 @@ impl<'a> Cfs<'a> {
             };
             (owner, c, state.public_ixps.clone())
         };
-        let f_owner = self.as_facilities(owner);
+        let f_owner = self.footprint(DepKey::As(owner));
 
         // Rank candidate targets. Preferred (the paper's rule): known
         // ASes whose footprint is a strict subset of the owner's, so the
@@ -2220,7 +2133,7 @@ impl Cfs<'_> {
             };
             (owner, c, state.public_ixps.clone())
         };
-        let f_owner = self.as_facilities(owner);
+        let f_owner = self.footprint(DepKey::As(owner));
 
         // Rank candidate targets. Preferred (the paper's rule): known
         // ASes whose footprint is a strict subset of the owner's, so the
@@ -2235,7 +2148,7 @@ impl Cfs<'_> {
             if t == owner {
                 continue;
             }
-            let f_t = self.as_facilities(t);
+            let f_t = self.footprint(DepKey::As(t));
             if f_t.is_empty() {
                 continue;
             }
@@ -2363,6 +2276,7 @@ fn _assert_send_sync() {
     fn send<T: Send>() {}
     fn sync<T: Sync>() {}
     send::<Cfs<'static>>();
+    send::<crate::CfsSession<'static>>();
     send::<KnowledgeBase>();
     sync::<KnowledgeBase>();
     sync::<Engine<'static>>();

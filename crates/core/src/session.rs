@@ -52,13 +52,9 @@
 //!
 //! Follow-up-driven configurations (`followup_interfaces > 0`) have no
 //! such fixed point: targeted probing reacts to global state, so a
-//! scoped pass cannot reproduce convergence. Those sessions still
-//! absorb deltas — [`CfsSession::apply_delta`] falls back to a **full
-//! deterministic replay**: external inputs are merged (discarding the
-//! previous run's follow-up probes, which the replay re-issues itself),
-//! derived state is reset, and the batch loop re-runs from scratch.
-//! The same report-equivalence contract holds on both paths; only the
-//! cost differs (O(dirty) vs O(world)).
+//! scoped pass cannot reproduce convergence. Those are the paper's
+//! batch runs (§4.3, Step 4); their sessions converge and answer
+//! queries, and [`CfsSession::apply_delta`] refuses them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -68,7 +64,7 @@ use cfs_chaos::{splitmix64, RetryPolicy};
 use cfs_kb::KnowledgeBase;
 use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
-use cfs_types::{Asn, FacilityId, IxpId, MetroId, Result, VantagePointId};
+use cfs_types::{Asn, Error, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
 use crate::engine::{Cfs, DepKey};
 use crate::remote::RemoteTester;
@@ -159,9 +155,8 @@ pub struct QueryAnswer {
 
 /// A resident CFS engine: converge once, query forever, absorb deltas.
 ///
-/// Built by [`crate::CfsBuilder::build_session`]. The batch entry point
-/// [`Cfs::run`] survives as a thin converge-once wrapper over the same
-/// internals.
+/// Built by [`crate::CfsBuilder::build_session`], the engine's only
+/// entry point: a batch run is a session converged once.
 pub struct CfsSession<'a> {
     cfs: Cfs<'a>,
     report: Option<CfsReport>,
@@ -182,7 +177,7 @@ impl<'a> CfsSession<'a> {
     /// [`Delta::TracerouteBatch`] instead, so only affected interfaces
     /// are recomputed.
     pub fn ingest(&mut self, traces: Vec<Trace>) {
-        self.cfs.ingest(traces);
+        self.cfs.ingest(&traces);
     }
 
     /// Feeds BGP session listings from looking glasses (§3.2). Like
@@ -203,12 +198,12 @@ impl<'a> CfsSession<'a> {
     }
 
     /// Runs the search to convergence (first call) and returns the
-    /// cached report (every call). Identical to what [`Cfs::run`] on the
-    /// same inputs returns, byte for byte.
+    /// cached report (every call).
     pub fn converge(&mut self) -> &CfsReport {
         if self.report.is_none() {
-            let report = self.cfs.run();
-            self.report = Some(report);
+            cfs_obs::span!(self.cfs.recorder, "cfs.run");
+            self.cfs.run_to_convergence();
+            self.report = Some(self.cfs.build_report());
             self.epoch = 1;
         }
         self.report.as_ref().expect("report cached above")
@@ -271,16 +266,6 @@ impl<'a> CfsSession<'a> {
         }
     }
 
-    /// The canonical `cfs-trace/1` document for the cached report:
-    /// rendered from a fresh deterministic recorder fed pure functions of
-    /// the report, so equal reports produce equal trace bytes — and
-    /// therefore equal digests — no matter how many deltas, queries, or
-    /// worker threads produced them.
-    pub fn trace_json(&mut self) -> String {
-        self.converge();
-        canonical_trace(self.report.as_ref().expect("converged above"))
-    }
-
     /// Applies one delta: dirties the interfaces whose constraint inputs
     /// changed, closes the set over alias sets, re-converges exactly that
     /// frontier, rebuilds the report (or keeps it, when a campaign moved
@@ -289,18 +274,17 @@ impl<'a> CfsSession<'a> {
     /// Emits `serve.delta`, `serve.dirty_ifaces`, and `serve.reconverged`
     /// through the session recorder.
     ///
-    /// Follow-up-driven configurations
-    /// (`CfsConfig::followup_interfaces > 0`) take the replay path
-    /// instead: the batch loop re-runs from scratch over the merged
-    /// external inputs (module docs). The outcome then reports
-    /// `reconverged == total`, and `dirty` counts interfaces whose
-    /// verdict actually changed between the cached and replayed reports.
+    /// Refuses every delta on a follow-up-driven configuration
+    /// (`CfsConfig::followup_interfaces > 0`, module docs) before
+    /// converging or absorbing anything.
     pub fn apply_delta(&mut self, delta: Delta) -> Result<DeltaOutcome> {
+        if self.cfs.cfg.followup_interfaces > 0 {
+            return Err(Error::invalid(
+                "deltas need a follow-up-less session (followup_interfaces = 0)",
+            ));
+        }
         if self.report.is_none() {
             self.converge();
-        }
-        if self.cfs.cfg.followup_interfaces > 0 {
-            return self.apply_delta_replay(delta);
         }
         cfs_obs::span!(self.cfs.recorder, "serve.delta");
         let frontier = self.absorb(delta);
@@ -378,64 +362,6 @@ impl<'a> CfsSession<'a> {
         }
     }
 
-    /// The follow-up-capable delta path: merges the delta into the
-    /// external inputs, discards the previous run's follow-up probes
-    /// (the engine's trace list past the external prefix), resets every
-    /// derived artifact, and re-runs the batch loop from scratch. Costs
-    /// a full run; produces exactly the fresh-batch report, so the
-    /// report-equivalence contract of the incremental path holds here
-    /// too — `crates/core/tests/session.rs` asserts it.
-    fn apply_delta_replay(&mut self, delta: Delta) -> Result<DeltaOutcome> {
-        cfs_obs::span!(self.cfs.recorder, "serve.delta");
-        self.cfs.corpus.truncate_to_pin();
-        match delta {
-            Delta::TracerouteBatch(traces) => self.cfs.ingest(traces),
-            Delta::KbEpochFlip(kb) => self.cfs.flip_kb(kb),
-            Delta::VpStatusChange { vp, up } => {
-                if up {
-                    self.cfs.vp_down.remove(&vp);
-                } else {
-                    self.cfs.vp_down.insert(vp);
-                }
-            }
-        }
-        let before: BTreeMap<Ipv4Addr, (Option<FacilityId>, SearchOutcome)> = self
-            .report
-            .as_ref()
-            .map(|r| {
-                r.interfaces
-                    .iter()
-                    .map(|(ip, i)| (*ip, (i.facility, i.outcome)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.cfs.reset_for_replay();
-        self.cfs.run_to_convergence();
-        let report = self.cfs.build_report();
-        let total = self.cfs.states.len();
-        let dirty = report
-            .interfaces
-            .iter()
-            .filter(|(ip, i)| before.get(*ip) != Some(&(i.facility, i.outcome)))
-            .count()
-            + before
-                .keys()
-                .filter(|ip| !report.interfaces.contains_key(*ip))
-                .count();
-        self.cfs
-            .recorder
-            .counter("serve.dirty_ifaces", dirty as u64);
-        self.cfs.recorder.counter("serve.reconverged", total as u64);
-        self.report = Some(report);
-        self.epoch += 1;
-        Ok(DeltaOutcome {
-            epoch: self.epoch,
-            dirty,
-            reconverged: total,
-            total,
-        })
-    }
-
     // ------------------------------------------------------------------
     // Delta absorption: compute the dirty frontier
     // ------------------------------------------------------------------
@@ -511,7 +437,7 @@ impl<'a> CfsSession<'a> {
     /// observation list or the alias sets changed at all.
     fn absorb_traces(&mut self, traces: Vec<Trace>) -> (BTreeSet<Ipv4Addr>, bool) {
         let held = self.cfs.observations.len();
-        let mut fresh = self.cfs.ingest_fresh(traces);
+        let mut fresh = self.cfs.ingest(&traces);
         // Extraction of a trace reads only the KB and the corrected ASNs
         // of its own hops, so the held observations stay exact while no
         // already-seen address changes its corrected ASN, and only the new
@@ -567,44 +493,15 @@ impl<'a> CfsSession<'a> {
         // Diff every footprint the constraint system has consumed against
         // the new epoch; a changed footprint dirties exactly the
         // interfaces the dependency index says consumed it.
-        let as_keys: Vec<Asn> = self.cfs.as_fac_cache.keys().copied().collect();
-        for asn in as_keys {
+        let keys: Vec<DepKey> = self.cfs.footprints.keys().copied().collect();
+        for key in keys {
             let old = self
                 .cfs
-                .as_fac_cache
-                .remove(&asn)
+                .footprints
+                .remove(&key)
                 .expect("key collected from this map");
-            let new = self.cfs.as_facilities(asn);
-            if old != new {
-                if let Some(consumers) = self.cfs.deps.get(&DepKey::As(asn)) {
-                    dirty.extend(consumers.iter().copied());
-                }
-            }
-        }
-        let ixp_keys: Vec<IxpId> = self.cfs.ixp_fac_cache.keys().copied().collect();
-        for ixp in ixp_keys {
-            let old = self
-                .cfs
-                .ixp_fac_cache
-                .remove(&ixp)
-                .expect("key collected from this map");
-            let new = self.cfs.ixp_facilities(ixp);
-            if old != new {
-                if let Some(consumers) = self.cfs.deps.get(&DepKey::Ixp(ixp)) {
-                    dirty.extend(consumers.iter().copied());
-                }
-            }
-        }
-        let metro_keys: Vec<IxpId> = self.cfs.metro_cand_cache.keys().copied().collect();
-        for ixp in metro_keys {
-            let old = self
-                .cfs
-                .metro_cand_cache
-                .remove(&ixp)
-                .expect("key collected from this map");
-            let new = self.cfs.metro_candidates(ixp);
-            if old != new {
-                if let Some(consumers) = self.cfs.deps.get(&DepKey::Metro(ixp)) {
+            if old != self.cfs.footprint(key) {
+                if let Some(consumers) = self.cfs.deps.get(&key) {
                     dirty.extend(consumers.iter().copied());
                 }
             }
@@ -794,7 +691,7 @@ mod tests {
         let mut session = world.session(&engine, CfsConfig::default());
         let cfs = &mut session.cfs;
         let mut traces = world.campaign(&engine, 0, 0..12);
-        cfs.ingest(traces.clone());
+        cfs.ingest(&traces);
         cfs.realias();
 
         // Index the first campaign under a perturbed view, as if the last
@@ -817,7 +714,7 @@ mod tests {
 
         // New traces under an unchanged view: only they are walked.
         let second = world.campaign(&engine, 7_200_000, 12..30);
-        cfs.ingest(second.clone());
+        cfs.ingest(&second);
         cfs.process_new_traces();
         walk_every_hop(&mut oracle, &second, &cfs.corrected);
         traces.extend(second);
@@ -838,36 +735,35 @@ mod tests {
         assert_eq!(cfs.indexed, cfs.corpus.len());
     }
 
+    /// The part of `followup_config_refuses_every_delta`
+    /// (`tests/session.rs`) only the crate can see: a refused delta
+    /// leaves the corpus and the vantage-point status as they were.
     #[test]
-    fn followup_replay_rebuilds_the_exposure_index_of_a_fresh_batch() {
+    fn refused_deltas_leave_the_inputs_alone() {
         let world = World::new();
         let engine = Engine::new(&world.topo);
         let cfg = CfsConfig {
             followup_interfaces: 24,
-            threads: 2,
             ..CfsConfig::default()
         };
-        let a = world.campaign(&engine, 0, 0..12);
-        let b = world.campaign(&engine, 7_200_000, 12..30);
-
-        let mut batch = world.session(&engine, cfg.clone());
-        batch.ingest(a.clone());
-        batch.ingest(b.clone());
-        let full = serde_json::to_string(batch.converge()).unwrap();
-
-        // The replay path: truncate to the external prefix, ingest,
-        // reset_for_replay, re-run.
         let mut session = world.session(&engine, cfg);
-        session.ingest(a);
+        session.ingest(world.campaign(&engine, 0, 0..12));
         session.converge();
-        assert!(session.cfs.traces_issued > 0, "no follow-ups issued");
-        session.apply_delta(Delta::TracerouteBatch(b)).unwrap();
-        let replayed = serde_json::to_string(session.report().unwrap()).unwrap();
-
-        assert_eq!(full, replayed);
-        assert_eq!(session.cfs.vp_crossed, batch.cfs.vp_crossed);
-        assert_eq!(session.cfs.indexed, session.cfs.corpus.len());
-        assert_eq!(batch.cfs.indexed, batch.cfs.corpus.len());
+        let held = (session.cfs.corpus.len(), session.cfs.corpus.traces());
+        for delta in [
+            Delta::TracerouteBatch(world.campaign(&engine, 7_200_000, 12..18)),
+            Delta::VpStatusChange {
+                vp: world.vps.ids().next().unwrap(),
+                up: false,
+            },
+        ] {
+            assert!(session.apply_delta(delta).is_err());
+            assert_eq!(
+                (session.cfs.corpus.len(), session.cfs.corpus.traces()),
+                held
+            );
+            assert!(session.cfs.vp_down.is_empty());
+        }
     }
 
     /// One input change, replayable into a fresh [`Delta`].
@@ -943,17 +839,14 @@ mod tests {
         states: Vec<Extracted>,
         /// Distinct paths held at the end.
         paths: usize,
-        /// Follow-up repeats of external paths held after convergence.
-        bumps: usize,
         /// Campaign deltas that kept the cached report.
         kept: usize,
     }
 
     /// Converges a session on `boot` and applies `steps`, with the corpus
     /// holding distinct paths or, when `naive`, every trace as its own
-    /// path. On the incremental path every campaign's dirty set is
-    /// checked against the fingerprint diff, and every report against a
-    /// fresh `build_report`.
+    /// path. Every campaign's dirty set is checked against the
+    /// fingerprint diff, and every report against a fresh `build_report`.
     fn drive(
         world: &World,
         engine: &dyn ProbeService,
@@ -975,42 +868,36 @@ mod tests {
             session.ingest(campaign.clone());
         }
         session.converge();
-        let bumps = session.cfs.corpus.bumps();
         let mut states = vec![Extracted::of(&session, &rec)];
         let mut kept = 0;
         let reports =
             |rec: &TraceRecorder| rec.snapshot().spans.get("stage.report").map(|s| s.count);
         for (i, step) in steps.iter().enumerate() {
-            if cfg.followup_interfaces > 0 {
-                session.apply_delta(step.delta()).unwrap();
-            } else {
-                let before = session.fingerprints();
-                let built = reports(&rec);
-                let frontier = session.absorb(step.delta());
-                if let Step::Campaign(_) = step {
-                    let moved = CfsSession::fingerprint_diff(&before, &session.fingerprints());
-                    assert_eq!(
-                        frontier.dirty, moved,
-                        "step {i}: dirty set is not the fingerprint diff"
-                    );
-                }
-                session.reconverge(frontier);
-                if reports(&rec) == built {
-                    kept += 1;
-                }
-                let fresh = serde_json::to_string(&session.cfs.build_report()).unwrap();
+            let before = session.fingerprints();
+            let built = reports(&rec);
+            let frontier = session.absorb(step.delta());
+            if let Step::Campaign(_) = step {
+                let moved = CfsSession::fingerprint_diff(&before, &session.fingerprints());
                 assert_eq!(
-                    serde_json::to_string(session.report().unwrap()).unwrap(),
-                    fresh,
-                    "step {i}: the cached report is not a fresh build_report"
+                    frontier.dirty, moved,
+                    "step {i}: dirty set is not the fingerprint diff"
                 );
             }
+            session.reconverge(frontier);
+            if reports(&rec) == built {
+                kept += 1;
+            }
+            let fresh = serde_json::to_string(&session.cfs.build_report()).unwrap();
+            assert_eq!(
+                serde_json::to_string(session.report().unwrap()).unwrap(),
+                fresh,
+                "step {i}: the cached report is not a fresh build_report"
+            );
             states.push(Extracted::of(&session, &rec));
         }
         Run {
             states,
             paths: session.cfs.corpus.len(),
-            bumps,
             kept,
         }
     }
@@ -1183,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_truncation_undoes_follow_up_repeats() {
+    fn distinct_path_corpus_equals_a_walk_over_every_trace_under_follow_ups() {
         let world = World::new();
         let engine = Engine::new(&world.topo);
         let cfg = CfsConfig {
@@ -1191,17 +1078,10 @@ mod tests {
             threads: 2,
             ..CfsConfig::default()
         };
-        let campaign = |epoch: u64, ases| world.campaign(&engine, epoch * 7_200_000, ases);
-        let boot = vec![campaign(0, 0..12)];
-        let steps = [
-            Step::Campaign(campaign(1, 0..12)),
-            Step::Campaign(campaign(2, 12..18)),
-        ];
-        let run = corpus_against_naive_walk(&world, &engine, &cfg, &boot, &steps, "follow-ups");
-        assert!(
-            run.bumps > 0,
-            "no follow-up probe repeated an external path"
-        );
+        let boot = [world.campaign(&engine, 0, 0..12)];
+        // With no steps, `paths < traces` needs a follow-up probe that
+        // repeats an external path.
+        corpus_against_naive_walk(&world, &engine, &cfg, &boot, &[], "follow-ups");
     }
 
     /// What a batch run planned in every follow-up round, what its full
@@ -1217,20 +1097,18 @@ mod tests {
     /// A follow-up-driven run: `boot` and every vantage point's
     /// looking-glass sessions ingested, follow-ups restricted to
     /// `platforms` (all when empty), the circuits of every other
-    /// vantage point opened before the first round, then converged and
-    /// given `replay` as a follow-up replay delta. Returns what the
-    /// session planned and settled after convergence and after the
-    /// replay; with `naive`, the scanning planner and full passes that
-    /// re-settle every observation.
-    fn planned_runs(
+    /// vantage point opened before the first round, then converged.
+    /// Returns what the session planned and settled; with `naive`, the
+    /// scanning planner and full passes that re-settle every
+    /// observation.
+    fn planned_run(
         world: &World,
         engine: &dyn ProbeService,
         cfg: &CfsConfig,
         platforms: &[Platform],
         boot: &[Trace],
-        replay: &[Trace],
         naive: bool,
-    ) -> [Planned; 2] {
+    ) -> Planned {
         let rec = Arc::new(TraceRecorder::deterministic());
         let mut builder = Cfs::builder(engine, &world.kb)
             .vps(&world.vps)
@@ -1255,58 +1133,44 @@ mod tests {
                 }
             }
         }
-        let snapshot = |session: &mut CfsSession<'_>| {
-            assert_eq!(session.cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-            Planned {
-                rounds: std::mem::take(&mut session.cfs.rounds),
-                deps: session.cfs.deps.clone(),
-                remote_cache: session.cfs.remote_cache.clone(),
-                counters: rec.snapshot().counters,
-                report: serde_json::to_string(session.report().unwrap()).unwrap(),
-            }
-        };
         session.converge();
-        let converged = snapshot(&mut session);
-        session
-            .apply_delta(Delta::TracerouteBatch(replay.to_vec()))
-            .unwrap();
-        [converged, snapshot(&mut session)]
+        assert_eq!(session.cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
+        Planned {
+            rounds: std::mem::take(&mut session.cfs.rounds),
+            deps: session.cfs.deps.clone(),
+            remote_cache: session.cfs.remote_cache.clone(),
+            counters: rec.snapshot().counters,
+            report: serde_json::to_string(session.report().unwrap()).unwrap(),
+        }
     }
 
     /// Runs the scenario with the indexed planner and the watermark, and
     /// with the scanning planner and naive passes; requires the same
     /// requests and skipped vantage points in every round, and the same
-    /// `deps`, `remote_cache`, counters and report after convergence and
-    /// after the replay. Returns the indexed run.
+    /// `deps`, `remote_cache`, counters and report. Returns the indexed
+    /// run.
     fn planner_against_naive(
         world: &World,
         engine: &dyn ProbeService,
         cfg: &CfsConfig,
         platforms: &[Platform],
         boot: &[Trace],
-        replay: &[Trace],
         label: &str,
-    ) -> [Planned; 2] {
-        let naive = planned_runs(world, engine, cfg, platforms, boot, replay, true);
-        let indexed = planned_runs(world, engine, cfg, platforms, boot, replay, false);
-        for (stage, (a, b)) in naive.iter().zip(&indexed).enumerate() {
-            assert_eq!(
-                a.rounds.len(),
-                b.rounds.len(),
-                "{label}/{stage}: round count"
-            );
-            for (round, (a, b)) in a.rounds.iter().zip(&b.rounds).enumerate() {
-                assert_eq!(a, b, "{label}/{stage}: round {round} planned differently");
-            }
-            assert!(a.deps == b.deps, "{label}/{stage}: deps differ");
-            assert!(
-                a.remote_cache == b.remote_cache,
-                "{label}/{stage}: remote verdicts differ"
-            );
-            assert_eq!(a.counters, b.counters, "{label}/{stage}: counters differ");
-            assert!(a.report == b.report, "{label}/{stage}: reports differ");
+    ) -> Planned {
+        let a = planned_run(world, engine, cfg, platforms, boot, true);
+        let b = planned_run(world, engine, cfg, platforms, boot, false);
+        assert_eq!(a.rounds.len(), b.rounds.len(), "{label}: round count");
+        for (round, (a, b)) in a.rounds.iter().zip(&b.rounds).enumerate() {
+            assert_eq!(a, b, "{label}: round {round} planned differently");
         }
-        indexed
+        assert!(a.deps == b.deps, "{label}: deps differ");
+        assert!(
+            a.remote_cache == b.remote_cache,
+            "{label}: remote verdicts differ"
+        );
+        assert_eq!(a.counters, b.counters, "{label}: counters differ");
+        assert!(a.report == b.report, "{label}: reports differ");
+        b
     }
 
     #[test]
@@ -1318,30 +1182,25 @@ mod tests {
         };
         let clean = Engine::new(&world.topo);
         let boot = world.campaign(&clean, 0, 0..12);
-        let replay = world.campaign(&clean, 7_200_000, 12..18);
-        let run = planner_against_naive(&world, &clean, &cfg, &[], &boot, &replay, "clean");
-        assert!(run[0].rounds.len() > 3, "too few follow-up rounds");
+        let run = planner_against_naive(&world, &clean, &cfg, &[], &boot, "clean");
+        assert!(run.rounds.len() > 3, "too few follow-up rounds");
 
         // Reverse search adds requests the same run without it lacks.
         let forward = CfsConfig {
             reverse_search: false,
             ..cfg.clone()
         };
-        let without = planned_runs(&world, &clean, &forward, &[], &boot, &replay, false);
-        assert_ne!(
-            run[0].rounds, without[0].rounds,
-            "reverse search planned nothing"
-        );
+        let without = planned_run(&world, &clean, &forward, &[], &boot, false);
+        assert_ne!(run.rounds, without.rounds, "reverse search planned nothing");
 
         // Outages open circuits; one platform plans, and the circuits of
         // the others are open, which the scanning planner never counts.
         let plan = FaultPlan::new(5, FaultProfile::blackout());
         let chaos = ChaosEngine::new(Engine::new(&world.topo), plan);
         let boot = world.campaign(&chaos, 0, 0..12);
-        let replay = world.campaign(&chaos, 7_200_000, 12..18);
         let only = [Platform::RipeAtlas];
-        let run = planner_against_naive(&world, &chaos, &cfg, &only, &boot, &replay, "chaos");
-        let skipped: u64 = run.iter().flat_map(|p| &p.rounds).map(|(_, s)| s).sum();
+        let run = planner_against_naive(&world, &chaos, &cfg, &only, &boot, "chaos");
+        let skipped: u64 = run.rounds.iter().map(|(_, s)| s).sum();
         assert!(skipped > 0, "no circuit opened");
     }
 
@@ -1354,9 +1213,8 @@ mod tests {
             ..CfsConfig::default()
         };
         let boot = world.campaign(&engine, 0, 0..8);
-        let replay = world.campaign(&engine, 7_200_000, 8..10);
-        let run = planner_against_naive(&world, &engine, &cfg, &[], &boot, &replay, "default");
-        assert!(run[0].rounds.len() > 3, "too few follow-up rounds");
+        let run = planner_against_naive(&world, &engine, &cfg, &[], &boot, "default");
+        assert!(run.rounds.len() > 3, "too few follow-up rounds");
     }
 
     #[test]
@@ -1387,7 +1245,7 @@ mod tests {
 
         // Appending keeps the settled prefix settled.
         let cfs = &mut session.cfs;
-        cfs.ingest(world.campaign(&engine, 7_200_000, 12..18));
+        cfs.ingest(&world.campaign(&engine, 7_200_000, 12..18));
         cfs.process_new_traces();
         assert!(cfs.settled.0 > 0 && cfs.settled.0 < cfs.observations.len());
         assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());

@@ -283,10 +283,10 @@ fn cfs_is_send() {
     let sources = PublicSources::derive(&topo, &KbConfig::default());
     let kb = KnowledgeBase::assemble(&sources, &topo.world);
     let ipasn = topo.build_ipasn_db();
-    let cfs = Cfs::builder(&engine, &kb)
+    let session = Cfs::builder(&engine, &kb)
         .vps(&vps)
         .ipasn(&ipasn)
-        .build()
+        .build_session()
         .unwrap();
-    assert_send(&cfs);
+    assert_send(&session);
 }

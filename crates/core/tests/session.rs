@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, IpIdProber};
 use cfs_chaos::{FaultPlan, FaultProfile};
 use cfs_core::{canonical_trace, Cfs, CfsConfig, CfsReport, Delta};
-use cfs_kb::{KbConfig, KnowledgeBase, PublicSources};
+use cfs_kb::{degrade_sources, KbConfig, KnowledgeBase, PublicSources};
 use cfs_net::Ipv4Prefix;
 use cfs_obs::TraceRecorder;
 use cfs_topology::{Topology, TopologyConfig};
@@ -712,66 +712,73 @@ fn vp_status_delta_matches_fresh_batch_with_pool_exclusion() {
 }
 
 #[test]
-fn followup_config_delta_replays_full_batch() {
-    // Follow-up-driven configurations have no iteration-1 fixed point,
-    // so apply_delta falls back to a full deterministic replay over the
-    // merged external inputs — discarding the previous run's follow-up
-    // probes, which the replay re-issues itself. The contract is the
-    // same as the incremental path: byte-identical to a fresh batch run.
+fn followup_config_refuses_every_delta() {
+    // Follow-up-driven configurations are the paper's batch runs: they
+    // have no iteration-1 fixed point, so no scoped pass reproduces
+    // their convergence. apply_delta refuses every kind of delta before
+    // converging, absorbing anything, or moving the epoch.
     let world = World::new();
     let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
     let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
     let ipasn = world.topo.build_ipasn_db();
     let engine = Engine::new(&world.topo);
-
-    let batch_a = world.campaign(&engine, &vps, 0);
-    let batch_b = world.campaign(&engine, &vps, 7_200_000);
-    let followup_cfg = |threads| CfsConfig {
-        followup_interfaces: 24,
-        threads,
-        ..CfsConfig::default()
+    let stale = degrade_sources(&world.sources, &FaultPlan::new(3, FaultProfile::stale_kb()));
+    let stale = Arc::new(KnowledgeBase::assemble(&stale, &world.topo.world));
+    let boot = world.campaign(&engine, &vps, 0);
+    let deltas = || {
+        [
+            Delta::TracerouteBatch(world.campaign(&engine, &vps, 7_200_000)),
+            Delta::KbEpochFlip(stale.clone()),
+            Delta::VpStatusChange {
+                vp: vps.ids().next().unwrap(),
+                up: false,
+            },
+        ]
     };
-
-    for threads in [1usize, 2, 8] {
-        let mut batch = Cfs::builder(&engine, &kb)
-            .vps(&vps)
-            .ipasn(&ipasn)
-            .config(followup_cfg(threads))
-            .build_session()
-            .unwrap();
-        batch.ingest(batch_a.clone());
-        batch.ingest(batch_b.clone());
-        let full = batch.into_report();
-
+    let session = |rec: Arc<TraceRecorder>| {
         let mut session = Cfs::builder(&engine, &kb)
             .vps(&vps)
             .ipasn(&ipasn)
-            .config(followup_cfg(threads))
+            .config(CfsConfig {
+                followup_interfaces: 24,
+                ..CfsConfig::default()
+            })
+            .recorder(rec)
             .build_session()
             .unwrap();
-        session.ingest(batch_a.clone());
-        session.converge();
-        let outcome = session
-            .apply_delta(Delta::TracerouteBatch(batch_b.clone()))
-            .unwrap();
-        assert_eq!(outcome.epoch, 2);
-        assert_eq!(
-            outcome.reconverged, outcome.total,
-            "the replay path re-converges everything"
-        );
-        let replayed = session.into_report();
+        session.ingest(boot.clone());
+        session
+    };
+    let work = |rec: &TraceRecorder| {
+        let snap = rec.snapshot();
+        let spans: BTreeMap<&str, u64> = snap.spans.iter().map(|(k, s)| (*k, s.count)).collect();
+        (snap.counters, spans)
+    };
 
-        assert_eq!(
-            report_bytes(&full),
-            report_bytes(&replayed),
-            "threads={threads}: follow-up replay diverged from batch"
-        );
-        assert_eq!(
-            canonical_trace(&full),
-            canonical_trace(&replayed),
-            "threads={threads}: trace digests diverged"
-        );
+    let rec = Arc::new(TraceRecorder::deterministic());
+    let mut converged = session(rec.clone());
+    let report = report_bytes(converged.converge());
+    let trace = canonical_trace(converged.report().unwrap());
+    let ran = work(&rec);
+    for delta in deltas() {
+        assert!(converged.apply_delta(delta).is_err());
+        assert_eq!(converged.epoch(), 1);
+        assert_eq!(report_bytes(converged.report().unwrap()), report);
+        assert_eq!(canonical_trace(converged.report().unwrap()), trace);
+        assert!(work(&rec) == ran, "a refused delta did engine work");
     }
+
+    // An unconverged session is refused without converging, and what it
+    // converges to afterwards saw none of the refused deltas.
+    let rec = Arc::new(TraceRecorder::deterministic());
+    let mut unconverged = session(rec.clone());
+    for delta in deltas() {
+        assert!(unconverged.apply_delta(delta).is_err());
+        assert_eq!(unconverged.epoch(), 0);
+        assert!(unconverged.report().is_none());
+    }
+    assert_eq!(report_bytes(unconverged.converge()), report);
+    assert!(work(&rec) == ran);
 }
 
 #[test]
@@ -814,14 +821,8 @@ fn session_queries_answer_from_the_cached_report() {
     assert_eq!(missing.confidence, 0.0);
     assert_eq!(missing.method, "unknown");
 
-    // converge() is idempotent and run()-equivalent.
-    let again = report_bytes(session.converge());
-    let mut batch = Cfs::builder(&engine, &kb)
-        .vps(&vps)
-        .ipasn(&ipasn)
-        .config(service_config(1))
-        .build()
-        .unwrap();
-    batch.ingest(world.campaign(&engine, &vps, 0));
-    assert_eq!(report_bytes(&batch.run()), again);
+    // converge() is idempotent.
+    let first = report_bytes(session.report().unwrap());
+    assert_eq!(report_bytes(session.converge()), first);
+    assert_eq!(session.epoch(), 1);
 }

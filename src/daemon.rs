@@ -22,7 +22,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use cfs_chaos::FaultPlan;
-use cfs_core::{Cfs, CfsConfig, CfsSession, DataQualityReport, Delta, DeltaOutcome};
+use cfs_core::{
+    canonical_trace, Cfs, CfsConfig, CfsSession, DataQualityReport, Delta, DeltaOutcome,
+};
 use cfs_detect::{Detector, DetectorConfig, EpochObservation};
 use cfs_experiments::Lab;
 use cfs_kb::{degrade_sources, KnowledgeBase, PublicSources};
@@ -188,8 +190,8 @@ impl<'w> Daemon<'w> {
             )
         });
 
-        // Follow-up-less: `apply_delta` takes the incremental path only
-        // on measurement-complete inputs (see `CfsSession::apply_delta`).
+        // Follow-up-less: `apply_delta` refuses deltas on a session that
+        // runs targeted follow-ups (see `CfsSession::apply_delta`).
         let config = CfsConfig {
             followup_interfaces: 0,
             ..CfsConfig::default()
@@ -273,10 +275,7 @@ impl<'w> Daemon<'w> {
         match req {
             Request::Status => {
                 let Some(report) = self.session.report() else {
-                    return refuse(ApiError::new(
-                        "internal",
-                        "session has not converged a report yet",
-                    ));
+                    return unconverged();
                 };
                 Outcome::reply(
                     Reply::ok()
@@ -289,11 +288,12 @@ impl<'w> Daemon<'w> {
                 )
             }
             Request::Query { iface } => self.answer_query(&iface),
-            Request::Trace => Outcome::reply(
-                Reply::ok()
-                    .raw("trace", &self.session.trace_json())
-                    .finish(),
-            ),
+            Request::Trace => match self.session.report() {
+                Some(report) => {
+                    Outcome::reply(Reply::ok().raw("trace", &canonical_trace(report)).finish())
+                }
+                None => unconverged(),
+            },
             Request::Metrics => {
                 Outcome::reply(Reply::ok().raw("metrics", &self.metrics_json()).finish())
             }
@@ -496,6 +496,14 @@ fn op_span_name(req: &Request) -> &'static str {
 /// A typed `ok:false` reply that keeps the daemon serving.
 fn refuse(e: ApiError) -> Outcome {
     Outcome::reply(e.to_response())
+}
+
+/// The refusal of a read that needs the converged report.
+fn unconverged() -> Outcome {
+    refuse(ApiError::new(
+        "internal",
+        "session has not converged a report yet",
+    ))
 }
 
 /// Lists (`present`) or delists `facility` in a sorted facility list.

@@ -42,8 +42,9 @@
 //! let traces = run_campaign(&engine, &vps, &vp_ids, &targets, 0, &CampaignLimits::default());
 //!
 //! // 5. Run Constrained Facility Search as a resident session: converge
-//! //    once, then query the cached report (and later absorb deltas via
-//! //    `CfsSession::apply_delta` without re-running the world).
+//! //    once, then query the cached report. A follow-up-less session
+//! //    (`followup_interfaces: 0`) also absorbs deltas via
+//! //    `CfsSession::apply_delta` without re-running the world.
 //! let mut session = Cfs::builder(&engine, &kb).vps(&vps).ipasn(&ipasn).build_session().unwrap();
 //! session.ingest(traces);
 //! let report = session.converge();
