@@ -62,10 +62,6 @@ pub(crate) struct PathCorpus {
     hops: Vec<Option<Ipv4Addr>>,
     /// Open-addressed index into `paths`, a power of two long.
     slots: Vec<u32>,
-    /// Test oracle switch: hold every trace as its own path, the walk
-    /// over every trace the corpus must reproduce.
-    #[cfg(test)]
-    pub(crate) naive: bool,
 }
 
 /// Deterministic hash of a (vantage point, hop-address sequence).
@@ -106,12 +102,6 @@ impl PathCorpus {
         u64::from(self.paths[i].mult)
     }
 
-    /// Ingested traces in total: the sum of every multiplicity.
-    #[cfg(test)]
-    pub(crate) fn traces(&self) -> u64 {
-        self.paths.iter().map(|p| u64::from(p.mult)).sum()
-    }
-
     /// The extraction tally of one trace over path `i`.
     pub(crate) fn tally(&self, i: usize) -> PathTally {
         self.paths[i].tally
@@ -125,10 +115,6 @@ impl PathCorpus {
     /// Adds one trace: appends its path when new, otherwise bumps the
     /// held path's multiplicity.
     pub(crate) fn absorb(&mut self, t: &Trace) -> Absorbed {
-        #[cfg(test)]
-        if self.naive {
-            return Absorbed::New(self.append(t));
-        }
         if (self.paths.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -148,12 +134,7 @@ impl PathCorpus {
             }
             slot = (slot + 1) & mask;
         }
-        let id = self.append(t);
-        self.slots[slot] = narrow(id);
-        Absorbed::New(id)
-    }
-
-    fn append(&mut self, t: &Trace) -> usize {
+        self.slots[slot] = narrow(self.paths.len());
         self.paths.push(Path {
             vp: t.vp,
             start: narrow(self.hops.len()),
@@ -161,7 +142,7 @@ impl PathCorpus {
             tally: PathTally::default(),
         });
         self.hops.extend(t.hops.iter().map(|h| h.ip));
-        self.paths.len() - 1
+        Absorbed::New(self.paths.len() - 1)
     }
 
     /// Re-indexes every path into a table of at least twice its size.

@@ -83,14 +83,18 @@ impl Default for CfsConfig {
 }
 
 /// Follow-up targets per chased interface, smallest overlap first.
-const TARGETS_PER_INTERFACE: usize = 3;
+pub(crate) const TARGETS_PER_INTERFACE: usize = 3;
 /// Vantage points probing each follow-up target.
-const VPS_PER_TARGET: usize = 6;
+pub(crate) const VPS_PER_TARGET: usize = 6;
+/// Chases an interface gets before it yields its slot in the follow-up
+/// budget to fresher ones (the paper's diminishing returns after
+/// iteration 40).
+pub(crate) const MAX_CHASE_ATTEMPTS: usize = 3;
 /// Stop after this many iterations without progress.
 const STALE_ITERATIONS: usize = 6;
 /// Re-run alias resolution whenever this many iterations have added new
 /// interfaces.
-const REALIAS_EVERY: usize = 3;
+pub(crate) const REALIAS_EVERY: usize = 3;
 /// Total follow-up retries a run may spend across all iterations;
 /// exhaustion surfaces as `probe_exhausted` verdicts, not an error.
 /// Each retry re-issues a probe on `RetryPolicy::default()`'s backoff
@@ -110,14 +114,14 @@ const BREAKER_COOLDOWN_MS: u64 = 600_000;
 /// both run it, so a session's `iterations` cannot drift from a batch
 /// run's.
 #[derive(Default)]
-struct Stopping {
+pub(crate) struct Stopping {
     stale: usize,
     last_resolved: usize,
 }
 
 impl Stopping {
     /// Records one iteration's progress; whether the loop stops after it.
-    fn after(&mut self, resolved: usize, issued: usize, all_done: bool) -> bool {
+    pub(crate) fn after(&mut self, resolved: usize, issued: usize, all_done: bool) -> bool {
         if resolved == self.last_resolved && issued == 0 {
             self.stale += 1;
         } else {
@@ -132,7 +136,7 @@ impl Stopping {
 /// hop anonymous (rate-limited/silent routers) or no hops (vantage-point
 /// outage, probe timeout). Such traces add no observations, so they are
 /// the retry trigger.
-fn probe_failed(t: &Trace) -> bool {
+pub(crate) fn probe_failed(t: &Trace) -> bool {
     t.hops.iter().all(|h| h.ip.is_none())
 }
 
@@ -239,14 +243,6 @@ pub struct Cfs<'a> {
     /// Reverse dependency index: KB footprint key → interfaces whose
     /// constraints consumed it (see [`DepKey`]).
     pub(crate) deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
-    /// Watermark of the full constraint passes: `observations[..settled.0]`
-    /// and `session_observations[..settled.1]` were applied by one under
-    /// the current KB epoch, so their `deps` edges are recorded and each
-    /// of their endpoints is in `remote_cache` or cannot trigger a remote
-    /// test. Valid while, since it was set, the two lists were only
-    /// appended to, the KB was not replaced and `remote_cache` only
-    /// gained entries; every other mutation resets it (DESIGN.md §5).
-    pub(crate) settled: (usize, usize),
     /// Known ASes and their footprints, the follow-up planner's target
     /// pool; built by the first chase that scores targets.
     pub(crate) chase_targets: Option<ChaseTargets>,
@@ -273,15 +269,6 @@ pub struct Cfs<'a> {
     pub(crate) chaos_seed: u64,
     /// Probes still failed after every retry round.
     pub(crate) failed_probes: u64,
-    /// Runs every full constraint pass over all observations and plans
-    /// follow-ups with the scanning planner: the oracle the watermark
-    /// and the planner indexes are checked against.
-    #[cfg(test)]
-    pub(crate) naive: bool,
-    /// Each follow-up round's planned requests and skipped vantage
-    /// points, in planning order.
-    #[cfg(test)]
-    pub(crate) rounds: Vec<(Vec<(VantagePointId, Ipv4Addr)>, u64)>,
 }
 
 /// The follow-up planner's target pool: every AS with a known footprint,
@@ -470,7 +457,6 @@ impl<'a> Cfs<'a> {
             interner: FacilitySetInterner::new(),
             footprints: BTreeMap::new(),
             deps: BTreeMap::new(),
-            settled: (0, 0),
             chase_targets: None,
             vps_by_as,
             vp_down,
@@ -484,10 +470,6 @@ impl<'a> Cfs<'a> {
             breaker,
             chaos_seed,
             failed_probes: 0,
-            #[cfg(test)]
-            naive: false,
-            #[cfg(test)]
-            rounds: Vec::new(),
         }
     }
 
@@ -570,7 +552,6 @@ impl<'a> Cfs<'a> {
         self.observations.clear();
         self.obs_keys.clear();
         self.session_observations.clear();
-        self.settled = (0, 0);
         self.processed = 0;
         let log = std::mem::take(&mut self.bgp_log);
         for (owner, s) in &log {
@@ -583,18 +564,25 @@ impl<'a> Cfs<'a> {
     /// convergence, issues follow-ups, and stops on the paper's
     /// staleness/iteration-cap/all-done conditions. Leaves every verdict
     /// in `self.states`; callers build the report separately.
+    ///
+    /// `settled` is the loop's constraint-pass watermark (DESIGN.md §5):
+    /// the prefix of each observation list an earlier full pass of this
+    /// loop applied. In the loop the KB is fixed and `remote_cache` only
+    /// gains entries, so only the loop's own re-extraction moves it back.
     pub(crate) fn run_to_convergence(&mut self) {
         self.realias();
         self.reset_observations();
         self.process_new_traces();
 
+        let mut settled = (0, 0);
         let mut stopping = Stopping::default();
         for iteration in 1..=self.cfg.max_iterations {
             cfs_obs::span!(self.recorder, "cfs.iteration");
             self.recorder.counter("cfs.iterations", 1);
-            self.apply_constraints(iteration);
+            self.apply_constraints_scoped(iteration, None, settled);
+            settled = (self.observations.len(), self.session_observations.len());
             if self.cfg.alias_constraints {
-                self.apply_alias_constraints(iteration);
+                self.apply_alias_constraints_scoped(iteration, None);
             }
             self.record_convergence(iteration);
             let resolved = self.resolved_count();
@@ -602,11 +590,12 @@ impl<'a> Cfs<'a> {
 
             let all_done = self.all_done();
             if !all_done && iteration < self.cfg.max_iterations {
-                issued = self.followups(iteration);
+                issued = self.followups();
                 self.clock_ms += 120_000; // measurements spread over time
                 if self.new_ips_since_alias > 0 && iteration % REALIAS_EVERY == 0 {
                     self.realias();
                     self.reset_observations();
+                    settled.0 = 0;
                 }
                 self.process_new_traces();
             }
@@ -624,7 +613,7 @@ impl<'a> Cfs<'a> {
     }
 
     /// Whether no tracked interface is left unresolved-local.
-    fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.states
             .values()
             .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal)
@@ -635,7 +624,7 @@ impl<'a> Cfs<'a> {
     /// for `CfsReport::convergence`, mirrored into the recorder's
     /// `cfs.candidates_per_iface` histogram. Iterates the (worker-count
     /// independent) state map, so the telemetry is deterministic.
-    fn record_convergence(&mut self, iteration: usize) {
+    pub(crate) fn record_convergence(&mut self, iteration: usize) {
         let mut hist = CandidateHistogram::new(iteration);
         for state in self.states.values() {
             let size = state.candidates.as_ref().map(FacilitySet::len);
@@ -669,7 +658,7 @@ impl<'a> Cfs<'a> {
         for ip in scope {
             self.states.remove(ip);
         }
-        self.apply_constraints_scoped(1, Some(scope));
+        self.apply_constraints_scoped(1, Some(scope), (0, 0));
         if self.cfg.alias_constraints {
             self.apply_alias_constraints_scoped(1, Some(scope));
         }
@@ -752,32 +741,12 @@ impl<'a> Cfs<'a> {
     /// authoritative output, never read that view, and survive as-is.
     pub(crate) fn reset_observations(&mut self) {
         self.observations.clear();
-        self.settled.0 = 0;
         self.obs_keys = self
             .session_observations
             .iter()
             .map(Observation::key)
             .collect();
         self.processed = 0;
-    }
-
-    /// Installs a new KB epoch. Every footprint may have moved, so no
-    /// observation stays settled and the planner's target pool is
-    /// rebuilt on the next chase.
-    pub(crate) fn flip_kb(&mut self, kb: Arc<KnowledgeBase>) {
-        self.kb = KbHandle::Owned(kb);
-        self.settled = (0, 0);
-        self.chase_targets = None;
-    }
-
-    /// Drops the cached remote verdicts of `ips`, to be re-derived by the
-    /// next pass over them. A settled observation may have depended on
-    /// one, so none stays settled.
-    pub(crate) fn forget_remote_verdicts(&mut self, ips: &BTreeSet<Ipv4Addr>) {
-        for ip in ips {
-            self.remote_cache.remove(ip);
-        }
-        self.settled = (0, 0);
     }
 
     /// Extracts observations from paths ingested since the last call,
@@ -929,31 +898,25 @@ impl<'a> Cfs<'a> {
     // Steps 2 + 3: constraints
     // ------------------------------------------------------------------
 
-    fn apply_constraints(&mut self, iteration: usize) {
-        self.apply_constraints_scoped(iteration, None);
-    }
-
     /// The constraint pass over the merged observation list. With
     /// `scope: None` this is the full batch pass; with a scope, only
     /// endpoints inside it are (re-)constrained — the session's dirty
     /// frontier sweep. The observation order, and therefore every
     /// interface's constraint subsequence, is identical in both modes.
     ///
-    /// Every observation is re-applied, but a full pass records
-    /// dependency edges and looks for remote tests only past the
-    /// [`Cfs::settled`] watermark: an earlier full pass did both for the
-    /// rest under inputs that have not moved since.
+    /// Every observation is re-applied, but dependency edges are recorded
+    /// and remote tests looked for only past `settled`, the prefix of
+    /// each list an earlier full pass of the same loop applied under
+    /// inputs that have not moved since ([`Cfs::run_to_convergence`]);
+    /// a scoped pass settles nothing.
     pub(crate) fn apply_constraints_scoped(
         &mut self,
         iteration: usize,
         scope: Option<&BTreeSet<Ipv4Addr>>,
+        settled: (usize, usize),
     ) {
         cfs_obs::span!(self.recorder, "stage.constrain");
         let in_scope = |ip: Ipv4Addr| scope.is_none_or(|s| s.contains(&ip));
-        let settled = match scope {
-            None => self.settled(),
-            Some(_) => (0, 0),
-        };
         let mut observations = std::mem::take(&mut self.observations);
         let held = observations.len();
         observations.extend(self.session_observations.iter().cloned());
@@ -1009,19 +972,6 @@ impl<'a> Cfs<'a> {
         }
         observations.truncate(held);
         self.observations = observations;
-        if scope.is_none() {
-            self.settled = (held, self.session_observations.len());
-        }
-    }
-
-    /// How much of each observation list the next full pass may treat
-    /// as settled.
-    fn settled(&self) -> (usize, usize) {
-        #[cfg(test)]
-        if self.naive {
-            return (0, 0);
-        }
-        self.settled
     }
 
     /// Records the dependency edges of one observation's in-scope
@@ -1309,14 +1259,9 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Step 3: all aliases of a router share its facility, so their
-    /// candidate sets intersect.
-    fn apply_alias_constraints(&mut self, iteration: usize) {
-        self.apply_alias_constraints_scoped(iteration, None);
-    }
-
-    /// Step 3 over every alias set (scope `None`) or only the sets
-    /// intersecting the dirty frontier. A scoped caller must pass a
+    /// Step 3 (a router's aliases share its facility, so their candidate
+    /// sets intersect) over every alias set (scope `None`) or only the
+    /// sets intersecting the dirty frontier. A scoped caller must pass a
     /// frontier closed over alias sets, so any set it touches is
     /// entirely inside the scope and the combined intersection matches
     /// the full pass.
@@ -1378,20 +1323,17 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    fn followups(&mut self, _iteration: usize) -> usize {
+    fn followups(&mut self) -> usize {
         cfs_obs::span!(self.recorder, "stage.followup");
         // Chase the interfaces closest to resolution first, but rotate
-        // the measurement budget: an interface that has been chased a few
-        // times without converging yields its slot to fresher ones (the
-        // paper's diminishing returns after iteration 40).
-        const MAX_ATTEMPTS: usize = 3;
+        // the measurement budget (`MAX_CHASE_ATTEMPTS`).
         let mut pending: Vec<(usize, usize, Ipv4Addr)> = self
             .states
             .values()
             .filter(|s| s.outcome() == SearchOutcome::UnresolvedLocal)
             .filter_map(|s| {
                 let attempts = self.chase_attempts.get(&s.ip).copied().unwrap_or(0);
-                (attempts < MAX_ATTEMPTS)
+                (attempts < MAX_CHASE_ATTEMPTS)
                     .then(|| s.candidates.as_ref().map(|c| (attempts, c.len(), s.ip)))
                     .flatten()
             })
@@ -1417,8 +1359,6 @@ impl<'a> Cfs<'a> {
         if skipped > 0 {
             self.recorder.counter("chase.vp_skipped", skipped);
         }
-        #[cfg(test)]
-        self.rounds.push((requests.clone(), skipped));
         let issued = requests.len();
         self.recorder.counter("followup.requests", issued as u64);
         let denied_before = self.retry_budget.denied();
@@ -1580,10 +1520,6 @@ impl<'a> Cfs<'a> {
         reverse: &BTreeMap<Ipv4Addr, Vec<Asn>>,
         requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
     ) -> u64 {
-        #[cfg(test)]
-        if self.naive {
-            return self.plan_chase_naive(ip, requests);
-        }
         let (owner, candidates, queried_ixps) = {
             let Some(state) = self.states.get(&ip) else {
                 return 0;
@@ -2063,209 +1999,6 @@ impl<'a> Cfs<'a> {
             }
         }
         stats
-    }
-}
-
-#[cfg(test)]
-impl Cfs<'_> {
-    /// The settled observations whose promise does not hold: an
-    /// endpoint without its `deps` edges, or one that would trigger a
-    /// remote test it has no cached verdict for. Reads the KB directly,
-    /// filling no cache.
-    pub(crate) fn watermark_breaches(&self) -> Vec<Ipv4Addr> {
-        let (held, session) = self.settled;
-        assert!(
-            held <= self.observations.len() && session <= self.session_observations.len(),
-            "watermark {:?} past the observation lists",
-            self.settled
-        );
-        let kb = self.kb();
-        let has = |key: DepKey, ip: Ipv4Addr| self.deps.get(&key).is_some_and(|s| s.contains(&ip));
-        let mut breaches = Vec::new();
-        let settled = self.observations[..held]
-            .iter()
-            .chain(&self.session_observations[..session]);
-        for obs in settled {
-            let far = obs.far_asn.zip(obs.far_ip);
-            let ends = std::iter::once((obs.near_asn, obs.near_ip)).chain(far);
-            match obs.class {
-                LinkClass::Public { ixp } => {
-                    let gated = self.cfg.evidence_gating && obs.evidence.weak();
-                    for (owner, ip) in ends {
-                        let f_owner = kb.facilities_of_as(owner);
-                        let untested = !gated
-                            && !f_owner.is_empty()
-                            && f_owner.is_disjoint(&kb.facilities_of_ixp(ixp))
-                            && !self.remote_cache.contains_key(&ip);
-                        let keys = [DepKey::As(owner), DepKey::Ixp(ixp), DepKey::Metro(ixp)];
-                        if untested || !keys.into_iter().all(|k| has(k, ip)) {
-                            breaches.push(ip);
-                        }
-                    }
-                }
-                LinkClass::Private => {
-                    let Some(far_asn) = obs.far_asn else { continue };
-                    for ip in std::iter::once(obs.near_ip).chain(obs.far_ip) {
-                        if !has(DepKey::As(obs.near_asn), ip) || !has(DepKey::As(far_asn), ip) {
-                            breaches.push(ip);
-                        }
-                    }
-                }
-            }
-        }
-        breaches
-    }
-
-    /// The follow-up planner as first written: it scores every known AS
-    /// and scans every vantage point and observation per chase.
-    fn plan_chase_naive(
-        &mut self,
-        ip: Ipv4Addr,
-        requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
-    ) -> u64 {
-        let (owner, candidates, queried_ixps) = {
-            let Some(state) = self.states.get(&ip) else {
-                return 0;
-            };
-            let Some(owner) = state.owner else { return 0 };
-            let Some(c) = state.candidates.clone() else {
-                return 0;
-            };
-            (owner, c, state.public_ixps.clone())
-        };
-        let f_owner = self.footprint(DepKey::As(owner));
-
-        // Rank candidate targets. Preferred (the paper's rule): known
-        // ASes whose footprint is a strict subset of the owner's, so the
-        // comparison genuinely narrows. When no subset exists — common
-        // once footprints grow — fall back to the targets with the
-        // smallest footprint whose overlap is a *proper* subset of the
-        // candidates: a crossing with them still shrinks the set.
-        let mut subset_scored: Vec<(usize, usize, Asn)> = Vec::new();
-        let mut overlap_scored: Vec<(usize, usize, Asn)> = Vec::new();
-        let known: Vec<Asn> = self.kb().known_ases().collect();
-        for t in known {
-            if t == owner {
-                continue;
-            }
-            let f_t = self.footprint(DepKey::As(t));
-            if f_t.is_empty() {
-                continue;
-            }
-            let overlap = f_t.intersection_len(&candidates);
-            if overlap == 0 {
-                continue;
-            }
-            let penalty = usize::from(
-                self.kb()
-                    .ixps_of_as(t)
-                    .intersection(&queried_ixps)
-                    .next()
-                    .is_some(),
-            );
-            if f_t.len() < f_owner.len() && f_t.is_subset(&f_owner) {
-                subset_scored.push((penalty, overlap, t));
-            } else if overlap < candidates.len() {
-                overlap_scored.push((penalty, f_t.len() + overlap, t));
-            }
-        }
-        subset_scored.sort_unstable();
-        overlap_scored.sort_unstable();
-        let mut scored = subset_scored;
-        if scored.len() < TARGETS_PER_INTERFACE {
-            let need = TARGETS_PER_INTERFACE - scored.len();
-            scored.extend(overlap_scored.into_iter().take(need));
-        }
-        scored.truncate(TARGETS_PER_INTERFACE);
-
-        // Vantage points likely to cross the owner *near the candidate
-        // facilities*: probes and looking glasses inside the owner,
-        // nearest candidate metro first (hot-potato routing exits close
-        // to the source, so a nearby vantage point exposes the nearby
-        // peering); then anything that has previously seen the owner.
-        let candidate_coords: Vec<cfs_geo::GeoPoint> = candidates
-            .iter()
-            .filter_map(|f| self.kb().metro_of_facility(f))
-            .map(|m| self.engine.topology().world.metro(m).location)
-            .collect();
-        let distance_to_candidates = |vp: &cfs_traceroute::VantagePoint| -> u64 {
-            candidate_coords
-                .iter()
-                .map(|c| vp.coords.distance_km(*c) as u64)
-                .min()
-                .unwrap_or(u64::MAX)
-        };
-        // Vantage points whose circuit is open (consecutive probe
-        // failures — an outage window, a silent path) yield their pool
-        // slot to the next-nearest candidate instead of burning budget.
-        let mut skipped = 0u64;
-        let clock_ms = self.clock_ms;
-        let breaker = &self.breaker;
-        let mut live = |id: VantagePointId| -> bool {
-            let open = breaker.is_open(u64::from(id.raw()), clock_ms);
-            skipped += u64::from(open);
-            !open
-        };
-        let mut inside: Vec<(u64, VantagePointId)> = self
-            .vps
-            .vps
-            .iter()
-            .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
-            .filter(|(id, _)| live(*id))
-            .map(|(id, vp)| (distance_to_candidates(vp), id))
-            .collect();
-        inside.sort_unstable();
-        let mut vp_pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
-        if let Some(seen) = self.vp_crossed.get(&owner) {
-            for id in seen {
-                if self.allowed_vp(*id) && live(*id) && !vp_pool.contains(id) {
-                    vp_pool.push(*id);
-                }
-            }
-        }
-        vp_pool.truncate(VPS_PER_TARGET);
-
-        let topo = self.engine.topology();
-        for (_, _, target_as) in &scored {
-            let Ok(target) = topo.target_ip(*target_as) else {
-                continue;
-            };
-            for vp_id in &vp_pool {
-                requests.push((*vp_id, target));
-            }
-        }
-
-        // §4.3 reverse search: when the interface belongs to the far side
-        // of crossings we observed, probe *from* its owner toward the
-        // near-side ASes so the owner becomes the near end.
-        if self.cfg.reverse_search {
-            let reverse_targets: Vec<Asn> = self
-                .observations
-                .iter()
-                .chain(self.session_observations.iter())
-                .filter(|o| o.far_ip == Some(ip))
-                .map(|o| o.near_asn)
-                .collect();
-            if !reverse_targets.is_empty() {
-                let own_vps: Vec<VantagePointId> = self
-                    .vps
-                    .vps
-                    .iter()
-                    .filter(|(id, vp)| vp.asn == owner && self.allowed_vp(*id))
-                    .map(|(id, _)| id)
-                    .take(2)
-                    .collect();
-                for near_asn in reverse_targets.into_iter().take(2) {
-                    let Ok(target) = topo.target_ip(near_asn) else {
-                        continue;
-                    };
-                    for vp_id in &own_vps {
-                        requests.push((*vp_id, target));
-                    }
-                }
-            }
-        }
-        skipped
     }
 }
 

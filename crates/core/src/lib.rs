@@ -33,6 +33,8 @@ mod corpus;
 mod engine;
 mod observe;
 mod proximity;
+#[cfg(test)]
+mod reference;
 mod remote;
 mod report;
 mod session;

@@ -66,7 +66,7 @@ use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
 use cfs_types::{Asn, Error, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
-use crate::engine::{Cfs, DepKey};
+use crate::engine::{Cfs, DepKey, KbHandle};
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::state::SearchOutcome;
@@ -77,9 +77,9 @@ use crate::telemetry::render_trace_json;
 const ALIAS_MARK: u64 = 0xa11a_5e75_0000_0001;
 
 /// What absorbing one delta changed.
-struct Frontier {
+pub(crate) struct Frontier {
     /// Interfaces whose constraint inputs changed.
-    dirty: BTreeSet<Ipv4Addr>,
+    pub(crate) dirty: BTreeSet<Ipv4Addr>,
     /// Whether the frontier's cached remote verdicts may be stale.
     purge_remote: bool,
     /// Whether anything else the report reads may have changed: the
@@ -90,6 +90,7 @@ struct Frontier {
 
 /// An incremental input change a resident session can absorb without
 /// recomputing the world.
+#[derive(Clone)]
 pub enum Delta {
     /// A new traceroute campaign: ingested, and only the paths it
     /// measured for the first time extracted (a repeated path is only
@@ -158,7 +159,7 @@ pub struct QueryAnswer {
 /// Built by [`crate::CfsBuilder::build_session`], the engine's only
 /// entry point: a batch run is a session converged once.
 pub struct CfsSession<'a> {
-    cfs: Cfs<'a>,
+    pub(crate) cfs: Cfs<'a>,
     report: Option<CfsReport>,
     epoch: u64,
 }
@@ -293,7 +294,7 @@ impl<'a> CfsSession<'a> {
 
     /// Merges a delta into the engine's inputs and derives its dirty
     /// frontier.
-    fn absorb(&mut self, delta: Delta) -> Frontier {
+    pub(crate) fn absorb(&mut self, delta: Delta) -> Frontier {
         match delta {
             Delta::TracerouteBatch(traces) => {
                 let (dirty, moved) = self.absorb_traces(traces);
@@ -318,7 +319,7 @@ impl<'a> CfsSession<'a> {
 
     /// Re-converges a frontier, refreshes the cached report, and bumps
     /// the epoch.
-    fn reconverge(&mut self, frontier: Frontier) -> DeltaOutcome {
+    pub(crate) fn reconverge(&mut self, frontier: Frontier) -> DeltaOutcome {
         let Frontier {
             dirty,
             purge_remote,
@@ -351,7 +352,9 @@ impl<'a> CfsSession<'a> {
             // trigger sequence is an unchanged prefix-preserving
             // subsequence, so the cached verdict is already the batch
             // answer.
-            self.cfs.forget_remote_verdicts(&scope);
+            for ip in &scope {
+                self.cfs.remote_cache.remove(ip);
+            }
         }
         self.cfs.kernel_converge(&scope);
         self.cfs.synthesize_iterations();
@@ -373,7 +376,7 @@ impl<'a> CfsSession<'a> {
     /// would intersect into the interface is unchanged too. Each field is
     /// folded in as an integer through a bijective 64-bit mixer, so the
     /// fold is order-sensitive and no string is built per observation.
-    fn fingerprints(&self) -> BTreeMap<Ipv4Addr, u64> {
+    pub(crate) fn fingerprints(&self) -> BTreeMap<Ipv4Addr, u64> {
         let fold = |h: u64, word: u64| splitmix64(h ^ word);
         let opt = |v: Option<u32>| v.map_or(0, |v| u64::from(v) | 1 << 32);
         let mut acc: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
@@ -415,7 +418,7 @@ impl<'a> CfsSession<'a> {
 
     /// Interfaces whose fingerprint differs between two snapshots
     /// (changed, appeared, or disappeared).
-    fn fingerprint_diff(
+    pub(crate) fn fingerprint_diff(
         before: &BTreeMap<Ipv4Addr, u64>,
         after: &BTreeMap<Ipv4Addr, u64>,
     ) -> BTreeSet<Ipv4Addr> {
@@ -487,7 +490,10 @@ impl<'a> CfsSession<'a> {
         } else {
             self.fingerprints()
         };
-        self.cfs.flip_kb(kb);
+        // Every footprint may have moved: the planner's target pool is
+        // rebuilt on the next chase.
+        self.cfs.kb = KbHandle::Owned(kb);
+        self.cfs.chase_targets = None;
         let mut dirty = BTreeSet::new();
 
         // Diff every footprint the constraint system has consumed against
@@ -590,36 +596,36 @@ pub fn canonical_trace(report: &CfsReport) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::ops::Range;
 
     use super::*;
     use crate::engine::CfsConfig;
-    use crate::observe::Observation;
-    use cfs_chaos::{FaultPlan, FaultProfile};
-    use cfs_kb::{degrade_sources, KbConfig, PublicSources};
+    use crate::observe::{extract_path, ExtractTally, Resolver};
+    use crate::reference::tests::{builder_for, corpus_paths};
+    use cfs_kb::{KbConfig, PublicSources};
     use cfs_net::IpAsnDb;
-    use cfs_obs::Histogram;
     use cfs_topology::{Topology, TopologyConfig};
     use cfs_traceroute::{
-        deploy_vantage_points, run_campaign, CampaignLimits, ChaosEngine, Engine, Hop, Platform,
-        ProbeService, VpConfig, VpSet,
+        deploy_vantage_points, run_campaign, CampaignLimits, Engine, ProbeService, VpConfig, VpSet,
     };
 
-    struct World {
-        topo: Topology,
-        sources: PublicSources,
-        kb: KnowledgeBase,
-        vps: VpSet,
-        ipasn: IpAsnDb,
+    /// A generated world with its public data, vantage points and
+    /// IP-to-ASN service.
+    pub(crate) struct World {
+        pub(crate) topo: Topology,
+        pub(crate) sources: PublicSources,
+        pub(crate) kb: KnowledgeBase,
+        pub(crate) vps: VpSet,
+        pub(crate) ipasn: IpAsnDb,
     }
 
     impl World {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Self::at(TopologyConfig::tiny(), &VpConfig::tiny())
         }
 
-        fn at(cfg: TopologyConfig, vps: &VpConfig) -> Self {
+        pub(crate) fn at(cfg: TopologyConfig, vps: &VpConfig) -> Self {
             let topo = Topology::generate(cfg).unwrap();
             let sources = PublicSources::derive(&topo, &KbConfig::default());
             let kb = KnowledgeBase::assemble(&sources, &topo.world);
@@ -636,7 +642,7 @@ mod tests {
 
         /// A campaign from every vantage point towards the targets of
         /// the ASes at positions `ases` in ASN order.
-        fn campaign(
+        pub(crate) fn campaign(
             &self,
             engine: &dyn ProbeService,
             at_ms: u64,
@@ -654,85 +660,15 @@ mod tests {
             let limits = CampaignLimits::default();
             run_campaign(engine, &self.vps, &vp_ids, &targets, at_ms, &limits)
         }
-
-        fn session<'a>(&'a self, engine: &'a Engine<'a>, cfg: CfsConfig) -> CfsSession<'a> {
-            Cfs::builder(engine, &self.kb)
-                .vps(&self.vps)
-                .ipasn(&self.ipasn)
-                .config(cfg)
-                .build_session()
-                .unwrap()
-        }
     }
 
-    /// The exposure-index update as first written: a walk over every hop
-    /// of `traces` under `corrected`.
-    fn walk_every_hop(
-        index: &mut BTreeMap<Asn, Vec<VantagePointId>>,
-        traces: &[Trace],
-        corrected: &BTreeMap<Ipv4Addr, Asn>,
-    ) {
-        for t in traces {
-            for hop in &t.hops {
-                if let Some(asn) = hop.ip.and_then(|ip| corrected.get(&ip)) {
-                    let list = index.entry(*asn).or_default();
-                    if list.len() < 64 && !list.contains(&t.vp) {
-                        list.push(t.vp);
-                    }
-                }
-            }
+    /// The configuration of a session that absorbs deltas.
+    pub(crate) fn service_config(threads: usize) -> CfsConfig {
+        CfsConfig {
+            followup_interfaces: 0,
+            threads,
+            ..CfsConfig::default()
         }
-    }
-
-    #[test]
-    fn moved_only_reindex_equals_a_walk_over_every_trace() {
-        let world = World::new();
-        let engine = Engine::new(&world.topo);
-        let mut session = world.session(&engine, CfsConfig::default());
-        let cfs = &mut session.cfs;
-        let mut traces = world.campaign(&engine, 0, 0..12);
-        cfs.ingest(&traces);
-        cfs.realias();
-
-        // Index the first campaign under a perturbed view, as if the last
-        // alias resolution had mapped every fifth address elsewhere and
-        // left every fifth unmapped.
-        let truth = cfs.corrected.clone();
-        for (i, (ip, asn)) in truth.iter().enumerate() {
-            match i % 5 {
-                0 => cfs.corrected.insert(*ip, Asn::new(asn.raw() + 1)),
-                1 => cfs.corrected.remove(ip),
-                _ => None,
-            };
-        }
-        cfs.reindex.clear();
-        cfs.reset_observations();
-        cfs.process_new_traces();
-        let mut oracle = BTreeMap::new();
-        walk_every_hop(&mut oracle, &traces, &cfs.corrected);
-        assert_eq!(cfs.vp_crossed, oracle);
-
-        // New traces under an unchanged view: only they are walked.
-        let second = world.campaign(&engine, 7_200_000, 12..30);
-        cfs.ingest(&second);
-        cfs.process_new_traces();
-        walk_every_hop(&mut oracle, &second, &cfs.corrected);
-        traces.extend(second);
-        assert_eq!(cfs.vp_crossed, oracle);
-
-        // A re-alias moves the perturbed addresses back (and maps the
-        // second campaign's new ones): the moved-only update must change
-        // the index exactly as a walk over every trace would.
-        let before = cfs.vp_crossed.clone();
-        let moved = cfs.realias();
-        assert!(moved.len() * 3 > truth.len(), "{} moved", moved.len());
-        cfs.reset_observations();
-        cfs.process_new_traces();
-        walk_every_hop(&mut oracle, &traces, &cfs.corrected);
-        assert_eq!(cfs.vp_crossed, oracle);
-        assert_ne!(cfs.vp_crossed, before, "the re-walk added nothing");
-        assert!(cfs.reindex.is_empty());
-        assert_eq!(cfs.indexed, cfs.corpus.len());
     }
 
     /// The part of `followup_config_refuses_every_delta`
@@ -746,10 +682,11 @@ mod tests {
             followup_interfaces: 24,
             ..CfsConfig::default()
         };
-        let mut session = world.session(&engine, cfg);
+        let (builder, _) = builder_for(&world, &engine, &world.kb, cfg);
+        let mut session = builder.build_session().unwrap();
         session.ingest(world.campaign(&engine, 0, 0..12));
         session.converge();
-        let held = (session.cfs.corpus.len(), session.cfs.corpus.traces());
+        let held = corpus_paths(&session.cfs);
         for delta in [
             Delta::TracerouteBatch(world.campaign(&engine, 7_200_000, 12..18)),
             Delta::VpStatusChange {
@@ -758,584 +695,64 @@ mod tests {
             },
         ] {
             assert!(session.apply_delta(delta).is_err());
-            assert_eq!(
-                (session.cfs.corpus.len(), session.cfs.corpus.traces()),
-                held
-            );
+            assert!(corpus_paths(&session.cfs) == held);
             assert!(session.cfs.vp_down.is_empty());
         }
     }
 
-    /// One input change, replayable into a fresh [`Delta`].
-    enum Step {
-        Campaign(Vec<Trace>),
-        Flip(Arc<KnowledgeBase>),
-    }
-
-    impl Step {
-        fn delta(&self) -> Delta {
-            match self {
-                Step::Campaign(traces) => Delta::TracerouteBatch(traces.clone()),
-                Step::Flip(kb) => Delta::KbEpochFlip(kb.clone()),
-            }
-        }
-    }
-
-    /// What trace ingestion and extraction built, the telemetry they
-    /// recorded, and the report served.
-    #[derive(PartialEq)]
-    struct Extracted {
-        traces: u64,
-        hop_ips: BTreeSet<Ipv4Addr>,
-        observations: Vec<Observation>,
-        obs_keys: BTreeSet<(Ipv4Addr, Option<IxpId>, Option<Ipv4Addr>)>,
-        vp_crossed: BTreeMap<Asn, Vec<VantagePointId>>,
-        counters: BTreeMap<&'static str, u64>,
-        histograms: BTreeMap<&'static str, Histogram>,
-        spans: BTreeMap<&'static str, u64>,
-        report: String,
-    }
-
-    impl Extracted {
-        fn of(session: &CfsSession<'_>, rec: &TraceRecorder) -> Self {
-            let cfs = &session.cfs;
-            let snap = rec.snapshot();
-            Self {
-                traces: cfs.corpus.traces(),
-                hop_ips: cfs.hop_ips.clone(),
-                observations: cfs.observations.clone(),
-                obs_keys: cfs.obs_keys.clone(),
-                vp_crossed: cfs.vp_crossed.clone(),
-                counters: snap.counters,
-                histograms: snap.histograms,
-                spans: snap.spans.iter().map(|(k, s)| (*k, s.count)).collect(),
-                report: serde_json::to_string(session.report().unwrap()).unwrap(),
-            }
-        }
-
-        /// The fields on which `self` and `other` differ.
-        fn diff(&self, other: &Self) -> Vec<&'static str> {
-            [
-                ("traces", self.traces == other.traces),
-                ("hop_ips", self.hop_ips == other.hop_ips),
-                ("observations", self.observations == other.observations),
-                ("obs_keys", self.obs_keys == other.obs_keys),
-                ("vp_crossed", self.vp_crossed == other.vp_crossed),
-                ("counters", self.counters == other.counters),
-                ("histograms", self.histograms == other.histograms),
-                ("spans", self.spans == other.spans),
-                ("report", self.report == other.report),
-            ]
-            .into_iter()
-            .filter(|(_, same)| !same)
-            .map(|(field, _)| field)
-            .collect()
-        }
-    }
-
-    /// One scripted session run.
-    struct Run {
-        /// State after convergence, then after every step.
-        states: Vec<Extracted>,
-        /// Distinct paths held at the end.
-        paths: usize,
-        /// Campaign deltas that kept the cached report.
-        kept: usize,
-    }
-
-    /// Converges a session on `boot` and applies `steps`, with the corpus
-    /// holding distinct paths or, when `naive`, every trace as its own
-    /// path. Every campaign's dirty set is checked against the
-    /// fingerprint diff, and every report against a fresh `build_report`.
-    fn drive(
-        world: &World,
-        engine: &dyn ProbeService,
-        cfg: &CfsConfig,
-        boot: &[Vec<Trace>],
-        steps: &[Step],
-        naive: bool,
-    ) -> Run {
-        let rec = Arc::new(TraceRecorder::deterministic());
-        let mut session = Cfs::builder(engine, &world.kb)
-            .vps(&world.vps)
-            .ipasn(&world.ipasn)
-            .config(cfg.clone())
-            .recorder(rec.clone())
-            .build_session()
-            .unwrap();
-        session.cfs.corpus.naive = naive;
-        for campaign in boot {
-            session.ingest(campaign.clone());
-        }
-        session.converge();
-        let mut states = vec![Extracted::of(&session, &rec)];
-        let mut kept = 0;
-        let reports =
-            |rec: &TraceRecorder| rec.snapshot().spans.get("stage.report").map(|s| s.count);
-        for (i, step) in steps.iter().enumerate() {
-            let before = session.fingerprints();
-            let built = reports(&rec);
-            let frontier = session.absorb(step.delta());
-            if let Step::Campaign(_) = step {
-                let moved = CfsSession::fingerprint_diff(&before, &session.fingerprints());
-                assert_eq!(
-                    frontier.dirty, moved,
-                    "step {i}: dirty set is not the fingerprint diff"
-                );
-            }
-            session.reconverge(frontier);
-            if reports(&rec) == built {
-                kept += 1;
-            }
-            let fresh = serde_json::to_string(&session.cfs.build_report()).unwrap();
-            assert_eq!(
-                serde_json::to_string(session.report().unwrap()).unwrap(),
-                fresh,
-                "step {i}: the cached report is not a fresh build_report"
-            );
-            states.push(Extracted::of(&session, &rec));
-        }
-        Run {
-            states,
-            paths: session.cfs.corpus.len(),
-            kept,
-        }
-    }
-
-    /// Runs the script over the corpus and over the walk over every
-    /// trace, requires identical state after every step, and returns the
-    /// corpus run.
-    fn corpus_against_naive_walk(
-        world: &World,
-        engine: &dyn ProbeService,
-        cfg: &CfsConfig,
-        boot: &[Vec<Trace>],
-        steps: &[Step],
-        label: &str,
-    ) -> Run {
-        let naive = drive(world, engine, cfg, boot, steps, true);
-        let corpus = drive(world, engine, cfg, boot, steps, false);
-        for (i, (a, b)) in naive.states.iter().zip(&corpus.states).enumerate() {
-            let diff = a.diff(b);
-            assert!(diff.is_empty(), "{label}: state {i} differs in {diff:?}");
-        }
-        let traces = corpus.states.last().unwrap().traces;
-        assert!(
-            (corpus.paths as u64) < traces,
-            "{label}: {traces} traces, no repeated path"
-        );
-        assert_eq!(
-            naive.paths as u64, traces,
-            "{label}: the naive walk deduplicated"
-        );
-        corpus
-    }
-
-    /// A hand-built trace through the unseen interfaces of a router that
-    /// `held` crossed, chosen so re-resolving aliases moves the corrected
-    /// ASN of an address already held (the whole-corpus re-extraction).
-    fn flipping_trace(world: &World, held: &[Trace]) -> Trace {
-        let seen: BTreeSet<Ipv4Addr> = held
-            .iter()
-            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
-            .collect();
-        let alias_cfg = CfsConfig::default().alias;
-        let prober = cfs_alias::IpIdProber::new(&world.topo);
-        let corrected = |ips: &BTreeSet<Ipv4Addr>| {
-            let ips: Vec<Ipv4Addr> = ips.iter().copied().collect();
-            let aliases = cfs_alias::resolve_aliases(&prober, &ips, &alias_cfg);
-            cfs_alias::correct_ip_to_asn(&world.ipasn, &aliases, &ips).0
-        };
-        let old = corrected(&seen);
-        let unseen = world
-            .topo
-            .routers
-            .iter()
-            .filter_map(|(_, router)| {
-                let ips: Vec<Ipv4Addr> = router
-                    .ifaces
-                    .iter()
-                    .map(|id| world.topo.ifaces.get(*id).unwrap().ip)
-                    .collect();
-                let unseen: Vec<Ipv4Addr> = ips
-                    .iter()
-                    .copied()
-                    .filter(|ip| !seen.contains(ip))
-                    .collect();
-                (unseen.len() < ips.len() && !unseen.is_empty()).then_some(unseen)
-            })
-            .find(|unseen| {
-                let new = corrected(&seen.iter().chain(unseen).copied().collect());
-                seen.iter().any(|ip| old.get(ip) != new.get(ip))
-            })
-            .expect("some router's unseen interfaces move an old corrected ASN");
-        Trace {
-            vp: held[0].vp,
-            src_asn: held[0].src_asn,
-            target: unseen[0],
-            at_ms: 7_200_000,
-            hops: unseen
-                .iter()
-                .map(|ip| Hop {
-                    ip: Some(*ip),
-                    rtt_ms: 1.0,
-                })
-                .collect(),
-            reached: false,
-        }
-    }
-
-    fn service_config(threads: usize) -> CfsConfig {
-        CfsConfig {
-            followup_interfaces: 0,
-            threads,
-            ..CfsConfig::default()
-        }
-    }
-
+    /// Campaign deltas mostly repeat held paths, which extraction counts
+    /// through cached per-path tallies: the work telemetry must read as
+    /// if every trace recorded itself, over the same ingests and resets.
     #[test]
-    fn distinct_path_corpus_equals_a_walk_over_every_trace() {
-        let world = World::new();
-        // An epoch whose degraded sources classify crossings differently.
-        let stale = degrade_sources(&world.sources, &FaultPlan::new(3, FaultProfile::stale_kb()));
-        let stale = Arc::new(KnowledgeBase::assemble(&stale, &world.topo.world));
-        assert!(!world.kb.same_classification_view(&stale));
-        for faults in [false, true] {
-            let engine: Box<dyn ProbeService> = if faults {
-                let plan = FaultPlan::new(
-                    11,
-                    FaultProfile {
-                        probe_timeout_pm: 150,
-                        ..FaultProfile::off()
-                    },
-                );
-                Box::new(ChaosEngine::new(Engine::new(&world.topo), plan))
-            } else {
-                Box::new(Engine::new(&world.topo))
-            };
-            let engine = engine.as_ref();
-            let campaign = |epoch: u64, ases| world.campaign(engine, epoch * 7_200_000, ases);
-            let boot = vec![campaign(0, 0..12), campaign(1, 0..12)];
-            let new_targets = campaign(2, 12..18);
-            let held: Vec<Trace> = boot.iter().flatten().chain(&new_targets).cloned().collect();
-            let steps = [
-                // Every trace repeats a held path: nothing moves.
-                Step::Campaign(boot[0].clone()),
-                Step::Campaign(campaign(3, 0..12)),
-                // New addresses re-resolve aliases.
-                Step::Campaign(new_targets),
-                // A re-alias that moves held addresses re-extracts all.
-                Step::Campaign(vec![flipping_trace(&world, &held)]),
-                Step::Flip(stale.clone()),
-                Step::Campaign(campaign(4, 0..18)),
-            ];
-            let label = format!("faults={faults}");
-            let run = corpus_against_naive_walk(
-                &world,
-                engine,
-                &service_config(2),
-                &boot,
-                &steps,
-                &label,
-            );
-            let counters = &run.states.last().unwrap().counters;
-            assert!(
-                counters.get("serve.extract_rebuild") >= Some(&1),
-                "{label}: no re-extraction"
-            );
-            assert!(run.kept >= 1, "{label}: no campaign kept the report");
-        }
-    }
-
-    #[test]
-    fn distinct_path_corpus_equals_a_walk_over_every_trace_at_default_scale() {
-        let world = World::at(TopologyConfig::default(), &VpConfig::default());
-        let engine = Engine::new(&world.topo);
-        let campaign = |epoch: u64, ases| world.campaign(&engine, epoch * 7_200_000, ases);
-        let boot = vec![campaign(0, 0..8)];
-        let steps = [
-            Step::Campaign(boot[0].clone()),
-            Step::Campaign(campaign(1, 0..8)),
-            Step::Campaign(campaign(2, 0..12)),
-        ];
-        let run = corpus_against_naive_walk(
-            &world,
-            &engine,
-            &service_config(2),
-            &boot,
-            &steps,
-            "default",
-        );
-        assert!(run.kept >= 1, "no campaign kept the report");
-    }
-
-    #[test]
-    fn distinct_path_corpus_equals_a_walk_over_every_trace_under_follow_ups() {
+    fn multiplicity_weighted_telemetry_equals_one_tally_per_trace() {
         let world = World::new();
         let engine = Engine::new(&world.topo);
-        let cfg = CfsConfig {
-            followup_interfaces: 24,
-            threads: 2,
-            ..CfsConfig::default()
-        };
-        let boot = [world.campaign(&engine, 0, 0..12)];
-        // With no steps, `paths < traces` needs a follow-up probe that
-        // repeats an external path.
-        corpus_against_naive_walk(&world, &engine, &cfg, &boot, &[], "follow-ups");
-    }
-
-    /// What a batch run planned in every follow-up round, what its full
-    /// passes settled, and what it reported.
-    struct Planned {
-        rounds: Vec<(Vec<(VantagePointId, Ipv4Addr)>, u64)>,
-        deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
-        remote_cache: BTreeMap<Ipv4Addr, (IxpId, Option<bool>)>,
-        counters: BTreeMap<&'static str, u64>,
-        report: String,
-    }
-
-    /// A follow-up-driven run: `boot` and every vantage point's
-    /// looking-glass sessions ingested, follow-ups restricted to
-    /// `platforms` (all when empty), the circuits of every other
-    /// vantage point opened before the first round, then converged.
-    /// Returns what the session planned and settled; with `naive`, the
-    /// scanning planner and full passes that re-settle every
-    /// observation.
-    fn planned_run(
-        world: &World,
-        engine: &dyn ProbeService,
-        cfg: &CfsConfig,
-        platforms: &[Platform],
-        boot: &[Trace],
-        naive: bool,
-    ) -> Planned {
-        let rec = Arc::new(TraceRecorder::deterministic());
-        let mut builder = Cfs::builder(engine, &world.kb)
-            .vps(&world.vps)
-            .ipasn(&world.ipasn)
-            .config(cfg.clone())
-            .recorder(rec.clone());
-        if !platforms.is_empty() {
-            builder = builder.platforms(platforms);
-        }
+        let (builder, rec) = builder_for(&world, &engine, &world.kb, service_config(2));
         let mut session = builder.build_session().unwrap();
-        session.cfs.naive = naive;
-        session.ingest(boot.to_vec());
-        let lg = cfs_bgp::LookingGlassBgp::new(&world.topo);
-        for id in world.vps.of_platform(Platform::LookingGlass) {
-            let vp = &world.vps.vps[*id];
-            session.ingest_bgp_sessions(vp.asn, &lg.sessions(vp.router));
-        }
-        for (id, vp) in world.vps.vps.iter() {
-            if !platforms.is_empty() && !platforms.contains(&vp.platform) {
-                for _ in 0..crate::engine::BREAKER_THRESHOLD {
-                    session.cfs.breaker.record(u64::from(id.raw()), false, 0);
-                }
+        let cfs = &mut session.cfs;
+        let campaign = |epoch: u64, ases| world.campaign(&engine, epoch * 7_200_000, ases);
+        let boot = campaign(0, 0..12);
+        // (ingests, re-alias and re-extract before the pass): repeats of
+        // paths the pass extracts, repeats of extracted paths, new paths,
+        // and repeats pending across a re-extraction.
+        let schedule = [
+            (vec![boot.clone(), boot.clone()], true),
+            (vec![campaign(1, 0..12)], false),
+            (vec![campaign(2, 6..18), boot], false),
+            (vec![campaign(3, 0..18)], true),
+        ];
+        let expected = TraceRecorder::deterministic();
+        let (mut held, mut from, mut keys) = (Vec::new(), 0, BTreeSet::new());
+        for (ingests, reextract) in schedule {
+            for traces in ingests {
+                cfs.ingest(&traces);
+                held.extend(traces);
             }
+            if reextract {
+                cfs.realias();
+                cfs.reset_observations();
+                (from, keys) = (0, BTreeSet::new());
+            }
+            cfs.process_new_traces();
+            let resolver = Resolver::new(cfs.kb(), &cfs.corrected);
+            let mut pass = ExtractTally::default();
+            for t in &held[from..] {
+                let hops: Vec<_> = t.hops.iter().map(|h| h.ip).collect();
+                let mut out = Vec::new();
+                pass.add(extract_path(&hops, &resolver, &mut out), 1);
+                pass.observations_new += out.iter().filter(|o| keys.insert(o.key())).count() as u64;
+            }
+            pass.flush(&expected);
+            from = held.len();
         }
-        session.converge();
-        assert_eq!(session.cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        Planned {
-            rounds: std::mem::take(&mut session.cfs.rounds),
-            deps: session.cfs.deps.clone(),
-            remote_cache: session.cfs.remote_cache.clone(),
-            counters: rec.snapshot().counters,
-            report: serde_json::to_string(session.report().unwrap()).unwrap(),
-        }
-    }
-
-    /// Runs the scenario with the indexed planner and the watermark, and
-    /// with the scanning planner and naive passes; requires the same
-    /// requests and skipped vantage points in every round, and the same
-    /// `deps`, `remote_cache`, counters and report. Returns the indexed
-    /// run.
-    fn planner_against_naive(
-        world: &World,
-        engine: &dyn ProbeService,
-        cfg: &CfsConfig,
-        platforms: &[Platform],
-        boot: &[Trace],
-        label: &str,
-    ) -> Planned {
-        let a = planned_run(world, engine, cfg, platforms, boot, true);
-        let b = planned_run(world, engine, cfg, platforms, boot, false);
-        assert_eq!(a.rounds.len(), b.rounds.len(), "{label}: round count");
-        for (round, (a, b)) in a.rounds.iter().zip(&b.rounds).enumerate() {
-            assert_eq!(a, b, "{label}: round {round} planned differently");
-        }
-        assert!(a.deps == b.deps, "{label}: deps differ");
-        assert!(
-            a.remote_cache == b.remote_cache,
-            "{label}: remote verdicts differ"
-        );
-        assert_eq!(a.counters, b.counters, "{label}: counters differ");
-        assert!(a.report == b.report, "{label}: reports differ");
-        b
-    }
-
-    #[test]
-    fn indexed_planner_and_watermark_equal_the_naive_batch() {
-        let world = World::new();
-        let cfg = CfsConfig {
-            threads: 2,
-            ..CfsConfig::default()
-        };
-        let clean = Engine::new(&world.topo);
-        let boot = world.campaign(&clean, 0, 0..12);
-        let run = planner_against_naive(&world, &clean, &cfg, &[], &boot, "clean");
-        assert!(run.rounds.len() > 3, "too few follow-up rounds");
-
-        // Reverse search adds requests the same run without it lacks.
-        let forward = CfsConfig {
-            reverse_search: false,
-            ..cfg.clone()
-        };
-        let without = planned_run(&world, &clean, &forward, &[], &boot, false);
-        assert_ne!(run.rounds, without.rounds, "reverse search planned nothing");
-
-        // Outages open circuits; one platform plans, and the circuits of
-        // the others are open, which the scanning planner never counts.
-        let plan = FaultPlan::new(5, FaultProfile::blackout());
-        let chaos = ChaosEngine::new(Engine::new(&world.topo), plan);
-        let boot = world.campaign(&chaos, 0, 0..12);
-        let only = [Platform::RipeAtlas];
-        let run = planner_against_naive(&world, &chaos, &cfg, &only, &boot, "chaos");
-        let skipped: u64 = run.rounds.iter().map(|(_, s)| s).sum();
-        assert!(skipped > 0, "no circuit opened");
-    }
-
-    #[test]
-    fn indexed_planner_and_watermark_equal_the_naive_batch_at_default_scale() {
-        let world = World::at(TopologyConfig::default(), &VpConfig::default());
-        let engine = Engine::new(&world.topo);
-        let cfg = CfsConfig {
-            threads: 2,
-            ..CfsConfig::default()
-        };
-        let boot = world.campaign(&engine, 0, 0..8);
-        let run = planner_against_naive(&world, &engine, &cfg, &[], &boot, "default");
-        assert!(run.rounds.len() > 3, "too few follow-up rounds");
-    }
-
-    #[test]
-    fn every_mutation_site_resets_the_constraint_watermark() {
-        let world = World::new();
-        let engine = Engine::new(&world.topo);
-        let mut session = world.session(&engine, service_config(2));
-        session.ingest(world.campaign(&engine, 0, 0..12));
-        session.converge();
-        let full_pass = |cfs: &mut Cfs<'_>| {
-            cfs.apply_constraints_scoped(1, None);
-            assert_eq!(
-                cfs.settled,
-                (cfs.observations.len(), cfs.session_observations.len())
-            );
-            assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        };
-        // What a watermark left standing over the current lists would
-        // miss.
-        let stale = |cfs: &mut Cfs<'_>| {
-            let kept = cfs.settled;
-            cfs.settled = (cfs.observations.len(), cfs.session_observations.len());
-            let missed = cfs.watermark_breaches().len();
-            cfs.settled = kept;
-            missed
-        };
-        full_pass(&mut session.cfs);
-
-        // Appending keeps the settled prefix settled.
-        let cfs = &mut session.cfs;
-        cfs.ingest(&world.campaign(&engine, 7_200_000, 12..18));
-        cfs.process_new_traces();
-        assert!(cfs.settled.0 > 0 && cfs.settled.0 < cfs.observations.len());
-        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        full_pass(cfs);
-
-        cfs.reset_observations();
-        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        cfs.process_new_traces();
-        full_pass(cfs);
-
-        cfs.rebuild_observations();
-        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        cfs.process_new_traces();
-        full_pass(cfs);
-
-        // A flip to an epoch missing half the facilities empties some
-        // owner-exchange overlaps: remote tests the old epoch never ran.
-        let mut thin = world.kb.clone();
-        let half = world.topo.facilities.ids().step_by(2).collect();
-        thin.remove_facilities(&half);
-        assert!(world.kb.same_classification_view(&thin));
-        session.absorb_kb_flip(Arc::new(thin));
-        let cfs = &mut session.cfs;
-        assert!(
-            stale(cfs) > 0,
-            "the flip left every settled observation settled"
-        );
-        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        full_pass(cfs);
-
-        let tested: BTreeSet<Ipv4Addr> = cfs.remote_cache.keys().copied().collect();
-        cfs.forget_remote_verdicts(&tested);
-        assert!(stale(cfs) > 0, "no forgotten verdict was needed");
-        assert_eq!(cfs.watermark_breaches(), Vec::<Ipv4Addr>::new());
-        full_pass(cfs);
-    }
-
-    #[test]
-    fn prefix_provenance_flip_re_extracts_the_held_evidence() {
-        let world = World::new();
-        let engine = Engine::new(&world.topo);
-        let boot = world.campaign(&engine, 0, 0..12);
-        let mut session = world.session(&engine, service_config(1));
-        session.ingest(boot.clone());
-        session.converge();
-
-        // The consortium list disputes a crossed peering LAN, naming an
-        // unrelated prefix for the exchange instead: the confirmed space
-        // stays, its agreement drops.
-        let kb2 = session
-            .cfs
-            .observations
-            .iter()
-            .find_map(|obs| {
-                let (ixp, fabric) = obs.class.ixp().zip(obs.far_ip)?;
-                let mut sources = world.sources.clone();
-                let elsewhere = cfs_net::Ipv4Prefix::must([198, 18, 0, 0], 24);
-                match sources.consortium_list.iter_mut().find(|(x, _)| *x == ixp) {
-                    Some((_, prefixes)) => {
-                        prefixes.retain(|p| !p.contains(fabric));
-                        prefixes.push(elsewhere);
-                    }
-                    None => sources.consortium_list.push((ixp, vec![elsewhere])),
-                }
-                let kb2 = KnowledgeBase::assemble(&sources, &world.topo.world);
-                let disputed = kb2.ixp_of_ip(fabric) == Some(ixp)
-                    && kb2.prefix_agreement_pm(ixp, fabric)
-                        < world.kb.prefix_agreement_pm(ixp, fabric);
-                disputed.then(|| Arc::new(kb2))
-            })
-            .expect("some crossed peering LAN can be disputed");
-        let held = session.cfs.observations.clone();
-        session
-            .apply_delta(Delta::KbEpochFlip(kb2.clone()))
-            .unwrap();
-
-        let mut fresh = Cfs::builder(&engine, &kb2)
-            .vps(&world.vps)
-            .ipasn(&world.ipasn)
-            .config(service_config(1))
-            .build_session()
-            .unwrap();
-        fresh.ingest(boot);
-        fresh.converge();
-        assert!(session.cfs.observations != held, "no held evidence moved");
-        assert!(session.cfs.observations == fresh.cfs.observations);
-        assert!(session.cfs.session_observations == fresh.cfs.session_observations);
+        let (got, want) = (rec.snapshot(), expected.snapshot());
+        let (mut counters, work) = (got.counters, ["extract.", "observe.", "ixp_hop."]);
+        counters.retain(|k, _| work.iter().any(|p| k.starts_with(p)));
+        assert_eq!(counters, want.counters);
         assert_eq!(
-            serde_json::to_string(session.report().unwrap()).unwrap(),
-            serde_json::to_string(fresh.report().unwrap()).unwrap()
+            got.histograms.get("observe.per_trace"),
+            want.histograms.get("observe.per_trace")
         );
+        assert!(cfs.corpus.len() < held.len(), "no repeated path");
     }
 }

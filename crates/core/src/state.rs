@@ -67,10 +67,6 @@ pub struct IfaceState {
     pub seen_private: bool,
     /// Iteration at which the interface resolved (1-based), if it did.
     pub resolved_at: Option<usize>,
-    /// Whether the candidate set was ever larger than one — §4.4 trains
-    /// its proximity ranking only on far ends that *had* several
-    /// candidate facilities before converging.
-    pub was_ambiguous: bool,
     /// Every point at which a constraint changed the candidate set:
     /// the interface's narrowing trajectory, oldest first.
     pub trajectory: Vec<TrajectoryPoint>,
@@ -92,7 +88,6 @@ impl IfaceState {
             public_ixps: BTreeSet::new(),
             seen_private: false,
             resolved_at: None,
-            was_ambiguous: false,
             trajectory: Vec::new(),
         }
     }
@@ -154,8 +149,6 @@ impl IfaceState {
                 self.candidates = Some(allowed.clone());
                 if allowed.len() == 1 {
                     self.resolved_at.get_or_insert(iteration);
-                } else {
-                    self.was_ambiguous = true;
                 }
                 self.trajectory.push(TrajectoryPoint {
                     iteration,
