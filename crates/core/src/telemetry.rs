@@ -43,7 +43,7 @@ use crate::report::{CfsReport, ConvergenceTelemetry, CANDIDATE_BUCKET_LE};
 pub use cfs_obs::TRACE_SCHEMA;
 
 /// The duration-sidecar renderer, re-exported so trace producers can
-/// write the `cfs-profile/1` file next to the trace without reaching
+/// write the `cfs-profile/2` file next to the trace without reaching
 /// into `cfs_obs` themselves. The sidecar reads the same snapshot but
 /// never enters [`render_trace_json`]'s digested body.
 pub use cfs_obs::profile::{render_profile_json, PROFILE_SCHEMA};

@@ -71,7 +71,9 @@ const EXPERIMENT_WINDOWS_KEPT: usize = 120;
 /// `cfs-metrics/1` document — totals *and* the per-window ring — lands
 /// next to the experiment's results as `results/<id>.metrics.json`, and
 /// the wall-clock duration sidecar as `results/<id>.profile.json` (the
-/// `cfs-profile/1` document `cfs profile` renders).
+/// `cfs-profile/2` document `cfs profile` renders). The windows forward
+/// every span entry and exit to the inner recorder, so the sidecar's
+/// call paths are the nesting the experiment actually ran.
 pub fn main_for(id: &str) {
     let (scale, seed) = crate::parse_args();
     let mut lab = Lab::provision(scale, seed).expect("lab provisioning failed");

@@ -215,17 +215,29 @@ pub fn scan(src: &str) -> ScannedFile {
     }
 }
 
-/// Marks the lines covered by items annotated `#[cfg(test)]`.
+/// Marks the lines covered by items annotated `#[cfg(test)]`, or every
+/// line when the file opens with an inner `#![cfg(test)]`.
 ///
 /// After an attribute line, the item extends to the matching `}` of the
 /// first top-level `{` (or to the first `;` seen before any brace, for
 /// `#[cfg(test)] use ...;` style items). Subsequent attributes between
 /// the cfg and the item (`#[allow]`, doc comments) are skipped.
 fn mark_cfg_test_regions(code: &[String]) -> Vec<bool> {
-    let mut in_test = vec![false; code.len()];
+    let stripped =
+        |line: &String| -> String { line.chars().filter(|c| !c.is_whitespace()).collect() };
+    let inner_cfg_test = code
+        .iter()
+        .map(stripped)
+        .filter(|l| !l.is_empty())
+        .take_while(|l| l.starts_with("#!["))
+        .any(|l| l.starts_with("#![cfg(test)]") || l.starts_with("#![cfg(test,"));
+    let mut in_test = vec![inner_cfg_test; code.len()];
+    if inner_cfg_test {
+        return in_test;
+    }
     let mut line = 0usize;
     while line < code.len() {
-        let stripped: String = code[line].chars().filter(|c| !c.is_whitespace()).collect();
+        let stripped = stripped(&code[line]);
         if !(stripped.contains("#[cfg(test)]") || stripped.contains("#[cfg(test,")) {
             line += 1;
             continue;
@@ -312,6 +324,15 @@ mod tests {
         assert!(!s.in_test[0]);
         assert!(s.in_test[1] && s.in_test[2] && s.in_test[3] && s.in_test[4]);
         assert!(!s.in_test[5]);
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_whole_file() {
+        let s = scan("//! Test support.\n#![ cfg(test) ]\n\nfn a() {}\n");
+        assert!(s.in_test.iter().all(|t| *t), "{:?}", s.in_test);
+        // Only as the file's own attribute: inside a module it is not.
+        let s = scan("fn a() {}\nmod m {\n    #![cfg(test)]\n}\n");
+        assert!(!s.in_test[0]);
     }
 
     #[test]

@@ -71,8 +71,50 @@ impl Workspace {
             });
         }
         files.sort_by(|a, b| a.path.cmp(&b.path));
+        mark_test_modules(&mut files);
         Self { files, design_md }
     }
+}
+
+/// Marks every line of a module file as test code when its parent
+/// declares it in test code (`#[cfg(test)] mod x;`), down the module
+/// tree: the lexer sees one file at a time and cannot know.
+fn mark_test_modules(files: &mut [SourceFile]) {
+    let mut changed = true;
+    while changed {
+        let children: Vec<String> = files.iter().flat_map(test_module_files).collect();
+        changed = false;
+        for file in files.iter_mut().filter(|f| children.contains(&f.path)) {
+            if file.scanned.in_test.contains(&false) {
+                file.scanned.in_test.fill(true);
+                changed = true;
+            }
+        }
+    }
+}
+
+/// The candidate files of the modules `file` declares in test code:
+/// `lib.rs`, `main.rs` and `mod.rs` own their directory, `a/b.rs` owns
+/// `a/b/`.
+fn test_module_files(file: &SourceFile) -> Vec<String> {
+    let dir = match file.path.rsplit_once('/') {
+        Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+        _ => file.path.trim_end_matches(".rs"),
+    };
+    let scanned = &file.scanned;
+    scanned
+        .code
+        .iter()
+        .zip(&scanned.in_test)
+        .filter(|(_, test)| **test)
+        .filter_map(
+            |(code, _)| match code.split_whitespace().collect::<Vec<_>>()[..] {
+                [.., "mod", name] => name.strip_suffix(';'),
+                _ => None,
+            },
+        )
+        .flat_map(|name| [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")])
+        .collect()
 }
 
 /// One `fn` item: where it is and what it spans.

@@ -116,6 +116,25 @@ fn dirty_findings_point_at_real_lines() {
 }
 
 #[test]
+fn test_only_module_files_are_not_library_code() {
+    // `crates/kb/src/lib.rs` declares `#[cfg(test)] mod test_support;`
+    // (which has a child module of its own) and a `test_inner` module
+    // that opens with `#![cfg(test)]`; their unwraps are test code.
+    let findings = check_workspace(&fixture_root("dirty")).expect("fixture tree is readable");
+    for path in [
+        "crates/kb/src/test_support.rs",
+        "crates/kb/src/test_support/nested.rs",
+        "crates/kb/src/test_inner.rs",
+    ] {
+        let stray: Vec<&Finding> = findings.iter().filter(|f| f.path == path).collect();
+        assert!(
+            stray.is_empty(),
+            "{path} linted as library code:\n{stray:#?}"
+        );
+    }
+}
+
+#[test]
 fn suppressed_tree_is_clean() {
     let findings = check_workspace(&fixture_root("suppressed")).expect("fixture tree is readable");
     assert!(

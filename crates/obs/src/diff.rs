@@ -8,8 +8,9 @@
 //! seed, code) triple, so *any* difference is drift worth explaining;
 //! there is no tolerance on this side.
 //!
-//! Two `cfs-profile/1` documents are compared **within tolerance** —
-//! span *counts* must match exactly (they are deterministic), but
+//! Two `cfs-profile/2` documents are compared **within tolerance**,
+//! call path by call path — span *counts* must match exactly (they are
+//! deterministic), but
 //! durations are machine noise until they move by more than
 //! `tolerance_pct` percent, which is when a stage gets flagged as a
 //! regression (or an improvement; the diff is signed).
@@ -248,7 +249,7 @@ fn push_pairs<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a String, u64
 /// One stage whose duration moved beyond tolerance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageDelta {
-    /// Span name.
+    /// Call path.
     pub name: String,
     /// Total nanoseconds in a and b.
     pub total_ns: (u64, u64),
@@ -258,20 +259,20 @@ pub struct StageDelta {
     pub delta_pct: f64,
 }
 
-/// The difference between two `cfs-profile/1` documents.
+/// The difference between two `cfs-profile/2` documents, by call path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileDiff {
     /// Tolerance applied to duration comparisons, in percent.
     pub tolerance_pct: u32,
-    /// Span names only in b.
+    /// Call paths only in b.
     pub spans_added: Vec<String>,
-    /// Span names only in a.
+    /// Call paths only in a.
     pub spans_removed: Vec<String>,
     /// Span entry counts that moved (deterministic, compared exactly).
     pub counts_changed: Vec<(String, u64, u64)>,
     /// Stages whose total duration moved beyond tolerance.
     pub duration_changed: Vec<StageDelta>,
-    /// Spans compared and found within tolerance.
+    /// Call paths compared and found within tolerance.
     pub within_tolerance: usize,
 }
 
@@ -372,7 +373,7 @@ fn push_name_list(out: &mut String, names: &[String]) {
 pub enum DocDiff {
     /// Two `cfs-trace/1` documents, compared exactly.
     Trace(TraceDiff),
-    /// Two `cfs-profile/1` documents, compared within tolerance.
+    /// Two `cfs-profile/2` documents, compared within tolerance.
     Profile(ProfileDiff),
 }
 
@@ -710,7 +711,7 @@ mod tests {
     fn malformed_and_mismatched_inputs_error() {
         let trace = trace_doc(1, 1, "0.5");
         let profile =
-            "{\"schema\":\"cfs-profile/1\",\"profile_le_ns\":[1],\"spans\":{}}".to_string();
+            "{\"schema\":\"cfs-profile/2\",\"profile_le_ns\":[1],\"spans\":{}}".to_string();
         assert!(matches!(
             diff_docs("not json", &trace, 0),
             Err(DiffError::Malformed(_))
@@ -730,6 +731,12 @@ mod tests {
                 0
             ),
             Err(DiffError::Malformed(_))
+        ));
+        // A `/1` profile is a schema error.
+        let old = profile.replace("cfs-profile/2", "cfs-profile/1");
+        assert!(matches!(
+            diff_docs(&old, &old, 0),
+            Err(DiffError::Malformed(e)) if e.contains("cfs-profile/1")
         ));
     }
 

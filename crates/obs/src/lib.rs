@@ -21,6 +21,12 @@
 //!    byte-identical however work was chunked, because durations are
 //!    kept out of it.
 //!
+//! Durations leave through the `cfs-profile/2` sidecar ([`profile`]),
+//! keyed by the call path each span closed on
+//! (`cfs.run;cfs.iteration;stage.extract`). The recorder measures the
+//! nesting with a per-thread stack of open spans, so the profile tree is
+//! the tree that ran; no table declares it.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use cfs_obs::{Recorder, TraceRecorder};

@@ -1,5 +1,5 @@
-//! The duration sidecar: per-span wall-clock statistics and the
-//! `cfs-profile/1` export.
+//! The duration sidecar: wall-clock statistics by call path and the
+//! `cfs-profile/2` export.
 //!
 //! The stable `cfs-trace/1` body deliberately carries no nanoseconds —
 //! durations are the one thread- and machine-sensitive quantity a
@@ -10,19 +10,20 @@
 //! omitting the sidecar cannot perturb the deterministic trace digest
 //! because the two exports read disjoint parts of the snapshot.
 //!
-//! Per span name the recorder keeps count / total / min / max plus a
-//! histogram over [`PROFILE_BOUNDS_NS`] (powers of two from 1 µs to
-//! ~17 s), from which [`DurationStats::quantile_ns`] estimates p50/p99
-//! to within one power of two — plenty for "which stage got slower",
-//! which is what the diff engine asks.
+//! Per call path (`cfs.run;cfs.iteration;stage.extract`, measured by
+//! the recorder's per-thread span stack) the document keeps count /
+//! total / min / max plus a histogram over [`PROFILE_BOUNDS_NS`]
+//! (powers of two from 1 µs to ~17 s), from which
+//! [`DurationStats::quantile_ns`] estimates p50/p99 to within one power
+//! of two — plenty for "which stage got slower", which is what the diff
+//! engine asks.
 //!
-//! [`render_profile_report`] folds the flat per-name statistics into
-//! the static span taxonomy (`cfs.run` ⊃ `cfs.iteration` ⊃ `stage.*`)
-//! and charges each parent its *self* time — total minus the children
-//! recorded under it. Stages that run both inside and outside the
-//! iteration loop (`stage.extract`, `stage.alias_resolution` also run
-//! once at bootstrap) are attributed to their majority home, so a
-//! parent's self time saturates at zero rather than going negative.
+//! The keys *are* the tree: a path's parent is the path minus its last
+//! name, and its *self* time is its total minus its direct children's.
+//! Children run inside their parent on the same thread, one after
+//! another, so their totals never sum past the parent's;
+//! [`ProfileDoc::parse`] refuses a document where they do, or where a
+//! path's parent is missing.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +33,7 @@ use crate::export::push_u64_list;
 use crate::trace::TraceSnapshot;
 
 /// Schema identifier stamped into every profile document.
-pub const PROFILE_SCHEMA: &str = "cfs-profile/1";
+pub const PROFILE_SCHEMA: &str = "cfs-profile/2";
 
 /// Upper (inclusive) bucket bounds of the duration histograms, in
 /// nanoseconds: powers of two from 2^10 (≈1 µs) to 2^34 (≈17 s), plus a
@@ -66,7 +67,7 @@ pub const PROFILE_BOUNDS_NS: [u64; 25] = [
     1 << 34,
 ];
 
-/// Aggregated wall-clock statistics of one span name: the sidecar's
+/// Aggregated wall-clock statistics of one call path: the sidecar's
 /// counterpart to [`crate::SpanStats`]. Everything here is excluded
 /// from the stable trace export.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -160,21 +161,16 @@ impl DurationStats {
     }
 }
 
-/// A parsed (or freshly built) `cfs-profile/1` document: the bucket
-/// bounds it was recorded against plus per-span duration statistics.
+/// A parsed (or freshly built) `cfs-profile/2` document: the bucket
+/// bounds it was recorded against plus duration statistics by call
+/// path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileDoc {
     /// The `profile_le_ns` bounds the buckets are aligned to.
     pub bounds: Vec<u64>,
-    /// Duration statistics by span name, merged across every shard.
+    /// Duration statistics by call path (`;`-joined span names), merged
+    /// across every thread.
     pub spans: BTreeMap<String, DurationStats>,
-    /// Pre-merge duration statistics keyed by shard id (stringified
-    /// shard index): where each span's time was actually spent,
-    /// thread by thread. Purely additional — `spans` already holds the
-    /// merged totals — and as thread-sensitive as every duration, so
-    /// the diff engine ignores it. Empty for documents predating the
-    /// member.
-    pub threads: BTreeMap<String, BTreeMap<String, DurationStats>>,
 }
 
 impl ProfileDoc {
@@ -182,29 +178,14 @@ impl ProfileDoc {
     pub fn from_snapshot(snap: &TraceSnapshot) -> Self {
         Self {
             bounds: PROFILE_BOUNDS_NS.to_vec(),
-            spans: snap
-                .durations
-                .iter()
-                .map(|(name, d)| ((*name).to_string(), d.clone()))
-                .collect(),
-            threads: snap
-                .duration_shards
-                .iter()
-                .map(|(shard, durations)| {
-                    (
-                        shard.to_string(),
-                        durations
-                            .iter()
-                            .map(|(name, d)| ((*name).to_string(), d.clone()))
-                            .collect(),
-                    )
-                })
-                .collect(),
+            spans: snap.durations.clone(),
         }
     }
 
-    /// Parses a `cfs-profile/1` document. The error names the member
-    /// that failed, for `trace-diff`'s malformed-input reporting.
+    /// Parses a `cfs-profile/2` document and checks its tree: every
+    /// path's parent is present, and no parent's direct children total
+    /// more than it does. The error names the member that failed, for
+    /// `cfs check` and `trace-diff`'s malformed-input reporting.
     pub fn parse(raw: &str) -> Result<Self, String> {
         let doc = serde_json::from_str::<Value>(raw).map_err(|e| format!("not JSON: {e}"))?;
         match doc.get("schema").and_then(Value::as_str) {
@@ -217,84 +198,81 @@ impl ProfileDoc {
             .and_then(crate::to_u64_vec)
             .ok_or("missing or non-integer profile_le_ns")?;
         let mut spans = BTreeMap::new();
-        for (name, entry) in doc
+        for (path, entry) in doc
             .get("spans")
             .and_then(Value::as_object)
             .ok_or("missing spans object")?
             .iter()
         {
             spans.insert(
-                name.clone(),
-                parse_stats(entry, &format!("span {name:?}"), bounds.len())?,
+                path.clone(),
+                parse_stats(entry, &format!("span {path:?}"), bounds.len())?,
             );
         }
-        // Optional: documents predating the per-thread shard sidecar
-        // carry no threads member.
-        let mut threads = BTreeMap::new();
-        if let Some(shards) = doc.get("threads") {
-            let shards = shards
-                .as_object()
-                .ok_or("threads member is not an object")?;
-            for (shard, obj) in shards.iter() {
-                let mut per_span = BTreeMap::new();
-                for (name, entry) in obj
-                    .as_object()
-                    .ok_or(format!("threads shard {shard:?} is not an object"))?
-                    .iter()
-                {
-                    per_span.insert(
-                        name.clone(),
-                        parse_stats(
-                            entry,
-                            &format!("threads shard {shard:?} span {name:?}"),
-                            bounds.len(),
-                        )?,
-                    );
+        let doc = Self { bounds, spans };
+        // Summed wide: the totals come from outside the program.
+        let mut children_ns: BTreeMap<&str, u128> = BTreeMap::new();
+        for (path, d) in &doc.spans {
+            if let Some(parent) = parent_path(path) {
+                if !doc.spans.contains_key(parent) {
+                    return Err(format!("span {path:?}: parent {parent:?} missing"));
                 }
-                threads.insert(shard.clone(), per_span);
+                *children_ns.entry(parent).or_insert(0) += u128::from(d.total_ns);
             }
         }
-        Ok(Self {
-            bounds,
-            spans,
-            threads,
-        })
+        for (parent, ns) in children_ns {
+            let total_ns = doc.spans[parent].total_ns;
+            if ns > u128::from(total_ns) {
+                return Err(format!(
+                    "span {parent:?}: children total {ns} ns, more than its {total_ns} ns"
+                ));
+            }
+        }
+        Ok(doc)
     }
 
-    /// Renders the document. Byte-stable for a given value: maps
-    /// iterate in `BTreeMap` order and p50/p99 are recomputed from the
+    /// Renders the document. Byte-stable for a given value: the map
+    /// iterates in `BTreeMap` order and p50/p99 are recomputed from the
     /// buckets, so parse → render round-trips exactly.
     pub fn render(&self) -> String {
         let mut out = format!("{{\"schema\":\"{PROFILE_SCHEMA}\",\"profile_le_ns\":");
         push_u64_list(&mut out, self.bounds.iter().copied());
         out.push_str(",\"spans\":{");
-        for (i, (name, d)) in self.spans.iter().enumerate() {
+        for (i, (path, d)) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_stats_entry(&mut out, name, d);
-        }
-        out.push_str("},\"threads\":{");
-        for (i, (shard, per_span)) in self.threads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{shard}\":{{"));
-            for (j, (name, d)) in per_span.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_stats_entry(&mut out, name, d);
-            }
-            out.push('}');
+            push_stats_entry(&mut out, path, d);
         }
         out.push_str("}}");
         out
     }
+
+    /// A path's self time: its total minus its direct children's, which
+    /// never exceed it in a recorded or parsed document.
+    fn self_ns(&self, path: &str) -> u64 {
+        let children: u64 = self
+            .spans
+            .iter()
+            .filter(|(p, _)| parent_path(p) == Some(path))
+            .map(|(_, d)| d.total_ns)
+            .sum();
+        self.spans[path].total_ns - children
+    }
 }
 
-/// Parses one duration-statistics entry (a span's or a shard-span's).
-fn parse_stats(entry: &Value, at: &str, bounds_len: usize) -> Result<DurationStats, String> {
+/// The path a call path nests in, or `None` for a root.
+fn parent_path(path: &str) -> Option<&str> {
+    path.rsplit_once(';').map(|(parent, _)| parent)
+}
+
+/// Parses one duration-statistics entry (a profile path's or a metrics
+/// window's).
+pub(crate) fn parse_stats(
+    entry: &Value,
+    at: &str,
+    bounds_len: usize,
+) -> Result<DurationStats, String> {
     let field = |key: &str| {
         entry
             .get(key)
@@ -321,8 +299,9 @@ fn parse_stats(entry: &Value, at: &str, bounds_len: usize) -> Result<DurationSta
     })
 }
 
-/// Renders one `"name":{count,…,buckets}` member (no trailing comma).
-fn push_stats_entry(out: &mut String, name: &str, d: &DurationStats) {
+/// Renders one `"name":{count,…,buckets}` member (no trailing comma),
+/// for profiles and metrics windows alike.
+pub(crate) fn push_stats_entry(out: &mut String, name: &str, d: &DurationStats) {
     out.push_str(&format!(
         "\"{name}\":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\
          \"p50_ns\":{},\"p99_ns\":{},\"buckets\":",
@@ -337,74 +316,27 @@ fn push_stats_entry(out: &mut String, name: &str, d: &DurationStats) {
     out.push('}');
 }
 
-/// Renders the `cfs-profile/1` sidecar for a snapshot (the
+/// Renders the `cfs-profile/2` sidecar for a snapshot (the
 /// `cfs run --profile-json` export).
 pub fn render_profile_json(snap: &TraceSnapshot) -> String {
     ProfileDoc::from_snapshot(snap).render()
 }
 
-/// Renders the profile as folded-stack lines, one per span:
+/// Renders the profile as folded-stack lines, one per call path:
 /// `root;child;leaf <self_ns>`, compatible with flamegraph collapse
-/// tooling (`flamegraph.pl`, inferno). The stack is the span's chain of
-/// ancestors in the static taxonomy; the value is *self* nanoseconds
-/// (total minus children present in the document, floored at zero) so
-/// stacking the lines reconstructs each parent's total. Lines are
-/// emitted in lexicographic stack order, so equal documents render
-/// equal bytes.
+/// tooling (`flamegraph.pl`, inferno). The value is the path's *self*
+/// nanoseconds, so stacking the lines reconstructs each parent's total.
+/// Lines come in path order, so equal documents render equal bytes.
 pub fn render_profile_folded(doc: &ProfileDoc) -> String {
-    let parent_of = |name: &str| -> Option<&str> {
-        parent_candidates(name)
-            .iter()
-            .copied()
-            .find(|p| doc.spans.contains_key(*p))
-    };
-    let mut children_total: BTreeMap<&str, u64> = BTreeMap::new();
-    for (name, d) in &doc.spans {
-        if let Some(p) = parent_of(name) {
-            *children_total.entry(p).or_insert(0) += d.total_ns;
-        }
-    }
-    let mut lines: Vec<String> = Vec::new();
-    for (name, d) in &doc.spans {
-        // Walk ancestors leaf → root, then reverse into a stack string.
-        let mut chain = vec![name.as_str()];
-        let mut cursor = name.as_str();
-        while let Some(p) = parent_of(cursor) {
-            chain.push(p);
-            cursor = p;
-        }
-        chain.reverse();
-        let self_ns = d
-            .total_ns
-            .saturating_sub(children_total.get(name.as_str()).copied().unwrap_or(0));
-        lines.push(format!("{} {self_ns}", chain.join(";")));
-    }
-    lines.sort();
-    let mut out = lines.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
+    doc.spans
+        .keys()
+        .map(|path| format!("{path} {}\n", doc.self_ns(path)))
+        .collect()
 }
 
-/// The static span taxonomy: candidate parents for a span name, most
-/// specific first. The first candidate actually present in the profile
-/// wins; a name with no surviving candidate is a root.
-fn parent_candidates(name: &str) -> &'static [&'static str] {
-    match name {
-        "cfs.run" => &[],
-        "cfs.iteration" | "stage.report" => &["cfs.run"],
-        // Remote-peering verdicts are prefetched from inside the
-        // constraint stage.
-        "stage.remote" => &["stage.constrain", "cfs.iteration", "cfs.run"],
-        _ if name.starts_with("stage.") => &["cfs.iteration", "cfs.run"],
-        _ => &[],
-    }
-}
-
-/// One row of the aggregated tree.
-struct TreeRow {
-    name: String,
+/// One row of the rendered tree.
+struct TreeRow<'a> {
+    path: &'a str,
     depth: usize,
     total_ns: u64,
     self_ns: u64,
@@ -412,34 +344,21 @@ struct TreeRow {
     p99_ns: u64,
 }
 
-/// Renders the human profile report: the span tree with total/self
-/// time per stage, then the top-`top_n` bottlenecks by self time
+/// Renders the human profile report: the call-path tree with total/self
+/// time per span, then the top-`top_n` bottlenecks by self time
 /// (the `cfs profile <file>` output).
 pub fn render_profile_report(doc: &ProfileDoc, top_n: usize) -> String {
-    // Resolve each span's parent against what the profile holds.
-    let parent_of = |name: &str| -> Option<&str> {
-        parent_candidates(name)
-            .iter()
-            .copied()
-            .find(|p| doc.spans.contains_key(*p))
-    };
     let mut children: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     let mut roots: Vec<&str> = Vec::new();
-    for name in doc.spans.keys() {
-        match parent_of(name) {
-            Some(p) => children.entry(p).or_default().push(name),
-            None => roots.push(name),
+    for path in doc.spans.keys() {
+        match parent_path(path) {
+            Some(p) => children.entry(p).or_default().push(path),
+            None => roots.push(path),
         }
     }
-    let child_total = |name: &str| -> u64 {
-        children
-            .get(name)
-            .map(|c| c.iter().map(|n| doc.spans[*n].total_ns).sum())
-            .unwrap_or(0)
-    };
-    // Heaviest subtrees first, name as the deterministic tiebreak.
-    let by_weight = |names: &mut Vec<&str>| {
-        names.sort_by(|a, b| {
+    // Heaviest subtrees first, path as the deterministic tiebreak.
+    let by_weight = |paths: &mut Vec<&str>| {
+        paths.sort_by(|a, b| {
             doc.spans[*b]
                 .total_ns
                 .cmp(&doc.spans[*a].total_ns)
@@ -449,43 +368,32 @@ pub fn render_profile_report(doc: &ProfileDoc, top_n: usize) -> String {
     by_weight(&mut roots);
 
     let mut rows: Vec<TreeRow> = Vec::new();
-    let mut stack: Vec<(&str, usize)> = roots.iter().rev().map(|n| (*n, 0)).collect();
-    while let Some((name, depth)) = stack.pop() {
-        let d = &doc.spans[name];
+    let mut stack: Vec<(&str, usize)> = roots.iter().rev().map(|p| (*p, 0)).collect();
+    while let Some((path, depth)) = stack.pop() {
+        let d = &doc.spans[path];
         rows.push(TreeRow {
-            name: name.to_string(),
+            path,
             depth,
             total_ns: d.total_ns,
-            self_ns: d.total_ns.saturating_sub(child_total(name)),
+            self_ns: doc.self_ns(path),
             count: d.count,
             p99_ns: d.quantile_ns(99),
         });
-        if let Some(kids) = children.get(name) {
-            let mut kids = kids.clone();
-            by_weight(&mut kids);
-            for k in kids.iter().rev() {
-                stack.push((k, depth + 1));
-            }
+        if let Some(kids) = children.get_mut(path) {
+            by_weight(kids);
+            stack.extend(kids.iter().rev().map(|k| (*k, depth + 1)));
         }
     }
 
-    let run_total = doc
-        .spans
-        .get("cfs.run")
-        .map(|d| d.total_ns)
-        .unwrap_or_else(|| {
-            rows.iter()
-                .filter(|r| r.depth == 0)
-                .map(|r| r.total_ns)
-                .sum()
-        })
-        .max(1);
+    // Every nanosecond recorded sits under exactly one root.
+    let recorded_ns: u64 = roots.iter().map(|r| doc.spans[*r].total_ns).sum();
     let ms = |ns: u64| ns as f64 / 1e6;
 
-    let mut out = format!("{PROFILE_SCHEMA} · {} spans\n", doc.spans.len());
+    let mut out = format!("{PROFILE_SCHEMA} · {} paths\n", doc.spans.len());
     out.push_str("span tree (count · total / self):\n");
     for r in &rows {
-        let label = format!("{}{}", "  ".repeat(r.depth), r.name);
+        let name = r.path.rsplit(';').next().unwrap_or(r.path);
+        let label = format!("{}{name}", "  ".repeat(r.depth));
         out.push_str(&format!(
             "  {label:<28} {:>6}\u{d7} {:>10.3}ms / {:>10.3}ms\n",
             r.count,
@@ -495,16 +403,17 @@ pub fn render_profile_report(doc: &ProfileDoc, top_n: usize) -> String {
     }
 
     let mut hot: Vec<&TreeRow> = rows.iter().collect();
-    hot.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
+    hot.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.path.cmp(b.path)));
     hot.truncate(top_n);
+    let width = hot.iter().map(|r| r.path.len()).max().unwrap_or(0);
     out.push_str(&format!("top {} bottlenecks by self time:\n", hot.len()));
     for (i, r) in hot.iter().enumerate() {
         out.push_str(&format!(
-            "  {:>2}. {:<24} {:>10.3}ms self ({:>5.1}% of run)  p99 {:.3}ms\n",
+            "  {:>2}. {:<width$} {:>10.3}ms self ({:>5.1}% of all)  p99 {:.3}ms\n",
             i + 1,
-            r.name,
+            r.path,
             ms(r.self_ns),
-            100.0 * r.self_ns as f64 / run_total as f64,
+            100.0 * r.self_ns as f64 / recorded_ns.max(1) as f64,
             ms(r.p99_ns),
         ));
     }
@@ -519,21 +428,28 @@ mod tests {
     use crate::Virtual;
     use std::sync::Arc;
 
+    /// A run of 10ms: four 2ms iterations, each around a 0.9ms
+    /// constraint stage around a 0.4ms remote stage, then a 0.1ms report.
     fn recorded_snapshot() -> TraceSnapshot {
         let clock = Arc::new(Virtual::new());
         let rec = TraceRecorder::new(clock.clone());
-        let span = |name, ns| {
-            let s = rec.span_start();
-            clock.advance(ns);
-            rec.span_end(name, s);
-        };
-        span("cfs.run", 10_000_000);
+        let run = rec.span_start();
         for _ in 0..4 {
-            span("cfs.iteration", 2_000_000);
-            span("stage.constrain", 900_000);
-            span("stage.remote", 400_000);
+            let iteration = rec.span_start();
+            let constrain = rec.span_start();
+            let remote = rec.span_start();
+            clock.advance(400_000);
+            rec.span_end("stage.remote", remote);
+            clock.advance(500_000);
+            rec.span_end("stage.constrain", constrain);
+            clock.advance(1_100_000);
+            rec.span_end("cfs.iteration", iteration);
         }
-        span("stage.report", 100_000);
+        let report = rec.span_start();
+        clock.advance(100_000);
+        rec.span_end("stage.report", report);
+        clock.advance(1_900_000);
+        rec.span_end("cfs.run", run);
         rec.snapshot()
     }
 
@@ -578,7 +494,7 @@ mod tests {
     fn render_parse_round_trip_is_byte_identical() {
         let doc = ProfileDoc::from_snapshot(&recorded_snapshot());
         let rendered = doc.render();
-        assert!(rendered.starts_with("{\"schema\":\"cfs-profile/1\","));
+        assert!(rendered.starts_with("{\"schema\":\"cfs-profile/2\","));
         let reparsed = ProfileDoc::parse(&rendered).expect("parse own output");
         assert_eq!(doc, reparsed);
         assert_eq!(rendered, reparsed.render());
@@ -589,13 +505,17 @@ mod tests {
         for (raw, needle) in [
             ("{}", "missing schema"),
             ("{\"schema\":\"cfs-trace/1\"}", "schema is"),
-            ("{\"schema\":\"cfs-profile/1\"}", "profile_le_ns"),
             (
-                "{\"schema\":\"cfs-profile/1\",\"profile_le_ns\":[1],\"spans\":{\"x\":{}}}",
+                "{\"schema\":\"cfs-profile/1\",\"profile_le_ns\":[1],\"spans\":{}}",
+                "schema is \"cfs-profile/1\"",
+            ),
+            ("{\"schema\":\"cfs-profile/2\"}", "profile_le_ns"),
+            (
+                "{\"schema\":\"cfs-profile/2\",\"profile_le_ns\":[1],\"spans\":{\"x\":{}}}",
                 "missing buckets",
             ),
             (
-                "{\"schema\":\"cfs-profile/1\",\"profile_le_ns\":[1],\
+                "{\"schema\":\"cfs-profile/2\",\"profile_le_ns\":[1],\
                  \"spans\":{\"x\":{\"buckets\":[1]}}}",
                 "1 buckets, want 2",
             ),
@@ -606,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn report_attributes_self_time_down_the_taxonomy() {
+    fn report_attributes_self_time_down_the_measured_tree() {
         let doc = ProfileDoc::from_snapshot(&recorded_snapshot());
         let report = render_profile_report(&doc, 3);
         // cfs.run self = 10ms − (4×2ms iteration + 0.1ms report) = 1.9ms.
@@ -618,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_chain_the_taxonomy_and_carry_self_time() {
+    fn folded_stacks_are_the_call_paths_with_self_time() {
         let doc = ProfileDoc::from_snapshot(&recorded_snapshot());
         let folded = render_profile_folded(&doc);
         let lines: Vec<&str> = folded.lines().collect();
@@ -640,33 +560,50 @@ mod tests {
     }
 
     #[test]
-    fn threads_map_rides_the_sidecar_with_totals_unchanged() {
-        let snap = recorded_snapshot();
-        let doc = ProfileDoc::from_snapshot(&snap);
-        // Everything above was recorded from one thread → one shard,
-        // whose statistics must equal the merged spans.
-        assert_eq!(doc.threads.len(), 1, "{:?}", doc.threads.keys());
-        let only = doc.threads.values().next().expect("one shard");
-        let merged: BTreeMap<String, DurationStats> = doc.spans.clone();
-        assert_eq!(*only, merged, "single-shard stats equal the totals");
-        // And the member round-trips through the document bytes.
-        let rendered = doc.render();
-        assert!(rendered.contains("\"threads\":{\""), "{rendered}");
-        let reparsed = ProfileDoc::parse(&rendered).expect("parse with threads");
-        assert_eq!(doc, reparsed);
-        assert_eq!(rendered, reparsed.render());
-        // Documents predating the member still parse, threads empty.
-        let legacy = "{\"schema\":\"cfs-profile/1\",\"profile_le_ns\":[1],\"spans\":{}}";
-        assert!(ProfileDoc::parse(legacy)
-            .expect("legacy")
-            .threads
-            .is_empty());
+    fn parse_refuses_a_broken_tree() {
+        let stats = |total_ns| {
+            let mut d = DurationStats::default();
+            d.record(total_ns);
+            d
+        };
+        let doc = |paths: &[(&str, u64)]| {
+            ProfileDoc {
+                bounds: PROFILE_BOUNDS_NS.to_vec(),
+                spans: paths
+                    .iter()
+                    .map(|(path, ns)| ((*path).to_string(), stats(*ns)))
+                    .collect(),
+            }
+            .render()
+        };
+        let orphan = doc(&[("cfs.run", 10), ("cfs.run;cfs.iteration;stage.extract", 5)]);
+        let err = ProfileDoc::parse(&orphan).unwrap_err();
+        assert!(
+            err.contains("parent \"cfs.run;cfs.iteration\" missing"),
+            "{err}"
+        );
+
+        let overfull = doc(&[("a", 10), ("a;b", 6), ("a;c", 5), ("a;c;d", 5)]);
+        let err = ProfileDoc::parse(&overfull).unwrap_err();
+        assert!(err.contains("span \"a\": children total 11 ns"), "{err}");
+        // Children whose totals overflow a u64 when summed still outgrow it.
+        let max = u64::MAX;
+        let wrapping = doc(&[("a", max), ("a;b", max), ("a;c", 1)]);
+        let err = ProfileDoc::parse(&wrapping).unwrap_err();
+        assert!(err.contains("span \"a\": children total"), "{err}");
+
+        let exact = doc(&[("a", 11), ("a;b", 6), ("a;c", 5), ("a;c;d", 5)]);
+        let parsed = ProfileDoc::parse(&exact).expect("children may fill their parent");
+        assert_eq!(
+            render_profile_folded(&parsed),
+            "a 0\na;b 6\na;c 0\na;c;d 5\n"
+        );
     }
 
     #[test]
     fn report_handles_empty_and_unknown_spans() {
         let empty = render_profile_report(&ProfileDoc::default(), 5);
-        assert!(empty.contains("0 spans"), "{empty}");
+        assert!(empty.contains("0 paths"), "{empty}");
         let mut doc = ProfileDoc::default();
         doc.spans
             .insert("custom.thing".into(), DurationStats::default());

@@ -16,10 +16,22 @@
 //! merge over commutative sums erases that. The only thread-sensitive
 //! quantities are span durations, which is why the stable export
 //! ([`crate::export::stable_body`]) carries span *counts* but never
-//! nanoseconds. Durations still accumulate — per-span min/max and
+//! nanoseconds. Durations still accumulate — per-path min/max and
 //! log-scaled distributions in [`TraceSnapshot::durations`] — but they
-//! leave the process only through the non-digested `cfs-profile/1`
+//! leave the process only through the non-digested `cfs-profile/2`
 //! sidecar ([`crate::profile`]) and the human `--metrics` summary.
+//!
+//! ## Call paths
+//!
+//! Durations are keyed by the call path a span closed on
+//! (`cfs.run;cfs.iteration;stage.extract`), measured rather than
+//! declared: each thread keeps a stack of its open spans in its shard.
+//! [`Recorder::span_start`] pushes an empty frame; `span_end` pops it
+//! and commits the span's own duration, plus every path committed into
+//! the frame prefixed with the span's name, to the enclosing frame — or,
+//! for a root span, to the shard. A path's statistics therefore appear
+//! in a snapshot once its root span has closed, while the name-keyed
+//! [`TraceSnapshot::spans`] counts are committed as each span closes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,12 +106,28 @@ pub struct SpanStats {
     pub total_ns: u64,
 }
 
+/// Duration statistics by call path (`;`-joined span names).
+type PathStats = BTreeMap<String, DurationStats>;
+
 #[derive(Default)]
 struct Shard {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<&'static str, SpanStats>,
-    durations: BTreeMap<&'static str, DurationStats>,
+    /// Paths of the root spans closed on this shard's threads.
+    durations: PathStats,
+    /// Open spans of each thread writing here, innermost last: a frame
+    /// holds the paths closed inside its span, relative to it.
+    open: BTreeMap<usize, Vec<PathStats>>,
+}
+
+/// Files a closed span into `into`: its own duration under `name`, and
+/// every path closed inside it under `name;path`.
+fn commit(into: &mut PathStats, name: &str, elapsed_ns: u64, inner: PathStats) {
+    into.entry(name.to_string()).or_default().record(elapsed_ns);
+    for (path, d) in inner {
+        into.entry(format!("{name};{path}")).or_default().merge(&d);
+    }
 }
 
 /// A merged, immutable view of everything recorded so far.
@@ -111,25 +139,19 @@ pub struct TraceSnapshot {
     pub histograms: BTreeMap<&'static str, Histogram>,
     /// Span statistics by name.
     pub spans: BTreeMap<&'static str, SpanStats>,
-    /// The duration sidecar: per-span wall-clock distributions. Only the
-    /// `cfs-profile/1` export and `--metrics` read these; the stable
-    /// trace body never does (module docs).
-    pub durations: BTreeMap<&'static str, DurationStats>,
-    /// The same duration statistics before merging, keyed by shard
-    /// index — the `cfs-profile/1` `threads` map. Which shard a thread
-    /// landed on is a process-wide round-robin artifact, so this map is
-    /// as thread-sensitive as the durations themselves: sidecar only,
-    /// never compared, never digested. Shards that timed nothing are
-    /// omitted.
-    pub duration_shards: BTreeMap<usize, BTreeMap<&'static str, DurationStats>>,
+    /// The duration sidecar: wall-clock distributions by call path
+    /// (module docs). Only the `cfs-profile/2` export and `--metrics`
+    /// read these; the stable trace body never does.
+    pub durations: BTreeMap<String, DurationStats>,
 }
 
-/// Process-wide round-robin of thread → shard assignments.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide numbering of the threads that record.
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// The shard this thread writes to, assigned on first record.
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    /// This thread's number, assigned on first record; it writes to
+    /// shard `number % SHARDS`, a process-wide round-robin.
+    static MY_THREAD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The collecting [`Recorder`]: sharded buffers, injectable clock,
@@ -155,24 +177,22 @@ impl TraceRecorder {
         Self::new(Arc::new(Virtual::new()))
     }
 
-    fn with_shard<R>(&self, f: impl FnOnce(&mut Shard) -> R) -> R {
-        let idx = MY_SHARD.with(|s| *s);
-        let mut shard = self.shards[idx]
+    /// Runs `f` on this thread's shard, handing it the thread's number.
+    fn with_shard<R>(&self, f: impl FnOnce(&mut Shard, usize) -> R) -> R {
+        let thread = MY_THREAD.with(|t| *t);
+        let mut shard = self.shards[thread % SHARDS]
             .lock()
             .expect("obs shard mutex poisoned by a panicking recorder call");
-        f(&mut shard)
+        f(&mut shard, thread)
     }
 
     /// Merges every shard, in shard-index order, into one snapshot.
     pub fn snapshot(&self) -> TraceSnapshot {
         let mut out = TraceSnapshot::default();
-        for (idx, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             let shard = shard
                 .lock()
                 .expect("obs shard mutex poisoned by a panicking recorder call");
-            if !shard.durations.is_empty() {
-                out.duration_shards.insert(idx, shard.durations.clone());
-            }
             for (name, v) in &shard.counters {
                 *out.counters.entry(name).or_insert(0) += v;
             }
@@ -184,8 +204,8 @@ impl TraceRecorder {
                 agg.count += s.count;
                 agg.total_ns += s.total_ns;
             }
-            for (name, d) in &shard.durations {
-                out.durations.entry(name).or_default().merge(d);
+            for (path, d) in &shard.durations {
+                out.durations.entry(path.clone()).or_default().merge(d);
             }
         }
         out
@@ -198,31 +218,40 @@ impl Recorder for TraceRecorder {
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.with_shard(|s| *s.counters.entry(name).or_insert(0) += delta);
+        self.with_shard(|s, _| *s.counters.entry(name).or_insert(0) += delta);
     }
 
     fn observe(&self, name: &'static str, value: u64) {
-        self.with_shard(|s| s.histograms.entry(name).or_default().record(value));
+        self.with_shard(|s, _| s.histograms.entry(name).or_default().record(value));
     }
 
     fn observe_n(&self, name: &'static str, value: u64, n: u64) {
         if n == 0 {
             return;
         }
-        self.with_shard(|s| s.histograms.entry(name).or_default().record_n(value, n));
+        self.with_shard(|s, _| s.histograms.entry(name).or_default().record_n(value, n));
     }
 
     fn span_start(&self) -> u64 {
+        self.with_shard(|s, thread| s.open.entry(thread).or_default().push(PathStats::new()));
         self.clock.now_ns()
     }
 
     fn span_end(&self, name: &'static str, start_ns: u64) {
         let elapsed = self.clock.now_ns().saturating_sub(start_ns);
-        self.with_shard(|s| {
+        self.with_shard(|s, thread| {
             let stats = s.spans.entry(name).or_default();
             stats.count += 1;
             stats.total_ns += elapsed;
-            s.durations.entry(name).or_default().record(elapsed);
+            let stack = s.open.entry(thread).or_default();
+            let inner = stack.pop().unwrap_or_default();
+            match stack.last_mut() {
+                Some(parent) => commit(parent, name, elapsed, inner),
+                None => {
+                    s.open.remove(&thread);
+                    commit(&mut s.durations, name, elapsed, inner);
+                }
+            }
         });
     }
 }
@@ -261,6 +290,56 @@ mod tests {
                 count: 1,
                 total_ns: 1_000
             }
+        );
+    }
+
+    #[test]
+    fn durations_are_keyed_by_the_call_path_of_each_thread() {
+        let clock = Arc::new(Virtual::new());
+        let rec = Arc::new(TraceRecorder::new(clock.clone()));
+        let other = Arc::new(TraceRecorder::new(clock.clone()));
+        {
+            let _run = span(rec.clone(), "run");
+            // A span on another thread is a root there, and a span on
+            // another recorder never joins this one's stack.
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _worker = span(rec.clone(), "worker");
+                    clock.advance(10);
+                });
+            });
+            let _elsewhere = span(other.clone(), "elsewhere");
+            for _ in 0..2 {
+                let _step = span(rec.clone(), "step");
+                let _leaf = span(rec.clone(), "leaf");
+                clock.advance(5);
+            }
+        }
+        let snap = rec.snapshot();
+        let paths: Vec<(&str, u64, u64)> = snap
+            .durations
+            .iter()
+            .map(|(p, d)| (p.as_str(), d.count, d.total_ns))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                ("run", 1, 20),
+                ("run;step", 2, 10),
+                ("run;step;leaf", 2, 10),
+                ("worker", 1, 10),
+            ]
+        );
+        assert_eq!(
+            snap.spans["step"],
+            SpanStats {
+                count: 2,
+                total_ns: 10
+            }
+        );
+        assert_eq!(
+            other.snapshot().durations.keys().collect::<Vec<_>>(),
+            ["elsewhere"]
         );
     }
 

@@ -36,7 +36,7 @@ use serde_json::Value;
 
 use crate::clock::Clock;
 use crate::export::push_u64_list;
-use crate::profile::{DurationStats, PROFILE_BOUNDS_NS};
+use crate::profile::{parse_stats, push_stats_entry, DurationStats, PROFILE_BOUNDS_NS};
 use crate::recorder::Recorder;
 use crate::trace::{Histogram, HISTOGRAM_BOUNDS};
 
@@ -236,18 +236,7 @@ fn push_cell_body(out: &mut String, cell: &WindowCell) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\"{name}\":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"buckets\":",
-            d.count,
-            d.total_ns,
-            d.min_ns,
-            d.max_ns,
-            d.quantile_ns(50),
-            d.quantile_ns(99),
-        ));
-        push_u64_list(out, d.buckets.iter().copied());
-        out.push('}');
+        push_stats_entry(out, name, d);
     }
     out.push('}');
 }
@@ -276,6 +265,9 @@ impl Recorder for WindowedRecorder {
     }
 
     fn span_start(&self) -> u64 {
+        // The inner recorder opens its frame, so its call paths nest;
+        // the window times the span against the shared clock.
+        self.inner.span_start();
         self.clock.now_ns()
     }
 
@@ -590,32 +582,9 @@ fn parse_window(
         .ok_or(format!("{at}: missing durations object"))?
         .iter()
     {
-        let field = |key: &str| {
-            d.get(key)
-                .and_then(Value::as_u64)
-                .ok_or(format!("{at}: duration {name:?}: missing {key}"))
-        };
-        let buckets = d
-            .get("buckets")
-            .and_then(crate::to_u64_vec)
-            .ok_or(format!("{at}: duration {name:?}: missing buckets"))?;
-        if buckets.len() != duration_le_ns.len() + 1 {
-            return Err(format!(
-                "{at}: duration {name:?}: {} buckets, want {}",
-                buckets.len(),
-                duration_le_ns.len() + 1
-            ));
-        }
-        out.durations.insert(
-            name.clone(),
-            DurationStats {
-                count: field("count")?,
-                total_ns: field("total_ns")?,
-                min_ns: field("min_ns")?,
-                max_ns: field("max_ns")?,
-                buckets,
-            },
-        );
+        let at = format!("{at}: duration {name:?}");
+        out.durations
+            .insert(name.clone(), parse_stats(d, &at, duration_le_ns.len())?);
     }
     Ok(out)
 }
@@ -773,11 +742,15 @@ mod tests {
         let inner = Arc::new(crate::trace::TraceRecorder::new(clock.clone()));
         let rec = WindowedRecorder::new(inner.clone(), clock.clone(), 1_000, 4);
         rec.counter("reqs", 2);
+        let outer = rec.span_start();
         let s = rec.span_start();
         clock.advance(500);
         rec.span_end("api.status", s);
+        rec.span_end("api.batch", outer);
         let snap = inner.snapshot();
         assert_eq!(snap.counters["reqs"], 2);
         assert_eq!(snap.spans["api.status"].total_ns, 500);
+        // Span entries reach the inner recorder too, so its paths nest.
+        assert_eq!(snap.durations["api.batch;api.status"].total_ns, 500);
     }
 }

@@ -1,4 +1,4 @@
-//! The `cfs-profile/1` contract from the outside: a recorded snapshot
+//! The `cfs-profile/2` contract from the outside: a recorded snapshot
 //! renders to a document that parses back and re-renders byte-identical
 //! (the golden-file property the CI gate leans on), and the diff engine
 //! sees through the whole loop.
@@ -50,7 +50,7 @@ fn serialize_parse_reserialize_is_byte_identical() {
 #[test]
 fn recorded_quantiles_are_sane() {
     let snap = recorded().snapshot();
-    let constrain = &snap.durations["stage.constrain"];
+    let constrain = &snap.durations["cfs.run;cfs.iteration;stage.constrain"];
     assert_eq!(constrain.count, 5);
     assert_eq!(constrain.min_ns, 1_000_000);
     assert_eq!(constrain.max_ns, 2_000_000);
@@ -98,7 +98,7 @@ fn profile_self_diff_is_clean_and_slowdown_is_flagged() {
     assert!(
         p.duration_changed
             .iter()
-            .any(|d| d.name == "stage.constrain"),
+            .any(|d| d.name == "cfs.run;cfs.iteration;stage.constrain"),
         "slow stage not named: {}",
         diff.render_text()
     );

@@ -29,7 +29,7 @@ use cfs_detect::{Detector, DetectorConfig, EpochObservation};
 use cfs_experiments::Lab;
 use cfs_kb::{degrade_sources, KnowledgeBase, PublicSources};
 use cfs_obs::{
-    Clock, EventKind, EventLog, Monotonic, Recorder, Severity, TraceRecorder, WindowedRecorder,
+    Clock, EventKind, EventLog, Monotonic, NoopRecorder, Recorder, Severity, WindowedRecorder,
 };
 use cfs_svc::{ApiError, Outcome, Reply, Request};
 use cfs_topology::EventSchedule;
@@ -167,13 +167,15 @@ impl<'w> Daemon<'w> {
     pub fn boot(substrate: &'w Substrate<'_>, opts: DaemonOptions) -> Result<Self> {
         let lab = substrate.lab;
         let engine: &'w dyn ProbeService = &*substrate.engine;
-        // One real clock shared by the windows, their trace recorder,
-        // the event log, and the detector, so alert `t_ns` values share
-        // the metrics timeline. None of it touches the canonical trace:
-        // `trace` replies are rebuilt from the report.
+        // One real clock shared by the windows, the event log, and the
+        // detector, so alert `t_ns` values share the metrics timeline.
+        // The windows are the daemon's only collector: nothing would
+        // read an inner trace recorder, so they wrap the no-op one.
+        // None of it touches the canonical trace: `trace` replies are
+        // rebuilt from the report.
         let clock = Arc::new(Monotonic::new());
         let windows = Arc::new(WindowedRecorder::new(
-            Arc::new(TraceRecorder::new(clock.clone())),
+            Arc::new(NoopRecorder),
             clock.clone(),
             opts.window_ms.saturating_mul(1_000_000),
             WINDOWS_KEPT,

@@ -14,7 +14,7 @@
 //! cfs kb-diff  <a> <b> [--scale S] [--seed N]     # pairwise source disagreement
 //! cfs census   [--scale S] [--seed N]             # remote-peering census
 //! cfs validate [--scale S] [--seed N]             # §6 validation scorecard
-//! cfs check    <file>                             # validate a trace/metrics/alerts export
+//! cfs check    <file>                             # validate a trace/profile/metrics/alerts export
 //! cfs profile  <file> [--top N] [--folded]        # render a --profile-json export
 //! cfs trace-diff <a> <b> [--json]                 # compare two exports
 //!              [--tolerance-pct N]                #   (trace or profile pairs)
@@ -46,7 +46,10 @@ use std::time::Duration;
 
 use cfs::daemon::{Daemon, DaemonOptions, Substrate};
 use cfs::detect::{validate_alerts, ALERTS_SCHEMA};
-use cfs::obs::{pace, MetricsDoc, Monotonic, TraceRecorder, METRICS_SCHEMA, TRACE_SCHEMA};
+use cfs::obs::{
+    pace, MetricsDoc, Monotonic, ProfileDoc, TraceRecorder, METRICS_SCHEMA, PROFILE_SCHEMA,
+    TRACE_SCHEMA,
+};
 use cfs::prelude::*;
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
 use cfs_experiments::{Lab, Scale};
@@ -128,7 +131,7 @@ fn print_help() {
          \x20            --sources FILE drives it from a saved/edited snapshot;\n\
          \x20            --trace-json FILE exports deterministic telemetry;\n\
          \x20            --profile-json FILE exports the wall-clock duration\n\
-         \x20            sidecar (cfs-profile/1; never part of the trace digest);\n\
+         \x20            sidecar (cfs-profile/2; never part of the trace digest);\n\
          \x20            --metrics prints a human timing/counter summary;\n\
          \x20            --faults P injects a deterministic fault profile\n\
          \x20            (off|default|flaky|blackout|stale-kb|mid-kb-refresh|\n\
@@ -143,10 +146,11 @@ fn print_help() {
          \x20 census     remote-peering census over the exchanges\n\
          \x20 validate   §6 validation scorecard\n\
          \x20 check FILE  validate an exported document by its schema member:\n\
-         \x20            cfs-trace/1 (digest + structure), cfs-metrics/1\n\
-         \x20            (window/totals integrity) or cfs-alerts/1 (vocabulary,\n\
-         \x20            cursor monotonicity); exit 0 valid, 1 invalid, 2 usage\n\
-         \x20 profile FILE [--top N]  stage tree + bottlenecks of a profile export\n\
+         \x20            cfs-trace/1 (digest + structure), cfs-profile/2 (call-path\n\
+         \x20            tree), cfs-metrics/1 (window/totals integrity) or\n\
+         \x20            cfs-alerts/1 (vocabulary, cursor monotonicity);\n\
+         \x20            exit 0 valid, 1 invalid, 2 usage\n\
+         \x20 profile FILE [--top N]  call-path tree + bottlenecks of a profile export\n\
          \x20            (--folded emits flamegraph-compatible folded stacks)\n\
          \x20 trace-diff A B  compare two trace or profile exports\n\
          \x20            (--json for machine output; --tolerance-pct N for\n\
@@ -478,8 +482,8 @@ fn run_cmd(
     0
 }
 
-/// Renders a `cfs-profile/1` export as a stage tree with self/child
-/// time and a top-N bottleneck table — or, with `--folded`, as
+/// Renders a `cfs-profile/2` export as its call-path tree with
+/// total/self time and a top-N bottleneck table — or, with `--folded`, as
 /// folded-stack lines ready for flamegraph collapse tooling.
 fn profile_cmd(path: Option<&str>, args: &[String], folded: bool) -> i32 {
     let Some(path) = path else {
@@ -497,7 +501,7 @@ fn profile_cmd(path: Option<&str>, args: &[String], folded: bool) -> i32 {
             return 1;
         }
     };
-    match cfs::obs::ProfileDoc::parse(&raw) {
+    match ProfileDoc::parse(&raw) {
         Ok(doc) => {
             if folded {
                 print!("{}", cfs::obs::render_profile_folded(&doc));
@@ -630,8 +634,9 @@ fn trace_diff(
 }
 
 /// `cfs check`: validates an exported document, dispatching on the
-/// `schema` member of its first line — a `cfs-trace/1` trace or a
-/// `cfs-metrics/1` snapshot (single-line documents), or a
+/// `schema` member of its first line — a `cfs-trace/1` trace, a
+/// `cfs-profile/2` sidecar or a `cfs-metrics/1` snapshot (single-line
+/// documents), or a
 /// `cfs-alerts/1` export (one JSON line per alert). Problems are tagged
 /// with the section that failed, so a red CI run says *where* to look.
 /// Exit 0 valid, 1 invalid or unreadable, 2 usage.
@@ -652,6 +657,10 @@ fn check_cmd(path: Option<&str>) -> i32 {
         Err(e) => ("", vec![("json", format!("{path} is not JSON: {e}"))]),
         Ok(head) => match head.get("schema").and_then(|s| s.as_str()) {
             Some(TRACE_SCHEMA) => (TRACE_SCHEMA, trace_problems(&raw, &head)),
+            Some(PROFILE_SCHEMA) => match ProfileDoc::parse(&raw) {
+                Ok(_) => (PROFILE_SCHEMA, Vec::new()),
+                Err(e) => (PROFILE_SCHEMA, vec![("profile", e)]),
+            },
             Some(METRICS_SCHEMA) => (METRICS_SCHEMA, MetricsDoc::validate(&raw)),
             Some(ALERTS_SCHEMA) => match validate_alerts(&raw) {
                 Ok(_) => (ALERTS_SCHEMA, Vec::new()),

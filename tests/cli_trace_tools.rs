@@ -61,7 +61,7 @@ fn profile_and_diff_cli_end_to_end() {
     let trace_doc = std::fs::read_to_string(&trace_a).expect("trace written");
     assert!(trace_doc.starts_with("{\"schema\":\"cfs-trace/1\""));
     let prof_doc = std::fs::read_to_string(&prof_a).expect("profile written");
-    assert!(prof_doc.starts_with("{\"schema\":\"cfs-profile/1\""));
+    assert!(prof_doc.starts_with("{\"schema\":\"cfs-profile/2\""));
 
     // The trace still validates — the sidecar flag must not change it.
     let validate = cfs(&["check", trace_a.to_str().unwrap()]);
@@ -182,7 +182,7 @@ fn folded_profile_render_emits_flamegraph_stacks() {
     assert!(folded.status.success(), "{}", stderr(&folded));
     let text = stdout(&folded);
     // Every line is `stack;frames <self_ns>`, rooted at cfs.run, and the
-    // taxonomy chains iterations under the run.
+    // measured call paths chain iterations under the run.
     assert!(!text.is_empty());
     for line in text.lines() {
         let (stack, ns) = line.rsplit_once(' ').expect("stack <ns>");
@@ -193,6 +193,84 @@ fn folded_profile_render_emits_flamegraph_stacks() {
         text.lines()
             .any(|l| l.starts_with("cfs.run;cfs.iteration;stage.constrain ")),
         "{text}"
+    );
+}
+
+#[test]
+fn measured_profile_tree_nests_and_checks_clean() {
+    // `cfs run` times spans on the real (Monotonic) clock; the profile's
+    // call paths are the nesting that actually ran.
+    let prof = tmp("measured.prof.json");
+    let run = cfs(&[
+        "run",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--profile-json",
+        prof.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let raw = std::fs::read_to_string(&prof).expect("profile written");
+    let doc = cfs::obs::ProfileDoc::parse(&raw).expect("own export parses");
+    for (path, d) in &doc.spans {
+        let children: u64 = doc
+            .spans
+            .iter()
+            .filter(|(p, _)| p.rsplit_once(';').map(|(parent, _)| parent) == Some(path))
+            .map(|(_, c)| c.total_ns)
+            .sum();
+        assert!(
+            children <= d.total_ns,
+            "{path}: children {children} ns > {} ns",
+            d.total_ns
+        );
+    }
+    // The bootstrap extraction runs once under the run, apart from the
+    // extraction inside each iteration.
+    assert_eq!(doc.spans["cfs.run;stage.extract"].count, 1);
+    assert!(doc.spans["cfs.run;cfs.iteration;stage.extract"].count >= 1);
+
+    let checked = cfs(&["check", prof.to_str().unwrap()]);
+    assert_eq!(checked.status.code(), Some(0), "{}", stderr(&checked));
+    assert!(stdout(&checked).contains("valid cfs-profile/2 document"));
+
+    // A name-keyed `/1` document is a schema error everywhere.
+    let old = tmp("old.prof.json");
+    std::fs::write(&old, raw.replace("cfs-profile/2", "cfs-profile/1")).expect("written");
+    let old = old.to_str().unwrap();
+    let checked = cfs(&["check", old]);
+    assert_eq!(checked.status.code(), Some(1));
+    assert!(stderr(&checked).contains("invalid [schema]"));
+    let rendered = cfs(&["profile", old]);
+    assert_eq!(rendered.status.code(), Some(1));
+    assert!(
+        stderr(&rendered).contains("schema is"),
+        "{}",
+        stderr(&rendered)
+    );
+    let diffed = cfs(&["trace-diff", old, old]);
+    assert_eq!(diffed.status.code(), Some(2));
+    assert!(
+        stderr(&diffed).contains("cfs-profile/1"),
+        "{}",
+        stderr(&diffed)
+    );
+
+    // A parent whose children outgrow it is refused, section-tagged.
+    let overfull = tmp("overfull.prof.json");
+    let mut bad = doc.clone();
+    bad.spans
+        .get_mut("cfs.run;cfs.iteration;stage.extract")
+        .expect("in-loop extraction")
+        .total_ns = u64::MAX / 2;
+    std::fs::write(&overfull, bad.render()).expect("written");
+    let checked = cfs(&["check", overfull.to_str().unwrap()]);
+    assert_eq!(checked.status.code(), Some(1));
+    assert!(
+        stderr(&checked).contains("invalid [profile]"),
+        "{}",
+        stderr(&checked)
     );
 }
 
