@@ -440,7 +440,10 @@ impl<'a> CfsSession<'a> {
     /// observation list or the alias sets changed at all.
     fn absorb_traces(&mut self, traces: Vec<Trace>) -> (BTreeSet<Ipv4Addr>, bool) {
         let held = self.cfs.observations.len();
-        let mut fresh = self.cfs.ingest(&traces);
+        let mut fresh = {
+            cfs_obs::span!(self.cfs.recorder, "serve.absorb");
+            self.cfs.ingest(&traces)
+        };
         // Extraction of a trace reads only the KB and the corrected ASNs
         // of its own hops, so the held observations stay exact while no
         // already-seen address changes its corrected ASN, and only the new

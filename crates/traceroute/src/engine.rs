@@ -9,8 +9,10 @@
 //! far-side member's router, and private point-to-point addresses may
 //! belong to the neighbour's address space (§4.1).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
+use parking_lot::RwLock;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
@@ -34,7 +36,7 @@ pub struct Hop {
 }
 
 /// A completed traceroute.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
     /// The issuing vantage point.
     pub vp: cfs_types::VantagePointId,
@@ -63,9 +65,15 @@ const CONGESTION_SLOT_MS: u64 = 600_000;
 /// The simulation engine. Cheap to share by reference; all methods take
 /// `&self` and derive their randomness from call parameters, so traces
 /// are reproducible and the engine is safe to use from many threads.
+///
+/// It holds interior state: per-destination routes and per-crossing
+/// hot-potato choices, each filled on first use. Both are pure functions
+/// of the topology, so what an engine has already answered never changes
+/// what it answers next.
 pub struct Engine<'t> {
     topo: &'t Topology,
     routes: RouteCache,
+    steps: StepTable,
     db: IpAsnDb,
     seed: u64,
     paris: bool,
@@ -79,6 +87,7 @@ impl<'t> Engine<'t> {
         Self {
             topo,
             routes: RouteCache::new(topo),
+            steps: StepTable::new(topo),
             db: topo.build_ipasn_db(),
             seed: topo.config.seed ^ 0x7ace_7005,
             paris: true,
@@ -153,10 +162,7 @@ impl<'t> Engine<'t> {
         let mut current = vp.router;
         path.push((current, self.backbone_iface(current)));
         for win in as_path.windows(2) {
-            let (x, y) = (win[0], win[1]);
-            let Some((egress, ingress, ingress_iface)) =
-                self.select_medium(x, y, self.topo.routers[current].coords, &mut rng)
-            else {
+            let Some((egress, ingress, ingress_iface)) = self.step(current, win[0], win[1]) else {
                 // Inconsistent adjacency (should not happen): truncate.
                 trace.hops.push(Hop {
                     ip: None,
@@ -172,6 +178,7 @@ impl<'t> Engine<'t> {
         }
 
         // Emit hops with accumulated delay.
+        trace.hops.reserve_exact(path.len() + 1);
         let mut dist_km = 0.0;
         let mut prev: GeoPoint = vp.coords;
         for (idx, (router, iface)) in path.iter().enumerate() {
@@ -243,18 +250,31 @@ impl<'t> Engine<'t> {
             .unwrap_or_else(|| self.topo.routers[router].ifaces[0])
     }
 
+    /// The crossing `x → y` of a probe at `current`, a router of `x`:
+    /// [`Self::select_medium`] from there, computed once per
+    /// `(current, y)` and read from the step table afterwards.
+    fn step(&self, current: RouterId, x: Asn, y: Asn) -> Option<(RouterId, RouterId, IfaceId)> {
+        debug_assert_eq!(self.topo.routers[current].asn, x, "probe left its AS");
+        let slot = self.steps.slot(current, y)?;
+        let mut packed = self.steps.slots.read()[slot];
+        if packed == UNFILLED {
+            packed = pack(self.select_medium(x, y, self.topo.routers[current].coords));
+            self.steps.slots.write()[slot] = packed;
+            #[cfg(test)]
+            self.steps
+                .filled
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        let (egress, iface) = unpack(packed)?;
+        Some((egress, self.topo.ifaces[iface].router, iface))
+    }
+
     /// Hot-potato medium selection for the AS boundary `x → y`: of all
     /// physical instantiations, take the one whose egress router is
     /// nearest the probe's current position.
-    fn select_medium(
-        &self,
-        x: Asn,
-        y: Asn,
-        here: GeoPoint,
-        _rng: &mut ChaCha20Rng,
-    ) -> Option<(RouterId, RouterId, IfaceId)> {
+    fn select_medium(&self, x: Asn, y: Asn, here: GeoPoint) -> Option<(RouterId, IfaceId)> {
         let adj = self.topo.adjacency(x, y)?;
-        let mut best: Option<(f64, (RouterId, RouterId, IfaceId))> = None;
+        let mut best: Option<(f64, (RouterId, IfaceId))> = None;
         for medium in &adj.mediums {
             let Some(endpoints) = self.medium_endpoints(*medium, x, y, here) else {
                 continue;
@@ -268,7 +288,7 @@ impl<'t> Engine<'t> {
     }
 
     /// Endpoints of a medium oriented from `x` into `y`:
-    /// `(egress router of x, ingress router of y, ingress interface)`.
+    /// `(egress router of x, ingress interface of y)`.
     ///
     /// For public peerings, members may hold several ports (dual-homed
     /// presence): `x` exits via the port nearest the probe, and the
@@ -282,14 +302,14 @@ impl<'t> Engine<'t> {
         x: Asn,
         y: Asn,
         here: GeoPoint,
-    ) -> Option<(RouterId, RouterId, IfaceId)> {
+    ) -> Option<(RouterId, IfaceId)> {
         match medium {
             Medium::Private(lid) => {
                 let link = &self.topo.links[lid];
                 if link.a.asn == x && link.b.asn == y {
-                    Some((link.a.router, link.b.router, link.b.iface))
+                    Some((link.a.router, link.b.iface))
                 } else if link.b.asn == x && link.a.asn == y {
-                    Some((link.b.router, link.a.router, link.a.iface))
+                    Some((link.b.router, link.a.iface))
                 } else {
                     None
                 }
@@ -311,7 +331,7 @@ impl<'t> Engine<'t> {
                             as u64,
                     )
                 })?;
-                Some((mx.router, my.router, my.iface))
+                Some((mx.router, my.iface))
             }
         }
     }
@@ -348,6 +368,100 @@ impl<'t> Engine<'t> {
     }
 }
 
+/// A step-table slot nobody has computed yet.
+const UNFILLED: u64 = 0;
+
+/// A step-table slot whose crossing has no usable medium.
+const NO_MEDIUM: u64 = u64::MAX;
+
+/// Hot-potato choices memoized per (current router, next AS).
+///
+/// The choice at a boundary `x → y` depends only on where the probe
+/// stands (a router of `x`) and on `y`, so every router gets one row with
+/// a slot per neighbour of its AS. All slots live in one zero-filled
+/// allocation made up front: pages no probe reaches are never touched,
+/// and filling a slot allocates nothing.
+struct StepTable {
+    /// Per router: its row's first slot and its AS's range in `next`.
+    rows: Vec<Row>,
+    /// Every AS's neighbours, sorted, one run per AS.
+    next: Vec<Asn>,
+    /// Packed `(egress router + 1, ingress interface + 1)`, or
+    /// [`UNFILLED`] / [`NO_MEDIUM`].
+    slots: RwLock<Vec<u64>>,
+    /// Slots computed, to pin compute-once in tests.
+    #[cfg(test)]
+    filled: std::sync::atomic::AtomicUsize,
+}
+
+#[derive(Clone, Copy)]
+struct Row {
+    first_slot: usize,
+    next_lo: usize,
+    next_hi: usize,
+}
+
+impl StepTable {
+    fn new(topo: &Topology) -> Self {
+        let mut next = Vec::new();
+        let mut runs = BTreeMap::new();
+        for asn in topo.ases.keys() {
+            let lo = next.len();
+            let run: BTreeSet<Asn> = topo
+                .adjacencies_of(*asn)
+                .map(|adj| if adj.a == *asn { adj.b } else { adj.a })
+                .collect();
+            next.extend(run);
+            runs.insert(*asn, (lo, next.len()));
+        }
+        let mut total = 0;
+        let rows = topo
+            .routers
+            .values()
+            .map(|r| {
+                let (next_lo, next_hi) = runs.get(&r.asn).copied().unwrap_or_default();
+                let row = Row {
+                    first_slot: total,
+                    next_lo,
+                    next_hi,
+                };
+                total += next_hi - next_lo;
+                row
+            })
+            .collect();
+        Self {
+            rows,
+            next,
+            slots: RwLock::new(vec![UNFILLED; total]),
+            #[cfg(test)]
+            filled: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// The slot of `(router, y)`; `None` when `y` is no neighbour of the
+    /// router's AS.
+    fn slot(&self, router: RouterId, y: Asn) -> Option<usize> {
+        let row = self.rows[router.raw() as usize];
+        let k = self.next[row.next_lo..row.next_hi].binary_search(&y).ok()?;
+        Some(row.first_slot + k)
+    }
+}
+
+fn pack(step: Option<(RouterId, IfaceId)>) -> u64 {
+    step.map_or(NO_MEDIUM, |(egress, iface)| {
+        (u64::from(egress.raw()) + 1) << 32 | (u64::from(iface.raw()) + 1)
+    })
+}
+
+fn unpack(packed: u64) -> Option<(RouterId, IfaceId)> {
+    (packed != NO_MEDIUM).then(|| {
+        (
+            RouterId::new((packed >> 32) as u32 - 1),
+            IfaceId::new((packed & u64::from(u32::MAX)) as u32 - 1),
+        )
+    })
+}
+
 /// SplitMix64 — tiny, well-distributed hash for deriving per-call seeds.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -361,6 +475,7 @@ mod tests {
     use super::*;
     use crate::platform::{deploy_vantage_points, VpConfig, VpSet};
     use cfs_topology::TopologyConfig;
+    use std::sync::atomic::Ordering::Relaxed;
 
     fn setup() -> (Topology, VpSet) {
         let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
@@ -515,6 +630,37 @@ mod tests {
             }
         }
         assert!(differs, "classic mode never produced an artifact");
+    }
+
+    #[test]
+    fn each_crossing_is_computed_once() {
+        let (topo, vps) = setup();
+        let engine = Engine::new(&topo);
+        let targets: Vec<Ipv4Addr> = topo
+            .ases
+            .keys()
+            .map(|a| topo.target_ip(*a).unwrap())
+            .collect();
+        let sweep = || {
+            for id in vps.ids() {
+                for target in &targets {
+                    engine.trace(&vps.vps[id], *target, 0);
+                }
+            }
+        };
+        let filled = || engine.steps.filled.load(Relaxed);
+        sweep();
+        let (used, total) = {
+            let slots = engine.steps.slots.read();
+            (
+                slots.iter().filter(|s| **s != UNFILLED).count(),
+                slots.len(),
+            )
+        };
+        assert!(0 < used && used < total, "{used} of {total} slots");
+        assert_eq!(filled(), used, "a slot was computed twice");
+        sweep();
+        assert_eq!(filled(), used, "a warm sweep recomputed a crossing");
     }
 
     #[test]
