@@ -10,7 +10,7 @@
 //! * `classic-tracert` — with classic (non-Paris) traceroute artifacts,
 //!   quantifying why the paper insists on Paris traceroute \[9\].
 
-use cfs_core::{Cfs, CfsConfig, CfsReport};
+use cfs_core::{CfsConfig, CfsReport};
 use cfs_traceroute::Engine;
 use cfs_types::Result;
 
@@ -109,15 +109,8 @@ fn run_variant(lab: &Lab, cfg: CfsConfig, paris: bool) -> CfsReport {
     } else {
         Engine::new(&lab.topo).without_paris()
     };
-    let traces = lab.bootstrap_traces(&engine, None);
-    let mut session = Cfs::builder(&engine, &lab.kb)
-        .vps(&lab.vps)
-        .ipasn(&lab.ipasn)
-        .config(cfg)
-        .build_session()
-        .expect("ablation: CFS dependencies are always set");
-    session.ingest(traces);
-    session.into_report()
+    lab.session(&engine, &lab.kb, cfg, lab.recorder.clone(), None)
+        .into_report()
 }
 
 fn accuracy(lab: &Lab, report: &CfsReport) -> (usize, usize) {

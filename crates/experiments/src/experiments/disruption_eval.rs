@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use cfs_core::{Cfs, CfsConfig, Delta};
+use cfs_core::{CfsConfig, Delta};
 use cfs_detect::{Alert, Detector, DetectorConfig, EpochObservation};
 use cfs_obs::{Clock, Virtual};
 use cfs_topology::{Disruption, EventSchedule, ScheduleConfig, ScheduleIntensity};
@@ -151,21 +151,12 @@ pub fn evaluate(lab: &Lab, intensity: ScheduleIntensity) -> Result<EvalPoint> {
         followup_interfaces: 0,
         ..CfsConfig::default()
     };
-    let mut session = Cfs::builder(&engine, &lab.kb)
-        .vps(&lab.vps)
-        .ipasn(&lab.ipasn)
-        .config(cfg)
-        .recorder(lab.recorder.clone())
-        .build_session()
-        .expect("lab: CFS dependencies are always set");
-
     // The detector observes only the *periodic* campaigns: the bootstrap
     // mixes targeted probes with archived iPlane/Ark sweeps, whose extra
     // coverage would seed baselines no follow-on campaign can sustain
     // (every facility the sweeps alone reach would read as a permanent
     // outage). Baselines must compare like with like.
-    session.ingest(lab.bootstrap_traces(&engine, None));
-    lab.feed_bgp_sessions(&mut session, None);
+    let mut session = lab.session(&engine, &lab.kb, cfg, lab.recorder.clone(), None);
     session.converge();
 
     for k in 1..horizon {

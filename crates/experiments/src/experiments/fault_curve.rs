@@ -345,7 +345,7 @@ fn fast_cfg() -> CfsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::{Scale, Substrate};
 
     /// The acceptance property of the resilience layer: at ≤10% probe
     /// loss the pipeline keeps resolving a substantial share of what the
@@ -402,17 +402,19 @@ mod tests {
         assert!(clean_resolved > 0, "clean run resolved nothing");
 
         let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::conflict_rate(200));
-        let report = lab.run_cfs_chaos(plan, fast_cfg());
+        let plane = Substrate::new(&lab, Some(plan), None);
+        let kb = plane.kb();
+        let report = lab
+            .session(plane.engine(), kb, fast_cfg(), lab.recorder.clone(), None)
+            .into_report();
         let resolved = facility_map(&report).len();
         assert!(
             resolved * 10 >= clean_resolved * 9,
             "coverage retention below 90%: {resolved} of {clean_resolved}"
         );
 
-        // Rebuild the exact degraded KB the run used and check every pin
-        // against its reconciled provenance.
-        let dirty = cfs_kb::degrade_sources(&lab.sources, &plan);
-        let kb = cfs_kb::KnowledgeBase::assemble(&dirty, &lab.topo.world);
+        // Check every pin against the reconciled provenance of the KB
+        // the run read.
         assert!(
             kb.quality().contested > lab.kb.quality().contested,
             "conflict dial manufactured no contested claims"

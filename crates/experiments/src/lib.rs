@@ -31,7 +31,7 @@ pub mod experiments;
 mod lab;
 mod output;
 
-pub use lab::{Lab, Scale};
+pub use lab::{Lab, Scale, Substrate};
 pub use output::{results_dir, Output};
 
 /// Parses the common CLI arguments (`--scale`, `--seed`).

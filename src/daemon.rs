@@ -6,13 +6,13 @@
 //! benches drive the daemon without a subprocess, a socket, or a sleep;
 //! `cfs serve` is only `Server::serve(|r| daemon.handle(r))`.
 //!
-//! Two structs, because the session borrows what it reads:
-//! [`Substrate`] owns the engine stack and the boot knowledge base over
-//! a borrowed [`Lab`], and [`Daemon`] borrows the substrate while owning
-//! everything a request mutates — the session, the daemon's view of the
-//! public sources (kb-flip deltas edit it in place so flips compose),
-//! the metrics windows, the event log, and the optional disruption
-//! detector.
+//! The session borrows what it reads, so [`Daemon`] borrows a
+//! [`Substrate`] (the experiment crate's engine stack and boot knowledge
+//! base over a [`Lab`]) and seasons its session through [`Lab::session`],
+//! exactly as every batch run does. It owns everything a request
+//! mutates: the session, the daemon's view of the public sources
+//! (kb-flip deltas edit it in place so flips compose), the metrics
+//! windows, the event log, and the optional disruption detector.
 //!
 //! The type lives in the root crate rather than `cfs-svc`: the service
 //! crate is transport and protocol only and knows nothing of the engine,
@@ -21,20 +21,16 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use cfs_chaos::FaultPlan;
-use cfs_core::{
-    canonical_trace, Cfs, CfsConfig, CfsSession, DataQualityReport, Delta, DeltaOutcome,
-};
+use cfs_core::{canonical_trace, CfsConfig, CfsSession, DataQualityReport, Delta, DeltaOutcome};
 use cfs_detect::{Detector, DetectorConfig, EpochObservation};
-use cfs_experiments::Lab;
-use cfs_kb::{degrade_sources, KnowledgeBase, PublicSources};
+use cfs_experiments::{Lab, Substrate};
+use cfs_kb::{KnowledgeBase, PublicSources};
 use cfs_obs::{
     Clock, EventKind, EventLog, Monotonic, NoopRecorder, Recorder, Severity, WindowedRecorder,
 };
 use cfs_svc::{ApiError, Outcome, Reply, Request};
-use cfs_topology::EventSchedule;
-use cfs_traceroute::{ChaosEngine, Engine, ProbeService, ScheduledEngine};
-use cfs_types::{Asn, FacilityId, Result, VantagePointId};
+use cfs_traceroute::ProbeService;
+use cfs_types::{Asn, Error, FacilityId, Result, VantagePointId};
 
 /// How many closed metrics windows the daemon retains (one minute at
 /// the default one-second window).
@@ -42,54 +38,6 @@ const WINDOWS_KEPT: usize = 60;
 
 /// How many events the daemon's in-memory ring retains.
 const EVENT_CAP: usize = 256;
-
-/// What a daemon's session reads and never writes: the lab world, the
-/// probe-engine stack, and the knowledge base of the first epoch.
-pub struct Substrate<'l> {
-    lab: &'l Lab,
-    plan: Option<FaultPlan>,
-    engine: Box<dyn ProbeService + 'l>,
-    /// The chaos-degraded boot KB; `None` serves `lab.kb` itself.
-    degraded_kb: Option<KnowledgeBase>,
-}
-
-impl<'l> Substrate<'l> {
-    /// Layers the measurement plane over `lab`: a clean engine, chaos
-    /// under a fault `plan` (which also degrades the public sources the
-    /// boot KB is assembled from, exactly like a faulted batch run), and
-    /// a disruption `schedule` on top. The schedule perturbs probes only;
-    /// neither the session nor the detector ever sees its event list.
-    pub fn new(lab: &'l Lab, plan: Option<FaultPlan>, schedule: Option<EventSchedule>) -> Self {
-        let engine: Box<dyn ProbeService + 'l> = match plan {
-            Some(p) => Box::new(ChaosEngine::new(Engine::new(&lab.topo), p)),
-            None => Box::new(Engine::new(&lab.topo)),
-        };
-        let engine = match schedule {
-            Some(s) => Box::new(ScheduledEngine::new(engine, s)),
-            None => engine,
-        };
-        let mut substrate = Self {
-            lab,
-            plan,
-            engine,
-            degraded_kb: None,
-        };
-        if plan.is_some() {
-            let kb = KnowledgeBase::assemble(&substrate.boot_sources(), &lab.topo.world);
-            substrate.degraded_kb = Some(kb);
-        }
-        substrate
-    }
-
-    /// The public sources of the first epoch: chaos-degraded under a
-    /// fault plan, the lab's own otherwise.
-    fn boot_sources(&self) -> PublicSources {
-        match &self.plan {
-            Some(p) => degrade_sources(&self.lab.sources, p),
-            None => self.lab.sources.clone(),
-        }
-    }
-}
 
 /// The `cfs serve` switches that shape a daemon's boot.
 #[derive(Debug)]
@@ -161,12 +109,20 @@ pub struct Daemon<'w> {
 }
 
 impl<'w> Daemon<'w> {
-    /// Seasons a resident session exactly like the batch runners do —
-    /// bootstrap traces, `opts.campaigns` follow-on campaigns, looking-
-    /// glass BGP sessions — converges it, and logs the boot.
+    /// Seasons a resident session through [`Lab::session`], ingests
+    /// `opts.campaigns` follow-on campaigns, converges it, and logs the
+    /// boot. Refuses a campaign count past [`Lab::MAX_CAMPAIGN`] before
+    /// probing anything.
     pub fn boot(substrate: &'w Substrate<'_>, opts: DaemonOptions) -> Result<Self> {
-        let lab = substrate.lab;
-        let engine: &'w dyn ProbeService = &*substrate.engine;
+        if opts.campaigns > Lab::MAX_CAMPAIGN {
+            return Err(Error::invalid(format!(
+                "--campaigns {} is past the last campaign, {}",
+                opts.campaigns,
+                Lab::MAX_CAMPAIGN
+            )));
+        }
+        let lab = substrate.lab();
+        let engine = substrate.engine();
         // One real clock shared by the windows, the event log, and the
         // detector, so alert `t_ns` values share the metrics timeline.
         // The windows are the daemon's only collector: nothing would
@@ -198,13 +154,7 @@ impl<'w> Daemon<'w> {
             followup_interfaces: 0,
             ..CfsConfig::default()
         };
-        let kb = substrate.degraded_kb.as_ref().unwrap_or(&lab.kb);
-        let mut session = Cfs::builder(engine, kb)
-            .vps(&lab.vps)
-            .ipasn(&lab.ipasn)
-            .config(config)
-            .recorder(windows.clone())
-            .build_session()?;
+        let mut session = lab.session(engine, substrate.kb(), config, windows.clone(), None);
         // The detector replays the pre-ingested *campaigns* against the
         // converged report so its baselines are as warm as the session.
         // The bootstrap batch is deliberately not observed: its archived
@@ -212,7 +162,6 @@ impl<'w> Daemon<'w> {
         // revisits, and a baseline seeded from that wider coverage would
         // read every sweep-only facility as a permanent outage.
         let mut pending_obs: Vec<EpochObservation> = Vec::new();
-        session.ingest(lab.bootstrap_traces(engine, None));
         for k in 1..=opts.campaigns {
             let traces = lab.campaign(engine, k);
             if detector.is_some() {
@@ -220,7 +169,6 @@ impl<'w> Daemon<'w> {
             }
             session.ingest(traces);
         }
-        lab.feed_bgp_sessions(&mut session, None);
         let report = session.converge();
         if let Some(det) = detector.as_mut() {
             for obs in &pending_obs {
@@ -238,7 +186,7 @@ impl<'w> Daemon<'w> {
             lab,
             engine,
             session,
-            sources: substrate.boot_sources(),
+            sources: substrate.sources().clone(),
             clock,
             windows,
             events,

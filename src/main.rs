@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cfs::daemon::{Daemon, DaemonOptions, Substrate};
+use cfs::daemon::{Daemon, DaemonOptions};
 use cfs::detect::{validate_alerts, ALERTS_SCHEMA};
 use cfs::obs::{
     pace, MetricsDoc, Monotonic, ProfileDoc, TraceRecorder, METRICS_SCHEMA, PROFILE_SCHEMA,
@@ -52,7 +52,7 @@ use cfs::obs::{
 };
 use cfs::prelude::*;
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
-use cfs_experiments::{Lab, Scale};
+use cfs_experiments::{Lab, Scale, Substrate};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -353,7 +353,8 @@ fn run_cmd(
         },
         None => None,
     };
-    let lab = Lab::provision_with_sources(scale, seed, sources).expect("world generation failed");
+    let mut lab =
+        Lab::provision_with_sources(scale, seed, sources).expect("world generation failed");
     let plan = match fault_plan(faults.as_deref(), lab.topo.config.seed) {
         Ok(p) => p,
         Err(code) => return code,
@@ -362,13 +363,12 @@ fn run_cmd(
     // pipeline keeps its free no-op instrumentation.
     let recorder = (trace_json.is_some() || profile_json.is_some() || metrics)
         .then(|| Arc::new(TraceRecorder::new(Arc::new(Monotonic::new()))));
-    let report = match (plan, &recorder) {
-        (Some(plan), Some(rec)) => {
-            lab.run_cfs_chaos_observed(plan, CfsConfig::default(), rec.clone())
-        }
-        (Some(plan), None) => lab.run_cfs_chaos(plan, CfsConfig::default()),
-        (None, Some(rec)) => lab.run_cfs_observed(CfsConfig::default(), rec.clone()),
-        (None, None) => lab.run_cfs(None, None, CfsConfig::default()),
+    if let Some(rec) = &recorder {
+        lab.recorder = rec.clone();
+    }
+    let report = match plan {
+        Some(plan) => lab.run_cfs_chaos(plan, CfsConfig::default()),
+        None => lab.run_cfs(None, None, CfsConfig::default()),
     };
     println!(
         "resolved {}/{} interfaces ({:.1}%) over {} iterations; {} follow-up traceroutes",

@@ -6,8 +6,8 @@
 //! filtering of the `events` and `alerts` drains, the detection-off
 //! `alerts` reply, and the increase-only data-quality events.
 
-use cfs::daemon::{Daemon, DaemonOptions, Substrate};
-use cfs::experiments::{Lab, Scale};
+use cfs::daemon::{Daemon, DaemonOptions};
+use cfs::experiments::{Lab, Scale, Substrate};
 use cfs::prelude::*;
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
 use serde_json::Value;
@@ -339,4 +339,48 @@ fn metrics_count_delta_churn_once() {
     let total = |name: &str| metrics["totals"]["counters"][name].as_u64();
     assert_eq!(total("serve.dirty_ifaces"), Some(dirty));
     assert_eq!(total("serve.reconverged"), Some(reconverged));
+}
+
+/// The service-mode determinism contract (DESIGN.md §10): a daemon that
+/// booted with campaigns 1..3 pre-ingested serves byte-for-byte the
+/// trace of one that booted on the bootstrap alone and absorbed the
+/// same campaigns as deltas — clean at seed 7, and under the default
+/// disruption schedule at seed 11, whose verdicts it moves by epoch 3.
+#[test]
+fn preingested_campaigns_serve_the_trace_their_deltas_reach() {
+    for (seed, intensity) in [(7, None), (11, Some(ScheduleIntensity::Default))] {
+        let lab = Lab::provision(Scale::Tiny, Some(seed)).expect("lab");
+        let schedule = intensity
+            .map(|i| EventSchedule::generate(&lab.topo, ScheduleConfig::at_intensity(seed, i)));
+        let substrate = Substrate::new(&lab, None, schedule);
+        let opts = DaemonOptions {
+            campaigns: 3,
+            ..DaemonOptions::default()
+        };
+        let mut batch = Daemon::boot(&substrate, opts).expect("boot");
+        let mut incremental = Daemon::boot(&substrate, DaemonOptions::default()).expect("boot");
+        for campaign in 1..=3 {
+            let reply = ask(&mut incremental, Request::DeltaCampaign { campaign });
+            assert_eq!(reply["ok"], Value::Bool(true), "{reply:?}");
+        }
+        assert_eq!(
+            batch.handle(Request::Trace).response,
+            incremental.handle(Request::Trace).response,
+            "seed {seed}: pre-ingested and delta-absorbed campaigns diverged"
+        );
+    }
+}
+
+/// A campaign count past `Lab::MAX_CAMPAIGN` would overflow its probe
+/// time (`k * EPOCH_MS`) and probe for ever: boot refuses it before
+/// probing anything.
+#[test]
+fn boot_refuses_campaigns_past_the_last_probe_time() {
+    let lab = Lab::provision(Scale::Tiny, Some(7)).expect("lab");
+    let substrate = Substrate::new(&lab, None, None);
+    let opts = DaemonOptions {
+        campaigns: Lab::MAX_CAMPAIGN + 1,
+        ..DaemonOptions::default()
+    };
+    assert!(Daemon::boot(&substrate, opts).is_err());
 }

@@ -35,14 +35,7 @@ fn stream(lab: &Lab, threads: usize, detect: bool) -> (String, String) {
         threads,
         ..CfsConfig::default()
     };
-    let mut session = Cfs::builder(&engine, &lab.kb)
-        .vps(&lab.vps)
-        .ipasn(&lab.ipasn)
-        .config(cfg)
-        .build_session()
-        .expect("CFS dependencies are always set");
-    session.ingest(lab.bootstrap_traces(&engine, None));
-    lab.feed_bgp_sessions(&mut session, None);
+    let mut session = lab.session(&engine, &lab.kb, cfg, lab.recorder.clone(), None);
     session.converge();
 
     let mut doc = String::new();
