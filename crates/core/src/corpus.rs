@@ -14,12 +14,22 @@
 //! trace over it, and a pass weights that tally by how many ingested
 //! traces took the path (DESIGN.md §5).
 //!
-//! Paths are indexed by an open-addressed table of path numbers, probed
-//! linearly from a deterministic hash and compared exactly on a hit, so
-//! the index costs four bytes a slot at most half full. The hash is
-//! unkeyed: inputs crafted to collide would slow ingestion, never change
-//! what is held, and traces are measurements the engine took, not
-//! client input.
+//! Hops are stored as address ids. The corpus interns each hop address
+//! on first sight into a dense id, in first-seen order, and a path holds
+//! one `u32` per hop ([`SILENT`] for `*`): four bytes a hop, where an
+//! `Option<Ipv4Addr>` took five, and each address held once. The engine keys its
+//! per-epoch tables by these ids: what a hop means under the current
+//! knowledge base and corrected view is looked up once per address and
+//! epoch, not once per hop of every extraction (DESIGN.md §5).
+//!
+//! Paths and addresses are each indexed by an open-addressed table of
+//! ids ([`IdTable`]), probed linearly from a deterministic hash and
+//! compared exactly on a hit, so an index costs four bytes a slot at
+//! most three quarters full (a half-full bound doubled the path index of
+//! a default-scale daemon past 65,536 paths, to 1 MB). A repeated path is found by hashing its addresses, so
+//! it interns nothing. The hashes are unkeyed: inputs crafted to collide
+//! would slow ingestion, never change what is held, and traces are
+//! measurements the engine took, not client input.
 
 use std::net::Ipv4Addr;
 
@@ -30,6 +40,9 @@ use crate::observe::PathTally;
 
 /// An unused index slot.
 const EMPTY: u32 = u32::MAX;
+
+/// A silent hop (`*`) in a path's hop ids: it has no address, so no id.
+pub(crate) const SILENT: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct Path {
@@ -44,24 +57,63 @@ struct Path {
     tally: PathTally,
 }
 
-/// What [`PathCorpus::absorb`] did with a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Absorbed {
-    /// The trace took a path never seen before, appended as this path.
-    New(usize),
-    /// The trace repeated this already held path; only its multiplicity
-    /// grew.
-    Repeat(usize),
+/// An open-addressed index of dense ids, a power of two long and at most
+/// three quarters full. It stores only the ids; the caller hashes and compares
+/// what they stand for.
+#[derive(Default)]
+struct IdTable {
+    slots: Vec<u32>,
 }
 
-/// Distinct measured paths in first-seen order (module docs).
+impl IdTable {
+    /// The held id that `is` accepts, probing from `hash`, or else the
+    /// empty slot where a new one belongs.
+    fn find(&self, hash: u64, is: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.slots[slot] != EMPTY {
+            let id = self.slots[slot] as usize;
+            if is(id) {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(slot)
+    }
+
+    /// Makes room for one more id beside the `held` ones, re-indexing
+    /// them by `hash` into a table of at least twice their number when
+    /// the table would pass three quarters full. Ids never change.
+    fn reserve(&mut self, held: usize, hash: impl Fn(usize) -> u64) {
+        if (held + 1) * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let size = ((held + 1) * 2).next_power_of_two().max(64);
+        self.slots.clear();
+        self.slots.resize(size, EMPTY);
+        for id in 0..held {
+            let Err(slot) = self.find(hash(id), |_| false) else {
+                unreachable!("a probe that accepts nothing ends on an empty slot")
+            };
+            self.slots[slot] = narrow(id);
+        }
+    }
+}
+
+/// Distinct measured paths in first-seen order, over interned hop
+/// addresses (module docs).
 #[derive(Default)]
 pub(crate) struct PathCorpus {
     paths: Vec<Path>,
-    /// Every path's hop addresses, back to back (`None` for a silent hop).
-    hops: Vec<Option<Ipv4Addr>>,
-    /// Open-addressed index into `paths`, a power of two long.
-    slots: Vec<u32>,
+    /// Every path's hops as address ids, back to back ([`SILENT`] for a
+    /// silent hop).
+    hops: Vec<u32>,
+    /// Index into `paths`.
+    path_index: IdTable,
+    /// Every hop address, by id, in first-seen order.
+    addrs: Vec<Ipv4Addr>,
+    /// Index into `addrs`.
+    addr_index: IdTable,
 }
 
 /// Deterministic hash of a (vantage point, hop-address sequence).
@@ -71,6 +123,10 @@ fn path_hash(vp: VantagePointId, hops: impl Iterator<Item = Option<Ipv4Addr>>) -
         (h.rotate_left(26) ^ word(ip)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     });
     cfs_chaos::splitmix64(h)
+}
+
+fn addr_hash(ip: Ipv4Addr) -> u64 {
+    cfs_chaos::splitmix64(u64::from(u32::from(ip)))
 }
 
 fn narrow(n: usize) -> u32 {
@@ -88,13 +144,36 @@ impl PathCorpus {
         self.paths[i].vp
     }
 
-    /// The hop addresses of path `i`, nearest first.
-    pub(crate) fn hops(&self, i: usize) -> &[Option<Ipv4Addr>] {
+    /// The hop address ids of path `i`, nearest first.
+    pub(crate) fn hops(&self, i: usize) -> &[u32] {
         let end = self
             .paths
             .get(i + 1)
             .map_or(self.hops.len(), |p| p.start as usize);
         &self.hops[self.paths[i].start as usize..end]
+    }
+
+    /// The hop addresses of path `i`, nearest first (`None` for a silent
+    /// hop).
+    pub(crate) fn path(&self, i: usize) -> impl Iterator<Item = Option<Ipv4Addr>> + '_ {
+        self.hops(i)
+            .iter()
+            .map(|h| (*h != SILENT).then(|| self.addrs[*h as usize]))
+    }
+
+    /// Every interned hop address, indexed by id.
+    pub(crate) fn addrs(&self) -> &[Ipv4Addr] {
+        &self.addrs
+    }
+
+    /// The id of a held hop address.
+    pub(crate) fn id_of(&self, ip: Ipv4Addr) -> Option<usize> {
+        if self.addrs.is_empty() {
+            return None;
+        }
+        self.addr_index
+            .find(addr_hash(ip), |id| self.addrs[id] == ip)
+            .ok()
     }
 
     /// How many ingested traces took path `i`.
@@ -112,52 +191,145 @@ impl PathCorpus {
         self.paths[i].tally = tally;
     }
 
-    /// Adds one trace: appends its path when new, otherwise bumps the
-    /// held path's multiplicity.
-    pub(crate) fn absorb(&mut self, t: &Trace) -> Absorbed {
-        if (self.paths.len() + 1) * 2 > self.slots.len() {
-            self.grow();
+    /// Adds one trace: appends its path when new, interning the
+    /// addresses it sees first, otherwise bumps the held path's
+    /// multiplicity and returns that path.
+    pub(crate) fn absorb(&mut self, t: &Trace) -> Option<usize> {
+        let ips = || t.hops.iter().map(|h| h.ip);
+        // The index is taken out while it probes, so that its callbacks
+        // can read the held paths.
+        let mut index = std::mem::take(&mut self.path_index);
+        index.reserve(self.len(), |id| path_hash(self.vp(id), self.path(id)));
+        let found = index.find(path_hash(t.vp, ips()), |id| {
+            self.vp(id) == t.vp && self.path(id).eq(ips())
+        });
+        if let Err(slot) = found {
+            index.slots[slot] = narrow(self.len());
         }
-        let mask = self.slots.len() - 1;
-        let mut slot = path_hash(t.vp, t.hops.iter().map(|h| h.ip)) as usize & mask;
-        while self.slots[slot] != EMPTY {
-            let id = self.slots[slot] as usize;
-            if self.paths[id].vp == t.vp
-                && self
-                    .hops(id)
-                    .iter()
-                    .copied()
-                    .eq(t.hops.iter().map(|h| h.ip))
-            {
-                self.paths[id].mult += 1;
-                return Absorbed::Repeat(id);
-            }
-            slot = (slot + 1) & mask;
+        self.path_index = index;
+        if let Ok(id) = found {
+            self.paths[id].mult += 1;
+            return Some(id);
         }
-        self.slots[slot] = narrow(self.paths.len());
         self.paths.push(Path {
             vp: t.vp,
             start: narrow(self.hops.len()),
             mult: 1,
             tally: PathTally::default(),
         });
-        self.hops.extend(t.hops.iter().map(|h| h.ip));
-        Absorbed::New(self.paths.len() - 1)
+        for ip in ips() {
+            let id = ip.map_or(SILENT, |ip| self.intern(ip));
+            self.hops.push(id);
+        }
+        None
     }
 
-    /// Re-indexes every path into a table of at least twice its size.
-    fn grow(&mut self) {
-        let size = (self.paths.len() * 4).next_power_of_two().max(64);
-        self.slots.clear();
-        self.slots.resize(size, EMPTY);
-        let mask = size - 1;
-        for id in 0..self.paths.len() {
-            let mut slot =
-                path_hash(self.paths[id].vp, self.hops(id).iter().copied()) as usize & mask;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & mask;
+    /// The id of `ip`, interned as the next id on first sight.
+    fn intern(&mut self, ip: Ipv4Addr) -> u32 {
+        let addrs = &self.addrs;
+        self.addr_index
+            .reserve(addrs.len(), |id| addr_hash(addrs[id]));
+        match self.addr_index.find(addr_hash(ip), |id| addrs[id] == ip) {
+            Ok(id) => narrow(id),
+            Err(slot) => {
+                let id = narrow(addrs.len());
+                self.addr_index.slots[slot] = id;
+                self.addrs.push(ip);
+                id
             }
-            self.slots[slot] = narrow(id);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cfs_traceroute::Hop;
+    use cfs_types::Asn;
+
+    use super::*;
+
+    fn trace(vp: u32, hops: &[Option<u32>]) -> Trace {
+        Trace {
+            vp: VantagePointId::new(vp),
+            src_asn: Asn(64_500),
+            target: Ipv4Addr::new(198, 51, 100, 1),
+            at_ms: 0,
+            hops: hops
+                .iter()
+                .map(|ip| Hop {
+                    ip: ip.map(Ipv4Addr::from),
+                    rtt_ms: 1.0,
+                })
+                .collect(),
+            reached: true,
+        }
+    }
+
+    #[test]
+    fn addresses_intern_densely_in_first_seen_order() {
+        let mut corpus = PathCorpus::default();
+        assert_eq!(corpus.id_of(Ipv4Addr::from(7)), None);
+        assert_eq!(corpus.absorb(&trace(0, &[Some(7), None, Some(3)])), None);
+        assert_eq!(corpus.absorb(&trace(1, &[Some(3), Some(9), None])), None);
+        let ips = |ids: &[u32]| ids.iter().map(|i| Ipv4Addr::from(*i)).collect::<Vec<_>>();
+        assert_eq!(corpus.addrs(), ips(&[7, 3, 9]));
+        // A silent hop takes no id: it is stored as `SILENT`.
+        assert_eq!(corpus.hops(0), [0, SILENT, 1]);
+        assert_eq!(corpus.hops(1), [1, 2, SILENT]);
+        let path: Vec<_> = corpus.path(1).collect();
+        assert_eq!(
+            path,
+            [Some(Ipv4Addr::from(3)), Some(Ipv4Addr::from(9)), None]
+        );
+        for (id, ip) in corpus.addrs().iter().enumerate() {
+            assert_eq!(corpus.id_of(*ip), Some(id));
+        }
+        assert_eq!(corpus.id_of(Ipv4Addr::from(8)), None);
+    }
+
+    #[test]
+    fn a_repeated_path_interns_nothing() {
+        let mut corpus = PathCorpus::default();
+        let t = trace(0, &[Some(1), None, Some(2)]);
+        assert_eq!(corpus.absorb(&t), None);
+        let (addrs, hops) = (corpus.addrs().to_vec(), corpus.hops.len());
+        assert_eq!(corpus.absorb(&t), Some(0));
+        assert_eq!((corpus.addrs(), corpus.hops.len()), (&addrs[..], hops));
+        assert_eq!((corpus.len(), corpus.mult(0)), (1, 2));
+        // Same addresses from another vantage point: a new path over the
+        // held ids.
+        assert_eq!(corpus.absorb(&trace(1, &[Some(2), Some(1)])), None);
+        assert_eq!(corpus.addrs(), addrs);
+        assert_eq!(corpus.hops(1), [1, 0]);
+    }
+
+    #[test]
+    fn growing_the_indexes_keeps_every_id() {
+        let mut corpus = PathCorpus::default();
+        // 600 paths over 1,000 addresses, most shared: both indexes
+        // re-index several times past their 64-slot start.
+        for p in 0..600u32 {
+            let hops: Vec<_> = (0..4).map(|k| Some((p * 7 + k * 131) % 1000)).collect();
+            corpus.absorb(&trace(p % 5, &hops));
+        }
+        assert!(corpus.addrs().len() > 64 && corpus.path_index.slots.len() > 64 * 4);
+        let mut first_seen = Vec::new();
+        for p in 0..600u32 {
+            let hops: Vec<_> = (0..4).map(|k| Some((p * 7 + k * 131) % 1000)).collect();
+            for ip in hops.iter().flatten() {
+                if !first_seen.contains(ip) {
+                    first_seen.push(*ip);
+                }
+            }
+            assert_eq!(corpus.absorb(&trace(p % 5, &hops)), Some(p as usize));
+            assert!(corpus
+                .path(p as usize)
+                .eq(hops.iter().map(|h| h.map(Ipv4Addr::from))));
+        }
+        let want: Vec<Ipv4Addr> = first_seen.into_iter().map(Ipv4Addr::from).collect();
+        assert_eq!(corpus.addrs(), want);
+        for (id, ip) in want.iter().enumerate() {
+            assert_eq!(corpus.id_of(*ip), Some(id));
         }
     }
 }

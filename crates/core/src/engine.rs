@@ -31,10 +31,10 @@ use cfs_types::{
     PeeringKind, Result, UnresolvedReason, VantagePointId,
 };
 
-use crate::corpus::{Absorbed, PathCorpus};
-use crate::observe::{extract_path, ExtractTally, Observation, PathTally, Resolver};
+use crate::corpus::{PathCorpus, SILENT};
+use crate::observe::{extract_path, ExtractTally, HopTable, Observation, PathTally};
 use crate::proximity::ProximityModel;
-use crate::remote::RemoteTester;
+use crate::remote::{Rankings, RemoteTester};
 use crate::report::{
     CandidateHistogram, CfsReport, ConvergenceTelemetry, DataQualityReport, InferredInterface,
     InferredLink, RouterRoleStats,
@@ -215,6 +215,11 @@ pub struct Cfs<'a> {
     pub(crate) hop_ips: BTreeSet<Ipv4Addr>,
     pub(crate) aliases: AliasResolution,
     pub(crate) corrected: BTreeMap<Ipv4Addr, Asn>,
+    /// Each corpus address's meaning and corrected ASN under the current
+    /// epoch, by address id: extended as the corpus interns addresses,
+    /// refreshed where [`Cfs::realias`] moves `corrected`, reclassified
+    /// when a KB flip changes the classification view.
+    pub(crate) hop_table: HopTable,
     pub(crate) observations: Vec<Observation>,
     /// Observations from BGP-capable looking glasses (§3.2 augmentation);
     /// survive the observation rebuilds that follow re-aliasing.
@@ -230,11 +235,11 @@ pub struct Cfs<'a> {
     pub(crate) remote_cache: BTreeMap<Ipv4Addr, (IxpId, Option<bool>)>,
     pub(crate) vp_crossed: BTreeMap<Asn, Vec<VantagePointId>>,
     /// Paths `[..indexed]` are walked into `vp_crossed`, each hop under
-    /// the corrected ASN it had at its last walk; `reindex` holds the
-    /// addresses whose corrected ASN moved since, the only hops a re-walk
-    /// could add entries for.
+    /// the corrected ASN it had at its last walk; `reindex` is a bitmap,
+    /// by address id, of the addresses whose corrected ASN moved since,
+    /// the only hops a re-walk could add entries for.
     pub(crate) indexed: usize,
-    pub(crate) reindex: BTreeSet<Ipv4Addr>,
+    pub(crate) reindex: Vec<u64>,
     pub(crate) chase_attempts: BTreeMap<Ipv4Addr, usize>,
     pub(crate) interner: FacilitySetInterner,
     /// Every knowledge-base footprint the search has read, under the
@@ -253,6 +258,9 @@ pub struct Cfs<'a> {
     /// Vantage points administratively down (`VpStatusChange` deltas);
     /// excluded from the remote-peering measurement pool.
     pub(crate) vp_down: BTreeSet<VantagePointId>,
+    /// Each tested exchange's nearest vantage points under `vp_down`,
+    /// cleared whenever it changes.
+    pub(crate) rankings: Rankings,
     pub(crate) clock_ms: u64,
     pub(crate) iterations: Vec<IterationStats>,
     pub(crate) traces_issued: usize,
@@ -444,6 +452,7 @@ impl<'a> Cfs<'a> {
             hop_ips: BTreeSet::new(),
             aliases: AliasResolution::default(),
             corrected: BTreeMap::new(),
+            hop_table: HopTable::default(),
             observations: Vec::new(),
             session_observations: Vec::new(),
             bgp_log: Vec::new(),
@@ -452,7 +461,7 @@ impl<'a> Cfs<'a> {
             remote_cache: BTreeMap::new(),
             vp_crossed: BTreeMap::new(),
             indexed: 0,
-            reindex: BTreeSet::new(),
+            reindex: Vec::new(),
             chase_attempts: BTreeMap::new(),
             interner: FacilitySetInterner::new(),
             footprints: BTreeMap::new(),
@@ -460,6 +469,7 @@ impl<'a> Cfs<'a> {
             chase_targets: None,
             vps_by_as,
             vp_down,
+            rankings: Rankings::default(),
             clock_ms: 0,
             iterations: Vec::new(),
             traces_issued: 0,
@@ -489,19 +499,21 @@ impl<'a> Cfs<'a> {
     /// multiplicity: its identical first occurrence already fed the hop
     /// set, and extraction counts it through the path's cached tally.
     pub(crate) fn ingest(&mut self, traces: &[Trace]) -> Vec<Ipv4Addr> {
-        let mut fresh = Vec::new();
+        let known = self.corpus.addrs().len();
         for t in traces {
-            match self.corpus.absorb(t) {
-                Absorbed::New(id) => {
-                    for ip in self.corpus.hops(id).iter().flatten() {
-                        if self.hop_ips.insert(*ip) {
-                            fresh.push(*ip);
-                        }
-                    }
-                }
-                Absorbed::Repeat(id) => self.repeats.push(id),
+            if let Some(id) = self.corpus.absorb(t) {
+                self.repeats.push(id);
             }
         }
+        // The corpus interns in first-seen order; an address it has not
+        // held may still be a looking-glass session's.
+        let addrs = self.corpus.addrs();
+        let fresh: Vec<Ipv4Addr> = addrs[known..]
+            .iter()
+            .copied()
+            .filter(|ip| self.hop_ips.insert(*ip))
+            .collect();
+        self.hop_table.extend(addrs, self.kb.get(), &self.corrected);
         self.new_ips_since_alias += fresh.len();
         fresh
     }
@@ -731,7 +743,17 @@ impl<'a> Cfs<'a> {
                 moved.push(ip);
             }
         }
-        self.reindex.extend(moved.iter().copied());
+        for ip in &moved {
+            // An address no path crossed (a looking-glass session's) has
+            // no id and no hop to re-read.
+            if let Some(id) = self.corpus.id_of(*ip) {
+                self.hop_table.refresh(id, self.corrected.get(ip).copied());
+                if self.reindex.len() <= id / 64 {
+                    self.reindex.resize(id / 64 + 1, 0);
+                }
+                self.reindex[id / 64] |= 1 << (id % 64);
+            }
+        }
         moved
     }
 
@@ -766,7 +788,7 @@ impl<'a> Cfs<'a> {
             processed,
             indexed,
             ref kb,
-            ref corrected,
+            ref hop_table,
             ref mut obs_keys,
             ref mut observations,
             ref mut vp_crossed,
@@ -778,10 +800,14 @@ impl<'a> Cfs<'a> {
         let kb = kb.get();
         let paths = corpus.len();
         let extract_range = |range: Range<usize>| {
-            let resolver = Resolver::new(kb, corrected);
-            let mut out = Vec::new();
+            let (mut out, mut hops) = (Vec::new(), Vec::new());
             let tallies: Vec<_> = range
-                .map(|i| extract_path(corpus.hops(i), &resolver, &mut out))
+                .map(|i| {
+                    hops.clear();
+                    let ids = corpus.hops(i).iter();
+                    hops.extend(corpus.path(i).zip(ids.map(|h| hop_table.meaning(*h))));
+                    extract_path(&hops, kb, &mut out)
+                })
                 .collect();
             (out, tallies)
         };
@@ -838,19 +864,23 @@ impl<'a> Cfs<'a> {
         // observations (`processed > 0`) has established that no address
         // of an already extracted path moved, so only a re-extraction
         // re-walks.
-        let start = if processed == 0 && !reindex.is_empty() {
+        let moved = |h: u32| {
+            let h = h as usize;
+            reindex.get(h / 64).is_some_and(|w| w & 1 << (h % 64) != 0)
+        };
+        let start = if processed == 0 && reindex.iter().any(|w| *w != 0) {
             0
         } else {
             indexed
         };
         for i in start..paths {
             let vp = corpus.vp(i);
-            for ip in corpus.hops(i).iter().flatten() {
-                if i < indexed && !reindex.contains(ip) {
+            for h in corpus.hops(i) {
+                if *h == SILENT || i < indexed && !moved(*h) {
                     continue;
                 }
-                if let Some(asn) = corrected.get(ip) {
-                    let list = vp_crossed.entry(*asn).or_default();
+                if let Some(asn) = hop_table.asn(*h) {
+                    let list = vp_crossed.entry(asn).or_default();
                     if list.len() < 64 && !list.contains(&vp) {
                         list.push(vp);
                     }
@@ -1071,6 +1101,18 @@ impl<'a> Cfs<'a> {
         // not depend on the worker count), so the recorder's totals stay
         // chunking-independent.
         let rec: &dyn Recorder = &*self.recorder;
+        let tester = || {
+            RemoteTester::new(engine, vps)
+                .recorded(rec)
+                .retrying(retry, retry_seed)
+                .excluding(down)
+        };
+        let rankings = &mut self.rankings;
+        let ranker = tester();
+        for (_, ixp) in &pending {
+            rankings.rank(&ranker, *ixp);
+        }
+        let rankings = &*rankings;
         let verdicts: Vec<Option<bool>> = if workers > 1 && pending.len() >= 8 {
             let chunk_size = pending.len().div_ceil(workers);
             crossbeam::thread::scope(|scope| {
@@ -1078,13 +1120,10 @@ impl<'a> Cfs<'a> {
                     .chunks(chunk_size)
                     .map(|chunk| {
                         scope.spawn(move |_| {
-                            let tester = RemoteTester::new(engine, vps)
-                                .recorded(rec)
-                                .retrying(retry, retry_seed)
-                                .excluding(down);
+                            let tester = tester();
                             chunk
                                 .iter()
-                                .map(|(ip, ixp)| tester.is_remote(*ixp, *ip))
+                                .map(|(ip, ixp)| rankings.is_remote(&tester, *ixp, *ip))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -1096,13 +1135,10 @@ impl<'a> Cfs<'a> {
             })
             .expect("remote-test thread scope")
         } else {
-            let tester = RemoteTester::new(engine, vps)
-                .recorded(rec)
-                .retrying(retry, retry_seed)
-                .excluding(down);
+            let tester = tester();
             pending
                 .iter()
-                .map(|(ip, ixp)| tester.is_remote(*ixp, *ip))
+                .map(|(ip, ixp)| rankings.is_remote(&tester, *ixp, *ip))
                 .collect()
         };
         for ((ip, ixp), verdict) in pending.into_iter().zip(verdicts) {
@@ -1156,17 +1192,19 @@ impl<'a> Cfs<'a> {
         let common = f_owner.intersect(&f_ixp);
 
         let verdict = if common.is_empty() && !f_owner.is_empty() {
-            self.remote_cache
-                .entry(ip)
-                .or_insert_with(|| {
-                    let verdict = RemoteTester::new(self.engine, self.vps)
+            match self.remote_cache.get(&ip) {
+                Some((_, verdict)) => *verdict,
+                None => {
+                    let tester = RemoteTester::new(self.engine, self.vps)
                         .recorded(&*self.recorder)
                         .retrying(RetryPolicy::default(), self.chaos_seed)
-                        .excluding(&self.vp_down)
-                        .is_remote(ixp, ip);
-                    (ixp, verdict)
-                })
-                .1
+                        .excluding(&self.vp_down);
+                    self.rankings.rank(&tester, ixp);
+                    let verdict = self.rankings.is_remote(&tester, ixp, ip);
+                    self.remote_cache.insert(ip, (ixp, verdict));
+                    verdict
+                }
+            }
         } else {
             None
         };

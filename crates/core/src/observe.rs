@@ -9,6 +9,8 @@ use cfs_obs::Recorder;
 use cfs_traceroute::Trace;
 use cfs_types::{Asn, IxpId, LinkClass};
 
+use crate::corpus::SILENT;
+
 /// What a single hop address means once mapped through the corrected
 /// IP-to-ASN view and the confirmed IXP prefix list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,13 +46,77 @@ impl<'a> Resolver<'a> {
         let Some(ip) = ip else {
             return HopMeaning::Silent;
         };
-        if let Some(ixp) = self.kb.ixp_of_ip(ip) {
-            return HopMeaning::IxpFabric(ixp);
+        meaning_of(self.kb.ixp_of_ip(ip), self.corrected.get(&ip).copied())
+    }
+}
+
+/// A responsive hop's meaning from its exchange (if in confirmed IXP
+/// space) and its corrected ASN.
+fn meaning_of(ixp: Option<IxpId>, asn: Option<Asn>) -> HopMeaning {
+    match (ixp, asn) {
+        (Some(ixp), _) => HopMeaning::IxpFabric(ixp),
+        (None, Some(asn)) => HopMeaning::As(asn),
+        (None, None) => HopMeaning::Unknown,
+    }
+}
+
+/// What [`Resolver`] answers for every address a path corpus interned,
+/// indexed by address id (`crate::corpus`), plus each address's corrected
+/// ASN, which the exposure index reads even for fabric addresses. Valid
+/// for one epoch: one knowledge-base classification view and one
+/// corrected map. The engine extends it for new ids, refreshes the ids
+/// whose corrected ASN moved, and reclassifies every id when a knowledge
+/// base flip changes the classification view.
+#[derive(Default)]
+pub(crate) struct HopTable {
+    meaning: Vec<HopMeaning>,
+    asn: Vec<Option<Asn>>,
+}
+
+impl HopTable {
+    /// Resolves the addresses of `addrs` (every interned address, by id)
+    /// past those already held: the ids interned since the last call.
+    pub(crate) fn extend(
+        &mut self,
+        addrs: &[Ipv4Addr],
+        kb: &KnowledgeBase,
+        corrected: &BTreeMap<Ipv4Addr, Asn>,
+    ) {
+        for ip in &addrs[self.asn.len()..] {
+            let asn = corrected.get(ip).copied();
+            self.asn.push(asn);
+            self.meaning.push(meaning_of(kb.ixp_of_ip(*ip), asn));
         }
-        match self.corrected.get(&ip) {
-            Some(asn) => HopMeaning::As(*asn),
-            None => HopMeaning::Unknown,
+    }
+
+    /// Re-reads the corrected ASN of address `id`, whose entry in
+    /// `corrected` moved; its exchange, if any, still takes precedence.
+    pub(crate) fn refresh(&mut self, id: usize, asn: Option<Asn>) {
+        self.asn[id] = asn;
+        if !matches!(self.meaning[id], HopMeaning::IxpFabric(_)) {
+            self.meaning[id] = meaning_of(None, asn);
         }
+    }
+
+    /// Re-classifies every address under a new knowledge base.
+    pub(crate) fn reclassify(&mut self, addrs: &[Ipv4Addr], kb: &KnowledgeBase) {
+        for ((ip, asn), meaning) in addrs.iter().zip(&self.asn).zip(&mut self.meaning) {
+            *meaning = meaning_of(kb.ixp_of_ip(*ip), *asn);
+        }
+    }
+
+    /// The meaning of hop `id` ([`SILENT`] for no reply).
+    pub(crate) fn meaning(&self, id: u32) -> HopMeaning {
+        if id == SILENT {
+            HopMeaning::Silent
+        } else {
+            self.meaning[id as usize]
+        }
+    }
+
+    /// The corrected ASN of address `id`.
+    pub(crate) fn asn(&self, id: u32) -> Option<Asn> {
+        self.asn[id as usize]
     }
 }
 
@@ -185,31 +251,38 @@ fn score_public_hop(
 /// * Crossings involving unresponsive or unmapped middle hops are
 ///   discarded.
 pub fn extract_observations(trace: &Trace, resolver: &Resolver<'_>) -> Vec<Observation> {
-    let ips: Vec<Option<Ipv4Addr>> = trace.hops.iter().map(|h| h.ip).collect();
+    let hops: Vec<_> = trace
+        .hops
+        .iter()
+        .map(|h| (h.ip, resolver.meaning(h.ip)))
+        .collect();
     let mut out = Vec::new();
-    extract_into(&ips, resolver, &mut out);
+    extract_into(&hops, resolver.kb, &mut out);
     out
 }
 
-/// [`extract_observations`] over a hop-address sequence, appending to
-/// `out`.
-fn extract_into(ips: &[Option<Ipv4Addr>], resolver: &Resolver<'_>, out: &mut Vec<Observation>) {
-    let meanings: Vec<HopMeaning> = ips.iter().map(|ip| resolver.meaning(*ip)).collect();
-
-    for i in 0..meanings.len() {
-        let HopMeaning::As(a) = meanings[i] else {
+/// [`extract_observations`] over a path's hops, each with its meaning,
+/// appending to `out`.
+fn extract_into(
+    hops: &[(Option<Ipv4Addr>, HopMeaning)],
+    kb: &KnowledgeBase,
+    out: &mut Vec<Observation>,
+) {
+    let meaning = |i: usize| hops.get(i).map(|h| h.1);
+    for (i, (ip, m)) in hops.iter().enumerate() {
+        let HopMeaning::As(a) = *m else {
             continue;
         };
-        let near_ip = ips[i].expect("mapped hop has an address");
+        let near_ip = ip.expect("mapped hop has an address");
 
-        match meanings.get(i + 1) {
+        match meaning(i + 1) {
             // ---- public: A, fabric, B ----
             Some(HopMeaning::IxpFabric(ixp)) => {
-                let fabric_ip = ips[i + 1].expect("mapped hop has an address");
+                let fabric_ip = hops[i + 1].0.expect("mapped hop has an address");
                 // Identify the far member: directory first, next hop second.
-                let directory = resolver.kb.member_of_fabric_ip(*ixp, fabric_ip);
-                let next_as = match meanings.get(i + 2) {
-                    Some(HopMeaning::As(b)) if *b != a => Some(*b),
+                let directory = kb.member_of_fabric_ip(ixp, fabric_ip);
+                let next_as = match meaning(i + 2) {
+                    Some(HopMeaning::As(b)) if b != a => Some(b),
                     _ => None,
                 };
                 let far_asn = directory.or(next_as);
@@ -221,20 +294,20 @@ fn extract_into(ips: &[Option<Ipv4Addr>], resolver: &Resolver<'_>, out: &mut Vec
                 out.push(Observation {
                     near_asn: a,
                     near_ip,
-                    class: LinkClass::Public { ixp: *ixp },
+                    class: LinkClass::Public { ixp },
                     far_asn,
                     far_ip: Some(fabric_ip),
-                    evidence: score_public_hop(resolver.kb, *ixp, fabric_ip, a, far_asn),
+                    evidence: score_public_hop(kb, ixp, fabric_ip, a, far_asn),
                 });
             }
             // ---- private: A, B directly ----
-            Some(HopMeaning::As(b)) if *b != a => {
-                let far_ip = ips[i + 1].expect("mapped hop has an address");
+            Some(HopMeaning::As(b)) if b != a => {
+                let far_ip = hops[i + 1].0.expect("mapped hop has an address");
                 out.push(Observation {
                     near_asn: a,
                     near_ip,
                     class: LinkClass::Private,
-                    far_asn: Some(*b),
+                    far_asn: Some(b),
                     far_ip: Some(far_ip),
                     evidence: IxpHopEvidence::FULL,
                 });
@@ -253,16 +326,16 @@ pub(crate) struct PathTally {
     votes: u32,
 }
 
-/// [`extract_observations`] over one measured path's hop addresses,
-/// appending to `out` so a worker collects a whole chunk in one flat
-/// list; returns the path's [`PathTally`].
+/// [`extract_observations`] over one measured path's hops, each with
+/// its meaning, appending to `out` so a worker collects a whole chunk in
+/// one flat list; returns the path's [`PathTally`].
 pub(crate) fn extract_path(
-    ips: &[Option<Ipv4Addr>],
-    resolver: &Resolver<'_>,
+    hops: &[(Option<Ipv4Addr>, HopMeaning)],
+    kb: &KnowledgeBase,
     out: &mut Vec<Observation>,
 ) -> PathTally {
     let start = out.len();
-    extract_into(ips, resolver, out);
+    extract_into(hops, kb, out);
     let mut tally = PathTally::default();
     for obs in &out[start..] {
         match obs.class {

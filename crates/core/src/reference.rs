@@ -507,7 +507,7 @@ pub(crate) mod tests {
     pub(crate) fn corpus_paths(cfs: &Cfs<'_>) -> Paths {
         let c = &cfs.corpus;
         (0..c.len())
-            .map(|i| (c.vp(i), c.hops(i).to_vec(), c.mult(i)))
+            .map(|i| (c.vp(i), c.path(i).collect(), c.mult(i)))
             .collect()
     }
 

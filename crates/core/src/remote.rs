@@ -5,7 +5,7 @@
 //! at different times of the day to avoid temporarily elevated RTT values
 //! due to congestion".
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_chaos::RetryPolicy;
@@ -20,6 +20,10 @@ const SAMPLE_SPACING_MS: u64 = 3_600_000; // one hour
 
 /// Number of repeated measurements per vantage point.
 const SAMPLES: u64 = 4;
+
+/// Vantage points ranked per exchange: the nearest responsive one
+/// decides.
+const NEAREST: usize = 3;
 
 /// Slack added on top of the local propagation bound before declaring a
 /// port remote (accounts for queueing and access-circuit detours).
@@ -114,10 +118,16 @@ impl<'a> RemoteTester<'a> {
     /// `ixp`. Returns `None` when no measurement succeeded (silent
     /// router, no vantage points).
     pub fn is_remote(&self, ixp: IxpId, fabric_ip: Ipv4Addr) -> Option<bool> {
+        self.measure(fabric_ip, &self.nearest_vps(ixp, NEAREST))
+    }
+
+    /// [`RemoteTester::is_remote`] from the exchange's ranking: its
+    /// [`NEAREST`] vantage points, nearest first, with their distances.
+    fn measure(&self, fabric_ip: Ipv4Addr, ranking: &[(VantagePointId, f64)]) -> Option<bool> {
         self.recorder.counter("remote.tests", 1);
         let mut verdict = None;
-        for (vp_id, dist_km) in self.nearest_vps(ixp, 3) {
-            let vp = &self.vps.vps[vp_id];
+        for (vp_id, dist_km) in ranking {
+            let vp = &self.vps.vps[*vp_id];
             let min_rtt = (0..SAMPLES)
                 .filter_map(|k| self.sample(vp, fabric_ip, 1 + k * SAMPLE_SPACING_MS))
                 .fold(f64::INFINITY, f64::min);
@@ -125,7 +135,7 @@ impl<'a> RemoteTester<'a> {
                 continue;
             }
             // The local bound: reach the exchange, cross the metro fabric.
-            let local_bound = fiber_rtt_ms(dist_km) + REMOTE_SLACK_MS;
+            let local_bound = fiber_rtt_ms(*dist_km) + REMOTE_SLACK_MS;
             verdict = Some(min_rtt > local_bound);
             break; // nearest responsive vantage point decides
         }
@@ -136,6 +146,39 @@ impl<'a> RemoteTester<'a> {
         };
         self.recorder.counter(outcome, 1);
         verdict
+    }
+}
+
+/// Each tested exchange's ranking of its [`NEAREST`] vantage points,
+/// computed once under one down set. A remote test otherwise scores and
+/// sorts every vantage point for every tested address; the ranking is a
+/// pure function of the exchange, the vantage points and the down set,
+/// so the holder clears it whenever the down set changes.
+#[derive(Default)]
+pub(crate) struct Rankings(BTreeMap<IxpId, Vec<(VantagePointId, f64)>>);
+
+impl Rankings {
+    /// Ranks `ixp` through `tester` unless already ranked.
+    pub(crate) fn rank(&mut self, tester: &RemoteTester<'_>, ixp: IxpId) {
+        self.0
+            .entry(ixp)
+            .or_insert_with(|| tester.nearest_vps(ixp, NEAREST));
+    }
+
+    /// [`RemoteTester::is_remote`] through the ranking of `ixp`, which
+    /// must be ranked under the tester's down set.
+    pub(crate) fn is_remote(
+        &self,
+        tester: &RemoteTester<'_>,
+        ixp: IxpId,
+        fabric_ip: Ipv4Addr,
+    ) -> Option<bool> {
+        tester.measure(fabric_ip, &self.0[&ixp])
+    }
+
+    /// Forgets every ranking (the down set changed).
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -247,6 +290,48 @@ mod tests {
             noisy_verdicts * 10 >= clean_verdicts * 9,
             "coverage collapsed: {noisy_verdicts}/{clean_verdicts} of {tested}"
         );
+    }
+
+    #[test]
+    fn memoized_rankings_equal_a_fresh_ranking_per_exchange() {
+        let topo = setup();
+        let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
+        let engine = Engine::new(&topo);
+        // The nearest vantage point of the first exchange goes down, so
+        // the down set reorders at least that ranking.
+        let first = topo.ixps.ids().next().unwrap();
+        let nearest = RemoteTester::new(&engine, &vps).nearest_vps(first, NEAREST)[0].0;
+        let down = BTreeSet::from([nearest]);
+        let mut rankings = Rankings::default();
+        for down in [None, Some(&down)] {
+            rankings.clear();
+            let mut tester = RemoteTester::new(&engine, &vps);
+            if let Some(down) = down {
+                tester = tester.excluding(down);
+            }
+            for round in 0..2 {
+                for ixp in topo.ixps.ids() {
+                    rankings.rank(&tester, ixp);
+                    assert_eq!(
+                        rankings.0[&ixp],
+                        tester.nearest_vps(ixp, NEAREST),
+                        "{ixp:?} round {round} down {down:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                rankings.0[&first].iter().any(|(vp, _)| *vp == nearest),
+                down.is_none()
+            );
+            for (id, ixp) in topo.ixps.iter() {
+                for m in &ixp.members {
+                    assert_eq!(
+                        rankings.is_remote(&tester, id, m.fabric_ip),
+                        tester.is_remote(id, m.fabric_ip)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

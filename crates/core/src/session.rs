@@ -525,8 +525,10 @@ impl<'a> CfsSession<'a> {
         // replay the looking-glass log, then re-extract every trace.
         // Alias resolution and ownership correction never read the KB, so
         // they stand.
-        self.cfs.rebuild_observations();
-        self.cfs.process_new_traces();
+        let cfs = &mut self.cfs;
+        cfs.hop_table.reclassify(cfs.corpus.addrs(), cfs.kb.get());
+        cfs.rebuild_observations();
+        cfs.process_new_traces();
 
         let after = self.fingerprints();
         dirty.extend(Self::fingerprint_diff(&before, &after));
@@ -539,6 +541,7 @@ impl<'a> CfsSession<'a> {
         } else {
             self.cfs.vp_down.insert(vp);
         }
+        self.cfs.rankings.clear();
         // Remote verdicts are pure functions of (ixp, ip, down-set);
         // recompute every cached one under the new pool and dirty the
         // interfaces whose verdict flipped. The stored exchange binding
@@ -550,14 +553,16 @@ impl<'a> CfsSession<'a> {
             .map(|(ip, (ixp, verdict))| (*ip, *ixp, *verdict))
             .collect();
         let mut dirty = BTreeSet::new();
+        let cfs = &mut self.cfs;
+        let tester = RemoteTester::new(cfs.engine, cfs.vps)
+            .recorded(&*cfs.recorder)
+            .retrying(RetryPolicy::default(), cfs.chaos_seed)
+            .excluding(&cfs.vp_down);
         for (ip, ixp, old) in entries {
-            let verdict = RemoteTester::new(self.cfs.engine, self.cfs.vps)
-                .recorded(&*self.cfs.recorder)
-                .retrying(RetryPolicy::default(), self.cfs.chaos_seed)
-                .excluding(&self.cfs.vp_down)
-                .is_remote(ixp, ip);
+            cfs.rankings.rank(&tester, ixp);
+            let verdict = cfs.rankings.is_remote(&tester, ixp, ip);
             if verdict != old {
-                self.cfs.remote_cache.insert(ip, (ixp, verdict));
+                cfs.remote_cache.insert(ip, (ixp, verdict));
                 dirty.insert(ip);
             }
         }
@@ -740,9 +745,13 @@ pub(crate) mod tests {
             let resolver = Resolver::new(cfs.kb(), &cfs.corrected);
             let mut pass = ExtractTally::default();
             for t in &held[from..] {
-                let hops: Vec<_> = t.hops.iter().map(|h| h.ip).collect();
+                let hops: Vec<_> = t
+                    .hops
+                    .iter()
+                    .map(|h| (h.ip, resolver.meaning(h.ip)))
+                    .collect();
                 let mut out = Vec::new();
-                pass.add(extract_path(&hops, &resolver, &mut out), 1);
+                pass.add(extract_path(&hops, cfs.kb(), &mut out), 1);
                 pass.observations_new += out.iter().filter(|o| keys.insert(o.key())).count() as u64;
             }
             pass.flush(&expected);

@@ -711,6 +711,217 @@ fn vp_status_delta_matches_fresh_batch_with_pool_exclusion() {
     }
 }
 
+/// A session converged on `boot` and fed `deltas` in order, its recorder
+/// alongside.
+#[allow(clippy::too_many_arguments)]
+fn session_after(
+    engine: &dyn ProbeService,
+    kb: &KnowledgeBase,
+    vps: &VpSet,
+    ipasn: &cfs_net::IpAsnDb,
+    threads: usize,
+    boot: &[Trace],
+    deltas: Vec<Delta>,
+) -> (CfsReport, Arc<TraceRecorder>) {
+    let recorder = Arc::new(TraceRecorder::deterministic());
+    let mut session = Cfs::builder(engine, kb)
+        .vps(vps)
+        .ipasn(ipasn)
+        .config(service_config(threads))
+        .recorder(recorder.clone())
+        .build_session()
+        .unwrap();
+    session.ingest(boot.to_vec());
+    session.converge();
+    for delta in deltas {
+        session.apply_delta(delta).unwrap();
+    }
+    (session.into_report(), recorder)
+}
+
+/// The no-reset Rule-2 path: a campaign adds hop addresses and moves
+/// only those, so the held observations stand and only the new paths are
+/// extracted. Their hops must be read under the re-aliased view: the
+/// per-address hop table is filled when the corpus first interns an
+/// address (before aliases are re-resolved), so `realias` must refresh
+/// every address it moves, fresh ones included.
+#[test]
+fn rule_two_campaign_reads_fresh_addresses_under_the_new_view() {
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let boot = world.campaign(&engine, &vps, 0);
+    let delta = world.campaign_over(&engine, &vps, 7_200_000, 12..18);
+    let fresh_ips = &hop_ips(&delta) - &hop_ips(&boot);
+    assert!(!fresh_ips.is_empty() && !moves_old_ip(&world, &ipasn, &boot, &delta));
+
+    for threads in [1usize, 2] {
+        let full = fresh_report(
+            &engine,
+            &kb,
+            &vps,
+            &ipasn,
+            threads,
+            &[boot.clone(), delta.clone()],
+            BTreeSet::new(),
+        );
+        // The delta's new addresses carry verdicts of their own.
+        assert!(full.interfaces.keys().any(|ip| fresh_ips.contains(ip)));
+        let (incremental, recorder) = session_after(
+            &engine,
+            &kb,
+            &vps,
+            &ipasn,
+            threads,
+            &boot,
+            vec![Delta::TracerouteBatch(delta.clone())],
+        );
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counters.get("serve.extract_rebuild"), None);
+        assert_eq!(
+            report_bytes(&full),
+            report_bytes(&incremental),
+            "threads={threads}: fresh addresses read under a stale view"
+        );
+        assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
+    }
+}
+
+/// A KB flip that retires an exchange (its peering LAN is no longer
+/// confirmed IXP space) changes what fabric hops mean: every held
+/// address is re-classified before the corpus is re-extracted.
+#[test]
+fn kb_flip_that_unconfirms_a_peering_lan_reclassifies_its_hops() {
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let batch = world.campaign(&engine, &vps, 0);
+    let fresh = |kb: &KnowledgeBase, threads| {
+        fresh_report(
+            &engine,
+            kb,
+            &vps,
+            &ipasn,
+            threads,
+            std::slice::from_ref(&batch),
+            BTreeSet::new(),
+        )
+    };
+    let baseline = fresh(&kb, 1);
+
+    // The busiest crossed exchange, marked inactive in PCH's list.
+    let mut crossed: BTreeMap<IxpId, (usize, Ipv4Addr)> = BTreeMap::new();
+    for link in &baseline.links {
+        if let (Some(ixp), Some(fabric)) = (link.ixp, link.far_ip) {
+            crossed.entry(ixp).or_insert((0, fabric)).0 += 1;
+        }
+    }
+    let (&ixp, &(_, fabric)) = crossed
+        .iter()
+        .max_by_key(|(ixp, (n, _))| (*n, std::cmp::Reverse(**ixp)))
+        .expect("the campaign crosses some exchange");
+    let mut sources = world.sources.clone();
+    match sources.pch_list.iter_mut().find(|(x, _, _)| *x == ixp) {
+        Some((_, _, active)) => *active = false,
+        None => sources.pch_list.push((ixp, Vec::new(), false)),
+    }
+    let kb2 = Arc::new(KnowledgeBase::assemble(&sources, &world.topo.world));
+    assert_eq!(kb.ixp_of_ip(fabric), Some(ixp));
+    assert_eq!(kb2.ixp_of_ip(fabric), None);
+    assert!(!kb.same_classification_view(&kb2));
+    assert_ne!(report_bytes(&fresh(&kb2, 1)), report_bytes(&baseline));
+
+    for threads in [1usize, 2] {
+        let full = fresh(&kb2, threads);
+        let (incremental, _) = session_after(
+            &engine,
+            &kb,
+            &vps,
+            &ipasn,
+            threads,
+            &batch,
+            vec![Delta::KbEpochFlip(kb2.clone())],
+        );
+        assert_eq!(
+            report_bytes(&full),
+            report_bytes(&incremental),
+            "threads={threads}: the flip kept the retired exchange's hop meanings"
+        );
+        assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
+    }
+}
+
+/// A vantage point going down changes which vantage points rank nearest
+/// an exchange. The session memoizes each exchange's ranking, so the
+/// delta must drop the memo: both the re-tested cached verdicts and the
+/// remote tests of a later campaign rank without the downed point. The
+/// session starts with one vantage point up, so every boot ranking holds
+/// exactly the one the delta takes down, and every later verdict is
+/// inconclusive.
+#[test]
+fn vp_down_then_campaign_ranks_remote_tests_without_it() {
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let boot = world.campaign(&engine, &vps, 0);
+    let later = world.campaign_over(&engine, &vps, 7_200_000, 12..18);
+    let all: BTreeSet<VantagePointId> = vps.ids().collect();
+    let victim = *all.first().unwrap();
+    let mut others = all.clone();
+    others.remove(&victim);
+    let fresh = |campaigns: &[Vec<Trace>], down: &BTreeSet<VantagePointId>, threads| {
+        fresh_report(&engine, &kb, &vps, &ipasn, threads, campaigns, down.clone())
+    };
+    let boot_only = std::slice::from_ref(&boot);
+    assert_ne!(
+        report_bytes(&fresh(boot_only, &all, 1)),
+        report_bytes(&fresh(boot_only, &others, 1)),
+        "the last vantage point up decides no boot verdict"
+    );
+
+    for threads in [1usize, 2] {
+        let full = fresh(&[boot.clone(), later.clone()], &all, threads);
+        let recorder = Arc::new(TraceRecorder::deterministic());
+        let mut session = Cfs::builder(&engine, &kb)
+            .vps(&vps)
+            .ipasn(&ipasn)
+            .config(service_config(threads))
+            .recorder(recorder.clone())
+            .vps_down(others.clone())
+            .build_session()
+            .unwrap();
+        session.ingest(boot.clone());
+        session.converge();
+        session
+            .apply_delta(Delta::VpStatusChange {
+                vp: victim,
+                up: false,
+            })
+            .unwrap();
+        let tests = recorder.snapshot().counters["remote.tests"];
+        session
+            .apply_delta(Delta::TracerouteBatch(later.clone()))
+            .unwrap();
+        assert!(
+            recorder.snapshot().counters["remote.tests"] > tests,
+            "threads={threads}: the campaign ran no remote test"
+        );
+        let incremental = session.into_report();
+        assert_eq!(
+            report_bytes(&full),
+            report_bytes(&incremental),
+            "threads={threads}: a remote test ranked a downed vantage point"
+        );
+        assert_eq!(canonical_trace(&full), canonical_trace(&incremental));
+    }
+}
+
 #[test]
 fn followup_config_refuses_every_delta() {
     // Follow-up-driven configurations are the paper's batch runs: they
