@@ -39,7 +39,7 @@ use crate::report::{
     CandidateHistogram, CfsReport, ConvergenceTelemetry, DataQualityReport, InferredInterface,
     InferredLink, RouterRoleStats,
 };
-use crate::state::{IfaceState, SearchOutcome};
+use crate::state::{IfaceState, SearchOutcome, States};
 
 /// Tuning knobs of the search loop.
 #[derive(Clone, Debug)]
@@ -175,6 +175,137 @@ pub(crate) enum DepKey {
     Metro(IxpId),
 }
 
+/// What an owner's footprint is intersected with at one endpoint of a
+/// crossing (Step 2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Counterpart {
+    /// A public crossing at the exchange.
+    Exchange(IxpId),
+    /// A public crossing at the exchange whose IXP-hop evidence the gate
+    /// withholds (DESIGN.md §11): only the owner's footprint applies.
+    Gated(IxpId),
+    /// A private crossing with the peer AS.
+    Peer(Asn),
+}
+
+/// One (owner, counterpart) pair the constraint kernel has met.
+struct Pair {
+    owner: Asn,
+    with: Counterpart,
+    /// Its footprints under the current epoch, from the first in-scope
+    /// application on.
+    meet: Option<Meet>,
+}
+
+/// A pair's footprints under the current epoch.
+struct Meet {
+    /// The owner's footprint.
+    owner: FacilitySet,
+    /// The owner's footprint ∩ the exchange's or the peer's, interned (a
+    /// gated pair's is the owner's footprint).
+    common: FacilitySet,
+    /// Whether the peer's footprint is empty.
+    peer_empty: bool,
+}
+
+impl Pair {
+    /// The footprints its [`Meet`] reads.
+    fn reads(&self) -> impl Iterator<Item = DepKey> {
+        let with = match self.with {
+            Counterpart::Exchange(ixp) => Some(DepKey::Ixp(ixp)),
+            Counterpart::Gated(_) => None,
+            Counterpart::Peer(peer) => Some(DepKey::As(peer)),
+        };
+        std::iter::once(DepKey::As(self.owner)).chain(with)
+    }
+
+    /// The dependency edges of an endpoint it constrains ([`DepKey`]; the
+    /// metro pool is a conservative superset — it only matters on the
+    /// widening path).
+    fn deps(&self) -> impl Iterator<Item = DepKey> {
+        let (with, metro) = match self.with {
+            Counterpart::Exchange(ixp) | Counterpart::Gated(ixp) => {
+                (DepKey::Ixp(ixp), Some(DepKey::Metro(ixp)))
+            }
+            Counterpart::Peer(peer) => (DepKey::As(peer), None),
+        };
+        [DepKey::As(self.owner), with].into_iter().chain(metro)
+    }
+}
+
+/// The constraint kernel's pair table (DESIGN.md §5): pair ids are stable
+/// for the life of the search, and a KB flip refreshes in place exactly
+/// the pairs under the footprints it moved.
+#[derive(Default)]
+pub(crate) struct Pairs {
+    ids: BTreeMap<(Asn, Counterpart), u32>,
+    pairs: Vec<Pair>,
+    /// Footprint key → the pairs whose [`Meet`] read it.
+    under: BTreeMap<DepKey, Vec<u32>>,
+}
+
+/// One endpoint of a compiled observation: the state it constrains and
+/// the pair it applies.
+#[derive(Clone, Copy)]
+pub(crate) struct End {
+    slot: u32,
+    pair: u32,
+}
+
+/// An observation compiled for the constraint kernel: the endpoints it
+/// constrains, near end first.
+pub(crate) type Plan = [Option<End>; 2];
+
+impl Pairs {
+    fn id(&mut self, owner: Asn, with: Counterpart) -> u32 {
+        let pairs = &mut self.pairs;
+        *self.ids.entry((owner, with)).or_insert_with(|| {
+            pairs.push(Pair {
+                owner,
+                with,
+                meet: None,
+            });
+            u32::try_from(pairs.len() - 1).expect("fewer than 2^32 pairs")
+        })
+    }
+
+    /// Compiles one observation: Step 2 constrains both ends of a public
+    /// crossing with a known far side, and both ends of a private one
+    /// with a known peer AS.
+    fn compile(&mut self, obs: &Observation, gating: bool, states: &mut States) -> Plan {
+        let mut end = |ip: Ipv4Addr, owner: Asn, with: Counterpart| {
+            Some(End {
+                slot: states.slot(ip),
+                pair: self.id(owner, with),
+            })
+        };
+        match obs.class {
+            LinkClass::Public { ixp } => {
+                let with = if gating && obs.evidence.weak() {
+                    Counterpart::Gated(ixp)
+                } else {
+                    Counterpart::Exchange(ixp)
+                };
+                let far = obs.far_asn.zip(obs.far_ip);
+                [
+                    end(obs.near_ip, obs.near_asn, with),
+                    far.and_then(|(asn, ip)| end(ip, asn, with)),
+                ]
+            }
+            LinkClass::Private => {
+                let Some(peer) = obs.far_asn else {
+                    return [None, None];
+                };
+                [
+                    end(obs.near_ip, obs.near_asn, Counterpart::Peer(peer)),
+                    obs.far_ip
+                        .and_then(|ip| end(ip, peer, Counterpart::Peer(obs.near_asn))),
+                ]
+            }
+        }
+    }
+}
+
 /// Convergence record of one iteration (drives Figure 7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct IterationStats {
@@ -228,7 +359,14 @@ pub struct Cfs<'a> {
     /// under the new epoch when a `KbEpochFlip` delta re-classifies them.
     pub(crate) bgp_log: Vec<(Asn, cfs_bgp::BgpSession)>,
     pub(crate) obs_keys: BTreeSet<(Ipv4Addr, Option<IxpId>, Option<Ipv4Addr>)>,
-    pub(crate) states: BTreeMap<Ipv4Addr, IfaceState>,
+    /// `observations` and `session_observations` compiled for the
+    /// constraint kernel, position for position: extended lazily by each
+    /// pass, cleared only where the lists themselves are.
+    pub(crate) plans: Vec<Plan>,
+    pub(crate) session_plans: Vec<Plan>,
+    /// Every (owner, counterpart) pair the kernel has met (see [`Pairs`]).
+    pub(crate) pairs: Pairs,
+    pub(crate) states: States,
     /// Remote-peering verdicts keyed by fabric address, each bound to the
     /// first exchange that triggered its test (the binding is needed to
     /// recompute the verdict when a delta invalidates it).
@@ -457,7 +595,10 @@ impl<'a> Cfs<'a> {
             session_observations: Vec::new(),
             bgp_log: Vec::new(),
             obs_keys: BTreeSet::new(),
-            states: BTreeMap::new(),
+            plans: Vec::new(),
+            session_plans: Vec::new(),
+            pairs: Pairs::default(),
+            states: States::default(),
             remote_cache: BTreeMap::new(),
             vp_crossed: BTreeMap::new(),
             indexed: 0,
@@ -564,6 +705,8 @@ impl<'a> Cfs<'a> {
         self.observations.clear();
         self.obs_keys.clear();
         self.session_observations.clear();
+        self.plans.clear();
+        self.session_plans.clear();
         self.processed = 0;
         let log = std::mem::take(&mut self.bgp_log);
         for (owner, s) in &log {
@@ -763,6 +906,7 @@ impl<'a> Cfs<'a> {
     /// authoritative output, never read that view, and survive as-is.
     pub(crate) fn reset_observations(&mut self) {
         self.observations.clear();
+        self.plans.clear();
         self.obs_keys = self
             .session_observations
             .iter()
@@ -928,17 +1072,74 @@ impl<'a> Cfs<'a> {
     // Steps 2 + 3: constraints
     // ------------------------------------------------------------------
 
+    /// Reads the footprints of pair `id` under the current epoch, unless
+    /// they are held already: a pair's footprints are read on its first
+    /// in-scope application and kept until a KB flip moves one of them
+    /// ([`Cfs::refresh_pairs`]).
+    fn fill(&mut self, id: u32) {
+        let pair = &self.pairs.pairs[id as usize];
+        if pair.meet.is_some() {
+            return;
+        }
+        let meet = self.meet(pair.owner, pair.with);
+        let Pairs { pairs, under, .. } = &mut self.pairs;
+        let pair = &mut pairs[id as usize];
+        pair.meet = Some(meet);
+        for key in pair.reads() {
+            under.entry(key).or_default().push(id);
+        }
+    }
+
+    /// The footprints of an (owner, counterpart) pair under the current
+    /// epoch.
+    fn meet(&mut self, owner: Asn, with: Counterpart) -> Meet {
+        let f_owner = self.footprint(DepKey::As(owner));
+        let (common, peer_empty) = match with {
+            Counterpart::Gated(_) => (f_owner.clone(), false),
+            Counterpart::Exchange(ixp) => {
+                (f_owner.intersect(&self.footprint(DepKey::Ixp(ixp))), false)
+            }
+            Counterpart::Peer(peer) => {
+                let f_peer = self.footprint(DepKey::As(peer));
+                (f_owner.intersect(&f_peer), f_peer.is_empty())
+            }
+        };
+        Meet {
+            common: self.interner.intern(common.iter()),
+            owner: f_owner,
+            peer_empty,
+        }
+    }
+
+    /// Re-reads, in place, the footprints of every pair that read one of
+    /// the `moved` keys (a KB flip's footprint diff).
+    pub(crate) fn refresh_pairs(&mut self, moved: &[DepKey]) {
+        let stale: BTreeSet<u32> = moved
+            .iter()
+            .filter_map(|key| self.pairs.under.get(key))
+            .flatten()
+            .copied()
+            .collect();
+        for id in stale {
+            let pair = &self.pairs.pairs[id as usize];
+            let meet = self.meet(pair.owner, pair.with);
+            self.pairs.pairs[id as usize].meet = Some(meet);
+        }
+    }
+
     /// The constraint pass over the merged observation list. With
     /// `scope: None` this is the full batch pass; with a scope, only
     /// endpoints inside it are (re-)constrained — the session's dirty
     /// frontier sweep. The observation order, and therefore every
     /// interface's constraint subsequence, is identical in both modes.
     ///
-    /// Every observation is re-applied, but dependency edges are recorded
-    /// and remote tests looked for only past `settled`, the prefix of
-    /// each list an earlier full pass of the same loop applied under
-    /// inputs that have not moved since ([`Cfs::run_to_convergence`]);
-    /// a scoped pass settles nothing.
+    /// The pass walks the compiled observations ([`Plan`]), compiling the
+    /// ones appended since the last pass first. Every observation is
+    /// re-applied, but dependency edges are recorded and remote tests
+    /// looked for only past `settled`, the prefix of each list an earlier
+    /// full pass of the same loop applied under inputs that have not
+    /// moved since ([`Cfs::run_to_convergence`]); a scoped pass settles
+    /// nothing.
     pub(crate) fn apply_constraints_scoped(
         &mut self,
         iteration: usize,
@@ -946,99 +1147,52 @@ impl<'a> Cfs<'a> {
         settled: (usize, usize),
     ) {
         cfs_obs::span!(self.recorder, "stage.constrain");
+        let gating = self.cfg.evidence_gating;
+        let Self {
+            ref observations,
+            ref session_observations,
+            ref mut plans,
+            ref mut session_plans,
+            ref mut pairs,
+            ref mut states,
+            ..
+        } = *self;
+        for (list, plans) in [(observations, plans), (session_observations, session_plans)] {
+            let new = &list[plans.len()..];
+            plans.extend(new.iter().map(|obs| pairs.compile(obs, gating, states)));
+        }
+        let plans = std::mem::take(&mut self.plans);
+        let session_plans = std::mem::take(&mut self.session_plans);
+        self.recorder.counter(
+            "constrain.observations",
+            (plans.len() + session_plans.len()) as u64,
+        );
         let in_scope = |ip: Ipv4Addr| scope.is_none_or(|s| s.contains(&ip));
-        let mut observations = std::mem::take(&mut self.observations);
-        let held = observations.len();
-        observations.extend(self.session_observations.iter().cloned());
-        let fresh = |i: usize| {
-            if i < held {
-                i >= settled.0
-            } else {
-                i - held >= settled.1
-            }
-        };
-        let unsettled = observations
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| fresh(*i))
-            .map(|(_, obs)| obs);
-        self.prefill_remote_verdicts(unsettled, scope);
-        self.recorder
-            .counter("constrain.observations", observations.len() as u64);
-        for (i, obs) in observations.iter().enumerate() {
-            if fresh(i) {
-                self.record_deps(obs, in_scope);
-            }
-            match obs.class {
-                LinkClass::Public { ixp } => {
-                    if in_scope(obs.near_ip) {
-                        self.constrain_public(
-                            obs.near_asn,
-                            obs.near_ip,
-                            ixp,
-                            iteration,
-                            obs.evidence,
-                        );
+        let lists = [(&plans[..], settled.0), (&session_plans[..], settled.1)];
+        let unsettled = lists.iter().flat_map(|(list, from)| &list[*from..]);
+        self.prefill_remote_verdicts(unsettled, in_scope);
+        for (list, from) in lists {
+            for (i, plan) in list.iter().enumerate() {
+                for end in plan.iter().flatten() {
+                    let ip = self.states.ip(end.slot);
+                    if !in_scope(ip) {
+                        continue;
                     }
-                    if let (Some(far_asn), Some(far_ip)) = (obs.far_asn, obs.far_ip) {
-                        if in_scope(far_ip) {
-                            self.constrain_public(far_asn, far_ip, ixp, iteration, obs.evidence);
+                    if i >= from {
+                        for key in self.pairs.pairs[end.pair as usize].deps() {
+                            self.deps.entry(key).or_default().insert(ip);
                         }
                     }
-                }
-                LinkClass::Private => {
-                    if let Some(far_asn) = obs.far_asn {
-                        if in_scope(obs.near_ip) {
-                            self.constrain_private(obs.near_asn, obs.near_ip, far_asn, iteration);
-                        }
-                        if let Some(far_ip) = obs.far_ip {
-                            if in_scope(far_ip) {
-                                self.constrain_private(far_asn, far_ip, obs.near_asn, iteration);
-                            }
-                        }
-                    }
+                    self.apply(*end, iteration);
                 }
             }
         }
-        observations.truncate(held);
-        self.observations = observations;
+        self.plans = plans;
+        self.session_plans = session_plans;
     }
 
-    /// Records the dependency edges of one observation's in-scope
-    /// endpoints: each one's state is a function of these footprints
-    /// (the metro pool is a conservative superset — it only matters on
-    /// the widening path).
-    fn record_deps(&mut self, obs: &Observation, in_scope: impl Fn(Ipv4Addr) -> bool) {
-        let deps = &mut self.deps;
-        let mut edge = |key: DepKey, ip: Ipv4Addr| {
-            if in_scope(ip) {
-                deps.entry(key).or_default().insert(ip);
-            }
-        };
-        match obs.class {
-            LinkClass::Public { ixp } => {
-                let far = obs.far_asn.zip(obs.far_ip);
-                for (owner, ip) in std::iter::once((obs.near_asn, obs.near_ip)).chain(far) {
-                    for key in [DepKey::As(owner), DepKey::Ixp(ixp), DepKey::Metro(ixp)] {
-                        edge(key, ip);
-                    }
-                }
-            }
-            LinkClass::Private => {
-                let Some(far_asn) = obs.far_asn else { return };
-                for key in [DepKey::As(obs.near_asn), DepKey::As(far_asn)] {
-                    edge(key, obs.near_ip);
-                    if let Some(far_ip) = obs.far_ip {
-                        edge(key, far_ip);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pre-computes the remote-peering RTT verdicts that
-    /// [`Cfs::constrain_public`] will need, fanning the measurements out
-    /// over worker threads.
+    /// Pre-computes the remote-peering RTT verdicts that [`Cfs::apply`]
+    /// will need, fanning the measurements out over worker threads.
     ///
     /// A verdict is needed for a public interface whose owner shares no
     /// facility with the exchange (§4.2 case 3). The serial pass binds
@@ -1048,49 +1202,35 @@ impl<'a> Cfs<'a> {
     /// A full pass passes only the unsettled observations: an endpoint
     /// an earlier full pass checked is cached, or fails a test whose
     /// inputs have not moved since.
-    fn prefill_remote_verdicts<'o>(
+    fn prefill_remote_verdicts<'p>(
         &mut self,
-        observations: impl Iterator<Item = &'o Observation>,
-        scope: Option<&BTreeSet<Ipv4Addr>>,
+        plans: impl Iterator<Item = &'p Plan>,
+        in_scope: impl Fn(Ipv4Addr) -> bool,
     ) {
         cfs_obs::span!(self.recorder, "stage.remote");
         let mut pending: Vec<(Ipv4Addr, IxpId)> = Vec::new();
         let mut queued: BTreeSet<Ipv4Addr> = BTreeSet::new();
-        for obs in observations {
-            let LinkClass::Public { ixp } = obs.class else {
+        for end in plans.flatten().flatten() {
+            // Gated endpoints never intersect with the exchange's
+            // footprint, so they never trigger the remote test either.
+            let Counterpart::Exchange(ixp) = self.pairs.pairs[end.pair as usize].with else {
                 continue;
             };
-            // Gated observations never intersect with the exchange's
-            // footprint, so they never trigger the remote test either.
-            if self.cfg.evidence_gating && obs.evidence.weak() {
+            let ip = self.states.ip(end.slot);
+            if !in_scope(ip) || self.remote_cache.contains_key(&ip) || queued.contains(&ip) {
                 continue;
             }
-            let mut ends: [Option<(Asn, Ipv4Addr)>; 2] = [Some((obs.near_asn, obs.near_ip)), None];
-            if let (Some(far_asn), Some(far_ip)) = (obs.far_asn, obs.far_ip) {
-                ends[1] = Some((far_asn, far_ip));
-            }
-            for (owner, ip) in ends.into_iter().flatten() {
-                if !scope.is_none_or(|s| s.contains(&ip)) {
-                    continue;
-                }
-                if self.remote_cache.contains_key(&ip) || queued.contains(&ip) {
-                    continue;
-                }
-                let f_owner = self.footprint(DepKey::As(owner));
-                if f_owner.is_empty() {
-                    continue;
-                }
-                let f_ixp = self.footprint(DepKey::Ixp(ixp));
-                if f_owner.intersection_len(&f_ixp) == 0 {
-                    queued.insert(ip);
-                    pending.push((ip, ixp));
-                }
+            self.fill(end.pair);
+            let meet = self.pairs.pairs[end.pair as usize].meet.as_ref();
+            let meet = meet.expect("filled above");
+            if !meet.owner.is_empty() && meet.common.is_empty() {
+                queued.insert(ip);
+                pending.push((ip, ixp));
             }
         }
         if pending.is_empty() {
             return;
         }
-
         let workers = self.workers();
         let engine = self.engine;
         let vps = self.vps;
@@ -1146,155 +1286,112 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Step 2 for a public peering interface: intersect the owner's
-    /// facilities with the exchange's; an empty overlap triggers the
-    /// remote test (§4.2 case 3).
+    /// Step 2 at one compiled endpoint: intersect the owner's footprint
+    /// with the exchange's (public) or the peer's (private;
+    /// cross-connects join routers in one building). A public endpoint
+    /// whose owner shares no facility with the exchange goes to
+    /// [`Cfs::constrain_unshared`].
     ///
-    /// When the observation's IXP-hop evidence is weak or contested and
-    /// evidence gating is on, the exchange-footprint intersection is
-    /// withheld: the interface keeps the owner's full footprint — a
-    /// wider-but-correct candidate set — and carries a
+    /// When a public crossing's IXP-hop evidence is weak or contested and
+    /// evidence gating is on (a gated pair), the exchange-footprint
+    /// intersection is withheld: the interface keeps the owner's full
+    /// footprint — a wider-but-correct candidate set — and carries a
     /// `contested_provenance` reason instead of risking a confidently
-    /// wrong narrowing from disputed data (DESIGN.md §11).
-    fn constrain_public(
-        &mut self,
-        owner: Asn,
-        ip: Ipv4Addr,
-        ixp: IxpId,
-        iteration: usize,
-        evidence: crate::observe::IxpHopEvidence,
-    ) {
-        if self.cfg.evidence_gating && evidence.weak() {
-            let f_owner = self.footprint(DepKey::As(owner));
-            let state = self
-                .states
-                .entry(ip)
-                .or_insert_with(|| IfaceState::new(ip, Some(owner)));
-            state.owner.get_or_insert(owner);
-            state.public_ixps.insert(ixp);
-            if f_owner.is_empty() {
-                state.missing_data = true;
-                state.reason.get_or_insert(UnresolvedReason::NoFacilityData);
-                return;
+    /// wrong narrowing from disputed data (DESIGN.md §11). An owner
+    /// without facility data leaves the interface missing data, which is
+    /// what constraining it to the empty set records.
+    fn apply(&mut self, end: End, iteration: usize) {
+        self.fill(end.pair);
+        let pair = &self.pairs.pairs[end.pair as usize];
+        let meet = pair.meet.as_ref().expect("filled above");
+        let (slot, owner) = (end.slot, pair.owner);
+        match pair.with {
+            Counterpart::Peer(_) => {
+                // No common facility (tethering, remote private
+                // peering): the only safe constraint is the owner's own
+                // footprint, unless the peer has no facility data.
+                let allowed = if meet.common.is_empty() && !meet.peer_empty {
+                    &meet.owner
+                } else {
+                    &meet.common
+                };
+                let state = self.states.at(slot, owner);
+                state.seen_private = true;
+                state.constrain(allowed, iteration);
             }
-            state
-                .reason
-                .get_or_insert(UnresolvedReason::ContestedProvenance);
-            if !state.evidence_gated {
-                state.evidence_gated = true;
-                self.recorder.counter("constrain.evidence_gated", 1);
-            }
-            state.constrain(&f_owner, iteration);
-            return;
-        }
-        let f_owner = self.footprint(DepKey::As(owner));
-        let f_ixp = self.footprint(DepKey::Ixp(ixp));
-        let common = f_owner.intersect(&f_ixp);
-
-        let verdict = if common.is_empty() && !f_owner.is_empty() {
-            match self.remote_cache.get(&ip) {
-                Some((_, verdict)) => *verdict,
-                None => {
-                    let tester = RemoteTester::new(self.engine, self.vps)
-                        .recorded(&*self.recorder)
-                        .retrying(RetryPolicy::default(), self.chaos_seed)
-                        .excluding(&self.vp_down);
-                    self.rankings.rank(&tester, ixp);
-                    let verdict = self.rankings.is_remote(&tester, ixp, ip);
-                    self.remote_cache.insert(ip, (ixp, verdict));
-                    verdict
-                }
-            }
-        } else {
-            None
-        };
-
-        // Metro-level widening pool, resolved before the state borrow.
-        // Only needed when the intersection came up empty and the remote
-        // test did not explain it away.
-        let widened = if common.is_empty() && !f_owner.is_empty() && !matches!(verdict, Some(true))
-        {
-            Some(self.footprint(DepKey::Metro(ixp)))
-        } else {
-            None
-        };
-
-        let state = self
-            .states
-            .entry(ip)
-            .or_insert_with(|| IfaceState::new(ip, Some(owner)));
-        state.owner.get_or_insert(owner);
-        state.public_ixps.insert(ixp);
-        if f_owner.is_empty() {
-            state.missing_data = true;
-            state.reason.get_or_insert(UnresolvedReason::NoFacilityData);
-            return;
-        }
-        if !common.is_empty() {
-            state.constrain(&common, iteration);
-        } else {
-            match verdict {
-                Some(true) => {
-                    // Remote peer: its router is wherever the AS actually
-                    // keeps equipment.
-                    state.remote = true;
-                    state.constrain(&f_owner, iteration);
-                }
-                Some(false) | None => {
-                    // Local RTT but no common facility: our data is
-                    // missing the link (or the ping never landed). Widen
-                    // to the exchange's metro-level candidates instead of
-                    // dead-ending (DESIGN.md §9) — later constraints can
-                    // still narrow from there.
-                    let reason = if verdict.is_none() {
-                        UnresolvedReason::RemoteInconclusive
-                    } else {
-                        UnresolvedReason::EmptyIntersection
-                    };
+            Counterpart::Gated(ixp) => {
+                let state = self.states.at(slot, owner);
+                state.public_ixps.insert(ixp);
+                if !meet.owner.is_empty() {
+                    let reason = UnresolvedReason::ContestedProvenance;
                     state.reason.get_or_insert(reason);
-                    match widened {
-                        Some(pool) if !pool.is_empty() => {
-                            if !state.widened {
-                                state.widened = true;
-                                self.recorder.counter("constrain.widened", 1);
-                            }
-                            state.constrain(&pool, iteration);
-                        }
-                        _ => state.missing_data = true,
+                    if !std::mem::replace(&mut state.evidence_gated, true) {
+                        self.recorder.counter("constrain.evidence_gated", 1);
                     }
                 }
+                state.constrain(&meet.owner, iteration);
+            }
+            Counterpart::Exchange(ixp) if meet.owner.is_empty() || !meet.common.is_empty() => {
+                let state = self.states.at(slot, owner);
+                state.public_ixps.insert(ixp);
+                state.constrain(&meet.common, iteration);
+            }
+            Counterpart::Exchange(ixp) => {
+                let f_owner = meet.owner.clone();
+                self.constrain_unshared(slot, owner, ixp, &f_owner, iteration);
             }
         }
     }
 
-    /// Step 2 for a private peering interface: intersect the two peers'
-    /// facility sets (cross-connects join routers in one building).
-    fn constrain_private(&mut self, owner: Asn, ip: Ipv4Addr, peer: Asn, iteration: usize) {
-        let f_owner = self.footprint(DepKey::As(owner));
-        let f_peer = self.footprint(DepKey::As(peer));
-        let common = f_owner.intersect(&f_peer);
-
-        let state = self
-            .states
-            .entry(ip)
-            .or_insert_with(|| IfaceState::new(ip, Some(owner)));
-        state.owner.get_or_insert(owner);
-        state.seen_private = true;
-        if f_owner.is_empty() {
+    /// Step 2 at a public endpoint whose owner `f_owner` shares no
+    /// facility with the exchange: the remote test decides (§4.2 case
+    /// 3). A remote peer's router is wherever the AS keeps equipment; a
+    /// local or inconclusive one widens to the exchange's metro-level
+    /// candidates instead of dead-ending (DESIGN.md §9) — later
+    /// constraints can still narrow from there.
+    fn constrain_unshared(
+        &mut self,
+        slot: u32,
+        owner: Asn,
+        ixp: IxpId,
+        f_owner: &FacilitySet,
+        iteration: usize,
+    ) {
+        let ip = self.states.ip(slot);
+        let verdict = match self.remote_cache.get(&ip) {
+            Some((_, verdict)) => *verdict,
+            None => {
+                let tester = RemoteTester::new(self.engine, self.vps)
+                    .recorded(&*self.recorder)
+                    .retrying(RetryPolicy::default(), self.chaos_seed)
+                    .excluding(&self.vp_down);
+                self.rankings.rank(&tester, ixp);
+                let verdict = self.rankings.is_remote(&tester, ixp, ip);
+                self.remote_cache.insert(ip, (ixp, verdict));
+                verdict
+            }
+        };
+        // The widening pool, read before the state borrow.
+        let widened = (verdict != Some(true)).then(|| self.footprint(DepKey::Metro(ixp)));
+        let state = self.states.at(slot, owner);
+        state.public_ixps.insert(ixp);
+        let Some(pool) = widened else {
+            state.remote = true;
+            state.constrain(f_owner, iteration);
+            return;
+        };
+        state.reason.get_or_insert(match verdict {
+            None => UnresolvedReason::RemoteInconclusive,
+            Some(_) => UnresolvedReason::EmptyIntersection,
+        });
+        if pool.is_empty() {
             state.missing_data = true;
-            state.reason.get_or_insert(UnresolvedReason::NoFacilityData);
             return;
         }
-        if !common.is_empty() {
-            state.constrain(&common, iteration);
-        } else if f_peer.is_empty() {
-            state.missing_data = true;
-            state.reason.get_or_insert(UnresolvedReason::NoFacilityData);
-        } else {
-            // Tethering or remote private peering: the only safe
-            // constraint is the owner's own footprint.
-            state.constrain(&f_owner, iteration);
+        if !std::mem::replace(&mut state.widened, true) {
+            self.recorder.counter("constrain.widened", 1);
         }
+        state.constrain(&pool, iteration);
     }
 
     /// Step 3 (a router's aliases share its facility, so their candidate
@@ -1808,7 +1905,7 @@ impl<'a> Cfs<'a> {
 
         // Interface verdicts.
         let mut interfaces = BTreeMap::new();
-        for (ip, state) in &self.states {
+        for (ip, state) in self.states.iter() {
             let candidates = match overlay.get(ip) {
                 Some(f) => BTreeSet::from([*f]),
                 None => state
@@ -1909,7 +2006,7 @@ impl<'a> Cfs<'a> {
         // Convergence telemetry: the per-iteration candidate histograms
         // plus every interface's narrowing trajectory.
         let mut trajectories = BTreeMap::new();
-        for (ip, state) in &self.states {
+        for (ip, state) in self.states.iter() {
             if !state.trajectory.is_empty() {
                 trajectories.insert(*ip, state.trajectory.clone());
             }
@@ -1926,7 +2023,7 @@ impl<'a> Cfs<'a> {
         let mut unresolved_reasons: BTreeMap<String, u64> = BTreeMap::new();
         let mut widened_interfaces = 0u64;
         let mut contested_pins_refused = 0u64;
-        for (ip, state) in &self.states {
+        for (ip, state) in self.states.iter() {
             widened_interfaces += u64::from(state.widened);
             if overlay.contains_key(ip) {
                 continue; // proximity resolved it — no unresolved reason
@@ -2010,7 +2107,7 @@ impl<'a> Cfs<'a> {
         // fractions of its 2,895 resolved alias sets, so singletons stay
         // out of the denominator.
         let mut groups: BTreeMap<usize, Vec<&IfaceState>> = BTreeMap::new();
-        for (ip, state) in &self.states {
+        for (ip, state) in self.states.iter() {
             if let Some(set_idx) = self.aliases.set_of.get(ip) {
                 groups.entry(*set_idx).or_default().push(state);
             }

@@ -7,7 +7,7 @@
 //! observation in every iteration, plans follow-ups by scanning every
 //! known AS and vantage point, and probes serially. It shares only pure
 //! building blocks with the engine: alias resolution and correction,
-//! [`extract_observations`], [`IfaceState::constrain`], [`RemoteTester`],
+//! [`extract_observations`], [`crate::IfaceState::constrain`], [`RemoteTester`],
 //! the retry policy and circuit breaker, the looking-glass
 //! classification, the stopping rule and the report renderer. Its state
 //! lives in a [`Cfs`] value so that `Cfs::build_report` renders it; that
@@ -64,7 +64,7 @@ use crate::observe::{extract_observations, IxpHopEvidence, Observation, Resolver
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::session::CfsSession;
-use crate::state::{IfaceState, SearchOutcome};
+use crate::state::SearchOutcome;
 
 /// The reference search (module docs).
 pub(crate) struct Reference<'a> {
@@ -214,11 +214,7 @@ impl<'a> Reference<'a> {
             cfs.remote_cache.insert(ip, (ixp, verdict));
         }
         let verdict = cfs.remote_cache.get(&ip).and_then(|(_, v)| *v);
-        let state = cfs
-            .states
-            .entry(ip)
-            .or_insert_with(|| IfaceState::new(ip, Some(owner)));
-        state.owner.get_or_insert(owner);
+        let state = cfs.states.get_or_insert(ip, owner);
         state.public_ixps.insert(ixp);
         let allowed = if f_owner.is_empty() {
             f_owner
@@ -264,11 +260,7 @@ impl<'a> Reference<'a> {
         let kb = self.cfs.kb.get();
         let (f_owner, f_peer) = (kb.facilities_of_as(owner), kb.facilities_of_as(peer));
         let common: BTreeSet<FacilityId> = f_owner.intersection(&f_peer).copied().collect();
-        let states = &mut self.cfs.states;
-        let state = states
-            .entry(ip)
-            .or_insert_with(|| IfaceState::new(ip, Some(owner)));
-        state.owner.get_or_insert(owner);
+        let state = self.cfs.states.get_or_insert(ip, owner);
         state.seen_private = true;
         let allowed = if common.is_empty() && !f_peer.is_empty() {
             f_owner

@@ -501,8 +501,10 @@ impl<'a> CfsSession<'a> {
 
         // Diff every footprint the constraint system has consumed against
         // the new epoch; a changed footprint dirties exactly the
-        // interfaces the dependency index says consumed it.
+        // interfaces the dependency index says consumed it, and the
+        // kernel's pairs that read it are refreshed in place.
         let keys: Vec<DepKey> = self.cfs.footprints.keys().copied().collect();
+        let mut moved = Vec::new();
         for key in keys {
             let old = self
                 .cfs
@@ -513,8 +515,10 @@ impl<'a> CfsSession<'a> {
                 if let Some(consumers) = self.cfs.deps.get(&key) {
                     dirty.extend(consumers.iter().copied());
                 }
+                moved.push(key);
             }
         }
+        self.cfs.refresh_pairs(&moved);
 
         if same_view {
             return dirty;
@@ -706,6 +710,32 @@ pub(crate) mod tests {
             assert!(corpus_paths(&session.cfs) == held);
             assert!(session.cfs.vp_down.is_empty());
         }
+    }
+
+    /// A scoped pass empties the slot of every scoped state and refills
+    /// those its compiled observations still name: a state none names
+    /// stays gone, from the count and from the report.
+    #[test]
+    fn a_state_a_scoped_pass_drops_is_absent_from_the_report() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let (builder, _) = builder_for(&world, &engine, &world.kb, service_config(1));
+        let mut session = builder.build_session().unwrap();
+        session.ingest(world.campaign(&engine, 0, 0..12));
+        session.converge();
+        let cfs = &mut session.cfs;
+        let before = serde_json::to_string(&cfs.build_report()).unwrap();
+        let tracked = cfs.states.len();
+        let stray: Ipv4Addr = "192.0.2.1".parse().unwrap();
+        assert!(cfs.states.get(&stray).is_none(), "an observation names it");
+        cfs.states.get_or_insert(stray, Asn(64_512));
+        assert!(cfs.build_report().interfaces.contains_key(&stray));
+        cfs.kernel_converge(&BTreeSet::from([stray]));
+        assert!(cfs.states.get(&stray).is_none());
+        assert_eq!(cfs.states.len(), tracked);
+        let report = cfs.build_report();
+        assert!(!report.interfaces.contains_key(&stray));
+        assert!(serde_json::to_string(&report).unwrap() == before);
     }
 
     /// Campaign deltas mostly repeat held paths, which extraction counts

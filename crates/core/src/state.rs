@@ -1,7 +1,7 @@
 //! Per-interface search state: the candidate facility sets the algorithm
 //! progressively narrows.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_types::{Asn, FacilityId, FacilitySet, IxpId, UnresolvedReason};
@@ -180,6 +180,90 @@ impl IfaceState {
     }
 }
 
+/// Every tracked interface's state, each in a boxed slot whose index
+/// never changes: the constraint kernel's compiled observations address
+/// states by slot, while lookups and iteration go by address, in address
+/// order. An address claims its slot once; removing its state empties
+/// the slot and keeps the claim, so re-creating the state refills it.
+/// Boxing keeps a slot at one pointer, so growing the slot list never
+/// copies or doubles the states themselves (DESIGN.md §5).
+#[derive(Default)]
+pub(crate) struct States {
+    by_ip: BTreeMap<Ipv4Addr, u32>,
+    ips: Vec<Ipv4Addr>,
+    slots: Vec<Option<Box<IfaceState>>>,
+    live: usize,
+}
+
+impl States {
+    /// The slot `ip` claims, claiming a fresh (empty) one on first use.
+    pub(crate) fn slot(&mut self, ip: Ipv4Addr) -> u32 {
+        *self.by_ip.entry(ip).or_insert_with(|| {
+            self.ips.push(ip);
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 interfaces")
+        })
+    }
+
+    /// The state in `slot`, created for `owner` when the slot is empty;
+    /// an existing state without an owner takes `owner`.
+    pub(crate) fn at(&mut self, slot: u32, owner: Asn) -> &mut IfaceState {
+        let i = slot as usize;
+        let state = self.slots[i].get_or_insert_with(|| {
+            self.live += 1;
+            Box::new(IfaceState::new(self.ips[i], Some(owner)))
+        });
+        state.owner.get_or_insert(owner);
+        state
+    }
+
+    /// The address that claimed `slot`.
+    pub(crate) fn ip(&self, slot: u32) -> Ipv4Addr {
+        self.ips[slot as usize]
+    }
+
+    /// [`States::at`] by address (the reference CFS's access; the engine
+    /// goes through compiled slots).
+    #[cfg(test)]
+    pub(crate) fn get_or_insert(&mut self, ip: Ipv4Addr, owner: Asn) -> &mut IfaceState {
+        let slot = self.slot(ip);
+        self.at(slot, owner)
+    }
+
+    pub(crate) fn get(&self, ip: &Ipv4Addr) -> Option<&IfaceState> {
+        self.slots[*self.by_ip.get(ip)? as usize].as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, ip: &Ipv4Addr) -> Option<&mut IfaceState> {
+        self.slots[*self.by_ip.get(ip)? as usize].as_deref_mut()
+    }
+
+    /// Drops the state of `ip`, keeping its slot.
+    pub(crate) fn remove(&mut self, ip: &Ipv4Addr) {
+        if let Some(slot) = self.by_ip.get(ip) {
+            self.live -= usize::from(self.slots[*slot as usize].take().is_some());
+        }
+    }
+
+    /// Live states (empty slots do not count).
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Live states in address order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Ipv4Addr, &IfaceState)> {
+        let slots = &self.slots;
+        self.by_ip
+            .iter()
+            .filter_map(|(ip, slot)| Some((ip, slots[*slot as usize].as_deref()?)))
+    }
+
+    /// Live states in address order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &IfaceState> {
+        self.iter().map(|(_, state)| state)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +386,61 @@ mod tests {
         s.constrain(&set(&[4]), 2);
         s.constrain(&set(&[4]), 9);
         assert_eq!(s.resolved_at, Some(2));
+    }
+
+    /// What `Cfs::kernel_converge` does to a scoped interface: its state
+    /// is removed, then the scoped pass re-creates it through the slot its
+    /// compiled observations hold.
+    #[test]
+    fn a_slot_survives_remove_then_recreate() {
+        let (a, b) = (ip(), "192.0.2.2".parse().unwrap());
+        let mut states = States::default();
+        let slot = states.slot(a);
+        states.at(slot, Asn(65_001)).constrain(&set(&[1, 2]), 1);
+        states.remove(&a);
+        assert!(states.get(&a).is_none());
+        assert_ne!(states.slot(b), slot, "a later address took the empty slot");
+        assert_eq!(states.slot(a), slot);
+        let fresh = states.at(slot, Asn(65_002));
+        assert_eq!((fresh.ip, fresh.owner), (a, Some(Asn(65_002))));
+        assert!(fresh.candidates.is_none(), "the old state came back");
+        assert!(states.get(&a).is_some());
+    }
+
+    #[test]
+    fn len_counts_live_states_only() {
+        let (a, b) = (ip(), "192.0.2.2".parse().unwrap());
+        let mut states = States::default();
+        let slot = states.slot(a);
+        states.slot(b);
+        assert_eq!(states.len(), 0, "a claimed slot is not a state");
+        states.at(slot, Asn(65_001));
+        states.at(slot, Asn(65_001));
+        assert_eq!(states.len(), 1);
+        states.get_or_insert(b, Asn(65_001));
+        assert_eq!(states.len(), 2);
+        states.remove(&a);
+        states.remove(&a);
+        assert_eq!(states.len(), 1);
+        assert_eq!(states.iter().count(), states.len());
+    }
+
+    #[test]
+    fn iteration_is_in_address_order() {
+        let ips: Vec<Ipv4Addr> = ["10.0.0.9", "10.0.0.1", "192.0.2.1", "10.0.0.5"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let mut states = States::default();
+        for ip in &ips {
+            states.get_or_insert(*ip, Asn(65_001));
+        }
+        let mut sorted = ips.clone();
+        sorted.sort_unstable();
+        let keys: Vec<Ipv4Addr> = states.iter().map(|(ip, _)| *ip).collect();
+        assert_eq!(keys, sorted);
+        let values: Vec<Ipv4Addr> = states.values().map(|s| s.ip).collect();
+        assert_eq!(values, sorted);
     }
 
     proptest::proptest! {

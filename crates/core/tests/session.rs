@@ -512,6 +512,82 @@ fn kb_flip_dirties_strict_subset_and_matches_fresh_batch() {
     }
 }
 
+/// The kernel holds each (owner, exchange or peer) pair's footprints
+/// across deltas, so a KB flip must refresh, in place, the pairs that
+/// read a footprint it moves. The flip takes a facility out of the
+/// footprint of an AS whose interface held it as a candidate (a pair the
+/// kernel already holds moves), and a campaign that applies held pairs
+/// again follows; after each step the session must equal a fresh one on
+/// the same inputs.
+#[test]
+fn kb_flip_refreshes_held_pairs_before_a_campaign() {
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let boot = world.campaign(&engine, &vps, 0);
+    let later = world.campaign_over(&engine, &vps, 7_200_000, 0..18);
+    let fresh = |kb: &KnowledgeBase, threads, campaigns: &[Vec<Trace>]| {
+        fresh_report(
+            &engine,
+            kb,
+            &vps,
+            &ipasn,
+            threads,
+            campaigns,
+            BTreeSet::new(),
+        )
+    };
+    let baseline = fresh(&kb, 1, std::slice::from_ref(&boot));
+    let kb2 = baseline
+        .interfaces
+        .values()
+        .filter(|iface| iface.candidates.len() > 1)
+        .find_map(|iface| {
+            let (asn, victim) = (iface.owner?, *iface.candidates.first()?);
+            let mut sources = world.sources.clone();
+            if let Some(rec) = sources.pdb_networks.get_mut(&asn) {
+                rec.facilities.retain(|f| *f != victim);
+            }
+            if let Some(page) = sources.noc_pages.get_mut(&asn) {
+                page.facilities.retain(|f| *f != victim);
+            }
+            let kb2 = KnowledgeBase::assemble(&sources, &world.topo.world);
+            let moved = !kb2.facilities_of_as(asn).contains(&victim);
+            (moved && kb.same_classification_view(&kb2)).then(|| Arc::new(kb2))
+        })
+        .expect("some owner's candidate facility can be withdrawn");
+
+    for threads in [1usize, 2] {
+        let mut session = Cfs::builder(&engine, &kb)
+            .vps(&vps)
+            .ipasn(&ipasn)
+            .config(service_config(threads))
+            .build_session()
+            .unwrap();
+        session.ingest(boot.clone());
+        session.converge();
+        let steps = [
+            (Delta::KbEpochFlip(kb2.clone()), vec![boot.clone()]),
+            (
+                Delta::TracerouteBatch(later.clone()),
+                vec![boot.clone(), later.clone()],
+            ),
+        ];
+        for (step, (delta, campaigns)) in steps.into_iter().enumerate() {
+            session.apply_delta(delta).unwrap();
+            let (got, want) = (session.report().unwrap(), fresh(&kb2, threads, &campaigns));
+            assert_eq!(
+                report_bytes(got),
+                report_bytes(&want),
+                "threads={threads}, step {step}: differs from a fresh session"
+            );
+            assert_eq!(canonical_trace(got), canonical_trace(&want));
+        }
+    }
+}
+
 /// The locality behind the delta path's cost: on a default-scale world,
 /// withdrawing one listed facility of the AS that owns the fewest
 /// interfaces (a peripheral record changing, not a backbone
