@@ -36,8 +36,8 @@ use crate::observe::{extract_path, ExtractTally, HopTable, Observation, PathTall
 use crate::proximity::ProximityModel;
 use crate::remote::{Rankings, RemoteTester};
 use crate::report::{
-    CandidateHistogram, CfsReport, ConvergenceTelemetry, DataQualityReport, InferredInterface,
-    InferredLink, RouterRoleStats,
+    CandidateHistogram, CfsReport, DataQualityReport, InferredInterface, InferredLink,
+    RouterRoleStats,
 };
 use crate::state::{IfaceState, SearchOutcome, States};
 
@@ -827,16 +827,19 @@ impl<'a> Cfs<'a> {
     pub(crate) fn synthesize_iterations(&mut self) {
         self.iterations.clear();
         self.conv_hists.clear();
-        let resolved = self.resolved_count();
-        let tracked = self.states.len();
-        let all_done = self.all_done();
+        let mut hist = CandidateHistogram::new(0);
+        let mut all_done = true;
+        for state in self.states.values() {
+            hist.record(state.candidates.as_ref().map(FacilitySet::len));
+            all_done &= state.outcome() != SearchOutcome::UnresolvedLocal;
+        }
+        let (resolved, tracked) = (hist.resolved, self.states.len());
         let mut stopping = Stopping::default();
         for iteration in 1..=self.cfg.max_iterations {
-            let mut hist = CandidateHistogram::new(iteration);
-            for state in self.states.values() {
-                hist.record(state.candidates.as_ref().map(FacilitySet::len));
-            }
-            self.conv_hists.push(hist);
+            self.conv_hists.push(CandidateHistogram {
+                iteration,
+                ..hist.clone()
+            });
             self.iterations.push(IterationStats {
                 iteration,
                 resolved,
@@ -872,20 +875,8 @@ impl<'a> Cfs<'a> {
         self.new_ips_since_alias = 0;
         let old = std::mem::replace(&mut self.corrected, corrected);
         // A linear merge walk: the batch loop re-aliases many times.
-        let (mut was, mut now) = (old.iter().peekable(), self.corrected.iter().peekable());
         let mut moved = Vec::new();
-        while let Some(ip) = [was.peek(), now.peek()]
-            .into_iter()
-            .flatten()
-            .map(|e| *e.0)
-            .min()
-        {
-            let before = was.next_if(|e| *e.0 == ip).map(|e| e.1);
-            let after = now.next_if(|e| *e.0 == ip).map(|e| e.1);
-            if before != after {
-                moved.push(ip);
-            }
-        }
+        moved_keys(&old, &self.corrected, |ip| moved.push(*ip));
         for ip in &moved {
             // An address no path crossed (a looking-glass session's) has
             // no id and no hop to re-read.
@@ -1801,265 +1792,365 @@ impl<'a> Cfs<'a> {
     // Reporting (+ §4.4 proximity fallback)
     // ------------------------------------------------------------------
 
-    /// Renders the current search state into a [`CfsReport`].
+    /// Renders the current search state into a fresh [`CfsReport`].
+    #[cfg(test)]
+    pub(crate) fn build_report(&self) -> CfsReport {
+        self.render().report
+    }
+
+    /// The in-place refresh ([`Cfs::refresh_report`]) with every row
+    /// touched, applied to an empty report.
+    pub(crate) fn render(&self) -> Rendered {
+        let mut rendered = Rendered::default();
+        let every_row = Touched {
+            all: true,
+            kb: None,
+        };
+        self.refresh_report(&mut rendered, &BTreeSet::new(), &every_row);
+        rendered
+    }
+
+    /// Brings a rendered report up to date after a delta re-derived the
+    /// states in `scope` (DESIGN.md §10). Re-renders the interface rows
+    /// of `scope`, of every interface whose §4.4 overlay entry moved and
+    /// of every interface owned by an AS `touched.kb` names; then the
+    /// links that read any of those rows and the links of the
+    /// observations appended since the last refresh. A row whose state
+    /// vanished is removed, and every aggregate moves by difference.
+    /// `touched.all` re-renders everything into an empty report.
+    ///
+    /// A private link's classification also reads both ASes' footprints,
+    /// but a footprint that moves dirties every interface whose
+    /// constraints read it ([`DepKey`]), both ends of such a link
+    /// included, so the link is re-rendered through its rows.
     ///
     /// Deliberately non-mutating: the §4.4 proximity fallback is applied
     /// through an overlay consulted at every read site instead of being
-    /// written back into `states`, so a resident session can re-render
-    /// reports after every delta without the render perturbing the next
-    /// incremental sweep. The emitted bytes are identical to the historic
-    /// mutating version.
-    pub(crate) fn build_report(&self) -> CfsReport {
+    /// written back into `states`, so a resident session can refresh the
+    /// report after every delta without the render perturbing the next
+    /// incremental sweep.
+    pub(crate) fn refresh_report(
+        &self,
+        out: &mut Rendered,
+        scope: &BTreeSet<Ipv4Addr>,
+        touched: &Touched,
+    ) {
         cfs_obs::span!(self.recorder, "stage.report");
-        let all_observations: Vec<Observation> = self
-            .observations
-            .iter()
-            .chain(self.session_observations.iter())
-            .cloned()
-            .collect();
-
-        // Proximity model from resolved public links whose far member
-        // holds several ports at the exchange (the directories reveal
-        // this): which of its fabric addresses a path reveals depends on
-        // switch locality, so these links carry the §4.4 signal.
-        // Single-port members answer with their one address from
-        // everywhere and would drown it out. The paper's evaluation
-        // (50 single-facility sources × 50 two-facility targets at
-        // AMS-IX) selects the same population.
-        let multi_port = |obs: &Observation| -> bool {
-            match (obs.class.ixp(), obs.far_asn) {
-                (Some(ixp), Some(asn)) => self.kb().member_port_count(ixp, asn) >= 2,
-                _ => false,
-            }
-        };
-        // Contested-pin gate (DESIGN.md §11): a single-facility verdict
-        // only counts as a pin when the reconciled sources behind the
-        // owner's claim to that facility are not contested. A refused
-        // pin is *withheld*, never replaced — the interface reports
-        // unresolved with a typed reason rather than a confidently
-        // wrong facility.
-        let pin_ok = |state: &IfaceState, f: FacilityId| -> bool {
-            !self.cfg.evidence_gating || state.owner.is_none_or(|a| self.kb().pin_allowed(a, f))
-        };
-        let state_pin = |state: &IfaceState| -> Option<FacilityId> {
-            state.facility().filter(|f| pin_ok(state, *f))
-        };
-
-        // Proximity verdicts live in this overlay, never in `states`:
-        // an overlaid interface reads as resolved-to-`f` at every site
-        // below (verdict, links, data-quality tally).
-        let mut overlay: BTreeMap<Ipv4Addr, FacilityId> = BTreeMap::new();
-        let mut proximity = ProximityModel::new();
-        if self.cfg.proximity {
-            for obs in &all_observations {
-                let LinkClass::Public { .. } = obs.class else {
-                    continue;
-                };
-                let (Some(far_ip), near_ip) = (obs.far_ip, obs.near_ip) else {
-                    continue;
-                };
-                if !multi_port(obs) {
-                    continue;
-                }
-                let near_f = self.states.get(&near_ip).and_then(&state_pin);
-                let far_f = self.states.get(&far_ip).and_then(&state_pin);
-                if let (Some(n), Some(f)) = (near_f, far_f) {
-                    proximity.observe(n, f);
-                }
-            }
-            // Apply to unresolved multi-port far ends with a resolved
-            // near end.
-            for obs in &all_observations {
-                let LinkClass::Public { .. } = obs.class else {
-                    continue;
-                };
-                let Some(far_ip) = obs.far_ip else { continue };
-                if !multi_port(obs) {
-                    continue;
-                }
-                let Some(near_f) = self.states.get(&obs.near_ip).and_then(&state_pin) else {
-                    continue;
-                };
-                let Some(far_state) = self.states.get(&far_ip) else {
-                    continue;
-                };
-                if far_state.facility().is_some() {
-                    continue;
-                }
-                let Some(cands) = &far_state.candidates else {
-                    continue;
-                };
-                if let Some(f) = proximity.infer(near_f, cands) {
-                    if !pin_ok(far_state, f) {
-                        continue; // contested pin — the overlay stays clean
-                    }
-                    // Later observations overwrite earlier ones, exactly
-                    // as sequential state mutation used to.
-                    overlay.insert(far_ip, f);
-                }
-            }
+        if touched.all {
+            *out = Rendered::default();
         }
-        let facility_of = |ip: &Ipv4Addr, state: &IfaceState| {
-            overlay.get(ip).copied().or_else(|| state_pin(state))
-        };
+        let held = out.held;
+        self.index_links(out);
+        let overlay = self.proximity_overlay(&out.proximity);
 
-        // Interface verdicts.
-        let mut interfaces = BTreeMap::new();
-        for (ip, state) in self.states.iter() {
-            let candidates = match overlay.get(ip) {
-                Some(f) => BTreeSet::from([*f]),
-                None => state
-                    .candidates
-                    .as_ref()
-                    .map(FacilitySet::to_btree_set)
-                    .unwrap_or_default(),
-            };
-            let metro = {
-                let metros: BTreeSet<_> = candidates
-                    .iter()
-                    .filter_map(|f| self.kb().metro_of_facility(*f))
-                    .collect();
-                if metros.len() == 1 && !candidates.is_empty() {
-                    metros.into_iter().next()
-                } else {
-                    None
-                }
-            };
-            let via_proximity = overlay.contains_key(ip);
-            // The search converged on one facility, but the pin gate
-            // refused it: report the interface unresolved with a typed
-            // reason instead of a confidently wrong facility.
-            let refused =
-                !via_proximity && state.facility().is_some() && state_pin(state).is_none();
-            let outcome = if via_proximity {
-                SearchOutcome::Resolved
-            } else if refused {
-                SearchOutcome::UnresolvedLocal
-            } else {
-                state.outcome()
-            };
-            interfaces.insert(
-                *ip,
-                InferredInterface {
-                    ip: *ip,
-                    owner: state.owner,
-                    facility: facility_of(ip, state),
-                    candidates,
-                    metro,
-                    outcome,
-                    remote: state.remote,
-                    public_ixps: state.public_ixps.clone(),
-                    seen_private: state.seen_private,
-                    resolved_at: state.resolved_at,
-                    via_proximity,
-                    widened: state.widened,
-                    unresolved_reason: if via_proximity {
-                        None
-                    } else if refused {
-                        Some(UnresolvedReason::ContestedProvenance)
-                    } else {
-                        state.final_reason()
-                    },
-                },
-            );
-        }
-
-        // Link verdicts.
-        let mut links = Vec::new();
-        for obs in &all_observations {
-            let near_state = self.states.get(&obs.near_ip);
-            let far_state = obs.far_ip.and_then(|ip| self.states.get(&ip));
-            let near_facility = near_state.and_then(|s| facility_of(&obs.near_ip, s));
-            let far_facility = obs
-                .far_ip
-                .and_then(|ip| far_state.map(|s| (ip, s)))
-                .and_then(|(ip, s)| facility_of(&ip, s));
-            let kind = match obs.class {
-                LinkClass::Public { .. } => {
-                    if near_state.is_some_and(|s| s.remote) {
-                        PeeringKind::PublicRemote
-                    } else {
-                        PeeringKind::PublicLocal
-                    }
-                }
-                LinkClass::Private => self.classify_private(obs, near_facility, far_facility),
-            };
-            links.push(InferredLink {
-                near_asn: obs.near_asn,
-                near_ip: obs.near_ip,
-                far_asn: obs.far_asn,
-                far_ip: obs.far_ip,
-                kind,
-                ixp: obs.class.ixp(),
-                near_facility,
-                far_facility,
+        // The interface rows to re-render, in address order.
+        let rows: Vec<Ipv4Addr> = if touched.all {
+            self.states.iter().map(|(ip, _)| *ip).collect()
+        } else {
+            let mut rows = scope.clone();
+            moved_keys(&out.overlay, &overlay, |ip| {
+                rows.insert(*ip);
             });
+            if let Some(ases) = touched.kb.as_ref().filter(|ases| !ases.is_empty()) {
+                // The pin gate reads the owner's claim provenance.
+                let owned = out.report.interfaces.values();
+                let owned = owned.filter(|row| row.owner.is_some_and(|a| ases.contains(&a)));
+                rows.extend(owned.map(|row| row.ip));
+            }
+            rows.into_iter().collect()
+        };
+        out.overlay = overlay;
+        let (report, overlay) = (&mut out.report, &out.overlay);
+
+        // Router roles move with the rows of their alias sets: take each
+        // touched set's share back, re-render, and add it again.
+        let set_of = &self.aliases.set_of;
+        let groups: BTreeSet<usize> = rows
+            .iter()
+            .filter_map(|ip| set_of.get(ip))
+            .copied()
+            .collect();
+        let sets = groups.iter().map(|g| self.aliases.sets[*g].as_slice());
+        for set in sets.clone() {
+            shift_roles(&mut report.router_stats, &report.interfaces, set, false);
+        }
+        let trajectories = &mut report.convergence.trajectories;
+        for ip in &rows {
+            let old = match self.states.get(ip) {
+                Some(state) => {
+                    let row = self.render_interface(state, overlay);
+                    tally(&mut report.data_quality, &row, true);
+                    match &state.trajectory[..] {
+                        [] => trajectories.remove(ip),
+                        t => trajectories.insert(*ip, t.to_vec()),
+                    };
+                    report.interfaces.insert(*ip, row)
+                }
+                None => {
+                    // Vanished in the scoped pass.
+                    trajectories.remove(ip);
+                    report.interfaces.remove(ip)
+                }
+            };
+            if let Some(old) = old {
+                tally(&mut report.data_quality, &old, false);
+            }
+        }
+        for set in sets {
+            shift_roles(&mut report.router_stats, &report.interfaces, set, true);
         }
 
-        // Router-role statistics over alias groups.
-        let router_stats = self.router_stats();
+        // Link verdicts: the appended observations' links first, then
+        // every held link that reads a re-rendered row.
+        let fresh = |link: &u32| match link & SESSION_LINK {
+            0 => *link as usize >= held[0],
+            _ => (link & !SESSION_LINK) as usize >= held[1],
+        };
+        let mut links: BTreeSet<u32> = BTreeSet::new();
+        if !touched.all {
+            let at = rows.iter().flat_map(|ip| links_at(&out.links_at, *ip));
+            links.extend(at.filter(|l| !fresh(l)));
+        }
+        let render = |obs: &Observation| self.render_link(obs, overlay);
+        let traces = self.observations[held[0]..].iter().map(render);
+        report.links.splice(held[0]..held[0], traces);
+        let sessions = self.session_observations[held[1]..].iter().map(render);
+        report.links.extend(sessions);
+        for link in links {
+            let (obs, at) = self.link(link);
+            report.links[at] = render(obs);
+        }
 
         self.recorder
-            .counter("report.interfaces", interfaces.len() as u64);
-        self.recorder.counter("report.links", links.len() as u64);
-
-        // Convergence telemetry: the per-iteration candidate histograms
-        // plus every interface's narrowing trajectory.
-        let mut trajectories = BTreeMap::new();
-        for (ip, state) in self.states.iter() {
-            if !state.trajectory.is_empty() {
-                trajectories.insert(*ip, state.trajectory.clone());
-            }
-        }
-        let convergence = ConvergenceTelemetry {
-            per_iteration: self.conv_hists.clone(),
-            trajectories,
-        };
-
+            .counter("report.interfaces", report.interfaces.len() as u64);
+        self.recorder
+            .counter("report.links", report.links.len() as u64);
+        report.iterations = self.iterations.clone();
+        report.traces_issued = self.traces_issued;
+        report.convergence.per_iteration = self.conv_hists.clone();
         // Data-quality ledger: what the run had to absorb (DESIGN.md §9).
         // Built from search-observable symptoms only — the report reads
         // the same whether failures came from injected faults or honest
         // gaps.
-        let mut unresolved_reasons: BTreeMap<String, u64> = BTreeMap::new();
-        let mut widened_interfaces = 0u64;
-        let mut contested_pins_refused = 0u64;
-        for (ip, state) in self.states.iter() {
-            widened_interfaces += u64::from(state.widened);
-            if overlay.contains_key(ip) {
-                continue; // proximity resolved it — no unresolved reason
+        let dq = &mut report.data_quality;
+        dq.probes_retried = self.retry_budget.spent();
+        dq.retries_denied = self.retry_budget.denied();
+        dq.failed_probes = self.failed_probes;
+        dq.vp_breaker_trips = self.breaker.trips();
+        if touched.all || touched.kb.is_some() {
+            report.kb_quality = self.kb().quality().clone();
+        }
+    }
+
+    /// Indexes the observations appended since the last refresh as links
+    /// (see [`Rendered`]).
+    fn index_links(&self, out: &mut Rendered) {
+        let lists = [
+            (&self.observations, 0),
+            (&self.session_observations, SESSION_LINK),
+        ];
+        for ((list, tag), held) in lists.into_iter().zip(&mut out.held) {
+            let mut proximity = Vec::new();
+            for (i, obs) in list.iter().enumerate().skip(*held) {
+                let i = u32::try_from(i).ok().filter(|i| i & SESSION_LINK == 0);
+                let link = tag | i.expect("fewer than 2^31 observations");
+                for ip in std::iter::once(obs.near_ip).chain(obs.far_ip) {
+                    out.links_at.push((ip, link));
+                }
+                if let (LinkClass::Public { ixp }, Some(asn), Some(_)) =
+                    (obs.class, obs.far_asn, obs.far_ip)
+                {
+                    if self.kb().member_port_count(ixp, asn) >= 2 {
+                        proximity.push(link);
+                    }
+                }
             }
-            if state.facility().is_some() && state_pin(state).is_none() {
-                contested_pins_refused += 1;
-                *unresolved_reasons
-                    .entry(UnresolvedReason::ContestedProvenance.code().to_string())
-                    .or_default() += 1;
-                continue; // the refusal *is* the reason
-            }
-            if let Some(reason) = state.final_reason() {
-                *unresolved_reasons
-                    .entry(reason.code().to_string())
-                    .or_default() += 1;
+            *held = list.len();
+            // Trace links precede looking-glass links, as in the report.
+            let at = match tag {
+                0 => out.proximity.partition_point(|l| l & SESSION_LINK == 0),
+                _ => out.proximity.len(),
+            };
+            out.proximity.splice(at..at, proximity);
+        }
+        // The held prefix is one sorted run: this merges.
+        out.links_at.sort();
+    }
+
+    /// The observation behind a link and the link's position in
+    /// [`CfsReport::links`].
+    fn link(&self, link: u32) -> (&Observation, usize) {
+        match link & SESSION_LINK {
+            0 => (&self.observations[link as usize], link as usize),
+            _ => {
+                let j = (link & !SESSION_LINK) as usize;
+                (&self.session_observations[j], self.observations.len() + j)
             }
         }
-        let data_quality = DataQualityReport {
-            probes_retried: self.retry_budget.spent(),
-            retries_denied: self.retry_budget.denied(),
-            failed_probes: self.failed_probes,
-            vp_breaker_trips: self.breaker.trips(),
-            widened_interfaces,
-            contested_pins_refused,
-            unresolved_reasons,
-        };
+    }
 
-        CfsReport {
-            interfaces,
-            links,
-            iterations: self.iterations.clone(),
-            router_stats,
-            traces_issued: self.traces_issued,
-            convergence,
-            data_quality,
-            kb_quality: self.kb().quality().clone(),
+    /// Contested-pin gate (DESIGN.md §11): a single-facility verdict
+    /// only counts as a pin when the reconciled sources behind the
+    /// owner's claim to that facility are not contested. A refused pin
+    /// is *withheld*, never replaced — the interface reports unresolved
+    /// with a typed reason rather than a confidently wrong facility.
+    fn pin_ok(&self, state: &IfaceState, f: FacilityId) -> bool {
+        !self.cfg.evidence_gating || state.owner.is_none_or(|a| self.kb().pin_allowed(a, f))
+    }
+
+    /// The state's single facility, when the pin gate lets it stand.
+    fn pinned(&self, state: &IfaceState) -> Option<FacilityId> {
+        state.facility().filter(|f| self.pin_ok(state, *f))
+    }
+
+    /// The §4.4 proximity fallback over the model's links: which
+    /// unresolved far ends read as resolved, and to what. Proximity
+    /// verdicts live in this overlay, never in `states`: an overlaid
+    /// interface reads as resolved-to-`f` at every site of the report
+    /// (verdict, links, data-quality tally).
+    ///
+    /// The model learns from resolved public links whose far member holds
+    /// several ports at the exchange (the directories reveal this): which
+    /// of its fabric addresses a path reveals depends on switch locality,
+    /// so these links carry the §4.4 signal. Single-port members answer
+    /// with their one address from everywhere and would drown it out. The
+    /// paper's evaluation (50 single-facility sources × 50 two-facility
+    /// targets at AMS-IX) selects the same population.
+    fn proximity_overlay(&self, links: &[u32]) -> BTreeMap<Ipv4Addr, FacilityId> {
+        let mut overlay = BTreeMap::new();
+        if !self.cfg.proximity {
+            return overlay;
+        }
+        let pinned = |ip: &Ipv4Addr| self.states.get(ip).and_then(|s| self.pinned(s));
+        let ends = links.iter().filter_map(|link| {
+            let obs = self.link(*link).0;
+            Some((obs.near_ip, obs.far_ip?))
+        });
+        let mut proximity = ProximityModel::new();
+        for (near_ip, far_ip) in ends.clone() {
+            if let (Some(n), Some(f)) = (pinned(&near_ip), pinned(&far_ip)) {
+                proximity.observe(n, f);
+            }
+        }
+        // Apply to unresolved far ends with a resolved near end.
+        for (near_ip, far_ip) in ends {
+            let Some(near_f) = pinned(&near_ip) else {
+                continue;
+            };
+            let Some(far_state) = self.states.get(&far_ip) else {
+                continue;
+            };
+            if far_state.facility().is_some() {
+                continue;
+            }
+            let Some(cands) = &far_state.candidates else {
+                continue;
+            };
+            if let Some(f) = proximity.infer(near_f, cands) {
+                if !self.pin_ok(far_state, f) {
+                    continue; // contested pin — the overlay stays clean
+                }
+                // Later observations overwrite earlier ones, exactly
+                // as sequential state mutation used to.
+                overlay.insert(far_ip, f);
+            }
+        }
+        overlay
+    }
+
+    /// One interface's verdict under the §4.4 overlay.
+    fn render_interface(
+        &self,
+        state: &IfaceState,
+        overlay: &BTreeMap<Ipv4Addr, FacilityId>,
+    ) -> InferredInterface {
+        let ip = state.ip;
+        let via_proximity = overlay.get(&ip).copied();
+        let candidates = match via_proximity {
+            Some(f) => BTreeSet::from([f]),
+            None => state
+                .candidates
+                .as_ref()
+                .map(FacilitySet::to_btree_set)
+                .unwrap_or_default(),
+        };
+        let metro = {
+            let metros: BTreeSet<_> = candidates
+                .iter()
+                .filter_map(|f| self.kb().metro_of_facility(*f))
+                .collect();
+            if metros.len() == 1 && !candidates.is_empty() {
+                metros.into_iter().next()
+            } else {
+                None
+            }
+        };
+        let pinned = self.pinned(state);
+        // The search converged on one facility, but the pin gate
+        // refused it: report the interface unresolved with a typed
+        // reason instead of a confidently wrong facility.
+        let refused = via_proximity.is_none() && state.facility().is_some() && pinned.is_none();
+        let outcome = if via_proximity.is_some() {
+            SearchOutcome::Resolved
+        } else if refused {
+            SearchOutcome::UnresolvedLocal
+        } else {
+            state.outcome()
+        };
+        InferredInterface {
+            ip,
+            owner: state.owner,
+            facility: via_proximity.or(pinned),
+            candidates,
+            metro,
+            outcome,
+            remote: state.remote,
+            public_ixps: state.public_ixps.clone(),
+            seen_private: state.seen_private,
+            resolved_at: state.resolved_at,
+            via_proximity: via_proximity.is_some(),
+            widened: state.widened,
+            unresolved_reason: if via_proximity.is_some() {
+                None
+            } else if refused {
+                Some(UnresolvedReason::ContestedProvenance)
+            } else {
+                state.final_reason()
+            },
+        }
+    }
+
+    /// One observation's link verdict under the §4.4 overlay.
+    fn render_link(
+        &self,
+        obs: &Observation,
+        overlay: &BTreeMap<Ipv4Addr, FacilityId>,
+    ) -> InferredLink {
+        let facility_of = |ip: Ipv4Addr| {
+            let state = self.states.get(&ip)?;
+            overlay.get(&ip).copied().or_else(|| self.pinned(state))
+        };
+        let near_facility = facility_of(obs.near_ip);
+        let far_facility = obs.far_ip.and_then(facility_of);
+        let kind = match obs.class {
+            LinkClass::Public { .. } => {
+                if self.states.get(&obs.near_ip).is_some_and(|s| s.remote) {
+                    PeeringKind::PublicRemote
+                } else {
+                    PeeringKind::PublicLocal
+                }
+            }
+            LinkClass::Private => self.classify_private(obs, near_facility, far_facility),
+        };
+        InferredLink {
+            near_asn: obs.near_asn,
+            near_ip: obs.near_ip,
+            far_asn: obs.far_asn,
+            far_ip: obs.far_ip,
+            kind,
+            ixp: obs.class.ixp(),
+            near_facility,
+            far_facility,
         }
     }
 
@@ -2099,41 +2190,129 @@ impl<'a> Cfs<'a> {
             PeeringKind::PrivateRemote
         }
     }
+}
 
-    fn router_stats(&self) -> RouterRoleStats {
-        // Group observed peering interfaces by alias set. Interfaces that
-        // alias resolution could not place (unresponsive/random IP-IDs)
-        // are not *routers* in the §5 sense — the paper's 39%/11.9% are
-        // fractions of its 2,895 resolved alias sets, so singletons stay
-        // out of the denominator.
-        let mut groups: BTreeMap<usize, Vec<&IfaceState>> = BTreeMap::new();
-        for (ip, state) in self.states.iter() {
-            if let Some(set_idx) = self.aliases.set_of.get(ip) {
-                groups.entry(*set_idx).or_default().push(state);
-            }
+/// Tags a looking-glass observation's link name (see [`Rendered`]).
+const SESSION_LINK: u32 = 1 << 31;
+
+/// A rendered report and the indexes its in-place refresh finds rows by
+/// ([`Cfs::refresh_report`]). A link is named after its observation:
+/// trace observation `i` is link `i`, looking-glass observation `j` is
+/// link `SESSION_LINK | j`, so appending to either list renames none.
+#[derive(Default)]
+pub(crate) struct Rendered {
+    pub(crate) report: CfsReport,
+    /// Trace and looking-glass observations rendered so far.
+    held: [usize; 2],
+    /// (interface, link reading its state), sorted.
+    links_at: Vec<(Ipv4Addr, u32)>,
+    /// The links the §4.4 model reads — public, with a far address at a
+    /// multi-port member — in report order. Port counts move only with
+    /// the classification view, and a flip of that view rebuilds the
+    /// observation list, which re-renders every row.
+    proximity: Vec<u32>,
+    /// The §4.4 overlay the report shows.
+    overlay: BTreeMap<Ipv4Addr, FacilityId>,
+}
+
+/// What a delta moved that the report reads, beyond the states it
+/// re-converged and the observations it appended (DESIGN.md §10).
+#[derive(Default)]
+pub(crate) struct Touched {
+    /// Every row: the first render, a re-extracted or rebuilt observation
+    /// list, changed alias sets, and a KB flip that moves the facility →
+    /// metro table.
+    pub(crate) all: bool,
+    /// A KB flip, with the ASes whose footprint or facility-claim
+    /// provenance it moved ([`KnowledgeBase::moved_ases`]).
+    pub(crate) kb: Option<BTreeSet<Asn>>,
+}
+
+/// The links [`Rendered::links_at`] files under `ip`.
+fn links_at(index: &[(Ipv4Addr, u32)], ip: Ipv4Addr) -> impl Iterator<Item = u32> + '_ {
+    let from = index.partition_point(|e| e.0 < ip);
+    index[from..]
+        .iter()
+        .take_while(move |e| e.0 == ip)
+        .map(|e| e.1)
+}
+
+/// Calls `moved` with every key whose value differs between two maps, or
+/// that only one of them holds, in key order: one merge walk.
+fn moved_keys<K: Ord, V: PartialEq>(
+    a: &BTreeMap<K, V>,
+    b: &BTreeMap<K, V>,
+    mut moved: impl FnMut(&K),
+) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let Some(k) = [a.peek(), b.peek()]
+        .into_iter()
+        .flatten()
+        .map(|e| e.0)
+        .min()
+    {
+        let before = a.next_if(|e| e.0 == k).map(|e| e.1);
+        let after = b.next_if(|e| e.0 == k).map(|e| e.1);
+        if before != after {
+            moved(k);
         }
-        let mut stats = RouterRoleStats::default();
-        let all_groups = groups.into_values();
-        for group in all_groups {
-            stats.routers += 1;
-            let mut ixps: BTreeSet<IxpId> = BTreeSet::new();
-            let mut private = false;
-            for s in &group {
-                ixps.extend(s.public_ixps.iter().copied());
-                private |= s.seen_private;
-            }
-            let public = !ixps.is_empty();
-            if public {
-                stats.routers_public += 1;
-                if ixps.len() >= 2 {
-                    stats.multi_ixp += 1;
-                }
-            }
-            if public && private {
-                stats.multi_role += 1;
-            }
+    }
+}
+
+/// Adds one interface row's share of the data-quality tallies to `dq`, or
+/// takes it back. An overlaid row carries no reason; a refused pin is
+/// the one unresolved row left with a single candidate.
+fn tally(dq: &mut DataQualityReport, row: &InferredInterface, add: bool) {
+    let step = |n: &mut u64| *n = if add { *n + 1 } else { *n - 1 };
+    if row.widened {
+        step(&mut dq.widened_interfaces);
+    }
+    if row.facility.is_none() && row.candidates.len() == 1 {
+        step(&mut dq.contested_pins_refused);
+    }
+    let Some(code) = row.unresolved_reason.map(UnresolvedReason::code) else {
+        return;
+    };
+    let reasons = &mut dq.unresolved_reasons;
+    match reasons.get_mut(code) {
+        Some(n) => step(n),
+        None if add => {
+            reasons.insert(code.to_string(), 1);
         }
-        stats
+        None => unreachable!("a row's reason is tallied when the row is added"),
+    }
+    if reasons.get(code) == Some(&0) {
+        reasons.remove(code);
+    }
+}
+
+/// Adds one alias set's router roles over the rows it holds to `stats`,
+/// or takes them back. Interfaces that alias resolution could not place
+/// (unresponsive/random IP-IDs) are not *routers* in the §5 sense — the
+/// paper's 39%/11.9% are fractions of its 2,895 resolved alias sets, so
+/// singletons stay out of the denominator.
+fn shift_roles(
+    stats: &mut RouterRoleStats,
+    rows: &BTreeMap<Ipv4Addr, InferredInterface>,
+    set: &[Ipv4Addr],
+    add: bool,
+) {
+    let mut ixps: BTreeSet<IxpId> = BTreeSet::new();
+    let (mut routers, mut private) = (0, false);
+    for row in set.iter().filter_map(|ip| rows.get(ip)) {
+        routers = 1;
+        ixps.extend(row.public_ixps.iter().copied());
+        private |= row.seen_private;
+    }
+    let public = !ixps.is_empty();
+    let roles = [
+        (&mut stats.routers, routers),
+        (&mut stats.routers_public, usize::from(public)),
+        (&mut stats.multi_ixp, usize::from(ixps.len() >= 2)),
+        (&mut stats.multi_role, usize::from(public && private)),
+    ];
+    for (n, by) in roles {
+        *n = if add { *n + by } else { *n - by };
     }
 }
 

@@ -768,6 +768,69 @@ pub(crate) mod tests {
         disputed.expect("some crossed peering LAN can be disputed")
     }
 
+    /// An epoch that withdraws a pinned interface's facility from its
+    /// owner's NOC page while the owner's PeeringDB record keeps it: the
+    /// footprint (PeeringDB ∪ NOC) stands, so no constraint moves, but the
+    /// claim turns contested. Near ends of links whose far end the §4.4
+    /// overlay resolved go first: unpinning one can withdraw that overlay
+    /// entry too. Returns the epoch and the interface.
+    fn contest_a_pin(world: &World, report: &CfsReport) -> (Arc<KnowledgeBase>, Ipv4Addr) {
+        let overlaid = |ip: &Ipv4Addr| report.interfaces[ip].via_proximity;
+        let links = report.links.iter();
+        let near: BTreeSet<Ipv4Addr> = links
+            .filter(|l| l.far_ip.as_ref().is_some_and(overlaid))
+            .map(|l| l.near_ip)
+            .collect();
+        let rows = report.interfaces.values();
+        let (first, rest): (Vec<_>, Vec<_>) = rows.partition(|row| near.contains(&row.ip));
+        let contested = first.into_iter().chain(rest).find_map(|row| {
+            let f = row.facility.filter(|_| !row.via_proximity)?;
+            let owner = row.owner?;
+            let listed = |list: &[FacilityId]| list.contains(&f);
+            let page = world.sources.noc_pages.get(&owner)?;
+            let pdb = world.sources.pdb_networks.get(&owner)?;
+            if page.facilities.len() < 2 || !listed(&page.facilities) || !listed(&pdb.facilities) {
+                return None;
+            }
+            let mut sources = world.sources.clone();
+            let page = sources.noc_pages.get_mut(&owner)?;
+            page.facilities.retain(|g| *g != f);
+            let kb = KnowledgeBase::assemble(&sources, &world.topo.world);
+            let same = kb.facilities_of_as(owner) == world.kb.facilities_of_as(owner);
+            (same && !kb.pin_allowed(owner, f)).then(|| (Arc::new(kb), row.ip))
+        });
+        contested.expect("some pinned owner's NOC page shares the facility with PeeringDB")
+    }
+
+    /// An epoch that moves one candidate facility of a metro-pinned,
+    /// unwidened interface into another metro's city: no footprint
+    /// moves, but the facility → metro table that every metro reads does.
+    fn relocate_a_candidate(world: &World, report: &CfsReport) -> Arc<KnowledgeBase> {
+        let row = report
+            .interfaces
+            .values()
+            .find(|r| r.metro.is_some() && !r.widened);
+        let row = row.expect("some interface is pinned to a metro");
+        let f = *row.candidates.first().unwrap();
+        let mut sources = world.sources.clone();
+        let records = &mut sources.pdb_facilities;
+        let elsewhere = records
+            .iter()
+            .find(|r| {
+                world
+                    .kb
+                    .metro_of_facility(r.facility)
+                    .is_some_and(|m| Some(m) != row.metro)
+            })
+            .map(|r| (r.city_raw.clone(), r.country_raw.clone()))
+            .expect("a facility in another metro");
+        let record = records.iter_mut().find(|r| r.facility == f).unwrap();
+        (record.city_raw, record.country_raw) = elsewhere;
+        let kb = KnowledgeBase::assemble(&sources, &world.topo.world);
+        assert!(kb.metro_of_facility(f) != world.kb.metro_of_facility(f));
+        Arc::new(kb)
+    }
+
     #[test]
     fn delta_sequences_equal_a_fresh_reference_after_every_step() {
         let world = World::new();
@@ -795,9 +858,15 @@ pub(crate) mod tests {
             session.ingest(boot.clone());
             session.converge();
             let disputed = dispute_a_crossed_lan(&world, &session.cfs.observations);
+            let (contested, refused) = contest_a_pin(&world, session.report().unwrap());
+            let relocated = relocate_a_candidate(&world, session.report().unwrap());
             let new_targets = campaign(2, 12..18);
             let held = [boot.as_slice(), &new_targets].concat();
             let steps = [
+                // Only the pin gate's provenance moves: no constraint does.
+                Delta::KbEpochFlip(contested),
+                // A facility changes metro.
+                Delta::KbEpochFlip(relocated),
                 // Every trace repeats a held path: nothing moves.
                 Delta::TracerouteBatch(first),
                 Delta::TracerouteBatch(campaign(3, 0..12)),
@@ -823,6 +892,7 @@ pub(crate) mod tests {
                 if let Some(step) = step {
                     let (before, built) = (session.fingerprints(), reports());
                     let frontier = session.absorb(step.clone());
+                    assert!(i != 1 || frontier.dirty.is_empty(), "{label}: dirty");
                     match step {
                         Delta::TracerouteBatch(batch) => {
                             let moved =
@@ -839,6 +909,12 @@ pub(crate) mod tests {
                     }
                     session.reconverge(frontier);
                     kept += usize::from(reports() == built);
+                    if i == 1 {
+                        let reason =
+                            session.report().unwrap().interfaces[&refused].unresolved_reason;
+                        let contested = Some(UnresolvedReason::ContestedProvenance);
+                        assert!(reason == contested, "{label}: the pin stands");
+                    }
                     let fresh = serde_json::to_string(&session.cfs.build_report()).unwrap();
                     let cached = serde_json::to_string(session.report().unwrap()).unwrap();
                     assert!(

@@ -173,7 +173,7 @@ pub struct DataQualityReport {
 }
 
 /// Everything the algorithm concluded.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct CfsReport {
     /// Per-interface verdicts.
     pub interfaces: BTreeMap<Ipv4Addr, InferredInterface>,

@@ -45,10 +45,12 @@
 //! the new paths, unless some address seen before the delta changed its
 //! corrected ASN; only then is the whole corpus re-extracted (the
 //! `serve.extract_rebuild` counter). Both fall back to diffing
-//! per-interface fingerprints taken before and after. **Report reuse:**
-//! a campaign that appended no observation, re-resolved no alias and
-//! left the re-convergence scope empty moved nothing the report reads,
-//! so the cached report is kept instead of rebuilt.
+//! per-interface fingerprints taken before and after. **Report
+//! refresh:** a campaign that appended no observation, re-resolved no
+//! alias and left the re-convergence scope empty moved nothing the
+//! report reads, so the cached report is kept as it is; any other delta
+//! re-renders in place only the report rows it moved
+//! ([`Cfs::refresh_report`], DESIGN.md §10).
 //!
 //! Follow-up-driven configurations (`followup_interfaces > 0`) have no
 //! such fixed point: targeted probing reacts to global state, so a
@@ -66,7 +68,7 @@ use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
 use cfs_types::{Asn, Error, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
-use crate::engine::{Cfs, DepKey, KbHandle};
+use crate::engine::{Cfs, DepKey, KbHandle, Rendered, Touched};
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::state::SearchOutcome;
@@ -86,6 +88,9 @@ pub(crate) struct Frontier {
     /// observation list, the alias sets, the KB epoch. A campaign that
     /// moved none of these, with an empty frontier, keeps the report.
     moved: bool,
+    /// The report rows it moved beyond the re-converged states and the
+    /// appended observations.
+    touched: Touched,
 }
 
 /// An incremental input change a resident session can absorb without
@@ -160,7 +165,7 @@ pub struct QueryAnswer {
 /// entry point: a batch run is a session converged once.
 pub struct CfsSession<'a> {
     pub(crate) cfs: Cfs<'a>,
-    report: Option<CfsReport>,
+    report: Option<Rendered>,
     epoch: u64,
 }
 
@@ -195,7 +200,7 @@ impl<'a> CfsSession<'a> {
 
     /// The cached report, when the session has converged.
     pub fn report(&self) -> Option<&CfsReport> {
-        self.report.as_ref()
+        self.report.as_ref().map(|r| &r.report)
     }
 
     /// Runs the search to convergence (first call) and returns the
@@ -204,23 +209,23 @@ impl<'a> CfsSession<'a> {
         if self.report.is_none() {
             cfs_obs::span!(self.cfs.recorder, "cfs.run");
             self.cfs.run_to_convergence();
-            self.report = Some(self.cfs.build_report());
+            self.report = Some(self.cfs.render());
             self.epoch = 1;
         }
-        self.report.as_ref().expect("report cached above")
+        self.report().expect("report cached above")
     }
 
     /// Converges if needed and surrenders the report.
     pub fn into_report(mut self) -> CfsReport {
         self.converge();
-        self.report.expect("converge caches the report")
+        self.report.expect("converge caches the report").report
     }
 
     /// Single-interface lookup against the cached report. Interfaces the
     /// search never tracked come back as [`SearchOutcome::MissingData`]
     /// with zero confidence; call [`CfsSession::converge`] first.
     pub fn query(&self, ip: Ipv4Addr) -> QueryAnswer {
-        let Some(iface) = self.report.as_ref().and_then(|r| r.interfaces.get(&ip)) else {
+        let Some(iface) = self.report().and_then(|r| r.interfaces.get(&ip)) else {
             return QueryAnswer {
                 ip,
                 owner: None,
@@ -269,8 +274,9 @@ impl<'a> CfsSession<'a> {
 
     /// Applies one delta: dirties the interfaces whose constraint inputs
     /// changed, closes the set over alias sets, re-converges exactly that
-    /// frontier, rebuilds the report (or keeps it, when a campaign moved
-    /// nothing it reads), and bumps the epoch.
+    /// frontier, refreshes the report rows the delta moved (or keeps the
+    /// report, when a campaign moved nothing it reads), and bumps the
+    /// epoch.
     ///
     /// Emits `serve.delta`, `serve.dirty_ifaces`, and `serve.reconverged`
     /// through the session recorder.
@@ -296,23 +302,13 @@ impl<'a> CfsSession<'a> {
     /// frontier.
     pub(crate) fn absorb(&mut self, delta: Delta) -> Frontier {
         match delta {
-            Delta::TracerouteBatch(traces) => {
-                let (dirty, moved) = self.absorb_traces(traces);
-                Frontier {
-                    dirty,
-                    purge_remote: true,
-                    moved,
-                }
-            }
-            Delta::KbEpochFlip(kb) => Frontier {
-                dirty: self.absorb_kb_flip(kb),
-                purge_remote: true,
-                moved: true,
-            },
+            Delta::TracerouteBatch(traces) => self.absorb_traces(traces),
+            Delta::KbEpochFlip(kb) => self.absorb_kb_flip(kb),
             Delta::VpStatusChange { vp, up } => Frontier {
                 dirty: self.absorb_vp_status(vp, up),
                 purge_remote: false,
                 moved: true,
+                touched: Touched::default(),
             },
         }
     }
@@ -324,6 +320,7 @@ impl<'a> CfsSession<'a> {
             dirty,
             purge_remote,
             moved,
+            touched,
         } = frontier;
         let scope = self.alias_closure(&dirty);
         self.cfs
@@ -358,7 +355,8 @@ impl<'a> CfsSession<'a> {
         }
         self.cfs.kernel_converge(&scope);
         self.cfs.synthesize_iterations();
-        self.report = Some(self.cfs.build_report());
+        let rendered = self.report.as_mut().expect("a delta follows convergence");
+        self.cfs.refresh_report(rendered, &scope, &touched);
         DeltaOutcome {
             total: self.cfs.states.len(),
             ..outcome
@@ -436,9 +434,9 @@ impl<'a> CfsSession<'a> {
         dirty
     }
 
-    /// Absorbs a campaign; returns the dirty interfaces and whether the
-    /// observation list or the alias sets changed at all.
-    fn absorb_traces(&mut self, traces: Vec<Trace>) -> (BTreeSet<Ipv4Addr>, bool) {
+    /// Absorbs a campaign. Only re-extraction and changed alias sets
+    /// touch every report row.
+    fn absorb_traces(&mut self, traces: Vec<Trace>) -> Frontier {
         let held = self.cfs.observations.len();
         let mut fresh = {
             cfs_obs::span!(self.cfs.recorder, "serve.absorb");
@@ -459,7 +457,12 @@ impl<'a> CfsSession<'a> {
                 .iter()
                 .flat_map(|obs| std::iter::once(obs.near_ip).chain(obs.far_ip))
                 .collect();
-            return (dirty, !appended.is_empty());
+            return Frontier {
+                dirty,
+                purge_remote: true,
+                moved: !appended.is_empty(),
+                touched: Touched::default(),
+            };
         }
         // Rule 2: new addresses re-resolve aliases globally (they can join
         // old sets); the whole corpus is re-extracted only if that moved
@@ -467,18 +470,30 @@ impl<'a> CfsSession<'a> {
         // fingerprint diff then narrows re-convergence to interfaces that
         // actually moved.
         let before = self.fingerprints();
+        let sets = self.cfs.aliases.sets.clone();
         fresh.sort_unstable();
         let moved = self.cfs.realias();
-        if moved.iter().any(|ip| fresh.binary_search(ip).is_err()) {
+        let rebuild = moved.iter().any(|ip| fresh.binary_search(ip).is_err());
+        if rebuild {
             self.cfs.recorder.counter("serve.extract_rebuild", 1);
             self.cfs.reset_observations();
         }
         self.cfs.process_new_traces();
         let after = self.fingerprints();
-        (Self::fingerprint_diff(&before, &after), true)
+        Frontier {
+            dirty: Self::fingerprint_diff(&before, &after),
+            purge_remote: true,
+            moved: true,
+            touched: Touched {
+                all: rebuild || self.cfs.aliases.sets != sets,
+                kb: None,
+            },
+        }
     }
 
-    fn absorb_kb_flip(&mut self, kb: Arc<KnowledgeBase>) -> BTreeSet<Ipv4Addr> {
+    /// Absorbs a KB epoch. A flip that changes the classification view,
+    /// or the facility → metro table, touches every report row.
+    fn absorb_kb_flip(&mut self, kb: Arc<KnowledgeBase>) -> Frontier {
         // When the new epoch classifies observations identically (same
         // confirmed LAN space, same fabric directory, same activity
         // filter), extraction is a fixed point: every trace and
@@ -488,6 +503,11 @@ impl<'a> CfsSession<'a> {
         // dirty frontier — this is what makes a facility-list flip cost
         // O(dirty), not O(world).
         let same_view = self.cfs.kb().same_classification_view(&kb);
+        let ases = if same_view {
+            self.cfs.kb().moved_ases(&kb)
+        } else {
+            None
+        };
         let before = if same_view {
             BTreeMap::new()
         } else {
@@ -519,9 +539,18 @@ impl<'a> CfsSession<'a> {
             }
         }
         self.cfs.refresh_pairs(&moved);
-
+        let touched = Touched {
+            all: ases.is_none(),
+            kb: Some(ases.unwrap_or_default()),
+        };
+        let frontier = |dirty| Frontier {
+            dirty,
+            purge_remote: true,
+            moved: true,
+            touched,
+        };
         if same_view {
-            return dirty;
+            return frontier(dirty);
         }
 
         // Observation classification reads the KB (confirmed IXP space ⇒
@@ -536,7 +565,7 @@ impl<'a> CfsSession<'a> {
 
         let after = self.fingerprints();
         dirty.extend(Self::fingerprint_diff(&before, &after));
-        dirty
+        frontier(dirty)
     }
 
     fn absorb_vp_status(&mut self, vp: VantagePointId, up: bool) -> BTreeSet<Ipv4Addr> {
@@ -714,7 +743,8 @@ pub(crate) mod tests {
 
     /// A scoped pass empties the slot of every scoped state and refills
     /// those its compiled observations still name: a state none names
-    /// stays gone, from the count and from the report.
+    /// stays gone, from the count, from a fresh report and from the
+    /// refreshed one.
     #[test]
     fn a_state_a_scoped_pass_drops_is_absent_from_the_report() {
         let world = World::new();
@@ -729,13 +759,17 @@ pub(crate) mod tests {
         let stray: Ipv4Addr = "192.0.2.1".parse().unwrap();
         assert!(cfs.states.get(&stray).is_none(), "an observation names it");
         cfs.states.get_or_insert(stray, Asn(64_512));
-        assert!(cfs.build_report().interfaces.contains_key(&stray));
-        cfs.kernel_converge(&BTreeSet::from([stray]));
+        let mut rendered = cfs.render();
+        assert!(rendered.report.interfaces.contains_key(&stray));
+        let scope = BTreeSet::from([stray]);
+        cfs.kernel_converge(&scope);
         assert!(cfs.states.get(&stray).is_none());
         assert_eq!(cfs.states.len(), tracked);
         let report = cfs.build_report();
         assert!(!report.interfaces.contains_key(&stray));
         assert!(serde_json::to_string(&report).unwrap() == before);
+        cfs.refresh_report(&mut rendered, &scope, &Touched::default());
+        assert!(serde_json::to_string(&rendered.report).unwrap() == before);
     }
 
     /// Campaign deltas mostly repeat held paths, which extraction counts

@@ -352,6 +352,29 @@ impl KnowledgeBase {
             && self.reconciliation.prefix == other.reconciliation.prefix
     }
 
+    /// The ASes whose footprint ([`Self::facilities_of_as`]) or
+    /// facility-claim provenance ([`Self::provenance_of_as_facility`])
+    /// differ between two epochs, or `None` when the epochs are
+    /// incomparable: they place some facility in a different metro, or in
+    /// none, which every verdict reads.
+    pub fn moved_ases(&self, other: &Self) -> Option<BTreeSet<Asn>> {
+        if self.facility_metro != other.facility_metro {
+            return None;
+        }
+        let mut moved = BTreeSet::new();
+        diff_keys(&self.as_facilities, &other.as_facilities, |a| {
+            moved.insert(*a);
+        });
+        diff_keys(
+            &self.reconciliation.as_facility,
+            &other.reconciliation.as_facility,
+            |(a, _)| {
+                moved.insert(*a);
+            },
+        );
+        Some(moved)
+    }
+
     /// All ASes with any facility record.
     pub fn known_ases(&self) -> impl Iterator<Item = Asn> + '_ {
         self.as_facilities
@@ -377,6 +400,28 @@ impl KnowledgeBase {
         }
         self.facility_metro.retain(|f, _| !removed.contains(f));
         self.facility_region.retain(|f, _| !removed.contains(f));
+    }
+}
+
+/// Calls `moved` with every key whose value differs between two maps,
+/// or that only one of them holds, in key order: one merge walk.
+fn diff_keys<K: Ord, V: PartialEq>(
+    a: &BTreeMap<K, V>,
+    b: &BTreeMap<K, V>,
+    mut moved: impl FnMut(&K),
+) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let Some(k) = [a.peek(), b.peek()]
+        .into_iter()
+        .flatten()
+        .map(|e| e.0)
+        .min()
+    {
+        let before = a.next_if(|e| e.0 == k).map(|e| e.1);
+        let after = b.next_if(|e| e.0 == k).map(|e| e.1);
+        if before != after {
+            moved(k);
+        }
     }
 }
 
@@ -491,6 +536,38 @@ mod tests {
             }
         }
         assert!(hits > 0, "no member directories assembled");
+    }
+
+    #[test]
+    fn moved_ases_names_exactly_the_edited_network() {
+        let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
+        let src = PublicSources::derive(&topo, &KbConfig::default());
+        let kb = KnowledgeBase::assemble(&src, &topo.world);
+        assert_eq!(kb.moved_ases(&kb.clone()), Some(BTreeSet::new()));
+        // Withdrawing a facility from a NOC page whose PeeringDB record
+        // keeps it leaves the footprint alone but contests the claim.
+        let (asn, f) = src
+            .noc_pages
+            .values()
+            .filter(|p| p.facilities.len() >= 2)
+            .find_map(|p| {
+                let pdb = src.pdb_networks.get(&p.asn)?;
+                let f = p.facilities.iter().find(|f| pdb.facilities.contains(f))?;
+                Some((p.asn, *f))
+            })
+            .expect("a NOC page shares a facility with its PeeringDB record");
+        let mut edited = src.clone();
+        let page = edited.noc_pages.get_mut(&asn).unwrap();
+        page.facilities.retain(|g| *g != f);
+        let next = KnowledgeBase::assemble(&edited, &topo.world);
+        assert_eq!(next.facilities_of_as(asn), kb.facilities_of_as(asn));
+        assert!(kb.pin_allowed(asn, f) && !next.pin_allowed(asn, f));
+        assert_eq!(kb.moved_ases(&next), Some(BTreeSet::from([asn])));
+        assert_eq!(next.moved_ases(&kb), Some(BTreeSet::from([asn])));
+        // A facility leaving the metro table moves every verdict.
+        let mut thin = kb.clone();
+        thin.remove_facilities(&BTreeSet::from([f]));
+        assert_eq!(kb.moved_ases(&thin), None);
     }
 
     #[test]
