@@ -179,7 +179,7 @@ mod tests {
         let t = Topology::generate(TopologyConfig::tiny()).unwrap();
         let prober = IpIdProber::new(&t);
         let ips: Vec<Ipv4Addr> = t.ifaces.values().map(|i| i.ip).collect();
-        let aliases = resolve_aliases(&prober, &ips, &MidarConfig::default());
+        let aliases = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
         let db = t.build_ipasn_db();
         let (corrected, stats) = correct_ip_to_asn(&db, &aliases, &ips);
 

@@ -5,6 +5,8 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use cfs_types::par;
+
 use crate::prober::IpIdProber;
 
 /// Tuning knobs of the resolution pipeline.
@@ -22,10 +24,6 @@ pub struct MidarConfig {
     pub velocity_tolerance: f64,
     /// Width of the counter-offset window for candidate pairing.
     pub offset_window: u32,
-    /// Worker threads for the estimation fan-out (`0` = serial). Probe
-    /// outcomes are pure functions of `(ip, time)`, so the result is
-    /// identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for MidarConfig {
@@ -37,7 +35,6 @@ impl Default for MidarConfig {
             corroboration_spacing_ms: 2,
             velocity_tolerance: 0.5,
             offset_window: 4096,
-            threads: 0,
         }
     }
 }
@@ -135,11 +132,15 @@ fn probe_slots(prober: &IpIdProber<'_>, ip: Ipv4Addr, cfg: &MidarConfig, ids: &m
     answered
 }
 
-/// Resolves aliases among `candidates` using IP-ID probing.
+/// Resolves aliases among `candidates` using IP-ID probing, estimating
+/// over `workers` threads ([`cfs_types::par`]). Probe outcomes are pure
+/// functions of `(ip, time)`, so the result is identical at any worker
+/// count.
 pub fn resolve_aliases(
     prober: &IpIdProber<'_>,
     candidates: &[Ipv4Addr],
     cfg: &MidarConfig,
+    workers: usize,
 ) -> AliasResolution {
     // ---- Stage 1: estimation ----
     // Pure per candidate, so it fans out over worker threads; estimates
@@ -148,59 +149,34 @@ pub fn resolve_aliases(
     // serial schedule exactly. Corroboration probe times are constants,
     // so each estimate's corroboration slots are probed here, once,
     // instead of once per candidate pair.
-    let estimate_one = |idx: usize, ip: Ipv4Addr, out: &mut Probed| {
-        // Offset probe times per target to avoid synchronized artifacts.
-        let t0 = (idx as u64 % 7) * 13;
-        let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples)
-            .filter_map(|k| {
-                let t = t0 + k as u64 * cfg.estimation_spacing_ms;
-                prober.probe(ip, t).map(|id| (t, id))
-            })
-            .collect();
-        if samples.len() < cfg.estimation_samples {
-            return; // unresponsive or lossy — cannot resolve
-        }
-        if let Some(est) = estimate(ip, &samples) {
-            out.estimates.push(est);
-            let answered = probe_slots(prober, ip, cfg, &mut out.ids);
-            out.answered.push(answered);
-        }
-    };
-    let workers = match cfg.threads {
-        0 => 1,
-        n => n.min(16),
-    };
-    let probed: Probed = if workers > 1 && candidates.len() >= 64 {
-        let chunk_size = candidates.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(c, chunk)| {
-                    let estimate_one = &estimate_one;
-                    scope.spawn(move |_| {
-                        let mut out = Probed::default();
-                        for (i, ip) in chunk.iter().enumerate() {
-                            estimate_one(c * chunk_size + i, *ip, &mut out);
-                        }
-                        out
-                    })
+    let chunks = par::fan_out(0..candidates.len(), workers, 64, |range| {
+        let mut out = Probed::default();
+        for idx in range {
+            let ip = candidates[idx];
+            // Offset probe times per target to avoid synchronized artifacts.
+            let t0 = (idx as u64 % 7) * 13;
+            let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples)
+                .filter_map(|k| {
+                    let t = t0 + k as u64 * cfg.estimation_spacing_ms;
+                    prober.probe(ip, t).map(|id| (t, id))
                 })
                 .collect();
-            let mut merged = Probed::default();
-            for h in handles {
-                merged.extend(h.join().expect("estimation worker"));
+            if samples.len() < cfg.estimation_samples {
+                continue; // unresponsive or lossy — cannot resolve
             }
-            merged
-        })
-        .expect("estimation thread scope")
-    } else {
-        let mut out = Probed::default();
-        for (idx, ip) in candidates.iter().enumerate() {
-            estimate_one(idx, *ip, &mut out);
+            if let Some(est) = estimate(ip, &samples) {
+                out.estimates.push(est);
+                let answered = probe_slots(prober, ip, cfg, &mut out.ids);
+                out.answered.push(answered);
+            }
         }
         out
-    };
+    });
+    let probed = chunks.into_iter().reduce(|mut all, chunk| {
+        all.extend(chunk);
+        all
+    });
+    let probed = probed.unwrap_or_default();
     let estimates = &probed.estimates;
 
     // ---- Stage 2: candidate pairing (velocity + offset windows) ----
@@ -421,7 +397,7 @@ mod tests {
     fn resolution_has_high_precision() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         assert!(!res.sets.is_empty(), "no alias sets found");
         let mut wrong_pairs = 0usize;
         let mut pairs = 0usize;
@@ -448,7 +424,7 @@ mod tests {
     fn counter_routers_are_mostly_recovered() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         let mut recovered = 0usize;
         let mut eligible = 0usize;
         for router in t.routers.values() {
@@ -473,7 +449,7 @@ mod tests {
     fn unresponsive_routers_stay_unresolved() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         for router in t.routers.values() {
             if router.ipid == IpIdBehavior::Unresponsive {
                 for ifid in &router.ifaces {
@@ -487,7 +463,7 @@ mod tests {
     fn same_router_is_reflexive_on_sets_only() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         let in_set = res.sets.first().and_then(|s| s.first()).copied();
         if let Some(ip) = in_set {
             assert!(res.same_router(ip, ip));
@@ -617,18 +593,14 @@ mod tests {
         let prober = IpIdProber::new(&t);
         let ips = all_iface_ips(&t);
         assert!(ips.len() >= 64, "the fan-out needs 64 candidates");
-        let at = |threads| {
-            let cfg = MidarConfig {
-                threads,
-                ..MidarConfig::default()
-            };
-            let res = resolve_aliases(&prober, &ips, &cfg);
+        let at = |workers| {
+            let res = resolve_aliases(&prober, &ips, &MidarConfig::default(), workers);
             (res.sets, res.set_of)
         };
-        let serial = at(0);
+        let serial = at(1);
         assert!(!serial.0.is_empty());
-        for threads in [1, 2, 8] {
-            assert_eq!(at(threads), serial, "threads={threads}");
+        for workers in [2, 8] {
+            assert_eq!(at(workers), serial, "workers={workers}");
         }
     }
 
@@ -637,8 +609,8 @@ mod tests {
         let t = topo();
         let prober = IpIdProber::new(&t);
         let ips = all_iface_ips(&t);
-        let a = resolve_aliases(&prober, &ips, &MidarConfig::default());
-        let b = resolve_aliases(&prober, &ips, &MidarConfig::default());
+        let a = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
+        let b = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
         assert_eq!(a.sets, b.sets);
     }
 }

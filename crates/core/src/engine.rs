@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::ops::Range;
 use std::sync::Arc;
 
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, AliasResolution, IpIdProber, MidarConfig};
@@ -27,8 +26,8 @@ use cfs_net::IpAsnDb;
 use cfs_obs::{NoopRecorder, Recorder};
 use cfs_traceroute::{Engine, Platform, ProbeService, Trace, VpSet};
 use cfs_types::{
-    Asn, Error, FacilityId, FacilitySet, FacilitySetInterner, IxpId, LinkClass, MetroId,
-    PeeringKind, Result, UnresolvedReason, VantagePointId,
+    diff_keys, par, Asn, Error, FacilityId, FacilitySet, FacilitySetInterner, IxpId, LinkClass,
+    MetroId, PeeringKind, Result, UnresolvedReason, VantagePointId,
 };
 
 use crate::corpus::{PathCorpus, SILENT};
@@ -624,17 +623,6 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Effective worker count for the parallel stages.
-    pub(crate) fn workers(&self) -> usize {
-        let n = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        n.clamp(1, 16)
-    }
-
     /// Adds traces to the corpus; returns the hop addresses seen for the
     /// first time, in first-seen order. A repeated path only bumps its
     /// multiplicity: its identical first occurrence already fed the hop
@@ -866,17 +854,14 @@ impl<'a> Cfs<'a> {
         cfs_obs::span!(self.recorder, "stage.alias_resolution");
         let prober = IpIdProber::new(self.engine.topology());
         let ips: Vec<Ipv4Addr> = self.hop_ips.iter().copied().collect();
-        let mut alias_cfg = self.cfg.alias.clone();
-        if alias_cfg.threads == 0 {
-            alias_cfg.threads = self.workers();
-        }
-        self.aliases = resolve_aliases(&prober, &ips, &alias_cfg);
+        let workers = par::workers(self.cfg.threads);
+        self.aliases = resolve_aliases(&prober, &ips, &self.cfg.alias, workers);
         let (corrected, _stats) = correct_ip_to_asn(self.ipasn, &self.aliases, &ips);
         self.new_ips_since_alias = 0;
         let old = std::mem::replace(&mut self.corrected, corrected);
         // A linear merge walk: the batch loop re-aliases many times.
         let mut moved = Vec::new();
-        moved_keys(&old, &self.corrected, |ip| moved.push(*ip));
+        diff_keys(&old, &self.corrected, |ip| moved.push(*ip));
         for ip in &moved {
             // An address no path crossed (a looking-glass session's) has
             // no id and no hop to re-read.
@@ -917,7 +902,7 @@ impl<'a> Cfs<'a> {
     /// an already extracted path by its cached tally — and recorded once.
     pub(crate) fn process_new_traces(&mut self) {
         cfs_obs::span!(self.recorder, "stage.extract");
-        let workers = self.workers();
+        let workers = par::workers(self.cfg.threads);
         let Self {
             ref corpus,
             processed,
@@ -933,10 +918,10 @@ impl<'a> Cfs<'a> {
             ..
         } = *self;
         let kb = kb.get();
-        let paths = corpus.len();
-        let extract_range = |range: Range<usize>| {
+        let (paths, new) = (corpus.len(), corpus.len() - processed);
+        let per_chunk = par::fan_out(processed..paths, workers, 64, |range| {
             let (mut out, mut hops) = (Vec::new(), Vec::new());
-            let tallies: Vec<_> = range
+            let tallies: Vec<PathTally> = range
                 .map(|i| {
                     hops.clear();
                     let ids = corpus.hops(i).iter();
@@ -945,27 +930,7 @@ impl<'a> Cfs<'a> {
                 })
                 .collect();
             (out, tallies)
-        };
-        let new = paths - processed;
-        let per_chunk: Vec<(Vec<Observation>, Vec<PathTally>)> = if workers > 1 && new >= 64 {
-            let chunk_size = new.div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (processed..paths)
-                    .step_by(chunk_size)
-                    .map(|lo| {
-                        let range = lo..(lo + chunk_size).min(paths);
-                        scope.spawn(move |_| extract_range(range))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("observation worker"))
-                    .collect()
-            })
-            .expect("observation thread scope")
-        } else {
-            vec![extract_range(processed..paths)]
-        };
+        });
 
         let mut pass = ExtractTally::default();
         let mut tallies = Vec::with_capacity(new);
@@ -1222,7 +1187,7 @@ impl<'a> Cfs<'a> {
         if pending.is_empty() {
             return;
         }
-        let workers = self.workers();
+        let workers = par::workers(self.cfg.threads);
         let engine = self.engine;
         let vps = self.vps;
         let retry = RetryPolicy::default();
@@ -1244,34 +1209,13 @@ impl<'a> Cfs<'a> {
             rankings.rank(&ranker, *ixp);
         }
         let rankings = &*rankings;
-        let verdicts: Vec<Option<bool>> = if workers > 1 && pending.len() >= 8 {
-            let chunk_size = pending.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = pending
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let tester = tester();
-                            chunk
-                                .iter()
-                                .map(|(ip, ixp)| rankings.is_remote(&tester, *ixp, *ip))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("remote-test worker"))
-                    .collect()
-            })
-            .expect("remote-test thread scope")
-        } else {
+        let verdicts = par::concat(par::fan_out(0..pending.len(), workers, 8, |range| {
             let tester = tester();
-            pending
-                .iter()
+            let chunk = pending[range].iter();
+            chunk
                 .map(|(ip, ixp)| rankings.is_remote(&tester, *ixp, *ip))
                 .collect()
-        };
+        }));
         for ((ip, ixp), verdict) in pending.into_iter().zip(verdicts) {
             self.remote_cache.insert(ip, (ixp, verdict));
         }
@@ -1568,34 +1512,13 @@ impl<'a> Cfs<'a> {
     /// One parallel probe round: each entry is traced at its own virtual
     /// time and results merge in submission order.
     fn probe_batch(&self, probes: &[(VantagePointId, Ipv4Addr, u64)]) -> Vec<Trace> {
-        let workers = self.workers();
-        let engine = self.engine;
-        let vps = self.vps;
-        if workers <= 1 || probes.len() < 32 {
-            return probes
-                .iter()
-                .map(|(vp_id, target, at)| engine.trace(&vps.vps[*vp_id], *target, *at))
-                .collect();
-        }
-        let chunk_size = probes.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = probes
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|(vp_id, target, at)| engine.trace(&vps.vps[*vp_id], *target, *at))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("trace worker"))
-                .collect()
-        })
-        .expect("trace thread scope")
+        let (engine, vps) = (self.engine, self.vps);
+        let workers = par::workers(self.cfg.threads);
+        par::concat(par::fan_out(0..probes.len(), workers, 32, |range| {
+            let chunk = probes[range].iter();
+            let traces = chunk.map(|(vp, target, at)| engine.trace(&vps.vps[*vp], *target, *at));
+            traces.collect()
+        }))
     }
 
     /// The §4.3 reverse-search targets of one follow-up round: for each
@@ -1848,7 +1771,7 @@ impl<'a> Cfs<'a> {
             self.states.iter().map(|(ip, _)| *ip).collect()
         } else {
             let mut rows = scope.clone();
-            moved_keys(&out.overlay, &overlay, |ip| {
+            diff_keys(&out.overlay, &overlay, |ip| {
                 rows.insert(*ip);
             });
             if let Some(ases) = touched.kb.as_ref().filter(|ases| !ases.is_empty()) {
@@ -2224,7 +2147,7 @@ pub(crate) struct Touched {
     /// metro table.
     pub(crate) all: bool,
     /// A KB flip, with the ASes whose footprint or facility-claim
-    /// provenance it moved ([`KnowledgeBase::moved_ases`]).
+    /// provenance it moved ([`KnowledgeBase::moved`]).
     pub(crate) kb: Option<BTreeSet<Asn>>,
 }
 
@@ -2235,28 +2158,6 @@ fn links_at(index: &[(Ipv4Addr, u32)], ip: Ipv4Addr) -> impl Iterator<Item = u32
         .iter()
         .take_while(move |e| e.0 == ip)
         .map(|e| e.1)
-}
-
-/// Calls `moved` with every key whose value differs between two maps, or
-/// that only one of them holds, in key order: one merge walk.
-fn moved_keys<K: Ord, V: PartialEq>(
-    a: &BTreeMap<K, V>,
-    b: &BTreeMap<K, V>,
-    mut moved: impl FnMut(&K),
-) {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    while let Some(k) = [a.peek(), b.peek()]
-        .into_iter()
-        .flatten()
-        .map(|e| e.0)
-        .min()
-    {
-        let before = a.next_if(|e| e.0 == k).map(|e| e.1);
-        let after = b.next_if(|e| e.0 == k).map(|e| e.1);
-        if before != after {
-            moved(k);
-        }
-    }
 }
 
 /// Adds one interface row's share of the data-quality tallies to `dq`, or

@@ -503,8 +503,8 @@ impl<'a> CfsSession<'a> {
         // dirty frontier — this is what makes a facility-list flip cost
         // O(dirty), not O(world).
         let same_view = self.cfs.kb().same_classification_view(&kb);
-        let ases = if same_view {
-            self.cfs.kb().moved_ases(&kb)
+        let moves = if same_view {
+            self.cfs.kb().moved(&kb)
         } else {
             None
         };
@@ -519,11 +519,23 @@ impl<'a> CfsSession<'a> {
         self.cfs.chase_targets = None;
         let mut dirty = BTreeSet::new();
 
-        // Diff every footprint the constraint system has consumed against
+        // Diff the footprints the constraint system has consumed against
         // the new epoch; a changed footprint dirties exactly the
         // interfaces the dependency index says consumed it, and the
-        // kernel's pairs that read it are refreshed in place.
-        let keys: Vec<DepKey> = self.cfs.footprints.keys().copied().collect();
+        // kernel's pairs that read it are refreshed in place. Only the
+        // keys of the ASes and exchanges the epochs' merge walk names can
+        // have moved; without one (a moved metro table or classification
+        // view), every consumed key is re-read.
+        let held = &self.cfs.footprints;
+        let keys: Vec<DepKey> = match &moves {
+            Some(moves) => {
+                let ases = moves.ases.iter().map(|a| DepKey::As(*a));
+                let ixps = moves.ixps.iter();
+                let ixps = ixps.flat_map(|x| [DepKey::Ixp(*x), DepKey::Metro(*x)]);
+                ases.chain(ixps).filter(|k| held.contains_key(k)).collect()
+            }
+            None => held.keys().copied().collect(),
+        };
         let mut moved = Vec::new();
         for key in keys {
             let old = self
@@ -540,8 +552,8 @@ impl<'a> CfsSession<'a> {
         }
         self.cfs.refresh_pairs(&moved);
         let touched = Touched {
-            all: ases.is_none(),
-            kb: Some(ases.unwrap_or_default()),
+            all: moves.is_none(),
+            kb: Some(moves.map(|m| m.ases).unwrap_or_default()),
         };
         let frontier = |dirty| Frontier {
             dirty,

@@ -204,7 +204,7 @@ fn moves_old_ip(world: &World, ipasn: &cfs_net::IpAsnDb, boot: &[Trace], delta: 
     let prober = IpIdProber::new(&world.topo);
     let corrected = |ips: &BTreeSet<Ipv4Addr>| {
         let ips: Vec<Ipv4Addr> = ips.iter().copied().collect();
-        correct_ip_to_asn(ipasn, &resolve_aliases(&prober, &ips, &cfg), &ips).0
+        correct_ip_to_asn(ipasn, &resolve_aliases(&prober, &ips, &cfg, 1), &ips).0
     };
     let seen = hop_ips(boot);
     let (old, new) = (corrected(&seen), corrected(&(&seen | &hop_ips(delta))));

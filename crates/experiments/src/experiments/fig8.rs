@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_core::CfsConfig;
-use cfs_types::{FacilityId, Result};
+use cfs_types::{par, FacilityId, Result};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -71,28 +71,10 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
             changed as f64 / baseline_resolved as f64,
         )
     };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8);
-    let results: Vec<(usize, f64, f64)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
-            let chunk: Vec<(usize, usize)> = chunk.to_vec();
-            let run_one = &run_one;
-            handles.push(scope.spawn(move |_| {
-                chunk
-                    .iter()
-                    .map(|(s, t)| run_one(*s, *t))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fig8 worker"))
-            .collect()
-    })
-    .expect("fig8 thread scope");
+    let results = par::concat(par::fan_out(0..jobs.len(), par::workers(0), 0, |range| {
+        let chunk = jobs[range].iter();
+        chunk.map(|(s, t)| run_one(*s, *t)).collect()
+    }));
 
     let mut rows = Vec::new();
     let mut json_points = Vec::new();

@@ -6,10 +6,22 @@ use std::net::Ipv4Addr;
 
 use cfs_geo::World;
 use cfs_net::{Ipv4Prefix, PrefixTrie};
-use cfs_types::{Asn, FacilityId, IxpId, MetroId, Region};
+use cfs_types::{diff_keys, Asn, FacilityId, IxpId, MetroId, Region};
 
 use crate::reconcile::{reconcile, ConflictClass, KbQuality, Provenance, Reconciliation};
 use crate::sources::PublicSources;
+
+/// What a KB epoch flip moved ([`KnowledgeBase::moved`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EpochMoves {
+    /// The ASes whose footprint ([`KnowledgeBase::facilities_of_as`]) or
+    /// facility-claim provenance ([`KnowledgeBase::provenance_of_as_facility`])
+    /// differ.
+    pub ases: BTreeSet<Asn>,
+    /// The exchanges whose partner facilities
+    /// ([`KnowledgeBase::facilities_of_ixp`]) differ.
+    pub ixps: BTreeSet<IxpId>,
+}
 
 /// The assembled public picture of the peering ecosystem.
 ///
@@ -352,26 +364,28 @@ impl KnowledgeBase {
             && self.reconciliation.prefix == other.reconciliation.prefix
     }
 
-    /// The ASes whose footprint ([`Self::facilities_of_as`]) or
-    /// facility-claim provenance ([`Self::provenance_of_as_facility`])
-    /// differ between two epochs, or `None` when the epochs are
-    /// incomparable: they place some facility in a different metro, or in
-    /// none, which every verdict reads.
-    pub fn moved_ases(&self, other: &Self) -> Option<BTreeSet<Asn>> {
+    /// What differs between two epochs for the footprints the search
+    /// reads, or `None` when the epochs are incomparable: they place some
+    /// facility in a different metro, or in none, which every verdict
+    /// reads.
+    pub fn moved(&self, other: &Self) -> Option<EpochMoves> {
         if self.facility_metro != other.facility_metro {
             return None;
         }
-        let mut moved = BTreeSet::new();
+        let mut moved = EpochMoves::default();
         diff_keys(&self.as_facilities, &other.as_facilities, |a| {
-            moved.insert(*a);
+            moved.ases.insert(*a);
         });
         diff_keys(
             &self.reconciliation.as_facility,
             &other.reconciliation.as_facility,
             |(a, _)| {
-                moved.insert(*a);
+                moved.ases.insert(*a);
             },
         );
+        diff_keys(&self.ixp_facilities, &other.ixp_facilities, |x| {
+            moved.ixps.insert(*x);
+        });
         Some(moved)
     }
 
@@ -400,28 +414,6 @@ impl KnowledgeBase {
         }
         self.facility_metro.retain(|f, _| !removed.contains(f));
         self.facility_region.retain(|f, _| !removed.contains(f));
-    }
-}
-
-/// Calls `moved` with every key whose value differs between two maps,
-/// or that only one of them holds, in key order: one merge walk.
-fn diff_keys<K: Ord, V: PartialEq>(
-    a: &BTreeMap<K, V>,
-    b: &BTreeMap<K, V>,
-    mut moved: impl FnMut(&K),
-) {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    while let Some(k) = [a.peek(), b.peek()]
-        .into_iter()
-        .flatten()
-        .map(|e| e.0)
-        .min()
-    {
-        let before = a.next_if(|e| e.0 == k).map(|e| e.1);
-        let after = b.next_if(|e| e.0 == k).map(|e| e.1);
-        if before != after {
-            moved(k);
-        }
     }
 }
 
@@ -539,11 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn moved_ases_names_exactly_the_edited_network() {
+    fn moved_names_exactly_the_edited_network_and_exchange() {
         let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
         let src = PublicSources::derive(&topo, &KbConfig::default());
         let kb = KnowledgeBase::assemble(&src, &topo.world);
-        assert_eq!(kb.moved_ases(&kb.clone()), Some(BTreeSet::new()));
+        assert_eq!(kb.moved(&kb.clone()), Some(EpochMoves::default()));
         // Withdrawing a facility from a NOC page whose PeeringDB record
         // keeps it leaves the footprint alone but contests the claim.
         let (asn, f) = src
@@ -562,12 +554,40 @@ mod tests {
         let next = KnowledgeBase::assemble(&edited, &topo.world);
         assert_eq!(next.facilities_of_as(asn), kb.facilities_of_as(asn));
         assert!(kb.pin_allowed(asn, f) && !next.pin_allowed(asn, f));
-        assert_eq!(kb.moved_ases(&next), Some(BTreeSet::from([asn])));
-        assert_eq!(next.moved_ases(&kb), Some(BTreeSet::from([asn])));
+        let ases = |ases| {
+            Some(EpochMoves {
+                ases,
+                ixps: BTreeSet::new(),
+            })
+        };
+        assert_eq!(kb.moved(&next), ases(BTreeSet::from([asn])));
+        assert_eq!(next.moved(&kb), ases(BTreeSet::from([asn])));
+        // An exchange's website dropping a partner facility moves that
+        // exchange only.
+        let site = src.ixp_sites.values().find(|s| !s.facilities.is_empty());
+        let (ixp, g) = site
+            .map(|s| (s.ixp, s.facilities[0]))
+            .expect("a site lists a facility");
+        let mut edited = src.clone();
+        edited
+            .ixp_sites
+            .get_mut(&ixp)
+            .unwrap()
+            .facilities
+            .retain(|h| *h != g);
+        if let Some(rec) = edited.pdb_ixps.get_mut(&ixp) {
+            rec.facilities.retain(|h| *h != g);
+        }
+        let moved = kb.moved(&KnowledgeBase::assemble(&edited, &topo.world));
+        let ixps = BTreeSet::from([ixp]);
+        assert_eq!(
+            moved.map(|m| (m.ases.is_empty(), m.ixps)),
+            Some((true, ixps))
+        );
         // A facility leaving the metro table moves every verdict.
         let mut thin = kb.clone();
         thin.remove_facilities(&BTreeSet::from([f]));
-        assert_eq!(kb.moved_ases(&thin), None);
+        assert_eq!(kb.moved(&thin), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod reconcile;
 mod snapshot;
 mod sources;
 
-pub use assemble::KnowledgeBase;
+pub use assemble::{EpochMoves, KnowledgeBase};
 pub use degrade::degrade_sources;
 pub use reconcile::{
     pairwise_diff, reconcile, ConflictClass, DiffRow, KbQuality, Provenance, Reconciliation,

@@ -1,19 +1,21 @@
 //! Closure-capture extraction and the `determinism-race` rule.
 //!
-//! The engine's parallel stages (observation extraction, remote-verdict
-//! prefill, probe fan-out) are scoped-thread maps: each worker closure
-//! may only *read* captured state and return its chunk's results; the
-//! merge happens on the coordinating thread in submission order. That
-//! discipline is what the threads {1,2,8} byte-identity tests check
-//! dynamically. This module is the static complement: it finds
-//! `.spawn(move |…| { … })` closures, approximates their capture sets
-//! (identifiers used minus identifiers bound locally), and flags the
-//! two ways workers leak scheduling order into results that clippy
-//! cannot see:
+//! The workspace's parallel stages (campaigns, observation extraction,
+//! remote-verdict prefill, probe fan-out, MIDAR estimation) are ordered
+//! maps over `cfs_types::par::fan_out`: each worker closure may only
+//! *read* captured state and return its chunk's results; the merge
+//! happens on the coordinating thread in chunk order. That discipline is
+//! what the threads {1,2,8} byte-identity tests check dynamically. This
+//! module is the static complement: it finds worker closures with a
+//! braced body — the closure argument of a `fan_out(…)` call, or of a
+//! raw `.spawn(…)` — approximates their capture sets (identifiers used
+//! minus identifiers bound locally), and flags the two ways workers leak
+//! scheduling order into results that clippy cannot see:
 //!
 //! 1. **shared mutable captures** — a mutation method or assignment on
 //!    a captured identifier (`results.push(..)` from two workers races
-//!    on ordering even when it does not race on memory);
+//!    on ordering even when it does not race on memory; `fan_out`'s
+//!    `Fn` bound already refuses it at compile time);
 //! 2. **non-commutative accumulation** — interior-mutability machinery
 //!    (`Mutex`, `RwLock`, `RefCell`, `Cell`, `Atomic*`, `.lock()`,
 //!    `.fetch_*`) inside a worker closure: lock acquisition order is
@@ -36,18 +38,22 @@ use std::collections::BTreeSet;
 use crate::resolve::{SourceFile, Workspace};
 use crate::rules::{Finding, Target};
 
-/// One `.spawn(move |…| { … })` closure found in a source file.
+/// The calls whose closure argument runs on a worker thread.
+const WORKER_CALLS: &[&str] = &["fan_out(", ".spawn("];
+
+/// One worker closure (`fan_out(…, |…| { … })` or `.spawn(move |…| { … })`)
+/// found in a source file.
 pub struct SpawnClosure {
     /// Workspace-relative path of the file.
     pub path: String,
-    /// 0-based line of the `.spawn(` token.
+    /// 0-based line of the `fan_out(` or `.spawn(` token.
     pub line: usize,
     /// 0-based first line of the closure body (the line carrying the
     /// opening brace).
     pub body_start: usize,
     /// Column of the opening brace on `body_start` — text before it on
-    /// that line (`handles.push(scope.spawn(…` and friends) belongs to
-    /// the *coordinator*, not the closure.
+    /// that line (`let out = par::fan_out(…`, `handles.push(scope.spawn(…`
+    /// and friends) belongs to the *coordinator*, not the closure.
     pub body_start_col: usize,
     /// 0-based last line of the closure body (the line carrying the
     /// matching close brace).
@@ -221,8 +227,8 @@ const INTERIOR_MUT_TOKENS: &[&str] = &[
     ".fetch_or(",
 ];
 
-/// Finds every `.spawn(move |…|` closure with a braced body in the
-/// workspace's library/binary code (masked view).
+/// Finds every worker closure with a braced body in the workspace's
+/// library/binary code (masked view).
 pub fn find_spawn_closures(ws: &Workspace) -> Vec<SpawnClosure> {
     let mut out = Vec::new();
     for file in &ws.files {
@@ -233,12 +239,19 @@ pub fn find_spawn_closures(ws: &Workspace) -> Vec<SpawnClosure> {
             if file.scanned.in_test[lineno] {
                 continue;
             }
-            let mut from = 0usize;
-            while let Some(p) = line[from..].find(".spawn(") {
-                let at = from + p;
-                from = at + ".spawn(".len();
-                if let Some(c) = extract_closure(file, lineno, from) {
-                    out.push(c);
+            for call in WORKER_CALLS {
+                let mut from = 0usize;
+                while let Some(p) = line[from..].find(call) {
+                    let at = from + p;
+                    from = at + call.len();
+                    // `fan_out(` starts a name: `par::fan_out(`, not `my_fan_out(`.
+                    if !call.starts_with('.') && at > 0 && is_ident(line.as_bytes()[at - 1]) {
+                        continue;
+                    }
+                    let closure = closure_arg(file, lineno, from);
+                    out.extend(
+                        closure.and_then(|(ln, col)| extract_closure(file, lineno, ln, col)),
+                    );
                 }
             }
         }
@@ -246,14 +259,46 @@ pub fn find_spawn_closures(ws: &Workspace) -> Vec<SpawnClosure> {
     out
 }
 
-/// Parses one closure starting right after `.spawn(`: optional `move`,
-/// a `|…|` parameter list, then a braced body (single-expression
-/// closures have nothing to race on a following line and are skipped).
-fn extract_closure(file: &SourceFile, lineno: usize, after_paren: usize) -> Option<SpawnClosure> {
-    let line = &file.scanned.code[lineno];
-    let rest = line[after_paren..].trim_start();
-    let rest = rest.strip_prefix("move").unwrap_or(rest).trim_start();
-    let rest = rest.strip_prefix('|')?;
+/// The `(line, column)` of the `|` opening the first closure argument
+/// of the call whose `(` ends at `after_paren` on line `lineno`: an
+/// argument that starts, after an optional `move`, with `|`. `None`
+/// when the call closes first.
+fn closure_arg(file: &SourceFile, lineno: usize, after_paren: usize) -> Option<(usize, usize)> {
+    let mut depth = 0i32;
+    let mut arg_start = true; // nothing but `move` since `(` or `,`
+    for (ln, line) in file.scanned.code.iter().enumerate().skip(lineno) {
+        let from = if ln == lineno { after_paren } else { 0 };
+        let mut chars = line.char_indices().skip_while(|(col, _)| *col < from);
+        while let Some((col, ch)) = chars.next() {
+            match ch {
+                '|' if depth == 0 && arg_start => return Some((ln, col)),
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' if depth == 0 => return None,
+                ')' | ']' | '}' => depth -= 1,
+                ',' if depth == 0 => arg_start = true,
+                'm' if arg_start && line[col..].starts_with("move ") => {
+                    chars.nth(3);
+                }
+                c if c.is_whitespace() => {}
+                _ => arg_start = false,
+            }
+        }
+    }
+    None
+}
+
+/// Parses one closure whose parameter list opens with the `|` at
+/// `(start, col)` of a worker call on line `lineno`, then a braced body
+/// (single-expression closures have nothing to race on a following line
+/// and are skipped).
+fn extract_closure(
+    file: &SourceFile,
+    lineno: usize,
+    start: usize,
+    col: usize,
+) -> Option<SpawnClosure> {
+    let line = &file.scanned.code[start];
+    let rest = line[col..].strip_prefix('|')?;
     let params_end = rest.find('|')?;
     let mut locals = BTreeSet::new();
     bind_pattern_idents(&rest[..params_end], &mut locals);
@@ -261,17 +306,17 @@ fn extract_closure(file: &SourceFile, lineno: usize, after_paren: usize) -> Opti
 
     // Locate the opening brace: same line after the params, or the
     // next non-empty masked line. Its column matters — text before it
-    // on the spawn line (`handles.push(scope.spawn(…`) runs on the
+    // on the call line (`handles.push(scope.spawn(…`) runs on the
     // coordinating thread and must not be analyzed as closure body.
     let (body_start, open_col) = if after_params.starts_with('{') {
-        (lineno, line.len() - after_params.len())
+        (start, line.len() - after_params.len())
     } else if after_params.is_empty() {
         let next = file
             .scanned
             .code
             .iter()
             .enumerate()
-            .skip(lineno + 1)
+            .skip(start + 1)
             .find(|(_, l)| !l.trim().is_empty())?;
         let trimmed = next.1.trim_start();
         if !trimmed.starts_with('{') {
@@ -351,7 +396,7 @@ fn extract_closure(file: &SourceFile, lineno: usize, after_paren: usize) -> Opti
     Some(closure)
 }
 
-/// Runs the `determinism-race` rule over all spawn closures.
+/// Runs the `determinism-race` rule over all worker closures.
 pub fn determinism_race_findings(ws: &Workspace, closures: &[SpawnClosure]) -> Vec<Finding> {
     let by_path: std::collections::BTreeMap<&str, &SourceFile> =
         ws.files.iter().map(|f| (f.path.as_str(), f)).collect();
@@ -454,14 +499,14 @@ mod tests {
     fn clean_chunk_map_collect_is_silent() {
         let findings = race(
             "fn stage(chunks: &[&[u32]]) {\n\
-             crossbeam::thread::scope(|scope| {\n\
+             std::thread::scope(|scope| {\n\
              for chunk in chunks {\n\
              scope.spawn(move |_| {\n\
              let resolver = mk(kb, corrected);\n\
              chunk.iter().map(|t| extract(t, &resolver, rec)).collect::<Vec<_>>()\n\
              });\n\
              }\n\
-             }).unwrap();\n\
+             });\n\
              }\n",
         );
         assert!(findings.is_empty(), "{findings:#?}");
@@ -538,5 +583,38 @@ mod tests {
              }\n",
         );
         assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn fan_out_worker_closures_are_inspected() {
+        let findings = race(
+            "fn stage(n: usize) {\n\
+             let out = par::fan_out(0..n, workers, 64, |range| {\n\
+             let mut mine = Vec::new();\n\
+             mine.push(range.len());\n\
+             let guard = shared.lock();\n\
+             mine\n\
+             });\n\
+             let total = par::fan_out(\n\
+             offset..(n + 1),\n\
+             par::workers(threads),\n\
+             8,\n\
+             |range| {\n\
+             hits.fetch_add(range.len(), Relaxed)\n\
+             },\n\
+             );\n\
+             let quiet = par::fan_out(0..n, 1, 0, |range| range.len());\n\
+             let named = my_fan_out(0..n, |range| { cell.lock() });\n\
+             }\n",
+        );
+        let lines: Vec<(usize, &str)> = findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(findings.len(), 2, "{findings:#?}");
+        assert_eq!(lines[0].0, 5);
+        assert!(lines[0].1.contains("`.lock()`"), "{findings:#?}");
+        assert_eq!(lines[1].0, 13);
+        assert!(lines[1].1.contains("`.fetch_add`"), "{findings:#?}");
     }
 }

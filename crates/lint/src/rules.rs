@@ -507,7 +507,7 @@ mod tests {
     fn criterion_wall_clock_is_sanctioned() {
         let src = "fn bench() { let start = Instant::now(); }\n";
         assert!(check_source("vendor/criterion/src/lib.rs", src).is_empty());
-        let f = check_source("vendor/crossbeam/src/lib.rs", src);
+        let f = check_source("vendor/parking_lot/src/lib.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
     }
 

@@ -1,8 +1,8 @@
 // Fixture: justified suppressions silence `determinism-race`.
 pub fn stage(chunks: &[&[u32]], shared: &Mutex<Vec<u32>>) {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for chunk in chunks {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for t in chunk {
                     results.push(work(*t)); // cfs-lint: allow(determinism-race) — fixture: results re-sorted by key before reporting
                 }
@@ -12,4 +12,11 @@ pub fn stage(chunks: &[&[u32]], shared: &Mutex<Vec<u32>>) {
             });
         }
     });
+}
+
+pub fn fanned(paths: &[u32], hits: &AtomicUsize) -> Vec<usize> {
+    par::fan_out(0..paths.len(), par::workers(0), 64, |range| {
+        hits.fetch_add(range.len(), Ordering::Relaxed); // cfs-lint: allow(determinism-race) — fixture: a commutative counter read only after the join
+        range.len()
+    })
 }

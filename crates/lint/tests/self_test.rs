@@ -40,7 +40,7 @@ fn dirty_tree_finding_inventory_is_exact() {
     let findings = check_workspace(&fixture_root("dirty")).expect("fixture tree is readable");
     let expected: &[(&str, usize)] = &[
         ("api-drift", 9),
-        ("determinism-race", 4),
+        ("determinism-race", 5),
         ("panic-reachability", 2),
         ("raw-socket", 3),
         ("unjustified-allow", 2),
@@ -92,7 +92,12 @@ fn dirty_findings_point_at_real_lines() {
     // literals, and the vendored stub's entropy calls.
     assert!(has(
         "crates/core/src/determinism_race.rs",
-        11,
+        12,
+        "determinism-race"
+    ));
+    assert!(has(
+        "crates/core/src/determinism_race.rs",
+        24,
         "determinism-race"
     ));
     assert!(has(

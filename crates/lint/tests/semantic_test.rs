@@ -28,7 +28,7 @@ fn determinism_race_flags_both_leak_shapes() {
         .iter()
         .filter(|f| f.rule == "determinism-race")
         .collect();
-    assert_eq!(race.len(), 4, "{race:#?}");
+    assert_eq!(race.len(), 5, "{race:#?}");
     assert!(race.iter().all(|f| f.path.ends_with("determinism_race.rs")));
     // Shape 1: shared mutable captures — a method and two assignments.
     assert!(race.iter().any(|f| f
@@ -44,6 +44,10 @@ fn determinism_race_flags_both_leak_shapes() {
     assert!(race
         .iter()
         .any(|f| f.message.contains("`.lock()` inside a worker closure")));
+    // ... and through a read-modify-write in a `par::fan_out` worker.
+    assert!(race
+        .iter()
+        .any(|f| f.line == 24 && f.message.contains("`.fetch_add` inside a worker closure")));
     // The `HashSet` on the last line is clippy's, not a third shape.
     assert!(!race.iter().any(|f| f.message.contains("HashSet")));
 }

@@ -12,17 +12,17 @@ use std::net::Ipv4Addr;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use cfs_types::VantagePointId;
+use cfs_types::{par, VantagePointId};
 
 use crate::engine::Trace;
 use crate::platform::{Platform, VpSet};
 use crate::service::ProbeService;
 
-/// Like [`run_campaign`], fanned out over scoped threads. Traces are
-/// deterministic per `(vantage point, target, time)`, so the result is
-/// identical to the sequential runner (same order, same hops) — only the
-/// wall-clock differs. Useful for paper-scale campaigns (8.5k vantage
-/// points × targets).
+/// Like [`run_campaign`], fanned out over one worker per core
+/// ([`par::fan_out`]). Traces are deterministic per `(vantage point,
+/// target, time)`, so the result is identical to the sequential runner
+/// (same order, same hops) — only the wall-clock differs. Useful for
+/// paper-scale campaigns (8.5k vantage points × targets).
 pub fn run_campaign_parallel(
     engine: &dyn ProbeService,
     vps: &VpSet,
@@ -31,28 +31,10 @@ pub fn run_campaign_parallel(
     at_ms: u64,
     limits: &CampaignLimits,
 ) -> Vec<Trace> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    if workers <= 1 || vp_ids.len() < 64 {
-        return run_campaign(engine, vps, vp_ids, targets, at_ms, limits);
-    }
-    let chunk_size = vp_ids.len().div_ceil(workers);
-    let chunks: Vec<Vec<Trace>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = vp_ids
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move |_| run_campaign(engine, vps, chunk, targets, at_ms, limits))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker"))
-            .collect()
-    })
-    .expect("campaign thread scope");
-    chunks.into_iter().flatten().collect()
+    let chunks = par::fan_out(0..vp_ids.len(), par::workers(0), 64, |range| {
+        run_campaign(engine, vps, &vp_ids[range], targets, at_ms, limits)
+    });
+    par::concat(chunks)
 }
 
 /// Per-campaign scheduling limits.

@@ -12,16 +12,19 @@
 //!
 //! Everything here is deliberately small and dependency-free: plain-old-data
 //! newtypes over integers, a typed [`arena`] for storing
-//! entities, and the shared [`Error`] type.
+//! entities, the shared [`Error`] type, the [`diff_keys`] merge walk,
+//! and the ordered worker fan-out [`par`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod arena;
 mod asclass;
+mod diff;
 mod error;
 mod facset;
 mod ids;
+pub mod par;
 mod peering;
 mod reason;
 mod region;
@@ -29,6 +32,7 @@ mod rel;
 
 pub use arena::{Arena, Idx};
 pub use asclass::AsClass;
+pub use diff::diff_keys;
 pub use error::{Error, Result};
 pub use facset::{FacilitySet, FacilitySetInterner};
 pub use ids::{
