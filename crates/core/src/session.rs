@@ -198,6 +198,12 @@ impl<'a> CfsSession<'a> {
         self.epoch
     }
 
+    /// The knowledge-base epoch the session reads: the one it was built
+    /// on, or the last one a [`Delta::KbEpochFlip`] installed.
+    pub fn kb(&self) -> &KnowledgeBase {
+        self.cfs.kb()
+    }
+
     /// The cached report, when the session has converged.
     pub fn report(&self) -> Option<&CfsReport> {
         self.report.as_ref().map(|r| &r.report)

@@ -3,12 +3,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use cfs_geo::World;
 use cfs_net::{Ipv4Prefix, PrefixTrie};
 use cfs_types::{diff_keys, Asn, FacilityId, IxpId, MetroId, Region};
 
-use crate::reconcile::{reconcile, ConflictClass, KbQuality, Provenance, Reconciliation};
+use crate::reconcile::{
+    reconcile_exchanges, ConflictClass, KbQuality, Provenance, QualitySums, Reconciliation,
+};
 use crate::sources::PublicSources;
 
 /// What a KB epoch flip moved ([`KnowledgeBase::moved`]).
@@ -28,29 +31,36 @@ pub struct EpochMoves {
 /// This is the *only* facility data the inference pipeline sees. It can
 /// be degraded after assembly (`remove_facilities`) to run the Figure 8
 /// robustness experiment.
+///
+/// A listing edit ([`Self::relist`]) writes only the AS footprints and
+/// their claims' provenance. Everything else sits behind `Arc`, so the
+/// epochs a run of listing edits produces share it, and a clone copies
+/// only the two edited maps.
 #[derive(Clone, Debug)]
 pub struct KnowledgeBase {
     /// AS → known facility presence (PeeringDB ∪ NOC pages).
     as_facilities: BTreeMap<Asn, BTreeSet<FacilityId>>,
     /// IXP → known partner facilities (PeeringDB ∪ IXP websites).
-    ixp_facilities: BTreeMap<IxpId, BTreeSet<FacilityId>>,
+    ixp_facilities: Arc<BTreeMap<IxpId, BTreeSet<FacilityId>>>,
     /// Confirmed IXP peering LANs (≥3 sources, §3.1.2).
-    ixp_prefixes: PrefixTrie<IxpId>,
+    ixp_prefixes: Arc<PrefixTrie<IxpId>>,
     /// IXP → fabric address → member AS (websites + PeeringDB, ≥2
     /// sources for the *membership*, keyed by what the sites publish).
-    ixp_members: BTreeMap<IxpId, BTreeMap<Ipv4Addr, Asn>>,
+    ixp_members: Arc<BTreeMap<IxpId, BTreeMap<Ipv4Addr, Asn>>>,
     /// AS → exchanges it is known to be a member of.
-    as_ixps: BTreeMap<Asn, BTreeSet<IxpId>>,
+    as_ixps: Arc<BTreeMap<Asn, BTreeSet<IxpId>>>,
     /// Facility → metro, resolved through name normalization.
-    facility_metro: BTreeMap<FacilityId, MetroId>,
+    facility_metro: Arc<BTreeMap<FacilityId, MetroId>>,
     /// Facility → region.
-    facility_region: BTreeMap<FacilityId, Region>,
+    facility_region: Arc<BTreeMap<FacilityId, Region>>,
     /// Exchanges that passed the activity filter.
-    active_ixps: BTreeSet<IxpId>,
+    active_ixps: Arc<BTreeSet<IxpId>>,
     /// Cross-source vote on every merged claim (trust priors, agreement
     /// scores, conflict classes).
     reconciliation: Reconciliation,
-    /// The roll-up of the reconciliation, precomputed at assembly.
+    /// The integer sums `quality` is rolled up from.
+    sums: QualitySums,
+    /// The roll-up of the reconciliation, kept current with every edit.
     quality: KbQuality,
 }
 
@@ -133,21 +143,6 @@ impl KnowledgeBase {
             }
         }
 
-        // ---- AS → facilities: PeeringDB union NOC pages.
-        let mut as_facilities: BTreeMap<Asn, BTreeSet<FacilityId>> = BTreeMap::new();
-        for rec in sources.pdb_networks.values() {
-            as_facilities
-                .entry(rec.asn)
-                .or_default()
-                .extend(rec.facilities.iter().copied());
-        }
-        for page in sources.noc_pages.values() {
-            as_facilities
-                .entry(page.asn)
-                .or_default()
-                .extend(page.facilities.iter().copied());
-        }
-
         // ---- IXP → facilities: PeeringDB union websites.
         let mut ixp_facilities: BTreeMap<IxpId, BTreeSet<FacilityId>> = BTreeMap::new();
         for rec in sources.pdb_ixps.values() {
@@ -195,22 +190,49 @@ impl KnowledgeBase {
         }
 
         // ---- Cross-source reconciliation: every merged claim gets a
-        // provenance verdict (DESIGN.md §11).
-        let reconciliation = reconcile(sources);
-        let quality = reconciliation.quality();
-
-        Self {
-            as_facilities,
-            ixp_facilities,
-            ixp_prefixes,
-            ixp_members,
-            as_ixps,
-            facility_metro,
-            facility_region,
-            active_ixps,
+        // provenance verdict (DESIGN.md §11). The AS → facility family,
+        // footprints included, is one routine run per network.
+        let reconciliation = reconcile_exchanges(sources);
+        let mut kb = Self {
+            as_facilities: BTreeMap::new(),
+            ixp_facilities: Arc::new(ixp_facilities),
+            ixp_prefixes: Arc::new(ixp_prefixes),
+            ixp_members: Arc::new(ixp_members),
+            as_ixps: Arc::new(as_ixps),
+            facility_metro: Arc::new(facility_metro),
+            facility_region: Arc::new(facility_region),
+            active_ixps: Arc::new(active_ixps),
+            sums: reconciliation.sums(),
             reconciliation,
-            quality,
+            quality: KbQuality::default(),
+        };
+        for asn in sources.networks() {
+            kb.list_network(sources, asn);
         }
+        kb.quality = kb.sums.quality();
+        kb
+    }
+
+    /// The epoch after an edit to `asn`'s facility listings: `sources`
+    /// must differ from the ones this epoch was assembled from only in
+    /// `asn`'s PeeringDB and NOC-page facility lists (what
+    /// [`PublicSources::set_listed`] edits). The result equals
+    /// [`Self::assemble`] over `sources`, at the cost of one network's
+    /// derivation, and shares every field the edit cannot reach.
+    #[must_use]
+    pub fn relist(&self, sources: &PublicSources, asn: Asn) -> Self {
+        let mut next = self.clone();
+        next.list_network(sources, asn);
+        next.quality = next.sums.quality();
+        next
+    }
+
+    /// Re-derives `asn`'s footprint and the provenance of its claims.
+    fn list_network(&mut self, sources: &PublicSources, asn: Asn) {
+        match self.reconciliation.relist(sources, asn, &mut self.sums) {
+            Some(footprint) => self.as_facilities.insert(asn, footprint),
+            None => self.as_facilities.remove(&asn),
+        };
     }
 
     /// Facilities where `asn` is known to be present (empty set when the
@@ -354,14 +376,15 @@ impl KnowledgeBase {
     /// epoch, so a resident session absorbing the flip can skip
     /// re-extraction and re-converge from the footprint diff alone.
     pub fn same_classification_view(&self, other: &Self) -> bool {
-        self.active_ixps == other.active_ixps
-            && self.ixp_members == other.ixp_members
-            && self.as_ixps == other.as_ixps
-            && self.ixp_prefixes.iter() == other.ixp_prefixes.iter()
+        same(&self.active_ixps, &other.active_ixps)
+            && same(&self.ixp_members, &other.ixp_members)
+            && same(&self.as_ixps, &other.as_ixps)
+            && (Arc::ptr_eq(&self.ixp_prefixes, &other.ixp_prefixes)
+                || self.ixp_prefixes.iter() == other.ixp_prefixes.iter())
             // Membership and prefix provenance weight the multi-rule
             // IXP-hop detector, so extraction reads them too.
-            && self.reconciliation.membership == other.reconciliation.membership
-            && self.reconciliation.prefix == other.reconciliation.prefix
+            && same(&self.reconciliation.membership, &other.reconciliation.membership)
+            && same(&self.reconciliation.prefix, &other.reconciliation.prefix)
     }
 
     /// What differs between two epochs for the footprints the search
@@ -369,7 +392,7 @@ impl KnowledgeBase {
     /// facility in a different metro, or in none, which every verdict
     /// reads.
     pub fn moved(&self, other: &Self) -> Option<EpochMoves> {
-        if self.facility_metro != other.facility_metro {
+        if !same(&self.facility_metro, &other.facility_metro) {
             return None;
         }
         let mut moved = EpochMoves::default();
@@ -383,9 +406,11 @@ impl KnowledgeBase {
                 moved.ases.insert(*a);
             },
         );
-        diff_keys(&self.ixp_facilities, &other.ixp_facilities, |x| {
-            moved.ixps.insert(*x);
-        });
+        if !Arc::ptr_eq(&self.ixp_facilities, &other.ixp_facilities) {
+            diff_keys(&self.ixp_facilities, &other.ixp_facilities, |x| {
+                moved.ixps.insert(*x);
+            });
+        }
         Some(moved)
     }
 
@@ -409,12 +434,19 @@ impl KnowledgeBase {
         for set in self.as_facilities.values_mut() {
             set.retain(|f| !removed.contains(f));
         }
-        for set in self.ixp_facilities.values_mut() {
+        // Copy-on-write: epochs sharing these tables keep theirs.
+        for set in Arc::make_mut(&mut self.ixp_facilities).values_mut() {
             set.retain(|f| !removed.contains(f));
         }
-        self.facility_metro.retain(|f, _| !removed.contains(f));
-        self.facility_region.retain(|f, _| !removed.contains(f));
+        Arc::make_mut(&mut self.facility_metro).retain(|f, _| !removed.contains(f));
+        Arc::make_mut(&mut self.facility_region).retain(|f, _| !removed.contains(f));
     }
+}
+
+/// Whether two shared fields hold equal values, without comparing them
+/// when both epochs share one.
+fn same<T: PartialEq>(a: &Arc<T>, b: &Arc<T>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
 }
 
 #[cfg(test)]
@@ -616,5 +648,164 @@ mod tests {
             }
         }
         assert!(kb.facility_count() <= topo.facilities.len() - victim.len());
+    }
+
+    /// The first field on which two epochs differ, if any. The
+    /// destructuring makes a new field a compile error until it is
+    /// compared here.
+    fn first_difference(a: &KnowledgeBase, b: &KnowledgeBase) -> Option<&'static str> {
+        let KnowledgeBase {
+            as_facilities,
+            ixp_facilities,
+            ixp_prefixes,
+            ixp_members,
+            as_ixps,
+            facility_metro,
+            facility_region,
+            active_ixps,
+            reconciliation,
+            sums,
+            quality,
+        } = a;
+        [
+            ("as_facilities", *as_facilities == b.as_facilities),
+            ("ixp_facilities", *ixp_facilities == b.ixp_facilities),
+            ("ixp_prefixes", ixp_prefixes.iter() == b.ixp_prefixes.iter()),
+            ("ixp_members", *ixp_members == b.ixp_members),
+            ("as_ixps", *as_ixps == b.as_ixps),
+            ("facility_metro", *facility_metro == b.facility_metro),
+            ("facility_region", *facility_region == b.facility_region),
+            ("active_ixps", *active_ixps == b.active_ixps),
+            ("reconciliation", *reconciliation == b.reconciliation),
+            ("sums", *sums == b.sums),
+            ("quality", *quality == b.quality),
+        ]
+        .into_iter()
+        .find_map(|(field, equal)| (!equal).then_some(field))
+    }
+
+    mod relist {
+        use super::*;
+        use crate::degrade_sources;
+        use cfs_chaos::FaultPlan;
+        use proptest::prelude::*;
+        use std::sync::LazyLock;
+
+        /// The tiny world and its public sources, clean and degraded by
+        /// `stale-kb+conflict`.
+        static WORLD: LazyLock<(Topology, [PublicSources; 2])> = LazyLock::new(|| {
+            let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
+            let cfg = KbConfig {
+                noc_pages: 20,
+                ..Default::default()
+            };
+            let clean = PublicSources::derive(&topo, &cfg);
+            let plan = FaultPlan::named("stale-kb+conflict", topo.config.seed).unwrap();
+            let degraded = degrade_sources(&clean, &plan);
+            (topo, [clean, degraded])
+        });
+
+        /// One listing edit, resolved against the current sources: the
+        /// network it edits. Every edit stays inside that network's
+        /// PeeringDB and NOC-page facility lists.
+        fn edit(src: &mut PublicSources, facilities: u32, (kind, a, f): (u8, u32, u32)) -> Asn {
+            let listed = |src: &PublicSources, asn: &Asn| -> BTreeSet<FacilityId> {
+                let pdb = src.pdb_networks.get(asn).map(|r| &r.facilities);
+                let noc = src.noc_pages.get(asn).map(|p| &p.facilities);
+                pdb.into_iter().chain(noc).flatten().copied().collect()
+            };
+            let pdb: Vec<Asn> = src.pdb_networks.keys().copied().collect();
+            let any = FacilityId::new(f % facilities);
+            match kind {
+                // Withdraw a listing (an AS with none gets one instead).
+                0 => {
+                    let asn = *pick(&pdb, a);
+                    let held: Vec<FacilityId> = listed(src, &asn).into_iter().collect();
+                    let (f, present) = if held.is_empty() {
+                        (any, true)
+                    } else {
+                        (*pick(&held, f), false)
+                    };
+                    assert!(src.set_listed(asn, f, present));
+                    asn
+                }
+                // List a facility the AS never listed.
+                1 => {
+                    let asn = *pick(&pdb, a);
+                    let held = listed(src, &asn);
+                    let fresh: Vec<FacilityId> = (0..facilities)
+                        .map(FacilityId::new)
+                        .filter(|g| !held.contains(g))
+                        .collect();
+                    assert!(src.set_listed(asn, *pick(&fresh, f), true));
+                    asn
+                }
+                // Empty a PeeringDB facility list: the source abstains.
+                2 => {
+                    let asn = *pick(&pdb, a);
+                    src.pdb_networks.get_mut(&asn).unwrap().facilities.clear();
+                    asn
+                }
+                // Toggle a facility of an AS that has no NOC page.
+                3 => {
+                    let bare: Vec<Asn> = pdb
+                        .into_iter()
+                        .filter(|x| !src.noc_pages.contains_key(x))
+                        .collect();
+                    let asn = *pick(&bare, a);
+                    let present = !listed(src, &asn).contains(&any);
+                    assert!(src.set_listed(asn, any, present));
+                    asn
+                }
+                // Toggle a facility on a NOC page alone.
+                _ => {
+                    let pages: Vec<Asn> = src.noc_pages.keys().copied().collect();
+                    let asn = *pick(&pages, a);
+                    let page = &mut src.noc_pages.get_mut(&asn).unwrap().facilities;
+                    match page.iter().position(|g| *g == any) {
+                        Some(i) => {
+                            page.remove(i);
+                        }
+                        None => page.push(any),
+                    }
+                    asn
+                }
+            }
+        }
+
+        /// The `n`th element of `list`, wrapping.
+        fn pick<T>(list: &[T], n: u32) -> &T {
+            &list[n as usize % list.len()]
+        }
+
+        fn edits() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+            proptest::collection::vec((0u8..5, any::<u32>(), any::<u32>()), 1..16)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// After every listing edit, relisting the edited network
+            /// from the previous epoch equals assembling the edited
+            /// sources from scratch, field for field, and the epochs
+            /// differ in that network at most.
+            #[test]
+            fn relist_equals_assemble_after_every_edit(degraded in any::<bool>(), steps in edits()) {
+                let (topo, sources) = &*WORLD;
+                let mut src = sources[usize::from(degraded)].clone();
+                let facilities = topo.facilities.len() as u32;
+                let mut kb = KnowledgeBase::assemble(&src, &topo.world);
+                for step in steps {
+                    let asn = edit(&mut src, facilities, step);
+                    let next = kb.relist(&src, asn);
+                    let fresh = KnowledgeBase::assemble(&src, &topo.world);
+                    prop_assert_eq!(first_difference(&next, &fresh), None, "edit {:?} of {}", step.0, asn);
+                    prop_assert!(kb.same_classification_view(&next));
+                    let moved = kb.moved(&next).expect("the metro table is shared");
+                    prop_assert!(moved.ixps.is_empty() && moved.ases.iter().all(|a| *a == asn));
+                    kb = next;
+                }
+            }
+        }
     }
 }

@@ -33,6 +33,7 @@
 //! arithmetic.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use cfs_net::Ipv4Prefix;
 use cfs_types::{Asn, FacilityId, IxpId};
@@ -241,37 +242,35 @@ impl KbQuality {
 }
 
 /// Every reconciled claim family, keyed deterministically.
+///
+/// A listing edit re-votes only the AS → facility family
+/// ([`Self::relist`]); the exchange-side families sit behind `Arc`, so
+/// the knowledge-base epochs a run of listing edits produces share them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reconciliation {
     /// (AS, facility) presence claims: PeeringDB networks vs NOC pages.
     pub as_facility: BTreeMap<(Asn, FacilityId), Provenance>,
     /// (IXP, facility) partnership claims: PeeringDB IXP records vs
     /// websites.
-    pub ixp_facility: BTreeMap<(IxpId, FacilityId), Provenance>,
+    pub ixp_facility: Arc<BTreeMap<(IxpId, FacilityId), Provenance>>,
     /// (IXP, member AS) claims: website directories vs PeeringDB
     /// networks (ixp list + netixlan ports).
-    pub membership: BTreeMap<(IxpId, Asn), Provenance>,
+    pub membership: Arc<BTreeMap<(IxpId, Asn), Provenance>>,
     /// (IXP, peering-LAN prefix) claims: PeeringDB IXP records,
     /// websites, PCH, consortium lists.
-    pub prefix: BTreeMap<(IxpId, Ipv4Prefix), Provenance>,
+    pub prefix: Arc<BTreeMap<(IxpId, Ipv4Prefix), Provenance>>,
 }
 
 impl Reconciliation {
     /// The quality roll-up over every family.
     #[must_use]
     pub fn quality(&self) -> KbQuality {
-        let mut q = KbQuality::default();
-        for s in SourceId::ALL {
-            q.per_source.insert(
-                s.label().to_string(),
-                SourceQuality {
-                    trust_pm: s.trust_pm(),
-                    ..SourceQuality::default()
-                },
-            );
-        }
-        let mut agreement_sum: u64 = 0;
-        let mut per_source_sum: BTreeMap<&'static str, u64> = BTreeMap::new();
+        self.sums().quality()
+    }
+
+    /// The integer sums behind [`Self::quality`].
+    pub(crate) fn sums(&self) -> QualitySums {
+        let mut sums = QualitySums::default();
         let all = self
             .as_facility
             .values()
@@ -279,36 +278,128 @@ impl Reconciliation {
             .chain(self.membership.values())
             .chain(self.prefix.values());
         for p in all {
-            q.records += 1;
-            agreement_sum += u64::from(p.agreement_pm);
-            match p.conflict {
-                ConflictClass::Unanimous => q.unanimous += 1,
-                ConflictClass::Majority => q.majority += 1,
-                ConflictClass::Contested => q.contested += 1,
-                ConflictClass::SingleSource => q.single_source += 1,
-            }
-            for s in &p.sources {
-                let sq = q.per_source.get_mut(s.label()).expect("seeded above");
-                sq.claims += 1;
-                *per_source_sum.entry(s.label()).or_default() += u64::from(p.agreement_pm);
-            }
-            for s in &p.dissenters {
-                q.per_source
-                    .get_mut(s.label())
-                    .expect("seeded above")
-                    .dissents += 1;
-            }
+            sums.count(p, false);
         }
-        if let Some(mean) = agreement_sum.checked_div(q.records) {
-            q.agreement_mean_pm = u32::try_from(mean).unwrap_or(1000);
+        sums
+    }
+
+    /// Re-derives one network's AS → facility claims from `src`: its
+    /// merged footprint (PeeringDB ∪ NOC page) and the cross-source vote
+    /// on every facility in it, which replace the claims held for `asn`.
+    /// `sums` moves by the difference. Returns the footprint, or `None`
+    /// when neither source has a record for `asn`.
+    ///
+    /// This is the only derivation a listing edit reaches: [`reconcile`]
+    /// and [`crate::KnowledgeBase::assemble`] run it for every network,
+    /// [`crate::KnowledgeBase::relist`] for the edited one.
+    pub(crate) fn relist(
+        &mut self,
+        src: &PublicSources,
+        asn: Asn,
+        sums: &mut QualitySums,
+    ) -> Option<BTreeSet<FacilityId>> {
+        let held = (asn, FacilityId::new(0))..=(asn, FacilityId::new(u32::MAX));
+        let held: Vec<_> = self.as_facility.range(held).map(|(k, _)| *k).collect();
+        for key in held {
+            let p = self
+                .as_facility
+                .remove(&key)
+                .expect("key read from this map");
+            sums.count(&p, true);
         }
-        for (label, sq) in &mut q.per_source {
-            let sum = per_source_sum.get(label.as_str()).copied().unwrap_or(0);
-            if let Some(mean) = sum.checked_div(sq.claims) {
-                sq.mean_agreement_pm = u32::try_from(mean).unwrap_or(1000);
+
+        // A source covers the AS when it has a record with a non-empty
+        // facility list (an empty list is the operator not bothering,
+        // not a claim that the AS is nowhere).
+        let noc = src.noc_pages.get(&asn).map(|p| &p.facilities);
+        let pdb = src.pdb_networks.get(&asn).map(|r| &r.facilities);
+        if noc.is_none() && pdb.is_none() {
+            return None;
+        }
+        let (noc, pdb) = (
+            noc.map_or(&[][..], Vec::as_slice),
+            pdb.map_or(&[][..], Vec::as_slice),
+        );
+        let footprint: BTreeSet<FacilityId> = noc.iter().chain(pdb).copied().collect();
+        for f in &footprint {
+            let mut v = Votes::new();
+            v.cast(SourceId::NocPage, !noc.is_empty(), noc.contains(f));
+            v.cast(SourceId::PdbNet, !pdb.is_empty(), pdb.contains(f));
+            let p = v.seal();
+            sums.count(&p, false);
+            self.as_facility.insert((asn, *f), p);
+        }
+        Some(footprint)
+    }
+}
+
+/// The integer sums a [`KbQuality`] is rolled up from. A knowledge base
+/// keeps them beside its roll-up, so re-voting one network's claims
+/// moves the roll-up by difference instead of re-reading every claim.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct QualitySums {
+    records: u64,
+    agreement: u64,
+    /// Claims per [`ConflictClass`], in declaration order.
+    classes: [u64; 4],
+    /// Per [`SourceId`], in [`SourceId::ALL`] order: claims asserted,
+    /// dissents, and the agreement summed over the asserted claims.
+    sources: [[u64; 3]; SourceId::ALL.len()],
+}
+
+impl QualitySums {
+    /// Adds one claim's votes to the sums, or takes them back out.
+    pub(crate) fn count(&mut self, p: &Provenance, removed: bool) {
+        let bump = |n: &mut u64, by: u64| {
+            if removed {
+                *n -= by;
+            } else {
+                *n += by;
             }
+        };
+        let agreement = u64::from(p.agreement_pm);
+        bump(&mut self.records, 1);
+        bump(&mut self.agreement, agreement);
+        bump(&mut self.classes[p.conflict as usize], 1);
+        for s in &p.sources {
+            let [claims, _, sum] = &mut self.sources[*s as usize];
+            bump(claims, 1);
+            bump(sum, agreement);
         }
-        q
+        for s in &p.dissenters {
+            bump(&mut self.sources[*s as usize][1], 1);
+        }
+    }
+
+    /// The roll-up: tallies, and means that round down.
+    pub(crate) fn quality(&self) -> KbQuality {
+        let mean = |sum: u64, n: u64| {
+            sum.checked_div(n)
+                .map_or(0, |m| u32::try_from(m).unwrap_or(1000))
+        };
+        let [unanimous, majority, contested, single_source] = self.classes;
+        let per_source = SourceId::ALL
+            .into_iter()
+            .zip(self.sources)
+            .map(|(s, [claims, dissents, sum])| {
+                let q = SourceQuality {
+                    trust_pm: s.trust_pm(),
+                    claims,
+                    dissents,
+                    mean_agreement_pm: mean(sum, claims),
+                };
+                (s.label().to_string(), q)
+            })
+            .collect();
+        KbQuality {
+            records: self.records,
+            agreement_mean_pm: mean(self.agreement, self.records),
+            unanimous,
+            majority,
+            contested,
+            single_source,
+            per_source,
+        }
     }
 }
 
@@ -347,39 +438,20 @@ impl Votes {
 /// Re-derives every merged claim as a cross-source vote.
 #[must_use]
 pub fn reconcile(src: &PublicSources) -> Reconciliation {
-    let mut out = Reconciliation::default();
+    let mut out = reconcile_exchanges(src);
+    let mut sums = QualitySums::default();
+    for asn in src.networks() {
+        out.relist(src, asn, &mut sums);
+    }
+    out
+}
 
-    // ---- AS → facility: PeeringDB network records vs NOC pages. A
-    // source covers the AS when it has a record with a non-empty
-    // facility list (an empty list is the operator not bothering, not a
-    // claim that the AS is nowhere).
-    let mut as_fac_claims: BTreeSet<(Asn, FacilityId)> = BTreeSet::new();
-    for rec in src.pdb_networks.values() {
-        for f in &rec.facilities {
-            as_fac_claims.insert((rec.asn, *f));
-        }
-    }
-    for page in src.noc_pages.values() {
-        for f in &page.facilities {
-            as_fac_claims.insert((page.asn, *f));
-        }
-    }
-    for (asn, f) in as_fac_claims {
-        let mut v = Votes::new();
-        let noc = src.noc_pages.get(&asn);
-        v.cast(
-            SourceId::NocPage,
-            noc.is_some_and(|p| !p.facilities.is_empty()),
-            noc.is_some_and(|p| p.facilities.contains(&f)),
-        );
-        let pdb = src.pdb_networks.get(&asn);
-        v.cast(
-            SourceId::PdbNet,
-            pdb.is_some_and(|r| !r.facilities.is_empty()),
-            pdb.is_some_and(|r| r.facilities.contains(&f)),
-        );
-        out.as_facility.insert((asn, f), v.seal());
-    }
+/// Re-derives the exchange-side claim families (partner facilities,
+/// memberships, peering-LAN prefixes), which no listing edit reaches;
+/// the AS → facility family is left empty.
+pub(crate) fn reconcile_exchanges(src: &PublicSources) -> Reconciliation {
+    let (mut ixp_facility, mut membership, mut prefixes) =
+        (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
 
     // ---- IXP → facility: PeeringDB exchange records vs websites. An
     // empty facility list abstains — the JPNAP case.
@@ -408,7 +480,7 @@ pub fn reconcile(src: &PublicSources) -> Reconciliation {
             pdb.is_some_and(|r| !r.facilities.is_empty()),
             pdb.is_some_and(|r| r.facilities.contains(&f)),
         );
-        out.ixp_facility.insert((ixp, f), v.seal());
+        ixp_facility.insert((ixp, f), v.seal());
     }
 
     // ---- Membership (ixp, asn): website directories vs PeeringDB
@@ -444,7 +516,7 @@ pub fn reconcile(src: &PublicSources) -> Reconciliation {
                 r.ixps.contains(&ixp) || r.fabric_ips.iter().any(|(x, _)| *x == ixp)
             }),
         );
-        out.membership.insert((ixp, asn), v.seal());
+        membership.insert((ixp, asn), v.seal());
     }
 
     // ---- Peering-LAN prefixes: four sources can speak.
@@ -495,10 +567,15 @@ pub fn reconcile(src: &PublicSources) -> Reconciliation {
             pdb.is_some_and(|r| !r.prefixes.is_empty()),
             pdb.is_some_and(|r| r.prefixes.contains(&prefix)),
         );
-        out.prefix.insert((ixp, prefix), v.seal());
+        prefixes.insert((ixp, prefix), v.seal());
     }
 
-    out
+    Reconciliation {
+        as_facility: BTreeMap::new(),
+        ixp_facility: Arc::new(ixp_facility),
+        membership: Arc::new(membership),
+        prefix: Arc::new(prefixes),
+    }
 }
 
 /// One family row of a pairwise source comparison.

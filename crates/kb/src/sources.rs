@@ -1,7 +1,7 @@
 //! The individual public data sources, generated from ground truth with
 //! realistic incompleteness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use rand::{Rng, SeedableRng};
@@ -363,6 +363,34 @@ impl PublicSources {
             pch_list,
             consortium_list,
         }
+    }
+
+    /// Every network with a PeeringDB record or a NOC page, ascending:
+    /// the networks whose facility listings the assembly merges.
+    pub(crate) fn networks(&self) -> BTreeSet<Asn> {
+        let pdb = self.pdb_networks.keys();
+        pdb.chain(self.noc_pages.keys()).copied().collect()
+    }
+
+    /// Lists (`present`) or withdraws `facility` for `asn`, the edit a
+    /// `kb-flip` delta makes. The assembled footprint is PeeringDB ∪ NOC
+    /// page, so the edit reaches both: the PeeringDB record, and the NOC
+    /// page when the network has one. Returns `false`, editing nothing,
+    /// when `asn` has no PeeringDB record.
+    #[must_use]
+    pub fn set_listed(&mut self, asn: Asn, facility: FacilityId, present: bool) -> bool {
+        let Some(rec) = self.pdb_networks.get_mut(&asn) else {
+            return false;
+        };
+        let page = self.noc_pages.get_mut(&asn).map(|p| &mut p.facilities);
+        for facilities in std::iter::once(&mut rec.facilities).chain(page) {
+            facilities.retain(|f| *f != facility);
+            if present {
+                facilities.push(facility);
+                facilities.sort_unstable();
+            }
+        }
+        true
     }
 }
 

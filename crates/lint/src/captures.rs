@@ -92,7 +92,8 @@ const KEYWORDS: &[&str] = &[
     "where", "while",
 ];
 
-/// Splits a line into `(start_col, ident)` words.
+/// Splits a line into `(start_col, ident)` words. A lone `_` (the
+/// wildcard of `Vec<_>` or `(_, ixp)`) names nothing and is skipped.
 fn idents(line: &str) -> Vec<(usize, &str)> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
@@ -103,7 +104,9 @@ fn idents(line: &str) -> Vec<(usize, &str)> {
             while i < bytes.len() && is_ident(bytes[i]) {
                 i += 1;
             }
-            out.push((start, &line[start..i]));
+            if &line[start..i] != "_" {
+                out.push((start, &line[start..i]));
+            }
         } else {
             i += 1;
         }
@@ -571,6 +574,23 @@ mod tests {
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(findings[0].message.contains("assigns to captured `total`"));
+    }
+
+    #[test]
+    fn a_lone_underscore_is_no_capture() {
+        assert_eq!(
+            idents("(_, ixp) _x __"),
+            [(4, "ixp"), (9, "_x"), (12, "__")]
+        );
+        let w = ws("fn stage() {\n\
+             let out = par::fan_out(0..n, workers, 64, |range| {\n\
+             pairs[range].iter().map(|(_, ixp)| probe(*ixp, tester)).collect::<Vec<_>>()\n\
+             });\n\
+             }\n");
+        let closures = find_spawn_closures(&w);
+        assert_eq!(closures.len(), 1);
+        let captures: Vec<&str> = closures[0].captures.iter().map(String::as_str).collect();
+        assert_eq!(captures, ["pairs", "tester"]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use cfs_core::{canonical_trace, CfsConfig, CfsSession, DataQualityReport, Delta, DeltaOutcome};
 use cfs_detect::{Detector, DetectorConfig, EpochObservation};
 use cfs_experiments::{Lab, Substrate};
-use cfs_kb::{KnowledgeBase, PublicSources};
+use cfs_kb::PublicSources;
 use cfs_obs::{
     Clock, EventKind, EventLog, Monotonic, NoopRecorder, Recorder, Severity, WindowedRecorder,
 };
@@ -318,19 +318,15 @@ impl<'w> Daemon<'w> {
                         format!("no such facility: {facility}"),
                     ));
                 }
-                let Some(rec) = self.sources.pdb_networks.get_mut(&target) else {
+                if !self.sources.set_listed(target, facility, present) {
                     return refuse(ApiError::new(
                         "bad_delta",
                         format!("{target} has no PeeringDB record in this world"),
                     ));
-                };
-                // The assembled AS footprint is pdb ∪ NOC, so a flip must
-                // touch both sources or the merged footprint never changes.
-                set_listed(&mut rec.facilities, facility, present);
-                if let Some(page) = self.sources.noc_pages.get_mut(&target) {
-                    set_listed(&mut page.facilities, facility, present);
                 }
-                let kb = KnowledgeBase::assemble(&self.sources, &self.lab.topo.world);
+                // The edit reaches only `target`'s listings, so the next
+                // epoch re-derives that one network from the served one.
+                let kb = self.session.kb().relist(&self.sources, target);
                 let result = self.session.apply_delta(Delta::KbEpochFlip(Arc::new(kb)));
                 if result.is_ok() {
                     self.events.emit(EventKind::KbFlip {
@@ -454,15 +450,6 @@ fn unconverged() -> Outcome {
         "internal",
         "session has not converged a report yet",
     ))
-}
-
-/// Lists (`present`) or delists `facility` in a sorted facility list.
-fn set_listed(facilities: &mut Vec<FacilityId>, facility: FacilityId, present: bool) {
-    facilities.retain(|f| *f != facility);
-    if present {
-        facilities.push(facility);
-        facilities.sort_unstable();
-    }
 }
 
 /// The cursor-drain reply `events` and `alerts` share: the drained

@@ -6,8 +6,11 @@
 //! filtering of the `events` and `alerts` drains, the detection-off
 //! `alerts` reply, and the increase-only data-quality events.
 
+use std::sync::Arc;
+
 use cfs::daemon::{Daemon, DaemonOptions};
 use cfs::experiments::{Lab, Scale, Substrate};
+use cfs::obs::NoopRecorder;
 use cfs::prelude::*;
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
 use serde_json::Value;
@@ -171,6 +174,74 @@ fn kb_flip_delta_applies_and_refuses_unknown_targets() {
     }
     let status = ask(&mut daemon, Request::Status);
     assert_eq!(status["epoch"].as_u64(), Some(3), "{status:?}");
+}
+
+#[test]
+fn kb_flips_serve_the_trace_a_fresh_session_on_the_edited_sources_reaches() {
+    // Each flip relists one network from the served epoch; a fresh
+    // session converged on the sources assembled from scratch, edited
+    // the same way alongside, must serve the same trace after every
+    // flip, on clean and on degraded sources.
+    let lab = Lab::provision(Scale::Tiny, Some(7)).expect("lab");
+    let facilities = lab.topo.facilities.len() as u32;
+    for faults in [None, Some("stale-kb+conflict")] {
+        let plan = faults.map(|f| FaultPlan::named(f, lab.topo.config.seed).expect("profile"));
+        let substrate = Substrate::new(&lab, plan, None);
+        let mut daemon = Daemon::boot(&substrate, DaemonOptions::default()).expect("boot");
+        let mut sources = substrate.sources().clone();
+        let report = daemon.session().report().expect("booted");
+        let observed: Vec<Asn> = report
+            .interfaces
+            .values()
+            .filter_map(|i| i.owner)
+            .filter(|a| sources.pdb_networks.contains_key(a))
+            .collect();
+        let networks: Vec<Asn> = sources.pdb_networks.keys().copied().collect();
+        let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut draw = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for step in 0..20 {
+            // Mostly networks the session observed, so flips move pins.
+            let pool = if step % 4 == 3 { &networks } else { &observed };
+            let asn = pool[draw(pool.len())];
+            let listed = &sources.pdb_networks[&asn].facilities;
+            let (facility, present) = if step % 2 == 1 && !listed.is_empty() {
+                (listed[draw(listed.len())], false)
+            } else {
+                (FacilityId::new(draw(facilities as usize) as u32), true)
+            };
+            let flip = Request::DeltaKbFlip {
+                asn: asn.raw(),
+                facility: facility.raw(),
+                present,
+            };
+            let reply = ask(&mut daemon, flip);
+            assert_eq!(
+                reply["ok"],
+                Value::Bool(true),
+                "{faults:?} {step}: {reply:?}"
+            );
+            assert!(sources.set_listed(asn, facility, present));
+
+            let kb = KnowledgeBase::assemble(&sources, &lab.topo.world);
+            let config = CfsConfig {
+                followup_interfaces: 0,
+                ..CfsConfig::default()
+            };
+            let recorder = Arc::new(NoopRecorder);
+            let mut fresh = lab.session(substrate.engine(), &kb, config, recorder, None);
+            let want: Value = serde_json::from_str(&canonical_trace(fresh.converge())).unwrap();
+            let served = ask(&mut daemon, Request::Trace);
+            assert!(
+                served["trace"] == want,
+                "{faults:?} flip {step} ({asn} {facility} {present}) drifted from a fresh session"
+            );
+        }
+    }
 }
 
 #[test]
