@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod atlas;
 mod corpus;
 mod engine;
 mod observe;
@@ -41,7 +40,6 @@ mod session;
 mod state;
 mod telemetry;
 
-pub use atlas::{AtlasEntry, InterconnectionAtlas};
 pub use engine::{Cfs, CfsBuilder, CfsConfig, IterationStats};
 pub use observe::{extract_observations, HopMeaning, Observation, Resolver};
 pub use proximity::ProximityModel;

@@ -1,4 +1,4 @@
-//! The `cfs-alerts/1` stream: severity-typed disruption alerts, a
+//! The `cfs-alerts/1` stream: severity-typed disruption alerts, their
 //! bounded cursor-drained ring, and the document validator.
 //!
 //! Alert lines follow the same discipline as `cfs-log/1`: hand-rendered
@@ -8,11 +8,8 @@
 //! so two daemons fed the same epochs under a `Virtual` clock emit
 //! byte-identical streams at any thread count.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
 use cfs_obs::export::escape;
-use cfs_obs::{Clock, Severity};
+use cfs_obs::{CursorRing, Severity};
 
 /// Schema identifier stamped into every rendered alert line.
 pub const ALERTS_SCHEMA: &str = "cfs-alerts/1";
@@ -114,111 +111,12 @@ impl Alert {
         ));
         out
     }
-
-    /// Renders a compact human line (`cfs watch` / `cfs top`).
-    pub fn render_text(&self) -> String {
-        let mut locus = String::new();
-        if let Some((_, name)) = &self.facility {
-            locus.push_str(&format!(" facility={name}"));
-        }
-        if let Some((_, name)) = &self.ixp {
-            locus.push_str(&format!(" ixp={name}"));
-        }
-        format!(
-            "[{}] #{:<4} epoch={} {}{} observed={}pm baseline={}pm score={}pm support={}",
-            self.severity.as_str(),
-            self.seq,
-            self.epoch,
-            self.kind.code(),
-            locus,
-            self.observed_pm,
-            self.baseline_pm,
-            self.score_pm,
-            self.support
-        )
-    }
 }
 
-struct RingState {
-    next_seq: u64,
-    ring: VecDeque<Alert>,
-}
-
-/// A bounded in-memory alert ring drained by sequence cursor, mirroring
-/// `cfs-obs`'s `EventLog` semantics: pollers never see an alert twice,
-/// and a first returned `seq` greater than the cursor betrays eviction.
-pub struct AlertLog {
-    clock: Arc<dyn Clock>,
-    cap: usize,
-    state: Mutex<RingState>,
-}
-
-impl AlertLog {
-    /// An alert log keeping the most recent `cap` alerts.
-    pub fn new(clock: Arc<dyn Clock>, cap: usize) -> Self {
-        Self {
-            clock,
-            cap: cap.max(1),
-            state: Mutex::new(RingState {
-                next_seq: 0,
-                ring: VecDeque::new(),
-            }),
-        }
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&mut RingState) -> R) -> R {
-        let mut guard = match self.state.lock() {
-            Ok(g) => g,
-            // Plain values only: recover from poisoning and keep serving.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard)
-    }
-
-    /// Stamps `seq`/`t_ns` onto `draft` and retains it; returns the
-    /// finished alert.
-    pub fn emit(&self, mut draft: Alert) -> Alert {
-        draft.t_ns = self.clock.now_ns();
-        self.with_state(|st| {
-            draft.seq = st.next_seq;
-            st.next_seq += 1;
-            st.ring.push_back(draft.clone());
-            while st.ring.len() > self.cap {
-                st.ring.pop_front();
-            }
-        });
-        draft
-    }
-
-    /// Every retained alert with `seq >= cursor`, oldest first, plus the
-    /// next cursor (one past the newest alert ever emitted).
-    pub fn since(&self, cursor: u64) -> (Vec<Alert>, u64) {
-        self.with_state(|st| {
-            let alerts = st
-                .ring
-                .iter()
-                .filter(|a| a.seq >= cursor)
-                .cloned()
-                .collect();
-            (alerts, st.next_seq)
-        })
-    }
-
-    /// Retained alert count.
-    pub fn len(&self) -> usize {
-        self.with_state(|st| st.ring.len())
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total alerts ever emitted (the next cursor).
-    pub fn total(&self) -> u64 {
-        self.with_state(|st| st.next_seq)
-    }
-}
+/// The alert ring: `cfs-obs`'s cursor ring, with its `EventLog`
+/// semantics — pollers never see an alert twice, and a first returned
+/// `seq` greater than the cursor betrays eviction.
+pub type AlertLog = CursorRing<Alert>;
 
 /// Summary of a validated alert document.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -324,6 +222,12 @@ pub fn validate_alerts(text: &str) -> Result<AlertsSummary, String> {
 mod tests {
     use super::*;
     use cfs_obs::Virtual;
+    use std::sync::Arc;
+
+    /// Stamps `draft` into the ring, as the detector does.
+    fn emit(log: &AlertLog, draft: Alert) -> Alert {
+        log.push(|seq, t_ns| Alert { seq, t_ns, ..draft })
+    }
 
     fn draft(epoch: u64) -> Alert {
         Alert {
@@ -345,13 +249,13 @@ mod tests {
     fn rendered_lines_validate() {
         let clock = Arc::new(Virtual::new());
         let log = AlertLog::new(clock.clone(), 8);
-        log.emit(draft(5));
+        emit(&log, draft(5));
         clock.advance(1_000);
         let mut flap = draft(6);
         flap.kind = AlertKind::IxpPortLoss;
         flap.ixp = Some((1, "fra-ix".into()));
         flap.severity = Severity::Warn;
-        log.emit(flap);
+        emit(&log, flap);
         let (alerts, next) = log.since(0);
         assert_eq!(next, 2);
         let doc: String = alerts.iter().map(|a| a.render_json() + "\n").collect();
@@ -411,12 +315,11 @@ mod tests {
     fn ring_eviction_shows_in_cursor_gap() {
         let log = AlertLog::new(Arc::new(Virtual::new()), 2);
         for epoch in 0..5 {
-            log.emit(draft(epoch));
+            emit(&log, draft(epoch));
         }
         let (alerts, next) = log.since(0);
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0].seq, 3);
         assert_eq!(next, 5);
-        assert_eq!(log.total(), 5);
     }
 }

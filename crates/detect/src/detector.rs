@@ -323,9 +323,9 @@ impl Detector {
         } else {
             Severity::Warn
         };
-        out.push(self.alerts.emit(Alert {
-            seq: 0,
-            t_ns: 0,
+        out.push(self.alerts.push(|seq, t_ns| Alert {
+            seq,
+            t_ns,
             epoch,
             severity,
             kind,

@@ -10,7 +10,7 @@ use cfs_net::{Ipv4Prefix, PrefixTrie};
 use cfs_types::{diff_keys, Asn, FacilityId, IxpId, MetroId, Region};
 
 use crate::reconcile::{
-    reconcile_exchanges, ConflictClass, KbQuality, Provenance, QualitySums, Reconciliation,
+    reconcile, ConflictClass, KbQuality, Provenance, QualitySums, Reconciliation,
 };
 use crate::sources::PublicSources;
 
@@ -32,17 +32,18 @@ pub struct EpochMoves {
 /// be degraded after assembly (`remove_facilities`) to run the Figure 8
 /// robustness experiment.
 ///
-/// A listing edit ([`Self::relist`]) writes only the AS footprints and
-/// their claims' provenance. Everything else sits behind `Arc`, so the
-/// epochs a run of listing edits produces share it, and a clone copies
-/// only the two edited maps.
+/// The merged AS and exchange tables are the reconciled claims: an AS's
+/// footprint (PeeringDB ∪ NOC pages) is the facility set of its
+/// AS → facility claims, an exchange's partner facilities (PeeringDB ∪
+/// IXP websites) those of its IXP → facility claims.
+///
+/// A listing edit ([`Self::relist`]) writes only the AS → facility
+/// claims. Everything else sits behind `Arc`, so the epochs a run of
+/// listing edits produces share it, and a clone copies only that map.
 #[derive(Clone, Debug)]
 pub struct KnowledgeBase {
-    /// AS → known facility presence (PeeringDB ∪ NOC pages).
-    as_facilities: BTreeMap<Asn, BTreeSet<FacilityId>>,
-    /// IXP → known partner facilities (PeeringDB ∪ IXP websites).
-    ixp_facilities: Arc<BTreeMap<IxpId, BTreeSet<FacilityId>>>,
-    /// Confirmed IXP peering LANs (≥3 sources, §3.1.2).
+    /// Confirmed IXP peering LANs: the prefix claims with ≥3 asserting
+    /// sources (§3.1.2) at an exchange that passed the activity filter.
     ixp_prefixes: Arc<PrefixTrie<IxpId>>,
     /// IXP → fabric address → member AS (websites + PeeringDB, ≥2
     /// sources for the *membership*, keyed by what the sites publish).
@@ -56,7 +57,7 @@ pub struct KnowledgeBase {
     /// Exchanges that passed the activity filter.
     active_ixps: Arc<BTreeSet<IxpId>>,
     /// Cross-source vote on every merged claim (trust priors, agreement
-    /// scores, conflict classes).
+    /// scores, conflict classes); its claim keys are the merged tables.
     reconciliation: Reconciliation,
     /// The integer sums `quality` is rolled up from.
     sums: QualitySums,
@@ -74,30 +75,6 @@ impl KnowledgeBase {
             if let Some(city) = world.find_city(&rec.city_raw, &rec.country_raw) {
                 facility_metro.insert(rec.facility, world.metro_of(city));
                 facility_region.insert(rec.facility, world.city(city).region);
-            }
-        }
-
-        // ---- IXP prefix confirmation: a prefix counts when at least
-        // three of {PeeringDB, IXP website, PCH, consortium} agree.
-        let mut prefix_votes: BTreeMap<(IxpId, Ipv4Prefix), usize> = BTreeMap::new();
-        for (id, rec) in &sources.pdb_ixps {
-            for p in &rec.prefixes {
-                *prefix_votes.entry((*id, *p)).or_default() += 1;
-            }
-        }
-        for (id, site) in &sources.ixp_sites {
-            for p in &site.prefixes {
-                *prefix_votes.entry((*id, *p)).or_default() += 1;
-            }
-        }
-        for (id, prefixes, _) in &sources.pch_list {
-            for p in prefixes {
-                *prefix_votes.entry((*id, *p)).or_default() += 1;
-            }
-        }
-        for (id, prefixes) in &sources.consortium_list {
-            for p in prefixes {
-                *prefix_votes.entry((*id, *p)).or_default() += 1;
             }
         }
 
@@ -136,28 +113,6 @@ impl KnowledgeBase {
             }
         }
 
-        let mut ixp_prefixes = PrefixTrie::new();
-        for ((id, prefix), votes) in &prefix_votes {
-            if *votes >= 3 && active_ixps.contains(id) {
-                ixp_prefixes.insert(*prefix, *id);
-            }
-        }
-
-        // ---- IXP → facilities: PeeringDB union websites.
-        let mut ixp_facilities: BTreeMap<IxpId, BTreeSet<FacilityId>> = BTreeMap::new();
-        for rec in sources.pdb_ixps.values() {
-            ixp_facilities
-                .entry(rec.ixp)
-                .or_default()
-                .extend(rec.facilities.iter().copied());
-        }
-        for site in sources.ixp_sites.values() {
-            ixp_facilities
-                .entry(site.ixp)
-                .or_default()
-                .extend(site.facilities.iter().copied());
-        }
-
         // ---- Member directories (fabric address → ASN): IXP websites
         // plus PeeringDB netixlan rows. Highest trust wins on a
         // disputed address: the volunteer rows go in first, the site
@@ -190,27 +145,31 @@ impl KnowledgeBase {
         }
 
         // ---- Cross-source reconciliation: every merged claim gets a
-        // provenance verdict (DESIGN.md §11). The AS → facility family,
-        // footprints included, is one routine run per network.
-        let reconciliation = reconcile_exchanges(sources);
-        let mut kb = Self {
-            as_facilities: BTreeMap::new(),
-            ixp_facilities: Arc::new(ixp_facilities),
+        // provenance verdict (DESIGN.md §11), and the claim keys are the
+        // merged footprints and partner facilities.
+        let reconciliation = reconcile(sources);
+
+        // ---- IXP prefix confirmation: a prefix counts when at least
+        // three of {PeeringDB, IXP website, PCH, consortium} assert it.
+        let mut ixp_prefixes = PrefixTrie::new();
+        for ((id, prefix), p) in reconciliation.prefix.iter() {
+            if p.sources.len() >= 3 && active_ixps.contains(id) {
+                ixp_prefixes.insert(*prefix, *id);
+            }
+        }
+
+        let sums = reconciliation.sums();
+        Self {
             ixp_prefixes: Arc::new(ixp_prefixes),
             ixp_members: Arc::new(ixp_members),
             as_ixps: Arc::new(as_ixps),
             facility_metro: Arc::new(facility_metro),
             facility_region: Arc::new(facility_region),
             active_ixps: Arc::new(active_ixps),
-            sums: reconciliation.sums(),
             reconciliation,
-            quality: KbQuality::default(),
-        };
-        for asn in sources.networks() {
-            kb.list_network(sources, asn);
+            quality: sums.quality(),
+            sums,
         }
-        kb.quality = kb.sums.quality();
-        kb
     }
 
     /// The epoch after an edit to `asn`'s facility listings: `sources`
@@ -222,33 +181,32 @@ impl KnowledgeBase {
     #[must_use]
     pub fn relist(&self, sources: &PublicSources, asn: Asn) -> Self {
         let mut next = self.clone();
-        next.list_network(sources, asn);
+        next.reconciliation.relist(sources, asn, &mut next.sums);
         next.quality = next.sums.quality();
         next
-    }
-
-    /// Re-derives `asn`'s footprint and the provenance of its claims.
-    fn list_network(&mut self, sources: &PublicSources, asn: Asn) {
-        match self.reconciliation.relist(sources, asn, &mut self.sums) {
-            Some(footprint) => self.as_facilities.insert(asn, footprint),
-            None => self.as_facilities.remove(&asn),
-        };
     }
 
     /// Facilities where `asn` is known to be present (empty set when the
     /// AS has no public record — the paper's "missing data" outcome).
     pub fn facilities_of_as(&self, asn: Asn) -> BTreeSet<FacilityId> {
-        self.as_facilities.get(&asn).cloned().unwrap_or_default()
+        // `extend` inserts one by one: no buffer is staged beside the set.
+        let mut set = BTreeSet::new();
+        set.extend(claimed(&self.reconciliation.as_facility, asn));
+        set
     }
 
     /// Whether there is *any* facility record for the AS.
     pub fn knows_as(&self, asn: Asn) -> bool {
-        self.as_facilities.get(&asn).is_some_and(|s| !s.is_empty())
+        claimed(&self.reconciliation.as_facility, asn)
+            .next()
+            .is_some()
     }
 
     /// Known partner facilities of an exchange.
     pub fn facilities_of_ixp(&self, ixp: IxpId) -> BTreeSet<FacilityId> {
-        self.ixp_facilities.get(&ixp).cloned().unwrap_or_default()
+        let mut set = BTreeSet::new();
+        set.extend(claimed(&self.reconciliation.ixp_facility, ixp));
+        set
     }
 
     /// The exchange owning `ip`, per the confirmed prefix list — the §4.2
@@ -305,11 +263,6 @@ impl KnowledgeBase {
     /// Exchanges that passed the activity filter.
     pub fn active_ixps(&self) -> &BTreeSet<IxpId> {
         &self.active_ixps
-    }
-
-    /// The cross-source reconciliation behind this merge.
-    pub fn reconciliation(&self) -> &Reconciliation {
-        &self.reconciliation
     }
 
     /// The `kb_quality` roll-up (conflict tallies, per-source stats).
@@ -376,11 +329,11 @@ impl KnowledgeBase {
     /// epoch, so a resident session absorbing the flip can skip
     /// re-extraction and re-converge from the footprint diff alone.
     pub fn same_classification_view(&self, other: &Self) -> bool {
+        // The confirmed peering-LAN space is a function of the prefix
+        // claims and the activity filter, so comparing both covers it.
         same(&self.active_ixps, &other.active_ixps)
             && same(&self.ixp_members, &other.ixp_members)
             && same(&self.as_ixps, &other.as_ixps)
-            && (Arc::ptr_eq(&self.ixp_prefixes, &other.ixp_prefixes)
-                || self.ixp_prefixes.iter() == other.ixp_prefixes.iter())
             // Membership and prefix provenance weight the multi-rule
             // IXP-hop detector, so extraction reads them too.
             && same(&self.reconciliation.membership, &other.reconciliation.membership)
@@ -396,9 +349,8 @@ impl KnowledgeBase {
             return None;
         }
         let mut moved = EpochMoves::default();
-        diff_keys(&self.as_facilities, &other.as_facilities, |a| {
-            moved.ases.insert(*a);
-        });
+        // A footprint change is a change of claim keys, so one walk over
+        // the AS claims sees it beside every re-voted claim.
         diff_keys(
             &self.reconciliation.as_facility,
             &other.reconciliation.as_facility,
@@ -406,20 +358,35 @@ impl KnowledgeBase {
                 moved.ases.insert(*a);
             },
         );
-        if !Arc::ptr_eq(&self.ixp_facilities, &other.ixp_facilities) {
-            diff_keys(&self.ixp_facilities, &other.ixp_facilities, |x| {
-                moved.ixps.insert(*x);
-            });
+        // Partner facilities are the exchange claims' keys; a re-voted
+        // claim moves no exchange.
+        let (mine, theirs) = (
+            &self.reconciliation.ixp_facility,
+            &other.reconciliation.ixp_facility,
+        );
+        if !Arc::ptr_eq(mine, theirs) {
+            fn only_in<'a, V>(
+                a: &'a BTreeMap<(IxpId, FacilityId), V>,
+                b: &'a BTreeMap<(IxpId, FacilityId), V>,
+            ) -> impl Iterator<Item = IxpId> + 'a {
+                a.keys().filter(|k| !b.contains_key(k)).map(|(x, _)| *x)
+            }
+            moved
+                .ixps
+                .extend(only_in(mine, theirs).chain(only_in(theirs, mine)));
         }
         Some(moved)
     }
 
     /// All ASes with any facility record.
     pub fn known_ases(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.as_facilities
-            .iter()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(a, _)| *a)
+        // Claims are keyed (AS, facility), so each AS's claims are
+        // adjacent: yield the AS of the first one.
+        let mut last = None;
+        self.reconciliation
+            .as_facility
+            .keys()
+            .filter_map(move |(a, _)| (last.replace(*a) != Some(*a)).then_some(*a))
     }
 
     /// Total number of distinct facilities referenced anywhere.
@@ -431,13 +398,10 @@ impl KnowledgeBase {
     /// every record — the Figure 8 robustness experiment ("we executed
     /// CFS while iteratively removing 1,400 facilities from our dataset").
     pub fn remove_facilities(&mut self, removed: &BTreeSet<FacilityId>) {
-        for set in self.as_facilities.values_mut() {
-            set.retain(|f| !removed.contains(f));
-        }
+        let rec = &mut self.reconciliation;
+        rec.as_facility.retain(|(_, f), _| !removed.contains(f));
         // Copy-on-write: epochs sharing these tables keep theirs.
-        for set in Arc::make_mut(&mut self.ixp_facilities).values_mut() {
-            set.retain(|f| !removed.contains(f));
-        }
+        Arc::make_mut(&mut rec.ixp_facility).retain(|(_, f), _| !removed.contains(f));
         Arc::make_mut(&mut self.facility_metro).retain(|f, _| !removed.contains(f));
         Arc::make_mut(&mut self.facility_region).retain(|f, _| !removed.contains(f));
     }
@@ -447,6 +411,16 @@ impl KnowledgeBase {
 /// when both epochs share one.
 fn same<T: PartialEq>(a: &Arc<T>, b: &Arc<T>) -> bool {
     Arc::ptr_eq(a, b) || a == b
+}
+
+/// The facilities `key` holds claims on in a family keyed (entity,
+/// facility), in order: one range walk.
+fn claimed<K: Ord + Copy>(
+    claims: &BTreeMap<(K, FacilityId), Provenance>,
+    key: K,
+) -> impl Iterator<Item = FacilityId> + '_ {
+    let run = (key, FacilityId::new(0))..=(key, FacilityId::new(u32::MAX));
+    claims.range(run).map(|((_, f), _)| *f)
 }
 
 #[cfg(test)]
@@ -650,13 +624,78 @@ mod tests {
         assert!(kb.facility_count() <= topo.facilities.len() - victim.len());
     }
 
+    /// The merged tables, recomputed from the raw sources: footprints
+    /// are PeeringDB ∪ NOC page, partner facilities PeeringDB ∪ website,
+    /// and a listed prefix classifies its first host exactly when three
+    /// distinct sources list it for an exchange that passed the activity
+    /// filter. Tiny and default worlds, clean and `stale-kb+conflict`.
+    #[test]
+    fn merged_tables_match_the_raw_sources() {
+        use crate::degrade_sources;
+        use cfs_chaos::FaultPlan;
+        let tiny = KbConfig {
+            noc_pages: 20,
+            ..Default::default()
+        };
+        for (topo_cfg, kb_cfg) in [
+            (TopologyConfig::tiny(), tiny),
+            (TopologyConfig::default(), KbConfig::default()),
+        ] {
+            let topo = Topology::generate(topo_cfg).unwrap();
+            let clean = PublicSources::derive(&topo, &kb_cfg);
+            let plan = FaultPlan::named("stale-kb+conflict", topo.config.seed).unwrap();
+            let degraded = degrade_sources(&clean, &plan);
+            for src in [clean, degraded] {
+                assert!(PublicSources::from_json(&src.to_json().unwrap()).is_ok());
+                let kb = KnowledgeBase::assemble(&src, &topo.world);
+                let union = |a: Option<&Vec<FacilityId>>, b: Option<&Vec<FacilityId>>| {
+                    let both = a.into_iter().chain(b).flatten();
+                    both.copied().collect::<BTreeSet<_>>()
+                };
+                for asn in src.pdb_networks.keys().chain(src.noc_pages.keys()) {
+                    let pdb = src.pdb_networks.get(asn).map(|r| &r.facilities);
+                    let noc = src.noc_pages.get(asn).map(|p| &p.facilities);
+                    let want = union(pdb, noc);
+                    assert_eq!(kb.facilities_of_as(*asn), want, "{asn}");
+                    assert_eq!(kb.knows_as(*asn), !want.is_empty(), "{asn}");
+                }
+                for ixp in src.pdb_ixps.keys().chain(src.ixp_sites.keys()) {
+                    let pdb = src.pdb_ixps.get(ixp).map(|r| &r.facilities);
+                    let site = src.ixp_sites.get(ixp).map(|s| &s.facilities);
+                    assert_eq!(kb.facilities_of_ixp(*ixp), union(pdb, site), "{ixp}");
+                }
+                let lists = |x: IxpId| {
+                    let pdb = src.pdb_ixps.get(&x).map(|r| &r.prefixes);
+                    let site = src.ixp_sites.get(&x).map(|s| &s.prefixes);
+                    let pch = src.pch_list.iter().find(|e| e.0 == x).map(|e| &e.1);
+                    let cons = src.consortium_list.iter().find(|e| e.0 == x).map(|e| &e.1);
+                    [pdb, site, pch, cons]
+                };
+                let listed: BTreeSet<(IxpId, Ipv4Prefix)> = src
+                    .pdb_ixps
+                    .keys()
+                    .chain(src.ixp_sites.keys())
+                    .chain(src.pch_list.iter().map(|e| &e.0))
+                    .chain(src.consortium_list.iter().map(|e| &e.0))
+                    .flat_map(|x| lists(*x).into_iter().flatten().flatten().map(|p| (*x, *p)))
+                    .collect();
+                assert!(!listed.is_empty());
+                for (x, p) in listed {
+                    let sources = lists(x).into_iter().flatten();
+                    let votes = sources.filter(|ps| ps.contains(&p)).count();
+                    let confirmed = votes >= 3 && kb.active_ixps().contains(&x);
+                    let host = p.nth(1).unwrap();
+                    assert_eq!(kb.ixp_of_ip(host) == Some(x), confirmed, "{x} {p}");
+                }
+            }
+        }
+    }
+
     /// The first field on which two epochs differ, if any. The
     /// destructuring makes a new field a compile error until it is
     /// compared here.
     fn first_difference(a: &KnowledgeBase, b: &KnowledgeBase) -> Option<&'static str> {
         let KnowledgeBase {
-            as_facilities,
-            ixp_facilities,
             ixp_prefixes,
             ixp_members,
             as_ixps,
@@ -668,8 +707,6 @@ mod tests {
             quality,
         } = a;
         [
-            ("as_facilities", *as_facilities == b.as_facilities),
-            ("ixp_facilities", *ixp_facilities == b.ixp_facilities),
             ("ixp_prefixes", ixp_prefixes.iter() == b.ixp_prefixes.iter()),
             ("ixp_members", *ixp_members == b.ixp_members),
             ("as_ixps", *as_ixps == b.as_ixps),

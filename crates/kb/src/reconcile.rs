@@ -283,21 +283,16 @@ impl Reconciliation {
         sums
     }
 
-    /// Re-derives one network's AS → facility claims from `src`: its
-    /// merged footprint (PeeringDB ∪ NOC page) and the cross-source vote
-    /// on every facility in it, which replace the claims held for `asn`.
-    /// `sums` moves by the difference. Returns the footprint, or `None`
-    /// when neither source has a record for `asn`.
+    /// Re-derives one network's AS → facility claims from `src`: one
+    /// claim per facility of its merged footprint (PeeringDB ∪ NOC page),
+    /// carrying the cross-source vote on it, which replace the claims
+    /// held for `asn`. The claims' facilities are the footprint. `sums`
+    /// moves by the difference.
     ///
     /// This is the only derivation a listing edit reaches: [`reconcile`]
-    /// and [`crate::KnowledgeBase::assemble`] run it for every network,
-    /// [`crate::KnowledgeBase::relist`] for the edited one.
-    pub(crate) fn relist(
-        &mut self,
-        src: &PublicSources,
-        asn: Asn,
-        sums: &mut QualitySums,
-    ) -> Option<BTreeSet<FacilityId>> {
+    /// runs it for every network, [`crate::KnowledgeBase::relist`] for
+    /// the edited one.
+    pub(crate) fn relist(&mut self, src: &PublicSources, asn: Asn, sums: &mut QualitySums) {
         let held = (asn, FacilityId::new(0))..=(asn, FacilityId::new(u32::MAX));
         let held: Vec<_> = self.as_facility.range(held).map(|(k, _)| *k).collect();
         for key in held {
@@ -311,25 +306,20 @@ impl Reconciliation {
         // A source covers the AS when it has a record with a non-empty
         // facility list (an empty list is the operator not bothering,
         // not a claim that the AS is nowhere).
-        let noc = src.noc_pages.get(&asn).map(|p| &p.facilities);
-        let pdb = src.pdb_networks.get(&asn).map(|r| &r.facilities);
-        if noc.is_none() && pdb.is_none() {
-            return None;
-        }
-        let (noc, pdb) = (
-            noc.map_or(&[][..], Vec::as_slice),
-            pdb.map_or(&[][..], Vec::as_slice),
-        );
+        let noc = src.noc_pages.get(&asn).map_or(&[][..], |p| &p.facilities);
+        let pdb = src
+            .pdb_networks
+            .get(&asn)
+            .map_or(&[][..], |r| &r.facilities);
         let footprint: BTreeSet<FacilityId> = noc.iter().chain(pdb).copied().collect();
-        for f in &footprint {
+        for f in footprint {
             let mut v = Votes::new();
-            v.cast(SourceId::NocPage, !noc.is_empty(), noc.contains(f));
-            v.cast(SourceId::PdbNet, !pdb.is_empty(), pdb.contains(f));
+            v.cast(SourceId::NocPage, !noc.is_empty(), noc.contains(&f));
+            v.cast(SourceId::PdbNet, !pdb.is_empty(), pdb.contains(&f));
             let p = v.seal();
             sums.count(&p, false);
-            self.as_facility.insert((asn, *f), p);
+            self.as_facility.insert((asn, f), p);
         }
-        Some(footprint)
     }
 }
 
@@ -449,7 +439,7 @@ pub fn reconcile(src: &PublicSources) -> Reconciliation {
 /// Re-derives the exchange-side claim families (partner facilities,
 /// memberships, peering-LAN prefixes), which no listing edit reaches;
 /// the AS → facility family is left empty.
-pub(crate) fn reconcile_exchanges(src: &PublicSources) -> Reconciliation {
+fn reconcile_exchanges(src: &PublicSources) -> Reconciliation {
     let (mut ixp_facility, mut membership, mut prefixes) =
         (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
 

@@ -8,9 +8,11 @@
 //! massaged into this schema) can drive the pipeline instead of the
 //! generated one.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
-use cfs_types::{Error, Result};
+use cfs_net::Ipv4Prefix;
+use cfs_types::{Error, IxpId, Result};
 
 use crate::sources::PublicSources;
 
@@ -21,9 +23,23 @@ impl PublicSources {
             .map_err(|e| Error::invalid(format!("snapshot serialize: {e}")))
     }
 
-    /// Parses a bundle from JSON.
+    /// Parses a bundle from JSON. A bundle whose exchange tables a
+    /// prefix vote would read differently from its provenance is
+    /// refused: an exchange listed twice in one table, a prefix repeated
+    /// in one source's list, or a record filed under another exchange's
+    /// key.
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| Error::invalid(format!("snapshot parse: {e}")))
+        let src: Self = serde_json::from_str(json)
+            .map_err(|e| Error::invalid(format!("snapshot parse: {e}")))?;
+        let pdb = src.pdb_ixps.iter().map(|(k, r)| (*k, r.ixp, &r.prefixes));
+        check_exchanges("pdb_ixps", pdb)?;
+        let sites = src.ixp_sites.iter().map(|(k, s)| (*k, s.ixp, &s.prefixes));
+        check_exchanges("ixp_sites", sites)?;
+        let pch = src.pch_list.iter().map(|(x, ps, _)| (*x, *x, ps));
+        check_exchanges("pch_list", pch)?;
+        let consortium = src.consortium_list.iter().map(|(x, ps)| (*x, *x, ps));
+        check_exchanges("consortium_list", consortium)?;
+        Ok(src)
     }
 
     /// Writes the bundle to a file.
@@ -37,6 +53,31 @@ impl PublicSources {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)
     }
+}
+
+/// Checks one source's exchange table, given as (key the entry is filed
+/// under, exchange its record names, prefixes): the reconciler gives the
+/// source one vote per exchange and prefix, read through that key.
+fn check_exchanges<'a>(
+    table: &str,
+    entries: impl Iterator<Item = (IxpId, IxpId, &'a Vec<Ipv4Prefix>)>,
+) -> Result<()> {
+    let mut exchanges = BTreeSet::new();
+    for (key, ixp, prefixes) in entries {
+        let mut seen = BTreeSet::new();
+        let fault = if key != ixp {
+            Some(format!("the record of exchange {ixp} is filed under {key}"))
+        } else if !exchanges.insert(ixp) {
+            Some(format!("exchange {ixp} is listed twice"))
+        } else {
+            let twice = prefixes.iter().find(|p| !seen.insert(**p));
+            twice.map(|p| format!("exchange {ixp} lists prefix {p} twice"))
+        };
+        if let Some(fault) = fault {
+            return Err(Error::invalid(format!("snapshot {table}: {fault}")));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -112,6 +153,78 @@ mod tests {
         assert!(PublicSources::from_json("{").is_err());
         assert!(PublicSources::from_json("{\"pdb_facilities\": 5}").is_err());
         assert!(PublicSources::load("/nonexistent/path.json").is_err());
+    }
+
+    /// `from_json` on `src` after `edit`, as the refusal's message.
+    fn refusal(edit: impl FnOnce(&mut PublicSources)) -> String {
+        let (_, mut src) = sources();
+        edit(&mut src);
+        match PublicSources::from_json(&src.to_json().unwrap()) {
+            Err(Error::Invalid { reason }) => reason,
+            other => panic!("snapshot accepted: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn an_exchange_listed_twice_is_refused() {
+        let reason = refusal(|src| {
+            let first = src.pch_list[0].clone();
+            src.pch_list.push(first);
+        });
+        assert!(
+            reason.contains("pch_list") && reason.contains("twice"),
+            "{reason}"
+        );
+        let reason = refusal(|src| {
+            let first = src.consortium_list[0].clone();
+            src.consortium_list.push(first);
+        });
+        assert!(reason.contains("consortium_list"), "{reason}");
+    }
+
+    #[test]
+    fn a_prefix_repeated_in_one_list_is_refused() {
+        let reason = refusal(|src| {
+            let rec = src.pdb_ixps.values_mut().find(|r| !r.prefixes.is_empty());
+            let rec = rec.expect("a PeeringDB exchange lists a prefix");
+            rec.prefixes.push(rec.prefixes[0]);
+        });
+        assert!(
+            reason.contains("pdb_ixps") && reason.contains("prefix"),
+            "{reason}"
+        );
+        let reason = refusal(|src| {
+            let (_, prefixes, _) = &mut src.pch_list[0];
+            prefixes.push(prefixes[0]);
+        });
+        assert!(
+            reason.contains("pch_list") && reason.contains("prefix"),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn a_record_filed_under_another_exchange_is_refused() {
+        let reason = refusal(|src| {
+            let mut keys = src.pdb_ixps.keys().copied();
+            let (a, b) = (keys.next().unwrap(), keys.next().unwrap());
+            let rec = src.pdb_ixps[&a].clone();
+            src.pdb_ixps.insert(b, rec);
+        });
+        assert!(
+            reason.contains("pdb_ixps") && reason.contains("filed under"),
+            "{reason}"
+        );
+        let reason = refusal(|src| {
+            let mut keys = src.ixp_sites.keys().copied();
+            let (a, b) = (keys.next().unwrap(), keys.next().unwrap());
+            let site = src.ixp_sites[&a].clone();
+            src.ixp_sites.insert(b, site);
+        });
+        assert!(
+            reason.contains("ixp_sites") && reason.contains("filed under"),
+            "{reason}"
+        );
     }
 
     #[test]

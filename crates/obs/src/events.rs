@@ -171,44 +171,83 @@ impl Event {
         out.push('}');
         out
     }
+}
 
-    /// Renders a compact human line (`cfs top`'s event feed).
-    pub fn render_text(&self) -> String {
-        let mut detail = String::new();
-        self.kind.push_fields(&mut detail);
-        // The JSON field tail reads fine as a detail string once the
-        // punctuation is relaxed.
-        let detail = detail
-            .trim_start_matches(',')
-            .replace("\",\"", "\" \"")
-            .replace(',', " ")
-            .replace('"', "");
-        format!(
-            "[{}] #{:<4} t={:.3}s {} {}",
-            self.severity.as_str(),
-            self.seq,
-            self.t_ns as f64 / 1e9,
-            self.kind.code(),
-            detail
-        )
+struct RingState<T> {
+    next_seq: u64,
+    ring: VecDeque<T>,
+}
+
+/// A bounded in-memory record ring drained by sequence cursor: the
+/// store behind both the `cfs-log/1` event log and the `cfs-alerts/1`
+/// alert log.
+///
+/// Every pushed record is stamped with the next sequence number and the
+/// clock's time. The ring keeps the most recent `cap` records; older ones
+/// are evicted. [`CursorRing::since`] drains by cursor, so pollers never
+/// see a record twice, and a first returned `seq` greater than the
+/// cursor betrays eviction.
+pub struct CursorRing<T> {
+    clock: Arc<dyn Clock>,
+    cap: usize,
+    state: Mutex<RingState<T>>,
+}
+
+impl<T: Clone> CursorRing<T> {
+    /// A ring keeping the most recent `cap` records (at least one).
+    pub fn new(clock: Arc<dyn Clock>, cap: usize) -> Self {
+        Self {
+            clock,
+            cap: cap.max(1),
+            state: Mutex::new(RingState {
+                next_seq: 0,
+                ring: VecDeque::new(),
+            }),
+        }
+    }
+
+    fn with_state<R>(&self, f: impl FnOnce(&mut RingState<T>) -> R) -> R {
+        let mut guard = match self.state.lock() {
+            Ok(g) => g,
+            // Same poisoning stance as the windowed recorder: the ring
+            // holds plain values, recover and keep serving.
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        f(&mut guard)
+    }
+
+    /// Builds a record from its sequence number and the clock's time
+    /// (`make(seq, t_ns)`), retains it, and returns it.
+    pub fn push(&self, make: impl FnOnce(u64, u64) -> T) -> T {
+        let t_ns = self.clock.now_ns();
+        self.with_state(|st| {
+            let record = make(st.next_seq, t_ns);
+            st.next_seq += 1;
+            st.ring.push_back(record.clone());
+            if st.ring.len() > self.cap {
+                st.ring.pop_front();
+            }
+            record
+        })
+    }
+
+    /// Every retained record with `seq >= cursor`, oldest first, plus
+    /// the next cursor (one past the newest record ever pushed).
+    pub fn since(&self, cursor: u64) -> (Vec<T>, u64) {
+        self.with_state(|st| {
+            // The retained records carry consecutive sequence numbers
+            // ending at `next_seq - 1`.
+            let first = st.next_seq - st.ring.len() as u64;
+            let skip = usize::try_from(cursor.saturating_sub(first)).unwrap_or(usize::MAX);
+            (st.ring.iter().skip(skip).cloned().collect(), st.next_seq)
+        })
     }
 }
 
-struct LogState {
-    next_seq: u64,
-    ring: VecDeque<Event>,
-}
-
-/// A bounded in-memory event ring with an optional file sink.
-///
-/// The ring keeps the most recent `cap` events; older ones are evicted
-/// (but remain on the sink, if any). [`EventLog::since`] drains by
-/// sequence cursor, so pollers never see an event twice and can detect
-/// eviction gaps by comparing cursors.
+/// The event log: a [`CursorRing`] of events with an optional file sink.
+/// Evicted events remain on the sink, if any.
 pub struct EventLog {
-    clock: Arc<dyn Clock>,
-    cap: usize,
-    state: Mutex<LogState>,
+    ring: CursorRing<Event>,
     sink: Option<Mutex<std::fs::File>>,
 }
 
@@ -216,12 +255,7 @@ impl EventLog {
     /// An event log keeping the most recent `cap` events.
     pub fn new(clock: Arc<dyn Clock>, cap: usize) -> Self {
         Self {
-            clock,
-            cap: cap.max(1),
-            state: Mutex::new(LogState {
-                next_seq: 0,
-                ring: VecDeque::new(),
-            }),
+            ring: CursorRing::new(clock, cap),
             sink: None,
         }
     }
@@ -234,16 +268,6 @@ impl EventLog {
         self
     }
 
-    fn with_state<R>(&self, f: impl FnOnce(&mut LogState) -> R) -> R {
-        let mut guard = match self.state.lock() {
-            Ok(g) => g,
-            // Same poisoning stance as the windowed recorder: the ring
-            // holds plain values, recover and keep serving.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard)
-    }
-
     /// Emits an event at its kind's default severity; returns its
     /// sequence number.
     pub fn emit(&self, kind: EventKind) -> u64 {
@@ -253,20 +277,11 @@ impl EventLog {
     /// Emits an event at an explicit severity; returns its sequence
     /// number.
     pub fn emit_with(&self, severity: Severity, kind: EventKind) -> u64 {
-        let t_ns = self.clock.now_ns();
-        let event = self.with_state(|st| {
-            let event = Event {
-                seq: st.next_seq,
-                t_ns,
-                severity,
-                kind,
-            };
-            st.next_seq += 1;
-            st.ring.push_back(event.clone());
-            while st.ring.len() > self.cap {
-                st.ring.pop_front();
-            }
-            event
+        let event = self.ring.push(|seq, t_ns| Event {
+            seq,
+            t_ns,
+            severity,
+            kind,
         });
         if let Some(sink) = &self.sink {
             let mut file = match sink.lock() {
@@ -278,30 +293,10 @@ impl EventLog {
         event.seq
     }
 
-    /// Every retained event with `seq >= cursor`, oldest first, plus
-    /// the next cursor (one past the newest event ever emitted). A
-    /// first returned `seq` greater than `cursor` means the ring
-    /// evicted events the poller never saw.
+    /// Every retained event with `seq >= cursor` and the next cursor
+    /// ([`CursorRing::since`]).
     pub fn since(&self, cursor: u64) -> (Vec<Event>, u64) {
-        self.with_state(|st| {
-            let events = st
-                .ring
-                .iter()
-                .filter(|e| e.seq >= cursor)
-                .cloned()
-                .collect();
-            (events, st.next_seq)
-        })
-    }
-
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.with_state(|st| st.ring.len())
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.since(cursor)
     }
 }
 
@@ -401,9 +396,6 @@ mod tests {
             "{\"schema\":\"cfs-log/1\",\"seq\":0,\"t_ns\":0,\"severity\":\"info\",\
              \"event\":\"kb-flip\",\"asn\":64500,\"facility\":7,\"present\":false}"
         );
-        let text = events[0].render_text();
-        assert!(text.starts_with("[info] #0"), "{text}");
-        assert!(text.contains("kb-flip"), "{text}");
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod window;
 
 pub use clock::{pace, Clock, Monotonic, Virtual};
 pub use diff::{diff_docs, DiffError, DocDiff, ProfileDiff, TraceDiff, TRACE_SCHEMA};
-pub use events::{Event, EventKind, EventLog, Severity, LOG_SCHEMA};
+pub use events::{CursorRing, Event, EventKind, EventLog, Severity, LOG_SCHEMA};
 pub use profile::{
     render_profile_folded, render_profile_json, render_profile_report, DurationStats, ProfileDoc,
     PROFILE_BOUNDS_NS, PROFILE_SCHEMA,

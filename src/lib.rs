@@ -87,8 +87,7 @@ pub mod prelude {
     pub use cfs_chaos::{FaultPlan, FaultProfile, RetryPolicy};
     pub use cfs_core::{
         canonical_trace, Cfs, CfsBuilder, CfsConfig, CfsReport, CfsSession, DataQualityReport,
-        Delta, DeltaOutcome, InterconnectionAtlas, IterationStats, QueryAnswer, RemoteTester,
-        SearchOutcome,
+        Delta, DeltaOutcome, IterationStats, QueryAnswer, RemoteTester, SearchOutcome,
     };
     pub use cfs_kb::{degrade_sources, KbConfig, KnowledgeBase, PublicSources};
     pub use cfs_svc::{Client, Endpoint, Reply, Request, Server};

@@ -1337,8 +1337,9 @@ fn event_line(e: &serde_json::Value) -> String {
 }
 
 /// One human-readable line for a drained `cfs-alerts/1` record,
-/// rendered client-side from its JSON form (mirrors
-/// `Alert::render_text` on the daemon side).
+/// rendered client-side from its JSON form: `[severity] #seq epoch=…
+/// kind [facility=…] [ixp=…] observed=…pm baseline=…pm score=…pm
+/// support=…`.
 fn alert_line(a: &serde_json::Value) -> String {
     let s = |k: &str| a.get(k).and_then(|v| v.as_str());
     let n = |k: &str| a.get(k).and_then(|v| v.as_u64());

@@ -1,7 +1,8 @@
 //! End-to-end CLI coverage for the profiling/diff tooling: `cfs run
 //! --trace-json --profile-json`, `cfs profile`, `cfs trace-diff`, and
-//! the section-tagged `cfs check` failure reporting — driven
-//! through the real binary, the way CI drives it.
+//! the section-tagged `cfs check` failure reporting, and the refusal of
+//! a malformed `--sources` snapshot — driven through the real binary,
+//! the way CI drives it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -137,32 +138,63 @@ fn profile_and_diff_cli_end_to_end() {
 
 #[test]
 fn golden_trace_fixture_matches_a_fresh_run() {
-    // Guards the committed CI regression fixture: the tiny/seed-7 run
-    // shape must keep producing exactly these bytes. If this fails
-    // after an *intentional* behavior change, regenerate with
-    // `cfs run --scale tiny --seed 7 --trace-json tests/golden/trace-tiny-seed7.json`.
-    let golden = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/trace-tiny-seed7.json"
-    );
-    let fresh = tmp("golden-check.trace.json");
+    // Guards the committed CI regression fixtures: the tiny/seed-7 run
+    // shape, clean and over `stale-kb+conflict` sources, must keep
+    // producing exactly these bytes. If this fails after an
+    // *intentional* behavior change, regenerate with
+    // `cfs run --scale tiny --seed 7 [--faults stale-kb+conflict]
+    // --trace-json tests/golden/<fixture>`.
+    for (fixture, faults) in [
+        ("trace-tiny-seed7.json", None),
+        ("trace-tiny-seed7-conflict.json", Some("stale-kb+conflict")),
+    ] {
+        let golden = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        let fresh = tmp(&format!("golden-check-{fixture}"));
+        let mut args = vec!["run", "--scale", "tiny", "--seed", "7"];
+        args.extend(faults.map(|f| ["--faults", f]).into_iter().flatten());
+        args.extend(["--trace-json", fresh.to_str().unwrap()]);
+        let run = cfs(&args);
+        assert!(run.status.success(), "{}", stderr(&run));
+        let diff = cfs(&["trace-diff", &golden, fresh.to_str().unwrap()]);
+        assert_eq!(
+            diff.status.code(),
+            Some(0),
+            "golden trace {fixture} drifted:\n{}",
+            stdout(&diff)
+        );
+    }
+}
+
+#[test]
+fn run_refuses_a_snapshot_that_lists_an_exchange_twice() {
+    // A prefix vote gives each source one say per exchange; a snapshot
+    // that lists one exchange twice in PCH's table would confirm
+    // prefixes its provenance does not show, so loading it fails.
+    let snap = tmp("twice.sources.json");
+    let out = cfs(&[
+        "snapshot",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--out",
+        snap.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut src = cfs::kb::PublicSources::load(&snap).expect("a derived snapshot loads");
+    src.pch_list.push(src.pch_list[0].clone());
+    src.save(&snap).unwrap();
     let run = cfs(&[
         "run",
         "--scale",
         "tiny",
         "--seed",
         "7",
-        "--trace-json",
-        fresh.to_str().unwrap(),
+        "--sources",
+        snap.to_str().unwrap(),
     ]);
-    assert!(run.status.success(), "{}", stderr(&run));
-    let diff = cfs(&["trace-diff", golden, fresh.to_str().unwrap()]);
-    assert_eq!(
-        diff.status.code(),
-        Some(0),
-        "golden trace drifted:\n{}",
-        stdout(&diff)
-    );
+    assert_eq!(run.status.code(), Some(1), "{}", stdout(&run));
+    assert!(stderr(&run).contains("pch_list"), "{}", stderr(&run));
 }
 
 #[test]
