@@ -14,6 +14,7 @@
 //! reports.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod correct;

@@ -18,6 +18,7 @@
 //!   far too coarse for buildings.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod cbg;

@@ -10,6 +10,7 @@
 //! arbitrary graph walks.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod communities;

@@ -39,6 +39,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod plan;

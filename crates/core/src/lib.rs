@@ -26,6 +26,7 @@
 //! remaining far-end fabric interfaces by facility co-occurrence.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod corpus;

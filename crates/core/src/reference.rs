@@ -1005,7 +1005,12 @@ pub(crate) mod tests {
                         Delta::VpStatusChange { vp, up: true } => assert!(down.remove(vp)),
                         Delta::VpStatusChange { vp, up: false } => assert!(down.insert(*vp)),
                     }
-                    session.reconverge(frontier);
+                    let outcome = session.reconverge(frontier);
+                    assert!(
+                        outcome.dirty <= outcome.reconverged
+                            && outcome.reconverged <= outcome.total,
+                        "{label}: {outcome:?} counts more than the interfaces"
+                    );
                     kept += usize::from(reports() == built);
                     if i == 1 {
                         let reason =

@@ -125,7 +125,9 @@ pub enum Delta {
 pub struct DeltaOutcome {
     /// Report epoch after the delta (bumped once per applied delta).
     pub epoch: u64,
-    /// Interfaces whose constraint inputs changed.
+    /// Interfaces whose constraint inputs changed. Like `reconverged`,
+    /// counted over the addresses that hold an interface state after
+    /// re-convergence, so neither exceeds `total`.
     pub dirty: usize,
     /// Interfaces actually re-converged (the dirty set closed over alias
     /// sets). Strictly less than `total` when the delta was local.
@@ -329,44 +331,44 @@ impl<'a> CfsSession<'a> {
             touched,
         } = frontier;
         let scope = self.alias_closure(&dirty);
-        self.cfs
-            .recorder
-            .counter("serve.dirty_ifaces", dirty.len() as u64);
-        self.cfs
-            .recorder
-            .counter("serve.reconverged", scope.len() as u64);
         self.epoch += 1;
+        // Nothing the report reads changed when no observation, alias set
+        // or interface state moved: the cached report is kept.
+        if moved || !scope.is_empty() {
+            if purge_remote {
+                // Dirty observation neighborhoods can change which
+                // exchange first triggers an interface's remote test;
+                // drop the cached verdicts so the kernel re-derives them
+                // exactly as a fresh batch run would. Clean interfaces
+                // keep theirs: their trigger sequence is an unchanged
+                // prefix-preserving subsequence, so the cached verdict is
+                // already the batch answer.
+                for ip in &scope {
+                    self.cfs.remote_cache.remove(ip);
+                }
+            }
+            self.cfs.kernel_converge(&scope);
+            self.cfs.synthesize_iterations();
+            let rendered = self.report.as_mut().expect("a delta follows convergence");
+            self.cfs.refresh_report(rendered, &scope, &touched);
+        }
+        // Counted over the addresses that hold an interface state now:
+        // an address that yields no state is no interface of the report.
+        let held = |set: &BTreeSet<Ipv4Addr>| {
+            set.iter()
+                .filter(|ip| self.cfs.states.get(ip).is_some())
+                .count()
+        };
         let outcome = DeltaOutcome {
             epoch: self.epoch,
-            dirty: dirty.len(),
-            reconverged: scope.len(),
+            dirty: held(&dirty),
+            reconverged: held(&scope),
             total: self.cfs.states.len(),
         };
-        if !moved && scope.is_empty() {
-            // Nothing the report reads changed: no observation, alias
-            // set, or interface state. Keep the cached report.
-            return outcome;
-        }
-        if purge_remote {
-            // Dirty observation neighborhoods can change which exchange
-            // first triggers an interface's remote test; drop the cached
-            // verdicts so the kernel re-derives them exactly as a fresh
-            // batch run would. Clean interfaces keep theirs: their
-            // trigger sequence is an unchanged prefix-preserving
-            // subsequence, so the cached verdict is already the batch
-            // answer.
-            for ip in &scope {
-                self.cfs.remote_cache.remove(ip);
-            }
-        }
-        self.cfs.kernel_converge(&scope);
-        self.cfs.synthesize_iterations();
-        let rendered = self.report.as_mut().expect("a delta follows convergence");
-        self.cfs.refresh_report(rendered, &scope, &touched);
-        DeltaOutcome {
-            total: self.cfs.states.len(),
-            ..outcome
-        }
+        let recorder = &self.cfs.recorder;
+        recorder.counter("serve.dirty_ifaces", outcome.dirty as u64);
+        recorder.counter("serve.reconverged", outcome.reconverged as u64);
+        outcome
     }
 
     // ------------------------------------------------------------------

@@ -1113,3 +1113,35 @@ fn session_queries_answer_from_the_cached_report() {
     assert_eq!(report_bytes(session.converge()), first);
     assert_eq!(session.epoch(), 1);
 }
+
+#[test]
+fn delta_outcomes_count_only_interfaces_that_hold_a_state() {
+    // The first campaign into an empty session dirties every address it
+    // extracts observations for, and closes them over alias sets; only
+    // the ones the kernel keeps a state for are interfaces the report
+    // counts, so the outcome may not count more than `total`.
+    let world = World::new();
+    let vps = deploy_vantage_points(&world.topo, &VpConfig::tiny()).unwrap();
+    let kb = KnowledgeBase::assemble(&world.sources, &world.topo.world);
+    let ipasn = world.topo.build_ipasn_db();
+    let engine = Engine::new(&world.topo);
+    let mut session = Cfs::builder(&engine, &kb)
+        .vps(&vps)
+        .ipasn(&ipasn)
+        .config(service_config(1))
+        .build_session()
+        .unwrap();
+    let campaigns = [
+        world.campaign(&engine, &vps, 0),
+        world.campaign(&engine, &vps, 7_200_000),
+        world.campaign_over(&engine, &vps, 14_400_000, 12..18),
+    ];
+    for (i, batch) in campaigns.into_iter().enumerate() {
+        let outcome = session.apply_delta(Delta::TracerouteBatch(batch)).unwrap();
+        assert!(
+            outcome.dirty <= outcome.reconverged && outcome.reconverged <= outcome.total,
+            "campaign {i}: {outcome:?}"
+        );
+        assert_eq!(outcome.total, session.report().unwrap().total());
+    }
+}

@@ -23,6 +23,7 @@
 //! rendered alert bytes are identical at any thread count.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod alert;

@@ -25,6 +25,7 @@
 //! prints the table to stdout. `--bin all` runs everything.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;

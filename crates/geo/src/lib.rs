@@ -9,6 +9,7 @@
 //! metropolitan area").
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod cities;

@@ -25,6 +25,7 @@
 //! search refuses to pin a facility on them.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod assemble;

@@ -2,9 +2,9 @@
 //! rule.
 //!
 //! The daemon contract (DESIGN.md §10) is that `cfsd` never dies on
-//! untrusted `cfs-api/1` input. The lexical `unwrap-in-lib` rule freezes
-//! the panic-site *inventory*; this module adds the *reachability* half:
-//! starting from the request-loop roots ([`PANIC_ROOTS`]), every
+//! untrusted `cfs-api/1` input. Clippy's `unwrap_used` and the
+//! `expect-message` rule keep library panics documented; this module
+//! adds the *reachability* half: starting from the request-loop roots ([`PANIC_ROOTS`]), every
 //! function a request can reach transitively must be free of panic
 //! sites — `panic!`-family macros, bare `.unwrap()`, *any* `.expect(`
 //! (a documented invariant is still a dead daemon when it is wrong
@@ -15,13 +15,13 @@
 //! a call edge exists from `f` to every same-crate `fn` sharing the
 //! callee's name. That over-approximates reachability, which is the
 //! sound direction for this rule. Cross-crate edges are out of scope —
-//! the engine behind `apply_delta` has its own `unwrap-in-lib`
-//! freeze — and `#[cfg(test)]` code neither roots nor sinks the walk.
+//! the engine behind `apply_delta` answers typed errors of its own —
+//! and `#[cfg(test)]` code neither roots nor sinks the walk.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::resolve::{SourceFile, SymbolTable, Workspace};
-use crate::rules::{Finding, Target};
+use crate::rules::Finding;
 
 /// The request-loop entry points the reachability walk starts from,
 /// as `(crate, function)` pairs: the `cfsd` accept/dispatch loop in
@@ -124,8 +124,7 @@ pub fn callees_on_line(line: &str) -> Vec<String> {
     out
 }
 
-/// Scans one masked line for panic sites. `raw` is the char-aligned raw
-/// line (unused today, kept for message context growth).
+/// Scans one masked line for panic sites.
 pub fn panic_sites_on_line(line: &str) -> Vec<PanicSite> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
@@ -285,19 +284,12 @@ pub fn reachable(graph: &CrateCallGraph, roots: &[&str]) -> BTreeSet<String> {
 /// crate with declared roots, walk the call graph and report every
 /// panic site in a reachable, non-test function. Bench/test/example
 /// targets never carry symbols, so they cannot fire.
-pub fn panic_reachability_findings(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
+pub fn panic_reachability_findings(graph: &CallGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut roots_by_crate: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (krate, root) in PANIC_ROOTS {
         roots_by_crate.entry(krate).or_default().push(root);
     }
-    // Vendor files never participate (no symbols): target gate below is
-    // belt and braces for future classify extensions.
-    let _ = ws
-        .files
-        .iter()
-        .filter(|f| matches!(f.ctx.target, Target::Lib | Target::Bin))
-        .count();
     for (krate, roots) in &roots_by_crate {
         let Some(cg) = graph.crates.get(*krate) else {
             continue;
@@ -377,7 +369,7 @@ mod tests {
         )]);
         let symbols = build_symbols(&w);
         let graph = build_callgraph(&w, &symbols);
-        let findings = panic_reachability_findings(&w, &graph);
+        let findings = panic_reachability_findings(&graph);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].line, 3, "only the reachable unwrap fires");
     }
@@ -390,6 +382,6 @@ mod tests {
         )]);
         let symbols = build_symbols(&w);
         let graph = build_callgraph(&w, &symbols);
-        assert!(panic_reachability_findings(&w, &graph).is_empty());
+        assert!(panic_reachability_findings(&graph).is_empty());
     }
 }

@@ -1,12 +1,11 @@
 //! A minimal Rust source scanner.
 //!
-//! The rules in this linter are lexical, so all the scanner has to get
-//! right is *what is code*: comment bodies, string/char literal
+//! Every rule in this linter reads masked code, so all the scanner has
+//! to get right is *what is code*: comment bodies, string/char literal
 //! contents, and raw strings must never be mistaken for code (a
-//! `"TcpStream"` inside a log message is not a finding), and comment text
-//! must be preserved so `// cfs-lint: allow(...)` directives can be
-//! parsed. This is deliberately not a full lexer — no token stream, no
-//! spans — just a masking pass plus `#[cfg(test)]` region tracking.
+//! `"panic!"` inside a log message is not a finding). This is
+//! deliberately not a full lexer — no token stream, no spans — just a
+//! masking pass plus `#[cfg(test)]` region tracking.
 
 /// The result of scanning one source file.
 pub struct ScannedFile {
@@ -14,10 +13,6 @@ pub struct ScannedFile {
     /// out. Literal delimiters (`"`, `r#"`, `'`) survive so rules can
     /// still see that a string literal starts at a position.
     pub code: Vec<String>,
-    /// Comment text collected per line (0-based), with the `//` / `/*`
-    /// markers stripped. Block comments contribute to every line they
-    /// span.
-    pub comments: Vec<String>,
     /// `in_test[i]` is true when line `i` is inside an item annotated
     /// `#[cfg(test)]` (almost always the trailing `mod tests { ... }`).
     pub in_test: Vec<bool>,
@@ -33,29 +28,17 @@ enum State {
     CharLit,
 }
 
-/// Scans `src` into masked code lines, per-line comment text, and
-/// `#[cfg(test)]` region marks.
+/// Scans `src` into masked code lines and `#[cfg(test)]` region marks.
 pub fn scan(src: &str) -> ScannedFile {
     let chars: Vec<char> = src.chars().collect();
     let mut masked = String::with_capacity(src.len());
-    let mut comments: Vec<String> = vec![String::new()];
     let mut state = State::Code;
     let mut i = 0usize;
-
-    // Appends to the comment buffer of the current (last) line.
-    fn note(comments: &mut [String], c: char) {
-        if c != '\n' {
-            if let Some(last) = comments.last_mut() {
-                last.push(c);
-            }
-        }
-    }
 
     while i < chars.len() {
         let c = chars[i];
         if c == '\n' {
             masked.push('\n');
-            comments.push(String::new());
             if state == State::LineComment {
                 state = State::Code;
             }
@@ -121,7 +104,6 @@ pub fn scan(src: &str) -> ScannedFile {
                 }
             }
             State::LineComment => {
-                note(&mut comments, c);
                 masked.push(' ');
                 i += 1;
             }
@@ -140,7 +122,6 @@ pub fn scan(src: &str) -> ScannedFile {
                     masked.push_str("  ");
                     i += 2;
                 } else {
-                    note(&mut comments, c);
                     masked.push(' ');
                     i += 1;
                 }
@@ -206,13 +187,8 @@ pub fn scan(src: &str) -> ScannedFile {
     }
 
     let code: Vec<String> = masked.split('\n').map(str::to_owned).collect();
-    comments.resize(code.len(), String::new());
     let in_test = mark_cfg_test_regions(&code);
-    ScannedFile {
-        code,
-        comments,
-        in_test,
-    }
+    ScannedFile { code, in_test }
 }
 
 /// Marks the lines covered by items annotated `#[cfg(test)]`, or every
@@ -291,7 +267,6 @@ mod tests {
     fn masks_strings_and_comments() {
         let s = scan("let x = \"HashMap\"; // HashMap here\nlet y = 1;\n");
         assert!(!s.code[0].contains("HashMap"));
-        assert!(s.comments[0].contains("HashMap here"));
         assert_eq!(s.code[1], "let y = 1;");
     }
 
@@ -314,7 +289,7 @@ mod tests {
         let s = scan("/* outer /* inner */ still */ code()");
         assert!(s.code[0].contains("code()"));
         assert!(!s.code[0].contains("outer"));
-        assert!(s.comments[0].contains("inner"));
+        assert!(!s.code[0].contains("inner"));
     }
 
     #[test]

@@ -1,36 +1,33 @@
 //! `cfs-lint` — the workspace invariant linter.
 //!
 //! An offline, dependency-free static-analysis pass over this
-//! workspace's own Rust sources, in two layers:
+//! workspace's own Rust sources, for the invariants that need a call
+//! graph or a closure's capture set:
 //!
-//! * **Token rules** ([`rules`]): per-file lexical invariants over
-//!   masked source ([`lexer`]) — no panics in library code, socket I/O
-//!   single-homed in `crates/svc`, vendored stubs free of entropy and
-//!   wall time. Bans that name a path (hashed containers, wall clock,
-//!   sleeps, free threads, `Rc`) are not here: `clippy.toml` is their
-//!   one home.
-//! * **Semantic rules**: workspace-wide analyses built on the same
-//!   masked scan — a per-crate symbol table and `use` resolution
-//!   ([`resolve`]), an intra-crate call-graph approximation
-//!   ([`callgraph`]), closure-capture extraction ([`captures`]), and
-//!   cross-surface protocol extraction ([`apidrift`]) — powering
-//!   `panic-reachability`, `determinism-race`, and `api-drift`.
+//! * **`panic-reachability`** ([`callgraph`]): no panic site reachable
+//!   from the cfsd request loop, along an intra-crate call-graph
+//!   approximation built on a per-crate symbol table ([`resolve`]);
+//! * **`determinism-race`** ([`captures`]): worker closures of the
+//!   ordered fan-out must not mutate captures or sequence results
+//!   through locks;
+//! * **`expect-message`** ([`rules`]): the one token rule, a literal
+//!   message on every library `.expect(…)`.
 //!
-//! Both layers feed one suppression pass: findings are suppressed per
-//! line with `// cfs-lint: allow(<rule>) — <one-line justification>`;
-//! the justification is mandatory (enforced by `unjustified-allow`) and
-//! a directive that silences nothing is itself a finding
-//! (`unused-allow`). Output is deterministic: files are visited in
-//! sorted order and findings are fully ordered, so `--json` output —
-//! stamped `cfs-lint/1` — is byte-stable across runs, as is the
-//! analysis dump behind `cfs-lint graph --json`.
+//! Everything else lives where it is checked directly: path bans,
+//! sockets and bare `unwrap()` in clippy (`clippy.toml`, the library
+//! roots' `#![deny(clippy::unwrap_used)]`), the `cfs-api/1` vocabulary
+//! and the vendored stubs' surface in root-package tests. All rules
+//! read source masked by one scanner ([`lexer`]). Output is
+//! deterministic: files are visited in sorted order and findings are
+//! fully ordered, so `--json` output — stamped `cfs-lint/1` — is
+//! byte-stable across runs, as is the analysis dump behind
+//! `cfs-lint graph --json`.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
-pub mod apidrift;
 pub mod callgraph;
 pub mod captures;
-pub mod fix;
 pub mod lexer;
 pub mod resolve;
 pub mod rules;
@@ -40,7 +37,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use fix::{apply_fixes, plan_fixes, PlannedFix};
 pub use resolve::Workspace;
 pub use rules::{check_source, classify, Finding, RuleInfo, Target, RULES};
 
@@ -58,9 +54,15 @@ pub fn is_versioned_output(json: &str) -> bool {
 
 /// Directory prefixes (workspace-relative) the walker never descends
 /// into. `fixtures` holds deliberately dirty snippets for the linter's
-/// own tests. `vendor` is *not* skipped: vendored stub sources classify
-/// as [`Target::Vendor`] and get exactly the `vendor-surface` rule.
-const SKIP_PREFIXES: &[&str] = &[".git", "target", "results", "crates/lint/tests/fixtures"];
+/// own tests; `vendor` holds the dependency stubs, whose surface
+/// `tests/lint_clean.rs` checks.
+const SKIP_PREFIXES: &[&str] = &[
+    ".git",
+    "target",
+    "results",
+    "vendor",
+    "crates/lint/tests/fixtures",
+];
 
 /// Locates the workspace root by walking up from `start` until a
 /// directory whose `Cargo.toml` declares `[workspace]`.
@@ -109,60 +111,39 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Loads the workspace model the semantic rules run over: every
-/// lintable source plus `DESIGN.md` (the documentation surface of the
-/// `api-drift` rule) when present.
+/// Loads the workspace model the rules run over: every lintable source.
 pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
     let mut sources = Vec::new();
     for rel in collect_files(root)? {
         let source = fs::read_to_string(root.join(&rel))?;
         sources.push((rel, source));
     }
-    if let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) {
-        sources.push(("DESIGN.md".to_owned(), design));
-    }
     Ok(Workspace::from_sources(sources))
 }
 
-/// Runs the semantic layer over a loaded workspace: panic-reachability
-/// from the cfsd request loop, determinism-race over spawn closures,
-/// and api-drift across the `cfs-api/1` surfaces.
+/// Runs the call-graph rules over a loaded workspace: panic-reachability
+/// from the cfsd request loop and determinism-race over worker closures.
 pub fn semantic_findings(ws: &Workspace) -> Vec<Finding> {
     let symbols = resolve::build_symbols(ws);
     let graph = callgraph::build_callgraph(ws, &symbols);
     let closures = captures::find_spawn_closures(ws);
-    let surface = apidrift::extract_surface(ws);
-    let mut findings = callgraph::panic_reachability_findings(ws, &graph);
+    let mut findings = callgraph::panic_reachability_findings(&graph);
     findings.extend(captures::determinism_race_findings(ws, &closures));
-    findings.extend(apidrift::api_drift_findings(ws, &surface));
     findings
 }
 
-/// Lints the whole workspace rooted at `root`: token rules per file,
-/// semantic rules across files, then one suppression + directive-
-/// hygiene pass per file over the merged findings. Findings come back
-/// in a total order (path, line, col, rule), identical across runs.
+/// Lints the whole workspace rooted at `root`: the token rule per file,
+/// then the call-graph rules across files. Findings come back in a
+/// total order (path, line, col, rule), identical across runs.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let ws = load_workspace(root)?;
-    let mut by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
+    let mut findings = semantic_findings(&ws);
     for file in &ws.files {
-        by_path.insert(
-            file.path.clone(),
-            rules::lexical_findings(&file.ctx, &file.path, &file.scanned),
-        );
-    }
-    let mut findings = Vec::new();
-    for f in semantic_findings(&ws) {
-        match by_path.get_mut(&f.path) {
-            Some(bucket) => bucket.push(f),
-            // DESIGN.md (and any other non-Rust surface) has no comment
-            // syntax to carry directives; its findings pass through.
-            None => findings.push(f),
-        }
-    }
-    for file in &ws.files {
-        let merged = by_path.remove(&file.path).unwrap_or_default();
-        findings.extend(rules::finish_file(&file.path, &file.scanned, merged));
+        findings.extend(rules::lexical_findings(
+            &file.ctx,
+            &file.path,
+            &file.scanned,
+        ));
     }
     findings.sort();
     Ok(findings)
@@ -229,16 +210,15 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders the semantic-analysis internals — symbol table, call graph,
-/// reachable sets, spawn-closure captures, extracted API surface — as a
-/// single-line `cfs-lint/1` JSON document. Everything is BTree-ordered,
-/// so the dump is byte-stable across runs; `cfs-lint graph --json` is
-/// the debugging window into why a semantic rule did (not) fire.
+/// Renders the analysis internals — symbol table, call graph,
+/// reachable sets, spawn-closure captures — as a single-line
+/// `cfs-lint/1` JSON document. Everything is BTree-ordered, so the dump
+/// is byte-stable across runs; `cfs-lint graph --json` is the debugging
+/// window into why a call-graph rule did (not) fire.
 pub fn render_graph_json(ws: &Workspace) -> String {
     let symbols = resolve::build_symbols(ws);
     let graph = callgraph::build_callgraph(ws, &symbols);
     let closures = captures::find_spawn_closures(ws);
-    let surface = apidrift::extract_surface(ws);
 
     let mut out = format!("{{\"schema\":\"{LINT_SCHEMA}\",\"symbols\":{{");
     for (i, (krate, syms)) in symbols.crates.iter().enumerate() {
@@ -315,31 +295,7 @@ pub fn render_graph_json(ws: &Workspace) -> String {
             json_str_array(c.captures.iter().cloned())
         ));
     }
-    out.push_str("],\"api\":{");
-    match &surface.schema {
-        Some((schema, path, line)) => out.push_str(&format!(
-            "\"schema\":\"{}\",\"authority\":\"{}:{}\",",
-            json_escape(schema),
-            json_escape(path),
-            line
-        )),
-        None => out.push_str("\"schema\":null,"),
-    }
-    let codes: std::collections::BTreeSet<String> = surface
-        .codes_used
-        .iter()
-        .map(|(c, _, _)| c.clone())
-        .collect();
-    out.push_str(&format!(
-        "\"ops\":{},\"kinds\":{},\"codes\":{},\"doc_ops\":{},\"doc_kinds\":{},\"doc_codes\":{}}}",
-        json_str_array(surface.ops.iter().cloned()),
-        json_str_array(surface.kinds.iter().cloned()),
-        json_str_array(codes.into_iter()),
-        json_str_array(surface.doc_ops.iter().cloned()),
-        json_str_array(surface.doc_kinds.iter().cloned()),
-        json_str_array(surface.doc_codes.iter().cloned()),
-    ));
-    out.push('}');
+    out.push_str("]}");
     out
 }
 
@@ -386,7 +342,7 @@ mod tests {
             path: "crates/x/src/a.rs".into(),
             line: 3,
             col: 7,
-            rule: "raw-socket",
+            rule: "expect-message",
             message: "uses \"now\"".into(),
         }];
         let a = render_json(&findings);

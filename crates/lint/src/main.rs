@@ -2,34 +2,32 @@
 //!
 //! ```text
 //! cargo run -p cfs-lint -- check [--json] [--root <dir>]
-//! cargo run -p cfs-lint -- fix [--check] [--root <dir>]
 //! cargo run -p cfs-lint -- graph [--json] [--root <dir>]
 //! cargo run -p cfs-lint -- rules
 //! ```
 //!
 //! Exit codes are part of the contract (CI keys off them):
-//! `0` clean, `1` findings (for `fix --check`: would change files),
-//! `2` usage or I/O error.
+//! `0` clean, `1` findings, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cfs-lint <check [--json] [--root <dir>] | fix [--check] [--root <dir>] | graph [--json] [--root <dir>] | rules>"
+        "usage: cfs-lint <check [--json] [--root <dir>] | graph [--json] [--root <dir>] | rules>"
     );
     ExitCode::from(2)
 }
 
-/// Parses the shared `[--json|--check] [--root <dir>]` tail and
-/// resolves the workspace root. `Err` carries the exit code.
-fn parse_common(args: &[String], flag: Option<&str>) -> Result<(bool, PathBuf), ExitCode> {
-    let mut flag_set = false;
+/// Parses the shared `[--json] [--root <dir>]` tail and resolves the
+/// workspace root. `Err` carries the exit code.
+fn parse_common(args: &[String]) -> Result<(bool, PathBuf), ExitCode> {
+    let mut json = false;
     let mut root: Option<PathBuf> = None;
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
-            f if Some(f) == flag => flag_set = true,
+            "--json" => json = true,
             "--root" => match rest.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return Err(usage()),
@@ -53,7 +51,7 @@ fn parse_common(args: &[String], flag: Option<&str>) -> Result<(bool, PathBuf), 
             }
         }
     };
-    Ok((flag_set, root))
+    Ok((json, root))
 }
 
 fn main() -> ExitCode {
@@ -69,7 +67,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "check" => {
-            let (json, root) = match parse_common(&args[1..], Some("--json")) {
+            let (json, root) = match parse_common(&args[1..]) {
                 Ok(v) => v,
                 Err(code) => return code,
             };
@@ -98,48 +96,8 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        "fix" => {
-            let (check_only, root) = match parse_common(&args[1..], Some("--check")) {
-                Ok(v) => v,
-                Err(code) => return code,
-            };
-            let plan = match cfs_lint::plan_fixes(&root) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!(
-                        "cfs-lint: planning fixes for {} failed: {e}",
-                        root.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            if plan.is_empty() {
-                println!("cfs-lint fix: nothing to fix");
-                return ExitCode::SUCCESS;
-            }
-            for fix in &plan {
-                println!("{}", fix.describe());
-            }
-            if check_only {
-                eprintln!(
-                    "cfs-lint fix --check: {} fix(es) pending; run `cfs-lint fix` to apply",
-                    plan.len()
-                );
-                return ExitCode::FAILURE;
-            }
-            match cfs_lint::apply_fixes(&root, &plan) {
-                Ok(changed) => {
-                    println!("cfs-lint fix: rewrote {changed} file(s)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cfs-lint: applying fixes failed: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         "graph" => {
-            let (json, root) = match parse_common(&args[1..], Some("--json")) {
+            let (json, root) = match parse_common(&args[1..]) {
                 Ok(v) => v,
                 Err(code) => return code,
             };

@@ -1,4 +1,4 @@
-//! The workspace model and per-crate symbol table the semantic rules
+//! The workspace model and per-crate symbol table the call-graph rules
 //! build on.
 //!
 //! This is deliberately *not* a Rust front end. On top of the masking
@@ -8,9 +8,7 @@
 //! - which crate and target every file belongs to ([`crate::rules::classify`]),
 //! - every `fn` item per crate, with its source extent (brace-matched
 //!   over masked code, so braces inside strings and comments never
-//!   confuse the walk),
-//! - the `use` imports of each file, so the `graph --json` dump can
-//!   show where an identifier was expected to come from.
+//!   confuse the walk).
 //!
 //! Resolution is name-based and intra-crate: a call `foo(...)` or
 //! `x.foo(...)` resolves to *every* `fn foo` in the same crate. That
@@ -27,52 +25,36 @@ use crate::rules::{classify, FileCtx, Target};
 pub struct SourceFile {
     /// Workspace-relative `/`-separated path.
     pub path: String,
-    /// Raw source text.
-    pub raw: String,
-    /// Masked lines, comments, `#[cfg(test)]` marks.
+    /// Masked lines and `#[cfg(test)]` marks.
     pub scanned: ScannedFile,
     /// Crate / target classification.
     pub ctx: FileCtx,
-    /// Raw lines (char-aligned with `scanned.code` — the lexer masks
-    /// one char to one char).
-    pub raw_lines: Vec<String>,
 }
 
-/// The loaded workspace: every lintable `.rs` file plus the design
-/// document the api-drift rule reads.
+/// The loaded workspace: every lintable `.rs` file.
 pub struct Workspace {
     /// Scanned sources, sorted by path.
     pub files: Vec<SourceFile>,
-    /// `DESIGN.md` contents when present (api-drift's doc surface).
-    pub design_md: Option<String>,
 }
 
 impl Workspace {
     /// Builds a workspace from `(path, source)` pairs. Pairs whose path
-    /// does not classify (non-`.rs`, unknown layout) are kept out of
-    /// `files`; a pair named `DESIGN.md` becomes the doc surface.
+    /// does not classify (non-`.rs`, unknown layout) are dropped.
     pub fn from_sources(sources: Vec<(String, String)>) -> Self {
-        let mut files = Vec::new();
-        let mut design_md = None;
-        for (path, raw) in sources {
-            if path == "DESIGN.md" {
-                design_md = Some(raw);
-                continue;
-            }
-            let Some(ctx) = classify(&path) else { continue };
-            let scanned = scan(&raw);
-            let raw_lines: Vec<String> = raw.split('\n').map(str::to_owned).collect();
-            files.push(SourceFile {
-                path,
-                raw,
-                scanned,
-                ctx,
-                raw_lines,
-            });
-        }
+        let mut files: Vec<SourceFile> = sources
+            .into_iter()
+            .filter_map(|(path, raw)| {
+                let ctx = classify(&path)?;
+                Some(SourceFile {
+                    path,
+                    scanned: scan(&raw),
+                    ctx,
+                })
+            })
+            .collect();
         files.sort_by(|a, b| a.path.cmp(&b.path));
         mark_test_modules(&mut files);
-        Self { files, design_md }
+        Self { files }
     }
 }
 
@@ -134,16 +116,13 @@ pub struct FnDef {
     pub in_test: bool,
 }
 
-/// The symbol table of one crate: every `fn`, grouped by name, plus the
-/// per-file import map.
+/// The symbol table of one crate: every `fn`, grouped by name.
 #[derive(Default)]
 pub struct CrateSymbols {
     /// `fn` items by name. A name maps to every definition with that
     /// name in the crate (methods on different types share a bucket —
     /// resolution over-approximates).
     pub fns: BTreeMap<String, Vec<FnDef>>,
-    /// Per file: imported alias → full `use` path.
-    pub imports: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Symbol tables for every crate in the workspace, keyed by the short
@@ -278,70 +257,6 @@ pub fn collect_fns(file: &SourceFile) -> Vec<FnDef> {
     out
 }
 
-/// Parses the `use` imports of one file from its masked lines:
-/// `use a::b::c;` maps `c → a::b::c`, `use a::b as x;` maps
-/// `x → a::b`, and grouped imports `use a::{b, c};` map each member.
-pub fn collect_imports(file: &SourceFile) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    let mut buf = String::new();
-    let mut in_use = false;
-    for line in &file.scanned.code {
-        let trimmed = line.trim();
-        if !in_use {
-            let Some(rest) = trimmed.strip_prefix("use ") else {
-                continue;
-            };
-            buf.clear();
-            buf.push_str(rest);
-            in_use = true;
-        } else {
-            buf.push_str(trimmed);
-        }
-        if in_use && buf.contains(';') {
-            let stmt = buf[..buf.find(';').expect("checked contains above")].to_owned();
-            record_use(&stmt, &mut out);
-            in_use = false;
-        }
-    }
-    out
-}
-
-/// Records one `use` statement body (without `use` / `;`).
-fn record_use(stmt: &str, out: &mut BTreeMap<String, String>) {
-    let stmt = stmt.trim().trim_start_matches("pub ").trim();
-    if let Some(open) = stmt.find('{') {
-        let prefix = stmt[..open].trim_end_matches(':').trim_end_matches(':');
-        let inner = stmt[open + 1..].trim_end_matches('}');
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() || part.contains('{') {
-                continue; // nested groups are rare; skip quietly
-            }
-            record_leaf(&format!("{prefix}::{part}"), out);
-        }
-    } else {
-        record_leaf(stmt, out);
-    }
-}
-
-/// Records one leaf path, honoring `as` renames and skipping globs.
-fn record_leaf(path: &str, out: &mut BTreeMap<String, String>) {
-    let path = path.trim();
-    if path.ends_with("::*") || path.is_empty() {
-        return;
-    }
-    if let Some((full, alias)) = path.split_once(" as ") {
-        out.insert(alias.trim().to_owned(), full.trim().to_owned());
-        return;
-    }
-    if let Some(last) = path.rsplit("::").next() {
-        let last = last.trim();
-        if !last.is_empty() && last != "self" {
-            out.insert(last.to_owned(), path.to_owned());
-        }
-    }
-}
-
 /// Builds the per-crate symbol tables for the whole workspace. Only
 /// `Lib` and `Bin` targets contribute — tests, examples, and benches
 /// are outside the reachability contract.
@@ -354,10 +269,6 @@ pub fn build_symbols(ws: &Workspace) -> SymbolTable {
         let entry = table.crates.entry(file.ctx.crate_name.clone()).or_default();
         for def in collect_fns(file) {
             entry.fns.entry(def.name.clone()).or_default().push(def);
-        }
-        let imports = collect_imports(file);
-        if !imports.is_empty() {
-            entry.imports.insert(file.path.clone(), imports);
         }
     }
     table
@@ -411,21 +322,6 @@ mod tests {
         assert_eq!(defs.len(), 2);
         assert!(defs[0].body_start > defs[0].body_end, "decl is bodyless");
         assert_eq!(defs[1].body_end, 2);
-    }
-
-    #[test]
-    fn imports_resolve_groups_and_renames() {
-        let src = "use std::collections::{BTreeMap, BTreeSet};\nuse crate::lexer::scan as scan_src;\nuse std::io;\n";
-        let imports = collect_imports(&file("crates/core/src/x.rs", src));
-        assert_eq!(
-            imports.get("BTreeMap").map(String::as_str),
-            Some("std::collections::BTreeMap")
-        );
-        assert_eq!(
-            imports.get("scan_src").map(String::as_str),
-            Some("crate::lexer::scan")
-        );
-        assert_eq!(imports.get("io").map(String::as_str), Some("std::io"));
     }
 
     #[test]

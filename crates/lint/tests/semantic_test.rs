@@ -1,24 +1,21 @@
-//! Integration tests for the semantic (workspace-level) rule families —
-//! `determinism-race`, `panic-reachability`, `api-drift`,
-//! `vendor-surface` — and the `graph --json` internals dump.
+//! Integration tests for the call-graph rules — `determinism-race` and
+//! `panic-reachability` — and the `graph --json` internals dump.
 //!
-//! The per-rule fire/suppress inventory lives in `self_test.rs`; these
-//! tests pin the *shape* of each family's findings (which sub-checks
-//! fired where) and the stability contract of the graph dump.
+//! The per-rule inventory lives in `self_test.rs`; these tests pin the
+//! *shape* of each rule's findings (which sub-checks fired where) and
+//! the stability contract of the graph dump.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use cfs_lint::{check_workspace, is_versioned_output, load_workspace, render_graph_json, Finding};
 
-fn fixture_root(which: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(which)
+fn fixture_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dirty")
 }
 
 fn dirty() -> Vec<Finding> {
-    check_workspace(&fixture_root("dirty")).expect("fixture tree is readable")
+    check_workspace(&fixture_root()).expect("fixture tree is readable")
 }
 
 #[test]
@@ -91,46 +88,8 @@ fn panic_reachability_walks_the_call_graph_from_the_roots() {
 }
 
 #[test]
-fn api_drift_compares_every_surface_pair() {
-    let findings = dirty();
-    let drift: Vec<&Finding> = findings.iter().filter(|f| f.rule == "api-drift").collect();
-    assert_eq!(drift.len(), 9, "{drift:#?}");
-    let msg = |s: &str| drift.iter().any(|f| f.message.contains(s));
-    // Request literals vs parser authority.
-    assert!(msg("literal mentions \"cfs-api/8\""));
-    assert!(msg("uses op \"frobnicate\""));
-    assert!(msg("uses delta kind \"vp-status\""));
-    // DESIGN.md op/kind table, both directions.
-    assert!(msg(
-        "op \"query\" is accepted by `parse_request` but missing"
-    ));
-    assert!(msg("documents op \"zap\""));
-    assert!(msg(
-        "delta kind \"kb-flip\" is accepted by `parse_request` but missing"
-    ));
-    // Error codes, both directions — the produced-not-documented
-    // finding anchors on the producing line, not on DESIGN.md.
-    assert!(drift.iter().any(|f| {
-        f.path.ends_with("api_drift.rs") && f.message.contains("error code \"bad_request\"")
-    }));
-    assert!(msg("documents error code \"ghost_code\""));
-    // The schema tag itself must appear in the docs.
-    assert!(msg("never mentions the schema tag \"cfs-api/9\""));
-}
-
-#[test]
-fn design_md_findings_are_not_suppressible() {
-    // DESIGN.md has no comment syntax the linter parses; its findings
-    // pass through the suppression stage untouched and all carry the
-    // DESIGN.md path.
-    let findings = dirty();
-    let on_design = findings.iter().filter(|f| f.path == "DESIGN.md").count();
-    assert_eq!(on_design, 5, "{findings:#?}");
-}
-
-#[test]
 fn graph_dump_is_versioned_and_byte_stable() {
-    let root = fixture_root("dirty");
+    let root = fixture_root();
     let a = render_graph_json(&load_workspace(&root).expect("first load"));
     let b = render_graph_json(&load_workspace(&root).expect("second load"));
     assert_eq!(a, b, "graph --json must be byte-stable across runs");
@@ -140,10 +99,8 @@ fn graph_dump_is_versioned_and_byte_stable() {
     assert!(a.contains("\"calls\""));
     assert!(a.contains("\"reachable\""));
     assert!(a.contains("\"spawns\""));
-    assert!(a.contains("\"api\""));
-    // Spot checks: the fixture's own names must appear.
+    // Spot check: the fixture's own names must appear.
     assert!(a.contains("\"offline_tool\""));
-    assert!(a.contains("\"cfs-api/9\""));
 }
 
 #[test]
@@ -152,7 +109,7 @@ fn graph_cli_round_trip_is_byte_stable() {
     let run = || {
         Command::new(bin)
             .args(["graph", "--json", "--root"])
-            .arg(fixture_root("dirty"))
+            .arg(fixture_root())
             .output()
             .expect("cfs-lint binary runs")
     };

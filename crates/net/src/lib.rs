@@ -12,6 +12,7 @@
 //!   built from (synthetic) BGP announcements.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod alloc;

@@ -42,6 +42,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod clock;

@@ -1,9 +1,13 @@
 //! The blocking line-oriented client `cfs query` and the tests use.
 //!
 //! Living here keeps raw socket use single-homed in `crates/svc`
-//! (`cfs-lint`'s `raw-socket` rule): everything else in the workspace
-//! talks to a daemon through [`Client`], never through `std::net`
-//! directly.
+//! (`clippy.toml` bans the socket types everywhere else): the rest of
+//! the workspace talks to a daemon through [`Client`], never through
+//! `std::net` directly.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the cfs-api/1 client is one of the two sanctioned homes of socket I/O"
+)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

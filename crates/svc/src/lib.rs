@@ -18,14 +18,16 @@
 //!    involving the embedder's dispatch function.
 //! 3. **The client** ([`client`]): a blocking line-oriented roundtrip
 //!    used by `cfs query`, the CI smoke job, and the CLI tests — so raw
-//!    socket use stays single-homed in this crate (`cfs-lint`'s
-//!    `raw-socket` rule sanctions it anywhere else).
+//!    socket use stays single-homed in this crate (`clippy.toml` bans
+//!    the `std::net` and `std::os::unix::net` socket types everywhere
+//!    else).
 //!
 //! Requests are read with the vendored `serde_json` (nesting capped,
 //! raw control characters refused, so hostile lines are typed errors)
 //! and reply strings are escaped with `cfs_obs::export::escape`.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod client;
@@ -33,5 +35,5 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, Endpoint};
-pub use proto::{parse_request, ApiError, Reply, Request, SCHEMA};
+pub use proto::{parse_request, ApiError, Reply, Request, CODES, KINDS, OPS, SCHEMA};
 pub use server::{Outcome, Server, MAX_REQUEST_LINE};

@@ -24,16 +24,39 @@
 //!
 //! ## Error codes
 //!
-//! `unknown_schema`, `bad_request`, `unknown_op`, `bad_iface`,
-//! `unknown_iface`, `bad_delta`, `internal` — stable strings pinned by
-//! the CLI tests; new codes may be added, existing ones never change
-//! meaning.
+//! [`CODES`] lists them: stable strings pinned by the CLI tests; new
+//! codes may be added, existing ones never change meaning.
+//! `tests/api_surface.rs` holds [`OPS`], [`KINDS`] and [`CODES`] to
+//! [`parse_request`], to every `ApiError::new` site and to DESIGN.md
+//! §10.
 
 use cfs_obs::export::escape;
 use serde_json::Value;
 
 /// The protocol version tag every request and response carries.
 pub const SCHEMA: &str = "cfs-api/1";
+
+/// Every `op` [`parse_request`] accepts; it refuses any other before
+/// dispatching.
+pub const OPS: &[&str] = &[
+    "status", "query", "trace", "delta", "metrics", "events", "alerts", "shutdown",
+];
+
+/// Every `delta` `kind` [`parse_request`] accepts; it refuses any
+/// other before dispatching.
+pub const KINDS: &[&str] = &["campaign", "kb-flip", "vp-status"];
+
+/// Every error code an [`ApiError`] carries, from the parser, the
+/// transport and the daemon behind them.
+pub const CODES: &[&str] = &[
+    "unknown_schema",
+    "bad_request",
+    "unknown_op",
+    "bad_iface",
+    "unknown_iface",
+    "bad_delta",
+    "internal",
+];
 
 /// A parsed `cfs-api/1` request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,7 +128,7 @@ pub enum Request {
 /// message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ApiError {
-    /// Stable error code (module docs list the vocabulary).
+    /// Stable error code, one of [`CODES`].
     pub code: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -130,23 +153,29 @@ impl ApiError {
     }
 }
 
-fn require_u64(doc: &Value, key: &str, code: &'static str) -> Result<u64, ApiError> {
-    doc.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ApiError::new(code, format!("missing or non-integer member {key:?}")))
+fn require_u64(doc: &Value, key: &str) -> Result<u64, ApiError> {
+    doc.get(key).and_then(Value::as_u64).ok_or_else(|| {
+        ApiError::new(
+            "bad_delta",
+            format!("missing or non-integer member {key:?}"),
+        )
+    })
 }
 
 /// A `u32` wire id (ASN, facility, vantage point): an integer past
 /// `u32::MAX` is refused, never truncated onto another record's id.
-fn require_u32(doc: &Value, key: &str, code: &'static str) -> Result<u32, ApiError> {
-    u32::try_from(require_u64(doc, key, code)?)
-        .map_err(|_| ApiError::new(code, format!("member {key:?} exceeds {}", u32::MAX)))
+fn require_u32(doc: &Value, key: &str) -> Result<u32, ApiError> {
+    u32::try_from(require_u64(doc, key)?)
+        .map_err(|_| ApiError::new("bad_delta", format!("member {key:?} exceeds {}", u32::MAX)))
 }
 
-fn require_bool(doc: &Value, key: &str, code: &'static str) -> Result<bool, ApiError> {
-    doc.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| ApiError::new(code, format!("missing or non-boolean member {key:?}")))
+fn require_bool(doc: &Value, key: &str) -> Result<bool, ApiError> {
+    doc.get(key).and_then(Value::as_bool).ok_or_else(|| {
+        ApiError::new(
+            "bad_delta",
+            format!("missing or non-boolean member {key:?}"),
+        )
+    })
 }
 
 /// The shared cursor-drain members of `events` and `alerts`: `since` is
@@ -203,6 +232,12 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| ApiError::new("bad_request", "missing or non-string member \"op\""))?;
+    // The tables gate the arms: an op or kind they do not list is
+    // refused here, so the accepted vocabulary is exactly the tables.
+    let unknown_op = || ApiError::new("unknown_op", format!("unknown op {op:?}"));
+    if !OPS.contains(&op) {
+        return Err(unknown_op());
+    }
     match op {
         "status" => Ok(Request::Status),
         "trace" => Ok(Request::Trace),
@@ -234,26 +269,28 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             let kind = doc.get("kind").and_then(Value::as_str).ok_or_else(|| {
                 ApiError::new("bad_delta", "delta requires a string member \"kind\"")
             })?;
+            let unknown_kind =
+                || ApiError::new("bad_delta", format!("unknown delta kind {kind:?}"));
+            if !KINDS.contains(&kind) {
+                return Err(unknown_kind());
+            }
             match kind {
                 "kb-flip" => Ok(Request::DeltaKbFlip {
-                    asn: require_u32(&doc, "asn", "bad_delta")?,
-                    facility: require_u32(&doc, "facility", "bad_delta")?,
-                    present: require_bool(&doc, "present", "bad_delta")?,
+                    asn: require_u32(&doc, "asn")?,
+                    facility: require_u32(&doc, "facility")?,
+                    present: require_bool(&doc, "present")?,
                 }),
                 "campaign" => Ok(Request::DeltaCampaign {
-                    campaign: require_u64(&doc, "campaign", "bad_delta")?,
+                    campaign: require_u64(&doc, "campaign")?,
                 }),
                 "vp-status" => Ok(Request::DeltaVpStatus {
-                    vp: require_u32(&doc, "vp", "bad_delta")?,
-                    up: require_bool(&doc, "up", "bad_delta")?,
+                    vp: require_u32(&doc, "vp")?,
+                    up: require_bool(&doc, "up")?,
                 }),
-                other => Err(ApiError::new(
-                    "bad_delta",
-                    format!("unknown delta kind {other:?}"),
-                )),
+                _ => Err(unknown_kind()),
             }
         }
-        other => Err(ApiError::new("unknown_op", format!("unknown op {other:?}"))),
+        _ => Err(unknown_op()),
     }
 }
 

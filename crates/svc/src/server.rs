@@ -18,6 +18,10 @@
 //! Malformed or unversioned lines are answered in the loop with the
 //! typed errors of [`crate::proto`]; the embedder's dispatch function
 //! only ever sees well-formed [`Request`]s.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the cfsd accept loop is one of the two sanctioned homes of socket I/O"
+)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;

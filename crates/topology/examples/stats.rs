@@ -11,7 +11,7 @@ use cfs_topology::{Topology, TopologyConfig};
 
 fn main() {
     // Timing goes through cfs-obs: `Monotonic` is the workspace's one
-    // sanctioned wall-clock reader (cfs-lint `wall-clock`).
+    // sanctioned wall-clock reader (`clippy.toml` bans `Instant::now`).
     let start = Monotonic::new();
     let t = Topology::generate(TopologyConfig::paper()).unwrap();
     println!("generation time: {:?}", start.elapsed());

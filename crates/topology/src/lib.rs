@@ -18,6 +18,7 @@
 //! responses from `cfs-traceroute`), never the ground truth itself.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod config;

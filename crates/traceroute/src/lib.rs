@@ -17,6 +17,7 @@
 //! `(engine seed, vantage point, target, time)`.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod campaign;

@@ -16,6 +16,7 @@
 //! and the ordered worker fan-out [`par`].
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod arena;

@@ -19,6 +19,7 @@
 //! comparisons by validation source and inferred link type.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 mod oracle;

@@ -61,6 +61,7 @@
 //! requests in process.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod daemon;

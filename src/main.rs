@@ -57,26 +57,29 @@ use cfs_experiments::{Lab, Scale, Substrate};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let command = args.get(1).map(String::as_str).unwrap_or("help");
-    let (scale, seed) = parse_flags(&args[2.min(args.len())..]);
+    let (scale, seed) =
+        parse_flags(&args[2.min(args.len())..]).unwrap_or_else(|code| std::process::exit(code));
+    // Every value read here is read before any command starts.
+    let flag = |name: &str| flag_value(&args, name).unwrap_or_else(|code| std::process::exit(code));
 
     let code = match command {
         "world" => world(scale, seed),
-        "snapshot" => snapshot(scale, seed, flag_value(&args, "--out")),
+        "snapshot" => snapshot(scale, seed, flag("--out")),
         "run" => run_cmd(
             scale,
             seed,
-            flag_value(&args, "--out"),
-            flag_value(&args, "--sources"),
-            flag_value(&args, "--trace-json"),
-            flag_value(&args, "--profile-json"),
+            flag("--out"),
+            flag("--sources"),
+            flag("--trace-json"),
+            flag("--profile-json"),
             args.iter().any(|a| a == "--metrics"),
-            flag_value(&args, "--faults"),
+            flag("--faults"),
         ),
         "audit" => audit(
             scale,
             seed,
             args.get(2).and_then(|s| s.parse().ok()),
-            flag_value(&args, "--faults"),
+            flag("--faults"),
         ),
         "census" => census(scale, seed),
         "validate" => validate(scale, seed),
@@ -93,7 +96,7 @@ fn main() {
                 pos.get(1).copied(),
                 args.iter().any(|a| a == "--json"),
                 &args,
-                flag_value(&args, "--baseline-dir"),
+                flag("--baseline-dir"),
             )
         }
         "serve" => exit_code(serve_cmd(scale, seed, &args)),
@@ -190,36 +193,33 @@ fn print_help() {
     );
 }
 
-fn parse_flags(args: &[String]) -> (Scale, Option<u64>) {
-    let mut scale = Scale::Default;
-    let mut seed = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = match args.get(i + 1).map(String::as_str) {
-                    Some("tiny") => Scale::Tiny,
-                    Some("paper") => Scale::Paper,
-                    _ => Scale::Default,
-                };
-                i += 1;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (scale, seed)
+fn parse_flags(args: &[String]) -> Result<(Scale, Option<u64>), i32> {
+    let scale = match flag_value(args, "--scale")?.as_deref() {
+        Some("tiny") => Scale::Tiny,
+        Some("paper") => Scale::Paper,
+        _ => Scale::Default,
+    };
+    let seed = flag_value(args, "--seed")?.and_then(|v| v.parse().ok());
+    Ok((scale, seed))
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value after the last occurrence of flag `name` (a repeated flag
+/// is overridden by its last use): `None` when the flag is absent. A
+/// flag with nothing after it, or with another `--flag` where its value
+/// belongs, is exit 2 after a usage message rather than a run without
+/// the value (or with the next flag's name as a file name).
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, i32> {
+    let Some(at) = args.iter().rposition(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        next => {
+            let got = next.map_or(String::from("nothing"), |v| format!("{v:?}"));
+            eprintln!("{name} wants a value, got {got} (see `cfs help`)");
+            Err(2)
+        }
+    }
 }
 
 /// The exit code of a command that reports failure as `Err(code)`.
@@ -235,7 +235,7 @@ fn num_flag<T: std::str::FromStr + Default + PartialEq>(
     name: &str,
     positive: bool,
 ) -> Result<Option<T>, i32> {
-    let Some(raw) = flag_value(args, name) else {
+    let Some(raw) = flag_value(args, name)? else {
         return Ok(None);
     };
     match raw.parse::<T>() {
@@ -989,7 +989,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
         num_flag::<u64>(args, "--metrics-interval", true)?.map(|ms| ms.saturating_mul(1_000_000));
     let disrupt_seed: Option<u64> = num_flag(args, "--disrupt-seed", false)?;
     let read_deadline = num_flag(args, "--read-deadline-ms", true)?.map(Duration::from_millis);
-    let disrupt = match flag_value(args, "--disrupt") {
+    let disrupt = match flag_value(args, "--disrupt")? {
         None => None,
         Some(p) => Some(ScheduleIntensity::parse(&p).ok_or_else(|| {
             eprintln!("unknown disruption profile {p:?} (light, default, heavy)");
@@ -997,11 +997,12 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
         })?),
     };
     let metrics_out =
-        flag_value(args, "--metrics-out").unwrap_or_else(|| "cfs-metrics.json".to_string());
+        flag_value(args, "--metrics-out")?.unwrap_or_else(|| "cfs-metrics.json".to_string());
+    let (faults, log) = (flag_value(args, "--faults")?, flag_value(args, "--log")?);
     // Bind before the (slow) world provisioning: early clients connect
     // immediately and their requests queue until the loop starts.
-    let socket = flag_value(args, "--socket");
-    let bound = match (&socket, flag_value(args, "--tcp")) {
+    let socket = flag_value(args, "--socket")?;
+    let bound = match (&socket, flag_value(args, "--tcp")?) {
         (Some(path), None) => Server::bind_unix(std::path::Path::new(path)),
         (None, Some(addr)) => Server::bind_tcp(&addr),
         _ => {
@@ -1028,10 +1029,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
     }
 
     let lab = provision(scale, seed);
-    let plan = fault_plan(
-        flag_value(args, "--faults").as_deref(),
-        lab.topo.config.seed,
-    )?;
+    let plan = fault_plan(faults.as_deref(), lab.topo.config.seed)?;
     let schedule = disrupt.map(|intensity| {
         let seed = disrupt_seed.unwrap_or(lab.topo.config.seed);
         EventSchedule::generate(&lab.topo, ScheduleConfig::at_intensity(seed, intensity))
@@ -1043,7 +1041,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
             i.label(),
         );
     }
-    if let Some(path) = flag_value(args, "--log") {
+    if let Some(path) = log {
         let file = std::fs::File::create(&path).map_err(|e| {
             eprintln!("cfsd: failed to open --log {path}: {e}");
             1
@@ -1102,7 +1100,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
 fn query_cmd(args: &[String]) -> Result<(), i32> {
     let usage = "usage: cfs query --socket PATH | --tcp ADDR \
                  <ip>|status|trace|shutdown [--raw JSON] [--out FILE]";
-    let request = match flag_value(args, "--raw") {
+    let request = match flag_value(args, "--raw")? {
         Some(line) => line,
         None => match positionals(args, &[]).first().copied() {
             Some("status") => {
@@ -1127,6 +1125,7 @@ fn query_cmd(args: &[String]) -> Result<(), i32> {
             }
         },
     };
+    let out = flag_value(args, "--out")?;
     let mut client = connect(args, usage)?;
     let response = roundtrip(&mut client, &request)?;
     let ok = is_ok(&response);
@@ -1135,7 +1134,7 @@ fn query_cmd(args: &[String]) -> Result<(), i32> {
     // byte-for-byte (the inner digest must not shift). Refusals print
     // whole, on stdout like any payload.
     let payload = peel(&response, "trace").unwrap_or(&response);
-    match flag_value(args, "--out") {
+    match out {
         Some(path) => {
             std::fs::write(&path, payload).map_err(|e| {
                 eprintln!("failed to write {path}: {e}");
@@ -1156,7 +1155,7 @@ fn query_cmd(args: &[String]) -> Result<(), i32> {
 /// client command shares: neither (or both) prints `usage` and is exit
 /// 2, a failed connect is exit 3.
 fn connect(args: &[String], usage: &str) -> Result<Client, i32> {
-    let endpoint = match (flag_value(args, "--socket"), flag_value(args, "--tcp")) {
+    let endpoint = match (flag_value(args, "--socket")?, flag_value(args, "--tcp")?) {
         (Some(p), None) => Endpoint::Unix(std::path::PathBuf::from(p)),
         (None, Some(a)) => Endpoint::Tcp(a),
         _ => {
@@ -1237,6 +1236,7 @@ fn poll_cursor(
 /// daemon answers with an error or an unparseable snapshot.
 fn metrics_cmd(args: &[String]) -> Result<(), i32> {
     let usage = "usage: cfs metrics --socket PATH | --tcp ADDR [--json] [--out FILE]";
+    let out = flag_value(args, "--out")?;
     let mut client = connect(args, usage)?;
     let request = format!("{{\"schema\":\"{}\",\"op\":\"metrics\"}}", cfs::svc::SCHEMA);
     let response = call(&mut client, &request)?;
@@ -1244,7 +1244,7 @@ fn metrics_cmd(args: &[String]) -> Result<(), i32> {
         eprintln!("{response}");
         return Err(4);
     };
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = out {
         std::fs::write(&path, doc).map_err(|e| {
             eprintln!("failed to write {path}: {e}");
             1
@@ -1379,14 +1379,14 @@ fn watch_cmd(args: &[String]) -> Result<(), i32> {
     let follow = args.iter().any(|a| a == "--follow");
     let interval_ms = num_flag(args, "--interval-ms", true)?.unwrap_or(1_000);
     let polls = num_flag(args, "--polls", false)?.unwrap_or(if follow { 0 } else { 1 });
-    let min_severity = flag_value(args, "--min-severity");
+    let min_severity = flag_value(args, "--min-severity")?;
     if let Some(s) = &min_severity {
         if !matches!(s.as_str(), "info" | "warn" | "error") {
             eprintln!("--min-severity wants info, warn, or error");
             return Err(2);
         }
     }
-    let mut out_file = match flag_value(args, "--out") {
+    let mut out_file = match flag_value(args, "--out")? {
         Some(p) => Some(std::fs::File::create(&p).map_err(|e| {
             eprintln!("failed to open --out {p}: {e}");
             1

@@ -1,8 +1,8 @@
 //! End-to-end CLI coverage for the profiling/diff tooling: `cfs run
 //! --trace-json --profile-json`, `cfs profile`, `cfs trace-diff`, and
-//! the section-tagged `cfs check` failure reporting, and the refusal of
-//! a malformed `--sources` snapshot — driven through the real binary,
-//! the way CI drives it.
+//! the section-tagged `cfs check` failure reporting, the refusal of a
+//! malformed `--sources` snapshot and of a flag without its value —
+//! driven through the real binary, the way CI drives it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -163,6 +163,27 @@ fn golden_trace_fixture_matches_a_fresh_run() {
             stdout(&diff)
         );
     }
+}
+
+#[test]
+fn run_refuses_a_flag_without_its_value() {
+    // A value flag at the end of the line, or followed by another flag,
+    // is a usage error: the run must neither skip the export nor write
+    // the map to a file named after the next flag.
+    let trace = tmp("never.trace.json");
+    let trace = trace.to_str().unwrap();
+    let tiny = ["run", "--scale", "tiny", "--seed", "7"];
+    for tail in [
+        &["--trace-json"][..],
+        &["--out", "--trace-json", trace],
+        &["--sources"],
+    ] {
+        let out = cfs(&[&tiny[..], tail].concat());
+        assert_eq!(out.status.code(), Some(2), "{tail:?}: {}", stdout(&out));
+        assert!(stderr(&out).contains("wants a value"), "{}", stderr(&out));
+    }
+    assert!(!std::path::Path::new("--trace-json").exists());
+    assert!(!std::path::Path::new(trace).exists());
 }
 
 #[test]

@@ -414,6 +414,21 @@ fn faulted_daemon_serves_metrics_and_events_without_touching_the_trace() {
 }
 
 #[test]
+fn watch_drains_a_detecting_daemon_with_a_severity_floor() {
+    // `cfs watch` hand-builds its `alerts` request, `min_severity`
+    // member included: one drain of a detecting daemon must be answered
+    // `ok` (a misspelt op would get `unknown_op`, exit 4).
+    let socket = tmp("cfsd-watch.sock");
+    let socket = socket.to_str().unwrap();
+    let child = spawn_daemon(socket, &["--detect"]);
+    let watch = cfs(&["watch", "--socket", socket, "--min-severity", "warn"]);
+    // Stop the daemon first: a failed assert must not leave it running.
+    shutdown_daemon(socket, child);
+    assert_eq!(watch.status.code(), Some(0), "{}", stderr(&watch));
+    assert!(stderr(&watch).contains("drained"), "{}", stderr(&watch));
+}
+
+#[test]
 fn query_cli_pins_usage_and_transport_exit_codes() {
     // No endpoint → usage (2).
     let usage = cfs(&["query", "status"]);
