@@ -89,7 +89,7 @@ pub fn correct_ip_to_asn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::midar::{resolve_aliases, MidarConfig};
+    use crate::midar::resolve_aliases;
     use crate::prober::IpIdProber;
     use cfs_net::{Announcement, Ipv4Prefix};
     use cfs_topology::{Topology, TopologyConfig};
@@ -179,7 +179,7 @@ mod tests {
         let t = Topology::generate(TopologyConfig::tiny()).unwrap();
         let prober = IpIdProber::new(&t);
         let ips: Vec<Ipv4Addr> = t.ifaces.values().map(|i| i.ip).collect();
-        let aliases = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
+        let aliases = resolve_aliases(&prober, &ips, 1);
         let db = t.build_ipasn_db();
         let (corrected, stats) = correct_ip_to_asn(&db, &aliases, &ips);
 

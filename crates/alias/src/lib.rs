@@ -22,5 +22,5 @@ mod midar;
 mod prober;
 
 pub use correct::{correct_ip_to_asn, CorrectionStats};
-pub use midar::{resolve_aliases, AliasResolution, MidarConfig};
+pub use midar::{resolve_aliases, AliasResolution};
 pub use prober::IpIdProber;

@@ -9,35 +9,16 @@ use cfs_types::par;
 
 use crate::prober::IpIdProber;
 
-/// Tuning knobs of the resolution pipeline.
-#[derive(Clone, Debug)]
-pub struct MidarConfig {
-    /// Samples per interface during estimation.
-    pub estimation_samples: usize,
-    /// Milliseconds between estimation samples.
-    pub estimation_spacing_ms: u64,
-    /// Interleaved samples per side during corroboration.
-    pub corroboration_samples: usize,
-    /// Milliseconds between corroboration probes.
-    pub corroboration_spacing_ms: u64,
-    /// Velocity tolerance for candidate pairing (counter units per ms).
-    pub velocity_tolerance: f64,
-    /// Width of the counter-offset window for candidate pairing.
-    pub offset_window: u32,
-}
-
-impl Default for MidarConfig {
-    fn default() -> Self {
-        Self {
-            estimation_samples: 5,
-            estimation_spacing_ms: 200,
-            corroboration_samples: 10,
-            corroboration_spacing_ms: 2,
-            velocity_tolerance: 0.5,
-            offset_window: 4096,
-        }
-    }
-}
+/// Samples per interface during estimation.
+const ESTIMATION_SAMPLES: usize = 5;
+/// Milliseconds between estimation samples.
+const ESTIMATION_SPACING_MS: u64 = 200;
+/// Interleaved samples per side during corroboration.
+const CORROBORATION_SAMPLES: usize = 10;
+/// Velocity tolerance for candidate pairing (counter units per ms).
+const VELOCITY_TOLERANCE: f64 = 0.5;
+/// Width of the counter-offset window for candidate pairing.
+const OFFSET_WINDOW: u32 = 4096;
 
 /// The outcome of alias resolution.
 #[derive(Clone, Debug, Default)]
@@ -61,11 +42,6 @@ impl AliasResolution {
             _ => false,
         }
     }
-
-    /// Total resolved interfaces.
-    pub fn resolved_interfaces(&self) -> usize {
-        self.set_of.len()
-    }
 }
 
 /// Estimation result for one responsive, monotonic interface.
@@ -80,7 +56,7 @@ struct Estimate {
 
 /// Every responsive estimate plus its corroboration probes, in candidate
 /// order: `ids` holds each estimate's probe ids round by round
-/// ([`slots_per_round`] per round), and `answered` one bitmask per
+/// ([`SLOTS_PER_ROUND`] per round), and `answered` one bitmask per
 /// estimate whose bit `2·round + parity` is set when every slot of that
 /// parity in that round drew a reply.
 #[derive(Default)]
@@ -98,30 +74,23 @@ impl Probed {
     }
 }
 
-/// The two corroboration rounds as `(round, spacing)`, the second at
-/// *tighter* spacing: the bounds test's discrimination scales inversely
-/// with (rate × spacing), so the tight round is the one that rejects
-/// distinct-router coincidences.
-fn rounds(cfg: &MidarConfig) -> [(u64, u64); 2] {
-    [
-        (0, cfg.corroboration_spacing_ms),
-        (1, (cfg.corroboration_spacing_ms / 2).max(1)),
-    ]
-}
+/// The two corroboration rounds as `(round, spacing in ms)`, the second
+/// at *tighter* spacing: the bounds test's discrimination scales
+/// inversely with (rate × spacing), so the tight round is the one that
+/// rejects distinct-router coincidences.
+const ROUNDS: [(u64, u64); 2] = [(0, 2), (1, 1)];
 
 /// Corroboration probe slots per round: the two sides of a pair alternate.
-fn slots_per_round(cfg: &MidarConfig) -> usize {
-    2 * cfg.corroboration_samples
-}
+const SLOTS_PER_ROUND: usize = 2 * CORROBORATION_SAMPLES;
 
 /// Probes `ip` at every corroboration slot (round `r`, slot `j` is at
 /// `10_000 + r·5_000 + j·spacing_r`), appending the ids to `ids` (0 for
 /// no reply) and returning the `answered` mask (see [`Probed`]).
-fn probe_slots(prober: &IpIdProber<'_>, ip: Ipv4Addr, cfg: &MidarConfig, ids: &mut Vec<u16>) -> u8 {
+fn probe_slots(prober: &IpIdProber<'_>, ip: Ipv4Addr, ids: &mut Vec<u16>) -> u8 {
     let mut answered = 0b1111u8;
-    for (round, spacing) in rounds(cfg) {
+    for (round, spacing) in ROUNDS {
         let start = 10_000 + round * 5_000;
-        for j in 0..slots_per_round(cfg) as u64 {
+        for j in 0..SLOTS_PER_ROUND as u64 {
             let id = prober.probe(ip, start + j * spacing);
             if id.is_none() {
                 answered &= !(1 << (2 * round + j % 2));
@@ -139,7 +108,6 @@ fn probe_slots(prober: &IpIdProber<'_>, ip: Ipv4Addr, cfg: &MidarConfig, ids: &m
 pub fn resolve_aliases(
     prober: &IpIdProber<'_>,
     candidates: &[Ipv4Addr],
-    cfg: &MidarConfig,
     workers: usize,
 ) -> AliasResolution {
     // ---- Stage 1: estimation ----
@@ -155,18 +123,18 @@ pub fn resolve_aliases(
             let ip = candidates[idx];
             // Offset probe times per target to avoid synchronized artifacts.
             let t0 = (idx as u64 % 7) * 13;
-            let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples)
+            let samples: Vec<(u64, u16)> = (0..ESTIMATION_SAMPLES)
                 .filter_map(|k| {
-                    let t = t0 + k as u64 * cfg.estimation_spacing_ms;
+                    let t = t0 + k as u64 * ESTIMATION_SPACING_MS;
                     prober.probe(ip, t).map(|id| (t, id))
                 })
                 .collect();
-            if samples.len() < cfg.estimation_samples {
+            if samples.len() < ESTIMATION_SAMPLES {
                 continue; // unresponsive or lossy — cannot resolve
             }
             if let Some(est) = estimate(ip, &samples) {
                 out.estimates.push(est);
-                let answered = probe_slots(prober, ip, cfg, &mut out.ids);
+                let answered = probe_slots(prober, ip, &mut out.ids);
                 out.answered.push(answered);
             }
         }
@@ -182,7 +150,7 @@ pub fn resolve_aliases(
     // ---- Stage 2: candidate pairing (velocity + offset windows) ----
     // Bucket by rounded velocity and by base >> window bits; only pairs in
     // the same or adjacent offset bucket are corroborated.
-    let window_shift = cfg.offset_window.trailing_zeros();
+    let window_shift = OFFSET_WINDOW.trailing_zeros();
     let mut buckets: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
     for (i, est) in estimates.iter().enumerate() {
         let v = est.velocity.round().max(0.0) as u32;
@@ -204,8 +172,7 @@ pub fn resolve_aliases(
                 if dsu.find(a) == dsu.find(b) {
                     continue;
                 }
-                if velocity_compatible(&estimates[a], &estimates[b], cfg)
-                    && corroborated(&probed, a, b, cfg)
+                if velocity_compatible(&estimates[a], &estimates[b]) && corroborated(&probed, a, b)
                 {
                     dsu.union(a, b);
                 }
@@ -287,17 +254,18 @@ fn unwrap_ids(samples: &[(u64, u16)]) -> Vec<(u64, i64)> {
     out
 }
 
-fn velocity_compatible(a: &Estimate, b: &Estimate, cfg: &MidarConfig) -> bool {
-    (a.velocity - b.velocity).abs() <= cfg.velocity_tolerance
+fn velocity_compatible(a: &Estimate, b: &Estimate) -> bool {
+    (a.velocity - b.velocity).abs() <= VELOCITY_TOLERANCE
 }
 
 /// The monotonic bounds test on the probe table: interleave the two
 /// addresses' probes (`a` on the even slots, `b` on the odd ones) in each
 /// round; the merged (time, id) sequence must be monotonic after
 /// unwrapping (the rules of [`unwrap_ids`]).
-fn corroborated(probed: &Probed, a: usize, b: usize, cfg: &MidarConfig) -> bool {
-    let per_round = slots_per_round(cfg);
-    let ids = |e: usize, round: usize| &probed.ids[(e * 2 + round) * per_round..][..per_round];
+fn corroborated(probed: &Probed, a: usize, b: usize) -> bool {
+    let ids = |e: usize, round: usize| {
+        &probed.ids[(e * 2 + round) * SLOTS_PER_ROUND..][..SLOTS_PER_ROUND]
+    };
     for round in 0..2 {
         if probed.answered[a] & (1 << (2 * round)) == 0
             || probed.answered[b] & (1 << (2 * round + 1)) == 0
@@ -307,7 +275,7 @@ fn corroborated(probed: &Probed, a: usize, b: usize, cfg: &MidarConfig) -> bool 
         let (ra, rb) = (ids(a, round), ids(b, round));
         let mut offset: i64 = 0;
         let mut prev: Option<i64> = None;
-        for j in 0..per_round {
+        for j in 0..SLOTS_PER_ROUND {
             let raw = i64::from(if j % 2 == 0 { ra[j] } else { rb[j] });
             let last = prev.unwrap_or(raw);
             if raw + offset < last - 32768 {
@@ -326,11 +294,11 @@ fn corroborated(probed: &Probed, a: usize, b: usize, cfg: &MidarConfig) -> bool 
 /// The monotonic bounds test probing one pair directly: the per-pair
 /// reference [`corroborated`] must agree with.
 #[cfg(test)]
-fn corroborate(prober: &IpIdProber<'_>, a: &Estimate, b: &Estimate, cfg: &MidarConfig) -> bool {
-    for (round, spacing) in rounds(cfg) {
+fn corroborate(prober: &IpIdProber<'_>, a: &Estimate, b: &Estimate) -> bool {
+    for (round, spacing) in ROUNDS {
         let start = 10_000 + round * 5_000;
-        let mut merged: Vec<(u64, u16)> = Vec::with_capacity(cfg.corroboration_samples * 2);
-        for k in 0..cfg.corroboration_samples as u64 {
+        let mut merged: Vec<(u64, u16)> = Vec::with_capacity(SLOTS_PER_ROUND);
+        for k in 0..CORROBORATION_SAMPLES as u64 {
             let ta = start + 2 * k * spacing;
             let tb = start + (2 * k + 1) * spacing;
             match (prober.probe(a.ip, ta), prober.probe(b.ip, tb)) {
@@ -397,7 +365,7 @@ mod tests {
     fn resolution_has_high_precision() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), 1);
         assert!(!res.sets.is_empty(), "no alias sets found");
         let mut wrong_pairs = 0usize;
         let mut pairs = 0usize;
@@ -424,7 +392,7 @@ mod tests {
     fn counter_routers_are_mostly_recovered() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), 1);
         let mut recovered = 0usize;
         let mut eligible = 0usize;
         for router in t.routers.values() {
@@ -449,7 +417,7 @@ mod tests {
     fn unresponsive_routers_stay_unresolved() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), 1);
         for router in t.routers.values() {
             if router.ipid == IpIdBehavior::Unresponsive {
                 for ifid in &router.ifaces {
@@ -463,7 +431,7 @@ mod tests {
     fn same_router_is_reflexive_on_sets_only() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), 1);
         let in_set = res.sets.first().and_then(|s| s.first()).copied();
         if let Some(ip) = in_set {
             assert!(res.same_router(ip, ip));
@@ -503,21 +471,20 @@ mod tests {
     fn table_check_matches_per_pair_probing() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let cfg = MidarConfig::default();
         let mut probed = Probed::default();
         for ip in all_iface_ips(&t) {
-            let samples: Vec<(u64, u16)> = (0..cfg.estimation_samples as u64)
+            let samples: Vec<(u64, u16)> = (0..ESTIMATION_SAMPLES as u64)
                 .filter_map(|k| {
-                    let at = k * cfg.estimation_spacing_ms;
+                    let at = k * ESTIMATION_SPACING_MS;
                     prober.probe(ip, at).map(|id| (at, id))
                 })
                 .collect();
-            if samples.len() < cfg.estimation_samples {
+            if samples.len() < ESTIMATION_SAMPLES {
                 continue;
             }
             if let Some(est) = estimate(ip, &samples) {
                 probed.estimates.push(est);
-                let answered = probe_slots(&prober, ip, &cfg, &mut probed.ids);
+                let answered = probe_slots(&prober, ip, &mut probed.ids);
                 probed.answered.push(answered);
             }
         }
@@ -530,14 +497,8 @@ mod tests {
                     continue;
                 }
                 let (ea, eb) = (&probed.estimates[a], &probed.estimates[b]);
-                let expect = corroborate(&prober, ea, eb, &cfg);
-                assert_eq!(
-                    corroborated(&probed, a, b, &cfg),
-                    expect,
-                    "{} {}",
-                    ea.ip,
-                    eb.ip
-                );
+                let expect = corroborate(&prober, ea, eb);
+                assert_eq!(corroborated(&probed, a, b), expect, "{} {}", ea.ip, eb.ip);
                 aliased += usize::from(expect);
             }
         }
@@ -550,13 +511,12 @@ mod tests {
     fn unanswered_slots_fail_the_table_check() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let cfg = MidarConfig::default();
         let mut ids = Vec::new();
         assert_eq!(
-            probe_slots(&prober, "198.18.0.1".parse().unwrap(), &cfg, &mut ids),
+            probe_slots(&prober, "198.18.0.1".parse().unwrap(), &mut ids),
             0
         );
-        assert_eq!(ids, vec![0; 4 * cfg.corroboration_samples]);
+        assert_eq!(ids, vec![0; 4 * CORROBORATION_SAMPLES]);
 
         // A counter interface paired with itself corroborates until a
         // slot it uses in the pair goes unanswered.
@@ -574,17 +534,17 @@ mod tests {
                 base: 0,
             };
             probed.estimates.push(est);
-            let answered = probe_slots(&prober, ip, &cfg, &mut probed.ids);
+            let answered = probe_slots(&prober, ip, &mut probed.ids);
             probed.answered.push(answered);
         }
-        assert!(corroborated(&probed, 0, 1, &cfg));
+        assert!(corroborated(&probed, 0, 1));
         probed.answered[0] &= !0b0010; // round 0, odd slots: unused by `a`
-        assert!(corroborated(&probed, 0, 1, &cfg));
+        assert!(corroborated(&probed, 0, 1));
         probed.answered[1] &= !0b1000; // round 1, odd slots: used by `b`
-        assert!(!corroborated(&probed, 0, 1, &cfg));
+        assert!(!corroborated(&probed, 0, 1));
         probed.answered[1] = 0b1111;
         probed.answered[0] &= !0b0100; // round 1, even slots: used by `a`
-        assert!(!corroborated(&probed, 0, 1, &cfg));
+        assert!(!corroborated(&probed, 0, 1));
     }
 
     #[test]
@@ -594,7 +554,7 @@ mod tests {
         let ips = all_iface_ips(&t);
         assert!(ips.len() >= 64, "the fan-out needs 64 candidates");
         let at = |workers| {
-            let res = resolve_aliases(&prober, &ips, &MidarConfig::default(), workers);
+            let res = resolve_aliases(&prober, &ips, workers);
             (res.sets, res.set_of)
         };
         let serial = at(1);
@@ -609,8 +569,8 @@ mod tests {
         let t = topo();
         let prober = IpIdProber::new(&t);
         let ips = all_iface_ips(&t);
-        let a = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
-        let b = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
+        let a = resolve_aliases(&prober, &ips, 1);
+        let b = resolve_aliases(&prober, &ips, 1);
         assert_eq!(a.sets, b.sets);
     }
 }

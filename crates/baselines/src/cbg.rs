@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 
 use cfs_geo::{GeoPoint, FIBER_KM_PER_MS};
 use cfs_traceroute::{Engine, VpSet};
-use cfs_types::{CityId, MetroId, VantagePointId};
+use cfs_types::{CityId, VantagePointId};
 
 /// RTT samples per landmark (minimum taken, spaced beyond congestion
 /// episodes).
@@ -105,12 +105,6 @@ impl<'a> CbgGeolocator<'a> {
             }
         }
         best.map(|(_, c)| c)
-    }
-
-    /// Geolocates to a metro.
-    pub fn geolocate_metro(&self, target: Ipv4Addr) -> Option<MetroId> {
-        self.geolocate(target)
-            .map(|c| self.engine.topology().world.metro_of(c))
     }
 }
 

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use cfs_geo::World;
-use cfs_types::{CityId, MetroId};
+use cfs_types::CityId;
 
 /// A hostname-token geolocator with generic dictionaries.
 ///
@@ -12,21 +12,20 @@ use cfs_types::{CityId, MetroId};
 /// (§6 "DNS records"), this baseline only holds world-wide token lists —
 /// which is exactly why it cannot decode facility codes and why the paper
 /// finds it coarser and less complete than CFS.
-pub struct DnsGeolocator<'w> {
-    world: &'w World,
+pub struct DnsGeolocator {
     tokens: BTreeMap<String, CityId>,
 }
 
-impl<'w> DnsGeolocator<'w> {
+impl DnsGeolocator {
     /// Builds the dictionaries from the world city table: IATA airport
     /// codes plus concatenated city names.
-    pub fn new(world: &'w World) -> Self {
+    pub fn new(world: &World) -> Self {
         let mut tokens = BTreeMap::new();
         for (id, city) in world.cities().iter() {
             tokens.insert(city.iata.to_lowercase(), id);
             tokens.insert(city.name.replace(' ', ""), id);
         }
-        Self { world, tokens }
+        Self { tokens }
     }
 
     /// Attempts to geolocate a hostname to a city. Labels are examined
@@ -40,11 +39,6 @@ impl<'w> DnsGeolocator<'w> {
             }
         }
         None
-    }
-
-    /// Geolocates to a metro.
-    pub fn geolocate_metro(&self, hostname: &str) -> Option<MetroId> {
-        self.geolocate(hostname).map(|c| self.world.metro_of(c))
     }
 
     /// Number of dictionary tokens.

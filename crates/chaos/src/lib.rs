@@ -6,7 +6,7 @@
 //! truncated and looping traces) and the knowledge plane (lagged IXP
 //! member lists, deleted facilities, conflicting network records), plus
 //! the resilience primitives the search uses to survive it:
-//! [`RetryPolicy`], [`RetryBudget`], and a per-key [`CircuitBreaker`].
+//! [`backoff_delay_ms`], [`RetryBudget`], and a per-key [`CircuitBreaker`].
 //!
 //! Like `cfs-lint`, this crate is dependency-free: it
 //! sits underneath every perturbed crate and must never pull substrate
@@ -46,7 +46,7 @@ mod plan;
 mod retry;
 
 pub use plan::{FaultPlan, FaultProfile, KB_SOURCE_IXP_SITE, KB_SOURCE_PDB_FAC, KB_SOURCE_PDB_NET};
-pub use retry::{CircuitBreaker, RetryBudget, RetryPolicy};
+pub use retry::{backoff_delay_ms, CircuitBreaker, RetryBudget, MAX_RETRIES};
 
 /// SplitMix64 — the workspace's standard parameter-mixing hash (the
 /// same finalizer `cfs-traceroute` and `cfs-alias` use to derive
@@ -66,7 +66,6 @@ fn _assert_send_sync() {
     fn sync<T: Sync + Send>() {}
     sync::<FaultPlan>();
     sync::<FaultProfile>();
-    sync::<RetryPolicy>();
     sync::<RetryBudget>();
     sync::<CircuitBreaker>();
 }

@@ -447,13 +447,6 @@ impl FaultPlan {
         entity ^ epoch.wrapping_mul(EPOCH_MIX)
     }
 
-    /// Did member `member` of exchange `ixp` lag out of the coherent KB
-    /// snapshot? Epoch-0 shorthand for [`Self::drop_kb_member_at`].
-    #[must_use]
-    pub fn drop_kb_member(&self, ixp: u64, member: u64) -> bool {
-        self.drop_kb_member_at(ixp, member, 0)
-    }
-
     /// Did member `member` of exchange `ixp` lag out of the snapshot
     /// fetched in `epoch`?
     #[must_use]
@@ -466,13 +459,6 @@ impl FaultPlan {
         )
     }
 
-    /// Did facility `fac` vanish from the coherent snapshot? Epoch-0
-    /// shorthand for [`Self::delete_kb_facility_at`].
-    #[must_use]
-    pub fn delete_kb_facility(&self, fac: u64) -> bool {
-        self.delete_kb_facility_at(fac, 0)
-    }
-
     /// Did facility `fac` vanish from the snapshot fetched in `epoch`?
     #[must_use]
     pub fn delete_kb_facility_at(&self, fac: u64, epoch: u64) -> bool {
@@ -482,13 +468,6 @@ impl FaultPlan {
             0,
             self.profile.kb_facility_loss_pm,
         )
-    }
-
-    /// Is network `asn`'s record self-contradictory in the coherent
-    /// snapshot? Epoch-0 shorthand for [`Self::conflict_kb_network_at`].
-    #[must_use]
-    pub fn conflict_kb_network(&self, asn: u64) -> bool {
-        self.conflict_kb_network_at(asn, 0)
     }
 
     /// Is network `asn`'s record self-contradictory in the snapshot
@@ -504,15 +483,8 @@ impl FaultPlan {
     }
 
     /// Deterministic index into a pool of `n` replacement candidates,
-    /// for rewriting a conflicted record's entry `slot`. Returns `None`
-    /// for an empty pool. Epoch-0 shorthand for
-    /// [`Self::conflict_pick_at`].
-    #[must_use]
-    pub fn conflict_pick(&self, asn: u64, slot: u64, n: usize) -> Option<usize> {
-        self.conflict_pick_at(asn, slot, n, 0)
-    }
-
-    /// Deterministic replacement pick for the record fetched in `epoch`.
+    /// for rewriting entry `slot` of a conflicted record fetched in
+    /// `epoch`. Returns `None` for an empty pool.
     #[must_use]
     pub fn conflict_pick_at(&self, asn: u64, slot: u64, n: usize, epoch: u64) -> Option<usize> {
         if n == 0 {
@@ -553,9 +525,9 @@ mod tests {
             assert!(!p.rate_limited(k, k, k));
             assert!(p.truncate_len(k, k, k, 10).is_none());
             assert!(p.loop_segment(k, k, k, 10).is_none());
-            assert!(!p.drop_kb_member(k, k));
-            assert!(!p.delete_kb_facility(k));
-            assert!(!p.conflict_kb_network(k));
+            assert!(!p.drop_kb_member_at(k, k, 0));
+            assert!(!p.delete_kb_facility_at(k, 0));
+            assert!(!p.conflict_kb_network_at(k, 0));
         }
     }
 
@@ -653,10 +625,6 @@ mod tests {
         assert_eq!(p.kb_refresh_at_ms(), None);
         for k in 0..200u64 {
             assert_eq!(p.kb_fetch_epoch(KB_SOURCE_IXP_SITE, k), 0);
-            // Epoch-aware calls at epoch 0 are the legacy decisions.
-            assert_eq!(p.drop_kb_member_at(7, k, 0), p.drop_kb_member(7, k));
-            assert_eq!(p.delete_kb_facility_at(k, 0), p.delete_kb_facility(k));
-            assert_eq!(p.conflict_kb_network_at(k, 0), p.conflict_kb_network(k));
         }
     }
 

@@ -11,54 +11,31 @@ use std::collections::BTreeMap;
 
 use crate::splitmix64;
 
-/// Deterministic exponential backoff with seeded jitter.
+/// Retries after the first attempt of a probe.
+pub const MAX_RETRIES: u32 = 2;
+/// Base delay before the first retry, in virtual milliseconds.
+const BASE_DELAY_MS: u64 = 2_000;
+/// Ceiling on any single delay, in virtual milliseconds.
+const MAX_DELAY_MS: u64 = 60_000;
+/// Jitter as per-mille of the exponential delay (up to 25% added on
+/// top).
+const JITTER_PM: u64 = 250;
+
+/// The delay before retry `attempt` (1-based, up to [`MAX_RETRIES`]):
+/// exponential backoff with seeded jitter, capped at one minute.
 ///
-/// `delay_ms(seed, attempt)` is a pure function: the jitter comes from
-/// hashing the caller-supplied seed (derived from the run seed and the
-/// probe identity) with the attempt number — never from ambient RNG —
-/// so two runs of the same campaign back off identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (`0` disables retrying).
-    pub max_retries: u32,
-    /// Base delay before the first retry, in virtual milliseconds.
-    pub base_delay_ms: u64,
-    /// Ceiling on any single delay, in virtual milliseconds.
-    pub max_delay_ms: u64,
-    /// Jitter as per-mille of the exponential delay (`250` = up to 25%
-    /// added on top).
-    pub jitter_pm: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            base_delay_ms: 2_000,
-            max_delay_ms: 60_000,
-            jitter_pm: 250,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry `attempt` (1-based), with deterministic
-    /// jitter drawn from `seed`.
-    #[must_use]
-    pub fn delay_ms(&self, seed: u64, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(20);
-        let exp = self
-            .base_delay_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.max_delay_ms);
-        let span = exp * u64::from(self.jitter_pm) / 1000;
-        let jitter = if span == 0 {
-            0
-        } else {
-            splitmix64(seed ^ (u64::from(attempt) << 56)) % (span + 1)
-        };
-        (exp + jitter).min(self.max_delay_ms)
-    }
+/// A pure function: the jitter comes from hashing the caller-supplied
+/// seed (derived from the run seed and the probe identity) with the
+/// attempt number — never from ambient RNG — so two runs of the same
+/// campaign back off identically.
+#[must_use]
+pub fn backoff_delay_ms(seed: u64, attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(20);
+    let exp = BASE_DELAY_MS
+        .saturating_mul(1u64 << shift)
+        .min(MAX_DELAY_MS);
+    let jitter = splitmix64(seed ^ (u64::from(attempt) << 56)) % (exp * JITTER_PM / 1000 + 1);
+    (exp + jitter).min(MAX_DELAY_MS)
 }
 
 /// A run-wide retry budget: every retry spends one unit, and once the
@@ -185,30 +162,23 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_deterministic_and_capped() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            base_delay_ms: 1000,
-            max_delay_ms: 5000,
-            jitter_pm: 0,
-        };
-        assert_eq!(p.delay_ms(9, 1), 1000);
-        assert_eq!(p.delay_ms(9, 2), 2000);
-        assert_eq!(p.delay_ms(9, 3), 4000);
-        assert_eq!(p.delay_ms(9, 4), 5000); // capped
-        let j = RetryPolicy {
-            jitter_pm: 500,
-            ..p
-        };
-        assert_eq!(j.delay_ms(1234, 2), j.delay_ms(1234, 2));
-        let base = j.delay_ms(1234, 2);
-        assert!((2000..=3000).contains(&base), "jittered delay {base}");
+        for seed in 0..64u64 {
+            for (attempt, exp) in [(1, 2_000), (2, 4_000), (3, 8_000), (5, 32_000)] {
+                let delay = backoff_delay_ms(seed, attempt);
+                assert_eq!(delay, backoff_delay_ms(seed, attempt));
+                assert!(
+                    (exp..=exp + exp / 4).contains(&delay),
+                    "attempt {attempt}: delay {delay}"
+                );
+            }
+            assert_eq!(backoff_delay_ms(seed, 6), 60_000); // capped
+        }
     }
 
     #[test]
     fn jitter_varies_with_seed() {
-        let p = RetryPolicy::default();
         let distinct: std::collections::BTreeSet<u64> =
-            (0..32u64).map(|s| p.delay_ms(s, 1)).collect();
+            (0..32u64).map(|s| backoff_delay_ms(s, 1)).collect();
         assert!(distinct.len() > 1, "jitter never moved");
     }
 

@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use cfs_alias::{correct_ip_to_asn, resolve_aliases, AliasResolution, IpIdProber, MidarConfig};
-use cfs_chaos::{CircuitBreaker, RetryBudget, RetryPolicy};
+use cfs_alias::{correct_ip_to_asn, resolve_aliases, AliasResolution, IpIdProber};
+use cfs_chaos::{backoff_delay_ms, CircuitBreaker, RetryBudget, MAX_RETRIES};
 use cfs_kb::KnowledgeBase;
 use cfs_net::IpAsnDb;
 use cfs_obs::{NoopRecorder, Recorder};
@@ -47,8 +47,6 @@ pub struct CfsConfig {
     pub max_iterations: usize,
     /// Unresolved interfaces to chase per iteration (measurement budget).
     pub followup_interfaces: usize,
-    /// Alias-resolution tuning.
-    pub alias: MidarConfig,
     /// Run the reverse search of §4.3.
     pub reverse_search: bool,
     /// Apply the switch-proximity heuristic of §4.4 at the end.
@@ -71,7 +69,6 @@ impl Default for CfsConfig {
         Self {
             max_iterations: 100,
             followup_interfaces: 120,
-            alias: MidarConfig::default(),
             reverse_search: true,
             proximity: true,
             alias_constraints: true,
@@ -96,8 +93,8 @@ const STALE_ITERATIONS: usize = 6;
 pub(crate) const REALIAS_EVERY: usize = 3;
 /// Total follow-up retries a run may spend across all iterations;
 /// exhaustion surfaces as `probe_exhausted` verdicts, not an error.
-/// Each retry re-issues a probe on `RetryPolicy::default()`'s backoff
-/// schedule (DESIGN.md §9).
+/// Each retry re-issues a probe after `cfs_chaos::backoff_delay_ms`
+/// (DESIGN.md §9).
 const RETRY_BUDGET: u64 = 768;
 /// Consecutive failed probes before a vantage point's circuit opens
 /// and follow-up planning routes around it.
@@ -433,8 +430,7 @@ pub(crate) struct ChaseTargets {
 /// let mut session = Cfs::builder(&engine, &kb)
 ///     .vps(&vps)
 ///     .ipasn(&ipasn)
-///     .config(CfsConfig::default())
-///     .threads(8)
+///     .config(CfsConfig { threads: 8, ..CfsConfig::default() })
 ///     .build_session()?;
 /// ```
 #[must_use = "call .build_session() to obtain the session"]
@@ -475,18 +471,11 @@ impl<'a> CfsBuilder<'a> {
         self
     }
 
-    /// Worker threads for the parallel stages (`0` = available
-    /// parallelism). Shorthand for setting [`CfsConfig::threads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
     /// Attaches an observability recorder: every pipeline stage then
     /// emits spans, counters, and histograms through it (default: the
     /// no-op recorder, which costs one empty virtual call per signal).
     /// With a `cfs_obs::TraceRecorder` the stable export is
-    /// byte-identical at any [`CfsBuilder::threads`] value.
+    /// byte-identical at any [`CfsConfig::threads`] value.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
@@ -855,7 +844,7 @@ impl<'a> Cfs<'a> {
         let prober = IpIdProber::new(self.engine.topology());
         let ips: Vec<Ipv4Addr> = self.hop_ips.iter().copied().collect();
         let workers = par::workers(self.cfg.threads);
-        self.aliases = resolve_aliases(&prober, &ips, &self.cfg.alias, workers);
+        self.aliases = resolve_aliases(&prober, &ips, workers);
         let (corrected, _stats) = correct_ip_to_asn(self.ipasn, &self.aliases, &ips);
         self.new_ips_since_alias = 0;
         let old = std::mem::replace(&mut self.corrected, corrected);
@@ -1190,7 +1179,6 @@ impl<'a> Cfs<'a> {
         let workers = par::workers(self.cfg.threads);
         let engine = self.engine;
         let vps = self.vps;
-        let retry = RetryPolicy::default();
         let retry_seed = self.chaos_seed;
         let down = &self.vp_down;
         // Verdict counters are per tested address (the pending list does
@@ -1200,7 +1188,7 @@ impl<'a> Cfs<'a> {
         let tester = || {
             RemoteTester::new(engine, vps)
                 .recorded(rec)
-                .retrying(retry, retry_seed)
+                .retrying(retry_seed)
                 .excluding(down)
         };
         let rankings = &mut self.rankings;
@@ -1298,7 +1286,7 @@ impl<'a> Cfs<'a> {
             None => {
                 let tester = RemoteTester::new(self.engine, self.vps)
                     .recorded(&*self.recorder)
-                    .retrying(RetryPolicy::default(), self.chaos_seed)
+                    .retrying(self.chaos_seed)
                     .excluding(&self.vp_down);
                 self.rankings.rank(&tester, ixp);
                 let verdict = self.rankings.is_remote(&tester, ixp, ip);
@@ -1470,8 +1458,7 @@ impl<'a> Cfs<'a> {
                 .record(u64::from(vp.raw()), !probe_failed(t), *at);
         }
 
-        let policy = RetryPolicy::default();
-        for attempt in 1..=policy.max_retries {
+        for attempt in 1..=MAX_RETRIES {
             let mut retry: Vec<(usize, (VantagePointId, Ipv4Addr, u64))> = Vec::new();
             for (i, t) in traces.iter().enumerate() {
                 if !probe_failed(t) {
@@ -1483,7 +1470,7 @@ impl<'a> Cfs<'a> {
                 let (vp, target, _) = probes[i];
                 let seed =
                     self.chaos_seed ^ (u64::from(vp.raw()) << 32) ^ u64::from(u32::from(target));
-                let at = self.clock_ms + policy.delay_ms(seed, attempt);
+                let at = self.clock_ms + backoff_delay_ms(seed, attempt);
                 retry.push((i, (vp, target, at)));
             }
             if retry.is_empty() {

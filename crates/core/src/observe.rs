@@ -186,8 +186,8 @@ pub struct Observation {
     /// The far-side interface: the IXP fabric address (public) or the
     /// neighbour's point-to-point interface (private).
     pub far_ip: Option<Ipv4Addr>,
-    /// Rule-vote evidence behind the call (always
-    /// [`IxpHopEvidence::FULL`] for private crossings).
+    /// Rule-vote evidence behind the call (always `IxpHopEvidence::FULL`
+    /// for private crossings).
     pub evidence: IxpHopEvidence,
 }
 

@@ -50,7 +50,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, IpIdProber};
-use cfs_chaos::RetryPolicy;
+use cfs_chaos::{backoff_delay_ms, MAX_RETRIES};
 use cfs_traceroute::Trace;
 use cfs_types::{
     Asn, FacilityId, FacilitySet, IxpId, LinkClass, MetroId, UnresolvedReason, VantagePointId,
@@ -134,7 +134,7 @@ impl<'a> Reference<'a> {
         let cfs = &mut self.cfs;
         let ips: Vec<Ipv4Addr> = cfs.hop_ips.iter().copied().collect();
         let prober = IpIdProber::new(cfs.engine.topology());
-        cfs.aliases = resolve_aliases(&prober, &ips, &cfs.cfg.alias, 1);
+        cfs.aliases = resolve_aliases(&prober, &ips, 1);
         cfs.corrected = correct_ip_to_asn(cfs.ipasn, &cfs.aliases, &ips).0;
         cfs.new_ips_since_alias = 0;
         cfs.observations.clear();
@@ -208,7 +208,7 @@ impl<'a> Reference<'a> {
         if triggered && !cfs.remote_cache.contains_key(&ip) {
             let verdict = RemoteTester::new(cfs.engine, cfs.vps)
                 .recorded(&*cfs.recorder)
-                .retrying(RetryPolicy::default(), cfs.chaos_seed)
+                .retrying(cfs.chaos_seed)
                 .excluding(&cfs.vp_down)
                 .is_remote(ixp, ip);
             cfs.remote_cache.insert(ip, (ixp, verdict));
@@ -445,13 +445,12 @@ impl<'a> Reference<'a> {
             .iter()
             .map(|(vp, target)| run(*vp, *target, clock_ms))
             .collect();
-        let policy = RetryPolicy::default();
-        for attempt in 1..=policy.max_retries {
+        for attempt in 1..=MAX_RETRIES {
             let mut retried = 0;
             for (t, (vp, target)) in traces.iter_mut().zip(requests) {
                 if probe_failed(t) && cfs.retry_budget.try_spend() {
                     let key = (u64::from(vp.raw()) << 32) ^ u64::from(u32::from(*target));
-                    let at = clock_ms + policy.delay_ms(cfs.chaos_seed ^ key, attempt);
+                    let at = clock_ms + backoff_delay_ms(cfs.chaos_seed ^ key, attempt);
                     *t = run(*vp, *target, at);
                     retried += 1;
                 }
@@ -588,8 +587,11 @@ pub(crate) mod tests {
         boot: &[Trace],
     ) -> (Vec<usize>, Counters) {
         let session = move |threads| {
-            let (builder, rec) = builder_for(world, engine, kb, cfg.clone());
-            let builder = builder.threads(threads);
+            let cfg = CfsConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let (builder, rec) = builder_for(world, engine, kb, cfg);
             let builder = match platforms {
                 [] => builder,
                 _ => builder.platforms(platforms),
@@ -711,11 +713,10 @@ pub(crate) mod tests {
             .iter()
             .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
             .collect();
-        let alias_cfg = CfsConfig::default().alias;
         let prober = IpIdProber::new(&world.topo);
         let corrected = |ips: &BTreeSet<Ipv4Addr>| {
             let ips: Vec<Ipv4Addr> = ips.iter().copied().collect();
-            let aliases = resolve_aliases(&prober, &ips, &alias_cfg, 1);
+            let aliases = resolve_aliases(&prober, &ips, 1);
             correct_ip_to_asn(&world.ipasn, &aliases, &ips).0
         };
         let old = corrected(&seen);

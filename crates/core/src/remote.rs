@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use cfs_chaos::RetryPolicy;
+use cfs_chaos::{backoff_delay_ms, MAX_RETRIES};
 use cfs_geo::fiber_rtt_ms;
 use cfs_obs::{Recorder, NOOP};
 use cfs_traceroute::{ProbeService, VantagePoint, VpSet};
@@ -34,7 +34,6 @@ pub struct RemoteTester<'a> {
     engine: &'a dyn ProbeService,
     vps: &'a VpSet,
     recorder: &'a dyn Recorder,
-    retry: RetryPolicy,
     retry_seed: u64,
     down: Option<&'a BTreeSet<VantagePointId>>,
 }
@@ -46,7 +45,6 @@ impl<'a> RemoteTester<'a> {
             engine,
             vps,
             recorder: &NOOP,
-            retry: RetryPolicy::default(),
             retry_seed: 0,
             down: None,
         }
@@ -70,10 +68,9 @@ impl<'a> RemoteTester<'a> {
         self
     }
 
-    /// Sets the retry policy for unanswered pings. Backoff jitter comes
-    /// from `seed`, never from ambient randomness (DESIGN.md §9).
-    pub fn retrying(mut self, retry: RetryPolicy, seed: u64) -> Self {
-        self.retry = retry;
+    /// Seeds the backoff jitter of retried pings: from `seed`, never
+    /// from ambient randomness (DESIGN.md §9).
+    pub fn retrying(mut self, seed: u64) -> Self {
         self.retry_seed = seed;
         self
     }
@@ -87,9 +84,9 @@ impl<'a> RemoteTester<'a> {
             return Some(rtt);
         }
         let seed = self.retry_seed ^ u64::from(u32::from(target)).rotate_left(17) ^ at_ms;
-        for attempt in 1..=self.retry.max_retries {
+        for attempt in 1..=MAX_RETRIES {
             self.recorder.counter("remote.retries", 1);
-            let t = at_ms + self.retry.delay_ms(seed, attempt);
+            let t = at_ms + backoff_delay_ms(seed, attempt);
             if let Some(rtt) = self.engine.ping(vp, target, t) {
                 return Some(rtt);
             }
@@ -267,9 +264,7 @@ mod tests {
             ),
         );
         let rec = Retries::default();
-        let retried = RemoteTester::new(&noisy, &vps)
-            .recorded(&rec)
-            .retrying(RetryPolicy::default(), 9);
+        let retried = RemoteTester::new(&noisy, &vps).recorded(&rec).retrying(9);
 
         let baseline = RemoteTester::new(&clean, &vps);
         let mut clean_verdicts = 0usize;

@@ -62,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use cfs_chaos::{splitmix64, RetryPolicy};
+use cfs_chaos::splitmix64;
 use cfs_kb::KnowledgeBase;
 use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
@@ -609,7 +609,7 @@ impl<'a> CfsSession<'a> {
         let cfs = &mut self.cfs;
         let tester = RemoteTester::new(cfs.engine, cfs.vps)
             .recorded(&*cfs.recorder)
-            .retrying(RetryPolicy::default(), cfs.chaos_seed)
+            .retrying(cfs.chaos_seed)
             .excluding(&cfs.vp_down);
         for (ip, ixp, old) in entries {
             cfs.rankings.rank(&tester, ixp);

@@ -86,9 +86,9 @@ fn run_with_clock(
         .ipasn(&ipasn)
         .config(CfsConfig {
             max_iterations: 8,
+            threads,
             ..CfsConfig::default()
         })
-        .threads(threads)
         .recorder(recorder.clone())
         .build_session()
         .unwrap();

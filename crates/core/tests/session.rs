@@ -200,11 +200,10 @@ fn hop_ips(traces: &[Trace]) -> BTreeSet<Ipv4Addr> {
 /// corrected ASN of an address `boot` already holds — the condition under
 /// which `absorb_traces` must re-extract the whole corpus.
 fn moves_old_ip(world: &World, ipasn: &cfs_net::IpAsnDb, boot: &[Trace], delta: &[Trace]) -> bool {
-    let cfg = CfsConfig::default().alias;
     let prober = IpIdProber::new(&world.topo);
     let corrected = |ips: &BTreeSet<Ipv4Addr>| {
         let ips: Vec<Ipv4Addr> = ips.iter().copied().collect();
-        correct_ip_to_asn(ipasn, &resolve_aliases(&prober, &ips, &cfg, 1), &ips).0
+        correct_ip_to_asn(ipasn, &resolve_aliases(&prober, &ips, 1), &ips).0
     };
     let seen = hop_ips(boot);
     let (old, new) = (corrected(&seen), corrected(&(&seen | &hop_ips(delta))));

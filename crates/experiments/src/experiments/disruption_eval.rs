@@ -7,7 +7,7 @@
 //! experiment generates a seeded disruption schedule (facility power
 //! events, cross-connect cuts, IXP port flaps), wraps the probe engine
 //! in [`ScheduledEngine`] so campaigns observe the faults, and streams
-//! the epochs through a resident [`CfsSession`] exactly like `cfsd`
+//! the epochs through a resident [`cfs_core::CfsSession`] exactly like `cfsd`
 //! under `--detect`: bootstrap at epoch 0, one `TracerouteBatch` delta
 //! per 2-hour epoch afterwards. The detector never sees the schedule —
 //! only traces — and its `cfs-alerts/1` stream is scored against the
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use cfs_core::{CfsConfig, Delta};
 use cfs_detect::{Alert, Detector, DetectorConfig, EpochObservation};
 use cfs_obs::{Clock, Virtual};
-use cfs_topology::{Disruption, EventSchedule, ScheduleConfig, ScheduleIntensity};
+use cfs_topology::{Disruption, EventSchedule, ScheduleConfig, ScheduleIntensity, HORIZON_EPOCHS};
 use cfs_traceroute::{Engine, ScheduledEngine};
 use cfs_types::Result;
 
@@ -136,7 +136,6 @@ pub fn evaluate(lab: &Lab, intensity: ScheduleIntensity) -> Result<EvalPoint> {
     let config = ScheduleConfig::at_intensity(lab.topo.config.seed, intensity);
     let schedule = EventSchedule::generate(&lab.topo, config);
     let engine = ScheduledEngine::new(Engine::new(&lab.topo), schedule);
-    let horizon = engine.schedule().config.horizon_epochs;
 
     let clock = Arc::new(Virtual::new());
     let mut detector = Detector::new(
@@ -159,7 +158,7 @@ pub fn evaluate(lab: &Lab, intensity: ScheduleIntensity) -> Result<EvalPoint> {
     let mut session = lab.session(&engine, &lab.kb, cfg, lab.recorder.clone(), None);
     session.converge();
 
-    for k in 1..horizon {
+    for k in 1..HORIZON_EPOCHS {
         let traces = lab.campaign(&engine, k);
         let obs = EpochObservation::from_traces(k, &traces);
         session.apply_delta(Delta::TracerouteBatch(traces))?;
@@ -192,10 +191,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
             ]
         })
         .collect();
-    out.kv(
-        "epochs per horizon",
-        ScheduleConfig::at_intensity(0, ScheduleIntensity::Default).horizon_epochs,
-    );
+    out.kv("epochs per horizon", HORIZON_EPOCHS);
     out.kv("epoch length", "2h (7_200_000 ms)");
     out.line("");
     out.table(
@@ -241,6 +237,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
 mod tests {
     use super::*;
     use crate::Scale;
+    use cfs_topology::WARMUP_EPOCHS;
 
     #[test]
     fn default_intensity_meets_acceptance_floors() {
@@ -269,8 +266,10 @@ mod tests {
         // healthy plane).
         let lab = Lab::provision(Scale::Tiny, Some(11)).expect("lab");
         let config = ScheduleConfig::at_intensity(lab.topo.config.seed, ScheduleIntensity::Default);
-        let warmup = config.warmup_epochs;
         let schedule = EventSchedule::generate(&lab.topo, config);
-        assert!(schedule.events.iter().all(|e| e.start_epoch >= warmup));
+        assert!(schedule
+            .events
+            .iter()
+            .all(|e| e.start_epoch >= WARMUP_EPOCHS));
     }
 }

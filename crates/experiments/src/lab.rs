@@ -53,14 +53,8 @@ impl Scale {
 
     fn kb_config(self) -> KbConfig {
         match self {
-            Self::Tiny => KbConfig {
-                noc_pages: 20,
-                ..Default::default()
-            },
-            Self::Default => KbConfig {
-                noc_pages: 60,
-                ..Default::default()
-            },
+            Self::Tiny => KbConfig { noc_pages: 20 },
+            Self::Default => KbConfig { noc_pages: 60 },
             Self::Paper => KbConfig::default(), // 152 NOC pages, as in §3.1.1
         }
     }
@@ -72,6 +66,13 @@ impl Scale {
             Self::Default => "default",
             Self::Paper => "paper",
         }
+    }
+
+    /// The scale a [`Self::label`] names; `None` for any other string.
+    pub fn parse(label: &str) -> Option<Self> {
+        [Self::Tiny, Self::Default, Self::Paper]
+            .into_iter()
+            .find(|s| s.label() == label)
     }
 }
 
@@ -305,11 +306,12 @@ impl Lab {
             .into_report()
     }
 
-    /// Runs the pipeline against a *faulted* measurement and knowledge
-    /// plane: the [`Substrate`] of `plan`. The same `(seed, plan)` pair
-    /// always yields the byte-identical report.
-    pub fn run_cfs_chaos(&self, plan: FaultPlan, cfg: CfsConfig) -> CfsReport {
-        let plane = Substrate::new(self, Some(plan), None);
+    /// Runs the pipeline against the [`Substrate`] of `plan`: a faulted
+    /// measurement and knowledge plane, or the clean one when `plan` is
+    /// `None`. The same `(seed, plan)` pair always yields the
+    /// byte-identical report.
+    pub fn run_cfs_chaos(&self, plan: Option<FaultPlan>, cfg: CfsConfig) -> CfsReport {
+        let plane = Substrate::new(self, plan, None);
         self.session(plane.engine(), plane.kb(), cfg, self.recorder.clone(), None)
             .into_report()
     }

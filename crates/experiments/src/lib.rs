@@ -35,33 +35,64 @@ mod output;
 pub use lab::{Lab, Scale, Substrate};
 pub use output::{results_dir, Output};
 
-/// Parses the common CLI arguments (`--scale`, `--seed`).
+/// Parses the common CLI arguments (`--scale`, `--seed`); a missing or
+/// malformed value exits 2 after naming the flag.
 pub fn parse_args() -> (Scale, Option<u64>) {
-    let mut scale = Scale::Default;
-    let mut seed = None;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                if let Some(v) = args.get(i + 1) {
-                    scale = match v.as_str() {
-                        "tiny" => Scale::Tiny,
-                        "paper" => Scale::Paper,
-                        _ => Scale::Default,
-                    };
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1) {
-                    seed = v.parse().ok();
-                    i += 1;
-                }
-            }
-            _ => {}
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    scale_and_seed(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// `--scale` and `--seed` from `args` (the last occurrence of each wins).
+fn scale_and_seed(args: &[String]) -> Result<(Scale, Option<u64>), String> {
+    let value = |flag: &str| -> Result<Option<&String>, String> {
+        match args.iter().rposition(|a| a == flag) {
+            None => Ok(None),
+            Some(at) => args
+                .get(at + 1)
+                .map(Some)
+                .ok_or_else(|| format!("{flag} wants a value")),
         }
-        i += 1;
+    };
+    let scale = match value("--scale")? {
+        None => Scale::Default,
+        Some(v) => Scale::parse(v)
+            .ok_or_else(|| format!("--scale wants tiny, default or paper, got {v:?}"))?,
+    };
+    let seed = value("--seed")?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--seed wants a number, got {v:?}"))
+        })
+        .transpose()?;
+    Ok((scale, seed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Scale, Option<u64>), String> {
+        scale_and_seed(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    (scale, seed)
+
+    #[test]
+    fn scale_and_seed_refuse_bad_values_naming_the_flag() {
+        assert_eq!(parse(&[]), Ok((Scale::Default, None)));
+        assert_eq!(
+            parse(&["--scale", "tiny", "--seed", "7"]),
+            Ok((Scale::Tiny, Some(7)))
+        );
+        for (args, flag) in [
+            (&["--scale", "huge"][..], "--scale"),
+            (&["--scale"][..], "--scale"),
+            (&["--seed", "x"][..], "--seed"),
+            (&["--scale", "paper", "--seed"][..], "--seed"),
+        ] {
+            let err = parse(args).expect_err("bad value accepted");
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+    }
 }

@@ -431,13 +431,7 @@ mod tests {
 
     fn setup() -> (Topology, KnowledgeBase) {
         let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
-        let src = PublicSources::derive(
-            &topo,
-            &KbConfig {
-                noc_pages: 20,
-                ..Default::default()
-            },
-        );
+        let src = PublicSources::derive(&topo, &KbConfig { noc_pages: 20 });
         let kb = KnowledgeBase::assemble(&src, &topo.world);
         (topo, kb)
     }
@@ -633,10 +627,7 @@ mod tests {
     fn merged_tables_match_the_raw_sources() {
         use crate::degrade_sources;
         use cfs_chaos::FaultPlan;
-        let tiny = KbConfig {
-            noc_pages: 20,
-            ..Default::default()
-        };
+        let tiny = KbConfig { noc_pages: 20 };
         for (topo_cfg, kb_cfg) in [
             (TopologyConfig::tiny(), tiny),
             (TopologyConfig::default(), KbConfig::default()),
@@ -732,10 +723,7 @@ mod tests {
         /// `stale-kb+conflict`.
         static WORLD: LazyLock<(Topology, [PublicSources; 2])> = LazyLock::new(|| {
             let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
-            let cfg = KbConfig {
-                noc_pages: 20,
-                ..Default::default()
-            };
+            let cfg = KbConfig { noc_pages: 20 };
             let clean = PublicSources::derive(&topo, &cfg);
             let plan = FaultPlan::named("stale-kb+conflict", topo.config.seed).unwrap();
             let degraded = degrade_sources(&clean, &plan);

@@ -42,5 +42,5 @@ pub use reconcile::{
 };
 pub use sources::{
     IxpSiteRecord, KbConfig, NocPage, PdbFacilityRecord, PdbIxpRecord, PdbNetworkRecord,
-    PublicSources, SiteMemberRecord,
+    PublicSources, SiteMemberRecord, DETAILED_IXP_SITES,
 };

@@ -244,7 +244,7 @@ impl KbQuality {
 /// Every reconciled claim family, keyed deterministically.
 ///
 /// A listing edit re-votes only the AS → facility family
-/// ([`Self::relist`]); the exchange-side families sit behind `Arc`, so
+/// ([`crate::KnowledgeBase::relist`]); the exchange-side families sit behind `Arc`, so
 /// the knowledge-base epochs a run of listing edits produces share them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reconciliation {

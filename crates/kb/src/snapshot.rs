@@ -89,13 +89,7 @@ mod tests {
 
     fn sources() -> (Topology, PublicSources) {
         let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
-        let src = PublicSources::derive(
-            &topo,
-            &KbConfig {
-                noc_pages: 10,
-                ..Default::default()
-            },
-        );
+        let src = PublicSources::derive(&topo, &KbConfig { noc_pages: 10 });
         (topo, src)
     }
 

@@ -11,46 +11,40 @@ use cfs_net::Ipv4Prefix;
 use cfs_topology::Topology;
 use cfs_types::{Asn, FacilityId, IxpId};
 
-/// Knobs for deriving the public sources.
+/// How much of the public view to derive. The incompleteness rates of
+/// the damage model are one calibration at every scale (the constants
+/// below); only the transcription effort scales with the world.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct KbConfig {
-    /// RNG seed for the damage model.
-    pub seed: u64,
-    /// Fraction of networks whose PeeringDB record is fully maintained.
-    pub pdb_well_maintained: f64,
-    /// Fraction of networks missing from PeeringDB entirely.
-    pub pdb_absent: f64,
     /// Number of networks whose NOC page we transcribe (the paper checked
     /// 152 ASes).
     pub noc_pages: usize,
-    /// Fraction of IXPs with a usable website (facility + member lists).
-    pub ixp_site_coverage: f64,
-    /// Number of large exchanges publishing *detailed* member data —
-    /// interface-to-facility mappings and remote/local annotation, like
-    /// AMS-IX / France-IX in §6.
-    pub detailed_ixp_sites: usize,
-    /// Probability that a PeeringDB IXP record omits its facility
-    /// partnerships (the JPNAP Tokyo I case of §3.1.2).
-    pub pdb_ixp_missing_facilities: f64,
-    /// Probability a facility's PeeringDB city field uses a non-canonical
-    /// spelling.
-    pub messy_city_fraction: f64,
 }
 
 impl Default for KbConfig {
     fn default() -> Self {
-        Self {
-            seed: 0x5EED_0331,
-            pdb_well_maintained: 0.7,
-            pdb_absent: 0.03,
-            noc_pages: 152,
-            ixp_site_coverage: 0.75,
-            detailed_ixp_sites: 5,
-            pdb_ixp_missing_facilities: 0.10,
-            messy_city_fraction: 0.20,
-        }
+        Self { noc_pages: 152 }
     }
 }
+
+/// RNG seed for the damage model.
+const DAMAGE_SEED: u64 = 0x5EED_0331;
+/// Fraction of networks whose PeeringDB record is fully maintained.
+const PDB_WELL_MAINTAINED: f64 = 0.7;
+/// Fraction of networks missing from PeeringDB entirely.
+const PDB_ABSENT: f64 = 0.03;
+/// Fraction of IXPs with a usable website (facility + member lists).
+const IXP_SITE_COVERAGE: f64 = 0.75;
+/// Number of large exchanges publishing *detailed* member data —
+/// interface-to-facility mappings and remote/local annotation, like
+/// AMS-IX / France-IX in §6.
+pub const DETAILED_IXP_SITES: usize = 5;
+/// Probability that a PeeringDB IXP record omits its facility
+/// partnerships (the JPNAP Tokyo I case of §3.1.2).
+const PDB_IXP_MISSING_FACILITIES: f64 = 0.10;
+/// Probability a facility's PeeringDB city field uses a non-canonical
+/// spelling.
+const MESSY_CITY_FRACTION: f64 = 0.20;
 
 /// A facility row as PeeringDB publishes it: identity plus *raw* location
 /// strings that still need the §3.1.1 normalization.
@@ -157,7 +151,7 @@ pub struct PublicSources {
 impl PublicSources {
     /// Derives the public view of a topology.
     pub fn derive(topo: &Topology, cfg: &KbConfig) -> Self {
-        let mut rng = ChaCha20Rng::seed_from_u64(cfg.seed);
+        let mut rng = ChaCha20Rng::seed_from_u64(DAMAGE_SEED);
 
         // ---- PeeringDB facility table ----
         let pdb_facilities = topo
@@ -165,7 +159,7 @@ impl PublicSources {
             .iter()
             .map(|(id, f)| {
                 let city = topo.world.city(f.city);
-                let (city_raw, country_raw) = if rng.random_bool(cfg.messy_city_fraction) {
+                let (city_raw, country_raw) = if rng.random_bool(MESSY_CITY_FRACTION) {
                     messy_spelling(&city.name, &city.country, &mut rng)
                 } else {
                     (city.name.clone(), city.country.clone())
@@ -186,9 +180,9 @@ impl PublicSources {
             // current, the rest rot badly — real neglect is bursty
             // (Figure 2: 61 of 152 ASes carried *all* 1,424 missing
             // links), not a uniform per-link lottery.
-            let quality: f64 = if rng.random_bool(cfg.pdb_absent) {
+            let quality: f64 = if rng.random_bool(PDB_ABSENT) {
                 continue; // no record at all
-            } else if rng.random_bool(cfg.pdb_well_maintained) {
+            } else if rng.random_bool(PDB_WELL_MAINTAINED) {
                 1.0
             } else if rng.random_bool(0.45) {
                 0.8 + rng.random::<f64>() * 0.18
@@ -240,7 +234,7 @@ impl PublicSources {
         // ---- PeeringDB exchange records ----
         let mut pdb_ixps = BTreeMap::new();
         for (id, ixp) in topo.ixps.iter() {
-            let facilities = if rng.random_bool(cfg.pdb_ixp_missing_facilities) {
+            let facilities = if rng.random_bool(PDB_IXP_MISSING_FACILITIES) {
                 Vec::new() // the JPNAP case
             } else {
                 ixp.facilities.clone()
@@ -258,11 +252,8 @@ impl PublicSources {
         // ---- IXP websites ----
         let mut by_size: Vec<IxpId> = topo.ixps.iter().map(|(id, _)| id).collect();
         by_size.sort_by_key(|id| std::cmp::Reverse(topo.ixps[*id].members.len()));
-        let detailed: std::collections::BTreeSet<IxpId> = by_size
-            .iter()
-            .copied()
-            .take(cfg.detailed_ixp_sites)
-            .collect();
+        let detailed: std::collections::BTreeSet<IxpId> =
+            by_size.iter().copied().take(DETAILED_IXP_SITES).collect();
 
         let mut ixp_sites = BTreeMap::new();
         for (id, ixp) in topo.ixps.iter() {
@@ -270,7 +261,7 @@ impl PublicSources {
                 continue; // dead exchanges have dead websites
             }
             let is_detailed = detailed.contains(&id);
-            if !is_detailed && !rng.random_bool(cfg.ixp_site_coverage) {
+            if !is_detailed && !rng.random_bool(IXP_SITE_COVERAGE) {
                 continue;
             }
             let members = ixp
@@ -465,10 +456,7 @@ mod tests {
 
     fn sources() -> (Topology, PublicSources) {
         let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
-        let cfg = KbConfig {
-            noc_pages: 20,
-            ..KbConfig::default()
-        };
+        let cfg = KbConfig { noc_pages: 20 };
         let src = PublicSources::derive(&topo, &cfg);
         (topo, src)
     }
@@ -540,10 +528,7 @@ mod tests {
     fn detailed_sites_expose_port_facilities() {
         let (_, src) = sources();
         let detailed: Vec<_> = src.ixp_sites.values().filter(|s| s.detailed).collect();
-        assert_eq!(
-            detailed.len(),
-            src.config.detailed_ixp_sites.min(detailed.len())
-        );
+        assert_eq!(detailed.len(), DETAILED_IXP_SITES.min(detailed.len()));
         assert!(!detailed.is_empty());
         for site in detailed {
             for m in &site.members {

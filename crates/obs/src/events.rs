@@ -271,16 +271,10 @@ impl EventLog {
     /// Emits an event at its kind's default severity; returns its
     /// sequence number.
     pub fn emit(&self, kind: EventKind) -> u64 {
-        self.emit_with(kind.severity(), kind)
-    }
-
-    /// Emits an event at an explicit severity; returns its sequence
-    /// number.
-    pub fn emit_with(&self, severity: Severity, kind: EventKind) -> u64 {
         let event = self.ring.push(|seq, t_ns| Event {
             seq,
             t_ns,
-            severity,
+            severity: kind.severity(),
             kind,
         });
         if let Some(sink) = &self.sink {

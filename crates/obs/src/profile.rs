@@ -154,11 +154,6 @@ impl DurationStats {
         }
         self.max_ns
     }
-
-    /// Mean duration in nanoseconds (0 when nothing was recorded).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// A parsed (or freshly built) `cfs-profile/2` document: the bucket

@@ -3,11 +3,14 @@
 //! Two presets matter: [`TopologyConfig::default`], a laptop-friendly
 //! quarter-scale ecosystem used by tests and examples, and
 //! [`TopologyConfig::paper`], which reproduces the dataset sizes of §3.1
-//! (1,694 facilities, 368 IXPs, region mix) for the experiment harness.
+//! (1,694 facilities, 368 IXPs) for the experiment harness. The region
+//! mix and the generator's fractions (remote peering, tethering, silent
+//! routers, …) are one calibration at every scale, so they are constants
+//! beside the generator code that reads them.
 
-use cfs_types::{Error, Region, Result};
+use cfs_types::{Error, Result};
 
-/// All knobs of the ground-truth generator. Every distribution is driven
+/// The sizes of the ground-truth generator. Every distribution is driven
 /// by the single `seed`, so equal configs generate identical topologies.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopologyConfig {
@@ -20,9 +23,6 @@ pub struct TopologyConfig {
     /// Total number of IXPs (paper: 368). The generator keeps roughly a
     /// 3:1 facility:IXP ratio per metro, as observed in §3.1.2.
     pub ixp_budget: usize,
-    /// Fraction of facility budget per region, in [`Region::ALL`] order
-    /// (paper: 503/860/143/84/73/31 of 1,694).
-    pub region_shares: [f64; 6],
 
     /// Number of Tier-1 backbones (five of them take the paper's
     /// transit-target identities when `named_targets` is set).
@@ -43,26 +43,6 @@ pub struct TopologyConfig {
     /// Give the ten paper targets their real identities (AS15169
     /// Google-like CDN, AS3356 Level3-like Tier-1, …).
     pub named_targets: bool,
-
-    /// Fraction of IXP memberships connected through a reseller rather
-    /// than a local port (paper cites ~20% of AMS-IX members in 2013).
-    pub remote_peering_fraction: f64,
-    /// Fraction of private interconnects realized as tethering VLANs over
-    /// an IXP fabric instead of physical cross-connects.
-    pub tethering_fraction: f64,
-    /// Fraction of generated IXPs that are defunct but still present in
-    /// databases (PCH marks them inactive; the KB assembly filters them).
-    pub inactive_ixp_fraction: f64,
-    /// Fraction of ASes that share address space with a sibling,
-    /// producing IP-to-ASN conflicts (§4.1).
-    pub sibling_fraction: f64,
-
-    /// Fraction of routers that never send ICMP TTL-exceeded.
-    pub silent_router_fraction: f64,
-    /// Fraction of routers with random IP-ID (defeats MIDAR).
-    pub ipid_random_fraction: f64,
-    /// Fraction of routers with constant IP-ID.
-    pub ipid_constant_fraction: f64,
 }
 
 impl Default for TopologyConfig {
@@ -71,7 +51,6 @@ impl Default for TopologyConfig {
             seed: 0xCF5_2015,
             facility_budget: 420,
             ixp_budget: 92,
-            region_shares: PAPER_REGION_SHARES,
             tier1_count: 6,
             transit_count: 28,
             cdn_count: 6,
@@ -80,27 +59,9 @@ impl Default for TopologyConfig {
             enterprise_count: 40,
             reseller_count: 4,
             named_targets: true,
-            remote_peering_fraction: 0.18,
-            tethering_fraction: 0.12,
-            inactive_ixp_fraction: 0.05,
-            sibling_fraction: 0.06,
-            silent_router_fraction: 0.03,
-            ipid_random_fraction: 0.10,
-            ipid_constant_fraction: 0.05,
         }
     }
 }
-
-/// Region facility shares measured from the paper's dataset
-/// (North America, Europe, Asia, Oceania, South America, Africa).
-pub const PAPER_REGION_SHARES: [f64; 6] = [
-    503.0 / 1694.0,
-    860.0 / 1694.0,
-    143.0 / 1694.0,
-    84.0 / 1694.0,
-    73.0 / 1694.0,
-    31.0 / 1694.0,
-];
 
 impl TopologyConfig {
     /// Full paper-scale configuration (§3.1: 1,694 facilities, 368 IXPs).
@@ -153,15 +114,6 @@ impl TopologyConfig {
             + self.reseller_count
     }
 
-    /// The facility share of `region`.
-    pub fn region_share(&self, region: Region) -> f64 {
-        let idx = Region::ALL
-            .iter()
-            .position(|r| *r == region)
-            .expect("region in ALL");
-        self.region_shares[idx]
-    }
-
     /// Validates internal consistency; called by the generator before any
     /// randomness is drawn.
     pub fn validate(&self) -> Result<()> {
@@ -187,28 +139,6 @@ impl TopologyConfig {
                 "total AS count exceeds supported scale (40k)",
             ));
         }
-        let share_sum: f64 = self.region_shares.iter().sum();
-        if (share_sum - 1.0).abs() > 1e-6 {
-            return Err(Error::config(format!(
-                "region_shares sum to {share_sum}, expected 1.0"
-            )));
-        }
-        for f in [
-            self.remote_peering_fraction,
-            self.tethering_fraction,
-            self.inactive_ixp_fraction,
-            self.sibling_fraction,
-            self.silent_router_fraction,
-            self.ipid_random_fraction,
-            self.ipid_constant_fraction,
-        ] {
-            if !(0.0..=1.0).contains(&f) {
-                return Err(Error::config(format!("fraction {f} outside [0, 1]")));
-            }
-        }
-        if self.ipid_random_fraction + self.ipid_constant_fraction > 1.0 {
-            return Err(Error::config("ipid fractions exceed 1.0 combined"));
-        }
         Ok(())
     }
 }
@@ -229,9 +159,6 @@ mod tests {
         let c = TopologyConfig::paper();
         assert_eq!(c.facility_budget, 1694);
         assert_eq!(c.ixp_budget, 368);
-        // Europe share is the largest, as in §3.1.2.
-        assert!(c.region_share(Region::Europe) > c.region_share(Region::NorthAmerica));
-        assert!(c.region_share(Region::Africa) < 0.05);
     }
 
     #[test]
@@ -244,18 +171,6 @@ mod tests {
 
         let mut c = TopologyConfig::default();
         c.ixp_budget = c.facility_budget + 1;
-        assert!(c.validate().is_err());
-
-        let c = TopologyConfig {
-            remote_peering_fraction: 1.5,
-            ..TopologyConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = TopologyConfig {
-            region_shares: [0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
-            ..TopologyConfig::default()
-        };
         assert!(c.validate().is_err());
 
         let c = TopologyConfig {

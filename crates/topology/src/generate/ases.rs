@@ -14,6 +14,15 @@ use crate::names::{as_name, asn_base, PAPER_TARGETS};
 use super::addressing::AsAddressPlan;
 use super::{weighted_index, Gen};
 
+/// Fraction of access and content networks that reach an exchange
+/// through a reseller rather than a local port (the paper cites ~20% of
+/// AMS-IX members in 2013); transit networks do at half this rate.
+const REMOTE_PEERING_FRACTION: f64 = 0.18;
+
+/// Fraction of transit and access networks that share address space
+/// with a sibling, producing IP-to-ASN conflicts (§4.1).
+const SIBLING_FRACTION: f64 = 0.06;
+
 /// Home-region draw weights (Atlas-era Internet: Europe/NA heavy).
 const HOME_REGION_WEIGHTS: [f64; 6] = [0.28, 0.36, 0.15, 0.07, 0.08, 0.06];
 
@@ -193,7 +202,7 @@ fn assign_siblings(g: &mut Gen) {
         .filter(|n| matches!(n.class, AsClass::Transit | AsClass::Access))
         .map(|n| n.asn)
         .collect();
-    let n_pairs = ((candidates.len() as f64 * g.cfg.sibling_fraction) / 2.0).round() as usize;
+    let n_pairs = ((candidates.len() as f64 * SIBLING_FRACTION) / 2.0).round() as usize;
     let mut pool = candidates;
     pool.shuffle(&mut g.rng);
     for pair in pool.chunks(2).take(n_pairs) {
@@ -456,8 +465,8 @@ fn assign_memberships(g: &mut Gen) -> Result<()> {
 
         // Remote peering: reach a distant exchange through a reseller.
         let wants_remote = match class {
-            AsClass::Access | AsClass::Content => g.rng.random_bool(g.cfg.remote_peering_fraction),
-            AsClass::Transit => g.rng.random_bool(g.cfg.remote_peering_fraction / 2.0),
+            AsClass::Access | AsClass::Content => g.rng.random_bool(REMOTE_PEERING_FRACTION),
+            AsClass::Transit => g.rng.random_bool(REMOTE_PEERING_FRACTION / 2.0),
             AsClass::Cdn => g.rng.random_bool(0.1),
             _ => false,
         };

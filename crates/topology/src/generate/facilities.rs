@@ -1,7 +1,7 @@
 //! Phase 1: facilities and their operators.
 //!
-//! The facility budget is split across regions by the configured shares
-//! (§3.1.2's 503/860/143/84/73/31 mix at paper scale) and, within each
+//! The facility budget is split across regions by [`REGION_SHARES`]
+//! (§3.1.2's 503/860/143/84/73/31 mix, at every scale) and, within each
 //! region, across metros by hub tier, yielding the heavy-tailed metro
 //! distribution of Figure 3.
 
@@ -14,6 +14,18 @@ use crate::model::{Facility, FacilityOperator};
 use crate::names::{facility_dns_code, facility_name, CHAIN_OPERATORS};
 
 use super::{apportion, Gen};
+
+/// Fraction of the facility budget per region, in [`cfs_types::Region::ALL`]
+/// order (North America, Europe, Asia, Oceania, South America, Africa),
+/// measured from the paper's dataset: 503/860/143/84/73/31 of 1,694.
+const REGION_SHARES: [f64; 6] = [
+    503.0 / 1694.0,
+    860.0 / 1694.0,
+    143.0 / 1694.0,
+    84.0 / 1694.0,
+    73.0 / 1694.0,
+    31.0 / 1694.0,
+];
 
 /// Relative facility weight of a metro by hub tier: a tier-0 hub draws
 /// roughly 25× the facilities of a small city, giving the Figure 3 skew.
@@ -40,7 +52,7 @@ pub(super) fn build(g: &mut Gen) -> Result<()> {
         .collect();
 
     // Region budgets, then metro budgets within each region.
-    let region_budgets = apportion(g.cfg.facility_budget, &g.cfg.region_shares);
+    let region_budgets = apportion(g.cfg.facility_budget, &REGION_SHARES);
 
     for (region, budget) in cfs_types::Region::ALL.iter().zip(region_budgets) {
         let metros: Vec<MetroId> = g

@@ -18,6 +18,10 @@ use crate::names::ixp_name;
 
 use super::{apportion, Gen};
 
+/// Fraction of generated IXPs that are defunct but still present in
+/// databases (PCH marks them inactive; the KB assembly filters them).
+const INACTIVE_IXP_FRACTION: f64 = 0.05;
+
 pub(super) fn build(g: &mut Gen) -> Result<()> {
     // Metro weights = facility counts; metros without facilities get none.
     let metros: Vec<MetroId> = g.facs_by_metro.keys().copied().collect();
@@ -156,7 +160,7 @@ fn build_ixp(g: &mut Gen, metro: MetroId, ordinal: usize) -> Result<()> {
     }
 
     let peering_lan = g.ixp_pool.alloc()?;
-    let active = !g.rng.random_bool(g.cfg.inactive_ixp_fraction);
+    let active = !g.rng.random_bool(INACTIVE_IXP_FRACTION);
     let has_route_server = g.rng.random_bool(0.8);
 
     let id = g.ixps.push(Ixp {

@@ -11,6 +11,10 @@ use crate::model::{EndPoint, IfaceKind, Link, Medium};
 
 use super::Gen;
 
+/// Fraction of CDN private interconnects realized as tethering VLANs
+/// over an IXP fabric instead of physical cross-connects.
+const TETHERING_FRACTION: f64 = 0.12;
+
 pub(super) fn build(g: &mut Gen) -> Result<()> {
     transit_links(g)?;
     tier1_mesh(g)?;
@@ -315,7 +319,7 @@ fn private_peering(g: &mut Gen) -> Result<()> {
         scored.sort_by_key(|(n, asn)| (std::cmp::Reverse(*n), *asn));
         let take = (scored.len() / 2).clamp(1, 18);
         for (_, peer) in scored.into_iter().take(take) {
-            let tether = g.rng.random_bool(g.cfg.tethering_fraction);
+            let tether = g.rng.random_bool(TETHERING_FRACTION);
             let medium = if tether {
                 // Force the tethering path by pretending no shared
                 // facility exists: call private_link with tethering

@@ -34,6 +34,13 @@ use crate::topology::{AsAdjacency, Topology};
 
 use addressing::AsAddressPlan;
 
+/// Fraction of routers that never send ICMP TTL-exceeded.
+const SILENT_ROUTER_FRACTION: f64 = 0.03;
+/// Fraction of routers with a random IP-ID (defeats MIDAR).
+const IPID_RANDOM_FRACTION: f64 = 0.10;
+/// Fraction of routers with a constant IP-ID.
+const IPID_CONSTANT_FRACTION: f64 = 0.05;
+
 /// Runs the whole pipeline.
 pub(crate) fn generate(config: TopologyConfig) -> Result<Topology> {
     config.validate()?;
@@ -156,7 +163,7 @@ impl Gen {
         coords: GeoPoint,
         ipid: IpIdBehavior,
     ) -> Result<RouterId> {
-        let responds = !self.rng.random_bool(self.cfg.silent_router_fraction);
+        let responds = !self.rng.random_bool(SILENT_ROUTER_FRACTION);
         let rid = self.routers.push(Router {
             asn,
             location,
@@ -185,9 +192,9 @@ impl Gen {
             return IpIdBehavior::Unresponsive;
         }
         let x: f64 = self.rng.random();
-        if x < self.cfg.ipid_random_fraction {
+        if x < IPID_RANDOM_FRACTION {
             IpIdBehavior::Random
-        } else if x < self.cfg.ipid_random_fraction + self.cfg.ipid_constant_fraction {
+        } else if x < IPID_RANDOM_FRACTION + IPID_CONSTANT_FRACTION {
             IpIdBehavior::Constant
         } else {
             IpIdBehavior::SharedCounter {

@@ -36,5 +36,6 @@ pub use model::{
 };
 pub use schedule::{
     Disruption, DisruptionKind, EventSchedule, ScheduleConfig, ScheduleIntensity, EPOCH_MS,
+    HORIZON_EPOCHS, WARMUP_EPOCHS,
 };
 pub use topology::{AsAdjacency, Topology};

@@ -179,28 +179,28 @@ impl ScheduleIntensity {
     }
 }
 
-/// Parameters for schedule generation.
+/// Epochs kept event-free at the start of the horizon so detectors can
+/// form a baseline.
+pub const WARMUP_EPOCHS: u64 = 4;
+/// Total epochs in a schedule's horizon (bootstrap epoch 0 included).
+pub const HORIZON_EPOCHS: u64 = 16;
+
+/// Parameters for schedule generation over the [`HORIZON_EPOCHS`]
+/// horizon.
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduleConfig {
     /// Generation seed (independent of the topology seed).
     pub seed: u64,
-    /// Epochs kept event-free at the start of the horizon so detectors
-    /// can form a baseline.
-    pub warmup_epochs: u64,
-    /// Total epochs in the horizon (bootstrap epoch 0 included).
-    pub horizon_epochs: u64,
     /// How many events to place.
     pub events: usize,
 }
 
 impl ScheduleConfig {
-    /// The evaluation shape at a named intensity: 16 epochs, 4 of
-    /// warmup, `intensity.events()` events.
+    /// The evaluation shape at a named intensity: `intensity.events()`
+    /// events.
     pub fn at_intensity(seed: u64, intensity: ScheduleIntensity) -> Self {
         Self {
             seed,
-            warmup_epochs: 4,
-            horizon_epochs: 16,
             events: intensity.events(),
         }
     }
@@ -227,7 +227,6 @@ impl EventSchedule {
         let mut events: Vec<Disruption> = Vec::new();
         let mut used: BTreeSet<(u8, FacilityId)> = BTreeSet::new();
 
-        let active_span = config.horizon_epochs.saturating_sub(config.warmup_epochs);
         for i in 0..config.events {
             let h = splitmix64(config.seed ^ ((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
             let kind = match h % 3 {
@@ -236,11 +235,7 @@ impl EventSchedule {
                 _ => DisruptionKind::IxpPortFlap,
             };
             let duration = 2 + ((h >> 8) % 2); // 2–3 epochs
-            let start = if active_span > duration {
-                config.warmup_epochs + (h >> 16) % (active_span - duration)
-            } else {
-                config.warmup_epochs
-            };
+            let start = WARMUP_EPOCHS + (h >> 16) % (HORIZON_EPOCHS - WARMUP_EPOCHS - duration);
             let event = match kind {
                 DisruptionKind::IxpPortFlap => pick_flap(&flap_pool, &mut used, h, start, duration),
                 DisruptionKind::FacilityPower => {
@@ -472,11 +467,8 @@ mod tests {
         let s = default_schedule(&t);
         assert_eq!(s.events.len(), ScheduleIntensity::Default.events());
         for e in &s.events {
-            assert!(e.start_epoch >= s.config.warmup_epochs, "{e:?} in warmup");
-            assert!(
-                e.end_epoch() < s.config.horizon_epochs,
-                "{e:?} past horizon"
-            );
+            assert!(e.start_epoch >= WARMUP_EPOCHS, "{e:?} in warmup");
+            assert!(e.end_epoch() < HORIZON_EPOCHS, "{e:?} past horizon");
             assert!(e.duration_epochs >= 2);
         }
     }

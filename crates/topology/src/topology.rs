@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use cfs_geo::World;
-use cfs_net::{Announcement, IpAsnDb, Ipv4Prefix, PrefixTrie};
+use cfs_net::{Announcement, IpAsnDb, PrefixTrie};
 use cfs_types::{
     Arena, Asn, Error, FacilityId, IfaceId, IxpId, LinkId, OperatorId, Rel, Result, RouterId,
     SwitchId,
@@ -146,14 +146,6 @@ impl Topology {
     /// the view Team Cymru-style services expose (§4.1).
     pub fn build_ipasn_db(&self) -> IpAsnDb {
         IpAsnDb::from_announcements(self.announcements.iter().copied())
-    }
-
-    /// All IXP peering-LAN prefixes with their IXPs.
-    pub fn ixp_prefix_list(&self) -> Vec<(Ipv4Prefix, IxpId)> {
-        self.ixps
-            .iter()
-            .map(|(id, ixp)| (ixp.peering_lan, id))
-            .collect()
     }
 
     /// Checks structural invariants; generation runs this before

@@ -65,8 +65,6 @@ pub struct VantagePoint {
 /// How many vantage points to deploy per platform.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VpConfig {
-    /// RNG seed for deployment choices.
-    pub seed: u64,
     /// RIPE Atlas probe count (paper: 6,385).
     pub atlas: usize,
     /// Looking-glass count (paper: 1,877).
@@ -80,7 +78,6 @@ pub struct VpConfig {
 impl Default for VpConfig {
     fn default() -> Self {
         Self {
-            seed: 0xA71A5,
             atlas: 1500,
             looking_glass: 450,
             iplane: 60,
@@ -97,7 +94,6 @@ impl VpConfig {
             looking_glass: 1877,
             iplane: 147,
             ark: 107,
-            ..Self::default()
         }
     }
 
@@ -108,7 +104,6 @@ impl VpConfig {
             looking_glass: 25,
             iplane: 6,
             ark: 5,
-            ..Self::default()
         }
     }
 }
@@ -159,9 +154,13 @@ const ATLAS_REGION_WEIGHTS: [(Region, f64); 6] = [
     (Region::Africa, 0.04),
 ];
 
+/// RNG seed for deployment choices: one placement stream at every scale
+/// (the topology seed varies the world the vantage points land in).
+const DEPLOY_SEED: u64 = 0xA71A5;
+
 /// Deploys vantage points over a topology.
 pub fn deploy_vantage_points(topo: &Topology, cfg: &VpConfig) -> Result<VpSet> {
-    let mut rng = ChaCha20Rng::seed_from_u64(cfg.seed);
+    let mut rng = ChaCha20Rng::seed_from_u64(DEPLOY_SEED);
     let mut vps: Arena<VantagePointId, VantagePoint> = Arena::new();
     let mut by_platform: BTreeMap<Platform, Vec<VantagePointId>> = BTreeMap::new();
 

@@ -157,13 +157,7 @@ mod tests {
         let topo = Topology::generate(TopologyConfig::default()).unwrap();
         let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
         let engine = Engine::new(&topo);
-        let sources = PublicSources::derive(
-            &topo,
-            &KbConfig {
-                noc_pages: 40,
-                ..Default::default()
-            },
-        );
+        let sources = PublicSources::derive(&topo, &KbConfig { noc_pages: 40 });
         let kb = KnowledgeBase::assemble(&sources, &topo.world);
         let ipasn = topo.build_ipasn_db();
 

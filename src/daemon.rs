@@ -98,7 +98,6 @@ pub struct Daemon<'w> {
     session: CfsSession<'w>,
     /// The daemon's view of the public sources; kb-flip deltas edit it.
     sources: PublicSources,
-    clock: Arc<Monotonic>,
     windows: Arc<WindowedRecorder>,
     events: EventLog,
     dq_seen: DqSeen,
@@ -187,7 +186,6 @@ impl<'w> Daemon<'w> {
             engine,
             session,
             sources: substrate.sources().clone(),
-            clock,
             windows,
             events,
             dq_seen,
@@ -198,11 +196,6 @@ impl<'w> Daemon<'w> {
     /// The resident session (read-only: writes go through requests).
     pub fn session(&self) -> &CfsSession<'w> {
         &self.session
-    }
-
-    /// Nanoseconds on the daemon's telemetry clock.
-    pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
     }
 
     /// The live `cfs-metrics/1` snapshot, as the `metrics` op embeds it.

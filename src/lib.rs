@@ -85,7 +85,7 @@ pub use cfs_validate as validate;
 
 /// The names almost every user of the library needs.
 pub mod prelude {
-    pub use cfs_chaos::{FaultPlan, FaultProfile, RetryPolicy};
+    pub use cfs_chaos::{FaultPlan, FaultProfile};
     pub use cfs_core::{
         canonical_trace, Cfs, CfsBuilder, CfsConfig, CfsReport, CfsSession, DataQualityReport,
         Delta, DeltaOutcome, IterationStats, QueryAnswer, RemoteTester, SearchOutcome,

@@ -23,10 +23,8 @@
 //!              [--scale S] [--seed N]             #   speaking cfs-api/1
 //!              [--campaigns N] [--faults P]       #   + pre-ingested campaigns / chaos
 //!              [--log FILE] [--window-ms N]       #   + event sink / metrics windows
-//!              [--metrics-interval N]             #   + cadence cfs-metrics/1 snapshots
-//!              [--metrics-out FILE]               #     (default cfs-metrics.json)
 //!              [--detect] [--disrupt P]           #   + divergence detector / scheduled
-//!              [--disrupt-seed N]                 #     disruption epochs (withheld)
+//!                                                 #     disruption epochs (withheld)
 //!              [--read-deadline-ms N]             #   + stalled-connection deadline
 //! cfs query    --socket PATH | --tcp ADDR         # one cfs-api/1 roundtrip
 //!              <ip>|status|trace|shutdown         #   against a daemon
@@ -165,16 +163,13 @@ fn print_help() {
          \x20            pre-ingests the deterministic follow-on campaigns 1..N;\n\
          \x20            --faults P serves a chaos-degraded world; --log FILE\n\
          \x20            streams cfs-log/1 events; --window-ms N sets the\n\
-         \x20            metrics window width (default 1000);\n\
-         \x20            --metrics-interval N snapshots cfs-metrics/1 to\n\
-         \x20            --metrics-out FILE (default cfs-metrics.json) at most\n\
-         \x20            every N ms; --detect runs the rolling-baseline\n\
-         \x20            divergence detector over campaign deltas (alerts op,\n\
-         \x20            cfs watch); --disrupt P replays a seeded disruption\n\
-         \x20            schedule (light|default|heavy) against the measurement\n\
-         \x20            plane, --disrupt-seed N re-keys it (default: world\n\
-         \x20            seed); --read-deadline-ms N drops connections that\n\
-         \x20            stall mid-request-line\n\
+         \x20            metrics window width (default 1000); --detect runs\n\
+         \x20            the rolling-baseline divergence detector over campaign\n\
+         \x20            deltas (alerts op, cfs watch); --disrupt P replays a\n\
+         \x20            disruption schedule (light|default|heavy) seeded by\n\
+         \x20            the world seed against the measurement plane;\n\
+         \x20            --read-deadline-ms N drops connections that stall\n\
+         \x20            mid-request-line\n\
          \x20 query      one cfs-api/1 roundtrip against a daemon: an IPv4\n\
          \x20            address, status, trace, or shutdown (or --raw JSON);\n\
          \x20            --out FILE saves the payload; exit 0 ok, 3 transport\n\
@@ -193,14 +188,17 @@ fn print_help() {
     );
 }
 
+/// The `--scale` and `--seed` every command takes: exit 2 naming the
+/// flag when a value is missing, not a scale label, or not a number.
 fn parse_flags(args: &[String]) -> Result<(Scale, Option<u64>), i32> {
-    let scale = match flag_value(args, "--scale")?.as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("paper") => Scale::Paper,
-        _ => Scale::Default,
+    let scale = match flag_value(args, "--scale")? {
+        None => Scale::Default,
+        Some(label) => Scale::parse(&label).ok_or_else(|| {
+            eprintln!("--scale wants tiny, default or paper, got {label:?}");
+            2
+        })?,
     };
-    let seed = flag_value(args, "--seed")?.and_then(|v| v.parse().ok());
-    Ok((scale, seed))
+    Ok((scale, num_flag(args, "--seed", false)?))
 }
 
 /// The value after the last occurrence of flag `name` (a repeated flag
@@ -366,10 +364,7 @@ fn run_cmd(
     if let Some(rec) = &recorder {
         lab.recorder = rec.clone();
     }
-    let report = match plan {
-        Some(plan) => lab.run_cfs_chaos(plan, CfsConfig::default()),
-        None => lab.run_cfs(None, None, CfsConfig::default()),
-    };
+    let report = lab.run_cfs_chaos(plan, CfsConfig::default());
     println!(
         "resolved {}/{} interfaces ({:.1}%) over {} iterations; {} follow-up traceroutes",
         report.resolved(),
@@ -806,10 +801,7 @@ fn audit(scale: Scale, seed: Option<u64>, asn: Option<u32>, faults: Option<Strin
         Ok(p) => p,
         Err(code) => return code,
     };
-    let report = match plan {
-        Some(plan) => lab.run_cfs_chaos(plan, CfsConfig::default()),
-        None => lab.run_cfs(None, None, CfsConfig::default()),
-    };
+    let report = lab.run_cfs_chaos(plan, CfsConfig::default());
     let node = lab.topo.as_node(target).expect("checked");
     println!("{target} ({}, {})", node.name, node.class);
     let by_kind = report.interfaces_by_kind(target);
@@ -974,8 +966,7 @@ fn validate(scale: Scale, seed: Option<u64>) -> i32 {
 }
 
 /// `cfs serve`: parse the flags, bind, boot a [`Daemon`], and answer
-/// `cfs-api/1` requests until a `shutdown` arrives, snapshotting the
-/// live metrics on the `--metrics-interval` cadence.
+/// `cfs-api/1` requests until a `shutdown` arrives.
 fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32> {
     let mut opts = DaemonOptions {
         campaigns: num_flag(args, "--campaigns", false)?.unwrap_or(0),
@@ -985,9 +976,6 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
     if let Some(ms) = num_flag(args, "--window-ms", true)? {
         opts.window_ms = ms;
     }
-    let metrics_interval_ns =
-        num_flag::<u64>(args, "--metrics-interval", true)?.map(|ms| ms.saturating_mul(1_000_000));
-    let disrupt_seed: Option<u64> = num_flag(args, "--disrupt-seed", false)?;
     let read_deadline = num_flag(args, "--read-deadline-ms", true)?.map(Duration::from_millis);
     let disrupt = match flag_value(args, "--disrupt")? {
         None => None,
@@ -996,8 +984,6 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
             2
         })?),
     };
-    let metrics_out =
-        flag_value(args, "--metrics-out")?.unwrap_or_else(|| "cfs-metrics.json".to_string());
     let (faults, log) = (flag_value(args, "--faults")?, flag_value(args, "--log")?);
     // Bind before the (slow) world provisioning: early clients connect
     // immediately and their requests queue until the loop starts.
@@ -1010,8 +996,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
                 "usage: cfs serve --socket PATH | --tcp ADDR \
                  [--scale S] [--seed N] [--campaigns N] [--faults P] \
                  [--log FILE] [--window-ms N] \
-                 [--metrics-interval MS] [--metrics-out FILE] \
-                 [--detect] [--disrupt light|default|heavy] [--disrupt-seed N] \
+                 [--detect] [--disrupt light|default|heavy] \
                  [--read-deadline-ms N]"
             );
             return Err(2);
@@ -1031,8 +1016,8 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
     let lab = provision(scale, seed);
     let plan = fault_plan(faults.as_deref(), lab.topo.config.seed)?;
     let schedule = disrupt.map(|intensity| {
-        let seed = disrupt_seed.unwrap_or(lab.topo.config.seed);
-        EventSchedule::generate(&lab.topo, ScheduleConfig::at_intensity(seed, intensity))
+        let config = ScheduleConfig::at_intensity(lab.topo.config.seed, intensity);
+        EventSchedule::generate(&lab.topo, config)
     });
     if let (Some(i), Some(s)) = (disrupt, &schedule) {
         println!(
@@ -1062,27 +1047,7 @@ fn serve_cmd(scale: Scale, seed: Option<u64>, args: &[String]) -> Result<(), i32
         );
     }
 
-    // Cadence snapshots of the live window ring: the clock that drives
-    // the windows also decides when a snapshot is due, so a request
-    // burst writes at most one file per interval and an idle daemon
-    // writes none (the loop only runs between requests).
-    let mut next_snapshot_ns = metrics_interval_ns.map(|iv| daemon.now_ns() + iv);
-    let served = server.serve(|req| {
-        let out = daemon.handle(req);
-        if let (Some(iv), Some(due)) = (metrics_interval_ns, next_snapshot_ns.as_mut()) {
-            let now = daemon.now_ns();
-            if now >= *due {
-                if let Err(e) = std::fs::write(&metrics_out, daemon.metrics_json()) {
-                    eprintln!("cfsd: failed to write --metrics-out {metrics_out}: {e}");
-                }
-                // Re-anchor on now, not on `due`: a long gap between
-                // requests must not trigger a burst of catch-up writes.
-                *due = now + iv;
-            }
-        }
-        out
-    });
-    match served {
+    match server.serve(|req| daemon.handle(req)) {
         Ok(()) => {
             println!("cfsd: shutdown");
             Ok(())

@@ -1,8 +1,9 @@
 //! End-to-end CLI coverage for the profiling/diff tooling: `cfs run
 //! --trace-json --profile-json`, `cfs profile`, `cfs trace-diff`, and
 //! the section-tagged `cfs check` failure reporting, the refusal of a
-//! malformed `--sources` snapshot and of a flag without its value —
-//! driven through the real binary, the way CI drives it.
+//! malformed `--sources` snapshot, of a flag without its value and of a
+//! bad `--scale` or `--seed` — driven through the real binary, the way
+//! CI drives it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -184,6 +185,48 @@ fn run_refuses_a_flag_without_its_value() {
     }
     assert!(!std::path::Path::new("--trace-json").exists());
     assert!(!std::path::Path::new(trace).exists());
+}
+
+#[test]
+fn run_refuses_a_bad_scale_or_seed() {
+    // A scale that is not a label, or a seed that is not a number, must
+    // not fall back to the defaults and run anyway.
+    let map = tmp("never.map.json");
+    let map = map.to_str().unwrap();
+    for (flag, value) in [("--scale", "huge"), ("--seed", "x"), ("--seed", "-1")] {
+        let out = cfs(&["run", flag, value, "--out", map]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value}: {}",
+            stdout(&out)
+        );
+        assert!(stderr(&out).starts_with(flag), "{}", stderr(&out));
+    }
+    assert!(!std::path::Path::new(map).exists());
+}
+
+#[test]
+fn run_loads_a_snapshot_whose_config_names_the_old_kb_fields() {
+    // The fixture was saved when `KbConfig` still carried the damage
+    // model's seed and rates beside `noc_pages`; those members are now
+    // ignored, and the snapshot drives the map a fresh derivation does.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/sources-tiny-seed7-eight-field-config.json"
+    );
+    let (from_snapshot, derived) = (tmp("old-config.map.json"), tmp("derived.map.json"));
+    let tiny = ["run", "--scale", "tiny", "--seed", "7", "--out"];
+    let out = cfs(&[
+        &tiny[..],
+        &[from_snapshot.to_str().unwrap(), "--sources", fixture],
+    ]
+    .concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = cfs(&[&tiny[..], &[derived.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let read = |p: &PathBuf| std::fs::read_to_string(p).expect("map written");
+    assert_eq!(read(&from_snapshot), read(&derived));
 }
 
 #[test]

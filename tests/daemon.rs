@@ -276,14 +276,13 @@ fn alert_drain_filters_by_severity_but_advances_past_filtered_records() {
     let lab = Lab::provision(Scale::Tiny, Some(11)).expect("lab");
     let config = ScheduleConfig::at_intensity(lab.topo.config.seed, ScheduleIntensity::Default);
     let schedule = EventSchedule::generate(&lab.topo, config);
-    let horizon = schedule.config.horizon_epochs;
     let substrate = Substrate::new(&lab, None, Some(schedule));
     let opts = DaemonOptions {
         detect: true,
         ..DaemonOptions::default()
     };
     let mut daemon = Daemon::boot(&substrate, opts).expect("boot");
-    for campaign in 1..horizon {
+    for campaign in 1..cfs::topology::HORIZON_EPOCHS {
         let reply = ask(&mut daemon, Request::DeltaCampaign { campaign });
         assert_eq!(reply["ok"], Value::Bool(true), "{reply:?}");
     }

@@ -20,7 +20,6 @@ fn stream(lab: &Lab, threads: usize, detect: bool) -> (String, String) {
     let config = ScheduleConfig::at_intensity(lab.topo.config.seed, ScheduleIntensity::Default);
     let schedule = EventSchedule::generate(&lab.topo, config);
     let engine = ScheduledEngine::new(Engine::new(&lab.topo), schedule);
-    let horizon = engine.schedule().config.horizon_epochs;
 
     let mut detector = detect.then(|| {
         Detector::new(
@@ -39,7 +38,7 @@ fn stream(lab: &Lab, threads: usize, detect: bool) -> (String, String) {
     session.converge();
 
     let mut doc = String::new();
-    for k in 1..horizon {
+    for k in 1..cfs::topology::HORIZON_EPOCHS {
         let traces = lab.campaign(&engine, k);
         let obs = EpochObservation::from_traces(k, &traces);
         session

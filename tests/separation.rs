@@ -79,7 +79,7 @@ fn traceroute_only_reveals_interface_addresses() {
 fn detailed_ixp_sites_cover_only_a_handful_of_exchanges() {
     let (_topo, sources, _kb) = world();
     let detailed = sources.ixp_sites.values().filter(|s| s.detailed).count();
-    assert_eq!(detailed, sources.config.detailed_ixp_sites);
+    assert_eq!(detailed, cfs::kb::DETAILED_IXP_SITES);
     let with_port_facilities = sources
         .ixp_sites
         .values()

@@ -30,37 +30,52 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A spawned `cfs serve`, killed and reaped on drop unless
+/// [`shutdown_daemon`] stopped it: a failing assert must not leave the
+/// daemon running (and holding the test's inherited stderr open).
+struct DaemonProcess(Option<Child>);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns a daemon on a Unix socket and waits until it answers status.
-fn spawn_daemon(socket: &str, extra: &[&str]) -> Child {
+fn spawn_daemon(socket: &str, extra: &[&str]) -> DaemonProcess {
     let mut args = vec![
         "serve", "--socket", socket, "--scale", "tiny", "--seed", "7",
     ];
     args.extend_from_slice(extra);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cfs"))
-        .args(&args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("daemon spawns");
+    let daemon = DaemonProcess(Some(
+        Command::new(env!("CARGO_BIN_EXE_cfs"))
+            .args(&args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("daemon spawns"),
+    ));
     for _ in 0..600 {
         let probe = cfs(&["query", "--socket", socket, "status"]);
         if probe.status.code() == Some(0) {
             assert!(stdout(&probe).contains("\"state\":\"serving\""));
-            return child;
+            return daemon;
         }
         // Polling a real spawned daemon; no virtual clock spans processes.
         #[expect(clippy::disallowed_methods)]
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    let _ = child.kill();
-    let _ = child.wait();
     panic!("daemon on {socket} never became ready");
 }
 
-fn shutdown_daemon(socket: &str, mut child: Child) {
+fn shutdown_daemon(socket: &str, mut daemon: DaemonProcess) {
     let bye = cfs(&["query", "--socket", socket, "shutdown"]);
     assert_eq!(bye.status.code(), Some(0), "{}", stderr(&bye));
     assert!(stdout(&bye).contains("\"state\":\"stopping\""));
+    let mut child = daemon.0.take().expect("the daemon is running");
     let status = child.wait().expect("daemon exits");
     assert_eq!(status.code(), Some(0), "daemon exited uncleanly");
 }
