@@ -149,6 +149,15 @@ impl CircuitBreaker {
             .is_some_and(|b| at_ms < b.open_until_ms)
     }
 
+    /// The keys whose circuit is open at `at_ms`, in key order.
+    pub fn open_at(&self, at_ms: u64) -> impl Iterator<Item = u64> + '_ {
+        let open = self
+            .state
+            .iter()
+            .filter(move |(_, b)| at_ms < b.open_until_ms);
+        open.map(|(key, _)| *key)
+    }
+
     /// Total trips over the breaker's lifetime.
     #[must_use]
     pub const fn trips(&self) -> u64 {

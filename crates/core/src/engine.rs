@@ -15,8 +15,10 @@
 //! bytes — cannot depend on hasher seeds. `clippy.toml` bans both
 //! hashed containers in every crate (DESIGN.md §6).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::Arc;
 
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, AliasResolution, IpIdProber};
@@ -126,6 +128,32 @@ impl Stopping {
         self.last_resolved = resolved;
         self.stale >= STALE_ITERATIONS || all_done
     }
+}
+
+/// What the walk over the states after an iteration's constraints finds
+/// ([`Cfs::census`]).
+pub(crate) struct Census {
+    /// Interfaces resolved to one facility.
+    pub(crate) resolved: usize,
+    /// Whether no interface is left unresolved-local.
+    pub(crate) all_done: bool,
+    /// The unresolved-local interfaces with chases left, as (past chases,
+    /// candidates, address), in address order.
+    pub(crate) pending: Vec<(usize, usize, Ipv4Addr)>,
+}
+
+/// The alias sets a Step 3 pass re-intersects ([`Cfs::apply_alias_constraints`]).
+pub(crate) enum AliasPass<'s> {
+    /// Every set: the first pass over freshly resolved sets.
+    All,
+    /// The sets with a member the same iteration's constraint pass
+    /// narrowed or left without candidates. Every other set is a fixed
+    /// point of its last pass: its members either hold the combined
+    /// candidates already or conflict.
+    Narrowed,
+    /// The sets meeting a dirty frontier that is closed over alias sets
+    /// (the session's scoped pass).
+    Frontier(&'s BTreeSet<Ipv4Addr>),
 }
 
 /// A follow-up probe that produced no routing information at all: every
@@ -374,7 +402,14 @@ pub struct Cfs<'a> {
     /// the only hops a re-walk could add entries for.
     pub(crate) indexed: usize,
     pub(crate) reindex: Vec<u64>,
-    pub(crate) chase_attempts: BTreeMap<Ipv4Addr, usize>,
+    /// Follow-up chases each state has had, by state slot.
+    pub(crate) chase_attempts: Vec<u8>,
+    /// The §4.3 reverse-search index over the held observations.
+    pub(crate) reverse: ReverseIndex,
+    /// A bitmap, by state slot, of the states the last constraint pass
+    /// narrowed or left without candidates, cleared by every pass: the
+    /// batch loop's Step 3 pass re-intersects only their alias sets.
+    pub(crate) narrowed: Vec<u64>,
     pub(crate) interner: FacilitySetInterner,
     /// Every knowledge-base footprint the search has read, under the
     /// current epoch ([`Cfs::footprint`]).
@@ -382,9 +417,9 @@ pub struct Cfs<'a> {
     /// Reverse dependency index: KB footprint key → interfaces whose
     /// constraints consumed it (see [`DepKey`]).
     pub(crate) deps: BTreeMap<DepKey, BTreeSet<Ipv4Addr>>,
-    /// Known ASes and their footprints, the follow-up planner's target
-    /// pool; built by the first chase that scores targets.
-    pub(crate) chase_targets: Option<ChaseTargets>,
+    /// The follow-up planner under the current KB epoch; built by the
+    /// first chase.
+    pub(crate) planner: Option<Planner>,
     /// (host AS, vantage point) for every vantage point on an allowed
     /// platform, sorted: each AS's run lists its vantage points in id
     /// order.
@@ -411,16 +446,104 @@ pub struct Cfs<'a> {
     pub(crate) chaos_seed: u64,
     /// Probes still failed after every retry round.
     pub(crate) failed_probes: u64,
+    /// Rounds whose memoized plans matched the reference's scanning
+    /// planner; `None` skips the comparison.
+    #[cfg(test)]
+    pub(crate) audited_rounds: Option<usize>,
 }
 
-/// The follow-up planner's target pool: every AS with a known footprint,
-/// indexed by facility so a chase visits only the ASes overlapping its
-/// candidates.
+/// The follow-up planner under one KB epoch (DESIGN.md §5): the target
+/// pool, every AS with a known footprint indexed by facility so a chase
+/// visits only the ASes overlapping its candidates, and every forward
+/// plan made so far, by the key it was made from.
+pub(crate) struct Planner {
+    targets: ChaseTargets,
+    pub(crate) plans: BTreeMap<ChaseKey, Chase>,
+}
+
+/// The planner's target pool.
 pub(crate) struct ChaseTargets {
     /// Known ASes in ASN order, with their footprints.
     ases: Vec<(Asn, FacilitySet)>,
     /// (facility, position in `ases`) for every footprint entry, sorted.
     at: Vec<(FacilityId, usize)>,
+    /// Overlap counts by position in `ases`, all zero between plans: a
+    /// plan resets only the entries it counted.
+    overlaps: Vec<usize>,
+}
+
+/// Everything a chase's forward plan reads that moves within a KB epoch.
+/// The footprints, the target pool, the vantage points' hosts, platforms
+/// and coordinates do not.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ChaseKey {
+    owner: Asn,
+    candidates: FacilitySet,
+    /// The exchanges the interface was seen at: a target there ranks
+    /// last.
+    queried: BTreeSet<IxpId>,
+    /// The length of `vp_crossed[owner]`, which only ever appends.
+    crossed: usize,
+    /// The vantage points whose circuit is open at the round's clock,
+    /// which decides the pool and the skipped count.
+    open: Arc<[u64]>,
+}
+
+/// A chase's forward plan: (vantage point, target) requests, and how
+/// many vantage points it skipped for an open circuit.
+pub(crate) struct Chase {
+    requests: Vec<(VantagePointId, Ipv4Addr)>,
+    skipped: u64,
+}
+
+/// One follow-up round's plan ([`Cfs::plan_round`]).
+#[derive(Default)]
+struct Round {
+    /// (vantage point, target) requests, in chase order.
+    requests: Vec<(VantagePointId, Ipv4Addr)>,
+    /// Each chased interface's range of `requests`.
+    spans: Vec<(Ipv4Addr, Range<usize>)>,
+    /// Vantage points the plans skipped for an open circuit.
+    skipped: u64,
+}
+
+/// The §4.3 reverse-search index: (far address, list, near-side AS) for
+/// every held observation with a far address, sorted by address and then
+/// list, trace observations before looking-glass ones, each run in list
+/// order. Observations appended since the last round are merged in;
+/// dropping the trace observations drops the index
+/// ([`Cfs::reset_observations`]).
+#[derive(Default)]
+pub(crate) struct ReverseIndex {
+    entries: Vec<(Ipv4Addr, bool, Asn)>,
+    /// Trace and looking-glass observations indexed so far.
+    held: [usize; 2],
+}
+
+impl ReverseIndex {
+    /// Indexes the observations appended to either list since the last
+    /// call.
+    fn update(&mut self, lists: [&[Observation]; 2]) {
+        let before = self.entries.len();
+        for ((list, held), session) in lists.into_iter().zip(&mut self.held).zip([false, true]) {
+            let new = list[*held..].iter();
+            let new = new.filter_map(|o| Some((o.far_ip?, session, o.near_asn)));
+            self.entries.extend(new);
+            *held = list.len();
+        }
+        if self.entries.len() > before {
+            // Stable, and adaptive to the sorted prefix: a merge.
+            self.entries.sort_by_key(|(ip, session, _)| (*ip, *session));
+        }
+    }
+
+    /// The near-side ASes of the first two held crossings that saw `ip`
+    /// as their far end.
+    fn near(&self, ip: Ipv4Addr) -> impl Iterator<Item = Asn> + '_ {
+        let from = self.entries.partition_point(|e| e.0 < ip);
+        let run = self.entries[from..].iter().take_while(move |e| e.0 == ip);
+        run.take(2).map(|e| e.2)
+    }
 }
 
 /// Builder for a [`crate::CfsSession`]: names every dependency at the
@@ -591,11 +714,13 @@ impl<'a> Cfs<'a> {
             vp_crossed: BTreeMap::new(),
             indexed: 0,
             reindex: Vec::new(),
-            chase_attempts: BTreeMap::new(),
+            chase_attempts: Vec::new(),
+            reverse: ReverseIndex::default(),
+            narrowed: Vec::new(),
             interner: FacilitySetInterner::new(),
             footprints: BTreeMap::new(),
             deps: BTreeMap::new(),
-            chase_targets: None,
+            planner: None,
             vps_by_as,
             vp_down,
             rankings: Rankings::default(),
@@ -609,6 +734,8 @@ impl<'a> Cfs<'a> {
             breaker,
             chaos_seed,
             failed_probes: 0,
+            #[cfg(test)]
+            audited_rounds: None,
         }
     }
 
@@ -684,6 +811,7 @@ impl<'a> Cfs<'a> {
         self.session_observations.clear();
         self.plans.clear();
         self.session_plans.clear();
+        self.reverse = ReverseIndex::default();
         self.processed = 0;
         let log = std::mem::take(&mut self.bgp_log);
         for (owner, s) in &log {
@@ -701,12 +829,16 @@ impl<'a> Cfs<'a> {
     /// the prefix of each observation list an earlier full pass of this
     /// loop applied. In the loop the KB is fixed and `remote_cache` only
     /// gains entries, so only the loop's own re-extraction moves it back.
+    /// `realiased` marks the first Step 3 pass over freshly resolved alias
+    /// sets, which re-intersects every set; every later pass re-intersects
+    /// only the sets the constraint pass narrowed a member of.
     pub(crate) fn run_to_convergence(&mut self) {
         self.realias();
         self.reset_observations();
         self.process_new_traces();
 
         let mut settled = (0, 0);
+        let mut realiased = true;
         let mut stopping = Stopping::default();
         for iteration in 1..=self.cfg.max_iterations {
             cfs_obs::span!(self.recorder, "cfs.iteration");
@@ -714,20 +846,28 @@ impl<'a> Cfs<'a> {
             self.apply_constraints_scoped(iteration, None, settled);
             settled = (self.observations.len(), self.session_observations.len());
             if self.cfg.alias_constraints {
-                self.apply_alias_constraints_scoped(iteration, None);
+                let sets = if std::mem::take(&mut realiased) {
+                    AliasPass::All
+                } else {
+                    AliasPass::Narrowed
+                };
+                self.apply_alias_constraints(iteration, sets);
             }
-            self.record_convergence(iteration);
-            let resolved = self.resolved_count();
+            let Census {
+                resolved,
+                all_done,
+                pending,
+            } = self.census(iteration);
             let mut issued = 0usize;
 
-            let all_done = self.all_done();
             if !all_done && iteration < self.cfg.max_iterations {
-                issued = self.followups();
+                issued = self.followups(pending);
                 self.clock_ms += 120_000; // measurements spread over time
                 if self.new_ips_since_alias > 0 && iteration % REALIAS_EVERY == 0 {
                     self.realias();
                     self.reset_observations();
                     settled.0 = 0;
+                    realiased = true;
                 }
                 self.process_new_traces();
             }
@@ -744,28 +884,37 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Whether no tracked interface is left unresolved-local.
-    pub(crate) fn all_done(&self) -> bool {
-        self.states
-            .values()
-            .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal)
-    }
-
-    /// Snapshots the candidate-set-size distribution after this
-    /// iteration's constraints: one [`CandidateHistogram`] per iteration
-    /// for `CfsReport::convergence`, mirrored into the recorder's
-    /// `cfs.candidates_per_iface` histogram. Iterates the (worker-count
-    /// independent) state map, so the telemetry is deterministic.
-    pub(crate) fn record_convergence(&mut self, iteration: usize) {
+    /// One walk over the states after an iteration's constraints:
+    /// snapshots the candidate-set-size distribution (one
+    /// [`CandidateHistogram`] per iteration for `CfsReport::convergence`,
+    /// mirrored into the recorder's `cfs.candidates_per_iface`
+    /// histogram) and gathers what the stopping rule and the follow-up
+    /// round read. Iterates the (worker-count independent) state map in
+    /// address order, so the telemetry is deterministic.
+    pub(crate) fn census(&mut self, iteration: usize) -> Census {
         let mut hist = CandidateHistogram::new(iteration);
-        for state in self.states.values() {
+        let (mut all_done, mut pending) = (true, Vec::new());
+        for (slot, state) in self.states.slots() {
             let size = state.candidates.as_ref().map(FacilitySet::len);
             hist.record(size);
-            if let Some(n) = size {
-                self.recorder.observe("cfs.candidates_per_iface", n as u64);
+            let Some(n) = size else { continue };
+            self.recorder.observe("cfs.candidates_per_iface", n as u64);
+            if state.outcome() == SearchOutcome::UnresolvedLocal {
+                all_done = false;
+                let attempts = self.chase_attempts.get(slot as usize);
+                let attempts = attempts.copied().map_or(0, usize::from);
+                if attempts < MAX_CHASE_ATTEMPTS {
+                    pending.push((attempts, n, state.ip));
+                }
             }
         }
+        let resolved = hist.resolved;
         self.conv_hists.push(hist);
+        Census {
+            resolved,
+            all_done,
+            pending,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -792,7 +941,7 @@ impl<'a> Cfs<'a> {
         }
         self.apply_constraints_scoped(1, Some(scope), (0, 0));
         if self.cfg.alias_constraints {
-            self.apply_alias_constraints_scoped(1, Some(scope));
+            self.apply_alias_constraints(1, AliasPass::Frontier(scope));
         }
     }
 
@@ -872,6 +1021,7 @@ impl<'a> Cfs<'a> {
     pub(crate) fn reset_observations(&mut self) {
         self.observations.clear();
         self.plans.clear();
+        self.reverse = ReverseIndex::default();
         self.obs_keys = self
             .session_observations
             .iter()
@@ -1092,6 +1242,7 @@ impl<'a> Cfs<'a> {
         settled: (usize, usize),
     ) {
         cfs_obs::span!(self.recorder, "stage.constrain");
+        self.narrowed.fill(0);
         let gating = self.cfg.evidence_gating;
         let Self {
             ref observations,
@@ -1228,7 +1379,7 @@ impl<'a> Cfs<'a> {
         let pair = &self.pairs.pairs[end.pair as usize];
         let meet = pair.meet.as_ref().expect("filled above");
         let (slot, owner) = (end.slot, pair.owner);
-        match pair.with {
+        let narrowed = match pair.with {
             Counterpart::Peer(_) => {
                 // No common facility (tethering, remote private
                 // peering): the only safe constraint is the owner's own
@@ -1240,7 +1391,7 @@ impl<'a> Cfs<'a> {
                 };
                 let state = self.states.at(slot, owner);
                 state.seen_private = true;
-                state.constrain(allowed, iteration);
+                state.constrain(allowed, iteration)
             }
             Counterpart::Gated(ixp) => {
                 let state = self.states.at(slot, owner);
@@ -1252,17 +1403,26 @@ impl<'a> Cfs<'a> {
                         self.recorder.counter("constrain.evidence_gated", 1);
                     }
                 }
-                state.constrain(&meet.owner, iteration);
+                state.constrain(&meet.owner, iteration)
             }
             Counterpart::Exchange(ixp) if meet.owner.is_empty() || !meet.common.is_empty() => {
                 let state = self.states.at(slot, owner);
                 state.public_ixps.insert(ixp);
-                state.constrain(&meet.common, iteration);
+                state.constrain(&meet.common, iteration)
             }
             Counterpart::Exchange(ixp) => {
                 let f_owner = meet.owner.clone();
-                self.constrain_unshared(slot, owner, ixp, &f_owner, iteration);
+                self.constrain_unshared(slot, owner, ixp, &f_owner, iteration)
             }
+        };
+        // A state left without candidates takes its alias set's combined
+        // candidates at the next Step 3 pass: to that pass it narrowed.
+        if narrowed || self.states.at(slot, owner).candidates.is_none() {
+            let word = slot as usize / 64;
+            if self.narrowed.len() <= word {
+                self.narrowed.resize(word + 1, 0);
+            }
+            self.narrowed[word] |= 1 << (slot % 64);
         }
     }
 
@@ -1271,7 +1431,8 @@ impl<'a> Cfs<'a> {
     /// 3). A remote peer's router is wherever the AS keeps equipment; a
     /// local or inconclusive one widens to the exchange's metro-level
     /// candidates instead of dead-ending (DESIGN.md §9) — later
-    /// constraints can still narrow from there.
+    /// constraints can still narrow from there. Returns whether the
+    /// state's candidates changed.
     fn constrain_unshared(
         &mut self,
         slot: u32,
@@ -1279,7 +1440,7 @@ impl<'a> Cfs<'a> {
         ixp: IxpId,
         f_owner: &FacilitySet,
         iteration: usize,
-    ) {
+    ) -> bool {
         let ip = self.states.ip(slot);
         let verdict = match self.remote_cache.get(&ip) {
             Some((_, verdict)) => *verdict,
@@ -1300,8 +1461,7 @@ impl<'a> Cfs<'a> {
         state.public_ixps.insert(ixp);
         let Some(pool) = widened else {
             state.remote = true;
-            state.constrain(f_owner, iteration);
-            return;
+            return state.constrain(f_owner, iteration);
         };
         state.reason.get_or_insert(match verdict {
             None => UnresolvedReason::RemoteInconclusive,
@@ -1309,35 +1469,49 @@ impl<'a> Cfs<'a> {
         });
         if pool.is_empty() {
             state.missing_data = true;
-            return;
+            return false;
         }
         if !std::mem::replace(&mut state.widened, true) {
             self.recorder.counter("constrain.widened", 1);
         }
-        state.constrain(&pool, iteration);
+        state.constrain(&pool, iteration)
     }
 
     /// Step 3 (a router's aliases share its facility, so their candidate
-    /// sets intersect) over every alias set (scope `None`) or only the
-    /// sets intersecting the dirty frontier. A scoped caller must pass a
-    /// frontier closed over alias sets, so any set it touches is
-    /// entirely inside the scope and the combined intersection matches
-    /// the full pass.
-    pub(crate) fn apply_alias_constraints_scoped(
-        &mut self,
-        iteration: usize,
-        scope: Option<&BTreeSet<Ipv4Addr>>,
-    ) {
+    /// sets intersect) over the alias sets `pass` names, in set order.
+    /// Alias sets are disjoint, so a set's pass reads and writes only its
+    /// own members. A frontier caller must pass a frontier closed over
+    /// alias sets, so any set it touches is entirely inside the scope and
+    /// the combined intersection matches the full pass.
+    pub(crate) fn apply_alias_constraints(&mut self, iteration: usize, pass: AliasPass<'_>) {
         cfs_obs::span!(self.recorder, "stage.alias_constrain");
         let Self {
             ref aliases,
             ref mut states,
+            ref narrowed,
             ..
         } = *self;
-        for set in &aliases.sets {
-            if !scope.is_none_or(|s| set.iter().any(|ip| s.contains(ip))) {
-                continue;
+        // The sets of the given members, in set order.
+        let sets_of = |members: &mut dyn Iterator<Item = Ipv4Addr>| {
+            let sets = members.filter_map(|ip| aliases.set_of.get(&ip));
+            let mut sets: Vec<usize> = sets.copied().collect();
+            sets.sort_unstable();
+            sets.dedup();
+            sets
+        };
+        let groups: Vec<usize> = match pass {
+            AliasPass::All => (0..aliases.sets.len()).collect(),
+            AliasPass::Narrowed => {
+                let words = narrowed.iter().enumerate().filter(|(_, bits)| **bits != 0);
+                let slots = words.flat_map(|(word, bits)| {
+                    let set = (0..64).filter(move |bit| bits >> bit & 1 == 1);
+                    set.map(move |bit| (word * 64 + bit) as u32)
+                });
+                sets_of(&mut slots.map(|slot| states.ip(slot)))
             }
+            AliasPass::Frontier(scope) => sets_of(&mut scope.iter().copied()),
+        };
+        for set in groups.iter().map(|g| &aliases.sets[*g]) {
             let mut combined: Option<FacilitySet> = None;
             for ip in set {
                 if let Some(state) = states.get(ip) {
@@ -1363,13 +1537,6 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    pub(crate) fn resolved_count(&self) -> usize {
-        self.states
-            .values()
-            .filter(|s| s.facility().is_some())
-            .count()
-    }
-
     // ------------------------------------------------------------------
     // Step 4: targeted follow-ups (+ §4.3 reverse search)
     // ------------------------------------------------------------------
@@ -1381,39 +1548,33 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    fn followups(&mut self) -> usize {
+    /// Step 4: one round of follow-ups for the `pending` interfaces of
+    /// [`Cfs::census`]; returns how many traceroutes it issued.
+    fn followups(&mut self, mut pending: Vec<(usize, usize, Ipv4Addr)>) -> usize {
         cfs_obs::span!(self.recorder, "stage.followup");
         // Chase the interfaces closest to resolution first, but rotate
-        // the measurement budget (`MAX_CHASE_ATTEMPTS`).
-        let mut pending: Vec<(usize, usize, Ipv4Addr)> = self
-            .states
-            .values()
-            .filter(|s| s.outcome() == SearchOutcome::UnresolvedLocal)
-            .filter_map(|s| {
-                let attempts = self.chase_attempts.get(&s.ip).copied().unwrap_or(0);
-                (attempts < MAX_CHASE_ATTEMPTS)
-                    .then(|| s.candidates.as_ref().map(|c| (attempts, c.len(), s.ip)))
-                    .flatten()
-            })
-            .collect();
+        // the measurement budget (`MAX_CHASE_ATTEMPTS`). Entries are
+        // distinct, so selecting the budget's worth first keeps the order.
+        let budget = self.cfg.followup_interfaces;
+        if pending.len() > budget {
+            pending.select_nth_unstable(budget);
+            pending.truncate(budget);
+        }
         pending.sort_unstable();
-        pending.truncate(self.cfg.followup_interfaces);
+        let chased: Vec<Ipv4Addr> = pending.into_iter().map(|(_, _, ip)| ip).collect();
 
         // Planning reads the search state and only appends probe
         // requests, so the requests for every chased interface can be
         // gathered first and the traceroutes fanned out in one batch.
         // Per-interface spans let exhausted retry budgets be attributed
         // back to the interfaces they starved.
-        let reverse = self.reverse_targets(&pending);
-        let mut requests: Vec<(VantagePointId, Ipv4Addr)> = Vec::new();
-        let mut spans: Vec<(Ipv4Addr, usize, usize)> = Vec::new();
-        let mut skipped = 0u64;
-        for (_, _, ip) in pending {
-            *self.chase_attempts.entry(ip).or_default() += 1;
-            let start = requests.len();
-            skipped += self.plan_chase(ip, &reverse, &mut requests);
-            spans.push((ip, start, requests.len()));
-        }
+        let Round {
+            requests,
+            spans,
+            skipped,
+        } = self.plan_round(&chased);
+        #[cfg(test)]
+        self.audit_round(&chased, &requests, skipped);
         if skipped > 0 {
             self.recorder.counter("chase.vp_skipped", skipped);
         }
@@ -1424,8 +1585,8 @@ impl<'a> Cfs<'a> {
         if self.retry_budget.denied() > denied_before {
             // The budget ran dry during this fan-out: interfaces whose
             // every probe still failed were starved, not unlucky.
-            for (ip, start, end) in spans {
-                if start < end && traces[start..end].iter().all(probe_failed) {
+            for (ip, span) in spans {
+                if !span.is_empty() && traces[span].iter().all(probe_failed) {
                     if let Some(state) = self.states.get_mut(&ip) {
                         state.reason.get_or_insert(UnresolvedReason::ProbeExhausted);
                     }
@@ -1508,33 +1669,89 @@ impl<'a> Cfs<'a> {
         }))
     }
 
-    /// The §4.3 reverse-search targets of one follow-up round: for each
-    /// chased interface seen as the far end of a held crossing, the
-    /// near-side ASes of its first two crossings, in `observations`-then-
-    /// `session_observations` order.
-    fn reverse_targets(
-        &self,
-        pending: &[(usize, usize, Ipv4Addr)],
-    ) -> BTreeMap<Ipv4Addr, Vec<Asn>> {
-        let mut near: BTreeMap<Ipv4Addr, Vec<Asn>> = BTreeMap::new();
-        if !self.cfg.reverse_search {
-            return near;
+    /// Plans one follow-up round: for each chased interface, in order, its
+    /// forward plan, memoized by its [`ChaseKey`], then its §4.3 reverse
+    /// search.
+    fn plan_round(&mut self, chased: &[Ipv4Addr]) -> Round {
+        let mut round = Round::default();
+        if chased.is_empty() {
+            return round;
         }
-        let chased: BTreeSet<Ipv4Addr> = pending.iter().map(|(_, _, ip)| *ip).collect();
-        for o in self.observations.iter().chain(&self.session_observations) {
-            if let Some(far_ip) = o.far_ip.filter(|ip| chased.contains(ip)) {
-                let list = near.entry(far_ip).or_default();
-                if list.len() < 2 {
-                    list.push(o.near_asn);
+        if self.cfg.reverse_search {
+            self.reverse
+                .update([&self.observations, &self.session_observations]);
+        }
+        let open: Arc<[u64]> = self.breaker.open_at(self.clock_ms).collect();
+        let mut planner = match self.planner.take() {
+            Some(planner) => planner,
+            None => self.build_planner(),
+        };
+        let topo = self.engine.topology();
+        for ip in chased {
+            let slot = self.states.slot(*ip) as usize;
+            if self.chase_attempts.len() <= slot {
+                self.chase_attempts.resize(slot + 1, 0);
+            }
+            self.chase_attempts[slot] += 1;
+            let start = round.requests.len();
+            if let Some(key) = self.chase_key(*ip, &open) {
+                let owner = key.owner;
+                let Planner { targets, plans } = &mut planner;
+                let chase = match plans.entry(key) {
+                    Entry::Occupied(hit) => hit.into_mut(),
+                    Entry::Vacant(miss) => {
+                        let chase = self.plan_chase(targets, miss.key());
+                        miss.insert(chase)
+                    }
+                };
+                round.requests.extend_from_slice(&chase.requests);
+                round.skipped += chase.skipped;
+                // §4.3 reverse search: when the interface belongs to the
+                // far side of crossings we observed, probe *from* its
+                // owner toward the near-side ASes so the owner becomes
+                // the near end.
+                for near_asn in self.reverse.near(*ip) {
+                    let Ok(target) = topo.target_ip(near_asn) else {
+                        continue;
+                    };
+                    round
+                        .requests
+                        .extend(self.own_vps(owner).take(2).map(|vp| (vp, target)));
                 }
             }
+            round.spans.push((*ip, start..round.requests.len()));
         }
-        near
+        self.planner = Some(planner);
+        round
     }
 
-    /// Builds the planner's target pool: looking every known AS up
-    /// fills its `footprints` entries exactly as scoring them all did.
-    fn build_chase_targets(&mut self) -> ChaseTargets {
+    /// The key of a chase of `ip` under the round's open circuits, `None`
+    /// for an interface without an owner or candidates.
+    fn chase_key(&self, ip: Ipv4Addr, open: &Arc<[u64]>) -> Option<ChaseKey> {
+        let state = self.states.get(&ip)?;
+        let owner = state.owner?;
+        Some(ChaseKey {
+            owner,
+            candidates: state.candidates.clone()?,
+            queried: state.public_ixps.clone(),
+            crossed: self.vp_crossed.get(&owner).map_or(0, Vec::len),
+            open: open.clone(),
+        })
+    }
+
+    /// The vantage points `owner` hosts on an allowed platform, in id
+    /// order.
+    fn own_vps(&self, owner: Asn) -> impl Iterator<Item = VantagePointId> + '_ {
+        let hosted = &self.vps_by_as;
+        let lo = hosted.partition_point(|(asn, _)| *asn < owner);
+        let hi = hosted.partition_point(|(asn, _)| *asn <= owner);
+        hosted[lo..hi].iter().map(|(_, id)| *id)
+    }
+
+    /// Builds the planner under the current epoch: looking every known
+    /// AS up fills its `footprints` entries exactly as scoring them all
+    /// did.
+    fn build_planner(&mut self) -> Planner {
         let known: Vec<Asn> = self.kb().known_ases().collect();
         let mut ases = Vec::with_capacity(known.len());
         let mut at = Vec::new();
@@ -1544,28 +1761,18 @@ impl<'a> Cfs<'a> {
             ases.push((t, f_t));
         }
         at.sort_unstable();
-        ChaseTargets { ases, at }
+        let overlaps = vec![0; ases.len()];
+        Planner {
+            targets: ChaseTargets { ases, at, overlaps },
+            plans: BTreeMap::new(),
+        }
     }
 
-    /// Plans follow-up traceroutes designed to add constraints for one
-    /// unresolved interface, appending `(vantage point, target)` requests;
-    /// returns how many vantage points it skipped for an open circuit.
-    fn plan_chase(
-        &mut self,
-        ip: Ipv4Addr,
-        reverse: &BTreeMap<Ipv4Addr, Vec<Asn>>,
-        requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
-    ) -> u64 {
-        let (owner, candidates, queried_ixps) = {
-            let Some(state) = self.states.get(&ip) else {
-                return 0;
-            };
-            let Some(owner) = state.owner else { return 0 };
-            let Some(c) = state.candidates.clone() else {
-                return 0;
-            };
-            (owner, c, state.public_ixps.clone())
-        };
+    /// Plans the forward follow-ups of a chase from its key alone (the
+    /// rest of what it reads is fixed for the epoch), designed to add
+    /// constraints for one unresolved interface.
+    fn plan_chase(&mut self, targets: &mut ChaseTargets, key: &ChaseKey) -> Chase {
+        let (owner, candidates) = (key.owner, &key.candidates);
         let f_owner = self.footprint(DepKey::As(owner));
 
         // Rank candidate targets. Preferred (the paper's rule): known
@@ -1577,16 +1784,12 @@ impl<'a> Cfs<'a> {
         // ASes present at some candidate can overlap, so the facility
         // index yields them with their overlap counted; both lists are
         // sorted on keys ending in the ASN, so visiting order is moot.
-        let targets = match self.chase_targets.take() {
-            Some(targets) => targets,
-            None => self.build_chase_targets(),
-        };
         let kb = self.kb.get();
-        let mut overlaps = vec![0usize; targets.ases.len()];
+        let ChaseTargets { ases, at, overlaps } = targets;
         let mut overlapping = Vec::new();
         for f in candidates.iter() {
-            let start = targets.at.partition_point(|(g, _)| *g < f);
-            for &(_, i) in targets.at[start..].iter().take_while(|(g, _)| *g == f) {
+            let start = at.partition_point(|(g, _)| *g < f);
+            for &(_, i) in at[start..].iter().take_while(|(g, _)| *g == f) {
                 if overlaps[i] == 0 {
                     overlapping.push(i);
                 }
@@ -1596,24 +1799,23 @@ impl<'a> Cfs<'a> {
         let mut subset_scored: Vec<(usize, usize, Asn)> = Vec::new();
         let mut overlap_scored: Vec<(usize, usize, Asn)> = Vec::new();
         for i in overlapping {
-            let (t, f_t) = &targets.ases[i];
-            let (t, overlap) = (*t, overlaps[i]);
-            if t == owner {
+            let overlap = std::mem::take(&mut overlaps[i]);
+            let (t, f_t) = &ases[i];
+            if *t == owner {
                 continue;
             }
             let penalty = usize::from(
-                kb.ixps_of_as(t)
-                    .intersection(&queried_ixps)
+                kb.ixps_of_as(*t)
+                    .intersection(&key.queried)
                     .next()
                     .is_some(),
             );
             if f_t.len() < f_owner.len() && f_t.is_subset(&f_owner) {
-                subset_scored.push((penalty, overlap, t));
+                subset_scored.push((penalty, overlap, *t));
             } else if overlap < candidates.len() {
-                overlap_scored.push((penalty, f_t.len() + overlap, t));
+                overlap_scored.push((penalty, f_t.len() + overlap, *t));
             }
         }
-        self.chase_targets = Some(targets);
         subset_scored.sort_unstable();
         overlap_scored.sort_unstable();
         let mut scored = subset_scored;
@@ -1648,54 +1850,68 @@ impl<'a> Cfs<'a> {
         // failures — an outage window, a silent path) yield their pool
         // slot to the next-nearest candidate instead of burning budget.
         let mut skipped = 0u64;
-        let clock_ms = self.clock_ms;
-        let breaker = &self.breaker;
         let mut live = |id: VantagePointId| -> bool {
-            let open = breaker.is_open(u64::from(id.raw()), clock_ms);
+            let open = key.open.binary_search(&u64::from(id.raw())).is_ok();
             skipped += u64::from(open);
             !open
         };
-        let hosted = &self.vps_by_as;
-        let lo = hosted.partition_point(|(asn, _)| *asn < owner);
-        let hi = hosted.partition_point(|(asn, _)| *asn <= owner);
-        let own_vps = hosted[lo..hi].iter().map(|(_, id)| *id);
-        let mut inside: Vec<(u64, VantagePointId)> = own_vps
-            .clone()
+        let mut inside: Vec<(u64, VantagePointId)> = self
+            .own_vps(owner)
             .filter(|id| live(*id))
             .map(|id| (distance_to_candidates(&self.vps.vps[id]), id))
             .collect();
+        // Only the nearest ones can make the pool.
+        if inside.len() > VPS_PER_TARGET {
+            inside.select_nth_unstable(VPS_PER_TARGET - 1);
+            inside.truncate(VPS_PER_TARGET);
+        }
         inside.sort_unstable();
         let mut vp_pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
-        if let Some(seen) = self.vp_crossed.get(&owner) {
-            for id in seen {
-                if self.allowed_vp(*id) && live(*id) && !vp_pool.contains(id) {
-                    vp_pool.push(*id);
-                }
+        let seen = self
+            .vp_crossed
+            .get(&owner)
+            .map_or(&[][..], |l| &l[..key.crossed]);
+        for id in seen {
+            if self.allowed_vp(*id) && live(*id) && !vp_pool.contains(id) {
+                vp_pool.push(*id);
             }
         }
         vp_pool.truncate(VPS_PER_TARGET);
 
+        let mut requests = Vec::new();
         for (_, _, target_as) in &scored {
             let Ok(target) = topo.target_ip(*target_as) else {
                 continue;
             };
-            for vp_id in &vp_pool {
-                requests.push((*vp_id, target));
-            }
+            requests.extend(vp_pool.iter().map(|vp| (*vp, target)));
         }
+        Chase { requests, skipped }
+    }
 
-        // §4.3 reverse search: when the interface belongs to the far side
-        // of crossings we observed, probe *from* its owner toward the
-        // near-side ASes so the owner becomes the near end.
-        for near_asn in reverse.get(&ip).into_iter().flatten() {
-            let Ok(target) = topo.target_ip(*near_asn) else {
-                continue;
-            };
-            for vp_id in own_vps.clone().take(2) {
-                requests.push((vp_id, target));
-            }
-        }
-        skipped
+    /// Requires one round's requests and skipped count to equal what the
+    /// reference's scanning planner makes of the same state, when the
+    /// audit is on.
+    #[cfg(test)]
+    fn audit_round(
+        &mut self,
+        chased: &[Ipv4Addr],
+        requests: &[(VantagePointId, Ipv4Addr)],
+        skipped: u64,
+    ) {
+        let Some(rounds) = self.audited_rounds else {
+            return;
+        };
+        let mut want = Vec::new();
+        let want_skipped: u64 = chased
+            .iter()
+            .map(|ip| crate::reference::plan(self, *ip, &mut want))
+            .sum();
+        assert!(
+            requests == want,
+            "round {rounds}: the requests differ from the scanning planner's"
+        );
+        assert_eq!(skipped, want_skipped, "round {rounds}: chase.vp_skipped");
+        self.audited_rounds = Some(rounds + 1);
     }
 
     // ------------------------------------------------------------------
@@ -2222,4 +2438,56 @@ fn _assert_send_sync() {
     sync::<IpAsnDb>();
     send::<CfsReport>();
     sync::<FacilitySetInterner>();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::observe::IxpHopEvidence;
+    use crate::session::tests::World;
+
+    /// A private crossing at `ip`, owned by `owner`, with `peer`.
+    fn private(ip: Ipv4Addr, owner: Asn, peer: Asn) -> Observation {
+        Observation {
+            near_asn: owner,
+            near_ip: ip,
+            class: LinkClass::Private,
+            far_asn: Some(peer),
+            far_ip: None,
+            evidence: IxpHopEvidence::FULL,
+        }
+    }
+
+    /// A state that appears without candidates (its owner has no facility
+    /// data) takes its alias set's combined candidates in the next Step 3
+    /// pass, as a pass over every set gives it, although no member
+    /// narrowed.
+    #[test]
+    fn a_member_left_without_candidates_takes_its_sets_candidates() {
+        let world = World::new();
+        let engine = Engine::new(&world.topo);
+        let session = Cfs::builder(&engine, &world.kb).vps(&world.vps);
+        let mut cfs = session.ipasn(&world.ipasn).build_session().unwrap().cfs;
+        let kb = &world.kb;
+        let listed = kb
+            .known_ases()
+            .find(|a| !kb.facilities_of_as(*a).is_empty());
+        let listed = listed.unwrap();
+        let unlisted = Asn(4_200_000_000);
+        assert!(kb.facilities_of_as(unlisted).is_empty());
+        let (a, b) = (Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 2));
+        cfs.aliases = AliasResolution {
+            sets: vec![vec![a, b]],
+            set_of: BTreeMap::from([(a, 0), (b, 0)]),
+        };
+        cfs.observations.push(private(a, listed, listed));
+        cfs.apply_constraints_scoped(1, None, (0, 0));
+        cfs.apply_alias_constraints(1, AliasPass::All);
+        cfs.observations.push(private(b, unlisted, listed));
+        cfs.apply_constraints_scoped(2, None, (1, 0));
+        cfs.apply_alias_constraints(2, AliasPass::Narrowed);
+        let candidates = |ip| cfs.states.get(&ip).unwrap().candidates.clone();
+        assert!(candidates(a).is_some());
+        assert_eq!(candidates(b), candidates(a));
+    }
 }

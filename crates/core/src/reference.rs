@@ -46,7 +46,7 @@
 //!   local or inconclusive one widens to every facility in the
 //!   exchange's metros.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_alias::{correct_ip_to_asn, resolve_aliases, IpIdProber};
@@ -72,6 +72,8 @@ pub(crate) struct Reference<'a> {
     /// Every ingested trace; `traces[..extracted]` are extracted.
     traces: Vec<Trace>,
     extracted: usize,
+    /// Follow-up chases per interface.
+    attempts: BTreeMap<Ipv4Addr, usize>,
 }
 
 impl<'a> Reference<'a> {
@@ -83,6 +85,7 @@ impl<'a> Reference<'a> {
             cfs: session.cfs,
             traces: Vec::new(),
             extracted: 0,
+            attempts: BTreeMap::new(),
         }
     }
 
@@ -104,8 +107,8 @@ impl<'a> Reference<'a> {
             if self.cfs.cfg.alias_constraints {
                 self.combine_aliases(iteration);
             }
-            self.cfs.record_convergence(iteration);
-            let (resolved, all_done) = (self.cfs.resolved_count(), self.cfs.all_done());
+            let census = self.cfs.census(iteration);
+            let (resolved, all_done) = (census.resolved, census.all_done);
             let mut issued = 0;
             if !all_done && iteration < max {
                 issued = self.follow_up();
@@ -294,7 +297,7 @@ impl<'a> Reference<'a> {
     /// traces; returns how many were issued.
     fn follow_up(&mut self) -> usize {
         let cfs = &self.cfs;
-        let attempts = |ip| cfs.chase_attempts.get(&ip).copied().unwrap_or(0);
+        let attempts = |ip| self.attempts.get(&ip).copied().unwrap_or(0);
         let mut pending: Vec<(usize, usize, Ipv4Addr)> = cfs
             .states
             .values()
@@ -306,9 +309,9 @@ impl<'a> Reference<'a> {
         pending.truncate(cfs.cfg.followup_interfaces);
         let (mut requests, mut chased, mut skipped) = (Vec::new(), Vec::new(), 0);
         for (_, _, ip) in pending {
-            *self.cfs.chase_attempts.entry(ip).or_default() += 1;
+            *self.attempts.entry(ip).or_default() += 1;
             let start = requests.len();
-            skipped += self.plan(ip, &mut requests);
+            skipped += plan(&self.cfs, ip, &mut requests);
             chased.push((ip, start..requests.len()));
         }
         let rec = &self.cfs.recorder;
@@ -331,101 +334,6 @@ impl<'a> Reference<'a> {
         self.ingest(&traces);
         self.cfs.traces_issued += requests.len();
         requests.len()
-    }
-
-    /// Plans the follow-ups of one chased interface by scanning every
-    /// known AS and vantage point; returns how many vantage points it
-    /// skipped for an open circuit.
-    fn plan(&self, ip: Ipv4Addr, requests: &mut Vec<(VantagePointId, Ipv4Addr)>) -> u64 {
-        let cfs = &self.cfs;
-        let kb = cfs.kb.get();
-        let Some(state) = cfs.states.get(&ip) else {
-            return 0;
-        };
-        let (Some(owner), Some(candidates)) = (state.owner, &state.candidates) else {
-            return 0;
-        };
-        let f_owner = kb.facilities_of_as(owner);
-
-        // Targets (the paper's rule): known ASes whose footprint is a
-        // strict subset of the owner's; short of three, the smallest
-        // footprints whose overlap is a proper subset of the candidates.
-        // ASes at an exchange the interface was seen at rank last.
-        let (mut scored, mut overlapping) = (Vec::new(), Vec::new());
-        for t in kb.known_ases().filter(|t| *t != owner) {
-            let f_t = kb.facilities_of_as(t);
-            let overlap = candidates.iter().filter(|f| f_t.contains(f)).count();
-            let penalty = usize::from(!kb.ixps_of_as(t).is_disjoint(&state.public_ixps));
-            if overlap > 0 && f_t.len() < f_owner.len() && f_t.is_subset(&f_owner) {
-                scored.push((penalty, overlap, t));
-            } else if overlap > 0 && overlap < candidates.len() {
-                overlapping.push((penalty, f_t.len() + overlap, t));
-            }
-        }
-        scored.sort_unstable();
-        overlapping.sort_unstable();
-        let need = TARGETS_PER_INTERFACE.saturating_sub(scored.len());
-        scored.extend(overlapping.into_iter().take(need));
-        scored.truncate(TARGETS_PER_INTERFACE);
-
-        // Vantage points: the owner's own, nearest candidate metro first,
-        // then those that crossed the owner before; one with an open
-        // circuit yields its slot.
-        let topo = cfs.engine.topology();
-        let metros: BTreeSet<MetroId> = candidates
-            .iter()
-            .filter_map(|f| kb.metro_of_facility(f))
-            .collect();
-        let distance = |id: &VantagePointId| {
-            let vp = &cfs.vps.vps[*id];
-            let km = |m: &MetroId| vp.coords.distance_km(topo.world.metro(*m).location) as u64;
-            metros.iter().map(km).min().unwrap_or(u64::MAX)
-        };
-        let allowed = |id: VantagePointId| {
-            let platform = cfs.vps.vps[id].platform;
-            cfs.platforms.as_ref().is_none_or(|p| p.contains(&platform))
-        };
-        let mut skipped = 0;
-        let mut live = |id: VantagePointId| {
-            let open = cfs.breaker.is_open(u64::from(id.raw()), cfs.clock_ms);
-            skipped += u64::from(open);
-            !open
-        };
-        let own_vps = cfs
-            .vps
-            .vps
-            .iter()
-            .filter(|(id, vp)| vp.asn == owner && allowed(*id));
-        let own: Vec<VantagePointId> = own_vps.map(|(id, _)| id).collect();
-        let mut inside: Vec<(u64, VantagePointId)> = own
-            .iter()
-            .filter(|id| live(**id))
-            .map(|id| (distance(id), *id))
-            .collect();
-        inside.sort_unstable();
-        let mut pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
-        for id in cfs.vp_crossed.get(&owner).into_iter().flatten() {
-            if allowed(*id) && live(*id) && !pool.contains(id) {
-                pool.push(*id);
-            }
-        }
-        pool.truncate(VPS_PER_TARGET);
-        for target in scored
-            .iter()
-            .filter_map(|(_, _, t)| topo.target_ip(*t).ok())
-        {
-            requests.extend(pool.iter().map(|vp| (*vp, target)));
-        }
-
-        // §4.3 reverse search: from the owner's first two vantage points
-        // toward the near side of the first two crossings that saw the
-        // interface as their far end.
-        let crossings = cfs.observations.iter().chain(&cfs.session_observations);
-        let near = crossings.filter(|o| cfs.cfg.reverse_search && o.far_ip == Some(ip));
-        for target in near.take(2).filter_map(|o| topo.target_ip(o.near_asn).ok()) {
-            requests.extend(own.iter().take(2).map(|vp| (*vp, target)));
-        }
-        skipped
     }
 
     /// Probes the requests at the current clock, then re-issues failed
@@ -467,6 +375,105 @@ impl<'a> Reference<'a> {
         }
         traces
     }
+}
+
+/// Step 4's planner: plans the follow-ups of one chased interface by
+/// scanning every known AS and vantage point; returns how many vantage
+/// points it skipped for an open circuit. The engine's memoized planner
+/// is audited against it (`Cfs::audited_rounds`).
+pub(crate) fn plan(
+    cfs: &Cfs<'_>,
+    ip: Ipv4Addr,
+    requests: &mut Vec<(VantagePointId, Ipv4Addr)>,
+) -> u64 {
+    let kb = cfs.kb.get();
+    let Some(state) = cfs.states.get(&ip) else {
+        return 0;
+    };
+    let (Some(owner), Some(candidates)) = (state.owner, &state.candidates) else {
+        return 0;
+    };
+    let f_owner = kb.facilities_of_as(owner);
+
+    // Targets (the paper's rule): known ASes whose footprint is a
+    // strict subset of the owner's; short of three, the smallest
+    // footprints whose overlap is a proper subset of the candidates.
+    // ASes at an exchange the interface was seen at rank last.
+    let (mut scored, mut overlapping) = (Vec::new(), Vec::new());
+    for t in kb.known_ases().filter(|t| *t != owner) {
+        let f_t = kb.facilities_of_as(t);
+        let overlap = candidates.iter().filter(|f| f_t.contains(f)).count();
+        let penalty = usize::from(!kb.ixps_of_as(t).is_disjoint(&state.public_ixps));
+        if overlap > 0 && f_t.len() < f_owner.len() && f_t.is_subset(&f_owner) {
+            scored.push((penalty, overlap, t));
+        } else if overlap > 0 && overlap < candidates.len() {
+            overlapping.push((penalty, f_t.len() + overlap, t));
+        }
+    }
+    scored.sort_unstable();
+    overlapping.sort_unstable();
+    let need = TARGETS_PER_INTERFACE.saturating_sub(scored.len());
+    scored.extend(overlapping.into_iter().take(need));
+    scored.truncate(TARGETS_PER_INTERFACE);
+
+    // Vantage points: the owner's own, nearest candidate metro first,
+    // then those that crossed the owner before; one with an open
+    // circuit yields its slot.
+    let topo = cfs.engine.topology();
+    let metros: BTreeSet<MetroId> = candidates
+        .iter()
+        .filter_map(|f| kb.metro_of_facility(f))
+        .collect();
+    let distance = |id: &VantagePointId| {
+        let vp = &cfs.vps.vps[*id];
+        let km = |m: &MetroId| vp.coords.distance_km(topo.world.metro(*m).location) as u64;
+        metros.iter().map(km).min().unwrap_or(u64::MAX)
+    };
+    let allowed = |id: VantagePointId| {
+        let platform = cfs.vps.vps[id].platform;
+        cfs.platforms.as_ref().is_none_or(|p| p.contains(&platform))
+    };
+    let mut skipped = 0;
+    let mut live = |id: VantagePointId| {
+        let open = cfs.breaker.is_open(u64::from(id.raw()), cfs.clock_ms);
+        skipped += u64::from(open);
+        !open
+    };
+    let own_vps = cfs
+        .vps
+        .vps
+        .iter()
+        .filter(|(id, vp)| vp.asn == owner && allowed(*id));
+    let own: Vec<VantagePointId> = own_vps.map(|(id, _)| id).collect();
+    let mut inside: Vec<(u64, VantagePointId)> = own
+        .iter()
+        .filter(|id| live(**id))
+        .map(|id| (distance(id), *id))
+        .collect();
+    inside.sort_unstable();
+    let mut pool: Vec<VantagePointId> = inside.into_iter().map(|(_, id)| id).collect();
+    for id in cfs.vp_crossed.get(&owner).into_iter().flatten() {
+        if allowed(*id) && live(*id) && !pool.contains(id) {
+            pool.push(*id);
+        }
+    }
+    pool.truncate(VPS_PER_TARGET);
+    for target in scored
+        .iter()
+        .filter_map(|(_, _, t)| topo.target_ip(*t).ok())
+    {
+        requests.extend(pool.iter().map(|vp| (*vp, target)));
+    }
+
+    // §4.3 reverse search: from the owner's first two vantage points
+    // toward the near side of the first two crossings that saw the
+    // interface as their far end.
+    let crossings = cfs.observations.iter().chain(&cfs.session_observations);
+    let near = crossings.filter(|o| cfs.cfg.reverse_search && o.far_ip == Some(ip));
+    for target in near.take(2).filter_map(|o| topo.target_ip(o.near_asn).ok()) {
+        requests.extend(own.iter().take(2).map(|vp| (*vp, target)));
+    }
+    skipped
 }
 
 /// The differential harness. The whole module is test-only; the
@@ -591,25 +598,7 @@ pub(crate) mod tests {
                 threads,
                 ..cfg.clone()
             };
-            let (builder, rec) = builder_for(world, engine, kb, cfg);
-            let builder = match platforms {
-                [] => builder,
-                _ => builder.platforms(platforms),
-            };
-            let mut session = builder.build_session().unwrap();
-            let lg = cfs_bgp::LookingGlassBgp::new(&world.topo);
-            for id in world.vps.of_platform(Platform::LookingGlass) {
-                let vp = &world.vps.vps[*id];
-                session.ingest_bgp_sessions(vp.asn, &lg.sessions(vp.router));
-            }
-            for (id, vp) in world.vps.vps.iter() {
-                if !platforms.is_empty() && !platforms.contains(&vp.platform) {
-                    for _ in 0..BREAKER_THRESHOLD {
-                        session.cfs.breaker.record(u64::from(id.raw()), false, 0);
-                    }
-                }
-            }
-            (session, rec)
+            batch_session(world, engine, kb, cfg, platforms)
         };
         let (reference, rec) = session(1);
         let mut reference = Reference::new(reference);
@@ -626,6 +615,83 @@ pub(crate) mod tests {
         }
         let issued = report.iterations.iter().map(|i| i.traces_issued);
         (issued.filter(|n| *n > 0).collect(), counters)
+    }
+
+    /// A batch session over `world` with every looking glass's BGP
+    /// sessions ingested, follow-ups restricted to `platforms` (all when
+    /// empty) and the circuit of every other vantage point opened before
+    /// the first round.
+    fn batch_session<'a>(
+        world: &'a World,
+        engine: &'a dyn ProbeService,
+        kb: &'a KnowledgeBase,
+        cfg: CfsConfig,
+        platforms: &[Platform],
+    ) -> (CfsSession<'a>, Arc<TraceRecorder>) {
+        let (builder, rec) = builder_for(world, engine, kb, cfg);
+        let builder = match platforms {
+            [] => builder,
+            _ => builder.platforms(platforms),
+        };
+        let mut session = builder.build_session().unwrap();
+        let lg = cfs_bgp::LookingGlassBgp::new(&world.topo);
+        for id in world.vps.of_platform(Platform::LookingGlass) {
+            let vp = &world.vps.vps[*id];
+            session.ingest_bgp_sessions(vp.asn, &lg.sessions(vp.router));
+        }
+        for (id, vp) in world.vps.vps.iter() {
+            if !platforms.is_empty() && !platforms.contains(&vp.platform) {
+                for _ in 0..BREAKER_THRESHOLD {
+                    session.cfs.breaker.record(u64::from(id.raw()), false, 0);
+                }
+            }
+        }
+        (session, rec)
+    }
+
+    /// In every follow-up round, the memoized planner's requests and
+    /// skipped vantage points equal the scanning planner's over the same
+    /// state (`Cfs::audit_round`): clean at tiny and default scale, and
+    /// under outages with one platform planning while the circuits of the
+    /// others open and close again.
+    #[test]
+    fn memoized_plans_equal_the_scanning_planner_in_every_round() {
+        let tiny = World::new();
+        let default = World::at(TopologyConfig::default(), &VpConfig::default());
+        let clean = Engine::new(&tiny.topo);
+        let outages = FaultPlan::new(5, FaultProfile::blackout());
+        let chaos = ChaosEngine::new(Engine::new(&tiny.topo), outages);
+        let default_engine = Engine::new(&default.topo);
+        let only = [Platform::RipeAtlas];
+        let runs: [(&str, &World, &dyn ProbeService, &[Platform]); 3] = [
+            ("tiny", &tiny, &clean, &[]),
+            ("blackout", &tiny, &chaos, &only),
+            ("default", &default, &default_engine, &[]),
+        ];
+        for (label, world, engine, platforms) in runs {
+            let cfg = CfsConfig::default();
+            let (mut session, rec) = batch_session(world, engine, &world.kb, cfg, platforms);
+            session.cfs.audited_rounds = Some(0);
+            session.ingest(world.campaign(engine, 0, 0..8));
+            let report = session.converge();
+            let rounds = report.iterations.iter().filter(|i| i.traces_issued > 0);
+            let rounds = rounds.count();
+            let audited = session.cfs.audited_rounds.unwrap();
+            assert!(
+                audited >= rounds && rounds > 3,
+                "{label}: {audited} of {rounds}"
+            );
+            let planner = session.cfs.planner.as_ref().unwrap();
+            let chases: usize = session
+                .cfs
+                .chase_attempts
+                .iter()
+                .map(|n| usize::from(*n))
+                .sum();
+            assert!(planner.plans.len() < chases, "{label}: no plan was reused");
+            let skipped = rec.snapshot().counters.get("chase.vp_skipped").copied();
+            assert_eq!(skipped.is_some(), label == "blackout", "{label}: skipped");
+        }
     }
 
     #[test]

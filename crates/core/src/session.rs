@@ -521,10 +521,10 @@ impl<'a> CfsSession<'a> {
         } else {
             self.fingerprints()
         };
-        // Every footprint may have moved: the planner's target pool is
-        // rebuilt on the next chase.
+        // Every footprint may have moved: the planner's target pool and
+        // plans are rebuilt on the next chase.
         self.cfs.kb = KbHandle::Owned(kb);
-        self.cfs.chase_targets = None;
+        self.cfs.planner = None;
         let mut dirty = BTreeSet::new();
 
         // Diff the footprints the constraint system has consumed against

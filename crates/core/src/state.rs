@@ -258,6 +258,14 @@ impl States {
             .filter_map(|(ip, slot)| Some((ip, slots[*slot as usize].as_deref()?)))
     }
 
+    /// Live states in address order, with their slots.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (u32, &IfaceState)> {
+        let slots = &self.slots;
+        self.by_ip
+            .values()
+            .filter_map(|slot| Some((*slot, slots[*slot as usize].as_deref()?)))
+    }
+
     /// Live states in address order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &IfaceState> {
         self.iter().map(|(_, state)| state)

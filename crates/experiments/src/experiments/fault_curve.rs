@@ -52,7 +52,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
             clean.clone()
         } else {
             let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::probe_loss(pm));
-            lab.run_cfs_chaos(Some(plan), fast_cfg())
+            lab.run_cfs(Some(plan), None, fast_cfg())
         };
         let map = facility_map(&report);
         let consistent = map
@@ -104,7 +104,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
     for name in KB_PROFILES {
         let profile = FaultProfile::parse(name).expect("known kb profile");
         let plan = FaultPlan::new(lab.topo.config.seed, profile);
-        let report = lab.run_cfs_chaos(Some(plan), fast_cfg());
+        let report = lab.run_cfs(Some(plan), None, fast_cfg());
         let map = facility_map(&report);
         let consistent = map
             .iter()
@@ -161,7 +161,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
             clean.clone()
         } else {
             let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::conflict_rate(pm));
-            lab.run_cfs_chaos(Some(plan), fast_cfg())
+            lab.run_cfs(Some(plan), None, fast_cfg())
         };
         let map = facility_map(&report);
         let consistent = map
@@ -212,9 +212,10 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
         lab.topo.config.seed,
         FaultProfile::conflict_rate(*CONFLICT_PM.last().expect("non-empty")),
     );
-    let multi_rule = lab.run_cfs_chaos(Some(harsh), fast_cfg());
-    let prefix_only = lab.run_cfs_chaos(
+    let multi_rule = lab.run_cfs(Some(harsh), None, fast_cfg());
+    let prefix_only = lab.run_cfs(
         Some(harsh),
+        None,
         CfsConfig {
             evidence_gating: false,
             ..fast_cfg()
@@ -359,7 +360,7 @@ mod tests {
 
         for pm in [50u32, 100] {
             let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::probe_loss(pm));
-            let report = lab.run_cfs_chaos(Some(plan), fast_cfg());
+            let report = lab.run_cfs(Some(plan), None, fast_cfg());
             let resolved = facility_map(&report).len();
             assert!(
                 resolved * 2 >= clean_resolved,
@@ -378,12 +379,12 @@ mod tests {
             lab.topo.config.seed,
             FaultProfile::parse("mid-kb-refresh").expect("named profile"),
         );
-        let a = lab.run_cfs_chaos(Some(plan), fast_cfg());
+        let a = lab.run_cfs(Some(plan), None, fast_cfg());
         assert!(
             !facility_map(&a).is_empty(),
             "torn KB snapshot wiped out all resolutions"
         );
-        let b = lab.run_cfs_chaos(Some(plan), fast_cfg());
+        let b = lab.run_cfs(Some(plan), None, fast_cfg());
         assert_eq!(
             serde_json::to_string(&a).expect("render"),
             serde_json::to_string(&b).expect("render")
@@ -439,9 +440,10 @@ mod tests {
     fn prefix_only_never_refuses_and_multi_rule_types_its_refusals() {
         let lab = Lab::provision(Scale::Tiny, Some(11)).expect("lab");
         let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::conflict_rate(200));
-        let gated = lab.run_cfs_chaos(Some(plan), fast_cfg());
-        let ungated = lab.run_cfs_chaos(
+        let gated = lab.run_cfs(Some(plan), None, fast_cfg());
+        let ungated = lab.run_cfs(
             Some(plan),
+            None,
             CfsConfig {
                 evidence_gating: false,
                 ..fast_cfg()
@@ -472,8 +474,8 @@ mod tests {
     fn faulted_runs_are_reproducible() {
         let lab = Lab::provision(Scale::Tiny, Some(11)).expect("lab");
         let plan = FaultPlan::new(lab.topo.config.seed, FaultProfile::standard());
-        let a = lab.run_cfs_chaos(Some(plan), fast_cfg());
-        let b = lab.run_cfs_chaos(Some(plan), fast_cfg());
+        let a = lab.run_cfs(Some(plan), None, fast_cfg());
+        let b = lab.run_cfs(Some(plan), None, fast_cfg());
         assert_eq!(
             serde_json::to_string(&a).expect("render"),
             serde_json::to_string(&b).expect("render")

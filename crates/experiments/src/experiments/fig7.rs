@@ -24,7 +24,7 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
     let mut curves = Vec::new();
     let mut interface_sets: Vec<std::collections::BTreeSet<std::net::Ipv4Addr>> = Vec::new();
     for (label, platforms) in configs {
-        let report = lab.run_cfs(platforms, None, CfsConfig::default());
+        let report = lab.run_cfs(None, platforms, CfsConfig::default());
         let curve = report.resolution_curve();
         interface_sets.push(report.interfaces.keys().copied().collect());
         curves.push((label, curve, report.total(), report.resolved()));

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_core::CfsConfig;
+use cfs_traceroute::Engine;
 use cfs_types::{par, FacilityId, Result};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -55,7 +56,11 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
         let mut kb = lab.kb.clone();
         kb.remove_facilities(&removed);
 
-        let report = lab.run_cfs(None, Some(&kb), fast_cfg());
+        // The clean measurement plane, booted on the degraded KB.
+        let engine = Engine::new(&lab.topo);
+        let report = lab
+            .session(&engine, &kb, fast_cfg(), lab.recorder.clone(), None)
+            .into_report();
         let mut lost = 0usize;
         let mut changed = 0usize;
         for (ip, fac) in &baseline_map {

@@ -39,9 +39,11 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
+use cfs::core::{InferredInterface, InferredLink};
 use cfs::daemon::{Daemon, DaemonOptions};
 use cfs::detect::{validate_alerts, ALERTS_SCHEMA};
 use cfs::obs::{
@@ -364,7 +366,7 @@ fn run_cmd(
     if let Some(rec) = &recorder {
         lab.recorder = rec.clone();
     }
-    let report = lab.run_cfs_chaos(plan, CfsConfig::default());
+    let report = lab.run_cfs(plan, None, CfsConfig::default());
     println!(
         "resolved {}/{} interfaces ({:.1}%) over {} iterations; {} follow-up traceroutes",
         report.resolved(),
@@ -389,51 +391,12 @@ fn run_cmd(
     }
 
     if let Some(path) = out {
-        // The public dataset the paper publishes: every inferred
-        // interface and interconnection, in machine-readable form.
-        let interfaces: Vec<serde_json::Value> = report
-            .interfaces
-            .values()
-            .map(|i| {
-                serde_json::json!({
-                    "ip": i.ip.to_string(),
-                    "owner_asn": i.owner.map(|a| a.raw()),
-                    "facility": i.facility.map(|f| lab.topo.facilities[f].name.clone()),
-                    "metro": i.metro.map(|m| lab.topo.world.metro(m).name.clone()),
-                    "outcome": format!("{:?}", i.outcome),
-                    "remote_peer": i.remote,
-                    "candidates": i.candidates.len(),
-                    "resolved_at_iteration": i.resolved_at,
-                    "via_proximity_heuristic": i.via_proximity,
-                })
-            })
-            .collect();
-        let links: Vec<serde_json::Value> = report
-            .links
-            .iter()
-            .map(|l| {
-                serde_json::json!({
-                    "near_asn": l.near_asn.raw(),
-                    "near_ip": l.near_ip.to_string(),
-                    "far_asn": l.far_asn.map(|a| a.raw()),
-                    "far_ip": l.far_ip.map(|ip| ip.to_string()),
-                    "type": l.kind.label(),
-                    "ixp": l.ixp.map(|x| lab.topo.ixps[x].name.clone()),
-                    "near_facility": l.near_facility.map(|f| lab.topo.facilities[f].name.clone()),
-                    "far_facility": l.far_facility.map(|f| lab.topo.facilities[f].name.clone()),
-                })
-            })
-            .collect();
-        let doc = serde_json::json!({
-            "generator": "cfs (constrained facility search reproduction)",
-            "scale": scale.label(),
-            "interfaces": interfaces,
-            "interconnections": links,
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut w = std::io::BufWriter::new(file);
+            write_map(&mut w, scale, &report, &lab)?;
+            w.flush()
         });
-        match serde_json::to_string_pretty(&doc)
-            .map_err(|e| e.to_string())
-            .and_then(|s| std::fs::write(&path, s).map_err(|e| e.to_string()))
-        {
+        match written {
             Ok(()) => println!("wrote inferred map to {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
@@ -475,6 +438,82 @@ fn run_cmd(
         }
     }
     0
+}
+
+/// The `generator` member of the `cfs run --out` map.
+const GENERATOR: &str = "cfs (constrained facility search reproduction)";
+
+/// One interface row of the `cfs run --out` map.
+fn interface_row(i: &InferredInterface, lab: &Lab) -> serde_json::Value {
+    serde_json::json!({
+        "ip": i.ip.to_string(),
+        "owner_asn": i.owner.map(|a| a.raw()),
+        "facility": i.facility.map(|f| lab.topo.facilities[f].name.clone()),
+        "metro": i.metro.map(|m| lab.topo.world.metro(m).name.clone()),
+        "outcome": format!("{:?}", i.outcome),
+        "remote_peer": i.remote,
+        "candidates": i.candidates.len(),
+        "resolved_at_iteration": i.resolved_at,
+        "via_proximity_heuristic": i.via_proximity,
+    })
+}
+
+/// One interconnection row of the `cfs run --out` map.
+fn link_row(l: &InferredLink, lab: &Lab) -> serde_json::Value {
+    serde_json::json!({
+        "near_asn": l.near_asn.raw(),
+        "near_ip": l.near_ip.to_string(),
+        "far_asn": l.far_asn.map(|a| a.raw()),
+        "far_ip": l.far_ip.map(|ip| ip.to_string()),
+        "type": l.kind.label(),
+        "ixp": l.ixp.map(|x| lab.topo.ixps[x].name.clone()),
+        "near_facility": l.near_facility.map(|f| lab.topo.facilities[f].name.clone()),
+        "far_facility": l.far_facility.map(|f| lab.topo.facilities[f].name.clone()),
+    })
+}
+
+/// Writes the public dataset the paper publishes, every inferred
+/// interface and interconnection, one row at a time: the bytes
+/// `serde_json::to_string_pretty` renders the whole document into,
+/// without holding the document or its text.
+fn write_map(
+    w: &mut impl Write,
+    scale: Scale,
+    report: &CfsReport,
+    lab: &Lab,
+) -> std::io::Result<()> {
+    let quoted =
+        |s: &str| serde_json::to_string(s).map_err(|e| std::io::Error::other(e.to_string()));
+    let (generator, scale) = (quoted(GENERATOR)?, quoted(scale.label())?);
+    write!(
+        w,
+        "{{\n  \"generator\": {generator},\n  \"scale\": {scale},\n"
+    )?;
+    let interfaces = report.interfaces.values().map(|i| interface_row(i, lab));
+    write_rows(w, "interfaces", interfaces)?;
+    w.write_all(b",\n")?;
+    let links = report.links.iter().map(|l| link_row(l, lab));
+    write_rows(w, "interconnections", links)?;
+    w.write_all(b"\n}")
+}
+
+/// Writes one member of the map, an array of rows, as the pretty printer
+/// lays it out one level deep: each row's own rendering, indented twice.
+fn write_rows(
+    w: &mut impl Write,
+    name: &str,
+    rows: impl Iterator<Item = serde_json::Value>,
+) -> std::io::Result<()> {
+    write!(w, "  \"{name}\": [")?;
+    let mut empty = true;
+    for row in rows {
+        w.write_all(if empty { b"\n    " } else { b",\n    " })?;
+        empty = false;
+        let text =
+            serde_json::to_string_pretty(&row).map_err(|e| std::io::Error::other(e.to_string()))?;
+        w.write_all(text.replace('\n', "\n    ").as_bytes())?;
+    }
+    w.write_all(if empty { b"]" } else { b"\n  ]" })
 }
 
 /// Renders a `cfs-profile/2` export as its call-path tree with
@@ -801,7 +840,7 @@ fn audit(scale: Scale, seed: Option<u64>, asn: Option<u32>, faults: Option<Strin
         Ok(p) => p,
         Err(code) => return code,
     };
-    let report = lab.run_cfs_chaos(plan, CfsConfig::default());
+    let report = lab.run_cfs(plan, None, CfsConfig::default());
     let node = lab.topo.as_node(target).expect("checked");
     println!("{target} ({}, {})", node.name, node.class);
     let by_kind = report.interfaces_by_kind(target);
@@ -1474,5 +1513,55 @@ fn top_cmd(args: &[String]) -> Result<(), i32> {
         if polls > 0 && poll >= polls {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The map as one value tree, rendered whole: how `cfs run --out`
+    /// wrote it before it streamed rows.
+    fn value_tree(scale: Scale, report: &CfsReport, lab: &Lab) -> String {
+        let interfaces: Vec<serde_json::Value> = report
+            .interfaces
+            .values()
+            .map(|i| interface_row(i, lab))
+            .collect();
+        let links: Vec<serde_json::Value> = report.links.iter().map(|l| link_row(l, lab)).collect();
+        let doc = serde_json::json!({
+            "generator": GENERATOR,
+            "scale": scale.label(),
+            "interfaces": interfaces,
+            "interconnections": links,
+        });
+        serde_json::to_string_pretty(&doc).unwrap()
+    }
+
+    #[test]
+    fn the_streamed_map_equals_the_value_tree_rendering() {
+        let lab = Lab::provision(Scale::Tiny, Some(7)).unwrap();
+        let faults = fault_plan(Some("default"), lab.topo.config.seed).unwrap();
+        let reports = [
+            ("clean", lab.run_cfs(None, None, CfsConfig::default())),
+            (
+                "faults default",
+                lab.run_cfs(faults, None, CfsConfig::default()),
+            ),
+            ("empty", CfsReport::default()),
+        ];
+        for (label, report) in &reports {
+            let mut streamed = Vec::new();
+            write_map(&mut streamed, Scale::Tiny, report, &lab).unwrap();
+            let streamed = String::from_utf8(streamed).unwrap();
+            assert!(
+                streamed == value_tree(Scale::Tiny, report, &lab),
+                "{label}: the streamed map differs"
+            );
+        }
+        assert!(
+            !reports[0].1.links.is_empty(),
+            "the clean run found no link"
+        );
     }
 }

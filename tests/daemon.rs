@@ -454,3 +454,20 @@ fn boot_refuses_campaigns_past_the_last_probe_time() {
     };
     assert!(Daemon::boot(&substrate, opts).is_err());
 }
+
+/// The README's service example queries `16.0.0.10` against the daemon
+/// `cfs serve --scale tiny --seed 7` boots; that daemon must serve it.
+#[test]
+fn the_readme_query_address_is_served_at_tiny_seed_7() {
+    let lab = Lab::provision(Scale::Tiny, Some(7)).expect("lab");
+    let substrate = Substrate::new(&lab, None, None);
+    let mut daemon = Daemon::boot(&substrate, DaemonOptions::default()).expect("boot");
+    let iface = "16.0.0.10".to_string();
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&format!("query --socket /tmp/cfsd.sock {iface} ")),
+        "the README quotes another address"
+    );
+    let reply = ask(&mut daemon, Request::Query { iface });
+    assert_eq!(reply["ok"], Value::Bool(true), "{reply:?}");
+}
