@@ -9,12 +9,14 @@
 //! `crates/core/tests/determinism.rs` assert byte-identical trace files
 //! across worker counts.
 //!
-//! Document layout:
+//! Document layout (`cfs_obs::TraceDoc` is its one reader, and
+//! `TraceDoc::seal` writes the schema/digest framing for both sides):
 //!
 //! ```text
 //! {
 //!   "schema": "cfs-trace/1",
 //!   "digest": "<fnv1a64 over everything after this member>",
+//!   "shape": "<fnv1a64 of the run shape>",     // `cfs run` only
 //!   "counters": { "<name>": <u64>, … },
 //!   "histogram_le": [1, 2, 4, …],               // shared obs bounds
 //!   "histograms": { "<name>": {"count", "sum", "buckets"}, … },
@@ -33,8 +35,8 @@
 //! }
 //! ```
 
-use cfs_obs::export::{fnv1a64, push_u64_list, stable_body};
-use cfs_obs::TraceSnapshot;
+use cfs_obs::export::{fnv1a64, push_joined, push_u64_list, stable_body};
+use cfs_obs::{TraceDoc, TraceSnapshot};
 
 use crate::report::{CfsReport, ConvergenceTelemetry, CANDIDATE_BUCKET_LE};
 
@@ -52,31 +54,22 @@ fn push_convergence(out: &mut String, conv: &ConvergenceTelemetry) {
     out.push_str("{\"candidate_bucket_le\":");
     push_u64_list(out, CANDIDATE_BUCKET_LE.map(|b| b as u64));
     out.push_str(",\"per_iteration\":[");
-    for (i, h) in conv.per_iteration.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    push_joined(out, &conv.per_iteration, |out, h| {
         out.push_str(&format!(
             "{{\"iteration\":{},\"unconstrained\":{},\"resolved\":{},\"buckets\":",
             h.iteration, h.unconstrained, h.resolved
         ));
         push_u64_list(out, h.buckets.iter().copied());
         out.push('}');
-    }
+    });
     out.push_str("],\"trajectories\":{");
-    for (i, (ip, points)) in conv.trajectories.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    push_joined(out, &conv.trajectories, |out, (ip, points)| {
         out.push_str(&format!("\"{ip}\":["));
-        for (j, p) in points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        push_joined(out, points, |out, p| {
             out.push_str(&format!("[{},{}]", p.iteration, p.candidates));
-        }
+        });
         out.push(']');
-    }
+    });
     out.push_str("}}");
 }
 
@@ -86,16 +79,13 @@ fn push_kb_quality(out: &mut String, q: &cfs_kb::KbQuality) {
          \"contested\":{},\"single_source\":{},\"per_source\":{{",
         q.records, q.agreement_mean_pm, q.unanimous, q.majority, q.contested, q.single_source
     ));
-    for (i, (label, s)) in q.per_source.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    push_joined(out, &q.per_source, |out, (label, s)| {
         out.push_str(&format!(
             "\"{label}\":{{\"trust_pm\":{},\"claims\":{},\"dissents\":{},\
              \"mean_agreement_pm\":{}}}",
             s.trust_pm, s.claims, s.dissents, s.mean_agreement_pm
         ));
-    }
+    });
     out.push_str("}}");
 }
 
@@ -115,9 +105,8 @@ pub fn render_trace_json(report: &CfsReport, snap: &TraceSnapshot) -> String {
 /// immediately after the digest member — *inside* the digested body, so
 /// tampering with the shape invalidates the digest like any other
 /// member. `trace-diff --baseline-dir` keys golden selection on it.
-/// Consumers that predate the member (the validator, the diff engine's
-/// structural walk) skip unknown members, so shaped and shape-less
-/// documents interoperate.
+/// The member is optional in `cfs_obs::TraceDoc`, so shaped and
+/// shape-less documents read alike, and the diff names a moved shape.
 pub fn render_trace_json_with_shape(
     report: &CfsReport,
     snap: &TraceSnapshot,
@@ -135,18 +124,14 @@ fn render_with(report: &CfsReport, snap: &TraceSnapshot, shape: Option<&str>) ->
     body.push_str(",\"convergence\":");
     push_convergence(&mut body, &report.convergence);
     body.push_str(",\"resolution_curve\":[");
-    for (i, v) in report.resolution_curve().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        // Shortest-roundtrip float formatting: stable for equal bits.
-        body.push_str(&format!("{v}"));
-    }
+    // Shortest-roundtrip float formatting: stable for equal bits.
+    push_joined(&mut body, report.resolution_curve(), |out, v| {
+        out.push_str(&format!("{v}"));
+    });
     body.push(']');
     body.push_str(",\"kb_quality\":");
     push_kb_quality(&mut body, &report.kb_quality);
-    let digest = fnv1a64(&body);
-    format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"digest\":\"{digest:016x}\",{body}}}")
+    TraceDoc::seal(&body)
 }
 
 #[cfg(test)]
@@ -226,13 +211,12 @@ mod tests {
             fnv1a64("scale=tiny;seed=7")
         );
         assert!(shaped.contains(&expected), "{shaped}");
-        // The shape sits inside the digested body: same digest math as
-        // digest_matches_body, over a body that now leads with shape.
-        let digest_start = shaped.find("\"digest\":\"").unwrap() + "\"digest\":\"".len();
-        let digest_hex = &shaped[digest_start..digest_start + 16];
-        let body_start = shaped[digest_start..].find("\",").unwrap() + digest_start + 2;
-        let body = &shaped[body_start..shaped.len() - 1];
-        assert_eq!(format!("{:016x}", fnv1a64(body)), digest_hex);
+        // The shape sits inside the digested body the reader checks.
+        let doc = TraceDoc::parse(&shaped).unwrap();
+        assert_eq!(
+            doc.shape,
+            Some(format!("{:016x}", fnv1a64("scale=tiny;seed=7")))
+        );
         // Different shape strings change the digest; shape-less rendering
         // is untouched.
         let other = render_trace_json_with_shape(&report(), &snapshot(), "scale=small;seed=7");
@@ -241,14 +225,12 @@ mod tests {
     }
 
     #[test]
-    fn digest_matches_body() {
-        let doc = render_trace_json(&report(), &snapshot());
-        // Everything after the digest member is the digested body.
-        let marker = "\",";
-        let digest_start = doc.find("\"digest\":\"").unwrap() + "\"digest\":\"".len();
-        let digest_hex = &doc[digest_start..digest_start + 16];
-        let body_start = doc[digest_start..].find(marker).unwrap() + digest_start + marker.len();
-        let body = &doc[body_start..doc.len() - 1];
-        assert_eq!(format!("{:016x}", fnv1a64(body)), digest_hex);
+    fn the_reader_accepts_what_the_writer_seals() {
+        let raw = render_trace_json(&report(), &snapshot());
+        assert_eq!(TraceDoc::validate(&raw), vec![]);
+        let doc = TraceDoc::parse(&raw).unwrap();
+        assert_eq!(doc.shape, None);
+        assert_eq!(doc.counters["cfs.iterations"], 2);
+        assert_eq!(doc.spans["cfs.run"], 1);
     }
 }

@@ -20,7 +20,9 @@ fn main() {
             .or_insert(0usize) += 1;
         if iface.outcome == SearchOutcome::UnresolvedLocal {
             let bucket = match iface.candidates.len() {
-                0..=1 => unreachable!("unresolved-local implies >1"),
+                // One candidate left: the contested-pin gate refused the
+                // pin (DESIGN.md §11), so the row stays unresolved.
+                0..=1 => "1 (contested pin refused)",
                 2 => "2",
                 3 => "3",
                 4..=5 => "4-5",

@@ -1,12 +1,15 @@
 //! Structural diffing of exported documents: the engine behind
 //! `cfs trace-diff`.
 //!
-//! Two `cfs-trace/1` documents are compared **exactly** — counters
-//! added/removed/changed with deltas, histogram count/sum/bucket
-//! shifts, span counts, convergence telemetry, and resolution-curve
-//! divergence. The trace body is deterministic for a given (world,
-//! seed, code) triple, so *any* difference is drift worth explaining;
-//! there is no tolerance on this side.
+//! Two `cfs-trace/1` documents, read by [`TraceDoc::parse`] (which
+//! refuses a digest that does not match its body), are compared
+//! **exactly**, member by member — counters added/removed/changed with
+//! deltas, histogram count/sum/bucket shifts, span counts, convergence
+//! telemetry and resolution-curve divergence, and `shape`,
+//! `histogram_le` and `kb_quality` named whole when they differ. The
+//! trace body is deterministic for a given (world, seed, code) triple,
+//! so *any* difference is drift worth explaining; there is no tolerance
+//! on this side.
 //!
 //! Two `cfs-profile/2` documents are compared **within tolerance**,
 //! call path by call path — span *counts* must match exactly (they are
@@ -20,17 +23,14 @@
 //! anything that fails to parse. The CLI maps the outcome to exit
 //! codes: 0 identical-within-tolerance, 1 drift, 2 malformed.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde_json::Value;
 
+use crate::export::{push_joined, push_pairs, TraceDoc, TRACE_SCHEMA};
 use crate::profile::{ProfileDoc, PROFILE_SCHEMA};
-
-/// The trace schema marker, re-exported as `cfs_core::TRACE_SCHEMA`
-/// (the renderer lives there because the document embeds report-side
-/// convergence telemetry).
-pub const TRACE_SCHEMA: &str = "cfs-trace/1";
+use crate::MetricsHistogram;
 
 /// Why a pair of documents could not be diffed (CLI exit code 2).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,7 +80,8 @@ pub struct ConvergenceDelta {
 pub struct CurveDelta {
     /// Curve lengths in a and b.
     pub len: (usize, usize),
-    /// First index where the curves disagree (or one ends), if any.
+    /// First index where the curves disagree (or one ends), if any:
+    /// set whenever they differ.
     pub first_divergence: Option<usize>,
     /// Largest absolute pointwise difference over the shared prefix.
     pub max_abs_delta: f64,
@@ -104,6 +105,9 @@ pub struct TraceDiff {
     pub convergence: ConvergenceDelta,
     /// Resolution-curve movement.
     pub curve: CurveDelta,
+    /// Members compared whole that differ (`shape`, `histogram_le`,
+    /// `kb_quality`), in body order.
+    pub members_changed: Vec<&'static str>,
 }
 
 impl TraceDiff {
@@ -116,7 +120,7 @@ impl TraceDiff {
             || !self.spans_changed.is_empty()
             || self.convergence.changed
             || self.curve.first_divergence.is_some()
-            || self.curve.len.0 != self.curve.len.1
+            || !self.members_changed.is_empty()
     }
 
     /// Human-readable report.
@@ -170,18 +174,14 @@ impl TraceDiff {
                 self.convergence.iterations.0, self.convergence.iterations.1
             ));
         }
-        if self.curve.first_divergence.is_some() || self.curve.len.0 != self.curve.len.1 {
+        if let Some(i) = self.curve.first_divergence {
             out.push_str(&format!(
-                "resolution_curve: len {} \u{2192} {}",
-                self.curve.len.0, self.curve.len.1
+                "resolution_curve: len {} \u{2192} {}, diverges at index {i} (max |\u{394}| {:.6})\n",
+                self.curve.len.0, self.curve.len.1, self.curve.max_abs_delta
             ));
-            if let Some(i) = self.curve.first_divergence {
-                out.push_str(&format!(
-                    ", diverges at index {i} (max |\u{394}| {:.6})",
-                    self.curve.max_abs_delta
-                ));
-            }
-            out.push('\n');
+        }
+        for member in &self.members_changed {
+            out.push_str(&format!("{member}: changed\n"));
         }
         out
     }
@@ -192,37 +192,29 @@ impl TraceDiff {
             "{{\"schema\":\"cfs-trace-diff/1\",\"drift\":{},\"counters\":{{\"added\":{{",
             self.is_drift()
         );
-        push_pairs(&mut out, self.counters_added.iter().map(|(n, v)| (n, *v)));
+        push_pairs(&mut out, self.counters_added.iter().map(|(n, v)| (n, v)));
         out.push_str("},\"removed\":{");
-        push_pairs(&mut out, self.counters_removed.iter().map(|(n, v)| (n, *v)));
+        push_pairs(&mut out, self.counters_removed.iter().map(|(n, v)| (n, v)));
         out.push_str("},\"changed\":{");
-        for (i, (name, a, b)) in self.counters_changed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":[{a},{b}]"));
-        }
+        push_moves(&mut out, &self.counters_changed);
         out.push_str("}},\"histograms\":{");
-        for (i, h) in self.histograms_changed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":[{},{}],\"sum\":[{},{}],\"shifted_buckets\":{}}}",
-                h.name, h.count.0, h.count.1, h.sum.0, h.sum.1, h.shifted_buckets
-            ));
-        }
+        push_pairs(
+            &mut out,
+            self.histograms_changed.iter().map(|h| {
+                let (count, sum) = (h.count, h.sum);
+                let moved = format!(
+                    "{{\"count\":[{},{}],\"sum\":[{},{}],\"shifted_buckets\":{}}}",
+                    count.0, count.1, sum.0, sum.1, h.shifted_buckets
+                );
+                (&h.name, moved)
+            }),
+        );
         out.push_str("},\"spans\":{");
-        for (i, (name, a, b)) in self.spans_changed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":[{a},{b}]"));
-        }
+        push_moves(&mut out, &self.spans_changed);
         out.push_str(&format!(
             "}},\"convergence\":{{\"iterations\":[{},{}],\"changed\":{}}},\
              \"resolution_curve\":{{\"len\":[{},{}],\"first_divergence\":{},\
-             \"max_abs_delta\":{}}}}}",
+             \"max_abs_delta\":{}}},\"members_changed\":[",
             self.convergence.iterations.0,
             self.convergence.iterations.1,
             self.convergence.changed,
@@ -233,17 +225,15 @@ impl TraceDiff {
                 .map_or("null".to_string(), |i| i.to_string()),
             self.curve.max_abs_delta,
         ));
+        push_name_list(&mut out, self.members_changed.iter());
+        out.push_str("]}");
         out
     }
 }
 
-fn push_pairs<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a String, u64)>) {
-    for (i, (name, v)) in pairs.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{v}"));
-    }
+/// Appends `"name":[a,b]` members for values that moved.
+fn push_moves(out: &mut String, moves: &[(String, u64, u64)]) {
+    push_pairs(out, moves.iter().map(|(n, a, b)| (n, format!("[{a},{b}]"))));
 }
 
 /// One stage whose duration moved beyond tolerance.
@@ -335,22 +325,18 @@ impl ProfileDiff {
         out.push_str("],\"removed\":[");
         push_name_list(&mut out, &self.spans_removed);
         out.push_str("],\"counts_changed\":{");
-        for (i, (name, a, b)) in self.counts_changed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":[{a},{b}]"));
-        }
+        push_moves(&mut out, &self.counts_changed);
         out.push_str("},\"duration_changed\":{");
-        for (i, d) in self.duration_changed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"total_ns\":[{},{}],\"p99_ns\":[{},{}],\"delta_pct\":{:.3}}}",
-                d.name, d.total_ns.0, d.total_ns.1, d.p99_ns.0, d.p99_ns.1, d.delta_pct
-            ));
-        }
+        push_pairs(
+            &mut out,
+            self.duration_changed.iter().map(|d| {
+                let moved = format!(
+                    "{{\"total_ns\":[{},{}],\"p99_ns\":[{},{}],\"delta_pct\":{:.3}}}",
+                    d.total_ns.0, d.total_ns.1, d.p99_ns.0, d.p99_ns.1, d.delta_pct
+                );
+                (&d.name, moved)
+            }),
+        );
         out.push_str(&format!(
             "}},\"within_tolerance\":{}}}",
             self.within_tolerance
@@ -359,13 +345,8 @@ impl ProfileDiff {
     }
 }
 
-fn push_name_list(out: &mut String, names: &[String]) {
-    for (i, n) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{n}\""));
-    }
+fn push_name_list(out: &mut String, names: impl IntoIterator<Item = impl fmt::Display>) {
+    push_joined(out, names, |out, n| out.push_str(&format!("\"{n}\"")));
 }
 
 /// A diff of either schema pair.
@@ -407,179 +388,118 @@ impl DocDiff {
 /// `tolerance_pct` applies only to profile durations; traces are
 /// compared exactly.
 pub fn diff_docs(a_raw: &str, b_raw: &str, tolerance_pct: u32) -> Result<DocDiff, DiffError> {
-    let schema_of = |raw: &str, side: &str| -> Result<(Value, String), DiffError> {
-        let doc = serde_json::from_str::<Value>(raw)
-            .map_err(|e| DiffError::Malformed(format!("{side}: {e}")))?;
-        let schema = doc
+    let schema_of = |raw: &str, side: &str| -> Result<String, DiffError> {
+        serde_json::from_str::<Value>(raw)
+            .map_err(|e| DiffError::Malformed(format!("{side}: {e}")))?
             .get("schema")
             .and_then(Value::as_str)
-            .ok_or_else(|| DiffError::Malformed(format!("{side}: missing schema member")))?
-            .to_string();
-        Ok((doc, schema))
+            .map(String::from)
+            .ok_or_else(|| DiffError::Malformed(format!("{side}: missing schema member")))
     };
-    let (a_doc, a_schema) = schema_of(a_raw, "a")?;
-    let (b_doc, b_schema) = schema_of(b_raw, "b")?;
+    let a_schema = schema_of(a_raw, "a")?;
+    let b_schema = schema_of(b_raw, "b")?;
     if a_schema != b_schema {
         return Err(DiffError::SchemaMismatch(a_schema, b_schema));
     }
+    fn read<T>(
+        raw: &str,
+        side: &str,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<T, DiffError> {
+        parse(raw).map_err(|e| DiffError::Malformed(format!("{side}: {e}")))
+    }
     match a_schema.as_str() {
-        TRACE_SCHEMA => Ok(DocDiff::Trace(diff_traces(&a_doc, &b_doc)?)),
-        PROFILE_SCHEMA => {
-            let parse = |raw: &str, side: &str| {
-                ProfileDoc::parse(raw).map_err(|e| DiffError::Malformed(format!("{side}: {e}")))
-            };
-            Ok(DocDiff::Profile(diff_profiles(
-                &parse(a_raw, "a")?,
-                &parse(b_raw, "b")?,
-                tolerance_pct,
-            )))
-        }
+        TRACE_SCHEMA => Ok(DocDiff::Trace(diff_traces(
+            &read(a_raw, "a", TraceDoc::parse)?,
+            &read(b_raw, "b", TraceDoc::parse)?,
+        ))),
+        PROFILE_SCHEMA => Ok(DocDiff::Profile(diff_profiles(
+            &read(a_raw, "a", ProfileDoc::parse)?,
+            &read(b_raw, "b", ProfileDoc::parse)?,
+            tolerance_pct,
+        ))),
         other => Err(DiffError::Malformed(format!("unknown schema {other:?}"))),
     }
 }
 
-struct TraceSide {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, (u64, u64, Vec<u64>)>,
-    spans: BTreeMap<String, u64>,
-    convergence: Value,
-    iterations: usize,
-    curve: Vec<f64>,
-}
-
-fn trace_side(doc: &Value, side: &str) -> Result<TraceSide, DiffError> {
-    let get = |key: &str| {
-        doc.get(key)
-            .ok_or_else(|| DiffError::Malformed(format!("{side}: missing {key} member")))
-    };
-    let bad = |what: &str| DiffError::Malformed(format!("{side}: {what}"));
-    let counters = crate::to_u64_map(get("counters")?)
-        .ok_or_else(|| bad("counters is not a name\u{2192}integer map"))?;
-    let mut histograms = BTreeMap::new();
-    for (name, h) in get("histograms")?
-        .as_object()
-        .ok_or_else(|| bad("histograms is not an object"))?
-        .iter()
-    {
-        let count = h.get("count").and_then(Value::as_u64);
-        let sum = h.get("sum").and_then(Value::as_u64);
-        let buckets = h.get("buckets").and_then(crate::to_u64_vec);
-        match (count, sum, buckets) {
-            (Some(c), Some(s), Some(b)) => {
-                histograms.insert(name.clone(), (c, s, b));
-            }
-            _ => return Err(bad(&format!("histogram {name:?} is malformed"))),
-        }
-    }
-    let mut spans = BTreeMap::new();
-    for (name, s) in get("spans")?
-        .as_object()
-        .ok_or_else(|| bad("spans is not an object"))?
-        .iter()
-    {
-        let count = s
-            .get("count")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| bad(&format!("span {name:?} has no count")))?;
-        spans.insert(name.clone(), count);
-    }
-    let convergence = get("convergence")?.clone();
-    let iterations = convergence
-        .get("per_iteration")
-        .and_then(Value::as_array)
-        .map(Vec::len)
-        .ok_or_else(|| bad("convergence.per_iteration is not an array"))?;
-    let curve = get("resolution_curve")?
-        .as_array()
-        .ok_or_else(|| bad("resolution_curve is not an array"))?
-        .iter()
-        .map(Value::as_f64)
-        .collect::<Option<Vec<f64>>>()
-        .ok_or_else(|| bad("resolution_curve holds non-numbers"))?;
-    Ok(TraceSide {
-        counters,
-        histograms,
-        spans,
-        convergence,
-        iterations,
-        curve,
-    })
-}
-
-fn diff_traces(a_doc: &Value, b_doc: &Value) -> Result<TraceDiff, DiffError> {
-    let a = trace_side(a_doc, "a")?;
-    let b = trace_side(b_doc, "b")?;
+/// Diffs two parsed traces exactly, member by member: every member of
+/// the digested body is itemised or named, so two documents whose
+/// bodies differ never read identical.
+pub fn diff_traces(a: &TraceDoc, b: &TraceDoc) -> TraceDiff {
     let mut d = TraceDiff::default();
-
-    for (name, av) in &a.counters {
-        match b.counters.get(name) {
-            None => d.counters_removed.push((name.clone(), *av)),
-            Some(bv) if bv != av => d.counters_changed.push((name.clone(), *av, *bv)),
-            Some(_) => {}
-        }
-    }
-    for (name, bv) in &b.counters {
-        if !a.counters.contains_key(name) {
-            d.counters_added.push((name.clone(), *bv));
-        }
-    }
-
-    let empty = (0u64, 0u64, Vec::new());
-    let hist_names: BTreeMap<&String, ()> = a
-        .histograms
-        .keys()
-        .chain(b.histograms.keys())
-        .map(|n| (n, ()))
+    let whole = [
+        ("shape", a.shape != b.shape),
+        ("histogram_le", a.histogram_le != b.histogram_le),
+        ("kb_quality", a.kb_quality != b.kb_quality),
+    ];
+    d.members_changed = whole
+        .iter()
+        .filter(|(_, moved)| *moved)
+        .map(|(m, _)| *m)
         .collect();
-    for name in hist_names.keys() {
-        let ha = a.histograms.get(*name).unwrap_or(&empty);
-        let hb = b.histograms.get(*name).unwrap_or(&empty);
+    let counter_names: BTreeSet<&String> = a.counters.keys().chain(b.counters.keys()).collect();
+    for name in counter_names {
+        match (a.counters.get(name), b.counters.get(name)) {
+            (Some(av), None) => d.counters_removed.push((name.clone(), *av)),
+            (None, Some(bv)) => d.counters_added.push((name.clone(), *bv)),
+            (Some(av), Some(bv)) if av != bv => d.counters_changed.push((name.clone(), *av, *bv)),
+            _ => {}
+        }
+    }
+
+    let empty = MetricsHistogram::default();
+    let hist_names: BTreeSet<&String> = a.histograms.keys().chain(b.histograms.keys()).collect();
+    for name in hist_names {
+        let ha = a.histograms.get(name).unwrap_or(&empty);
+        let hb = b.histograms.get(name).unwrap_or(&empty);
         if ha == hb {
             continue;
         }
-        let longest = ha.2.len().max(hb.2.len());
+        let longest = ha.buckets.len().max(hb.buckets.len());
         let shifted = (0..longest)
-            .filter(|i| ha.2.get(*i).unwrap_or(&0) != hb.2.get(*i).unwrap_or(&0))
+            .filter(|i| ha.buckets.get(*i).unwrap_or(&0) != hb.buckets.get(*i).unwrap_or(&0))
             .count();
         d.histograms_changed.push(HistogramDelta {
-            name: (*name).clone(),
-            count: (ha.0, hb.0),
-            sum: (ha.1, hb.1),
+            name: name.clone(),
+            count: (ha.count, hb.count),
+            sum: (ha.sum, hb.sum),
             shifted_buckets: shifted,
         });
     }
 
-    let span_names: BTreeMap<&String, ()> = a
-        .spans
-        .keys()
-        .chain(b.spans.keys())
-        .map(|n| (n, ()))
-        .collect();
-    for name in span_names.keys() {
-        let sa = a.spans.get(*name).copied().unwrap_or(0);
-        let sb = b.spans.get(*name).copied().unwrap_or(0);
+    let span_names: BTreeSet<&String> = a.spans.keys().chain(b.spans.keys()).collect();
+    for name in span_names {
+        let sa = a.spans.get(name).copied().unwrap_or(0);
+        let sb = b.spans.get(name).copied().unwrap_or(0);
         if sa != sb {
-            d.spans_changed.push(((*name).clone(), sa, sb));
+            d.spans_changed.push((name.clone(), sa, sb));
         }
     }
 
+    let iterations = |doc: &TraceDoc| {
+        doc.convergence
+            .get("per_iteration")
+            .and_then(Value::as_array)
+            .map_or(0, Vec::len)
+    };
     d.convergence = ConvergenceDelta {
-        iterations: (a.iterations, b.iterations),
+        iterations: (iterations(a), iterations(b)),
         changed: a.convergence != b.convergence,
     };
 
-    d.curve.len = (a.curve.len(), b.curve.len());
-    for (i, (x, y)) in a.curve.iter().zip(b.curve.iter()).enumerate() {
+    let (ca, cb) = (&a.resolution_curve, &b.resolution_curve);
+    d.curve.len = (ca.len(), cb.len());
+    for (i, (x, y)) in ca.iter().zip(cb.iter()).enumerate() {
         let delta = (x - y).abs();
         if delta > 0.0 {
             d.curve.first_divergence.get_or_insert(i);
             d.curve.max_abs_delta = d.curve.max_abs_delta.max(delta);
         }
     }
-    if d.curve.first_divergence.is_none() && a.curve.len() != b.curve.len() {
-        d.curve.first_divergence = Some(a.curve.len().min(b.curve.len()));
+    if d.curve.first_divergence.is_none() && ca.len() != cb.len() {
+        d.curve.first_divergence = Some(ca.len().min(cb.len()));
     }
-    Ok(d)
+    d
 }
 
 /// Diffs two parsed profiles with the given duration tolerance.
@@ -627,16 +547,19 @@ mod tests {
     use crate::profile::DurationStats;
 
     fn trace_doc(extract: u64, iterations: usize, curve_last: &str) -> String {
+        TraceDoc::seal(&trace_body(extract, iterations, curve_last))
+    }
+
+    fn trace_body(extract: u64, iterations: usize, curve_last: &str) -> String {
         format!(
-            "{{\"schema\":\"cfs-trace/1\",\"digest\":\"0000000000000000\",\
-             \"counters\":{{\"extract.observations\":{extract},\"report.links\":4}},\
+            "\"counters\":{{\"extract.observations\":{extract},\"report.links\":4}},\
              \"histogram_le\":[1,2],\
              \"histograms\":{{\"observe.per_trace\":{{\"count\":{extract},\"sum\":9,\
              \"buckets\":[{extract},0,0]}}}},\
              \"spans\":{{\"cfs.iteration\":{{\"count\":{iterations}}}}},\
              \"convergence\":{{\"candidate_bucket_le\":[2,4],\"per_iteration\":[{}],\
              \"trajectories\":{{}}}},\
-             \"resolution_curve\":[0.25,{curve_last}]}}",
+             \"resolution_curve\":[0.25,{curve_last}],\"kb_quality\":{{\"contested\":0}}",
             (0..iterations)
                 .map(|i| format!(
                     "{{\"iteration\":{},\"unconstrained\":0,\"resolved\":1,\"buckets\":[1,0,0]}}",
@@ -695,9 +618,10 @@ mod tests {
 
     #[test]
     fn added_and_removed_counters_split_correctly() {
-        let a = trace_doc(10, 1, "0.5");
+        let a = trace_body(10, 1, "0.5");
         let b = a.replace("extract.observations", "extract.renamed");
-        let DocDiff::Trace(t) = diff_docs(&a, &b, 0).unwrap() else {
+        let DocDiff::Trace(t) = diff_docs(&TraceDoc::seal(&a), &TraceDoc::seal(&b), 0).unwrap()
+        else {
             panic!("trace pair")
         };
         assert_eq!(
@@ -744,14 +668,15 @@ mod tests {
     fn reader_keeps_big_integers_and_member_order() {
         // Counters past 2^53 compare exactly (an f64 round-trip would
         // merge these two), and reordered convergence members are drift.
-        let a = trace_doc(1, 1, "0.5").replace(":1,\"report", ":18446744073709551615,\"report");
-        let b = a.replace("18446744073709551615", "18446744073709551614");
+        let body = trace_body(1, 1, "0.5").replace(":1,\"report", ":18446744073709551615,\"report");
+        let a = TraceDoc::seal(&body);
+        let b = TraceDoc::seal(&body.replace("18446744073709551615", "18446744073709551614"));
         let DocDiff::Trace(t) = diff_docs(&a, &b, 0).unwrap() else {
             panic!("trace pair")
         };
         let big = ("extract.observations".to_string(), u64::MAX, u64::MAX - 1);
         assert_eq!(t.counters_changed, vec![big]);
-        let reordered = a
+        let reordered = body
             .replace(
                 "\"candidate_bucket_le\":[2,4],\"per_iteration\"",
                 "\"per_iteration\"",
@@ -760,10 +685,38 @@ mod tests {
                 "\"trajectories\"",
                 "\"candidate_bucket_le\":[2,4],\"trajectories\"",
             );
-        let DocDiff::Trace(t) = diff_docs(&a, &reordered, 0).unwrap() else {
+        let DocDiff::Trace(t) = diff_docs(&a, &TraceDoc::seal(&reordered), 0).unwrap() else {
             panic!("trace pair")
         };
         assert!(t.convergence.changed);
+    }
+
+    #[test]
+    fn whole_members_are_named_and_a_broken_seal_is_malformed() {
+        let body = trace_body(1, 1, "0.5");
+        let a = TraceDoc::seal(&body);
+        for (moved, member) in [
+            (format!("\"shape\":\"00000000000000ff\",{body}"), "shape"),
+            (body.replace("[1,2]", "[1,4]"), "histogram_le"),
+            (
+                body.replace("\"contested\":0", "\"contested\":5"),
+                "kb_quality",
+            ),
+        ] {
+            let DocDiff::Trace(t) = diff_docs(&a, &TraceDoc::seal(&moved), 0).unwrap() else {
+                panic!("trace pair")
+            };
+            assert_eq!(t.members_changed, vec![member]);
+            assert!(t.render_text().contains(&format!("{member}: changed")));
+            assert!(t
+                .render_json()
+                .contains(&format!("\"members_changed\":[\"{member}\"]")));
+        }
+        let tampered = a.replace("\"contested\":0", "\"contested\":5");
+        assert!(matches!(
+            diff_docs(&a, &tampered, 0),
+            Err(DiffError::Malformed(e)) if e.contains("b: [digest] digest mismatch")
+        ));
     }
 
     #[test]

@@ -55,8 +55,9 @@ mod trace;
 mod window;
 
 pub use clock::{pace, Clock, Monotonic, Virtual};
-pub use diff::{diff_docs, DiffError, DocDiff, ProfileDiff, TraceDiff, TRACE_SCHEMA};
+pub use diff::{diff_docs, diff_traces, DiffError, DocDiff, ProfileDiff, TraceDiff};
 pub use events::{CursorRing, Event, EventKind, EventLog, Severity, LOG_SCHEMA};
+pub use export::{TraceDoc, TRACE_SCHEMA};
 pub use profile::{
     render_profile_folded, render_profile_json, render_profile_report, DurationStats, ProfileDoc,
     PROFILE_BOUNDS_NS, PROFILE_SCHEMA,
@@ -65,11 +66,23 @@ pub use recorder::{span, NoopRecorder, Recorder, SpanGuard, NOOP};
 pub use trace::{Histogram, SpanStats, TraceRecorder, TraceSnapshot, HISTOGRAM_BOUNDS};
 pub use window::{MetricsDoc, MetricsHistogram, MetricsWindow, WindowedRecorder, METRICS_SCHEMA};
 
-/// An object's `name → u64` members, for counter-style maps.
-fn to_u64_map(v: &serde_json::Value) -> Option<std::collections::BTreeMap<String, u64>> {
+/// Checks a document's `schema` member against the one wanted.
+fn check_schema(doc: &serde_json::Value, want: &str) -> Result<(), String> {
+    match doc.get("schema").and_then(serde_json::Value::as_str) {
+        Some(s) if s == want => Ok(()),
+        Some(s) => Err(format!("schema is {s:?}, want {want:?}")),
+        None => Err("missing schema member".into()),
+    }
+}
+
+/// An object's members, each typed by `read`: `None` when one is not.
+fn to_map<T>(
+    v: &serde_json::Value,
+    read: impl Fn(&serde_json::Value) -> Option<T>,
+) -> Option<std::collections::BTreeMap<String, T>> {
     v.as_object()?
         .iter()
-        .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+        .map(|(k, v)| Some((k.clone(), read(v)?)))
         .collect()
 }
 
@@ -79,6 +92,16 @@ fn to_u64_vec(v: &serde_json::Value) -> Option<Vec<u64>> {
         .iter()
         .map(serde_json::Value::as_u64)
         .collect()
+}
+
+/// A `{"count","sum","buckets"}` histogram, as trace and metrics
+/// documents both render it.
+fn to_histogram(v: &serde_json::Value) -> Option<MetricsHistogram> {
+    Some(MetricsHistogram {
+        count: v.get("count")?.as_u64()?,
+        sum: v.get("sum")?.as_u64()?,
+        buckets: to_u64_vec(v.get("buckets")?)?,
+    })
 }
 
 // The recorder crosses the engine's scoped-worker boundary; prove it at

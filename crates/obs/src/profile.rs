@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 
-use crate::export::push_u64_list;
+use crate::export::{push_joined, push_u64_list};
 use crate::trace::TraceSnapshot;
 
 /// Schema identifier stamped into every profile document.
@@ -183,11 +183,7 @@ impl ProfileDoc {
     /// `cfs check` and `trace-diff`'s malformed-input reporting.
     pub fn parse(raw: &str) -> Result<Self, String> {
         let doc = serde_json::from_str::<Value>(raw).map_err(|e| format!("not JSON: {e}"))?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(s) if s == PROFILE_SCHEMA => {}
-            Some(s) => return Err(format!("schema is {s:?}, want {PROFILE_SCHEMA:?}")),
-            None => return Err("missing schema member".into()),
-        }
+        crate::check_schema(&doc, PROFILE_SCHEMA)?;
         let bounds = doc
             .get("profile_le_ns")
             .and_then(crate::to_u64_vec)
@@ -233,12 +229,9 @@ impl ProfileDoc {
         let mut out = format!("{{\"schema\":\"{PROFILE_SCHEMA}\",\"profile_le_ns\":");
         push_u64_list(&mut out, self.bounds.iter().copied());
         out.push_str(",\"spans\":{");
-        for (i, (path, d)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_stats_entry(&mut out, path, d);
-        }
+        push_joined(&mut out, &self.spans, |out, (path, d)| {
+            push_stats_entry(out, path, d)
+        });
         out.push_str("}}");
         out
     }

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use serde_json::Value;
 
 use crate::clock::Clock;
-use crate::export::push_u64_list;
+use crate::export::{push_histograms, push_joined, push_pairs, push_u64_list};
 use crate::profile::{parse_stats, push_stats_entry, DurationStats, PROFILE_BOUNDS_NS};
 use crate::recorder::Recorder;
 use crate::trace::{Histogram, HISTOGRAM_BOUNDS};
@@ -192,18 +192,15 @@ impl WindowedRecorder {
         out.push_str(",\"totals\":{");
         push_cell_body(&mut out, &totals);
         out.push_str("},\"windows\":[");
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        push_joined(&mut out, &cells, |out, cell| {
             out.push_str(&format!(
                 "{{\"index\":{},\"open\":{},",
                 cell.index,
                 cell.index == open_index
             ));
-            push_cell_body(&mut out, cell);
+            push_cell_body(out, cell);
             out.push('}');
-        }
+        });
         out.push_str("]}");
         out
     }
@@ -213,31 +210,13 @@ impl WindowedRecorder {
 /// Used for both the totals object and each ring entry.
 fn push_cell_body(out: &mut String, cell: &WindowCell) {
     out.push_str("\"counters\":{");
-    for (i, (name, v)) in cell.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{v}"));
-    }
+    push_pairs(out, &cell.counters);
     out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in cell.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":",
-            h.count, h.sum
-        ));
-        push_u64_list(out, h.buckets.iter().copied());
-        out.push('}');
-    }
+    push_histograms(out, &cell.histograms);
     out.push_str("},\"durations\":{");
-    for (i, (name, d)) in cell.durations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_stats_entry(out, name, d);
-    }
+    push_joined(out, &cell.durations, |out, (name, d)| {
+        push_stats_entry(out, name, d)
+    });
     out.push('}');
 }
 
@@ -329,12 +308,19 @@ impl MetricsDoc {
     /// Parses a `cfs-metrics/1` document. The error names the member
     /// that failed, in the style of [`crate::ProfileDoc::parse`].
     pub fn parse(raw: &str) -> Result<Self, String> {
-        let doc = serde_json::from_str::<Value>(raw).map_err(|e| format!("not JSON: {e}"))?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(s) if s == METRICS_SCHEMA => {}
-            Some(s) => return Err(format!("schema is {s:?}, want {METRICS_SCHEMA:?}")),
-            None => return Err("missing schema member".into()),
-        }
+        Self::read(raw).map_err(|(_, e)| e)
+    }
+
+    /// [`MetricsDoc::parse`] with the failing section named: `json`,
+    /// `schema` or `structure`.
+    fn read(raw: &str) -> Result<Self, (&'static str, String)> {
+        let doc =
+            serde_json::from_str::<Value>(raw).map_err(|e| ("json", format!("not JSON: {e}")))?;
+        crate::check_schema(&doc, METRICS_SCHEMA).map_err(|e| ("schema", e))?;
+        Self::from_json(&doc).map_err(|e| ("structure", e))
+    }
+
+    fn from_json(doc: &Value) -> Result<Self, String> {
         let num = |key: &str| {
             doc.get(key)
                 .and_then(Value::as_u64)
@@ -390,22 +376,9 @@ impl MetricsDoc {
     /// the trace digest).
     pub fn validate(raw: &str) -> Vec<(&'static str, String)> {
         let mut problems: Vec<(&'static str, String)> = Vec::new();
-        let Ok(json) = serde_json::from_str::<Value>(raw) else {
-            return vec![("json", "document is not JSON".into())];
-        };
-        match json.get("schema").and_then(Value::as_str) {
-            Some(s) if s == METRICS_SCHEMA => {}
-            Some(s) => {
-                return vec![(
-                    "schema",
-                    format!("schema is {s:?}, want {METRICS_SCHEMA:?}"),
-                )]
-            }
-            None => return vec![("schema", "missing schema member".into())],
-        }
-        let doc = match Self::parse(raw) {
+        let doc = match Self::read(raw) {
             Ok(d) => d,
-            Err(e) => return vec![("structure", e)],
+            Err(problem) => return vec![problem],
         };
         if doc.window_ns == 0 {
             problems.push(("structure", "window_ns must be positive".into()));
@@ -546,7 +519,7 @@ fn parse_window(
     }
     out.counters = w
         .get("counters")
-        .and_then(crate::to_u64_map)
+        .and_then(|v| crate::to_map(v, Value::as_u64))
         .ok_or(format!("{at}: missing counters object"))?;
     for (name, h) in w
         .get("histograms")
@@ -554,27 +527,15 @@ fn parse_window(
         .ok_or(format!("{at}: missing histograms object"))?
         .iter()
     {
-        let count = h.get("count").and_then(Value::as_u64);
-        let sum = h.get("sum").and_then(Value::as_u64);
-        let buckets = h.get("buckets").and_then(crate::to_u64_vec);
-        let (Some(count), Some(sum), Some(buckets)) = (count, sum, buckets) else {
-            return Err(format!("{at}: histogram {name:?} is malformed"));
-        };
-        if buckets.len() != histogram_le.len() + 1 {
+        let h = crate::to_histogram(h).ok_or(format!("{at}: histogram {name:?} is malformed"))?;
+        if h.buckets.len() != histogram_le.len() + 1 {
             return Err(format!(
                 "{at}: histogram {name:?}: {} buckets, want {}",
-                buckets.len(),
+                h.buckets.len(),
                 histogram_le.len() + 1
             ));
         }
-        out.histograms.insert(
-            name.clone(),
-            MetricsHistogram {
-                count,
-                sum,
-                buckets,
-            },
-        );
+        out.histograms.insert(name.clone(), h);
     }
     for (name, d) in w
         .get("durations")

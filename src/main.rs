@@ -47,8 +47,8 @@ use cfs::core::{InferredInterface, InferredLink};
 use cfs::daemon::{Daemon, DaemonOptions};
 use cfs::detect::{validate_alerts, ALERTS_SCHEMA};
 use cfs::obs::{
-    pace, MetricsDoc, Monotonic, ProfileDoc, TraceRecorder, METRICS_SCHEMA, PROFILE_SCHEMA,
-    TRACE_SCHEMA,
+    pace, DocDiff, MetricsDoc, Monotonic, ProfileDoc, TraceDoc, TraceRecorder, METRICS_SCHEMA,
+    PROFILE_SCHEMA, TRACE_SCHEMA,
 };
 use cfs::prelude::*;
 use cfs::topology::{EventSchedule, ScheduleConfig, ScheduleIntensity};
@@ -551,21 +551,8 @@ fn profile_cmd(path: Option<&str>, args: &[String], folded: bool) -> i32 {
     }
 }
 
-/// The `shape` member of a trace document, when present: the run-shape
-/// fingerprint `cfs run` stamps next to the digest.
-fn trace_shape(raw: &str) -> Option<String> {
-    serde_json::from_str::<serde_json::Value>(raw)
-        .ok()?
-        .get("shape")?
-        .as_str()
-        .map(String::from)
-}
-
 /// Structurally compares two trace or profile exports. Exit 0 when
-/// identical within tolerance, 1 on drift, 2 on malformed input. With
-/// `--baseline-dir`, the baseline is the one `*.json` in the directory
-/// whose `shape` fingerprint matches the candidate's — golden selection
-/// by run shape instead of exact path.
+/// identical within tolerance, 1 on drift, 2 on malformed input.
 fn trace_diff(
     a: Option<&str>,
     b: Option<&str>,
@@ -577,81 +564,22 @@ fn trace_diff(
         Ok(n) => n.unwrap_or(25),
         Err(code) => return code,
     };
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            None
-        }
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))
     };
-    let (a_raw, b_raw) = if let Some(dir) = baseline_dir {
+    let diff = match (baseline_dir, a, b) {
         // One positional: the candidate. Its shape picks the golden.
-        let Some(b_path) = a else {
-            eprintln!("usage: cfs trace-diff --baseline-dir DIR B [--json] [--tolerance-pct N]");
-            return 2;
-        };
-        let Some(b_raw) = read(b_path) else {
-            return 2;
-        };
-        let Some(shape) = trace_shape(&b_raw) else {
-            eprintln!(
-                "{b_path} carries no \"shape\" member; --baseline-dir needs one \
-                 (re-export with a current `cfs run --trace-json`)"
-            );
-            return 2;
-        };
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(it) => it,
-            Err(e) => {
-                eprintln!("failed to read baseline dir {dir}: {e}");
-                return 2;
-            }
-        };
-        let mut paths: Vec<std::path::PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        let mut matches: Vec<(String, String)> = Vec::new();
-        for path in paths {
-            let shown = path.display().to_string();
-            if let Ok(raw) = std::fs::read_to_string(&path) {
-                if trace_shape(&raw).as_deref() == Some(shape.as_str()) {
-                    matches.push((shown, raw));
-                }
-            }
+        (Some(dir), Some(b_path), _) => {
+            read(b_path).and_then(|raw| baseline_diff(&dir, b_path, &raw))
         }
-        match matches.len() {
-            0 => {
-                eprintln!("no baseline in {dir} has shape {shape} (candidate {b_path})");
-                return 2;
-            }
-            1 => {
-                let (golden_path, golden_raw) = matches.remove(0);
-                println!("baseline: {golden_path} (shape {shape})");
-                (golden_raw, b_raw)
-            }
-            _ => {
-                let names: Vec<&str> = matches.iter().map(|(p, _)| p.as_str()).collect();
-                eprintln!("shape {shape} is ambiguous in {dir}: {names:?}");
-                return 2;
-            }
-        }
-    } else {
-        let (Some(a_path), Some(b_path)) = (a, b) else {
-            eprintln!(
-                "usage: cfs trace-diff A B [--json] [--tolerance-pct N] \
-                 | cfs trace-diff --baseline-dir DIR B"
-            );
-            return 2;
-        };
-        let (Some(a_raw), Some(b_raw)) = (read(a_path), read(b_path)) else {
-            return 2;
-        };
-        (a_raw, b_raw)
+        (None, Some(a_path), Some(b_path)) => read(a_path).and_then(|a_raw| {
+            cfs::obs::diff_docs(&a_raw, &read(b_path)?, tolerance_pct).map_err(|e| e.to_string())
+        }),
+        _ => Err("usage: cfs trace-diff A B [--json] [--tolerance-pct N] \
+                  | cfs trace-diff --baseline-dir DIR B [--json]"
+            .into()),
     };
-    match cfs::obs::diff_docs(&a_raw, &b_raw, tolerance_pct) {
+    match diff {
         Ok(diff) => {
             if json {
                 println!("{}", diff.render_json());
@@ -665,6 +593,44 @@ fn trace_diff(
             2
         }
     }
+}
+
+/// Diffs the trace `raw` (read from `path`) against its golden: the
+/// one `*.json` in `dir` that reads as a trace of the same run shape —
+/// golden selection by shape instead of exact path.
+fn baseline_diff(dir: &str, path: &str, raw: &str) -> Result<DocDiff, String> {
+    let candidate = TraceDoc::parse(raw).map_err(|e| format!("malformed input: {path}: {e}"))?;
+    let shape = candidate.shape.as_deref().ok_or_else(|| {
+        format!(
+            "{path} carries no \"shape\" member; --baseline-dir needs one \
+             (re-export with a current `cfs run --trace-json`)"
+        )
+    })?;
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("failed to read baseline dir {dir}: {e}"))?;
+    let mut paths: Vec<std::path::PathBuf> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    let mut matches: Vec<(String, TraceDoc)> = paths
+        .iter()
+        .filter_map(|p| {
+            let golden = TraceDoc::parse(&std::fs::read_to_string(p).ok()?).ok()?;
+            (golden.shape.as_deref() == Some(shape)).then(|| (p.display().to_string(), golden))
+        })
+        .collect();
+    if matches.len() != 1 {
+        let names: Vec<&str> = matches.iter().map(|(p, _)| p.as_str()).collect();
+        return Err(match names.len() {
+            0 => format!("no baseline in {dir} has shape {shape} (candidate {path})"),
+            _ => format!("shape {shape} is ambiguous in {dir}: {names:?}"),
+        });
+    }
+    let (golden_path, golden) = matches.remove(0);
+    println!("baseline: {golden_path} (shape {shape})");
+    Ok(DocDiff::Trace(cfs::obs::diff_traces(&golden, &candidate)))
 }
 
 /// `cfs check`: validates an exported document, dispatching on the
@@ -690,7 +656,7 @@ fn check_cmd(path: Option<&str>) -> i32 {
     let (schema, problems) = match serde_json::from_str::<serde_json::Value>(first) {
         Err(e) => ("", vec![("json", format!("{path} is not JSON: {e}"))]),
         Ok(head) => match head.get("schema").and_then(|s| s.as_str()) {
-            Some(TRACE_SCHEMA) => (TRACE_SCHEMA, trace_problems(&raw, &head)),
+            Some(TRACE_SCHEMA) => (TRACE_SCHEMA, TraceDoc::validate(&raw)),
             Some(PROFILE_SCHEMA) => match ProfileDoc::parse(&raw) {
                 Ok(_) => (PROFILE_SCHEMA, Vec::new()),
                 Err(e) => (PROFILE_SCHEMA, vec![("profile", e)]),
@@ -712,117 +678,6 @@ fn check_cmd(path: Option<&str>) -> i32 {
         }
         1
     }
-}
-
-/// The checks on a `--trace-json` export: digest integrity over the raw
-/// bytes, and the structural invariants the parsed document promises
-/// (monotone resolution curve, shrinking trajectories, aligned
-/// histogram buckets).
-fn trace_problems(raw: &str, doc: &serde_json::Value) -> Vec<(&'static str, String)> {
-    let mut problems: Vec<(&'static str, String)> = Vec::new();
-    // Digest check on the raw bytes: everything after the digest member
-    // is the digested body (see cfs_core::render_trace_json).
-    let prefix = format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"digest\":\"");
-    if let Some(rest) = raw.strip_prefix(prefix.as_str()) {
-        match (rest.get(..16), rest.get(18..rest.len().saturating_sub(1))) {
-            (Some(digest_hex), Some(body)) if rest[16..].starts_with("\",") => {
-                let computed = format!("{:016x}", cfs::obs::export::fnv1a64(body));
-                if computed != digest_hex {
-                    problems.push((
-                        "digest",
-                        format!("digest mismatch: header {digest_hex}, body {computed}"),
-                    ));
-                }
-            }
-            _ => problems.push(("digest", "malformed digest member".into())),
-        }
-    } else {
-        problems.push(("digest", format!("missing {TRACE_SCHEMA} schema header")));
-    }
-
-    for key in [
-        "schema",
-        "digest",
-        "counters",
-        "histogram_le",
-        "histograms",
-        "spans",
-        "convergence",
-        "resolution_curve",
-        "kb_quality",
-    ] {
-        if doc.get(key).is_none() {
-            problems.push(("structure", format!("missing top-level member {key:?}")));
-        }
-    }
-    if let Some(bounds) = doc.get("histogram_le").and_then(|v| v.as_array()) {
-        let want = bounds.len() + 1;
-        for (name, h) in doc
-            .get("histograms")
-            .and_then(|v| v.as_object())
-            .map(|m| m.iter())
-            .into_iter()
-            .flatten()
-        {
-            let got = h.get("buckets").and_then(|b| b.as_array()).map(Vec::len);
-            if got != Some(want) {
-                problems.push((
-                    "histograms",
-                    format!("histogram {name:?}: {got:?} buckets, want {want}"),
-                ));
-            }
-        }
-    }
-    if let Some(conv) = doc.get("convergence") {
-        let le_len = conv
-            .get("candidate_bucket_le")
-            .and_then(|v| v.as_array())
-            .map(Vec::len)
-            .unwrap_or(0);
-        for h in conv
-            .get("per_iteration")
-            .and_then(|v| v.as_array())
-            .into_iter()
-            .flatten()
-        {
-            let got = h.get("buckets").and_then(|b| b.as_array()).map(Vec::len);
-            if got != Some(le_len + 1) {
-                problems.push((
-                    "convergence",
-                    format!("per_iteration buckets: {got:?}, want {}", le_len + 1),
-                ));
-                break;
-            }
-        }
-        for (ip, points) in conv
-            .get("trajectories")
-            .and_then(|v| v.as_object())
-            .map(|m| m.iter())
-            .into_iter()
-            .flatten()
-        {
-            let sizes: Vec<u64> = points
-                .as_array()
-                .into_iter()
-                .flatten()
-                .filter_map(|p| p.as_array().and_then(|pair| pair.get(1)?.as_u64()))
-                .collect();
-            if sizes.windows(2).any(|w| w[1] > w[0]) {
-                problems.push(("convergence", format!("trajectory {ip} grows: {sizes:?}")));
-            }
-        }
-    }
-    if let Some(curve) = doc.get("resolution_curve").and_then(|v| v.as_array()) {
-        let vals: Vec<f64> = curve.iter().filter_map(|v| v.as_f64()).collect();
-        if vals.windows(2).any(|w| w[1] < w[0]) || vals.iter().any(|v| !(0.0..=1.0).contains(v)) {
-            problems.push((
-                "resolution_curve",
-                format!("resolution_curve not monotone in [0,1]: {vals:?}"),
-            ));
-        }
-    }
-
-    problems
 }
 
 fn audit(scale: Scale, seed: Option<u64>, asn: Option<u32>, faults: Option<String>) -> i32 {

@@ -8,6 +8,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use serde_json::Value;
+
 fn cfs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cfs"))
         .args(args)
@@ -434,11 +436,12 @@ fn baseline_dir_selects_the_golden_by_run_shape() {
     // A shape-less candidate (daemon traces, pre-shape exports) is
     // rejected with a pointer at the missing member.
     let shapeless = tmp("shapeless.trace.json");
-    std::fs::write(
-        &shapeless,
-        "{\"schema\":\"cfs-trace/1\",\"digest\":\"0\",\"counters\":{}}",
-    )
-    .expect("fixture written");
+    let mut golden = golden_trace("trace-tiny-seed7.json");
+    let Value::Map(members) = &mut golden else {
+        panic!("a trace is an object")
+    };
+    members.retain(|(key, _)| key != "shape");
+    std::fs::write(&shapeless, reseal(&golden)).expect("fixture written");
     let refused = cfs(&[
         "trace-diff",
         shapeless.to_str().unwrap(),
@@ -451,6 +454,126 @@ fn baseline_dir_selects_the_golden_by_run_shape() {
         "{}",
         stderr(&refused)
     );
+}
+
+/// A committed golden trace, parsed.
+fn golden_trace(name: &str) -> Value {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    serde_json::from_str(&std::fs::read_to_string(path).expect("golden read")).expect("golden")
+}
+
+/// Seals a parsed trace's body members (everything but `schema` and
+/// `digest`) into a document with a correct digest.
+fn reseal(doc: &Value) -> String {
+    let Value::Map(members) = doc else {
+        panic!("a trace is an object")
+    };
+    let body = Value::Map(
+        members
+            .iter()
+            .filter(|(key, _)| key != "schema" && key != "digest")
+            .cloned()
+            .collect(),
+    );
+    let body = serde_json::to_string(&body).expect("renders");
+    cfs::obs::TraceDoc::seal(&body[1..body.len() - 1])
+}
+
+/// The member `key` of an object.
+fn at<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(members) = v else {
+        panic!("{key}: not in an object")
+    };
+    &mut members.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// The first member of an object.
+fn first(v: &mut Value) -> &mut Value {
+    let Value::Map(members) = v else {
+        panic!("not an object")
+    };
+    &mut members[0].1
+}
+
+fn bump(v: &mut Value) {
+    let Value::U64(n) = v else {
+        panic!("{v:?}: not an integer")
+    };
+    *n += 5;
+}
+
+#[test]
+fn every_digested_member_reaches_check_and_the_diff_gate() {
+    // For each member of the digested body, a golden whose member moved
+    // and whose digest was resealed is a valid document that drifts
+    // from its golden: no member sits outside the comparison.
+    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    type Edit = fn(&mut Value);
+    let edits: [(&str, Edit); 8] = [
+        ("counters", |v| bump(first(v))),
+        ("histogram_le", |v| {
+            let Value::Seq(bounds) = v else { panic!() };
+            bump(bounds.last_mut().expect("bounds"));
+        }),
+        ("histograms", |v| bump(at(first(v), "sum"))),
+        ("spans", |v| bump(at(first(v), "count"))),
+        ("convergence", |v| {
+            let Value::Seq(rows) = at(v, "per_iteration") else {
+                panic!()
+            };
+            bump(at(&mut rows[0], "resolved"));
+        }),
+        ("resolution_curve", |v| {
+            let Value::Seq(curve) = v else { panic!() };
+            curve.push(Value::F64(1.0));
+        }),
+        ("kb_quality", |v| bump(at(v, "contested"))),
+        ("shape", |v| *v = Value::Str("0000000000000000".into())),
+    ];
+    for golden_name in [
+        "trace-tiny-seed7.json",
+        "trace-tiny-seed7-conflict.json",
+        "trace-default-seed7.json",
+    ] {
+        let golden_path = format!("{golden_dir}/{golden_name}");
+        let golden = golden_trace(golden_name);
+        // Control: resealing the untouched members reads identical, so
+        // each drift below is the edit's.
+        let control = tmp(&format!("control-{golden_name}"));
+        std::fs::write(&control, reseal(&golden)).expect("written");
+        let same = cfs(&["trace-diff", &golden_path, control.to_str().unwrap()]);
+        assert_eq!(same.status.code(), Some(0), "{}", stdout(&same));
+        for (member, edit) in &edits {
+            let mut moved = golden.clone();
+            edit(at(&mut moved, member));
+            let path = tmp(&format!("{member}-{golden_name}"));
+            std::fs::write(&path, reseal(&moved)).expect("written");
+            let path = path.to_str().unwrap();
+            let checked = cfs(&["check", path]);
+            assert_eq!(
+                checked.status.code(),
+                Some(0),
+                "{golden_name} {member}: {}",
+                stderr(&checked)
+            );
+            let diffed = cfs(&["trace-diff", &golden_path, path]);
+            assert_eq!(
+                diffed.status.code(),
+                Some(1),
+                "{golden_name} {member}: {}",
+                stdout(&diffed)
+            );
+            if *member != "shape" {
+                let gated = cfs(&["trace-diff", path, "--baseline-dir", golden_dir]);
+                assert_eq!(
+                    gated.status.code(),
+                    Some(1),
+                    "{golden_name} {member}: {}",
+                    stdout(&gated)
+                );
+            }
+        }
+    }
 }
 
 #[test]
