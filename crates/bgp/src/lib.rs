@@ -19,4 +19,4 @@ mod routing;
 
 pub use communities::{CommunityDictionary, CommunityValue, IngressTag};
 pub use lg::{BgpRecord, BgpSession, LookingGlassBgp};
-pub use routing::{compute_routes, AsGraph, RouteCache, RouteMap, RouteType};
+pub use routing::{compute_routes, AsGraph, RouteCache, RouteMap, RouteType, Walk};

@@ -159,30 +159,63 @@ impl RouteMap {
     /// The full AS path from `from` to the destination, inclusive of both
     /// ends. `None` when unreachable.
     pub fn path(&self, from: Asn) -> Option<Vec<Asn>> {
-        if from == self.dest {
-            return Some(vec![from]);
-        }
         let mut path = vec![from];
-        let mut cur = self.graph.position(from)?;
-        // Bounded walk: AS paths cannot exceed the AS count.
-        for _ in 0..=self.coverage {
-            let word = self.routes[cur];
-            if word == 0 {
-                return None;
-            }
-            cur = (word & HOP_MASK) as usize;
-            let next = self.graph.asns[cur];
-            path.push(next);
-            if next == self.dest {
-                return Some(path);
-            }
+        path.extend(self.walk(from)?);
+        (path.last() == Some(&self.dest)).then_some(path)
+    }
+
+    /// The ASes a packet from `from` crosses after `from` itself, ending
+    /// at the destination: [`Self::path`] without its first AS, read off
+    /// the packed words in place. `None` when `from` holds no route. The
+    /// walk of a route holder always ends at the destination, since every
+    /// next hop holds a route too.
+    pub fn walk(&self, from: Asn) -> Option<Walk<'_>> {
+        if from == self.dest {
+            return Some(Walk {
+                map: self,
+                at: None,
+                left: 0,
+            });
         }
-        None // cycle guard; cannot happen with consistent route maps
+        let at = self.graph.position(from).filter(|i| self.routes[*i] != 0)?;
+        Some(Walk {
+            map: self,
+            at: Some(at),
+            // Bounded walk: AS paths cannot exceed the AS count.
+            left: self.coverage + 1,
+        })
     }
 
     /// Number of ASes holding a route.
     pub fn coverage(&self) -> usize {
         self.coverage
+    }
+}
+
+/// An AS path being read off a [`RouteMap`]; see [`RouteMap::walk`].
+pub struct Walk<'m> {
+    map: &'m RouteMap,
+    /// The position whose next hop comes next; `None` once done.
+    at: Option<usize>,
+    /// Steps left before the cycle guard ends the walk (cannot happen
+    /// with consistent route maps).
+    left: usize,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Asn;
+
+    fn next(&mut self) -> Option<Asn> {
+        let word = self.map.routes[self.at?];
+        if word == 0 || self.left == 0 {
+            self.at = None;
+            return None;
+        }
+        self.left -= 1;
+        // The destination holds no route word, so the walk stops there.
+        let pos = (word & HOP_MASK) as usize;
+        self.at = Some(pos);
+        Some(self.map.graph.asns[pos])
     }
 }
 

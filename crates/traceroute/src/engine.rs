@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use cfs_bgp::RouteCache;
+use cfs_bgp::{RouteCache, Walk};
 use cfs_geo::{fiber_rtt_ms, GeoPoint};
 use cfs_net::IpAsnDb;
 use cfs_topology::{IfaceKind, Medium, Topology};
@@ -62,14 +62,22 @@ const CONGESTION_P: u64 = 4;
 /// Length of a congestion slot, ms.
 const CONGESTION_SLOT_MS: u64 = 600_000;
 
+/// Traceroute's default maximum TTL. Generated paths stay far below it
+/// (at most 12 hops at paper scale); a longer one would end like a
+/// broken path, in one `*`.
+const MAX_TTL: usize = 30;
+
 /// The simulation engine. Cheap to share by reference; all methods take
 /// `&self` and derive their randomness from call parameters, so traces
 /// are reproducible and the engine is safe to use from many threads.
 ///
-/// It holds interior state: per-destination routes and per-crossing
-/// hot-potato choices, each filled on first use. Both are pure functions
-/// of the topology, so what an engine has already answered never changes
-/// what it answers next.
+/// It holds interior state, each part filled on first use: per-destination
+/// routes, and the step table's compiled crossings. A slot per (router,
+/// next AS) points into an append-only arena of crossings, which hold
+/// the hops and fiber of that AS boundary, so a probe is a walk over the
+/// route and the arena that draws only its per-probe randomness. Both
+/// are pure functions of the topology, so what an engine has already
+/// answered never changes what it answers next.
 pub struct Engine<'t> {
     topo: &'t Topology,
     routes: RouteCache,
@@ -125,87 +133,60 @@ impl<'t> Engine<'t> {
 
     /// Issues one traceroute.
     pub fn trace(&self, vp: &VantagePoint, target: Ipv4Addr, at_ms: u64) -> Trace {
-        let mut rng = self.call_rng(vp, target, at_ms);
-        let mut trace = Trace {
+        let trace = |hops, reached| Trace {
             vp: vp.id,
             src_asn: vp.asn,
             target,
             at_ms,
-            hops: Vec::new(),
-            reached: false,
+            hops,
+            reached,
         };
-
+        let star = Hop {
+            ip: None,
+            rtt_ms: 0.0,
+        };
+        // Unrouted space, or no route: probes die somewhere in the core.
         let Some(dest_asn) = self.db.origin(target) else {
-            // Unrouted space: probes die somewhere in the core.
-            trace.hops.extend(
-                [Hop {
-                    ip: None,
-                    rtt_ms: 0.0,
-                }; 3],
-            );
-            return trace;
+            return trace(vec![star; 3], false);
         };
-
         let routes = self.routes.routes(dest_asn);
-        let Some(as_path) = routes.path(vp.asn) else {
-            trace.hops.extend(
-                [Hop {
-                    ip: None,
-                    rtt_ms: 0.0,
-                }; 3],
-            );
-            return trace;
+        let Some(walk) = routes.walk(vp.asn) else {
+            return trace(vec![star; 3], false);
         };
-
-        // Router-level expansion.
-        let mut path: Vec<(RouterId, IfaceId)> = Vec::new();
-        let mut current = vp.router;
-        path.push((current, self.backbone_iface(current)));
-        for win in as_path.windows(2) {
-            let Some((egress, ingress, ingress_iface)) = self.step(current, win[0], win[1]) else {
-                // Inconsistent adjacency (should not happen): truncate.
-                trace.hops.push(Hop {
-                    ip: None,
-                    rtt_ms: 0.0,
-                });
-                return trace;
-            };
-            if egress != current {
-                path.push((egress, self.backbone_iface(egress)));
-            }
-            path.push((ingress, ingress_iface));
-            current = ingress;
-        }
+        let mut legs = [NO_LEG; MAX_TTL - 1];
+        // Inconsistent adjacency (should not happen): truncate.
+        let Some(n) = self.legs(vp, walk, &mut legs) else {
+            return trace(vec![star], false);
+        };
 
         // Emit hops with accumulated delay.
-        trace.hops.reserve_exact(path.len() + 1);
+        let mut rng = self.call_rng(vp, target, at_ms);
+        let legs = &legs[..n];
+        let mut hops = Vec::with_capacity(legs.len() + 1);
         let mut dist_km = 0.0;
-        let mut prev: GeoPoint = vp.coords;
-        for (idx, (router, iface)) in path.iter().enumerate() {
-            let r = &self.topo.routers[*router];
-            dist_km += prev.distance_km(r.coords);
-            prev = r.coords;
+        for (idx, leg) in legs.iter().enumerate() {
+            let r = &self.topo.routers[leg.router];
+            dist_km += leg.km;
             let rtt = fiber_rtt_ms(dist_km)
                 + 0.05 * (idx + 1) as f64
                 + rng.random::<f64>() * 0.8
-                + self.congestion_ms(*router, at_ms);
+                + self.congestion_ms(leg.router, at_ms);
             let responds = r.responds && !rng.random_bool(self.reply_loss);
-            let mut ip = responds.then(|| self.topo.ifaces[*iface].ip);
+            let mut ip = responds.then(|| self.topo.ifaces[leg.iface].ip);
             // Classic traceroute artifact injection (ablation mode).
             if !self.paris && ip.is_some() && rng.random_bool(0.05) {
                 ip = Some(self.random_foreign_iface(r.asn, &mut rng));
             }
-            trace.hops.push(Hop { ip, rtt_ms: rtt });
+            hops.push(Hop { ip, rtt_ms: rtt });
         }
 
         // The destination host itself (targets are verified-active, §5).
-        let rtt = fiber_rtt_ms(dist_km) + 0.05 * (path.len() + 1) as f64 + rng.random::<f64>();
-        trace.hops.push(Hop {
+        let rtt = fiber_rtt_ms(dist_km) + 0.05 * (legs.len() + 1) as f64 + rng.random::<f64>();
+        hops.push(Hop {
             ip: Some(target),
             rtt_ms: rtt,
         });
-        trace.reached = true;
-        trace
+        trace(hops, true)
     }
 
     /// Issues one ping, returning the RTT (or `None` when the owner stays
@@ -239,34 +220,88 @@ impl<'t> Engine<'t> {
         )
     }
 
-    /// The first backbone interface of a router (its intra-AS reply
-    /// source).
-    fn backbone_iface(&self, router: RouterId) -> IfaceId {
-        self.topo.routers[router]
-            .ifaces
-            .iter()
-            .copied()
-            .find(|i| self.topo.ifaces[*i].kind == IfaceKind::Backbone)
-            .unwrap_or_else(|| self.topo.routers[router].ifaces[0])
+    /// Writes the router-level path of a probe from `vp` through the ASes
+    /// of `walk` into `legs`, with the fiber each hop adds, and returns
+    /// its length: the vantage point's router, then per AS boundary the
+    /// egress router (when the probe stands elsewhere in its AS) and the
+    /// far AS's ingress router. `None` when a boundary has no medium, or
+    /// the path outgrows `legs`.
+    fn legs(&self, vp: &VantagePoint, walk: Walk<'_>, legs: &mut [Leg]) -> Option<usize> {
+        let mut n = 0;
+        let mut push = |router, iface, km| {
+            *legs.get_mut(n)? = Leg { router, iface, km };
+            n += 1;
+            Some(())
+        };
+        let home = &self.topo.routers[vp.router];
+        // Every vantage point sits on its router: no fiber to the first hop.
+        let km = if vp.coords == home.coords {
+            0.0
+        } else {
+            vp.coords.distance_km(home.coords)
+        };
+        push(vp.router, self.steps.row(vp.router).backbone, km)?;
+        let mut current = vp.router;
+        let mut compiled = self.steps.compiled.read();
+        for y in walk {
+            let slot = self.steps.slot(current, y)?;
+            let mut entry = compiled.slots[slot];
+            if entry == UNFILLED {
+                drop(compiled);
+                entry = self.fill(slot, current, y);
+                compiled = self.steps.compiled.read();
+            }
+            if entry == NO_MEDIUM {
+                return None;
+            }
+            let c = compiled.arena[entry as usize - 1];
+            if c.egress != current {
+                push(c.egress, c.egress_iface, c.to_egress_km)?;
+            }
+            push(c.ingress, c.ingress_iface, c.to_ingress_km)?;
+            current = c.ingress;
+        }
+        Some(n)
     }
 
-    /// The crossing `x → y` of a probe at `current`, a router of `x`:
-    /// [`Self::select_medium`] from there, computed once per
-    /// `(current, y)` and read from the step table afterwards.
-    fn step(&self, current: RouterId, x: Asn, y: Asn) -> Option<(RouterId, RouterId, IfaceId)> {
-        debug_assert_eq!(self.topo.routers[current].asn, x, "probe left its AS");
-        let slot = self.steps.slot(current, y)?;
-        let mut packed = self.steps.slots.read()[slot];
-        if packed == UNFILLED {
-            packed = pack(self.select_medium(x, y, self.topo.routers[current].coords));
-            self.steps.slots.write()[slot] = packed;
-            #[cfg(test)]
-            self.steps
-                .filled
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Compiles the crossing of step-table slot `(current, y)` and files
+    /// it, returning the slot's entry. The slot is re-checked under the
+    /// write lock, so two workers racing to fill it append one crossing.
+    fn fill(&self, slot: usize, current: RouterId, y: Asn) -> u32 {
+        let crossing = self.crossing(current, y);
+        #[cfg(test)]
+        self.steps
+            .computed
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut compiled = self.steps.compiled.write();
+        if compiled.slots[slot] == UNFILLED {
+            compiled.slots[slot] = match crossing {
+                Some(c) => {
+                    compiled.arena.push(c);
+                    compiled.arena.len() as u32
+                }
+                None => NO_MEDIUM,
+            };
         }
-        let (egress, iface) = unpack(packed)?;
-        Some((egress, self.topo.ifaces[iface].router, iface))
+        compiled.slots[slot]
+    }
+
+    /// The crossing into AS `y` of a probe standing on `current`:
+    /// [`Self::select_medium`] from there, with the hops it adds and
+    /// their fiber.
+    fn crossing(&self, current: RouterId, y: Asn) -> Option<Crossing> {
+        let here = &self.topo.routers[current];
+        let (egress, ingress_iface) = self.select_medium(here.asn, y, here.coords)?;
+        let ingress = self.topo.ifaces[ingress_iface].router;
+        let at_egress = self.topo.routers[egress].coords;
+        Some(Crossing {
+            egress,
+            egress_iface: self.steps.row(egress).backbone,
+            ingress,
+            ingress_iface,
+            to_egress_km: here.coords.distance_km(at_egress),
+            to_ingress_km: at_egress.distance_km(self.topo.routers[ingress].coords),
+        })
     }
 
     /// Hot-potato medium selection for the AS boundary `x → y`: of all
@@ -353,8 +388,7 @@ impl<'t> Engine<'t> {
     fn random_foreign_iface(&self, asn: Asn, rng: &mut ChaCha20Rng) -> Ipv4Addr {
         let routers = &self.topo.ases[&asn].routers;
         let r = routers[rng.random_range(0..routers.len())];
-        let iface = self.backbone_iface(r);
-        self.topo.ifaces[iface].ip
+        self.topo.ifaces[self.steps.row(r).backbone].ip
     }
 
     fn call_rng(&self, vp: &VantagePoint, target: Ipv4Addr, at_ms: u64) -> ChaCha20Rng {
@@ -369,36 +403,67 @@ impl<'t> Engine<'t> {
 }
 
 /// A step-table slot nobody has computed yet.
-const UNFILLED: u64 = 0;
+const UNFILLED: u32 = 0;
 
 /// A step-table slot whose crossing has no usable medium.
-const NO_MEDIUM: u64 = u64::MAX;
+const NO_MEDIUM: u32 = u32::MAX;
 
-/// Hot-potato choices memoized per (current router, next AS).
+/// Compiled crossings keyed by (current router, next AS).
 ///
-/// The choice at a boundary `x → y` depends only on where the probe
-/// stands (a router of `x`) and on `y`, so every router gets one row with
-/// a slot per neighbour of its AS. All slots live in one zero-filled
-/// allocation made up front: pages no probe reaches are never touched,
-/// and filling a slot allocates nothing.
+/// The hot-potato choice at a boundary `x → y` depends only on where the
+/// probe stands (a router of `x`) and on `y`, so every router gets one
+/// row with a slot per neighbour of its AS. All slots live in one
+/// zero-filled allocation made up front, so pages no probe reaches are
+/// never touched. A slot holds its crossing's position in the arena plus
+/// one, and the arena grows only with the crossings probes take.
 struct StepTable {
-    /// Per router: its row's first slot and its AS's range in `next`.
+    /// Per router: its row's first slot, its AS's range in `next`, and
+    /// its backbone interface.
     rows: Vec<Row>,
     /// Every AS's neighbours, sorted, one run per AS.
     next: Vec<Asn>,
-    /// Packed `(egress router + 1, ingress interface + 1)`, or
-    /// [`UNFILLED`] / [`NO_MEDIUM`].
-    slots: RwLock<Vec<u64>>,
-    /// Slots computed, to pin compute-once in tests.
+    compiled: RwLock<Compiled>,
+    /// Crossings compiled, to pin compute-once in tests.
     #[cfg(test)]
-    filled: std::sync::atomic::AtomicUsize,
+    computed: std::sync::atomic::AtomicUsize,
+}
+
+/// The step table's slots and the crossings they point at, under one
+/// lock so a probe reads both with one acquisition.
+struct Compiled {
+    /// Arena position + 1, or [`UNFILLED`] / [`NO_MEDIUM`].
+    slots: Vec<u32>,
+    /// Append-only: a filled slot's position never moves.
+    arena: Vec<Crossing>,
+}
+
+/// What a probe standing on a router adds to its path when it crosses
+/// into the next AS.
+#[derive(Clone, Copy)]
+struct Crossing {
+    /// The router the probe leaves its AS by.
+    egress: RouterId,
+    /// The egress router's reply interface (its backbone one).
+    egress_iface: IfaceId,
+    /// The far AS's router the probe enters by.
+    ingress: RouterId,
+    /// The interface it enters by, and replies from.
+    ingress_iface: IfaceId,
+    /// Fiber from the probe's router to the egress router; no hop adds
+    /// it when the two are one router.
+    to_egress_km: f64,
+    /// Fiber from the egress router to the ingress router.
+    to_ingress_km: f64,
 }
 
 #[derive(Clone, Copy)]
 struct Row {
-    first_slot: usize,
-    next_lo: usize,
-    next_hi: usize,
+    first_slot: u32,
+    next_lo: u32,
+    next_hi: u32,
+    /// The router's first backbone interface (its intra-AS reply
+    /// source), else its first interface.
+    backbone: IfaceId,
 }
 
 impl StepTable {
@@ -421,46 +486,66 @@ impl StepTable {
             .map(|r| {
                 let (next_lo, next_hi) = runs.get(&r.asn).copied().unwrap_or_default();
                 let row = Row {
-                    first_slot: total,
-                    next_lo,
-                    next_hi,
+                    first_slot: total as u32,
+                    next_lo: next_lo as u32,
+                    next_hi: next_hi as u32,
+                    backbone: r
+                        .ifaces
+                        .iter()
+                        .copied()
+                        .find(|i| topo.ifaces[*i].kind == IfaceKind::Backbone)
+                        .unwrap_or_else(|| r.ifaces[0]),
                 };
                 total += next_hi - next_lo;
                 row
             })
             .collect();
+        assert!(
+            total < NO_MEDIUM as usize && next.len() <= u32::MAX as usize,
+            "step-table positions fit a u32"
+        );
         Self {
             rows,
             next,
-            slots: RwLock::new(vec![UNFILLED; total]),
+            compiled: RwLock::new(Compiled {
+                slots: vec![UNFILLED; total],
+                arena: Vec::new(),
+            }),
             #[cfg(test)]
-            filled: std::sync::atomic::AtomicUsize::new(0),
+            computed: std::sync::atomic::AtomicUsize::new(0),
         }
+    }
+
+    fn row(&self, router: RouterId) -> Row {
+        self.rows[router.raw() as usize]
     }
 
     /// The slot of `(router, y)`; `None` when `y` is no neighbour of the
     /// router's AS.
     fn slot(&self, router: RouterId, y: Asn) -> Option<usize> {
-        let row = self.rows[router.raw() as usize];
-        let k = self.next[row.next_lo..row.next_hi].binary_search(&y).ok()?;
-        Some(row.first_slot + k)
+        let row = self.row(router);
+        let k = self.next[row.next_lo as usize..row.next_hi as usize]
+            .binary_search(&y)
+            .ok()?;
+        Some(row.first_slot as usize + k)
     }
 }
 
-fn pack(step: Option<(RouterId, IfaceId)>) -> u64 {
-    step.map_or(NO_MEDIUM, |(egress, iface)| {
-        (u64::from(egress.raw()) + 1) << 32 | (u64::from(iface.raw()) + 1)
-    })
+/// One hop of a probe's path before emission: the router, the interface
+/// it replies from, and the fiber from the previous hop.
+#[derive(Clone, Copy)]
+struct Leg {
+    router: RouterId,
+    iface: IfaceId,
+    km: f64,
 }
 
-fn unpack(packed: u64) -> Option<(RouterId, IfaceId)> {
-    (packed != NO_MEDIUM).then(|| {
-        (
-            RouterId::new((packed >> 32) as u32 - 1),
-            IfaceId::new((packed & u64::from(u32::MAX)) as u32 - 1),
-        )
-    })
-}
+/// An unwritten entry of a probe's stack buffer of legs.
+const NO_LEG: Leg = Leg {
+    router: RouterId::new(0),
+    iface: IfaceId::new(0),
+    km: 0.0,
+};
 
 /// SplitMix64 — tiny, well-distributed hash for deriving per-call seeds.
 fn splitmix64(mut x: u64) -> u64 {
@@ -632,15 +717,27 @@ mod tests {
         assert!(differs, "classic mode never produced an artifact");
     }
 
+    fn all_targets(topo: &Topology) -> Vec<Ipv4Addr> {
+        topo.ases
+            .keys()
+            .map(|a| topo.target_ip(*a).unwrap())
+            .collect()
+    }
+
+    /// Filled slots, slots pointing into the arena, and the arena's
+    /// length.
+    fn arena_shape(engine: &Engine<'_>) -> (usize, usize, usize) {
+        let compiled = engine.steps.compiled.read();
+        let filled = compiled.slots.iter().filter(|s| **s != UNFILLED);
+        let medium = filled.clone().filter(|s| **s != NO_MEDIUM).count();
+        (filled.count(), medium, compiled.arena.len())
+    }
+
     #[test]
     fn each_crossing_is_computed_once() {
         let (topo, vps) = setup();
         let engine = Engine::new(&topo);
-        let targets: Vec<Ipv4Addr> = topo
-            .ases
-            .keys()
-            .map(|a| topo.target_ip(*a).unwrap())
-            .collect();
+        let targets = all_targets(&topo);
         let sweep = || {
             for id in vps.ids() {
                 for target in &targets {
@@ -648,19 +745,46 @@ mod tests {
                 }
             }
         };
-        let filled = || engine.steps.filled.load(Relaxed);
+        let computed = || engine.steps.computed.load(Relaxed);
         sweep();
-        let (used, total) = {
-            let slots = engine.steps.slots.read();
-            (
-                slots.iter().filter(|s| **s != UNFILLED).count(),
-                slots.len(),
-            )
-        };
+        let total = engine.steps.compiled.read().slots.len();
+        let (used, medium, arena) = arena_shape(&engine);
         assert!(0 < used && used < total, "{used} of {total} slots");
-        assert_eq!(filled(), used, "a slot was computed twice");
+        assert_eq!(computed(), used, "a slot was computed twice");
+        assert_eq!(arena, medium, "one crossing per slot with a medium");
         sweep();
-        assert_eq!(filled(), used, "a warm sweep recomputed a crossing");
+        assert_eq!(computed(), used, "a warm sweep recomputed a crossing");
+        assert_eq!(arena_shape(&engine), (used, medium, arena));
+        // A worker that read a slot unfilled and lost the race to fill it
+        // finds the slot filled under the write lock and appends nothing.
+        for (router, _) in topo.routers.iter() {
+            let row = engine.steps.row(router);
+            let next = &engine.steps.next[row.next_lo as usize..row.next_hi as usize];
+            for (k, y) in next.iter().enumerate() {
+                let slot = row.first_slot as usize + k;
+                let entry = engine.steps.compiled.read().slots[slot];
+                if entry != UNFILLED {
+                    assert_eq!(engine.fill(slot, router, *y), entry);
+                }
+            }
+        }
+        assert_eq!(arena_shape(&engine), (used, medium, arena));
+    }
+
+    /// Workers racing to fill one slot append one crossing between them.
+    #[test]
+    fn parallel_campaigns_compile_each_crossing_once() {
+        let (topo, vps) = setup();
+        let targets = all_targets(&topo);
+        let ids: Vec<_> = vps.ids().collect();
+        let limits = crate::campaign::CampaignLimits::default();
+        let serial = Engine::new(&topo);
+        crate::campaign::run_campaign(&serial, &vps, &ids, &targets, 0, &limits);
+        let parallel = Engine::new(&topo);
+        crate::campaign::run_campaign_parallel(&parallel, &vps, &ids, &targets, 0, &limits);
+        let (_, medium, arena) = arena_shape(&parallel);
+        assert_eq!(arena, medium, "a raced slot appended twice");
+        assert_eq!(arena_shape(&parallel), arena_shape(&serial));
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub struct Daemon<'w> {
     /// The daemon's view of the public sources; kb-flip deltas edit it.
     sources: PublicSources,
     windows: Arc<WindowedRecorder>,
+    /// The windows' clock, for the one span that is timed in two halves
+    /// (`serve.detect`).
+    clock: Arc<Monotonic>,
     events: EventLog,
     dq_seen: DqSeen,
     /// Present under `--detect`. A detection-off daemon still answers
@@ -187,6 +190,7 @@ impl<'w> Daemon<'w> {
             session,
             sources: substrate.sources().clone(),
             windows,
+            clock,
             events,
             dq_seen,
             detector,
@@ -278,23 +282,32 @@ impl<'w> Daemon<'w> {
                         ),
                     ));
                 }
+                let start = self.windows.span_start();
                 let traces = self.lab.campaign(self.engine, campaign);
+                self.windows.span_end("serve.campaign", start);
                 // Summarize the raw batch before apply_delta consumes
                 // it: per-epoch visibility comes from what this batch
                 // saw, not from the session's cumulative state.
+                let start = self.clock.now_ns();
                 let obs = self
                     .detector
                     .as_ref()
                     .map(|_| EpochObservation::from_traces(campaign, &traces));
+                let summarized_ns = self.clock.now_ns().saturating_sub(start);
                 let result = self.session.apply_delta(Delta::TracerouteBatch(traces));
-                if let (Ok(_), Some(det), Some(obs), Some(report)) = (
-                    &result,
-                    self.detector.as_mut(),
-                    obs.as_ref(),
-                    self.session.report(),
-                ) {
-                    let emitted = det.observe(obs, report);
-                    self.windows.counter("detect.alerts", emitted.len() as u64);
+                if let Some(det) = self.detector.as_mut() {
+                    let start = self.windows.span_start();
+                    if let (Ok(_), Some(obs), Some(report)) =
+                        (&result, obs.as_ref(), self.session.report())
+                    {
+                        let emitted = det.observe(obs, report);
+                        self.windows.counter("detect.alerts", emitted.len() as u64);
+                    }
+                    // One sample covers both halves of detection: the
+                    // summary taken before the delta and the observation
+                    // after it.
+                    self.windows
+                        .span_end("serve.detect", start.saturating_sub(summarized_ns));
                 }
                 self.delta_reply("campaign", result)
             }

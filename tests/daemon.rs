@@ -411,6 +411,40 @@ fn metrics_count_delta_churn_once() {
     assert_eq!(total("serve.reconverged"), Some(reconverged));
 }
 
+/// A campaign delta times its two phases outside `serve.delta` once
+/// each: probing (`serve.campaign`) and, on a detecting daemon, the
+/// detector's summary and observation (`serve.detect`). The spans stay
+/// out of the canonical trace.
+#[test]
+fn campaign_deltas_time_probing_and_detection_once() {
+    let lab = Lab::provision(Scale::Tiny, Some(7)).expect("lab");
+    let substrate = Substrate::new(&lab, None, None);
+    let opts = DaemonOptions {
+        detect: true,
+        ..DaemonOptions::default()
+    };
+    let mut detecting = Daemon::boot(&substrate, opts).expect("boot");
+    let mut plain = Daemon::boot(&substrate, DaemonOptions::default()).expect("boot");
+    for daemon in [&mut detecting, &mut plain] {
+        let reply = ask(daemon, Request::DeltaCampaign { campaign: 1 });
+        assert_eq!(reply["ok"], Value::Bool(true), "{reply:?}");
+    }
+    let span_counts = |daemon: &Daemon<'_>| -> Vec<Option<u64>> {
+        let metrics: Value = serde_json::from_str(&daemon.metrics_json()).expect("metrics JSON");
+        ["api.delta", "serve.campaign", "serve.delta", "serve.detect"]
+            .iter()
+            .map(|span| metrics["totals"]["durations"][*span]["count"].as_u64())
+            .collect()
+    };
+    assert_eq!(span_counts(&detecting), [Some(1); 4]);
+    assert_eq!(span_counts(&plain), [Some(1), Some(1), Some(1), None]);
+    assert_eq!(
+        detecting.handle(Request::Trace).response,
+        plain.handle(Request::Trace).response,
+        "the campaign's spans reached the canonical trace"
+    );
+}
+
 /// The service-mode determinism contract (DESIGN.md §10): a daemon that
 /// booted with campaigns 1..3 pre-ingested serves byte-for-byte the
 /// trace of one that booted on the bootstrap alone and absorbed the

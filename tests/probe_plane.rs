@@ -5,11 +5,14 @@
 //! * An FNV-1a digest over every trace of the bootstrap corpus plus
 //!   campaigns 1..3 (vantage point, target, time, outcome, and each hop's
 //!   address and RTT bits) must equal the recorded constant, at tiny and
-//!   default scale.
+//!   default scale, and at tiny scale for each non-default engine mode:
+//!   classic (non-Paris) traceroute, heavy reply loss and pervasive
+//!   congestion.
 //! * The engine memoizes hot-potato boundary choices as it goes, so the
 //!   order probes are sent in must not matter: a fresh engine that
 //!   replays the same probes backwards must return equal traces, bare,
-//!   under a disruption schedule and under a flaky fault plan.
+//!   in classic mode, under a disruption schedule and under a flaky
+//!   fault plan.
 
 use cfs::experiments::{Lab, Scale};
 use cfs::prelude::*;
@@ -58,9 +61,11 @@ fn digest(traces: &[Trace]) -> u64 {
     h
 }
 
-fn assert_digest(scale: Scale, expected: u64) {
+/// Requires the seed-7 probe plane at `scale`, answered by the engine
+/// `mode` configures, to digest to `expected`.
+fn assert_digest(scale: Scale, mode: fn(Engine<'_>) -> Engine<'_>, expected: u64) {
     let lab = Lab::provision(scale, Some(7)).expect("lab");
-    let engine = Engine::new(&lab.topo);
+    let engine = mode(Engine::new(&lab.topo));
     let traces = probe_plane(&lab, &engine);
     let got = digest(&traces);
     assert_eq!(
@@ -74,12 +79,37 @@ fn assert_digest(scale: Scale, expected: u64) {
 
 #[test]
 fn tiny_probe_plane_bytes_are_pinned() {
-    assert_digest(Scale::Tiny, 0x5cd2_4c7e_cc9f_1b56);
+    assert_digest(Scale::Tiny, |e| e, 0x5cd2_4c7e_cc9f_1b56);
 }
 
 #[test]
 fn default_probe_plane_bytes_are_pinned() {
-    assert_digest(Scale::Default, 0x539b_bb1f_b7cf_297c);
+    assert_digest(Scale::Default, |e| e, 0x539b_bb1f_b7cf_297c);
+}
+
+/// Classic traceroute draws its artifact mid-hop and reads a foreign
+/// interface, so the draw order is pinned apart from the Paris one.
+#[test]
+fn tiny_classic_probe_plane_bytes_are_pinned() {
+    assert_digest(Scale::Tiny, |e| e.without_paris(), 0xa835_83e7_89ab_d60a);
+}
+
+#[test]
+fn tiny_lossy_probe_plane_bytes_are_pinned() {
+    assert_digest(
+        Scale::Tiny,
+        |e| e.with_reply_loss(0.2),
+        0x5666_8183_9d80_b4e7,
+    );
+}
+
+#[test]
+fn tiny_congested_probe_plane_bytes_are_pinned() {
+    assert_digest(
+        Scale::Tiny,
+        |e| e.with_congestion_percent(30),
+        0x0928_08a1_b59f_ce39,
+    );
 }
 
 /// Replays every probe of the forward-ordered `forward` backwards on
@@ -95,6 +125,7 @@ fn assert_order_free(forward: &[Trace], lab: &Lab, fresh: &dyn ProbeService, sta
 fn assert_order_free_stacks(scale: Scale) {
     let lab = Lab::provision(scale, Some(7)).expect("lab");
     let bare = || Engine::new(&lab.topo);
+    let classic = || Engine::new(&lab.topo).without_paris();
     let scheduled = || {
         let config = ScheduleConfig::at_intensity(lab.topo.config.seed, ScheduleIntensity::Default);
         ScheduledEngine::new(bare(), EventSchedule::generate(&lab.topo, config))
@@ -103,6 +134,7 @@ fn assert_order_free_stacks(scale: Scale) {
     let flaky = || ChaosEngine::new(bare(), plan);
 
     assert_order_free(&probe_plane(&lab, &bare()), &lab, &bare(), "bare");
+    assert_order_free(&probe_plane(&lab, &classic()), &lab, &classic(), "classic");
     assert_order_free(
         &probe_plane(&lab, &scheduled()),
         &lab,
